@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -45,14 +44,6 @@ def _quad(q) -> dict:
     return {"d": q.d, "a": q.a, "b": q.b, "str": str(q)}
 
 
-def _threads() -> int:
-    raw = os.environ.get("THUEQ_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _emit(args, payload: dict, table: list[str]) -> None:
     if getattr(args, "json", False):
         print(json.dumps(payload, indent=2))
@@ -76,7 +67,7 @@ def _cmd_verify_all(args) -> int:
             "tmin": _num(report.tmin),
             "rmax": args.rmax,
             "kmax": args.kmax,
-            "threads": _threads(),
+            "threads": 1,
         },
         "gates": [{"name": g.name, "ok": g.ok, "detail": g.detail}
                   for g in report.all_gates],
@@ -334,7 +325,15 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("verify-all", "descent"):
+        from .descent import KMAX, KSTART
+
+        # verify-all runs both chains, so it needs the later first step
+        kmin = KSTART[args.type] if args.command == "descent" else max(KSTART.values())
+        if not kmin <= args.kmax <= KMAX:
+            parser.error(f"--kmax must be in [{kmin}, {KMAX}]")
     try:
         return args.fn(args)
     except (ArithmeticError, ValueError) as exc:

@@ -7,12 +7,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import Rat, round_up_sig, sqrt_upper
-from .series import (GaussRat, PadePair, Series, TPoly, alpha3_series,
-                     newton_alpha_series, pade, pade_residual, tail_bound)
+from .exactnum import Rat, round_up_sig, sqrt_lower, sqrt_upper
+from .rouche import HIGH_ORDER
+from .series import (GaussRat, PadePair, Series, TPoly, pade, pade_residual,
+                     root_series, tail_bound)
 
 BETA_COEFF = Fraction("8.86")          # |x - alpha y| < 8.86/(|t| |y|^3)
-HIGH_ORDER = {0: (Fraction(271) * 10 ** 14, 31), 3: (Fraction(984) * 10 ** 13, 30)}
+KSTART = {0: 3, 3: 2}  # first Pade step of each chain
+KMAX = 11              # the root series support steps up to k = 11
 
 
 class DerivationError(ArithmeticError):
@@ -84,13 +86,6 @@ def step2_type0(tmin: Rat = Fraction(100)) -> Rat:
     return Fraction("5.02")
 
 
-def _series_for(type_index: int) -> Series:
-    alpha = newton_alpha_series(31)
-    if type_index == 0:
-        return alpha
-    return alpha3_series(alpha).truncated(30)
-
-
 def _poly_reverse(coeffs, degree: int) -> TPoly:
     """t^degree * p(1/t) for an ascending coefficient list of length <= degree+1."""
     out = [GaussRat.of(0)] * (degree + 1)
@@ -115,11 +110,8 @@ def _nonvanish_gate(pair: PadePair, k: int, c0: Rat, c3: Rat, tmin: Rat) -> Rat:
         raise NonVanishingError(f"P has degree {deg}, expected {2 * k - 2}")
     if Y.degree() != k - 1:
         raise NonVanishingError("denominator polynomial degree dropped")
-    lead = P.coeffs[deg]
-    L = Fraction(lead.abs_sq()).sqrt() if False else None
     # leading coefficient is Gaussian rational; use |lead| >= lower bound
-    from .exactnum import sqrt_lower
-    L = sqrt_lower(lead.abs_sq())
+    L = sqrt_lower(P.coeffs[deg].abs_sq())
     for j in range(deg):
         cj = P.coeffs[j]
         if cj:
@@ -151,11 +143,11 @@ def _integral_pair(pair: PadePair) -> PadePair:
 def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = Fraction(100)) -> StepRecord:
     """One Pade step: from |y| > |t|^(k-1)/c0 to |y| > |t|^k/c_out."""
     c0, tmin = Fraction(c0), Fraction(tmin)
-    if type_index not in (0, 3):
+    if type_index not in KSTART:
         raise ValueError("type_index must be 0 or 3")
-    if k < 2 or (type_index == 0 and k < 3):
+    if k < KSTART[type_index]:
         raise ValueError("step index too small for this chain")
-    B = _series_for(type_index)
+    B = root_series(type_index)
     pair = _integral_pair(pade(B, k - 1, k - 1))
     resid = pade_residual(B, pair)
     c1 = tail_bound(resid, 2 * k - 1, tmin)
@@ -174,17 +166,18 @@ def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = Fraction(100)) -> Ste
     )
 
 
-def run_descent(type_index: int, kmax: int = 11,
+def run_descent(type_index: int, kmax: int = KMAX,
                 tmin: Rat = Fraction(100)) -> list[StepRecord]:
     """Chain the steps, feeding each c_out into the next step's c0."""
-    if kmax > 11:
-        raise ValueError("series precision supports k <= 11 only")
+    if type_index not in KSTART:
+        raise ValueError("type_index must be 0 or 3")
+    kstart = KSTART[type_index]
+    if not kstart <= kmax <= KMAX:
+        raise ValueError(f"kmax must be in [{kstart}, {KMAX}] for type {type_index}")
     if type_index == 0:
         c0 = step2_type0(tmin)
-        kstart = 3
     else:
         c0 = 1 / step1(3, tmin)  # |y| > |t|/2.27 i.e. divisor 2.27
-        kstart = 2
     records = []
     for k in range(kstart, kmax + 1):
         rec = run_step(type_index, k, c0, tmin)

@@ -6,12 +6,12 @@ classification via certified root enclosures."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import ComplexBall, Rat, sqrt_lower, sqrt_upper
-from .quadfield import (QuadInt, div_exact, enumerate_bounded, from_root_coords,
-                        roots_of_unity)
+from .quadfield import QuadInt, div_exact, enumerate_bounded, roots_of_unity
 from .series import GaussRat, TPoly
 
 
@@ -98,12 +98,6 @@ def solve_zero(t: QuadInt) -> dict:
 Y_CASE2_MAX_SQ = 47  # |y| < 6.86  =>  |y|^2 <= 47
 
 
-def _isqrt_ceil(n: int) -> int:
-    import math
-    r = math.isqrt(n)
-    return r if r * r == n else r + 1
-
-
 def _enum_by_field(bound: int) -> dict:
     """Normalized ring elements with |y| <= bound, grouped by field."""
     out: dict = {}
@@ -134,7 +128,7 @@ def _search_all() -> list[Solution]:
         xa4 = x.abs_sq() ** 2
         ybound_sq = max((1 + xa4) ** 2,
                         Y_CASE2_MAX_SQ if x.abs_sq() == 1 else 0)
-        bound = _isqrt_ceil(ybound_sq)
+        bound = 1 + math.isqrt(ybound_sq - 1)  # ceil(sqrt), ybound_sq >= 1
         if bound not in _ENUM_CACHE:
             _ENUM_CACHE[bound] = _enum_by_field(bound)
         groups = _ENUM_CACHE[bound]
@@ -176,8 +170,9 @@ def _solve_for_t(x: QuadInt, y: QuadInt) -> list[Solution]:
             if p.a % nsq or p.b % nsq:
                 continue
             t = QuadInt(d, p.a // nsq, p.b // nsq)
-            # t is exact, so F_t(x, y) = mu holds identically; assert cheaply
-            assert eval_form(t, xl, yl) == mu
+            # t is exact, so F_t(x, y) = mu holds identically; recheck cheaply
+            if eval_form(t, xl, yl) != mu:
+                raise ArithmeticError(f"F_t(x, y) != mu at t={t}, x={xl}, y={yl}")
             sols.append(Solution(d, t, xl, yl, mu))
     return sols
 
@@ -306,9 +301,6 @@ def _certify_root(t_ball: ComplexBall, x: GaussRat) -> ComplexBall | None:
     return ComplexBall(x.re, x.im, 2 * eta)
 
 
-_SEED_CACHE: dict = {}
-
-
 def all_root_balls(t_complex: complex, t_gauss, extra_sqrt,
                    target_radius: Rat) -> list[ComplexBall]:
     """The four roots of f_t, ordered by the cyclic structure starting from
@@ -405,7 +397,6 @@ def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
 
 
 def _t_complex(t: QuadInt) -> complex:
-    import math
     re, im = t.re_im()
     return complex(float(re), float(im) * math.sqrt(t.d))
 

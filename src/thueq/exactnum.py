@@ -120,7 +120,22 @@ def _plain_decimal(r: Rat) -> str:
 
 
 # ---------------------------------------------------------------------------
-# square roots of rationals (certified bounds)
+# integer roots and square roots of rationals (certified bounds)
+
+def iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for integers n >= 0, k >= 1, by integer Newton
+    iteration from an upper bound (the iterates decrease to the floor)."""
+    if n < 0 or k < 1:
+        raise DomainError("iroot needs n >= 0 and k >= 1")
+    if n == 0:
+        return 0
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
 
 def sqrt_lower(q: Rat, bits: int = GRID_BITS) -> Rat:
     """Rational lower bound for sqrt(q), q >= 0."""
@@ -380,22 +395,7 @@ class ComplexBall:
         if zlo <= 0:
             raise IndeterminateBallError("nth_root enclosure collapsed onto zero")
         # upper bound for |z|^{(1-n)/n} = 1 / |z|^{(n-1)/n}
-        root_lo = _nth_root_lower(zlo, n)
+        scale = 1 << GRID_BITS
+        root_lo = Fraction(iroot(zlo.numerator * scale ** n // zlo.denominator, n), scale)
         deriv_hi = Fraction(1, n) / (root_lo ** (n - 1))
         return ComplexBall(w_re, w_im, round_up_grid(reach * deriv_hi))
-
-
-def _nth_root_lower(q: Rat, n: int, bits: int = GRID_BITS) -> Rat:
-    """Rational lower bound for q**(1/n), q > 0."""
-    if q <= 0:
-        raise DomainError("positive value required")
-    scale = 1 << bits
-    target = (q.numerator * scale ** n) // q.denominator
-    lo, hi = 0, max(1, target)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if mid ** n <= target:
-            lo = mid
-        else:
-            hi = mid - 1
-    return Fraction(lo, scale)

@@ -76,10 +76,12 @@ def denom_data(r: int) -> DenomData:
     shifted = _compose_1_minus_8x(cs)
     # after scaling by delta all shifted coefficients are integers
     nums = [c * delta for c in shifted]
-    assert all(n.denominator == 1 for n in nums)
+    if any(n.denominator != 1 for n in nums):
+        raise ArithmeticError(f"delta does not clear chi_{r}(1 - 8X)")
     n_gcd = reduce(math.gcd, (abs(n.numerator) for n in nums))
     cleared = tuple(n.numerator // n_gcd for n in nums)
-    assert reduce(math.gcd, map(abs, cleared)) == 1
+    if reduce(math.gcd, map(abs, cleared)) != 1:
+        raise ArithmeticError(f"cleared chi_{r}(1 - 8X) is not primitive")
     return DenomData(r, delta, n_gcd, cleared)
 
 
@@ -114,7 +116,7 @@ def _trial_factor(n: int) -> list:
     """Distinct prime factors by trial division (a leftover cofactor above
     the trial bound is itself prime for the sizes arising here)."""
     out = []
-    for p in range(2, 1 + _isqrt(n)):
+    for p in range(2, 1 + math.isqrt(n)):
         if p * p > n:
             break
         if n % p == 0:
@@ -126,27 +128,12 @@ def _trial_factor(n: int) -> list:
     return out
 
 
-def _isqrt(n: int) -> int:
-    return math.isqrt(n) if n >= 0 else 0
-
-
 def _val(n: int, p: int) -> int:
     e = 0
     while n % p == 0:
         n //= p
         e += 1
     return e
-
-
-def _primes_upto(n: int) -> list:
-    sieve = bytearray([1]) * n if n > 0 else bytearray()
-    out = []
-    for p in range(2, n):
-        if sieve[p]:
-            out.append(p)
-            for q in range(p * p, n, p):
-                sieve[q] = 0
-    return out
 
 
 def gamma_ratio_g1(r: int) -> Rat:

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactnum import (Rat, UndefinedKappaError, kappa, ln_enclosure, pow_cmp,
-                       round_up_sig)
+from .exactnum import (Rat, UndefinedKappaError, iroot, kappa, ln_enclosure,
+                       pow_cmp, round_up_sig)
 
 F = Fraction
 
@@ -147,20 +147,6 @@ def measure_constants(type_index: int, tmin: Rat = F(100),
 # ---------------------------------------------------------------------------
 # certified rational powers
 
-def _int_nth_root(n: int, k: int) -> int:
-    """floor(n**(1/k)) by integer Newton iteration."""
-    if n < 0:
-        raise ValueError("negative radicand")
-    if n == 0:
-        return 0
-    x = 1 << -(-n.bit_length() // k)
-    while True:
-        y = ((k - 1) * x + n // x ** (k - 1)) // k
-        if y >= x:
-            return x
-        x = y
-
-
 def rat_pow_upper(x: Rat, e: Rat, bits: int = 80) -> Rat:
     """Rational upper bound for x**e, x > 0, e >= 0."""
     x, e = F(x), F(e)
@@ -173,7 +159,7 @@ def rat_pow_upper(x: Rat, e: Rat, bits: int = 80) -> Rat:
         scale = 1 << bits
         num = x ** p
         target = -((-num.numerator * scale ** q) // num.denominator)
-        r = _int_nth_root(target, q)
+        r = iroot(target, q)
         if r ** q < target:
             r += 1
         out *= F(r, scale)
@@ -192,7 +178,7 @@ def rat_pow_lower(x: Rat, e: Rat, bits: int = 80) -> Rat:
         scale = 1 << bits
         num = x ** p
         target = (num.numerator * scale ** q) // num.denominator
-        out *= F(_int_nth_root(target, q), scale)
+        out *= F(iroot(target, q), scale)
     return out
 
 

@@ -8,6 +8,7 @@ enumeration and divisibility tests exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -227,7 +228,7 @@ def enumerate_bounded(m: int, normalize: bool = False) -> list[QuadInt]:
             bmax = int(4 * m2 / (1 + d))
         else:
             bmax = int(m2 / d)
-        bmax = _isqrt(bmax)
+        bmax = math.isqrt(bmax)
         for b in range(1 if normalize else -bmax, bmax + 1):
             if b == 0:
                 continue
@@ -241,21 +242,16 @@ def enumerate_bounded(m: int, normalize: bool = False) -> list[QuadInt]:
     return out
 
 
-def _isqrt(n: int) -> int:
-    import math
-    return math.isqrt(n) if n >= 0 else -1
-
-
 def _a_range(d: int, b: int, m2) -> tuple[int, int]:
     if is_half_integral(d):
         # a^2 + ab + b^2 (1+d)/4 <= m2;  vertex at a = -b/2
         disc = m2 - Fraction(b * b * (1 + d), 4) + Fraction(b * b, 4)
         if disc < 0:
             return (0, -1)
-        r = _isqrt(int(disc)) + 1
+        r = math.isqrt(int(disc)) + 1
         return (-b // 2 - r - 1, -b // 2 + r + 1)
     disc = m2 - d * b * b
     if disc < 0:
         return (0, -1)
-    r = _isqrt(int(disc))
+    r = math.isqrt(int(disc))
     return (-r, r)

@@ -15,16 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import Rat, sqrt_lower, sqrt_upper
-from .series import GaussRat, Series, alpha3_series, newton_alpha_series
-
-# f_t coefficients: entry m holds (constant part, multiple of t) of coeff of X^m
-_F_COEFFS = [
-    (Fraction(1), Fraction(0)),
-    (Fraction(0), Fraction(1)),
-    (Fraction(-6), Fraction(0)),
-    (Fraction(0), Fraction(-1)),
-    (Fraction(1), Fraction(0)),
-]
+from .series import QUARTIC, GaussRat, Poly2, Series, root_series
 
 
 class CertificationError(ArithmeticError):
@@ -33,7 +24,7 @@ class CertificationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class EnclosureCert:
-    center: dict          # Laurent coefficients {power of t: GaussRat}
+    center: dict          # {power of t: GaussRat}, negative powers allowed
     radius_c: Rat
     radius_exp: int
     tmin: Rat
@@ -41,59 +32,23 @@ class EnclosureCert:
     margin: Rat
 
 
-Laurent = dict  # {int power of t: GaussRat}
-
-
-def _lmul(x: Laurent, y: Laurent) -> Laurent:
-    out: Laurent = {}
-    for p, c in x.items():
-        for q, e in y.items():
-            k = p + q
-            v = out.get(k, GaussRat.of(0)) + c * e
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-    return out
-
-
-def _lscale(x: Laurent, c: GaussRat) -> Laurent:
-    return {p: v * c for p, v in x.items() if v * c}
-
-
-def _ladd(x: Laurent, y: Laurent) -> Laurent:
-    out = dict(x)
-    for p, c in y.items():
-        v = out.get(p, GaussRat.of(0)) + c
-        if v:
-            out[p] = v
-        elif p in out:
-            del out[p]
-    return out
-
-
-def _h_coeffs(center: Laurent) -> list[Laurent]:
-    """h_j as Laurent polynomials in t, where h(z) = f(center + z)."""
-    # powers of the center
-    cpow = [{0: GaussRat.of(1)}]
+def _h_coeffs(center: dict) -> list[dict]:
+    """h_j = f^(j)(C)/j! as {power of t: coefficient} dicts,
+    where h(z) = f(C + z) and C is the center."""
+    C = Poly2({(0, p): c for p, c in center.items()})
+    cpow = [Poly2.const(1)]
     for _ in range(4):
-        cpow.append(_lmul(cpow[-1], center))
-    binom = [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1], [1, 4, 6, 4, 1]]
-    h = [{} for _ in range(5)]
-    for m in range(5):
-        const, tmul = _F_COEFFS[m]
-        fm: Laurent = {}
-        if const:
-            fm[0] = GaussRat.of(const)
-        if tmul:
-            fm = _ladd(fm, {1: GaussRat.of(tmul)})
-        for j in range(m + 1):
-            term = _lscale(_lmul(fm, cpow[m - j]), GaussRat.of(binom[m][j]))
-            h[j] = _ladd(h[j], term)
+        cpow.append(cpow[-1] * C)
+    h, deriv, fact = [], QUARTIC, 1
+    for j in range(5):
+        hj = sum((Poly2({(0, e): v / fact}) * cpow[i]
+                  for (i, e), v in deriv.terms.items()), Poly2())
+        h.append({e: c for (_, e), c in hj.terms.items()})
+        deriv, fact = deriv.dX(), fact * (j + 1)
     return h
 
 
-def certify_enclosure(center: Laurent, radius_c: Rat, radius_exp: int,
+def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
                       tmin: Rat) -> EnclosureCert:
     """Certify a root of f_t within radius_c/|t|^radius_exp of center(1/t)
     for all |t| >= tmin."""
@@ -139,10 +94,10 @@ def certify_enclosure(center: Laurent, radius_c: Rat, radius_exp: int,
 
 
 # the four low-order root centers of the quartic
-CENTER_ALPHA0: Laurent = {-1: GaussRat.of(-1)}
-CENTER_ALPHA1: Laurent = {0: GaussRat.of(-1)}
-CENTER_ALPHA3: Laurent = {0: GaussRat.of(1)}
-CENTER_ALPHA2: Laurent = {1: GaussRat.of(1)}
+CENTER_ALPHA0 = {-1: GaussRat.of(-1)}
+CENTER_ALPHA1 = {0: GaussRat.of(-1)}
+CENTER_ALPHA3 = {0: GaussRat.of(1)}
+CENTER_ALPHA2 = {1: GaussRat.of(1)}
 
 BASE_CERT_PARAMS = [
     ("alpha0", CENTER_ALPHA0, Fraction("5.01"), 3),
@@ -159,27 +114,25 @@ def base_certificates(tmin: Rat = Fraction(100)) -> dict[str, EnclosureCert]:
     }
 
 
-def _series_center(s: Series) -> Laurent:
+def _series_center(s: Series) -> dict:
     return {-k: c for k, c in enumerate(s.coeffs) if c}
 
 
-HIGH_ORDER_PARAMS = {
-    "B": (Fraction(271) * 10 ** 14, 31),
-    "B3": (Fraction(984) * 10 ** 13, 30),
-}
+# the high-order radii radius_c/|t|^radius_exp, by root type: type 0 is
+# certificate B (root near 0), type 3 is certificate B3 (root near 1)
+HIGH_ORDER = {0: (Fraction(271) * 10 ** 14, 31), 3: (Fraction(984) * 10 ** 13, 30)}
 
 
 def certify_high_order(which: str, tmin: Rat = Fraction(100),
                        radius_scale: Rat = Fraction(1)) -> EnclosureCert:
     """The two long-center certificates: B (root near 0, truncation 31)
     and B3 (root near 1, truncation 30)."""
-    if which not in HIGH_ORDER_PARAMS:
+    if which not in ("B", "B3"):
         raise ValueError("which must be 'B' or 'B3'")
-    alpha = newton_alpha_series(31)
-    s = alpha if which == "B" else alpha3_series(alpha).truncated(30)
-    radius_c, radius_exp = HIGH_ORDER_PARAMS[which]
-    return certify_enclosure(_series_center(s), radius_c * Fraction(radius_scale),
-                             radius_exp, tmin)
+    type_index = 0 if which == "B" else 3
+    radius_c, radius_exp = HIGH_ORDER[type_index]
+    return certify_enclosure(_series_center(root_series(type_index)),
+                             radius_c * Fraction(radius_scale), radius_exp, tmin)
 
 
 def root_separation(tmin: Rat = Fraction(100)) -> dict:

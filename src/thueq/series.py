@@ -1,15 +1,28 @@
-"""Truncated power series in s = 1/t over Q(i), Newton root iteration,
-Pade approximants, and the Gaussian-rational polynomial algebra backing the
-quartic-form identities (differential-equation data, quotient-ring root
-checks, integral approximant pairs)."""
+"""Exact algebra over Q(i) for the quartic family: truncated power series in
+s = 1/t, Newton root iteration, Pade approximants, and the polynomial
+identities behind the proof (differential-equation data, the fourth-root
+closed form, integral approximant pairs).
+
+Four types, one job each:
+
+* ``GaussRat`` -- an element of Q(i), the scalar of everything below.
+* ``Series`` -- a power series in s = 1/t known modulo s^trunc; it carries
+  the root series, their Pade approximants and tail bounds.
+* ``Poly2`` -- a sparse polynomial in (X, t); it carries every identity
+  (the quartic ``QUARTIC``, the Rouche expansions about root centers,
+  which may hold negative powers of t, and the quotient-ring root check).
+* ``TPoly`` -- a dense univariate polynomial (in t or in X); it carries
+  evaluation: Horner at a ``GaussRat``, ``eval_ball`` and ``deriv``.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .exactnum import ComplexBall, Rat, round_up_grid, sqrt_upper
+from .exactnum import ComplexBall, Rat, sqrt_upper
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
@@ -231,6 +244,18 @@ def alpha3_series(alpha: Series) -> Series:
     return -(alpha + 1) / (alpha - 1)
 
 
+@lru_cache(maxsize=None)
+def root_series(type_index: int) -> Series:
+    """The root series a descent chain and a high-order certificate expand:
+    type 0 is alpha modulo s^31, type 3 its Moebius image modulo s^30.
+    Built once per process; every caller shares it and must not mutate it."""
+    if type_index == 0:
+        return newton_alpha_series(31)
+    if type_index == 3:
+        return alpha3_series(root_series(0)).truncated(30)
+    raise ValueError("type_index must be 0 or 3")
+
+
 # ---------------------------------------------------------------------------
 # Pade approximants
 
@@ -300,10 +325,6 @@ def _contact(B: Series, U, V, required: int) -> int:
 def pade_residual(B: Series, pair: PadePair) -> Series:
     """U - B*V as a series (valuation >= contact order)."""
     return Series(list(pair.U), B.trunc) - B * Series(list(pair.V), B.trunc)
-
-
-def poly_eval_series(coeffs, trunc: int) -> Series:
-    return Series([GaussRat.of(c) for c in coeffs], trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -421,29 +442,25 @@ class Poly2:
 
     def eval_X(self, x) -> "TPoly":
         """Substitute a Gaussian-rational for X, leaving a polynomial in t."""
-        x = GaussRat.of(x)
-        out: dict[int, GaussRat] = {}
-        for (i, j), v in self.terms.items():
-            w = out.get(j, G0) + v * _gpow(x, i)
-            if w:
-                out[j] = w
-            elif j in out:
-                del out[j]
-        deg = max(out) if out else 0
-        return TPoly([out.get(k, G0) for k in range(deg + 1)])
+        return self._eval(1, x)
 
     def eval_t(self, tval) -> "TPoly":
         """Substitute for t, leaving a polynomial in X."""
-        tval = GaussRat.of(tval)
+        return self._eval(0, tval)
+
+    def _eval(self, keep: int, val) -> "TPoly":
+        val = GaussRat.of(val)
         out: dict[int, GaussRat] = {}
-        for (i, j), v in self.terms.items():
-            w = out.get(i, G0) + v * _gpow(tval, j)
+        for key, v in self.terms.items():
+            k = key[keep]
+            w = out.get(k, G0) + v * _gpow(val, key[1 - keep])
             if w:
-                out[i] = w
-            elif i in out:
-                del out[i]
-        deg = max(out) if out else 0
-        return TPoly([out.get(k, G0) for k in range(deg + 1)])
+                out[k] = w
+            elif k in out:
+                del out[k]
+        if min(out, default=0) < 0:
+            raise ValueError("negative exponent left after substitution")
+        return TPoly([out.get(k, G0) for k in range(max(out, default=0) + 1)])
 
 
 def _as_poly2(x) -> Poly2:
@@ -453,6 +470,8 @@ def _as_poly2(x) -> Poly2:
 
 
 def _gpow(x: GaussRat, n: int) -> GaussRat:
+    if n < 0:
+        raise ValueError("negative exponent: only polynomials can be evaluated")
     out = G1
     for _ in range(n):
         out = out * x
@@ -550,14 +569,18 @@ def _as_tpoly(x) -> TPoly:
 # ---------------------------------------------------------------------------
 # the quartic form's differential-equation data
 
+_X, _T = Poly2.X(), Poly2.t()
+QUARTIC = _X ** 4 - _T * _X ** 3 - 6 * _X ** 2 + _T * _X + 1  # f_t(X)
+_U = GI * _T + 4  # u = it + 4
+_Z = GI * _T - 4  # z = it - 4
+
 
 def thue_data() -> dict:
     """The polynomials attached to P = X^4 - tX^3 - 6X^2 + tX + 1 and
     U = X^2 + 1: the second-order identity U P'' - 3 U' P' + 6 U'' P = 0
     holds, the discriminant constant is lambda = -1, and the record carries
     Y = 2UP' - 4U'P plus the auxiliary linear and quartic factors."""
-    X, t = Poly2.X(), Poly2.t()
-    P = X ** 4 - t * X ** 3 - 6 * X ** 2 + t * X + 1
+    X, P = _X, QUARTIC
     U = X ** 2 + 1
     ode = U * P.dX().dX() - 3 * U.dX() * P.dX() + 6 * U.dX().dX() * P
     if not ode.is_zero():
@@ -579,105 +602,48 @@ def thue_data() -> dict:
 
 
 def _check_thue_data(data: dict) -> None:
-    X, t = Poly2.X(), Poly2.t()
-    i = GI
-    assert data["Y"] == 2 * t * X ** 4 + 32 * X ** 3 - 12 * t * X ** 2 - 32 * X + 2 * t
-    assert data["a"] == 5 * i * X - 5
-    assert data["b"] == 5 * i * X + 5
-    assert data["c"] == -5 * X - 5 * i
-    assert data["d"] == 5 * X - 5 * i
-    assert data["u"] == Fraction(-1, 8) * (i * t + 4) * (X + i) ** 4
-    assert data["z"] == Fraction(1, 8) * ((-1) * i * t + 4) * (X - i) ** 4
-    # a d - b c is a scalar multiple of U, and u z a multiple of U^4
-    assert data["a"] * data["d"] - data["b"] * data["c"] == 50 * i * data["U"]
-    assert data["u"] * data["z"] == Fraction(-1, 64) * (t * t + 16) * data["U"] ** 4
+    X, t, i = _X, _T, GI
+    identities = {
+        "Y": data["Y"] == 2 * t * X ** 4 + 32 * X ** 3 - 12 * t * X ** 2 - 32 * X + 2 * t,
+        "a": data["a"] == 5 * i * X - 5,
+        "b": data["b"] == 5 * i * X + 5,
+        "c": data["c"] == -5 * X - 5 * i,
+        "d": data["d"] == 5 * X - 5 * i,
+        "u": data["u"] == Fraction(-1, 8) * _U * (X + i) ** 4,
+        "z": data["z"] == Fraction(-1, 8) * _Z * (X - i) ** 4,
+        # a d - b c is a scalar multiple of U, and u z a multiple of U^4
+        "ad-bc": data["a"] * data["d"] - data["b"] * data["c"] == 50 * i * data["U"],
+        "uz": data["u"] * data["z"] == Fraction(-1, 64) * (t * t + 16) * data["U"] ** 4,
+    }
+    failed = [name for name, ok in identities.items() if not ok]
+    if failed:
+        raise ArithmeticError(f"thue_data identities failed: {', '.join(failed)}")
 
 
 # ---------------------------------------------------------------------------
 # quotient-ring root identity: y^4 = w = (it-4)/(it+4)
 
 
-class _QuotElem:
-    """Element of Q(i)[t][y]/(y^4 - z_c/u_c) scaled to clear denominators.
-
-    Stored as four t-polynomial coordinates plus a t-polynomial denominator;
-    reduction of y^4 introduces a factor z_c/u_c handled by cross-multiplying.
-    """
-
-    def __init__(self, coords, den: TPoly):
-        self.coords = [_as_tpoly(c) for c in coords]
-        self.den = den
-
-
-_UC = TPoly([4, GI])   # it + 4
-_ZC = TPoly([-4, GI])  # it - 4
-
-
-def _quot_mul(x: _QuotElem, y: _QuotElem) -> _QuotElem:
-    raw = [TPoly([G0]) for _ in range(7)]
-    for a, xa in enumerate(x.coords):
-        for b, yb in enumerate(y.coords):
-            raw[a + b] = raw[a + b] + xa * yb
-    # fold y^(4+k) = (z_c/u_c) y^k; multiply through by u_c to stay polynomial
-    low = [c * _UC for c in raw[:4]]
-    for k in range(4, 7):
-        low[k - 4] = low[k - 4] + raw[k] * _ZC
-    return _QuotElem(low, x.den * y.den * _UC)
-
-
-def _quot_pow(x: _QuotElem, n: int) -> _QuotElem:
-    out = _QuotElem([1, 0, 0, 0], TPoly([G1]))
-    for _ in range(n):
-        out = _quot_mul(out, x)
-    return out
-
-
-def _quot_add(x: _QuotElem, y: _QuotElem) -> _QuotElem:
-    return _QuotElem(
-        [a * y.den + b * x.den for a, b in zip(x.coords, y.coords)],
-        x.den * y.den,
-    )
-
-
-def _quot_scale(x: _QuotElem, c) -> _QuotElem:
-    return _QuotElem([a * _as_tpoly(c) for a in x.coords], x.den)
-
-
 def quotient_root_check(which: str, perturb: bool = False) -> bool:
     """Confirm that the closed-form fourth-root expression is a root of the
-    quartic form: substitute x(y) with y^4 = (it-4)/(it+4) into
-    f_t(X) = X^4 - tX^3 - 6X^2 + tX + 1 after clearing the Moebius
-    denominator, and reduce to zero in the quotient ring."""
-    y = _QuotElem([0, 1, 0, 0], TPoly([G1]))
-    one = _QuotElem([1, 0, 0, 0], TPoly([G1]))
+    quartic form: substitute x(y) = num/den with y^4 = z/u into
+    f_t(X) = X^4 - tX^3 - 6X^2 + tX + 1 and reduce to zero.
+
+    N(y, t) = sum_m f_m(t) num^m den^(4-m) has y-degree at most 4, so one
+    reduction y^4 -> z/u settles it: N vanishes iff u N_{<4} + z N_4 = 0."""
+    y = _X  # the fourth root takes the X slot
     coef = GaussRat(Fraction(0), Fraction(2)) if perturb else GI
     if which == "type0":
-        num = _quot_scale(_quot_add(y, _quot_scale(one, -1)), coef)  # i(y-1)
-        den = _quot_add(y, one)                                      # y+1
+        num, den = coef * (y - 1), y + 1
     elif which == "type3":
-        num = _quot_add(y, _quot_scale(one, -coef))                  # y-i
-        den = _quot_add(_quot_scale(y, -coef), one)                  # -iy+1
+        num, den = y - coef, 1 - coef * y
     else:
         raise ValueError("which must be 'type0' or 'type3'")
-    t = TPoly([0, 1])
-    n2 = _quot_mul(num, num)
-    n3 = _quot_mul(n2, num)
-    n4 = _quot_mul(n3, num)
-    d2 = _quot_mul(den, den)
-    d3 = _quot_mul(d2, den)
-    d4 = _quot_mul(d2, d2)
-    # f(num/den) * den^4 expanded term by term
-    terms = [
-        n4,
-        _quot_scale(_quot_mul(n3, den), -1 * t),
-        _quot_scale(_quot_mul(n2, d2), -6),
-        _quot_scale(_quot_mul(num, d3), t),
-        d4,
-    ]
-    total = terms[0]
-    for tm in terms[1:]:
-        total = _quot_add(total, tm)
-    return all(c.is_zero() for c in total.coords)
+    N = sum(f * Poly2.t(e) * num ** m * den ** (4 - m)
+            for (m, e), f in QUARTIC.terms.items())
+    low = Poly2({k: v for k, v in N.terms.items() if k[0] < 4})
+    top = Poly2({(0, e): v for (m, e), v in N.terms.items() if m == 4})
+    return (_U * low + _Z * top).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -688,18 +654,16 @@ class IntegralityError(ArithmeticError):
     pass
 
 
-def _chi_star_polys(r: int) -> tuple[TPoly, TPoly]:
-    """(u^r chi(1-8/u), z^r chi(1+8/z)) as polynomials in t, using
-    u = it+4, z = it-4, u-8 = z, z+8 = u."""
+def _chi_star(r: int, p, q):
+    """chi*(p, q) = sum_k a_k p^k q^(r-k) for the coefficients a_k of chi_r,
+    over any polynomial type."""
     from .hyperchi import chi_coeffs
 
-    a = chi_coeffs(r)
-    first = TPoly([G0])
-    second = TPoly([G0])
-    for k, ak in enumerate(a):
-        first = first + ak * _ZC ** k * _UC ** (r - k)
-        second = second + ak * _UC ** k * _ZC ** (r - k)
-    return first, second
+    ps, qs = [p ** 0], [q ** 0]
+    for _ in range(r):
+        ps.append(ps[-1] * p)
+        qs.append(qs[-1] * q)
+    return sum(ak * ps[k] * qs[r - k] for k, ak in enumerate(chi_coeffs(r)))
 
 
 def approximants(xi: int, r: int) -> tuple[TPoly, TPoly]:
@@ -711,7 +675,9 @@ def approximants(xi: int, r: int) -> tuple[TPoly, TPoly]:
         raise ValueError("r must be >= 1")
     dd = denom_data(r)
     ratio = Fraction(dd.delta, dd.n_gcd)
-    first, second = _chi_star_polys(r)
+    # u^r chi(1-8/u) and z^r chi(1+8/z), using u-8 = z and z+8 = u
+    u, z = _U.eval_X(0), _Z.eval_X(0)
+    first, second = _chi_star(r, z, u), _chi_star(r, u, z)
     i_r = _gpow(GI, r % 4)
     if xi == 0:
         p = -(i_r * GI) * ratio * (first - second)
@@ -738,22 +704,10 @@ def cross_product(xi: int, r: int) -> TPoly:
 
 def thue_polys_at(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:
     """(A_r, B_r) as polynomials in X for a fixed Gaussian t."""
-    from .hyperchi import chi_coeffs
-
     data = thue_data()
-    a = data["a"].eval_t(t_val)
-    b = data["b"].eval_t(t_val)
-    c = data["c"].eval_t(t_val)
-    d = data["d"].eval_t(t_val)
-    u = data["u"].eval_t(t_val)
-    z = data["z"].eval_t(t_val)
-    coeffs = chi_coeffs(r)
-    chi_zu = TPoly([G0])  # chi*(z, u) = sum a_k z^k u^(r-k)
-    chi_uz = TPoly([G0])
-    for k, ak in enumerate(coeffs):
-        chi_zu = chi_zu + ak * z ** k * u ** (r - k)
-        chi_uz = chi_uz + ak * u ** k * z ** (r - k)
-    mi_r = _gpow(-GI, r % 4)  # (1/sqrt(lambda))^r = (-i)^r... (1/i)^r
+    a, b, c, d, u, z = (data[k].eval_t(t_val) for k in "abcduz")
+    chi_zu, chi_uz = _chi_star(r, z, u), _chi_star(r, u, z)
+    mi_r = _gpow(-GI, r % 4)  # (1/sqrt(lambda))^r = (1/i)^r = (-i)^r
     A = mi_r * (a * chi_zu - b * chi_uz)
     B = mi_r * (c * chi_zu - d * chi_uz)
     return A, B

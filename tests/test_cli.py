@@ -28,6 +28,26 @@ def test_usage_errors_exit_64():
     assert run_cli("enumerate", "--max-abs", "x").returncode == 64
 
 
+@pytest.mark.parametrize("argv", [
+    ("descent", "--type", "0", "--kmax", "1"),
+    ("descent", "--type", "0", "--kmax", "2"),
+    ("descent", "--type", "3", "--kmax", "1"),
+    ("descent", "--type", "3", "--kmax", "12"),
+    ("verify-all", "--kmax", "2"),
+    ("verify-all", "--kmax", "12"),
+])
+def test_kmax_outside_the_chain_is_a_usage_error(argv):
+    r = run_cli(*argv)
+    assert r.returncode == 64
+    assert "--kmax must be in" in r.stderr and "Traceback" not in r.stderr
+
+
+def test_kmax_at_the_first_step_runs(capsys):
+    code, doc = main_json(capsys, "descent", "--type", "3", "--kmax", "2", "--json")
+    assert code == 0
+    assert [s["k"] for s in doc["steps"]] == [2]
+
+
 def test_math_domain_errors_exit_2():
     r = run_cli("corollary-lin", "--C", "-1")
     assert r.returncode == 2

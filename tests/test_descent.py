@@ -114,6 +114,11 @@ def test_run_step_rejects_bad_indices():
         run_step(1, 4, F(5))
     with pytest.raises(ValueError):
         run_descent(0, kmax=12)
+    # below each chain's first step (3 for type 0, 2 for type 3)
+    with pytest.raises(ValueError):
+        run_descent(0, kmax=2)
+    with pytest.raises(ValueError):
+        run_descent(3, kmax=1)
 
 
 def test_larger_tmin_gives_smaller_constants():

@@ -6,8 +6,10 @@ from hypothesis import given, strategies as st
 from thueq.exactnum import (
     GRID_BITS,
     ComplexBall,
+    DomainError,
     IndeterminateBallError,
     RatInterval,
+    iroot,
     kappa,
     ln_enclosure,
     pow_cmp,
@@ -150,3 +152,18 @@ def test_complex_ball_product_contains_exact(a, b, c, d):
     z = ComplexBall.exact(a, b) * ComplexBall.exact(c, d)
     exact = ComplexBall.exact(a * c - b * d, a * d + b * c)
     assert (z - exact).contains_zero()
+
+
+@given(st.integers(min_value=0, max_value=2 ** 4096 - 1), st.integers(min_value=1, max_value=12))
+def test_iroot_is_the_floor_root(n, k):
+    r = iroot(n, k)
+    assert r ** k <= n < (r + 1) ** k
+
+
+def test_iroot_edges():
+    assert [iroot(n, 2) for n in range(10)] == [0, 1, 1, 1, 2, 2, 2, 2, 2, 3]
+    assert iroot(2 ** 300, 3) == 2 ** 100 and iroot(2 ** 300 - 1, 3) == 2 ** 100 - 1
+    with pytest.raises(DomainError):
+        iroot(-1, 2)
+    with pytest.raises(DomainError):
+        iroot(5, 0)

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -5,6 +7,7 @@ import pytest
 from thueq.series import (
     DegeneratePadeError,
     GaussRat,
+    Poly2,
     Series,
     alpha3_series,
     approximants,
@@ -13,6 +16,7 @@ from thueq.series import (
     pade,
     pade_residual,
     quotient_root_check,
+    root_series,
     tail_bound,
     thue_data,
     thue_polys_at,
@@ -92,6 +96,41 @@ def test_tail_bound():
 def test_thue_data_identities():
     # the structural identities behind the approximant construction
     thue_data()  # raises on any failed internal identity
+
+
+def test_thue_data_check_fails_closed_under_python_O():
+    # the identities must be checked by raises, not by asserts that -O strips
+    code = (
+        "import sys\n"
+        "from thueq.series import _check_thue_data, thue_data\n"
+        "if not sys.flags.optimize: sys.exit(3)\n"
+        "data = thue_data()\n"
+        "data['a'] = data['b']\n"
+        "try:\n"
+        "    _check_thue_data(data)\n"
+        "except ArithmeticError:\n"
+        "    sys.exit(0)\n"
+        "sys.exit(1)\n"
+    )
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr
+
+
+def test_root_series_built_once():
+    assert root_series(0) is root_series(0)
+    assert root_series(0) == newton_alpha_series(31)
+    assert root_series(3) == alpha3_series(newton_alpha_series(31)).truncated(30)
+    assert root_series(3).trunc == 30
+    with pytest.raises(ValueError):
+        root_series(1)
+
+
+def test_poly2_evaluation_refuses_negative_t_powers():
+    laurent = Poly2.X() + Poly2.t(-1)
+    with pytest.raises(ValueError):
+        laurent.eval_t(G(2))
+    with pytest.raises(ValueError):
+        laurent.eval_X(G(2))
 
 
 def test_quotient_root_check():
