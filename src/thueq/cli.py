@@ -56,16 +56,16 @@ def _emit(args, payload: dict, table: list[str]) -> None:
 # subcommands
 
 def _cmd_verify_all(args) -> int:
-    from .measure import theorem_assembly
+    from .measure import RMAX, theorem_assembly
 
-    report = theorem_assembly(args.tmin, kmax=args.kmax, rmax=args.rmax)
+    report = theorem_assembly(args.tmin, kmax=args.kmax)
     doc = {
         "tool": "thueq",
         "version": __version__,
         "schema": 1,
         "config": {
             "tmin": _num(report.tmin),
-            "rmax": args.rmax,
+            "rmax": RMAX,
             "kmax": args.kmax,
             "threads": 1,
         },
@@ -176,7 +176,7 @@ def _cmd_descent(args) -> int:
 def _cmd_constants(args) -> int:
     from .measure import measure_constants
 
-    mc = measure_constants(args.type, args.tmin, args.rmax)
+    mc = measure_constants(args.type, args.tmin)
     payload = {
         "type": mc.type_index,
         "k0": _num(mc.k0), "Q_coeff": _num(mc.Q_coeff),
@@ -272,7 +272,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify-all", help="run the full verification pipeline")
     p.add_argument("--tmin", type=_rat, default=Fraction(100))
-    p.add_argument("--rmax", type=int, default=60)
     p.add_argument("--kmax", type=int, default=11)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify_all)
@@ -301,7 +300,6 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("constants", help="irrationality-measure constants")
     p.add_argument("--type", type=int, choices=(0, 3), required=True)
     p.add_argument("--tmin", type=_rat, default=Fraction(100))
-    p.add_argument("--rmax", type=int, default=60)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_constants)
 

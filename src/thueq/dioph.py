@@ -11,7 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactnum import ComplexBall, Rat, sqrt_lower, sqrt_upper
-from .quadfield import QuadInt, div_exact, enumerate_bounded, roots_of_unity
+from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
+                        field_pairs, norm, roots_of_unity)
 from .series import GaussRat, TPoly
 
 
@@ -96,17 +97,6 @@ def solve_zero(t: QuadInt) -> dict:
 # small-solution search
 
 Y_CASE2_MAX_SQ = 47  # |y| < 6.86  =>  |y|^2 <= 47
-
-
-def _enum_by_field(bound: int) -> dict:
-    """Normalized ring elements with |y| <= bound, grouped by field."""
-    out: dict = {}
-    for y in enumerate_bounded(bound, normalize=True):
-        out.setdefault(0 if y.is_rational() else y.d, []).append(y)
-    return out
-
-
-_ENUM_CACHE: dict = {}
 _SEARCH_CACHE: list | None = None
 
 
@@ -129,29 +119,28 @@ def _search_all() -> list[Solution]:
         ybound_sq = max((1 + xa4) ** 2,
                         Y_CASE2_MAX_SQ if x.abs_sq() == 1 else 0)
         bound = 1 + math.isqrt(ybound_sq - 1)  # ceil(sqrt), ybound_sq >= 1
-        if bound not in _ENUM_CACHE:
-            _ENUM_CACHE[bound] = _enum_by_field(bound)
-        groups = _ENUM_CACHE[bound]
-        if x.is_rational():
-            fields = sorted(groups)
-        else:
-            fields = [0, x.d] if x.d in groups else [0]
-        for dy in fields:
-            for y in groups[dy]:
-                if y.abs_sq() > ybound_sq:
-                    continue
-                found.extend(_solve_for_t(x, y))
+        # rational y first, then x's own field or, for rational x, every
+        # field; a rational pair lives in d = 1 and in d = 3, whose units i
+        # and zeta_6 can still make t integral
+        rational_y = [(a, 0) for a in range(1, math.isqrt(ybound_sq) + 1)]
+        groups = [([1, 3] if x.is_rational() else [x.d], 1, rational_y)]
+        groups += [([d], d, field_pairs(d, ybound_sq, normalize=True))
+                   for d in (eligible_fields(bound) if x.is_rational() else [x.d])]
+        x4 = x ** 4
+        for ambients, dy, pairs in groups:
+            # F_t(x, y) = x^4 (mod y), so F_t(x, y) = mu forces N(y) | N(x^4 - mu);
+            # x^4 = mu gives norm 0, which every N(y) divides
+            norms = {(x4 - mu).abs_sq() for d in ambients for mu in roots_of_unity(d)}
+            for a, b in pairs:
+                n = norm(dy, a, b)
+                if any(k % n == 0 for k in norms):
+                    found.extend(_solve_for_t(x, QuadInt(dy, a, b), ambients))
     found.sort(key=lambda s: (s.d, s.t.abs_sq(), s.t.b, s.t.a,
                               s.x.abs_sq(), s.y.abs_sq()))
     return found
 
 
-def _solve_for_t(x: QuadInt, y: QuadInt) -> list[Solution]:
-    both_rational = x.is_rational() and y.is_rational()
-    if both_rational:
-        ambients = [1, 3]  # units i and zeta_6 can still make t integral
-    else:
-        ambients = [x.d if not x.is_rational() else y.d]
+def _solve_for_t(x: QuadInt, y: QuadInt, ambients: list[int]) -> list[Solution]:
     sols = []
     for d in ambients:
         xl = QuadInt(d, x.a, x.b) if x.is_rational() else x
@@ -164,8 +153,8 @@ def _solve_for_t(x: QuadInt, y: QuadInt) -> list[Solution]:
         dc = den.conj()
         num0 = x2 * x2 - 6 * xy * xy + y2 * y2
         for mu in roots_of_unity(d):
-            if both_rational and d == 3 and mu.is_rational():
-                continue  # +-1 already handled in the d = 1 pass
+            if d != ambients[0] and mu.is_rational():
+                continue  # +-1 already handled in the first pass
             p = (num0 - mu) * dc
             if p.a % nsq or p.b % nsq:
                 continue

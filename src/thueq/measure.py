@@ -18,6 +18,7 @@ from .exactnum import (Rat, UndefinedKappaError, iroot, kappa, ln_enclosure,
 F = Fraction
 
 KAPPA_WIDTH = F(1, 10 ** 7)
+RMAX = 60  # the Lettl growth bounds are checked for 1 <= r <= RMAX
 
 
 class ChainError(ArithmeticError):
@@ -73,8 +74,7 @@ class _Chain:
         self.lines.append((name, rhs - lhs))
 
 
-def measure_constants(type_index: int, tmin: Rat = F(100),
-                      rmax: int = 60) -> MeasureConstants:
+def measure_constants(type_index: int, tmin: Rat = F(100)) -> MeasureConstants:
     """Certify the approximation-constant package for one root family.
 
     The emitted numbers weakly dominate the exact chain values; the chain
@@ -90,7 +90,7 @@ def measure_constants(type_index: int, tmin: Rat = F(100),
         raise ValueError("type_index must be 0 or 3")
     if tmin < 100:
         raise ChainError("chain is only certified for tmin >= 100")
-    verify_lettl(rmax)
+    verify_lettl(RMAX)
     if not quotient_root_check("type0" if type_index == 0 else "type3"):
         raise ChainError("fourth-root expression is not a root of the quartic")
     certs = base_certificates(tmin)
@@ -232,8 +232,7 @@ def contradiction_upper_bound(tmin: Rat) -> Rat | None:
     return F(lo)
 
 
-def theorem_assembly(tmin: Rat = F(100), kmax: int = 11,
-                     rmax: int = 60) -> ProofReport:
+def theorem_assembly(tmin: Rat = F(100), kmax: int = 11) -> ProofReport:
     """Join every certificate into a verdict for |t| >= tmin.
 
     A failed sub-certificate never raises: it shows up as a failed gate and
@@ -283,8 +282,8 @@ def theorem_assembly(tmin: Rat = F(100), kmax: int = 11,
         return True, "both descent chains completed"
 
     def g_measure():
-        measure_constants(0, tmin, rmax)
-        measure_constants(3, tmin, rmax)
+        measure_constants(0, tmin)
+        measure_constants(3, tmin)
         return True, "both constant chains verified"
 
     k_hi = None

@@ -99,9 +99,7 @@ class QuadInt:
         return QuadInt(self.d, self.a, -self.b)
 
     def abs_sq(self) -> int:
-        if is_half_integral(self.d):
-            return self.a * self.a + self.a * self.b + self.b * self.b * (1 + self.d) // 4
-        return self.a * self.a + self.d * self.b * self.b
+        return norm(self.d, self.a, self.b)
 
     def re_im(self) -> tuple[Rat, Rat]:
         """(rational part, coefficient of sqrt(d) in the imaginary part)."""
@@ -206,7 +204,31 @@ def _squarefree(n: int) -> bool:
     return True
 
 
-def enumerate_bounded(m: int, normalize: bool = False) -> list[QuadInt]:
+def norm(d: int, a: int, b: int) -> int:
+    """N(a + b*omega) = |a + b*omega|^2 in Q(sqrt(-d))."""
+    if is_half_integral(d):
+        return a * a + a * b + b * b * (1 + d) // 4
+    return a * a + d * b * b
+
+
+def field_pairs(d: int, m2, normalize: bool = False):
+    """Integer pairs (a, b) with b != 0 and N(a + b*omega) <= m2 in field d,
+    in (b, a) order; with normalize=True only b > 0 (positive imaginary
+    part)."""
+    # N = ((2a + b)^2 + d b^2)/4 in the half-integral case, a^2 + d b^2 otherwise
+    half = is_half_integral(d)
+    lim = Fraction(m2) * (4 if half else 1)
+    bmax = math.isqrt(int(lim / d))
+    for b in range(1 if normalize else -bmax, bmax + 1):
+        if b == 0:
+            continue
+        r = math.isqrt(int(lim - d * b * b))  # |2a + b| <= r, resp. |a| <= r
+        lo, hi = (-((r + b) // 2), (r - b) // 2) if half else (-r, r)
+        for a in range(lo, hi + 1):
+            yield a, b
+
+
+def enumerate_bounded(m: Rat, normalize: bool = False) -> list[QuadInt]:
     """All nonzero ring elements with |x| <= m across every imaginary
     quadratic field.
 
@@ -217,41 +239,9 @@ def enumerate_bounded(m: int, normalize: bool = False) -> list[QuadInt]:
     m = Fraction(m)
     if m < 0:
         raise ValueError("m must be nonnegative")
-    out: list[QuadInt] = []
-    m2 = m * m
     mi = int(m)  # floor; |x| <= m for a rational integer means |x| <= floor(m)
-    for a in range(1 if normalize else -mi, mi + 1):
-        if a != 0:
-            out.append(QuadInt(1, a, 0))
-    for d in eligible_fields(mi):
-        if is_half_integral(d):
-            bmax = int(4 * m2 / (1 + d))
-        else:
-            bmax = int(m2 / d)
-        bmax = math.isqrt(bmax)
-        for b in range(1 if normalize else -bmax, bmax + 1):
-            if b == 0:
-                continue
-            # solve abs_sq <= m2 for a
-            lo, hi = _a_range(d, b, m2)
-            for a in range(lo, hi + 1):
-                x = QuadInt(d, a, b)
-                if x.abs_sq() <= m2:
-                    out.append(x)
+    out = [QuadInt(1, a, 0) for a in range(1 if normalize else -mi, mi + 1) if a]
+    for d in eligible_fields(m):
+        out += [QuadInt(d, a, b) for a, b in field_pairs(d, m * m, normalize)]
     out.sort(key=lambda x: (x.d, x.b, x.a))
     return out
-
-
-def _a_range(d: int, b: int, m2) -> tuple[int, int]:
-    if is_half_integral(d):
-        # a^2 + ab + b^2 (1+d)/4 <= m2;  vertex at a = -b/2
-        disc = m2 - Fraction(b * b * (1 + d), 4) + Fraction(b * b, 4)
-        if disc < 0:
-            return (0, -1)
-        r = math.isqrt(int(disc)) + 1
-        return (-b // 2 - r - 1, -b // 2 + r + 1)
-    disc = m2 - d * b * b
-    if disc < 0:
-        return (0, -1)
-    r = math.isqrt(int(disc))
-    return (-r, r)

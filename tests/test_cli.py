@@ -42,6 +42,17 @@ def test_kmax_outside_the_chain_is_a_usage_error(argv):
     assert "--kmax must be in" in r.stderr and "Traceback" not in r.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify-all", "--rmax", "0"),
+    ("constants", "--type", "0", "--rmax", "0"),
+])
+def test_rmax_is_not_a_flag(argv):
+    # the Lettl range is fixed: --rmax 0 used to check nothing and still pass
+    r = run_cli(*argv)
+    assert r.returncode == 64
+    assert "--rmax" in r.stderr and "Traceback" not in r.stderr
+
+
 def test_kmax_at_the_first_step_runs(capsys):
     code, doc = main_json(capsys, "descent", "--type", "3", "--kmax", "2", "--json")
     assert code == 0

@@ -1,10 +1,15 @@
+import hashlib
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
+from thueq import dioph
+from thueq.cli import main
 from thueq.dioph import (
+    Solution,
     TieError,
     all_root_balls,
     classify_type,
@@ -18,7 +23,7 @@ from thueq.dioph import (
     t_value_set,
     trivial_solutions,
 )
-from thueq.quadfield import QuadInt
+from thueq.quadfield import QuadInt, div_exact, roots_of_unity
 from thueq.series import GaussRat
 
 
@@ -126,6 +131,95 @@ def test_small_solutions_verify_exactly():
         assert eval_form(s.t, s.x, s.y) == s.mu
         assert s.mu.abs_sq() == 1
         assert min(s.x.abs_sq(), s.y.abs_sq()) < 9
+
+
+def _plain_box(max_sq: int, strict: bool) -> list[QuadInt]:
+    """Normalized elements with |z|^2 <= max_sq (< max_sq when strict), by
+    plain loops over a + b*omega, the norm taken from the embedding."""
+    def inside(z):
+        re, im = z.re_im()
+        n = re * re + z.d * im * im
+        return n < max_sq if strict else n <= max_sq
+
+    out = [QuadInt(1, a, 0) for a in range(1, max_sq) if inside(QuadInt(1, a, 0))]
+    r = 2 * math.isqrt(max_sq) + 2  # |b| <= 2|Im| and |a| <= |Re| + |b|/2
+    for d in range(1, 4 * max_sq + 1):
+        if any(d % (k * k) == 0 for k in range(2, d) if k * k <= d):
+            continue
+        out += [z for b in range(1, r) for a in range(-r, r)
+                if inside(z := QuadInt(d, a, b))]
+    return out
+
+
+def _units(x: QuadInt, y: QuadInt) -> list[tuple[int, QuadInt]]:
+    """(ambient field, unit) pairs: a rational pair takes +-1, +-i from
+    d = 1 and the primitive sixth roots of unity from d = 3."""
+    if x.is_rational() and y.is_rational():
+        return ([(1, u) for u in roots_of_unity(1)]
+                + [(3, u) for u in roots_of_unity(3) if not u.is_rational()])
+    d = y.d if x.is_rational() else x.d
+    return [(d, u) for u in roots_of_unity(d)]
+
+
+def test_small_solution_search_matches_an_unfiltered_oracle():
+    # every x with |x|^2 < 9 against every y with |y|^2 <= 25 in a compatible
+    # field, no divisibility filter: F_t = mu solved as t = (A - mu) / B with
+    # A = x^4 - 6x^2y^2 + y^4, B = xy(x^2 - y^2); when B = 0, F = -4x^4 is no
+    # unit.  The largest |y|^2 among the solutions is 17.
+    xs = _plain_box(9, strict=True)
+    ys = _plain_box(25, strict=False)
+    found = set()
+    for x in xs:
+        for y in ys:
+            if not (x.is_rational() or y.is_rational() or x.d == y.d):
+                continue
+            for d, mu in _units(x, y):
+                xl = QuadInt(d, x.a, x.b)
+                yl = QuadInt(d, y.a, y.b)
+                den = xl * yl * (xl * xl - yl * yl)
+                if den == QuadInt(d, 0, 0):
+                    assert eval_form(QuadInt(d, 0, 0), xl, yl) == -4 * xl ** 4
+                    continue
+                num = xl ** 4 - 6 * (xl * yl) ** 2 + yl ** 4 - mu
+                try:
+                    t = div_exact(num, den)
+                except ValueError:
+                    continue
+                assert eval_form(t, xl, yl) == mu
+                found.add(Solution(d, t, xl, yl, mu))
+    sols = small_solution_search(F(0))
+    assert max(s.y.abs_sq() for s in sols) == 17
+    assert len(set(sols)) == len(sols) == 79
+    assert found == set(sols)
+
+
+def test_every_solution_has_y_dividing_x4_minus_mu():
+    # F_t(x, y) = x^4 (mod y), the fact behind the search's norm filter
+    for s in small_solution_search(F(0)):
+        rest = s.x ** 4 - s.mu
+        assert rest == QuadInt(s.d, 0, 0) or rest.abs_sq() % s.y.abs_sq() == 0
+
+
+def test_search_solves_only_norm_divisors(monkeypatch):
+    calls = []
+    solve = dioph._solve_for_t
+    monkeypatch.setattr(dioph, "_solve_for_t",
+                        lambda *args: calls.append(args) or solve(*args))
+    assert dioph._search_all() == small_solution_search(F(0))
+    assert len(calls) < 10_000  # the unfiltered box made 118,032 calls
+
+
+@pytest.mark.parametrize("argv, digest", [
+    (("small-solutions", "--tmin", "0", "--json"),
+     "6577d438b0f207a1cfd5c001e984572c382e59549fa7a8f11d88c181cc069c23"),
+    (("small-solutions", "--tmin", "0"),
+     "91ee28850515ecac0ec2664e93a6aa977f9b57ef4cd7adf4b76f276c9437ea56"),
+    (("enumerate", "--max-abs", "3", "--json"),
+     "8ded51accc816f5e9b12a92d64cdddab3cd946a314f7f1d3e5aa08883f1e93a8"),
+])
+def test_search_outputs_are_pinned(capsys, argv, digest):
+    assert main(list(argv)) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_root_ball_certification():

@@ -8,8 +8,10 @@ from thueq.quadfield import (
     div_exact,
     eligible_fields,
     enumerate_bounded,
+    field_pairs,
     from_root_coords,
     is_half_integral,
+    norm,
     roots_of_unity,
 )
 
@@ -113,3 +115,47 @@ def test_normalized_enumeration_halves():
     for x in half:
         n = -x
         assert (x.d, x.a, x.b) in full and (n.d, n.a, n.b) in full
+
+
+def _embedding_norm(x: QuadInt) -> F:
+    re, im = x.re_im()  # x = re + im * sqrt(-d)
+    return re * re + x.d * im * im
+
+
+def _box(m: F) -> list[QuadInt]:
+    """Normalized elements with |x| <= m by plain loops over a + b*omega in
+    every squarefree d <= 4m^2, with the norm taken from the embedding."""
+    m2 = m * m
+    out = [QuadInt(1, a, 0) for a in range(1, int(m) + 1)]
+    reach = 2 * int(m) + 2  # |b| <= 2|Im| <= 2m and |a| <= |Re| + |b|/2
+    for d in range(1, int(4 * m2) + 1):
+        if any(d % (k * k) == 0 for k in range(2, d) if k * k <= d):
+            continue
+        for b in range(1, reach + 1):
+            for a in range(-2 * reach, 2 * reach + 1):
+                x = QuadInt(d, a, b)
+                if _embedding_norm(x) <= m2:
+                    out.append(x)
+    return sorted(out, key=lambda x: (x.d, x.b, x.a))
+
+
+@pytest.mark.parametrize("m", [F(5, 2), F(3), F(7, 2), F(5), F(7)])
+def test_enumeration_matches_a_plain_loop_box(m):
+    # non-integer bounds reach fields that floor(m) misses (sqrt(-5) at
+    # m = 5/2), and half-integral fields reach b^2 <= 4m^2/d (-2 + 3*omega
+    # and -1 + 3*omega, norm 25, in d = 11)
+    assert enumerate_bounded(m, normalize=True) == _box(m)
+
+
+@given(st.sampled_from([1, 2, 3, 5, 7, 11, 15, 19, 23]), small_ints, small_ints)
+def test_norm_is_the_embedding_norm(d, a, b):
+    assert norm(d, a, b) == _embedding_norm(QuadInt(d, a, b))
+
+
+def test_field_pairs_order_and_normalization():
+    full = list(field_pairs(11, 25))
+    assert full == sorted(full, key=lambda p: (p[1], p[0]))
+    assert all(b != 0 and norm(11, a, b) <= 25 for a, b in full)
+    half = list(field_pairs(11, 25, normalize=True))
+    assert half == [(a, b) for a, b in full if b > 0]
+    assert (-2, 3) in half and (-1, 3) in half
