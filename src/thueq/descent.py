@@ -4,13 +4,15 @@ replayed in exact rational arithmetic and every side condition certified."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .exactnum import Rat, round_up_sig, sqrt_lower, sqrt_upper
+from .exactnum import Rat, round_up_sig
 from .rouche import HIGH_ORDER
-from .series import (GaussRat, PadePair, Series, TPoly, pade, pade_residual,
-                     root_series, tail_bound)
+from .series import (GaussRat, PadePair, Series, pade, pade_residual, root_series,
+                     tail_bound)
 
 BETA_COEFF = Fraction("8.86")          # |x - alpha y| < 8.86/(|t| |y|^3)
 KSTART = {0: 3, 3: 2}  # first Pade step of each chain
@@ -86,48 +88,10 @@ def step2_type0(tmin: Rat = Fraction(100)) -> Rat:
     return Fraction("5.02")
 
 
-def _poly_reverse(coeffs, degree: int) -> TPoly:
-    """t^degree * p(1/t) for an ascending coefficient list of length <= degree+1."""
-    out = [GaussRat.of(0)] * (degree + 1)
-    for j, c in enumerate(coeffs):
-        out[degree - j] = GaussRat.of(c)
-    return TPoly(out)
-
-
-def _nonvanish_gate(pair: PadePair, k: int, c0: Rat, c3: Rat, tmin: Rat) -> Rat:
-    """Certified margin of |F_t(A(1/t) y, y)| > 1 under |y| > |t|^(k-1)/c0.
-
-    P(t) = F_t(t^(k-1) U(1/t), t^(k-1) V(1/t)) must have degree 2k-2; the
-    margin is L * tmin^(2k-2) / (c0^4 c3^4) - 1 with L the leading
-    coefficient minus the absolute lower-order contribution at tmin.
-    """
-    X = _poly_reverse(pair.U, k - 1)
-    Y = _poly_reverse(pair.V, k - 1)
-    t = TPoly([0, 1])
-    P = X ** 4 - t * X ** 3 * Y - 6 * X ** 2 * Y ** 2 + t * X * Y ** 3 + Y ** 4
-    deg = P.degree()
-    if deg != 2 * k - 2:
-        raise NonVanishingError(f"P has degree {deg}, expected {2 * k - 2}")
-    if Y.degree() != k - 1:
-        raise NonVanishingError("denominator polynomial degree dropped")
-    # leading coefficient is Gaussian rational; use |lead| >= lower bound
-    L = sqrt_lower(P.coeffs[deg].abs_sq())
-    for j in range(deg):
-        cj = P.coeffs[j]
-        if cj:
-            L -= sqrt_upper(cj.abs_sq()) * Fraction(tmin) ** (j - deg)
-    if L <= 0:
-        raise NonVanishingError("no positive lower bound for |P(t)|")
-    gate = L * Fraction(tmin) ** deg / (Fraction(c0) ** 4 * Fraction(c3) ** 4)
-    return gate - 1
-
-
 def _integral_pair(pair: PadePair) -> PadePair:
     """Scale (U, V) to primitive integer coefficients: the linear form
     t^(k-1)(Vx - Uy) must be a quadratic integer, so rational coefficients
     are cleared by the lcm of denominators (then reduced to content 1)."""
-    import math
-
     vals = [c for c in pair.U + pair.V if c]
     if any(c.im for c in vals):
         raise DerivationError("expected real Pade coefficients")
@@ -140,6 +104,69 @@ def _integral_pair(pair: PadePair) -> PadePair:
                     tuple(c * scale for c in pair.V), pair.contact_order)
 
 
+def _reversed_ints(coeffs, degree: int) -> list[int]:
+    """Ascending integer coefficients of t^degree * p(1/t), where coeffs are
+    the ascending (real integral) coefficients of p, of degree <= degree."""
+    if any(c.im or c.re.denominator != 1 for c in coeffs):
+        raise DerivationError("Pade pair is not integral")
+    return [0] * (degree + 1 - len(coeffs)) + [int(c.re) for c in reversed(coeffs)]
+
+
+def _imul(a: list[int], b: list[int]) -> list[int]:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+    return out
+
+
+def _nonvanish_poly(pair: PadePair, k: int) -> tuple[int, ...]:
+    """P(t) = F_t(t^(k-1) U(1/t), t^(k-1) V(1/t)) over Z, ascending, of
+    degree exactly 2k-2.  With D = X^2 - Y^2 and M = XY,
+    F_t(X, Y) = D^2 - 4M^2 - tMD."""
+    X = _reversed_ints(pair.U, k - 1)
+    Y = _reversed_ints(pair.V, k - 1)
+    if Y[-1] == 0:
+        raise NonVanishingError("denominator polynomial degree dropped")
+    D = [x - y for x, y in zip(_imul(X, X), _imul(Y, Y))]
+    M = _imul(X, Y)
+    P = [a - 4 * b for a, b in zip(_imul(D, D), _imul(M, M))] + [0]
+    for j, c in enumerate(_imul(M, D)):
+        P[j + 1] -= c
+    while P and P[-1] == 0:
+        P.pop()
+    if len(P) - 1 != 2 * k - 2:
+        raise NonVanishingError(f"P has degree {len(P) - 1}, expected {2 * k - 2}")
+    return tuple(P)
+
+
+@lru_cache(maxsize=None)
+def _step_algebra(type_index: int, k: int) -> tuple[PadePair, Series, tuple[int, ...]]:
+    """The tmin-free part of step k, built once per process: the integral
+    Pade pair of the root series, its residual U - BV and the non-vanishing
+    polynomial P.  The residual is shared by every caller and must not be
+    mutated."""
+    B = root_series(type_index)
+    pair = _integral_pair(pade(B, k - 1, k - 1))
+    return pair, pade_residual(B, pair), _nonvanish_poly(pair, k)
+
+
+def _nonvanish_gate(P: tuple[int, ...], c0: Rat, c3: Rat, tmin: Rat) -> Rat:
+    """Certified margin of |F_t(A(1/t) y, y)| > 1 under |y| > |t|^(k-1)/c0:
+    L * tmin^deg / (c0^4 c3^4) - 1, with L the leading coefficient of P
+    minus the absolute lower-order contribution at tmin."""
+    deg = len(P) - 1
+    tmin = Fraction(tmin)
+    L = Fraction(abs(P[deg]))
+    for j in range(deg):
+        if P[j]:
+            L -= abs(P[j]) * tmin ** (j - deg)
+    if L <= 0:
+        raise NonVanishingError("no positive lower bound for |P(t)|")
+    return L * tmin ** deg / (Fraction(c0) ** 4 * Fraction(c3) ** 4) - 1
+
+
 def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = Fraction(100)) -> StepRecord:
     """One Pade step: from |y| > |t|^(k-1)/c0 to |y| > |t|^k/c_out."""
     c0, tmin = Fraction(c0), Fraction(tmin)
@@ -147,17 +174,15 @@ def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = Fraction(100)) -> Ste
         raise ValueError("type_index must be 0 or 3")
     if k < KSTART[type_index]:
         raise ValueError("step index too small for this chain")
-    B = root_series(type_index)
-    pair = _integral_pair(pade(B, k - 1, k - 1))
-    resid = pade_residual(B, pair)
+    pair, resid, P = _step_algebra(type_index, k)
     c1 = tail_bound(resid, 2 * k - 1, tmin)
     c2 = BETA_COEFF * c0 ** 4
-    c3 = tail_bound(Series(list(pair.V), B.trunc), 0, tmin)
+    c3 = tail_bound(Series(list(pair.V), resid.trunc), 0, tmin)
     hi_c, hi_exp = HIGH_ORDER[type_index]
     c_exact = (c1 + c2 * c3 * tmin ** (-(2 * k - 2))
                + hi_c * c3 * tmin ** (-(hi_exp + 1 - 2 * k)))
     c_out = round_up_sig(c_exact, 4)
-    margin = _nonvanish_gate(pair, k, c0, c3, tmin)
+    margin = _nonvanish_gate(P, c0, c3, tmin)
     return StepRecord(
         type_index=type_index, k=k, c0_in=c0,
         c1=c1, c2=c2, c3=c3, c_exact=c_exact, c_out=c_out,

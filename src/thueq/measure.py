@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import (Rat, UndefinedKappaError, iroot, kappa, ln_enclosure,
                        pow_cmp, round_up_sig)
@@ -74,6 +75,22 @@ class _Chain:
         self.lines.append((name, rhs - lhs))
 
 
+@lru_cache(maxsize=None)
+def _tmin_free_checks() -> bool:
+    """The checks behind every constant chain that do not depend on tmin,
+    run once per process: the Lettl growth bounds for 1 <= r <= RMAX and
+    the fourth-root identity of both root types.  A failure raises, and is
+    not cached."""
+    from .hyperchi import verify_lettl
+    from .series import quotient_root_check
+
+    verify_lettl(RMAX)
+    for which in ("type0", "type3"):
+        if not quotient_root_check(which):
+            raise ChainError(f"{which} fourth-root expression is not a root of the quartic")
+    return True
+
+
 def measure_constants(type_index: int, tmin: Rat = F(100)) -> MeasureConstants:
     """Certify the approximation-constant package for one root family.
 
@@ -81,18 +98,14 @@ def measure_constants(type_index: int, tmin: Rat = F(100)) -> MeasureConstants:
     replays the derivation of |q_r| < k0 Q^r, |alpha q_r - p_r| < l0 E^-r
     and c = 2 k0 Q (2 l0 E)^kappa at |t| = tmin.
     """
-    from .hyperchi import verify_lettl
     from .rouche import base_certificates
-    from .series import quotient_root_check
 
     tmin = F(tmin)
     if type_index not in (0, 3):
         raise ValueError("type_index must be 0 or 3")
     if tmin < 100:
         raise ChainError("chain is only certified for tmin >= 100")
-    verify_lettl(RMAX)
-    if not quotient_root_check("type0" if type_index == 0 else "type3"):
-        raise ChainError("fourth-root expression is not a root of the quartic")
+    _tmin_free_checks()
     certs = base_certificates(tmin)
     needed = "alpha0" if type_index == 0 else "alpha3"
     if not certs[needed].verified:
@@ -240,7 +253,7 @@ def theorem_assembly(tmin: Rat = F(100), kmax: int = 11) -> ProofReport:
     """
     from .descent import run_descent
     from .dioph import irreducibility_exceptions, small_solution_search
-    from .rouche import base_certificates, root_separation
+    from .rouche import base_certificates, certify_high_order, root_separation
 
     tmin = F(tmin)
     gates = []
@@ -279,6 +292,10 @@ def theorem_assembly(tmin: Rat = F(100), kmax: int = 11) -> ProofReport:
             recs = run_descent(ti, kmax=kmax, tmin=tmin)
             descent_lower[ti] = recs[-1].y_lower_at_100 if tmin == 100 else (
                 tmin ** recs[-1].k / recs[-1].c_out)
+        # every step consumes the high-order root enclosures B and B3
+        for which in ("B", "B3"):
+            if not certify_high_order(which, tmin).verified:
+                return False, f"high-order enclosure {which} unverified at tmin={tmin}"
         return True, "both descent chains completed"
 
     def g_measure():

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exactnum import Rat, sqrt_lower, sqrt_upper
 from .series import QUARTIC, GaussRat, Poly2, Series, root_series
@@ -32,20 +33,23 @@ class EnclosureCert:
     margin: Rat
 
 
-def _h_coeffs(center: dict) -> list[dict]:
-    """h_j = f^(j)(C)/j! as {power of t: coefficient} dicts,
-    where h(z) = f(C + z) and C is the center."""
-    C = Poly2({(0, p): c for p, c in center.items()})
+@lru_cache(maxsize=None)
+def _taylor_terms(center: tuple) -> tuple:
+    """The monomials c t^p z^j of h(z) = f(C + z), with h_j = f^(j)(C)/j!,
+    as (j, p, c, upper bound of |c|) tuples, j = 1..4 then 0.  The center C
+    is given as its sorted (power of t, coefficient) items.  Built once per
+    center."""
+    C = Poly2({(0, p): c for p, c in center})
     cpow = [Poly2.const(1)]
     for _ in range(4):
         cpow.append(cpow[-1] * C)
     h, deriv, fact = [], QUARTIC, 1
     for j in range(5):
-        hj = sum((Poly2({(0, e): v / fact}) * cpow[i]
-                  for (i, e), v in deriv.terms.items()), Poly2())
-        h.append({e: c for (_, e), c in hj.terms.items()})
+        h.append(sum((Poly2({(0, e): v / fact}) * cpow[i]
+                      for (i, e), v in deriv.terms.items()), Poly2()))
         deriv, fact = deriv.dX(), fact * (j + 1)
-    return h
+    return tuple((j, p, c, sqrt_upper(c.abs_sq()))
+                 for j in (1, 2, 3, 4, 0) for (_, p), c in h[j].terms.items())
 
 
 def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
@@ -55,18 +59,12 @@ def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
     radius_c, tmin = Fraction(radius_c), Fraction(tmin)
     if tmin < 1:
         raise CertificationError("tmin must be >= 1")
-    h = _h_coeffs(center)
     # every monomial c * t^p * z^j contributes |c| radius_c^j w^(j*radius_exp - p)
-    terms = []  # (j, p, coeff)
-    for j in range(1, 5):
-        for p, c in h[j].items():
-            terms.append((j, p, c))
-    for p, c in h[0].items():
-        terms.append((0, p, c))
-    if not any(j == 1 for j, _, _ in terms):
+    terms = _taylor_terms(tuple(sorted(center.items())))
+    if not any(j == 1 for j, _, _, _ in terms):
         raise CertificationError("no linear term at the center (degenerate)")
     # dominant: the j=1 monomial with minimal exponent
-    lin = [(1 * radius_exp - p, p, c) for j, p, c in terms if j == 1]
+    lin = [(1 * radius_exp - p, p, c) for j, p, c, _ in terms if j == 1]
     e0 = min(e for e, _, _ in lin)
     dominants = [(e, p, c) for e, p, c in lin if e == e0]
     if len(dominants) != 1:
@@ -76,7 +74,7 @@ def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
     w = 1 / tmin
     rest = Fraction(0)
     ok = True
-    for j, p, c in terms:
+    for j, p, _, c_hi in terms:
         if j == 1 and p == p0:
             continue
         e = j * radius_exp - p
@@ -85,8 +83,7 @@ def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
             # no uniform certificate from this split
             ok = False
             break
-        mag = sqrt_upper(c.abs_sq()) * radius_c ** j
-        rest += mag * w ** (e - e0)
+        rest += c_hi * radius_c ** j * w ** (e - e0)
     if not ok:
         return EnclosureCert(center, radius_c, radius_exp, tmin, False, Fraction(-1))
     margin = A - rest

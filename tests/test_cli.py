@@ -1,6 +1,8 @@
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,50 @@ def main_json(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+# sha256 of stdout, taken before the tmin-free algebra was cached
+PINS = {
+    "descent --type 0 --json":
+        "4dc2bf630e273db5e04dcfa399743d2893d23e7f5b56fe3a7d106d2f60f12d32",
+    "descent --type 3 --json":
+        "722d21ce4afd515345da010d0ebf1230c83109d9dd152db8b2e20a0538f4b83b",
+    "descent --type 0 --tmin 12345 --json":
+        "096e48b74b75ccbd9de8a2c5c6ae3b15f497dcc0055637d16925bb0206e5855a",
+    "descent --type 3 --tmin 12345 --json":
+        "feea09a4d8b8dd577c62e6efa6c44ee9db883803be216861bbb5499a09143805",
+    "rouche-certs --json":
+        "b1cfd023d4eeb6c34b6685dc19f80431daf14e67e1503d0bfa2496374fbcaab1",
+    "rouche-certs --tmin 1000 --json":
+        "ec28cc0c3837741244ae76f6ec4853ea6c4d64826c7a98bf1bcd72ba9f039eed",
+    "constants --type 0 --json":
+        "d7d0fd746d73f38ebf69ca34afcff86b3fa4baa82806e209571faaa7e75df7e1",
+    "constants --type 3 --json":
+        "8a0ab6a542701ce396ef38542257e661202294ea40c3feb7cecdeea2d3dd84e6",
+}
+VERIFY_ALL_REFERENCE = Path(__file__).parents[1] / "perfbench/reference/verify_all.json"
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("command", list(PINS) + ["verify-all"])
+def test_outputs_are_pinned_in_process(command, capsys):
+    # one process for every case, so the later ones run on warm caches
+    assert main(command.split()) == 0
+    out = capsys.readouterr().out
+    if command == "verify-all":
+        assert out == VERIFY_ALL_REFERENCE.read_text()
+    else:
+        assert sha256(out) == PINS[command]
+
+
+def test_output_is_pinned_in_a_fresh_process():
+    command = "descent --type 3 --tmin 12345 --json"
+    r = run_cli(*command.split())
+    assert r.returncode == 0
+    assert sha256(r.stdout) == PINS[command]
 
 
 def test_usage_errors_exit_64():

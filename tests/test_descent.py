@@ -2,14 +2,19 @@ from fractions import Fraction as F
 
 import pytest
 
+from thueq import descent
 from thueq.exactnum import round_nearest_sig
 from thueq.descent import (
+    KMAX,
+    KSTART,
+    DerivationError,
     run_descent,
     run_step,
     star_bounds,
     step1,
     step2_type0,
 )
+from thueq.series import GaussRat, PadePair, TPoly
 
 # rounded per-step constants of the two chains at |t| >= 100; each value may
 # sit one unit in the 4th significant digit above the published rounding
@@ -133,3 +138,50 @@ def test_star_bounds():
     assert sb["beta_bound_coeff"] == F("8.86") * 40
     with pytest.raises(ValueError):
         star_bounds(F(1), F(50))
+
+
+def test_step_algebra_built_once(monkeypatch):
+    calls = []
+    real_pade = descent.pade
+
+    def counting_pade(*args):
+        calls.append(args[1:])
+        return real_pade(*args)
+
+    monkeypatch.setattr(descent, "pade", counting_pade)
+    descent._step_algebra.cache_clear()
+    try:
+        a = run_descent(0, tmin=F(100))
+        b = run_descent(0, tmin=F(12345))
+    finally:
+        descent._step_algebra.cache_clear()
+    # one Pade pair per step k = 3..11, shared by both tmin
+    assert len(calls) == 9
+    assert [r.pade for r in a] == [r.pade for r in b]
+    assert b[-1].c_out < a[-1].c_out
+
+
+def _reverse(coeffs, degree):
+    out = [GaussRat.of(0)] * (degree + 1)
+    for j, c in enumerate(coeffs):
+        out[degree - j] = GaussRat.of(c)
+    return TPoly(out)
+
+
+def test_nonvanish_poly_matches_the_gaussian_rational_expression():
+    t = TPoly([0, 1])
+    for ti in KSTART:
+        for k in range(KSTART[ti], KMAX + 1):
+            pair, _, P = descent._step_algebra(ti, k)
+            X, Y = _reverse(pair.U, k - 1), _reverse(pair.V, k - 1)
+            oracle = (X**4 - t * X**3 * Y - 6 * X**2 * Y**2
+                      + t * X * Y**3 + Y**4)
+            assert oracle.coeffs == [GaussRat.of(c) for c in P], (ti, k)
+            assert len(P) - 1 == 2 * k - 2
+
+
+def test_nonvanish_poly_refuses_a_non_integral_pair():
+    half = GaussRat.of(F(1, 2))
+    pair = PadePair((half, GaussRat.of(1)), (GaussRat.of(1), GaussRat.of(2)), 3)
+    with pytest.raises(DerivationError):
+        descent._nonvanish_poly(pair, 2)

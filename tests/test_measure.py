@@ -3,10 +3,12 @@ from fractions import Fraction as F
 
 import pytest
 
+from thueq import hyperchi, measure, rouche, series
 from thueq.dioph import root_ball
 from thueq.exactnum import sqrt_lower, sqrt_upper
 from thueq.measure import (
     CONTRADICTION_COEFF,
+    ChainError,
     contradiction_upper_bound,
     corollary_eps,
     corollary_lin,
@@ -18,6 +20,7 @@ from thueq.measure import (
     rat_pow_upper,
     theorem_assembly,
 )
+from thueq.rouche import EnclosureCert
 from thueq.series import GaussRat
 
 
@@ -151,3 +154,46 @@ def test_corollary_eps_domain():
         corollary_eps(F(0))
     with pytest.raises(ValueError):
         corollary_eps(F(1))
+
+
+def test_tmin_free_checks_run_once_per_process(monkeypatch):
+    calls = []
+    real_lettl, real_root = hyperchi.verify_lettl, series.quotient_root_check
+    monkeypatch.setattr(hyperchi, "verify_lettl",
+                        lambda rmax: calls.append(rmax) or real_lettl(rmax))
+    monkeypatch.setattr(series, "quotient_root_check",
+                        lambda which: calls.append(which) or real_root(which))
+    measure._tmin_free_checks.cache_clear()
+    try:
+        measure_constants(0)
+        measure_constants(3)
+        measure_constants(0, F(1000))
+    finally:
+        measure._tmin_free_checks.cache_clear()
+    assert calls == [measure.RMAX, "type0", "type3"]
+
+
+def test_tmin_free_checks_fail_closed_on_every_call(monkeypatch):
+    calls = []
+    monkeypatch.setattr(series, "quotient_root_check",
+                        lambda which: calls.append(which) or which == "type0")
+    measure._tmin_free_checks.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(ChainError, match="type3"):
+                measure_constants(0)
+    finally:
+        measure._tmin_free_checks.cache_clear()
+    assert calls == ["type0", "type3"] * 2
+
+
+def test_descent_gate_requires_the_high_order_enclosures(monkeypatch):
+    def unverified(which, tmin=F(100), radius_scale=F(1)):
+        return EnclosureCert({}, F(1), 31, F(tmin), False, F(-1))
+
+    monkeypatch.setattr(rouche, "certify_high_order", unverified)
+    rep = theorem_assembly(F(100))
+    assert rep.verdict == "inconclusive"
+    failed = {g.name: g.detail for g in rep.all_gates if not g.ok}
+    assert set(failed) == {"descent lower bounds"}
+    assert "high-order enclosure B " in failed["descent lower bounds"]

@@ -2,6 +2,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from thueq import rouche
 from thueq.rouche import (
     BASE_CERT_PARAMS,
     CENTER_ALPHA0,
@@ -66,3 +67,17 @@ def test_root_separation():
     assert sep["min_pairwise"] >= F(1, 2)
     assert sep["min_to_alpha2_coeff"] > F("0.9")
     assert sep["alpha0_lower_coeff"] > F("0.99")
+
+
+def test_taylor_coefficients_built_once_per_center():
+    rouche._taylor_terms.cache_clear()
+    try:
+        for tmin in (F(100), F(1000)):
+            base_certificates(tmin)
+            certify_high_order("B", tmin)
+            certify_high_order("B3", tmin)
+        info = rouche._taylor_terms.cache_info()
+    finally:
+        rouche._taylor_terms.cache_clear()
+    # four base centers plus B and B3, each expanded once
+    assert (info.misses, info.hits) == (6, 6)
