@@ -338,6 +338,9 @@ def main(argv=None) -> int:
         print(f"certification failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)
         return EXIT_INTERNAL
+    except OSError as exc:
+        print(f"I/O failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -240,12 +240,15 @@ def ln_enclosure(x: Rat, target_width: Rat) -> RatInterval:
         raise DomainError("target_width must be positive")
     if x == 1:
         return RatInterval(Fraction(0), Fraction(0))
-    k = 0
-    m = x
-    while m >= Fraction(3, 2):
+    # x / 2**k lies in (1/2, 2) for k from the bit lengths; one step more
+    # lands it in [3/4, 3/2)
+    n, d = x.numerator, x.denominator
+    k = n.bit_length() - d.bit_length()
+    m = Fraction(n, d << k) if k >= 0 else Fraction(n << -k, d)
+    if m >= Fraction(3, 2):
         m /= 2
         k += 1
-    while m < Fraction(3, 4):
+    elif m < Fraction(3, 4):
         m *= 2
         k -= 1
     budget = target_width / 4

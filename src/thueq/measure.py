@@ -222,7 +222,32 @@ def irrationality_lower(t_abs: Rat, q_abs: Rat, type_index: int) -> Rat:
 # ---------------------------------------------------------------------------
 # theorem assembly
 
-CONTRADICTION_COEFF = F("137.16")  # 8.86 * 15.48 = 137.1528
+CONTRADICTION_COEFF = F("137.16")  # >= 8.86 * 15.48 = 137.1528
+LN_WIDTH = F(1, 10 ** 6)
+
+
+@lru_cache(maxsize=None)
+def _log_constants() -> dict:
+    """Run once per process: certify the tmin-free constants of kappa and
+    of the contradiction bound, and enclose (width LN_WIDTH) the logs of the
+    constants the corollary-eps gates use, keyed by the constant.
+
+    kappa = (ln|t| + 1.08) / (ln|t| - 2.59) bounds the Lettl-Petho-Voutier
+    exponent 1 + ln Q / ln E with Q = 2.94|t|, E = |t|/13.27 only if
+    1.08 >= ln 2.94 and 2.59 >= ln 13.27; the contradiction coefficient must
+    dominate 8.86 * 15.48.  A failure raises, and is not cached.
+    """
+    from . import exactnum
+    from .descent import BETA_COEFF
+
+    if ln_enclosure(F("2.94"), LN_WIDTH).hi > exactnum.KAPPA_NUM_SHIFT:
+        raise ChainError(f"kappa shift {exactnum.KAPPA_NUM_SHIFT} is not >= ln 2.94")
+    if ln_enclosure(F("13.27"), LN_WIDTH).hi > exactnum.KAPPA_DEN_SHIFT:
+        raise ChainError(f"kappa shift {exactnum.KAPPA_DEN_SHIFT} is not >= ln 13.27")
+    if CONTRADICTION_COEFF < BETA_COEFF * F("15.48"):
+        raise ChainError(f"contradiction coefficient {CONTRADICTION_COEFF} < 8.86 * 15.48")
+    return {c: ln_enclosure(c, LN_WIDTH) for c in
+            (F(4), F("20.14"), F("8.86"), F("0.33"), F("0.31"), CONTRADICTION_COEFF)}
 
 
 def contradiction_upper_bound(tmin: Rat) -> Rat | None:
@@ -301,6 +326,7 @@ def theorem_assembly(tmin: Rat = F(100), kmax: int = 11) -> ProofReport:
     def g_measure():
         measure_constants(0, tmin)
         measure_constants(3, tmin)
+        _log_constants()
         return True, "both constant chains verified"
 
     k_hi = None
@@ -343,6 +369,7 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
     C = F(C)
     if C <= 0:
         raise ValueError("C must be positive")
+    _log_constants()
     # constant consistency: 443 C > (8.86 * 15.48 / 0.31) C, exactly
     consistency = LIN_COEFF - F("8.86") * F("15.48") / F("0.31")
     if consistency <= 0:
@@ -372,29 +399,20 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
     }
 
 
-EPS_SEARCH_CAP = F(2) ** 200
-
-
-class SearchCapError(ArithmeticError):
-    pass
-
-
 def _eps_gates(t: Rat, eps: Rat) -> list[GateResult]:
-    """The three threshold conditions at modulus t, certified."""
-    p, q = eps.numerator, eps.denominator
+    """The three threshold conditions at modulus t, certified as linear
+    inequalities in ln t between outward enclosures of width LN_WIDTH."""
+    ln = _log_constants()
+    ln_t = ln_enclosure(t, LN_WIDTH)
     out = []
-    # (i) type threshold: 4 * 20.14^(1-eps) <= t, cleared to integer powers
-    lhs = F(4) ** q * F("20.14") ** (q - p)
-    out.append(GateResult("type threshold", lhs <= t ** q,
-                          "4 * 20.14^(1-eps) <= |t|"))
-    # (ii) cubic-term absorption: 8.86 / t^(1/2 + eps/4) <= 0.33
-    lhs = F("8.86") ** (4 * q)
-    rhs = F("0.33") ** (4 * q) * t ** (2 * q + p)
-    out.append(GateResult("cubic absorption", lhs <= rhs,
-                          "8.86 / |t|^(1/2 + eps/4) <= 0.33"))
+    # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= ln t
+    ok = ln[F(4)].hi + (1 - eps) * ln[F("20.14")].hi <= ln_t.lo
+    out.append(GateResult("type threshold", ok, "4 * 20.14^(1-eps) <= |t|"))
+    # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) ln t
+    ok = ln[F("8.86")].hi <= ln[F("0.33")].lo + (F(1, 2) + eps / 4) * ln_t.lo
+    out.append(GateResult("cubic absorption", ok, "8.86 / |t|^(1/2 + eps/4) <= 0.33"))
     # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa))
     #       < (t^(2-eps) / 4)^(1/4), compared in the log domain
-    w = F(1, 10 ** 6)
     try:
         k_hi = kappa_hi(t)
     except UndefinedKappaError:
@@ -405,18 +423,22 @@ def _eps_gates(t: Rat, eps: Rat) -> list[GateResult]:
         out.append(GateResult("measure contradiction", False,
                               "1 + eps - kappa not positive"))
         return out
-    ln_b_hi = (ln_enclosure(CONTRADICTION_COEFF, w).hi
-               - (2 - eps) * ln_enclosure(F("0.31"), w).lo)
+    ln_b_hi = ln[CONTRADICTION_COEFF].hi - (2 - eps) * ln[F("0.31")].lo
     lhs_log = ln_b_hi / g_lo
-    rhs_log = ((2 - eps) * ln_enclosure(t, w).lo
-               - ln_enclosure(F(4), w).hi) / 4
+    rhs_log = ((2 - eps) * ln_t.lo - ln[F(4)].hi) / 4
     out.append(GateResult("measure contradiction", lhs_log < rhs_log,
                           "log comparison with kappa upper end"))
     return out
 
 
 def corollary_eps(eps: Rat) -> dict:
-    """Smallest certified threshold t0 for |F_t| <= |t|^(2-eps)."""
+    """Smallest certified threshold t0 for |F_t| <= |t|^(2-eps).
+
+    Every eps in (0, 1) has one: kappa falls to 1 like 3.67 / ln t.  The
+    doubling bracket [50 * 2^j, 100 * 2^j] is found by exponential, then
+    binary search over j, and t0 by integer bisection inside it, so the cost
+    is one gate evaluation per bit of t0.
+    """
     eps = F(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
@@ -424,12 +446,17 @@ def corollary_eps(eps: Rat) -> dict:
     def holds(t: Rat) -> bool:
         return all(g.ok for g in _eps_gates(t, eps))
 
-    t = F(100)
-    while not holds(t):
-        t *= 2
-        if t > EPS_SEARCH_CAP:
-            raise SearchCapError(f"no certified threshold below {EPS_SEARCH_CAP}")
-    lo, hi = t / 2, t
+    # least j with holds(100 * 2^j); j = lo is known (or taken) to fail
+    lo, hi = -1, 0
+    while not holds(F(100 << hi)):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(F(100 << mid)):
+            hi = mid
+        else:
+            lo = mid
+    lo, hi = F(50 << hi), F(100 << hi)
     while hi - lo > 1:
         mid = F(int((lo + hi) // 2))
         if holds(mid):

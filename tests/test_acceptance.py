@@ -22,6 +22,7 @@ from thueq.exactnum import round_nearest_sig
 from thueq.hyperchi import denom_data
 from thueq.measure import (
     CONTRADICTION_COEFF,
+    _eps_gates,
     corollary_eps,
     corollary_lin,
     kappa_hi,
@@ -335,3 +336,14 @@ def test_criterion_11_corollary_calculators():
             assert out["t0"] > 100
             assert all(g.ok for g in out["gates"])
             assert all(g.ok for g in out["gates_at_double"])
+
+
+def test_corollary_eps_has_no_search_cap():
+    # thresholds beyond the former 2^200 search cap, and an eps with a
+    # five-digit denominator, which integer-power clearing never finished
+    with budget(30):
+        for eps in (F(12345, 100000), F(37, 1000)):
+            t0 = corollary_eps(eps)["t0"]
+            assert all(g.ok for g in _eps_gates(t0, eps))
+            assert all(g.ok for g in _eps_gates(2 * t0, eps))
+            assert not all(g.ok for g in _eps_gates(t0 - 1, eps))

@@ -41,6 +41,19 @@ PINS = {
         "d7d0fd746d73f38ebf69ca34afcff86b3fa4baa82806e209571faaa7e75df7e1",
     "constants --type 3 --json":
         "8a0ab6a542701ce396ef38542257e661202294ea40c3feb7cecdeea2d3dd84e6",
+    # taken before the corollary-eps gates moved to the log domain
+    "corollary-eps --eps 1/4 --json":
+        "85779d8131d40408ecb7922a59256d5e1958d4e726fb99d52d24bbbc7630b0f9",
+    "corollary-eps --eps 1/4":
+        "9126b32b651f6728bbb2e94576b832a4e704fe2e53b9e88a19701c0cc9fa8424",
+    "corollary-eps --eps 1/2 --json":
+        "53b0a228ba0f400a5f486746449b1aa8f75d7c761527908957a5bfdc0fd9f8ca",
+    "corollary-eps --eps 1/2":
+        "7d72936e70d53c9c533575c9e6621342a46974eb52ef2c6eea705808ba97d787",
+    "corollary-eps --eps 3/4 --json":
+        "550517aad00de490bc5f88ceb9a41cccf8a1181564e6818d188d9b9dc35507da",
+    "corollary-eps --eps 3/4":
+        "083398de8b352125b3a97ecf99042945a2b5a97961c246dd2e0afbbb81898264",
 }
 VERIFY_ALL_REFERENCE = Path(__file__).parents[1] / "perfbench/reference/verify_all.json"
 
@@ -111,6 +124,12 @@ def test_math_domain_errors_exit_2():
     assert "certification failure" in r.stderr
     r = run_cli("corollary-eps", "--eps", "2")
     assert r.returncode == 2
+
+
+def test_unwritable_out_exits_2(capsys, tmp_path):
+    assert main(["verify-all", "--out", str(tmp_path / "missing" / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("I/O failure: FileNotFoundError") and err.count("\n") == 1
 
 
 def test_version_flag():

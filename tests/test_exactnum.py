@@ -3,6 +3,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, strategies as st
 
+from thueq import exactnum
 from thueq.exactnum import (
     GRID_BITS,
     ComplexBall,
@@ -105,6 +106,47 @@ def test_ln_enclosure_reciprocal_symmetry():
     a = ln_enclosure(F(3), w)
     b = ln_enclosure(F(1, 3), w)
     assert a.lo + b.lo <= 0 <= a.hi + b.hi
+
+
+def ln_enclosure_by_halving(x, target_width):
+    """ln_enclosure with its range reduction done by one halving or doubling
+    per bit, kept as the reference for the bit-length reduction."""
+    k, m = 0, x
+    while m >= F(3, 2):
+        m /= 2
+        k += 1
+    while m < F(3, 4):
+        m *= 2
+        k -= 1
+    budget = target_width / 4
+    total = exactnum._atanh_enclosure((m - 1) / (m + 1), budget / 2).scale(2)
+    if k != 0:
+        total = total + exactnum._ln2(budget / (2 * abs(k))).scale(k)
+    bits = max(8, (4 * target_width.denominator.bit_length() // 4) + 8)
+    while F(2, 1 << bits) > target_width / 4:
+        bits += 8
+    return RatInterval(round_down_grid(total.lo, bits), round_up_grid(total.hi, bits))
+
+
+WIDTHS = (F(1, 16), F(1, 10**6), F(1, 10**7), F(1, 2**40))
+
+
+@given(st.integers(min_value=1, max_value=2**600), st.integers(min_value=1, max_value=2**600),
+       st.sampled_from(WIDTHS))
+def test_ln_enclosure_matches_the_halving_reduction(n, d, w):
+    x = F(n, d)
+    if x != 1:
+        assert ln_enclosure(x, w) == ln_enclosure_by_halving(x, w)
+
+
+def test_ln_enclosure_matches_the_halving_reduction_at_the_boundaries():
+    # m = 3/2 and m = 3/4 after reduction, and their neighbours
+    for j in (-70, -3, 0, 1, 5, 141):
+        for c in (F(3, 2), F(3, 4)):
+            for x in (c * F(2) ** j, c * F(2) ** j * F(1000001, 1000000),
+                      c * F(2) ** j * F(999999, 1000000)):
+                if x != 1:
+                    assert ln_enclosure(x, F(1, 10**6)) == ln_enclosure_by_halving(x, F(1, 10**6))
 
 
 def test_kappa_enclosure():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from thueq import hyperchi, measure, rouche, series
+from thueq import exactnum, hyperchi, measure, rouche, series
 from thueq.dioph import root_ball
 from thueq.exactnum import sqrt_lower, sqrt_upper
 from thueq.measure import (
@@ -149,6 +149,87 @@ def test_corollary_eps():
         assert all(g.ok for g in out["gates_at_double"])
 
 
+# t0 of corollary_eps(eps) for eps = k/100, 20 <= k < 90 (1/4, 1/2 and 3/4
+# among them), taken before its gates moved to the log domain
+EPS_T0 = {
+    "1/5": 2377969217916126592696627301563356388849047,
+    "21/100": 32282654515910827990200747076181686681537,
+    "11/50": 650060294886062510364450375380349227788,
+    "23/100": 18443812803318520569359311727616703953,
+    "6/25": 706431125309247549390806553984313887,
+    "1/4": 35236738060017644114029523109167956,
+    "13/50": 2220321915094093851439453598794181,
+    "27/100": 172217014546959462291242596817189,
+    "7/25": 16081617362627937360218546042399,
+    "29/100": 1773625558183485583865693140521,
+    "3/10": 227230411472099822417191913549,
+    "31/100": 33332493108774321989856194889,
+    "8/25": 5528092900709728142551806004,
+    "33/100": 1025094942760226727312478250,
+    "17/50": 210463999600121748641749752,
+    "7/20": 47429318823418567842638494,
+    "9/25": 11641826562160204700503475,
+    "37/100": 3091099456453127403899405,
+    "19/50": 882368225464552515219662,
+    "39/100": 269298498656263993739200,
+    "2/5": 87439501648139443445035,
+    "41/100": 30069378278232343981871,
+    "21/50": 10907460231962836571150,
+    "43/100": 4158233556611390402541,
+    "11/25": 1660464247098649923090,
+    "9/20": 692411643791823985915,
+    "23/50": 300682140581174327795,
+    "47/100": 135630321491737177661,
+    "12/25": 63401814807560893763,
+    "49/100": 30648923482395954118,
+    "1/2": 15291320552187159862,
+    "51/100": 7859701636523737529,
+    "13/25": 4155033205525858716,
+    "53/100": 2255701268143651393,
+    "27/50": 1255766121276060813,
+    "11/20": 715950462423371345,
+    "14/25": 417515741434876623,
+    "57/100": 248762473139674948,
+    "29/50": 151272602107077662,
+    "59/100": 93793371822088719,
+    "3/5": 59240976836008819,
+    "61/100": 38083747189260619,
+    "31/50": 24898777370098473,
+    "63/100": 16542966659392807,
+    "16/25": 11162028413342183,
+    "13/20": 7643348595067718,
+    "33/50": 5308473210739963,
+    "67/100": 3737249863476198,
+    "17/25": 2665616991681199,
+    "69/100": 1925251206224969,
+    "7/10": 1407393167332958,
+    "71/100": 1040850710792852,
+    "18/25": 778439588285904,
+    "73/100": 588510068275861,
+    "37/50": 449588116047537,
+    "3/4": 346941734005445,
+    "19/25": 270356465113261,
+    "77/100": 212677579195101,
+    "39/50": 168843922498532,
+    "79/100": 135241299248625,
+    "4/5": 109265229385387,
+    "81/100": 89022239265410,
+    "41/50": 73124029722921,
+    "83/100": 60544442252925,
+    "21/25": 50518903121392,
+    "17/20": 42473421384167,
+    "43/50": 35973911202986,
+    "87/100": 30689758761322,
+    "22/25": 26367419648007,
+    "89/100": 22811158152717,
+}
+
+
+def test_corollary_eps_thresholds_are_pinned():
+    got = {eps: corollary_eps(F(eps))["t0"] for eps in EPS_T0}
+    assert got == {eps: F(t0) for eps, t0 in EPS_T0.items()}
+
+
 def test_corollary_eps_domain():
     with pytest.raises(ValueError):
         corollary_eps(F(0))
@@ -197,3 +278,41 @@ def test_descent_gate_requires_the_high_order_enclosures(monkeypatch):
     failed = {g.name: g.detail for g in rep.all_gates if not g.ok}
     assert set(failed) == {"descent lower bounds"}
     assert "high-order enclosure B " in failed["descent lower bounds"]
+
+
+@pytest.mark.parametrize("module, name, wrong", [
+    (exactnum, "KAPPA_NUM_SHIFT", F("1.07")),   # ln 2.94 = 1.0784...
+    (exactnum, "KAPPA_DEN_SHIFT", F("2.58")),   # ln 13.27 = 2.5855...
+    (measure, "CONTRADICTION_COEFF", F("137.15")),  # 8.86 * 15.48 = 137.1528
+])
+def test_kappa_shifts_and_contradiction_coeff_are_certified(monkeypatch, module, name, wrong):
+    monkeypatch.setattr(module, name, wrong)
+    measure._log_constants.cache_clear()
+    try:
+        rep = theorem_assembly(F(100))
+        with pytest.raises(ChainError):
+            corollary_eps(F(1, 2))
+        with pytest.raises(ChainError):
+            corollary_lin(F(1))
+    finally:
+        measure._log_constants.cache_clear()
+    assert rep.verdict == "inconclusive"
+    failed = {g.name: g.detail for g in rep.all_gates if not g.ok}
+    assert set(failed) == {"measure constant chains"}
+    assert str(wrong) in failed["measure constant chains"]
+
+
+def test_log_constants_run_once_per_process(monkeypatch):
+    calls = []
+    real = measure.ln_enclosure
+    monkeypatch.setattr(measure, "ln_enclosure", lambda x, w: calls.append(x) or real(x, w))
+    measure._log_constants.cache_clear()
+    try:
+        corollary_eps(F(1, 2))
+        corollary_eps(F(3, 4))
+        corollary_lin(F(1))
+    finally:
+        measure._log_constants.cache_clear()
+    constants = {F("2.94"), F("13.27"), F(4), F("20.14"), F("8.86"), F("0.33"),
+                 F("0.31"), CONTRADICTION_COEFF}
+    assert sorted(c for c in calls if c in constants) == sorted(constants)
