@@ -141,15 +141,12 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_descent(args) -> int:
-    from .descent import run_descent, step1, step2_type0
+    from .descent import STEP1_COEFF, STEP1_DIVISOR, STEP2_DIVISOR, run_descent
 
     records = run_descent(args.type, kmax=args.kmax, tmin=args.tmin)
-    first = (["step 1: |y| > 2.67 |t|", "step 2: |y| > |t|^2 / 5.02"]
-             if args.type == 0 else ["step 1: |y| > |t| / 2.27"])
-    # evaluate the closed-form steps so their gates run too
-    step1(args.type, args.tmin)
-    if args.type == 0:
-        step2_type0(args.tmin)
+    first = ([f"step 1: |y| > {sig_str(STEP1_COEFF)} |t|",
+              f"step 2: |y| > |t|^2 / {sig_str(STEP2_DIVISOR)}"]
+             if args.type == 0 else [f"step 1: |y| > |t| / {sig_str(STEP1_DIVISOR)}"])
     payload = {
         "type": args.type,
         "tmin": _num(args.tmin),

@@ -10,11 +10,19 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .exactnum import Rat, round_up_sig
-from .rouche import HIGH_ORDER
+from .rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER
 from .series import (GaussRat, PadePair, Series, pade, pade_residual, root_series,
                      tail_bound)
 
 BETA_COEFF = Fraction("8.86")          # |x - alpha y| < 8.86/(|t| |y|^3)
+TYPE_THRESHOLD = Fraction("20.14")     # type threshold: min{|x|, |y|}^4 >= 20.14 Q/|t|
+STEP1_COEFF = Fraction("2.67")         # type 0 step 1: |y| > 2.67|t|
+STEP1_DIVISOR = Fraction("2.27")       # type 3 step 1: |y| > |t|/2.27 > 0.44|t|
+STEP1_RELATIVE_FLOOR = Fraction("0.44")
+# type 0 step 2: |y| > |t|^2/5.02; equal to rouche.ALPHA2_RADIUS in value only
+STEP2_DIVISOR = Fraction("5.02")
+ABSORB_CAP = Fraction("0.11")          # 8.86/|y|^4 <= 0.11 for |y| >= 3
+ALPHA0_MODULUS = Fraction("1.01")      # |alpha0| <= 1.01/|t|
 KSTART = {0: 3, 3: 2}  # first Pade step of each chain
 KMAX = 11              # the root series support steps up to k = 11
 
@@ -55,22 +63,20 @@ def step1(type_index: int, tmin: Rat = Fraction(100)) -> Rat:
     tmin = Fraction(tmin)
     _require(tmin >= 100, "tmin must be >= 100")
     absorb = BETA_COEFF / 3 ** 4  # 8.86/|y|^4 <= 8.86/81 for |y| >= 3
-    _require(absorb <= Fraction("0.11"), "absorption constant exceeds 0.11")
+    _require(absorb <= ABSORB_CAP, "absorption constant exceeds 0.11")
     if type_index == 0:
         # |alpha| <= (1 + 5.01/tmin^2)/|t| <= 1.01/|t|
-        _require(1 + Fraction("5.01") / tmin ** 2 <= Fraction("1.01"),
+        _require(1 + ALPHA0_RADIUS / tmin ** 2 <= ALPHA0_MODULUS,
                  "root-modulus bound exceeds 1.01")
-        slope = Fraction("1.01") + Fraction("0.11")
-        coeff = Fraction("2.67")
-        _require(3 / slope >= coeff, "type-0 step-1 coefficient not dominated")
-        return coeff
+        _require(3 / (ALPHA0_MODULUS + ABSORB_CAP) >= STEP1_COEFF,
+                 "type-0 step-1 coefficient not dominated")
+        return STEP1_COEFF
     if type_index == 3:
         # side case x = y gives |F| = 4|x|^4 >= 4*81 > 1: impossible
         _require(4 * Fraction(3) ** 4 > 1, "side case not excluded")
-        slope = Fraction("2.16") + Fraction("0.11")
-        _require(slope <= Fraction("2.27"), "type-3 slope exceeds 2.27")
-        _require(1 / Fraction("2.27") > Fraction("0.44"), "relative bound below 0.44")
-        return 1 / Fraction("2.27")
+        _require(ALPHA13_RADIUS + ABSORB_CAP <= STEP1_DIVISOR, "type-3 slope exceeds 2.27")
+        _require(1 / STEP1_DIVISOR > STEP1_RELATIVE_FLOOR, "relative bound below 0.44")
+        return 1 / STEP1_DIVISOR
     raise ValueError("type_index must be 0 or 3")
 
 
@@ -83,9 +89,8 @@ def step2_type0(tmin: Rat = Fraction(100)) -> Rat:
     # |1 - 5 t^2| >= 5 tmin^2 - 1 > 1 excludes the vanishing side case
     _require(5 * tmin ** 2 - 1 > 1, "side case x^4(1-5t^2)=mu not excluded")
     extra = BETA_COEFF / (c_prev * tmin) ** 4 * tmin ** 2
-    _require(Fraction("5.01") + extra <= Fraction("5.02"),
-             "step-2 divisor exceeds 5.02")
-    return Fraction("5.02")
+    _require(ALPHA0_RADIUS + extra <= STEP2_DIVISOR, "step-2 divisor exceeds 5.02")
+    return STEP2_DIVISOR
 
 
 def _integral_pair(pair: PadePair) -> PadePair:
@@ -222,7 +227,7 @@ def star_bounds(Q: Rat, t_abs: Rat) -> dict:
         raise ValueError("need t_abs >= 100 and Q > 0")
     return {
         "beta_bound_coeff": BETA_COEFF * Q,
-        "type_threshold_fourth_power": Fraction("20.14") * Q / t_abs,
-        "lb_linear_coeff": Fraction("2.16") / t_abs,
+        "type_threshold_fourth_power": TYPE_THRESHOLD * Q / t_abs,
+        "lb_linear_coeff": ALPHA13_RADIUS / t_abs,
         "lb_cubic_coeff": BETA_COEFF * Q / t_abs,
     }

@@ -13,7 +13,7 @@ from fractions import Fraction
 from .exactnum import ComplexBall, Rat, sqrt_lower, sqrt_upper
 from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
                         field_pairs, norm, roots_of_unity)
-from .series import GaussRat, TPoly
+from .series import QUARTIC, GaussRat, TPoly
 
 
 class TieError(ArithmeticError):
@@ -209,38 +209,29 @@ def root_ball(t: GaussRat, seed: complex, target_radius: Rat,
     """Certified enclosure of the root of f_t nearest the float seed.
 
     Newton iteration in exact rational complex arithmetic (denominators
-    pruned), followed by a Newton-Kantorovich radius certificate.  When the
-    parameter itself is irrational (t = g + h*sqrt(d)), pass extra_sqrt =
-    (d, g, h) with rational g, h and the iteration uses a ball for t.
+    pruned) at the parameter's midpoint, then a Newton-Kantorovich radius
+    certificate over the parameter's ball.  When the parameter itself is
+    irrational (t = g + h*sqrt(d)), pass extra_sqrt = (d, g, h), rational g, h.
     """
     target_radius = Fraction(target_radius)
     if extra_sqrt is None:
         t_ball = ComplexBall.exact(t.re, t.im)
-        t_exact = t
     else:
         d, g, h = extra_sqrt
         lo, hi = sqrt_lower(Fraction(d), 200), sqrt_upper(Fraction(d), 200)
         t_ball = ComplexBall(g.re + h.re * (lo + hi) / 2,
                              g.im + h.im * (lo + hi) / 2,
                              (abs(h.re) + abs(h.im)) * (hi - lo))
-        t_exact = None
+    f = QUARTIC.eval_t(GaussRat(t_ball.re_mid, t_ball.im_mid))
+    df = f.deriv()
     x = _approx_gauss(seed)
     cap = 1 << 2400
     for _ in range(14):
-        if t_exact is not None:
-            fx = _gauss_f(t_exact, x)
-            dfx = _gauss_df(t_exact, x)
-            if not dfx:
-                break
-            x = x - fx / dfx
-            x = GaussRat(_limit(x.re, cap), _limit(x.im, cap))
-        else:
-            xb = ComplexBall.exact(x.re, x.im)
-            fb = _poly_eval(_f_poly(t_ball), xb)
-            db = _poly_eval(_df_poly(t_ball), xb)
-            step = fb / db
-            x = GaussRat(_limit(x.re - step.re_mid, cap),
-                         _limit(x.im - step.im_mid, cap))
+        dfx = df(x)
+        if not dfx:
+            break
+        x = x - f(x) / dfx
+        x = GaussRat(_limit(x.re, cap), _limit(x.im, cap))
         ball = _certify_root(t_ball, x)
         if ball is not None and ball.radius <= target_radius:
             return ball
@@ -253,15 +244,6 @@ def _df_poly(t: ComplexBall) -> list[ComplexBall]:
     twelve = ComplexBall.exact(Fraction(-12))
     return [t, twelve, -three * t, four]
     # f' = t - 12X - 3tX^2 + 4X^3
-
-
-def _gauss_f(t: GaussRat, x: GaussRat) -> GaussRat:
-    x2 = x * x
-    return x2 * x2 - t * x2 * x - 6 * x2 + t * x + 1
-
-
-def _gauss_df(t: GaussRat, x: GaussRat) -> GaussRat:
-    return 4 * x * x * x - 3 * t * x * x - 12 * x + t
 
 
 def _approx_gauss(z: complex, cap: int = 1 << 200) -> GaussRat:

@@ -11,6 +11,10 @@ from functools import lru_cache, reduce
 
 Rat = Fraction
 
+# the Lettl growth constants, certified by verify_lettl
+LETTL_K0, LETTL_Q_BASE = Fraction("3.32"), Fraction("1.35")
+LETTL_L0, LETTL_E_BASE = Fraction("1.6"), Fraction("10.7")
+
 
 @dataclass(frozen=True)
 class ChiPoly:
@@ -157,15 +161,13 @@ def verify_lettl(rmax: int) -> list[dict]:
     """Exact check of 2^(r+2)(D/N)g1 < 3.32*1.35^r and
     2^(4r+3)(D/N)g2 < 1.6*10.7^r for 1 <= r <= rmax; returns margins."""
     rows = []
-    c1, b1 = Fraction("3.32"), Fraction("1.35")
-    c2, b2 = Fraction("1.6"), Fraction("10.7")
     for r in range(1, rmax + 1):
         dd = denom_data(r)
         ratio = Fraction(dd.delta, dd.n_gcd)
         lhs1 = 2 ** (r + 2) * ratio * gamma_ratio_g1(r)
-        rhs1 = c1 * b1 ** r
+        rhs1 = LETTL_K0 * LETTL_Q_BASE ** r
         lhs2 = 2 ** (4 * r + 3) * ratio * gamma_ratio_g2(r)
-        rhs2 = c2 * b2 ** r
+        rhs2 = LETTL_L0 * LETTL_E_BASE ** r
         if lhs1 >= rhs1 or lhs2 >= rhs2:
             raise LettlBoundViolation(f"bound fails at r={r}")
         rows.append({"r": r, "margin1": rhs1 - lhs1, "margin2": rhs2 - lhs2})

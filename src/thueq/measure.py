@@ -13,13 +13,33 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import descent, exactnum
 from .exactnum import (Rat, UndefinedKappaError, iroot, kappa, ln_enclosure,
-                       pow_cmp, round_up_sig)
+                       pow_cmp, round_up_sig, sig_str)
+from .hyperchi import LETTL_E_BASE, LETTL_K0, LETTL_L0, LETTL_Q_BASE
+from .rouche import (ALPHA0_RADIUS, ALPHA2_RADIUS, ALPHA13_RADIUS, base_certificates,
+                     root_separation)
 
 F = Fraction
 
 KAPPA_WIDTH = F(1, 10 ** 7)
 RMAX = 60  # the Lettl growth bounds are checked for 1 <= r <= RMAX
+
+# The published constants of the measure chains, each certified at tmin by a
+# line of measure_constants: Q = 2.94|t|, E = |t|/13.27 and, per root type,
+# k0, l0, the c prefactor 2 k0 Q, the absorption base 2 l0/E, c and the q gate
+# 1/(2 l0).  ABSORB_BASE[0] and QMIN[0] are different constants, both 0.28.
+Q_BASE = F("2.94")
+E_DIV = F("13.27")
+K0 = {0: LETTL_K0, 3: F("4.7")}
+L0 = {0: F("1.83"), 3: F("3.66")}
+C_PREFACTOR = {0: F("19.53"), 3: F("27.64")}
+ABSORB_BASE = {0: F("0.28"), 3: F("0.56")}
+C_COEFF = {0: F("5.47"), 3: F("15.48")}
+QMIN = {0: F("0.28"), 3: F("0.14")}
+# |u|, |z| <= 1.04|t|, |t|-4 >= 0.96|t|, |t|-12 >= 0.88|t|, |alpha3 - i| <= 1.44
+UZ_CAP, T4_FLOOR, T12_FLOOR, I_DIST_CAP = F("1.04"), F("0.96"), F("0.88"), F("1.44")
+ERR_FLOOR, ERR_PREFACTOR, ERR_BASE = F("1.02"), F("1.14"), F("1.24")
 
 
 class ChainError(ArithmeticError):
@@ -98,8 +118,6 @@ def measure_constants(type_index: int, tmin: Rat = F(100)) -> MeasureConstants:
     replays the derivation of |q_r| < k0 Q^r, |alpha q_r - p_r| < l0 E^-r
     and c = 2 k0 Q (2 l0 E)^kappa at |t| = tmin.
     """
-    from .rouche import base_certificates
-
     tmin = F(tmin)
     if type_index not in (0, 3):
         raise ValueError("type_index must be 0 or 3")
@@ -115,45 +133,37 @@ def measure_constants(type_index: int, tmin: Rat = F(100)) -> MeasureConstants:
     # shared geometric facts about u = it+4, z = it-4, w = z/u
     ch.require("w-circle gate |1-w| < 1", F(8) / (tmin - 4), F(1))
     ch.require("|w|, |1/w| cap 1.09", 1 + F(8) / (tmin - 4), F("1.09"))
-    ch.require("|u|, |z| cap 1.04|t|", tmin + 4, F("1.04") * tmin)
-    ch.require("numerator base 2.94", F("1.35") * F("1.04") * F("2.09"), F("2.94"))
-    ch.require("|t|-4 floor 0.96|t|", F("0.96") * tmin, tmin - 4)
-    ch.require("|t|-12 floor 0.88|t|", F("0.88") * tmin, tmin - 12)
-    ch.require("small-root cap 0.02", 1 / tmin + F("5.01") / tmin ** 3, F("0.02"))
+    ch.require("|u|, |z| cap 1.04|t|", tmin + 4, UZ_CAP * tmin)
+    ch.require("numerator base 2.94", LETTL_Q_BASE * UZ_CAP * F("2.09"), Q_BASE)
+    ch.require("|t|-4 floor 0.96|t|", T4_FLOOR * tmin, tmin - 4)
+    ch.require("|t|-12 floor 0.88|t|", T12_FLOOR * tmin, tmin - 12)
+    ch.require("small-root cap 0.02", 1 / tmin + ALPHA0_RADIUS / tmin ** 3, F("0.02"))
     # constant-order absorption: 1.02 <= 1.14 * 0.96^(1/4) * 0.88^(3/4)
     ch.require("error prefactor 1.14",
-               F("1.02") ** 4, F("1.14") ** 4 * F("0.96") * F("0.88") ** 3)
-    ch.require("error base 1.24", F("1.04"), F("1.24") * F("0.96") * F("0.88"))
-    ch.require("error coefficient 1.83", F("1.6") * F("1.14"), F("1.83"))
-    ch.require("error base 13.27", F("10.7") * F("1.24"), F("13.27"))
-    klo = kappa_lo(tmin)
-    ch.require("kappa at least 1", F(1), klo)
+               ERR_FLOOR ** 4, ERR_PREFACTOR ** 4 * T4_FLOOR * T12_FLOOR ** 3)
+    ch.require("error base 1.24", UZ_CAP, ERR_BASE * T4_FLOOR * T12_FLOOR)
+    ch.require("error coefficient 1.83", LETTL_L0 * ERR_PREFACTOR, L0[0])
+    ch.require("error base 13.27", LETTL_E_BASE * ERR_BASE, E_DIV)
+    ch.require("kappa at least 1", F(1), kappa_lo(tmin))
 
-    if type_index == 0:
-        k0, l0c, qmin = F("3.32"), F("1.83"), F("0.28")
-        ch.require("c prefactor 19.53", 2 * k0 * F("2.94"), F("19.53"))
-        ch.require("absorption base 0.28", 2 * l0c / F("13.27"), F("0.28"))
-        ch.require("c coefficient 5.47", F("19.53") * F("0.28"), F("5.47"))
-        ch.require("q gate 0.28", 1 / (2 * l0c), F("0.28"))
-        c = F("5.47")
-    else:
+    k0, l0c = K0[type_index], L0[type_index]
+    if type_index == 3:
         # the sqrt(2) unit factor: 2 * 3.32^2 <= 4.7^2
-        ch.require("unit factor 4.7", 2 * F("3.32") ** 2, F("4.7") ** 2)
-        k0 = F("4.7")
+        ch.require("unit factor 4.7", 2 * K0[0] ** 2, k0 ** 2)
         # |alpha3 - i| <= sqrt(2) + 2.16/|t| <= 1.44, squared
         ch.require("distance to i cap 1.44",
-                   F(2), (F("1.44") - F("2.16") / tmin) ** 2)
+                   F(2), (I_DIST_CAP - ALPHA13_RADIUS / tmin) ** 2)
         # 1.83 * sqrt(2) * 1.44 / 1.02 <= 3.66, squared
         ch.require("error coefficient 3.66",
-                   2 * (F("1.83") * F("1.44") / F("1.02")) ** 2, F("3.66") ** 2)
-        l0c, qmin = F("3.66"), F("0.14")
-        ch.require("c prefactor 27.64", 2 * k0 * F("2.94"), F("27.64"))
-        ch.require("absorption base 0.56", 2 * l0c / F("13.27"), F("0.56"))
-        ch.require("c coefficient 15.48", F("27.64") * F("0.56"), F("15.48"))
-        ch.require("q gate 0.14", 1 / (2 * l0c), F("0.14"))
-        c = F("15.48")
-    return MeasureConstants(type_index=type_index, k0=k0, Q_coeff=F("2.94"),
-                            l0_coeff=l0c, E_div=F("13.27"), qmin_coeff=qmin,
+                   2 * (L0[0] * I_DIST_CAP / ERR_FLOOR) ** 2, l0c ** 2)
+    prefactor, absorb = C_PREFACTOR[type_index], ABSORB_BASE[type_index]
+    c, qmin = C_COEFF[type_index], QMIN[type_index]
+    ch.require(f"c prefactor {sig_str(prefactor)}", 2 * k0 * Q_BASE, prefactor)
+    ch.require(f"absorption base {sig_str(absorb)}", 2 * l0c / E_DIV, absorb)
+    ch.require(f"c coefficient {sig_str(c)}", prefactor * absorb, c)
+    ch.require(f"q gate {sig_str(qmin)}", 1 / (2 * l0c), qmin)
+    return MeasureConstants(type_index=type_index, k0=k0, Q_coeff=Q_BASE,
+                            l0_coeff=l0c, E_div=E_DIV, qmin_coeff=qmin,
                             c_coeff=c, lines=tuple(ch.lines))
 
 
@@ -208,46 +218,50 @@ def irrationality_lower(t_abs: Rat, q_abs: Rat, type_index: int) -> Rat:
     t_abs, q_abs = F(t_abs), F(q_abs)
     if t_abs < 100:
         raise ValueError("requires t_abs >= 100")
-    if q_abs < F("0.28") * t_abs:
+    if q_abs < QMIN[0] * t_abs:
         raise ValueError("requires q_abs >= 0.28 * t_abs")
-    c = F("5.47") if type_index == 0 else F("15.48")
     # a 2-decimal ceiling keeps the power's denominator at 100, which keeps
     # the integer root extraction cheap; coarsening kappa upward only
     # weakens (never invalidates) the returned lower bound
     exp_hi = _kappa_coarse(t_abs, 2) + 1
     q_up = round_up_sig(q_abs, 6)
-    return 1 / (c * t_abs * rat_pow_upper(q_up, exp_hi))
+    return 1 / (C_COEFF[type_index] * t_abs * rat_pow_upper(q_up, exp_hi))
 
 
 # ---------------------------------------------------------------------------
 # theorem assembly
 
 CONTRADICTION_COEFF = F("137.16")  # >= 8.86 * 15.48 = 137.1528
+C2_DIVISOR = F("0.31")    # 443 >= 8.86 * 15.48 / 0.31; base 137.16 / 0.31^(2-eps)
+CUBIC_ABSORB = F("0.33")  # 8.86 / |t|^(1/2 + eps/4) <= 0.33
 LN_WIDTH = F(1, 10 ** 6)
 
 
 @lru_cache(maxsize=None)
 def _log_constants() -> dict:
-    """Run once per process: certify the tmin-free constants of kappa and
-    of the contradiction bound, and enclose (width LN_WIDTH) the logs of the
+    """Run once per process: certify the tmin-free constants of beta, kappa
+    and the contradiction bound, and enclose (width LN_WIDTH) the logs of the
     constants the corollary-eps gates use, keyed by the constant.
 
-    kappa = (ln|t| + 1.08) / (ln|t| - 2.59) bounds the Lettl-Petho-Voutier
-    exponent 1 + ln Q / ln E with Q = 2.94|t|, E = |t|/13.27 only if
-    1.08 >= ln 2.94 and 2.59 >= ln 13.27; the contradiction coefficient must
-    dominate 8.86 * 15.48.  A failure raises, and is not cached.
+    |F_t| = prod |x - alpha_k y| <= 1 and |x - alpha_k y| >= |alpha_j - alpha_k||y|/2
+    for the closest root alpha_j need beta >= 8/(min_pairwise^2 min_to_alpha2),
+    checked at |t| = 100 as the separations grow with |t|.  kappa = (ln|t| +
+    1.08)/(ln|t| - 2.59) bounds the Lettl-Petho-Voutier exponent 1 + ln Q/ln E
+    with Q = 2.94|t|, E = |t|/13.27 only if 1.08 >= ln 2.94 and 2.59 >= ln 13.27;
+    the contradiction coefficient must dominate 8.86 * 15.48.  A failure
+    raises, and is not cached.
     """
-    from . import exactnum
-    from .descent import BETA_COEFF
-
-    if ln_enclosure(F("2.94"), LN_WIDTH).hi > exactnum.KAPPA_NUM_SHIFT:
+    sep = root_separation(100)
+    if descent.BETA_COEFF * sep["min_pairwise"] ** 2 * sep["min_to_alpha2_coeff"] < 8:
+        raise ChainError(f"beta {descent.BETA_COEFF} < 8/(min_pairwise^2 * min_to_alpha2)")
+    if ln_enclosure(Q_BASE, LN_WIDTH).hi > exactnum.KAPPA_NUM_SHIFT:
         raise ChainError(f"kappa shift {exactnum.KAPPA_NUM_SHIFT} is not >= ln 2.94")
-    if ln_enclosure(F("13.27"), LN_WIDTH).hi > exactnum.KAPPA_DEN_SHIFT:
+    if ln_enclosure(E_DIV, LN_WIDTH).hi > exactnum.KAPPA_DEN_SHIFT:
         raise ChainError(f"kappa shift {exactnum.KAPPA_DEN_SHIFT} is not >= ln 13.27")
-    if CONTRADICTION_COEFF < BETA_COEFF * F("15.48"):
+    if CONTRADICTION_COEFF < descent.BETA_COEFF * C_COEFF[3]:
         raise ChainError(f"contradiction coefficient {CONTRADICTION_COEFF} < 8.86 * 15.48")
-    return {c: ln_enclosure(c, LN_WIDTH) for c in
-            (F(4), F("20.14"), F("8.86"), F("0.33"), F("0.31"), CONTRADICTION_COEFF)}
+    return {c: ln_enclosure(c, LN_WIDTH) for c in (F(4), descent.TYPE_THRESHOLD,
+            descent.BETA_COEFF, CUBIC_ABSORB, C2_DIVISOR, CONTRADICTION_COEFF)}
 
 
 def contradiction_upper_bound(tmin: Rat) -> Rat | None:
@@ -276,9 +290,8 @@ def theorem_assembly(tmin: Rat = F(100), kmax: int = 11) -> ProofReport:
     A failed sub-certificate never raises: it shows up as a failed gate and
     an inconclusive verdict with a diagnostic string.
     """
-    from .descent import run_descent
     from .dioph import irreducibility_exceptions, small_solution_search
-    from .rouche import base_certificates, certify_high_order, root_separation
+    from .rouche import certify_high_order
 
     tmin = F(tmin)
     gates = []
@@ -305,8 +318,8 @@ def theorem_assembly(tmin: Rat = F(100), kmax: int = 11) -> ProofReport:
         if not all(c.verified for c in certs.values()):
             return False, "root enclosures unavailable"
         sep = root_separation(tmin)
-        drift = max(1 / tmin + F("5.01") / tmin ** 3,
-                    F("2.16") / tmin, F("5.02") / tmin)
+        drift = max(1 / tmin + ALPHA0_RADIUS / tmin ** 3,
+                    ALPHA13_RADIUS / tmin, ALPHA2_RADIUS / tmin)
         ok = drift < F("0.06") and sep["min_pairwise"] >= F("0.5")
         return ok, f"root drift <= {float(drift):.4f}, separation certified"
 
@@ -314,9 +327,8 @@ def theorem_assembly(tmin: Rat = F(100), kmax: int = 11) -> ProofReport:
 
     def g_descent():
         for ti in (0, 3):
-            recs = run_descent(ti, kmax=kmax, tmin=tmin)
-            descent_lower[ti] = recs[-1].y_lower_at_100 if tmin == 100 else (
-                tmin ** recs[-1].k / recs[-1].c_out)
+            recs = descent.run_descent(ti, kmax=kmax, tmin=tmin)
+            descent_lower[ti] = tmin ** recs[-1].k / recs[-1].c_out
         # every step consumes the high-order root enclosures B and B3
         for which in ("B", "B3"):
             if not certify_high_order(which, tmin).verified:
@@ -371,7 +383,7 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
         raise ValueError("C must be positive")
     _log_constants()
     # constant consistency: 443 C > (8.86 * 15.48 / 0.31) C, exactly
-    consistency = LIN_COEFF - F("8.86") * F("15.48") / F("0.31")
+    consistency = LIN_COEFF - descent.BETA_COEFF * C_COEFF[3] / C2_DIVISOR
     if consistency <= 0:
         raise ChainError("443 C does not dominate C_2 / 0.31")
     if t0 is None:
@@ -380,9 +392,9 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
             t0 += 1
     else:
         t0 = F(t0)
-        if t0 <= LIN_T0_FLOOR or kappa_hi(t0) >= 2:
-            raise ValueError("user t0 must exceed 524 with kappa(t0) < 2")
-    term1 = rat_pow_upper(F("20.14") * C, F(1, 4))
+        if t0 < LIN_T0_FLOOR or kappa_hi(t0) >= 2:
+            raise ValueError("user t0 must be at least 524 with kappa(t0) < 2")
+    term1 = rat_pow_upper(descent.TYPE_THRESHOLD * C, F(1, 4))
     term2 = 3 * rat_pow_upper(C, F(1, 3))
     kc = _kappa_coarse(t0, 4)
     if LIN_COEFF * C >= 1:
@@ -406,10 +418,10 @@ def _eps_gates(t: Rat, eps: Rat) -> list[GateResult]:
     ln_t = ln_enclosure(t, LN_WIDTH)
     out = []
     # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= ln t
-    ok = ln[F(4)].hi + (1 - eps) * ln[F("20.14")].hi <= ln_t.lo
+    ok = ln[F(4)].hi + (1 - eps) * ln[descent.TYPE_THRESHOLD].hi <= ln_t.lo
     out.append(GateResult("type threshold", ok, "4 * 20.14^(1-eps) <= |t|"))
     # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) ln t
-    ok = ln[F("8.86")].hi <= ln[F("0.33")].lo + (F(1, 2) + eps / 4) * ln_t.lo
+    ok = ln[descent.BETA_COEFF].hi <= ln[CUBIC_ABSORB].lo + (F(1, 2) + eps / 4) * ln_t.lo
     out.append(GateResult("cubic absorption", ok, "8.86 / |t|^(1/2 + eps/4) <= 0.33"))
     # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa))
     #       < (t^(2-eps) / 4)^(1/4), compared in the log domain
@@ -423,7 +435,7 @@ def _eps_gates(t: Rat, eps: Rat) -> list[GateResult]:
         out.append(GateResult("measure contradiction", False,
                               "1 + eps - kappa not positive"))
         return out
-    ln_b_hi = ln[CONTRADICTION_COEFF].hi - (2 - eps) * ln[F("0.31")].lo
+    ln_b_hi = ln[CONTRADICTION_COEFF].hi - (2 - eps) * ln[C2_DIVISOR].lo
     lhs_log = ln_b_hi / g_lo
     rhs_log = ((2 - eps) * ln_t.lo - ln[F(4)].hi) / 4
     out.append(GateResult("measure contradiction", lhs_log < rhs_log,

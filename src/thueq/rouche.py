@@ -96,11 +96,16 @@ CENTER_ALPHA1 = {0: GaussRat.of(-1)}
 CENTER_ALPHA3 = {0: GaussRat.of(1)}
 CENTER_ALPHA2 = {1: GaussRat.of(1)}
 
+ALPHA0_RADIUS = Fraction("5.01")   # alpha0 within 5.01/|t|^3
+ALPHA13_RADIUS = Fraction("2.16")  # alpha1 and alpha3 within 2.16/|t|
+# alpha2 within 5.02/|t|; equal to descent.STEP2_DIVISOR in value only
+ALPHA2_RADIUS = Fraction("5.02")
+
 BASE_CERT_PARAMS = [
-    ("alpha0", CENTER_ALPHA0, Fraction("5.01"), 3),
-    ("alpha2", CENTER_ALPHA2, Fraction("5.02"), 1),
-    ("alpha1", CENTER_ALPHA1, Fraction("2.16"), 1),
-    ("alpha3", CENTER_ALPHA3, Fraction("2.16"), 1),
+    ("alpha0", CENTER_ALPHA0, ALPHA0_RADIUS, 3),
+    ("alpha2", CENTER_ALPHA2, ALPHA2_RADIUS, 1),
+    ("alpha1", CENTER_ALPHA1, ALPHA13_RADIUS, 1),
+    ("alpha3", CENTER_ALPHA3, ALPHA13_RADIUS, 1),
 ]
 
 
@@ -120,8 +125,7 @@ def _series_center(s: Series) -> dict:
 HIGH_ORDER = {0: (Fraction(271) * 10 ** 14, 31), 3: (Fraction(984) * 10 ** 13, 30)}
 
 
-def certify_high_order(which: str, tmin: Rat = Fraction(100),
-                       radius_scale: Rat = Fraction(1)) -> EnclosureCert:
+def certify_high_order(which: str, tmin: Rat = Fraction(100)) -> EnclosureCert:
     """The two long-center certificates: B (root near 0, truncation 31)
     and B3 (root near 1, truncation 30)."""
     if which not in ("B", "B3"):
@@ -129,7 +133,7 @@ def certify_high_order(which: str, tmin: Rat = Fraction(100),
     type_index = 0 if which == "B" else 3
     radius_c, radius_exp = HIGH_ORDER[type_index]
     return certify_enclosure(_series_center(root_series(type_index)),
-                             radius_c * Fraction(radius_scale), radius_exp, tmin)
+                             radius_c, radius_exp, tmin)
 
 
 def root_separation(tmin: Rat = Fraction(100)) -> dict:
@@ -140,19 +144,17 @@ def root_separation(tmin: Rat = Fraction(100)) -> dict:
     certs = base_certificates(tmin)
     if not all(c.verified for c in certs.values()):
         raise CertificationError("base certificates unavailable")
-    r0 = Fraction("5.01") / tmin ** 3
-    r1 = Fraction("2.16") / tmin
-    # |alpha0| >= | -1/t | - r0, so scaled by |t|: >= 1/t * (1 - 5.01/t^2)*...
-    alpha0_lower_coeff = 1 - Fraction("5.01") / tmin ** 2
-    # centers: -1/t, -1, +1; pairwise distances minus radii, at |t| = tmin
-    d01 = 1 - 1 / tmin - r0 - r1
-    d03 = 1 - 1 / tmin - r0 - r1  # |1 - (-1/t)| >= 1 - 1/tmin
-    d13 = 2 - 2 * r1
-    min_pairwise = min(d01, d03, d13)
+    r0 = ALPHA0_RADIUS / tmin ** 3
+    r1 = ALPHA13_RADIUS / tmin
+    # |alpha0| >= |1/t| - r0, so scaled by |t|: >= 1 - 5.01/tmin^2
+    alpha0_lower_coeff = 1 - ALPHA0_RADIUS / tmin ** 2
+    # centers -1/t, -1, +1: pairwise distances minus radii, at |t| = tmin;
+    # alpha0 is as far (>= 1 - 1/tmin) from alpha1 as from alpha3
+    min_pairwise = min(1 - 1 / tmin - r0 - r1, 2 - 2 * r1)
     # distance from alpha2 (center t) to the small centers, in units of |t|:
     # |t - c| >= |t|(1 - (1 + r)/tmin) for |c| <= 1 + small
     worst_small = 1 + 1 / tmin + max(r0, r1)
-    min_to_alpha2 = 1 - worst_small / tmin - Fraction("5.02") / tmin ** 2
+    min_to_alpha2 = 1 - worst_small / tmin - ALPHA2_RADIUS / tmin ** 2
     return {
         "min_pairwise": min_pairwise,
         "min_to_alpha2_coeff": min_to_alpha2,

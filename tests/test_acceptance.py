@@ -32,6 +32,7 @@ from thueq.measure import (
 from thueq.quadfield import QuadInt, roots_of_unity
 from thueq.rouche import (
     BASE_CERT_PARAMS,
+    HIGH_ORDER,
     base_certificates,
     certify_enclosure,
     certify_high_order,
@@ -198,8 +199,10 @@ def test_criterion_05_root_enclosures():
         # negative controls: radii shrunk 1000x must fail to certify
         for _, center, c, k in BASE_CERT_PARAMS:
             assert not certify_enclosure(center, c / 1000, k, F(100)).verified
-        for which in ("B", "B3"):
-            assert not certify_high_order(which, radius_scale=F(1, 1000)).verified
+        for which, type_index in (("B", 0), ("B3", 3)):
+            c, k = HIGH_ORDER[type_index]
+            center = certify_high_order(which).center
+            assert not certify_enclosure(center, c / 1000, k, F(100)).verified
 
 
 def test_criterion_06_descent_tables(descent_chain_0, descent_chain_3):

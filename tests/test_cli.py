@@ -54,6 +54,16 @@ PINS = {
         "550517aad00de490bc5f88ceb9a41cccf8a1181564e6818d188d9b9dc35507da",
     "corollary-eps --eps 3/4":
         "083398de8b352125b3a97ecf99042945a2b5a97961c246dd2e0afbbb81898264",
+    # taken before the closed-form step lines were formatted from descent's
+    # named constants
+    "descent --type 0":
+        "13fa2f5669186edc48738b763e6412d6a3e09404ff6ef3f87cb34c28728e8c25",
+    "descent --type 3":
+        "e3793906b7fbe1d44eaa39684995a2ed0f800c7019b7e8a810e7fdbf78802b9e",
+    "corollary-lin --C 1":
+        "9d7e10b491752964e07b5ddeb0b67100b7e037cde9d1edb96ccfa47788440441",
+    "corollary-lin --C 1 --json":
+        "7d393846d550c5147796163c0bc30b7aeea1d115b82f4a67e8d5f412152df956",
 }
 VERIFY_ALL_REFERENCE = Path(__file__).parents[1] / "perfbench/reference/verify_all.json"
 
@@ -194,6 +204,8 @@ def test_corollary_lin_json(capsys):
     code, doc = main_json(capsys, "corollary-lin", "--C", "1", "--json")
     assert code == 0
     assert doc["t0"]["rat"] == "524/1"
+    # the reported threshold is accepted back as --t0, with the same output
+    assert main_json(capsys, "corollary-lin", "--C", "1", "--t0", "524", "--json") == (0, doc)
 
 
 def test_corollary_eps_json(capsys):

@@ -1,0 +1,32 @@
+import ast
+from collections import Counter
+from pathlib import Path
+
+from thueq import descent, measure, rouche
+
+SRC = Path(__file__).parents[1] / "src" / "thueq"
+
+
+def decimal_literals():
+    """(module, text) of every Fraction("...") / F("...") decimal literal in src."""
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in ("Fraction", "F") and len(node.args) == 1
+                    and isinstance(node.args[0], ast.Constant)
+                    and isinstance(node.args[0].value, str)
+                    and "." in node.args[0].value):
+                yield path.name, node.args[0].value
+
+
+def test_every_published_decimal_is_spelled_once():
+    found = list(decimal_literals())
+    counts = Counter(text for _, text in found)
+    assert len(counts) > 40
+    repeated = {text: n for text, n in counts.items() if n > 1}
+    # equal values, different constants: the alpha2 radius and the step-2
+    # divisor; the type-0 absorption base and the type-0 q gate
+    assert repeated == {"5.02": 2, "0.28": 2}
+    assert sorted(m for m, text in found if text == "5.02") == ["descent.py", "rouche.py"]
+    assert rouche.ALPHA2_RADIUS == descent.STEP2_DIVISOR
+    assert measure.ABSORB_BASE[0] == measure.QMIN[0]

@@ -11,6 +11,8 @@ from thueq.cli import main
 from thueq.dioph import (
     Solution,
     TieError,
+    _t_complex,
+    _t_exact,
     all_root_balls,
     classify_type,
     divisibility_ball_check,
@@ -235,6 +237,20 @@ def test_all_root_balls():
     assert len(balls) == 4
     for b in balls:
         assert b.radius <= F(1, 10**20)
+
+
+@pytest.mark.parametrize("d, a, b, digest", [
+    # sha256 of repr(all_root_balls(...)), taken while the Newton steps for an
+    # irrational parameter still ran in ball arithmetic
+    (7, 3, 40, "e17a011cbb8b8be6c2596cd7dd1f747ea4f1151d061b1ceee484b604e0cf27d6"),
+    (11, -5, 31, "1b6e05b94c118a1790183a3fc4abc20a37ce6621f36468de3c35ee9cc56e47fe"),
+])
+def test_root_balls_of_an_irrational_parameter_are_pinned(d, a, b, digest):
+    t = QuadInt(d, a, b)
+    t_gauss, extra = _t_exact(t)
+    assert t_gauss is None  # the parameter is enclosed in a ball
+    balls = all_root_balls(_t_complex(t), t_gauss, extra, F(1, 1 << 64))
+    assert hashlib.sha256(repr(balls).encode()).hexdigest() == digest
 
 
 def test_divisibility_vanishing_order():

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from thueq import exactnum, hyperchi, measure, rouche, series
+from thueq import descent, exactnum, hyperchi, measure, rouche, series
 from thueq.dioph import root_ball
 from thueq.exactnum import sqrt_lower, sqrt_upper
 from thueq.measure import (
@@ -269,7 +269,7 @@ def test_tmin_free_checks_fail_closed_on_every_call(monkeypatch):
 
 
 def test_descent_gate_requires_the_high_order_enclosures(monkeypatch):
-    def unverified(which, tmin=F(100), radius_scale=F(1)):
+    def unverified(which, tmin=F(100)):
         return EnclosureCert({}, F(1), 31, F(tmin), False, F(-1))
 
     monkeypatch.setattr(rouche, "certify_high_order", unverified)
@@ -284,6 +284,7 @@ def test_descent_gate_requires_the_high_order_enclosures(monkeypatch):
     (exactnum, "KAPPA_NUM_SHIFT", F("1.07")),   # ln 2.94 = 1.0784...
     (exactnum, "KAPPA_DEN_SHIFT", F("2.58")),   # ln 13.27 = 2.5855...
     (measure, "CONTRADICTION_COEFF", F("137.15")),  # 8.86 * 15.48 = 137.1528
+    (descent, "BETA_COEFF", F("8.6")),  # 8 / (min_pairwise^2 * min_to_alpha2) = 8.624
 ])
 def test_kappa_shifts_and_contradiction_coeff_are_certified(monkeypatch, module, name, wrong):
     monkeypatch.setattr(module, name, wrong)
@@ -316,3 +317,11 @@ def test_log_constants_run_once_per_process(monkeypatch):
     constants = {F("2.94"), F("13.27"), F(4), F("20.14"), F("8.86"), F("0.33"),
                  F("0.31"), CONTRADICTION_COEFF}
     assert sorted(c for c in calls if c in constants) == sorted(constants)
+
+
+def test_corollary_lin_accepts_its_own_threshold():
+    for C in (F(1), F(1, 1000), F(50)):
+        r = corollary_lin(C)
+        assert corollary_lin(C, r["t0"]) == r
+    with pytest.raises(ValueError):
+        corollary_lin(F(1), measure.LIN_T0_FLOOR - 1)

@@ -6,6 +6,7 @@ from thueq import rouche
 from thueq.rouche import (
     BASE_CERT_PARAMS,
     CENTER_ALPHA0,
+    HIGH_ORDER,
     CertificationError,
     base_certificates,
     certify_enclosure,
@@ -45,8 +46,10 @@ def test_high_order_certificates_verify():
 
 
 def test_high_order_negative_control():
-    for which in ("B", "B3"):
-        cert = certify_high_order(which, radius_scale=F(1, 1000))
+    for which, type_index in (("B", 0), ("B3", 3)):
+        radius_c, radius_exp = HIGH_ORDER[type_index]
+        center = certify_high_order(which).center
+        cert = certify_enclosure(center, radius_c / 1000, radius_exp, F(100))
         assert not cert.verified
 
 
