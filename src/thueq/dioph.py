@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .exactnum import ComplexBall, Rat, sqrt_lower, sqrt_upper
 from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
-                        field_pairs, norm, roots_of_unity)
+                        field_pairs, is_half_integral, norm, roots_of_unity)
 from .series import QUARTIC, GaussRat, TPoly
 
 
@@ -141,29 +141,49 @@ def _search_all() -> list[Solution]:
 
 
 def _solve_for_t(x: QuadInt, y: QuadInt, ambients: list[int]) -> list[Solution]:
+    """Every (t, mu) with F_t(x, y) = mu for a unit mu of an ambient field d:
+    t = (x^4 - 6x^2y^2 + y^4 - mu) / (xy(x^2 - y^2)), solved on the (a, b)
+    integer pairs of a + b*omega; QuadInt and Solution are built for hits
+    only."""
     sols = []
     for d in ambients:
-        xl = QuadInt(d, x.a, x.b) if x.is_rational() else x
-        yl = QuadInt(d, y.a, y.b) if y.is_rational() else y
-        x2, y2, xy = xl * xl, yl * yl, xl * yl
-        den = xy * (x2 - y2)
-        nsq = den.abs_sq()
+        if (x.b and x.d != d) or (y.b and y.d != d):
+            raise ValueError(f"x={x} or y={y} is not in d={d}")
+        # (a + b w)(c + e w) with w^2 = s w - m: s = 1, m = (1+d)/4 when
+        # half-integral, else s = 0, m = d
+        s = 1 if is_half_integral(d) else 0
+        m = (1 + d) // 4 if s else d
+
+        def mul(p, q):
+            return (p[0] * q[0] - m * p[1] * q[1],
+                    p[0] * q[1] + p[1] * q[0] + s * p[1] * q[1])
+
+        xp, yp = (x.a, x.b), (y.a, y.b)
+        x2, y2, xy = mul(xp, xp), mul(yp, yp), mul(xp, yp)
+        den = mul(xy, (x2[0] - y2[0], x2[1] - y2[1]))
+        nsq = norm(d, *den)
         if nsq == 0:
             continue
-        dc = den.conj()
-        num0 = x2 * x2 - 6 * xy * xy + y2 * y2
+        dc = (den[0] + s * den[1], -den[1])  # conjugate
+        x4, xy2, y4 = mul(x2, x2), mul(xy, xy), mul(y2, y2)
+        num0 = (x4[0] - 6 * xy2[0] + y4[0], x4[1] - 6 * xy2[1] + y4[1])
         for mu in roots_of_unity(d):
             if d != ambients[0] and mu.is_rational():
                 continue  # +-1 already handled in the first pass
-            p = (num0 - mu) * dc
-            if p.a % nsq or p.b % nsq:
+            pa, pb = mul((num0[0] - mu.a, num0[1] - mu.b), dc)
+            if pa % nsq or pb % nsq:
                 continue
-            t = QuadInt(d, p.a // nsq, p.b // nsq)
-            # t is exact, so F_t(x, y) = mu holds identically; recheck cheaply
-            if eval_form(t, xl, yl) != mu:
-                raise ArithmeticError(f"F_t(x, y) != mu at t={t}, x={xl}, y={yl}")
-            sols.append(Solution(d, t, xl, yl, mu))
+            sols.append(_checked_solution(d, (pa // nsq, pb // nsq), xp, yp, mu))
     return sols
+
+
+def _checked_solution(d: int, t: tuple, x: tuple, y: tuple, mu: QuadInt) -> Solution:
+    """A search hit as a Solution, after rechecking F_t(x, y) = mu monomial
+    by monomial rather than through the identity t was solved from."""
+    t, x, y = QuadInt(d, *t), QuadInt(d, *x), QuadInt(d, *y)
+    if eval_form(t, x, y) != mu:
+        raise ArithmeticError(f"F_t(x, y) != mu at t={t}, x={x}, y={y}")
+    return Solution(d, t, x, y, mu)
 
 
 def t_value_set(solutions) -> set:

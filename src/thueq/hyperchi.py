@@ -43,118 +43,51 @@ def chi(r: int) -> ChiPoly:
 
 @lru_cache(maxsize=None)
 def chi_coeffs(r: int) -> tuple:
-    """Coefficient of X^k is (-r)_k (-r-1/4)_k / ((3/4)_k k!)."""
-    a = Fraction(-r)
-    b = Fraction(-4 * r - 1, 4)
-    c = Fraction(3, 4)
+    """Coefficient of X^k is (-r)_k (-r-1/4)_k / ((3/4)_k k!), from integer
+    running products of the term ratio (k-r)(4k-4r-1) / ((4k+3)(k+1))."""
     out = [Fraction(1)]
-    term = Fraction(1)
+    num = den = 1
     for k in range(r):
-        term *= (a + k) * (b + k) / ((c + k) * (k + 1))
-        out.append(term)
+        num *= (k - r) * (4 * k - 4 * r - 1)
+        den *= (4 * k + 3) * (k + 1)
+        out.append(Fraction(num, den))
     return tuple(out)
-
-
-def _compose_1_minus_8x(coeffs) -> list:
-    """p(1 - 8X) by Horner in the shifted variable."""
-    acc = [Fraction(0)]
-    for c in reversed(coeffs):
-        # acc = acc * (1 - 8X) + c
-        new = [Fraction(0)] * (len(acc) + 1)
-        for k, a in enumerate(acc):
-            new[k] += a
-            new[k + 1] -= 8 * a
-        new[0] += c
-        acc = new
-    while len(acc) > 1 and acc[-1] == 0:
-        acc.pop()
-    return acc
 
 
 @lru_cache(maxsize=None)
 def denom_data(r: int) -> DenomData:
+    """delta, n_gcd and the primitive cleared chi_r(1 - 8X): the coefficients
+    are scaled by delta to integers first, then composed with (1 - 8X) by
+    integer Horner."""
     if r < 1:
         raise ValueError("r must be >= 1")
     cs = chi_coeffs(r)
     delta = reduce(math.lcm, (c.denominator for c in cs))
-    shifted = _compose_1_minus_8x(cs)
-    # after scaling by delta all shifted coefficients are integers
-    nums = [c * delta for c in shifted]
-    if any(n.denominator != 1 for n in nums):
-        raise ArithmeticError(f"delta does not clear chi_{r}(1 - 8X)")
-    n_gcd = reduce(math.gcd, (abs(n.numerator) for n in nums))
-    cleared = tuple(n.numerator // n_gcd for n in nums)
-    if reduce(math.gcd, map(abs, cleared)) != 1:
+    if any(delta % c.denominator for c in cs):
+        raise ArithmeticError(f"delta does not clear chi_{r}")
+    acc = [0]
+    for c in reversed(cs):
+        # acc = acc * (1 - 8X) + delta * c
+        acc = [a - 8 * b for a, b in zip(acc + [0], [0] + acc)]
+        acc[0] += c.numerator * (delta // c.denominator)
+    while len(acc) > 1 and acc[-1] == 0:
+        acc.pop()
+    n_gcd = reduce(math.gcd, acc)
+    cleared = tuple(n // n_gcd for n in acc)
+    if reduce(math.gcd, cleared) != 1:
         raise ArithmeticError(f"cleared chi_{r}(1 - 8X) is not primitive")
     return DenomData(r, delta, n_gcd, cleared)
 
 
-def denom_data_by_valuation(r: int) -> tuple[int, int]:
-    """Independent (delta, N) computation prime by prime.
-
-    Candidate primes come from factoring one denominator lcm (for delta)
-    and one coefficient gcd (for N); the per-prime valuations are then
-    recomputed coefficient by coefficient.
-    """
-    cs = chi_coeffs(r)
-    den_lcm = 1
-    for c in cs:
-        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-    delta = 1
-    for p in _trial_factor(den_lcm):
-        e = max(_val(c.denominator, p) for c in cs)
-        delta *= p ** e
-    shifted = [c * delta for c in _compose_1_minus_8x(cs)]
-    ints = [abs(c.numerator) for c in shifted if c != 0]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    n = 1
-    for p in _trial_factor(g):
-        e = min(_val(v, p) for v in ints)
-        n *= p ** e
-    return delta, n
-
-
-def _trial_factor(n: int) -> list:
-    """Distinct prime factors by trial division (a leftover cofactor above
-    the trial bound is itself prime for the sizes arising here)."""
-    out = []
-    for p in range(2, 1 + math.isqrt(n)):
-        if p * p > n:
-            break
-        if n % p == 0:
-            out.append(p)
-            while n % p == 0:
-                n //= p
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def _val(n: int, p: int) -> int:
-    e = 0
-    while n % p == 0:
-        n //= p
-        e += 1
-    return e
-
-
 def gamma_ratio_g1(r: int) -> Rat:
     """Gamma(3/4) r! / Gamma(r+3/4) = r! / prod_{k=0}^{r-1} (k + 3/4)."""
-    num = Fraction(math.factorial(r))
-    den = Fraction(1)
-    for k in range(r):
-        den *= k + Fraction(3, 4)
-    return num / den
+    return Fraction(math.factorial(r) * 4 ** r, math.prod(4 * k + 3 for k in range(r)))
 
 
 def gamma_ratio_g2(r: int) -> Rat:
     """Gamma(r+5/4) / (Gamma(1/4) r!) = (1/4) prod_{k=1}^{r} (k + 1/4) / r!."""
-    prod = Fraction(1, 4)
-    for k in range(1, r + 1):
-        prod *= k + Fraction(1, 4)
-    return prod / math.factorial(r)
+    return Fraction(math.prod(4 * k + 1 for k in range(1, r + 1)),
+                    4 ** (r + 1) * math.factorial(r))
 
 
 def verify_lettl(rmax: int) -> list[dict]:
@@ -172,26 +105,3 @@ def verify_lettl(rmax: int) -> list[dict]:
             raise LettlBoundViolation(f"bound fails at r={r}")
         rows.append({"r": r, "margin1": rhs1 - lhs1, "margin2": rhs2 - lhs2})
     return rows
-
-
-def chi_ode_residual(r: int) -> list:
-    """Coefficients of X(1-X) y'' + (3/4 - (a+b+1)X) y' - a b y for y = chi_r;
-    identically zero when the terminating sum is transcribed correctly."""
-    a = Fraction(-r)
-    b = Fraction(-4 * r - 1, 4)
-    c = Fraction(3, 4)
-    y = list(chi_coeffs(r))
-    d1 = [k * y[k] for k in range(1, len(y))] or [Fraction(0)]
-    d2 = [k * d1[k] for k in range(1, len(d1))] or [Fraction(0)]
-    n = len(y) + 2
-    # X(1-X)y'' = X y'' - X^2 y'': shift y'' coefficients up by one and two
-    res = [Fraction(0)] * n
-    for k, v in enumerate(d2):
-        res[k + 1] += v
-        res[k + 2] -= v
-    for k, v in enumerate(d1):
-        res[k] += c * v
-        res[k + 1] -= (a + b + 1) * v
-    for k, v in enumerate(y):
-        res[k] -= a * b * v
-    return res

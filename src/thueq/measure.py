@@ -218,8 +218,10 @@ def irrationality_lower(t_abs: Rat, q_abs: Rat, type_index: int) -> Rat:
     t_abs, q_abs = F(t_abs), F(q_abs)
     if t_abs < 100:
         raise ValueError("requires t_abs >= 100")
-    if q_abs < QMIN[0] * t_abs:
-        raise ValueError("requires q_abs >= 0.28 * t_abs")
+    qmin = QMIN[type_index]
+    if q_abs < qmin * t_abs:
+        raise ValueError(f"requires q_abs >= QMIN[{type_index}] * t_abs "
+                         f"= {float(qmin)} * t_abs")
     # a 2-decimal ceiling keeps the power's denominator at 100, which keeps
     # the integer root extraction cheap; coarsening kappa upward only
     # weakens (never invalidates) the returned lower bound

@@ -11,12 +11,13 @@ at w = 1/tmin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .exactnum import Rat, sqrt_lower, sqrt_upper
-from .series import QUARTIC, GaussRat, Poly2, Series, root_series
+from .exactnum import Rat
+from .series import QUARTIC, GaussRat, Series, root_series
 
 
 class CertificationError(ArithmeticError):
@@ -33,23 +34,37 @@ class EnclosureCert:
     margin: Rat
 
 
+def _lmul(p: dict, q: dict) -> dict:
+    """Product of integer Laurent polynomials in t, {power: coefficient}."""
+    out: dict[int, int] = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return out
+
+
 @lru_cache(maxsize=None)
 def _taylor_terms(center: tuple) -> tuple:
-    """The monomials c t^p z^j of h(z) = f(C + z), with h_j = f^(j)(C)/j!,
-    as (j, p, c, upper bound of |c|) tuples, j = 1..4 then 0.  The center C
-    is given as its sorted (power of t, coefficient) items.  Built once per
+    """The monomials c t^p z^j of h(z) = f(C + z), with
+    h_j = f^(j)(C)/j! = sum_i binom(i, j) f_i C^(i-j), as (j, p, c) tuples
+    with integer c != 0, j = 1..4 then 0.  The center C is given as its
+    sorted (power of t, coefficient) items, which must be rational integers;
+    the expansion runs on integer Laurent polynomials in t.  Built once per
     center."""
-    C = Poly2({(0, p): c for p, c in center})
-    cpow = [Poly2.const(1)]
+    if any(c.im or c.re.denominator != 1 for _, c in center):
+        raise CertificationError("center coefficients must be rational integers")
+    C = {p: c.re.numerator for p, c in center}
+    cpow = [{0: 1}]
     for _ in range(4):
-        cpow.append(cpow[-1] * C)
-    h, deriv, fact = [], QUARTIC, 1
-    for j in range(5):
-        h.append(sum((Poly2({(0, e): v / fact}) * cpow[i]
-                      for (i, e), v in deriv.terms.items()), Poly2()))
-        deriv, fact = deriv.dX(), fact * (j + 1)
-    return tuple((j, p, c, sqrt_upper(c.abs_sq()))
-                 for j in (1, 2, 3, 4, 0) for (_, p), c in h[j].terms.items())
+        cpow.append(_lmul(cpow[-1], C))
+    h: list[dict[int, int]] = [{} for _ in range(5)]
+    for (i, e), f in QUARTIC.terms.items():  # f t^e X^i, f an integer
+        for j in range(i + 1):
+            scale = math.comb(i, j) * f.re.numerator
+            for p, c in cpow[i - j].items():
+                h[j][p + e] = h[j].get(p + e, 0) + scale * c
+    return tuple((j, p, c) for j in (1, 2, 3, 4, 0)
+                 for p, c in sorted(h[j].items()) if c)
 
 
 def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
@@ -61,20 +76,20 @@ def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
         raise CertificationError("tmin must be >= 1")
     # every monomial c * t^p * z^j contributes |c| radius_c^j w^(j*radius_exp - p)
     terms = _taylor_terms(tuple(sorted(center.items())))
-    if not any(j == 1 for j, _, _, _ in terms):
+    if not any(j == 1 for j, _, _ in terms):
         raise CertificationError("no linear term at the center (degenerate)")
     # dominant: the j=1 monomial with minimal exponent
-    lin = [(1 * radius_exp - p, p, c) for j, p, c, _ in terms if j == 1]
+    lin = [(1 * radius_exp - p, p, c) for j, p, c in terms if j == 1]
     e0 = min(e for e, _, _ in lin)
     dominants = [(e, p, c) for e, p, c in lin if e == e0]
     if len(dominants) != 1:
         raise CertificationError("dominant linear term not unique")
     _, p0, c0 = dominants[0]
-    A = sqrt_lower(c0.abs_sq()) * radius_c
+    A = abs(c0) * radius_c
     w = 1 / tmin
     rest = Fraction(0)
     ok = True
-    for j, p, _, c_hi in terms:
+    for j, p, c in terms:
         if j == 1 and p == p0:
             continue
         e = j * radius_exp - p
@@ -83,7 +98,7 @@ def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
             # no uniform certificate from this split
             ok = False
             break
-        rest += c_hi * radius_c ** j * w ** (e - e0)
+        rest += abs(c) * radius_c ** j * w ** (e - e0)
     if not ok:
         return EnclosureCert(center, radius_c, radius_exp, tmin, False, Fraction(-1))
     margin = A - rest

@@ -1,7 +1,8 @@
 """Exact algebra over Q(i) for the quartic family: truncated power series in
-s = 1/t, Newton root iteration, Pade approximants, and the polynomial
-identities behind the proof (differential-equation data, the fourth-root
-closed form, integral approximant pairs).
+s = 1/t, the root series, Pade approximants, and the polynomial identities
+behind the proof (differential-equation data, the fourth-root closed form,
+integral approximant pairs).  The root series and the Pade solve run over
+Z and return Q(i) values at their boundary.
 
 Four types, one job each:
 
@@ -211,37 +212,43 @@ def _as_series(x, trunc: int) -> Series:
 
 
 # ---------------------------------------------------------------------------
-# the root series
-
-def _defining_poly(x: Series) -> Series:
-    """s*f applied to a series: s x^4 - x^3 - 6 s x^2 + x + s."""
-    s = Series([0, 1], x.trunc)
-    x2 = x * x
-    return s * x2 * x2 - x2 * x - 6 * s * x2 + x + s
+# the root series, over Z: alpha lies in Z[[s]] because f'(0) is a unit
 
 
-def _defining_poly_deriv(x: Series) -> Series:
-    s = Series([0, 1], x.trunc)
-    x2 = x * x
-    return 4 * s * x2 * x - 3 * x2 - 12 * s * x + 1
+def _alpha_ints(N: int) -> list[int]:
+    """Coefficients of alpha modulo s^N from s*f(alpha) = 0 rewritten as
+    alpha = alpha^3 - s(alpha^4 - 6 alpha^2 + 1): with alpha(0) = 0 the
+    coefficient of s^n reads only earlier ones."""
+    a, sq = [0] * N, [0] * N  # alpha and alpha^2
+    for n in range(1, N):
+        sq[n - 1] = sum(a[i] * a[n - 1 - i] for i in range(n))
+        cube = sum(sq[i] * a[n - i] for i in range(n))
+        quart = sum(sq[i] * sq[n - 1 - i] for i in range(n))
+        a[n] = cube - quart + 6 * sq[n - 1] - (1 if n == 1 else 0)
+    return a
+
+
+def _moebius(a: list) -> list:
+    """Coefficients of (1 + alpha)/(1 - alpha) for alpha(0) = 0, by the
+    recurrence b = 1 + alpha + alpha b, over the scalars of a."""
+    b = [a[0] + 1]
+    for n in range(1, len(a)):
+        b.append(sum((a[i] * b[n - i] for i in range(1, n + 1) if a[i]), a[n]))
+    return b
 
 
 def newton_alpha_series(N: int) -> Series:
     """The series alpha(s) with alpha(0) = 0 killing s*f, modulo s^N."""
     if N < 2:
         raise ValueError("need truncation order >= 2")
-    x = Series([0], N)
-    steps = math.ceil(math.log2(N)) + 1
-    for _ in range(steps):
-        x = x - _defining_poly(x) / _defining_poly_deriv(x)
-    return x
+    return Series(_alpha_ints(N), N)
 
 
 def alpha3_series(alpha: Series) -> Series:
     """-(alpha+1)/(alpha-1), the Moebius image giving the root near 1."""
     if alpha.coeffs[0]:
         raise ValuationError("expected a series vanishing at s=0")
-    return -(alpha + 1) / (alpha - 1)
+    return Series(_moebius(alpha.coeffs), alpha.trunc)
 
 
 @lru_cache(maxsize=None)
@@ -252,12 +259,12 @@ def root_series(type_index: int) -> Series:
     if type_index == 0:
         return newton_alpha_series(31)
     if type_index == 3:
-        return alpha3_series(root_series(0)).truncated(30)
+        return Series(_moebius(_alpha_ints(30)), 30)
     raise ValueError("type_index must be 0 or 3")
 
 
 # ---------------------------------------------------------------------------
-# Pade approximants
+# Pade approximants, over Z
 
 
 class DegeneratePadeError(ArithmeticError):
@@ -271,60 +278,84 @@ class PadePair:
     contact_order: int
 
 
-def _solve_linear(A, rhs):
-    """Exact Gaussian elimination over Q(i); A is a list of rows."""
-    n = len(rhs)
-    M = [list(row) + [rhs[k]] for k, row in enumerate(A)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if M[r][col]), None)
+def _real_ints(coeffs) -> tuple[list[int], int]:
+    """Integer numerators of real Q(i) scalars over their least common
+    denominator, and that denominator."""
+    if any(c.im for c in coeffs):
+        raise ValueError("expected real coefficients")
+    den = math.lcm(*(c.re.denominator for c in coeffs))
+    return [c.re.numerator * (den // c.re.denominator) for c in coeffs], den
+
+
+def _bareiss_solve(M: list[list[int]]) -> tuple[int, list[int]]:
+    """Fraction-free elimination (Bareiss, Math. Comp. 1968) of an integer
+    n x (n+1) augmented system, in place: (det, y) with solution y/det."""
+    n, prev = len(M), 1
+    for k in range(n):
+        piv = next((r for r in range(k, n) if M[r][k]), None)
         if piv is None:
             raise DegeneratePadeError("singular linear system")
-        M[col], M[piv] = M[piv], M[col]
-        pinv = M[col][col].inv()
-        M[col] = [e * pinv for e in M[col]]
-        for r in range(n):
-            if r != col and M[r][col]:
-                f = M[r][col]
-                M[r] = [er - f * ec for er, ec in zip(M[r], M[col])]
-    return [M[k][n] for k in range(n)]
+        M[k], M[piv] = M[piv], M[k]
+        for i in range(k + 1, n):
+            for j in range(k + 1, n + 1):
+                q, rem = divmod(M[k][k] * M[i][j] - M[i][k] * M[k][j], prev)
+                if rem:
+                    raise DegeneratePadeError("inexact Bareiss step")
+                M[i][j] = q
+        prev = M[k][k]
+    y = [0] * n
+    for i in reversed(range(n)):
+        q, rem = divmod(prev * M[i][n] - sum(M[i][j] * y[j] for j in range(i + 1, n)),
+                        M[i][i])
+        if rem:
+            raise DegeneratePadeError("inexact back substitution")
+        y[i] = q
+    return prev, y
+
+
+def _residual_ints(b: list[int], u: list[int], v: list[int], scale: int) -> list[int]:
+    """scale*u - b*v modulo s^len(b), on integer coefficient lists."""
+    out = [scale * u[k] if k < len(u) else 0 for k in range(len(b))]
+    for j, vj in enumerate(v):
+        if vj:
+            for k in range(j, len(b)):
+                out[k] -= vj * b[k - j]
+    return out
 
 
 def pade(B: Series, deg_num: int, deg_den: int) -> PadePair:
-    """U/V with U - B*V = O(s^(deg_num+deg_den+1)), V(0) = 1."""
+    """U/V with U - B*V = O(s^(deg_num+deg_den+1)), V(0) = 1, for a real
+    series B: solved over Z by Bareiss elimination on B's cleared
+    coefficients, converted to Q(i) at the end."""
     order = deg_num + deg_den + 1
     if B.trunc < order:
         raise ValuationError(f"series known only modulo s^{B.trunc}, need {order}")
+    b, den = _real_ints(B.coeffs)
     n = deg_den
-    if n == 0:
-        U = tuple(B.coeffs[: deg_num + 1])
-        return PadePair(U, (G1,), _contact(B, U, (G1,), order))
-    # unknowns v_1..v_n from sum_j v_j B_{k-j} = -B_k, k = deg_num+1..deg_num+n
-    rows = []
-    rhs = []
-    for k in range(deg_num + 1, deg_num + n + 1):
-        rows.append([B.coeffs[k - j] if k - j >= 0 else G0 for j in range(1, n + 1)])
-        rhs.append(-B.coeffs[k])
-    v = [G1] + _solve_linear(rows, rhs)
-    U = tuple(
-        sum((v[j] * B.coeffs[k - j] for j in range(min(k, n) + 1)), G0)
-        for k in range(deg_num + 1)
-    )
-    V = tuple(v)
-    return PadePair(U, V, _contact(B, U, V, order))
+    # unknowns v_1..v_n from sum_j v_j b_{k-j} = -b_k, k = deg_num+1..deg_num+n
+    det, y = _bareiss_solve([[b[k - j] if k >= j else 0 for j in range(1, n + 1)] + [-b[k]]
+                             for k in range(deg_num + 1, deg_num + n + 1)])
+    v = [det] + y
+    u = [sum(v[j] * b[k - j] for j in range(min(k, n) + 1)) for k in range(deg_num + 1)]
+    contact = _contact(_residual_ints(b, u, v, 1), order)
+    return PadePair(tuple(GaussRat.of(Fraction(c, det * den)) for c in u),
+                    tuple(GaussRat.of(Fraction(c, det)) for c in v), contact)
 
 
-def _contact(B: Series, U, V, required: int) -> int:
-    prod = B * Series(list(V), B.trunc)
-    resid = Series(list(U), B.trunc) - prod
-    val = resid.valuation()
+def _contact(resid: list[int], required: int) -> int:
+    val = next((k for k, c in enumerate(resid) if c), len(resid))
     if val < required:
         raise DegeneratePadeError(f"contact order {val} below required {required}")
     return val
 
 
 def pade_residual(B: Series, pair: PadePair) -> Series:
-    """U - B*V as a series (valuation >= contact order)."""
-    return Series(list(pair.U), B.trunc) - B * Series(list(pair.V), B.trunc)
+    """U - B*V as a series (valuation >= contact order), computed over Z."""
+    b, den_b = _real_ints(B.coeffs)
+    uv, den_p = _real_ints(pair.U + pair.V)
+    u, v = uv[:len(pair.U)], uv[len(pair.U):]
+    resid = _residual_ints(b, u, v, den_b)
+    return Series([Fraction(c, den_b * den_p) for c in resid], B.trunc)
 
 
 # ---------------------------------------------------------------------------

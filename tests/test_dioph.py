@@ -211,6 +211,17 @@ def test_search_solves_only_norm_divisors(monkeypatch):
     assert len(calls) < 10_000  # the unfiltered box made 118,032 calls
 
 
+def test_solve_for_t_rechecks_the_form_on_each_hit(monkeypatch):
+    s = small_solution_search(F(0))[0]
+    assert s in dioph._solve_for_t(s.x, s.y, [s.d])
+    real = dioph._checked_solution
+    # F_{t+1}(x, y) = mu - xy(x^2 - y^2) != mu: the recheck must see it
+    monkeypatch.setattr(dioph, "_checked_solution",
+                        lambda d, t, *rest: real(d, (t[0] + 1, t[1]), *rest))
+    with pytest.raises(ArithmeticError):
+        dioph._solve_for_t(s.x, s.y, [s.d])
+
+
 @pytest.mark.parametrize("argv, digest", [
     (("small-solutions", "--tmin", "0", "--json"),
      "6577d438b0f207a1cfd5c001e984572c382e59549fa7a8f11d88c181cc069c23"),

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -6,13 +7,107 @@ from thueq.hyperchi import (
     LettlBoundViolation,
     chi,
     chi_coeffs,
-    chi_ode_residual,
     denom_data,
-    denom_data_by_valuation,
     gamma_ratio_g1,
     gamma_ratio_g2,
     verify_lettl,
 )
+
+# ---------------------------------------------------------------------------
+# oracles: the Fraction composition denom_data replaced, an independent
+# prime-by-prime (delta, N), and the hypergeometric ODE residual
+
+
+def _compose_1_minus_8x(coeffs) -> list:
+    """p(1 - 8X) by Horner in the shifted variable, over Q."""
+    acc = [F(0)]
+    for c in reversed(coeffs):
+        # acc = acc * (1 - 8X) + c
+        new = [F(0)] * (len(acc) + 1)
+        for k, a in enumerate(acc):
+            new[k] += a
+            new[k + 1] -= 8 * a
+        new[0] += c
+        acc = new
+    while len(acc) > 1 and acc[-1] == 0:
+        acc.pop()
+    return acc
+
+
+def denom_data_by_valuation(r: int) -> tuple[int, int]:
+    """Independent (delta, N) computation prime by prime.
+
+    Candidate primes come from factoring one denominator lcm (for delta)
+    and one coefficient gcd (for N); the per-prime valuations are then
+    recomputed coefficient by coefficient.
+    """
+    cs = chi_coeffs(r)
+    den_lcm = 1
+    for c in cs:
+        den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+    delta = 1
+    for p in _trial_factor(den_lcm):
+        e = max(_val(c.denominator, p) for c in cs)
+        delta *= p ** e
+    shifted = [c * delta for c in _compose_1_minus_8x(cs)]
+    ints = [abs(c.numerator) for c in shifted if c != 0]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, v)
+    n = 1
+    for p in _trial_factor(g):
+        e = min(_val(v, p) for v in ints)
+        n *= p ** e
+    return delta, n
+
+
+def _trial_factor(n: int) -> list:
+    """Distinct prime factors by trial division (a leftover cofactor above
+    the trial bound is itself prime for the sizes arising here)."""
+    out = []
+    for p in range(2, 1 + math.isqrt(n)):
+        if p * p > n:
+            break
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+    if n > 1:
+        out.append(n)
+    return out
+
+
+def _val(n: int, p: int) -> int:
+    e = 0
+    while n % p == 0:
+        n //= p
+        e += 1
+    return e
+
+
+def chi_ode_residual(r: int) -> list:
+    """Coefficients of X(1-X) y'' + (3/4 - (a+b+1)X) y' - a b y for y = chi_r;
+    identically zero when the terminating sum is transcribed correctly."""
+    a = F(-r)
+    b = F(-4 * r - 1, 4)
+    c = F(3, 4)
+    y = list(chi_coeffs(r))
+    d1 = [k * y[k] for k in range(1, len(y))] or [F(0)]
+    d2 = [k * d1[k] for k in range(1, len(d1))] or [F(0)]
+    n = len(y) + 2
+    # X(1-X)y'' = X y'' - X^2 y'': shift y'' coefficients up by one and two
+    res = [F(0)] * n
+    for k, v in enumerate(d2):
+        res[k + 1] += v
+        res[k + 2] -= v
+    for k, v in enumerate(d1):
+        res[k] += c * v
+        res[k + 1] -= (a + b + 1) * v
+    for k, v in enumerate(y):
+        res[k] -= a * b * v
+    return res
+
+# ---------------------------------------------------------------------------
 
 
 def test_chi_small_cases():
@@ -44,6 +139,18 @@ def test_cleared_polynomial_is_integral():
         for c in coeffs:
             assert (dd.delta * c).denominator == 1
         assert all(isinstance(c, int) for c in dd.cleared)
+
+
+def test_integer_denom_data_matches_the_fraction_composition():
+    for r in range(1, 61):
+        cs = chi_coeffs(r)
+        delta = math.lcm(*(c.denominator for c in cs))
+        nums = [c * delta for c in _compose_1_minus_8x(cs)]
+        assert all(n.denominator == 1 for n in nums)
+        n_gcd = math.gcd(*(n.numerator for n in nums))
+        dd = denom_data(r)
+        assert (dd.delta, dd.n_gcd) == (delta, n_gcd), r
+        assert dd.cleared == tuple(n.numerator // n_gcd for n in nums), r
 
 
 def test_denom_data_by_valuation_agrees():

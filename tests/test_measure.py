@@ -71,6 +71,15 @@ def test_irrationality_lower_positive():
         assert irrationality_lower(F(100), F(10**6), ti) < lb
 
 
+def test_irrationality_lower_reads_the_q_gate_of_its_root_type():
+    # the type-3 chain certifies the q gate 0.14, the type-0 chain 0.28
+    assert irrationality_lower(F(100), F(20), 3) > 0
+    with pytest.raises(ValueError, match=r"QMIN\[3\]"):
+        irrationality_lower(F(100), F(13), 3)
+    with pytest.raises(ValueError, match=r"QMIN\[0\]"):
+        irrationality_lower(F(100), F(20), 0)
+
+
 def test_irrationality_bound_against_certified_root():
     # sample rational points p/q and confirm the certified root enclosure
     # never comes closer than the claimed lower bound

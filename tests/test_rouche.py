@@ -13,6 +13,7 @@ from thueq.rouche import (
     certify_high_order,
     root_separation,
 )
+from thueq.series import QUARTIC, GaussRat, Poly2
 
 
 def test_base_certificates_verify():
@@ -84,3 +85,34 @@ def test_taylor_coefficients_built_once_per_center():
         rouche._taylor_terms.cache_clear()
     # four base centers plus B and B3, each expanded once
     assert (info.misses, info.hits) == (6, 6)
+
+
+def _taylor_terms_oracle(center: dict) -> set:
+    """The old expansion of f(C + z) on Poly2 over Q(i): {(j, p, c)}."""
+    C = Poly2({(0, p): c for p, c in center.items()})
+    cpow = [Poly2.const(1)]
+    for _ in range(4):
+        cpow.append(cpow[-1] * C)
+    out, deriv, fact = set(), QUARTIC, 1
+    for j in range(5):
+        h = sum((Poly2({(0, e): v / fact}) * cpow[i]
+                 for (i, e), v in deriv.terms.items()), Poly2())
+        out |= {(j, p, c) for (_, p), c in h.terms.items()}
+        deriv, fact = deriv.dX(), fact * (j + 1)
+    return out
+
+
+def test_integer_taylor_terms_match_the_poly2_expansion():
+    centers = [center for _, center, _, _ in BASE_CERT_PARAMS]
+    centers += [certify_high_order(which).center for which in ("B", "B3")]
+    for center in centers:
+        terms = rouche._taylor_terms(tuple(sorted(center.items())))
+        assert all(isinstance(c, int) and c for _, _, c in terms)
+        assert len(set(terms)) == len(terms)
+        assert {(j, p, GaussRat.of(c)) for j, p, c in terms} == _taylor_terms_oracle(center)
+
+
+def test_taylor_terms_refuse_a_non_integral_center():
+    for c in (GaussRat.of(F(1, 2)), GaussRat(F(0), F(1))):
+        with pytest.raises(CertificationError):
+            certify_enclosure({0: c}, F("2.16"), 1, F(100))

@@ -1,12 +1,19 @@
+import math
 import subprocess
 import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from thueq.descent import KMAX, KSTART
 from thueq.series import (
+    G0,
+    G1,
+    GI,
     DegeneratePadeError,
     GaussRat,
+    PadePair,
     Poly2,
     Series,
     alpha3_series,
@@ -24,6 +31,60 @@ from thueq.series import (
 
 G = GaussRat.of
 
+# ---------------------------------------------------------------------------
+# oracles: the Q(i) algorithms the integer core replaced
+
+
+def _newton_oracle(N):
+    """alpha modulo s^N by Newton iteration on s*f over Series."""
+    s = Series([0, 1], N)
+
+    def f(x):
+        x2 = x * x
+        return s * x2 * x2 - x2 * x - 6 * s * x2 + x + s
+
+    def df(x):
+        x2 = x * x
+        return 4 * s * x2 * x - 3 * x2 - 12 * s * x + 1
+
+    x = Series([0], N)
+    for _ in range(math.ceil(math.log2(N)) + 1):
+        x = x - f(x) / df(x)
+    return x
+
+
+def _solve_linear_oracle(A, rhs):
+    """Exact Gaussian elimination over Q(i); A is a list of rows."""
+    n = len(rhs)
+    M = [list(row) + [rhs[k]] for k, row in enumerate(A)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if M[r][col]), None)
+        if piv is None:
+            raise DegeneratePadeError("singular linear system")
+        M[col], M[piv] = M[piv], M[col]
+        pinv = M[col][col].inv()
+        M[col] = [e * pinv for e in M[col]]
+        for r in range(n):
+            if r != col and M[r][col]:
+                f = M[r][col]
+                M[r] = [er - f * ec for er, ec in zip(M[r], M[col])]
+    return [M[k][n] for k in range(n)]
+
+
+def _pade_oracle(B, deg_num, n):
+    """The Pade pair by Gaussian elimination over Q(i), contact order from
+    the Series residual."""
+    rows = [[B.coeffs[k - j] if k >= j else G0 for j in range(1, n + 1)]
+            for k in range(deg_num + 1, deg_num + n + 1)]
+    rhs = [-B.coeffs[k] for k in range(deg_num + 1, deg_num + n + 1)]
+    v = [G1] + (_solve_linear_oracle(rows, rhs) if n else [])
+    U = tuple(sum((v[j] * B.coeffs[k - j] for j in range(min(k, n) + 1)), G0)
+              for k in range(deg_num + 1))
+    resid = Series(list(U), B.trunc) - B * Series(v, B.trunc)
+    return PadePair(U, tuple(v), resid.valuation())
+
+# ---------------------------------------------------------------------------
+
 
 def test_alpha_series_endpoints():
     a = newton_alpha_series(31)
@@ -35,6 +96,12 @@ def test_alpha_series_endpoints():
     assert a[29] == G(-1821914025180536)
     # odd series: every even coefficient vanishes
     assert all(not a[k] for k in range(0, 31, 2))
+
+
+def test_integer_alpha_recurrence_matches_newton_iteration():
+    for N in range(2, 41):
+        assert newton_alpha_series(N) == _newton_oracle(N), N
+        assert newton_alpha_series(N).trunc == N
 
 
 def test_alpha_series_satisfies_quartic():
@@ -77,6 +144,42 @@ def test_pade_contact_orders():
         assert pair.contact_order >= 2 * k - 1
         resid = pade_residual(a, pair)
         assert resid.valuation() >= 2 * k - 1
+
+
+def test_bareiss_pade_matches_gaussian_elimination_on_both_chains():
+    for ti in KSTART:
+        B = root_series(ti)
+        for k in range(KSTART[ti], KMAX + 1):
+            pair = pade(B, k - 1, k - 1)
+            assert pair == _pade_oracle(B, k - 1, k - 1), (ti, k)
+            assert pair.V[0] == G1
+            U, V = Series(list(pair.U), B.trunc), Series(list(pair.V), B.trunc)
+            assert pade_residual(B, pair) == U - B * V
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.integers(-40, 40), min_size=1, max_size=12),
+       st.integers(1, 12), st.integers(0, 4), st.integers(0, 4))
+@example([1], 1, 1, 2)  # B = 1: the Toeplitz system is singular
+def test_bareiss_pade_on_drawn_integer_series(nums, den, deg_num, deg_den):
+    trunc = max(len(nums), deg_num + deg_den + 1)
+    B = Series([F(c, den) for c in nums], trunc)
+    try:
+        oracle = _pade_oracle(B, deg_num, deg_den)
+    except DegeneratePadeError:
+        with pytest.raises(DegeneratePadeError):
+            pade(B, deg_num, deg_den)
+        return
+    pair = pade(B, deg_num, deg_den)
+    assert pair == oracle
+    assert pade_residual(B, pair).valuation() == pair.contact_order
+
+
+def test_pade_refuses_a_singular_system_and_a_non_real_series():
+    with pytest.raises(DegeneratePadeError):
+        pade(Series([1], 5), 1, 2)
+    with pytest.raises(ValueError):
+        pade(Series([GI, 1, 2], 3), 1, 1)
 
 
 def test_pade_requires_enough_terms():
