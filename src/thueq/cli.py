@@ -34,6 +34,13 @@ def _rat(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not an exact rational: {text!r}")
 
 
+def _nonneg_rat(text: str) -> Fraction:
+    x = _rat(text)
+    if x < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative: {text!r}")
+    return x
+
+
 def _num(x) -> dict:
     """Canonical rendering of a rational: exact plus 4-digit decimal hint."""
     x = Fraction(x)
@@ -283,7 +290,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_small_solutions)
 
     p = sub.add_parser("enumerate", help="ring elements of bounded modulus")
-    p.add_argument("--max-abs", type=_rat, required=True)
+    p.add_argument("--max-abs", type=_nonneg_rat, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_enumerate)
 

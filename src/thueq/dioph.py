@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .exactnum import ComplexBall, Rat, sqrt_lower, sqrt_upper
 from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
-                        field_pairs, is_half_integral, norm, roots_of_unity)
+                        is_half_integral, norm, pairs_with_norm_in, roots_of_unity)
 from .series import QUARTIC, GaussRat, TPoly
 
 
@@ -42,24 +42,6 @@ def orbit(x: QuadInt, y: QuadInt) -> list[tuple[QuadInt, QuadInt]]:
     return out
 
 
-def trivial_solutions(d: int, mu: QuadInt) -> list[Solution]:
-    """Solution classes of the shape (xi, 0), one representative each."""
-    units = roots_of_unity(d)
-    if not any(u == mu for u in units):
-        raise ValueError(f"{mu} is not a unit in d={d}")
-    zero = QuadInt(d, 0, 0)
-    out = []
-    seen = set()
-    for xi in units:
-        if eval_form(zero, xi, zero) == mu:
-            # one representative per +- pair
-            key = frozenset([(xi.a, xi.b), ((-xi).a, (-xi).b)])
-            if key not in seen:
-                seen.add(key)
-                out.append(Solution(d, zero, xi, zero, mu))
-    return out
-
-
 def irreducibility_exceptions() -> tuple[list[QuadInt], list[QuadInt]]:
     """Parameters t for which the quartic form factors over its field,
     found by the quadratic-factor search (a + c = -t, ac = -4, |a|^2 | 16),
@@ -82,15 +64,6 @@ def irreducibility_exceptions() -> tuple[list[QuadInt], list[QuadInt]]:
         ts[(rc.d, rc.a, rc.b)] = rc
     ordered = sorted(ts.values(), key=lambda q: (q.d, q.abs_sq(), q.b, q.a))
     return ordered, root_cases
-
-
-def solve_zero(t: QuadInt) -> dict:
-    """Solution set of F_t(X,Y) = 0: trivial only, except t = +-4i where a
-    one-parameter family x = (+-i) y appears."""
-    if t.d == 1 and t.a == 0 and t.b in (4, -4):
-        root = QuadInt(1, 0, 1 if t.b == 4 else -1)
-        return {"trivial_only": False, "family_root": root}
-    return {"trivial_only": True, "family_root": None}
 
 
 # ---------------------------------------------------------------------------
@@ -119,22 +92,24 @@ def _search_all() -> list[Solution]:
         ybound_sq = max((1 + xa4) ** 2,
                         Y_CASE2_MAX_SQ if x.abs_sq() == 1 else 0)
         bound = 1 + math.isqrt(ybound_sq - 1)  # ceil(sqrt), ybound_sq >= 1
-        # rational y first, then x's own field or, for rational x, every
-        # field; a rational pair lives in d = 1 and in d = 3, whose units i
-        # and zeta_6 can still make t integral
-        rational_y = [(a, 0) for a in range(1, math.isqrt(ybound_sq) + 1)]
-        groups = [([1, 3] if x.is_rational() else [x.d], 1, rational_y)]
-        groups += [([d], d, field_pairs(d, ybound_sq, normalize=True))
-                   for d in (eligible_fields(bound) if x.is_rational() else [x.d])]
+        # rational y (dy = None) first, then x's own field or, for rational
+        # x, every field; a rational pair lives in d = 1 and in d = 3, whose
+        # units i and zeta_6 can still make t integral
+        groups = [([1, 3] if x.is_rational() else [x.d], None)]
+        groups += [([d], d) for d in (eligible_fields(bound) if x.is_rational() else [x.d])]
         x4 = x ** 4
-        for ambients, dy, pairs in groups:
+        for ambients, dy in groups:
             # F_t(x, y) = x^4 (mod y), so F_t(x, y) = mu forces N(y) | N(x^4 - mu);
             # x^4 = mu gives norm 0, which every N(y) divides
             norms = {(x4 - mu).abs_sq() for d in ambients for mu in roots_of_unity(d)}
+            # the divisors n <= ybound_sq of each norm, by trial division
+            allowed = set(range(1, ybound_sq + 1)) if 0 in norms else {
+                n for k in norms for i in range(1, math.isqrt(k) + 1) if k % i == 0
+                for n in (i, k // i) if n <= ybound_sq}
+            pairs = (pairs_with_norm_in(dy, ybound_sq, allowed) if dy else
+                     [(a, 0) for a in range(1, math.isqrt(ybound_sq) + 1) if a * a in allowed])
             for a, b in pairs:
-                n = norm(dy, a, b)
-                if any(k % n == 0 for k in norms):
-                    found.extend(_solve_for_t(x, QuadInt(dy, a, b), ambients))
+                found.extend(_solve_for_t(x, QuadInt(dy or 1, a, b), ambients))
     found.sort(key=lambda s: (s.d, s.t.abs_sq(), s.t.b, s.t.a,
                               s.x.abs_sq(), s.y.abs_sq()))
     return found
@@ -246,6 +221,7 @@ def root_ball(t: GaussRat, seed: complex, target_radius: Rat,
     df = f.deriv()
     x = _approx_gauss(seed)
     cap = 1 << 2400
+    last = None  # the previous certified radius
     for _ in range(14):
         dfx = df(x)
         if not dfx:
@@ -253,8 +229,12 @@ def root_ball(t: GaussRat, seed: complex, target_radius: Rat,
         x = x - f(x) / dfx
         x = GaussRat(_limit(x.re, cap), _limit(x.im, cap))
         ball = _certify_root(t_ball, x)
-        if ball is not None and ball.radius <= target_radius:
-            return ball
+        if ball is not None:
+            if ball.radius <= target_radius:
+                return ball
+            if last is not None and ball.radius >= last:
+                break  # stalled at the grid or at the parameter's own enclosure
+            last = ball.radius
     raise TieError("root enclosure did not reach the requested radius")
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 Rat = Fraction
 
@@ -135,20 +136,6 @@ def _coerce(x) -> QuadInt:
     raise TypeError(f"cannot coerce {x!r} to QuadInt")
 
 
-def from_root_coords(d: int, p: Rat, q: Rat) -> QuadInt:
-    """Element p + q*sqrt(-d), raising if not integral in the ring."""
-    p, q = Fraction(p), Fraction(q)
-    if is_half_integral(d):
-        b = 2 * q
-        a = p - q
-    else:
-        b = q
-        a = p
-    if a.denominator != 1 or b.denominator != 1:
-        raise ValueError(f"{p} + {q}*sqrt(-{d}) is not an algebraic integer here")
-    return QuadInt(d, int(a), int(b))
-
-
 def div_exact(x: QuadInt, y: QuadInt) -> QuadInt:
     """x / y, raising ValueError when y does not divide x in the ring."""
     x, y = _coerce(x), _coerce(y)
@@ -165,17 +152,18 @@ def div_exact(x: QuadInt, y: QuadInt) -> QuadInt:
     return QuadInt(d, num.a // n, num.b // n)
 
 
-def roots_of_unity(d: int) -> list[QuadInt]:
+@lru_cache(maxsize=None)
+def roots_of_unity(d: int) -> tuple[QuadInt, ...]:
     if d == 1:
         i = QuadInt(1, 0, 1)
-        return [QuadInt(1, 1, 0), i, QuadInt(1, -1, 0), -i]
+        return (QuadInt(1, 1, 0), i, QuadInt(1, -1, 0), -i)
     if d == 3:
         w = QuadInt(3, 0, 1)  # primitive 6th root of unity
         out = [QuadInt(3, 1, 0)]
         for _ in range(5):
             out.append(out[-1] * w)
-        return out
-    return [QuadInt(d, 1, 0), QuadInt(d, -1, 0)]
+        return tuple(out)
+    return (QuadInt(d, 1, 0), QuadInt(d, -1, 0))
 
 
 # fields with ring elements of absolute value <= m exist iff the shortest
@@ -226,6 +214,21 @@ def field_pairs(d: int, m2, normalize: bool = False):
         lo, hi = (-((r + b) // 2), (r - b) // 2) if half else (-r, r)
         for a in range(lo, hi + 1):
             yield a, b
+
+
+def pairs_with_norm_in(d: int, m2, norms):
+    """The pairs of field_pairs(d, m2, normalize=True) whose norm lies in
+    the set norms, in the same (b, a) order: for each b and each norm n,
+    a^2 = n - d b^2, resp. (2a + b)^2 = 4n - d b^2, solved by isqrt."""
+    half = is_half_integral(d)
+    scaled = [(4 if half else 1) * n for n in norms if 0 < n <= m2]
+    for b in range(1, math.isqrt(max(scaled, default=0) // d) + 1):
+        # s = a, resp. s = 2a + b with s = b (mod 2) as s^2 = b^2 (mod 4)
+        db2 = d * b * b
+        row = {s for n in scaled if n >= db2 for r in [math.isqrt(n - db2)]
+               if r * r == n - db2 for s in (-r, r)}
+        for s in sorted(row):
+            yield ((s - b) // 2 if half else s), b
 
 
 def enumerate_bounded(m: Rat, normalize: bool = False) -> list[QuadInt]:

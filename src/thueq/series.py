@@ -610,7 +610,13 @@ def thue_data() -> dict:
     """The polynomials attached to P = X^4 - tX^3 - 6X^2 + tX + 1 and
     U = X^2 + 1: the second-order identity U P'' - 3 U' P' + 6 U'' P = 0
     holds, the discriminant constant is lambda = -1, and the record carries
-    Y = 2UP' - 4U'P plus the auxiliary linear and quartic factors."""
+    Y = 2UP' - 4U'P plus the auxiliary linear and quartic factors.  Built
+    and checked once per process; each call returns a fresh dict."""
+    return dict(_thue_data())
+
+
+@lru_cache(maxsize=None)
+def _thue_data() -> dict:
     X, P = _X, QUARTIC
     U = X ** 2 + 1
     ode = U * P.dX().dX() - 3 * U.dX() * P.dX() + 6 * U.dX().dX() * P

@@ -97,6 +97,12 @@ def test_usage_errors_exit_64():
     assert run_cli("enumerate", "--max-abs", "x").returncode == 64
 
 
+def test_negative_max_abs_is_a_usage_error():
+    r = run_cli("enumerate", "--max-abs", "-1")
+    assert r.returncode == 64
+    assert "--max-abs" in r.stderr and "certification failure" not in r.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("descent", "--type", "0", "--kmax", "1"),
     ("descent", "--type", "0", "--kmax", "2"),

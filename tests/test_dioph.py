@@ -11,6 +11,7 @@ from thueq.cli import main
 from thueq.dioph import (
     Solution,
     TieError,
+    _root_seeds,
     _t_complex,
     _t_exact,
     all_root_balls,
@@ -21,11 +22,10 @@ from thueq.dioph import (
     orbit,
     root_ball,
     small_solution_search,
-    solve_zero,
     t_value_set,
-    trivial_solutions,
 )
-from thueq.quadfield import QuadInt, div_exact, roots_of_unity
+from thueq.quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
+                             field_pairs, norm, roots_of_unity)
 from thueq.series import GaussRat
 
 
@@ -49,6 +49,33 @@ def test_orbit_invariance_sampled():
         val = eval_form(t, x, y)
         for xo, yo in orbit(x, y):
             assert eval_form(t, xo, yo) == val
+
+
+def trivial_solutions(d: int, mu: QuadInt) -> list[Solution]:
+    """Solution classes of the shape (xi, 0), one representative each."""
+    units = roots_of_unity(d)
+    if not any(u == mu for u in units):
+        raise ValueError(f"{mu} is not a unit in d={d}")
+    zero = QuadInt(d, 0, 0)
+    out = []
+    seen = set()
+    for xi in units:
+        if eval_form(zero, xi, zero) == mu:
+            # one representative per +- pair
+            key = frozenset([(xi.a, xi.b), ((-xi).a, (-xi).b)])
+            if key not in seen:
+                seen.add(key)
+                out.append(Solution(d, zero, xi, zero, mu))
+    return out
+
+
+def solve_zero(t: QuadInt) -> dict:
+    """Solution set of F_t(X,Y) = 0: trivial only, except t = +-4i where a
+    one-parameter family x = (+-i) y appears."""
+    if t.d == 1 and t.a == 0 and t.b in (4, -4):
+        root = QuadInt(1, 0, 1 if t.b == 4 else -1)
+        return {"trivial_only": False, "family_root": root}
+    return {"trivial_only": True, "family_root": None}
 
 
 def test_trivial_solutions():
@@ -202,13 +229,38 @@ def test_every_solution_has_y_dividing_x4_minus_mu():
         assert rest == QuadInt(s.d, 0, 0) or rest.abs_sq() % s.y.abs_sq() == 0
 
 
+def _per_pair_filter_calls() -> list[tuple]:
+    """The _solve_for_t arguments of the search when every (x, y) pair of
+    the box is tested for N(y) | N(x^4 - mu) one by one, in search order."""
+    calls = []
+    for x in [x for x in enumerate_bounded(3, normalize=True) if x.abs_sq() < 9]:
+        ybound_sq = max((1 + x.abs_sq() ** 2) ** 2,
+                        dioph.Y_CASE2_MAX_SQ if x.abs_sq() == 1 else 0)
+        bound = 1 + math.isqrt(ybound_sq - 1)
+        rational_y = [(a, 0) for a in range(1, math.isqrt(ybound_sq) + 1)]
+        groups = [([1, 3] if x.is_rational() else [x.d], 1, rational_y)]
+        groups += [([d], d, field_pairs(d, ybound_sq, normalize=True))
+                   for d in (eligible_fields(bound) if x.is_rational() else [x.d])]
+        for ambients, dy, pairs in groups:
+            norms = {(x ** 4 - mu).abs_sq() for d in ambients for mu in roots_of_unity(d)}
+            for a, b in pairs:
+                n = norm(dy, a, b)
+                if any(k % n == 0 for k in norms):
+                    calls.append((x, QuadInt(dy, a, b), ambients))
+    return calls
+
+
 def test_search_solves_only_norm_divisors(monkeypatch):
+    expected = small_solution_search(F(0))  # fills the cache before counting
     calls = []
     solve = dioph._solve_for_t
     monkeypatch.setattr(dioph, "_solve_for_t",
                         lambda *args: calls.append(args) or solve(*args))
-    assert dioph._search_all() == small_solution_search(F(0))
+    assert dioph._search_all() == expected
     assert len(calls) < 10_000  # the unfiltered box made 118,032 calls
+    # the divisor-driven walk solves exactly what the per-pair filter solves
+    assert len(calls) == 5468
+    assert calls == _per_pair_filter_calls()
 
 
 def test_solve_for_t_rechecks_the_form_on_each_hit(monkeypatch):
@@ -262,6 +314,20 @@ def test_root_balls_of_an_irrational_parameter_are_pinned(d, a, b, digest):
     assert t_gauss is None  # the parameter is enclosed in a ball
     balls = all_root_balls(_t_complex(t), t_gauss, extra, F(1, 1 << 64))
     assert hashlib.sha256(repr(balls).encode()).hexdigest() == digest
+
+
+def test_root_ball_stops_once_the_radius_stalls(monkeypatch):
+    # t = 3 + 40 omega in d = 7 is enclosed to 200 bits, so the certified
+    # radius bottoms out near 2^-132 and 2^-256 is out of reach
+    t = QuadInt(7, 3, 40)
+    t_gauss, extra = _t_exact(t)
+    calls = []
+    real = dioph._certify_root
+    monkeypatch.setattr(dioph, "_certify_root",
+                        lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(TieError):
+        root_ball(t_gauss, _root_seeds(_t_complex(t))[0], F(1, 1 << 256), extra)
+    assert len(calls) <= 4  # all 14 Newton steps ran before the stall check
 
 
 def test_divisibility_vanishing_order():

@@ -1,19 +1,34 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from thueq.quadfield import (
     QuadInt,
+    _squarefree,
     div_exact,
     eligible_fields,
     enumerate_bounded,
     field_pairs,
-    from_root_coords,
     is_half_integral,
     norm,
+    pairs_with_norm_in,
     roots_of_unity,
 )
+
+
+def from_root_coords(d: int, p, q) -> QuadInt:
+    """Element p + q*sqrt(-d), raising if not integral in the ring."""
+    p, q = F(p), F(q)
+    if is_half_integral(d):
+        b = 2 * q
+        a = p - q
+    else:
+        b = q
+        a = p
+    if a.denominator != 1 or b.denominator != 1:
+        raise ValueError(f"{p} + {q}*sqrt(-{d}) is not an algebraic integer here")
+    return QuadInt(d, int(a), int(b))
 
 
 def test_half_integral_convention():
@@ -77,6 +92,11 @@ def test_roots_of_unity_counts():
     assert len(roots_of_unity(3)) == 6
     for d in (2, 7, 11, 19):
         assert len(roots_of_unity(d)) == 2
+
+
+def test_roots_of_unity_built_once():
+    assert roots_of_unity(3) is roots_of_unity(3)
+    assert isinstance(roots_of_unity(7), tuple)
 
 
 def test_roots_of_unity_are_units():
@@ -159,3 +179,14 @@ def test_field_pairs_order_and_normalization():
     half = list(field_pairs(11, 25, normalize=True))
     assert half == [(a, b) for a, b in full if b > 0]
     assert (-2, 3) in half and (-1, 3) in half
+
+
+@given(st.integers(1, 2000).filter(_squarefree), st.integers(0, 5000),
+       st.sets(st.integers(0, 6000), max_size=40))
+@example(3, 25, {1, 2, 3, 4, 5, 7, 26})  # 2 and 5 are no norms in d = 3
+@example(1, 50, {3, 6, 7, 25, 50})  # 25 and 50 are sums of two squares twice
+@example(7, 4225, {0, 2, 4, 8, 11, 4225})
+@example(7, 47, set(range(1, 48)))  # x^4 = mu: every norm in the box divides 0
+def test_pairs_with_norm_in_is_the_filtered_walk(d, m2, norms):
+    assert list(pairs_with_norm_in(d, m2, norms)) == [
+        (a, b) for a, b in field_pairs(d, m2, normalize=True) if norm(d, a, b) in norms]

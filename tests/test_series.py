@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from thueq import series
 from thueq.descent import KMAX, KSTART
 from thueq.series import (
     G0,
@@ -217,6 +218,17 @@ def test_thue_data_check_fails_closed_under_python_O():
     )
     r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def test_thue_data_checked_once_per_process(monkeypatch):
+    checks = []
+    real = series._check_thue_data
+    monkeypatch.setattr(series, "_check_thue_data",
+                        lambda data: checks.append(data) or real(data))
+    series._thue_data.cache_clear()
+    first, second = thue_data(), thue_data()
+    assert len(checks) == 1
+    assert first == second and first is not second
 
 
 def test_root_series_built_once():
