@@ -217,17 +217,3 @@ def run_descent(type_index: int, kmax: int = KMAX,
         c0 = rec.c_out
     return records
 
-
-def star_bounds(Q: Rat, t_abs: Rat) -> dict:
-    """The generalized bounds for |F_t(x,y)| <= Q: the root-distance
-    coefficient, the type-classification threshold (20.14 Q / |t|)^(1/4)
-    as an exact fourth-power value, and the linear-form bound pieces."""
-    Q, t_abs = Fraction(Q), Fraction(t_abs)
-    if t_abs < 100 or Q <= 0:
-        raise ValueError("need t_abs >= 100 and Q > 0")
-    return {
-        "beta_bound_coeff": BETA_COEFF * Q,
-        "type_threshold_fourth_power": TYPE_THRESHOLD * Q / t_abs,
-        "lb_linear_coeff": ALPHA13_RADIUS / t_abs,
-        "lb_cubic_coeff": BETA_COEFF * Q / t_abs,
-    }

@@ -9,8 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
-from .exactnum import ComplexBall, Rat, sqrt_lower, sqrt_upper
+from .exactnum import GRID_BITS, ComplexBall, Rat, sqrt_lower, sqrt_upper
 from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
                         is_half_integral, norm, pairs_with_norm_in, roots_of_unity)
 from .series import QUARTIC, GaussRat, TPoly
@@ -115,32 +116,40 @@ def _search_all() -> list[Solution]:
     return found
 
 
+@lru_cache(maxsize=None)
+def _x_part(d: int, a: int, b: int) -> tuple:
+    """The part of the t-solve fixed by the field and x = a + b w: the product
+    of (a, b) pairs, s, x^2 and x^4.  w^2 = s w - m, with s = 1, m = (1+d)/4
+    when half-integral, else s = 0, m = d."""
+    s = 1 if is_half_integral(d) else 0
+    m = (1 + d) // 4 if s else d
+
+    def mul(p, q):
+        return (p[0] * q[0] - m * p[1] * q[1],
+                p[0] * q[1] + p[1] * q[0] + s * p[1] * q[1])
+
+    x2 = mul((a, b), (a, b))
+    return mul, s, x2, mul(x2, x2)
+
+
 def _solve_for_t(x: QuadInt, y: QuadInt, ambients: list[int]) -> list[Solution]:
     """Every (t, mu) with F_t(x, y) = mu for a unit mu of an ambient field d:
     t = (x^4 - 6x^2y^2 + y^4 - mu) / (xy(x^2 - y^2)), solved on the (a, b)
     integer pairs of a + b*omega; QuadInt and Solution are built for hits
     only."""
     sols = []
+    xp, yp = (x.a, x.b), (y.a, y.b)
     for d in ambients:
         if (x.b and x.d != d) or (y.b and y.d != d):
             raise ValueError(f"x={x} or y={y} is not in d={d}")
-        # (a + b w)(c + e w) with w^2 = s w - m: s = 1, m = (1+d)/4 when
-        # half-integral, else s = 0, m = d
-        s = 1 if is_half_integral(d) else 0
-        m = (1 + d) // 4 if s else d
-
-        def mul(p, q):
-            return (p[0] * q[0] - m * p[1] * q[1],
-                    p[0] * q[1] + p[1] * q[0] + s * p[1] * q[1])
-
-        xp, yp = (x.a, x.b), (y.a, y.b)
-        x2, y2, xy = mul(xp, xp), mul(yp, yp), mul(xp, yp)
+        mul, s, x2, x4 = _x_part(d, *xp)
+        y2, xy = mul(yp, yp), mul(xp, yp)
         den = mul(xy, (x2[0] - y2[0], x2[1] - y2[1]))
         nsq = norm(d, *den)
         if nsq == 0:
             continue
         dc = (den[0] + s * den[1], -den[1])  # conjugate
-        x4, xy2, y4 = mul(x2, x2), mul(xy, xy), mul(y2, y2)
+        xy2, y4 = mul(xy, xy), mul(y2, y2)
         num0 = (x4[0] - 6 * xy2[0] + y4[0], x4[1] - 6 * xy2[1] + y4[1])
         for mu in roots_of_unity(d):
             if d != ambients[0] and mu.is_rational():
@@ -323,24 +332,80 @@ def _root_seeds(t: complex) -> list[complex]:
     return [small, near_m1, large, near_p1]
 
 
+MID_BITS = 192  # the root ball's midpoint is rounded to a multiple of 2^-MID_BITS
+
+
+def _dyadic_ball(ball: ComplexBall) -> tuple[tuple[int, int], int]:
+    """(M, R) with the ball inside |z - M/2^MID_BITS| <= R/2^MID_BITS: M is the
+    midpoint rounded to nearest (off by < 2^-MID_BITS), R >= radius 2^MID_BITS + 1."""
+    sh = MID_BITS
+    M = tuple((2 * (x.numerator << sh) + x.denominator) // (2 * x.denominator)
+              for x in (ball.re_mid, ball.im_mid))
+    return M, -(-(ball.radius.numerator << sh) // ball.radius.denominator) + 1
+
+
+def _taylor_shift(f: list, M: tuple[int, int], sh: int) -> list[list[int]]:
+    """2^(sh n) f((M + H)/2^sh) for f of degree n over Z[i], as ascending
+    (re, im) pairs: its H^j coefficient is 2^(sh(n-j)) f^(j)(M/2^sh)/j!.
+    Repeated synthetic division, exact."""
+    n, (mr, mi) = len(f) - 1, M
+    c = [[a << sh * (n - j), b << sh * (n - j)] for j, (a, b) in enumerate(f)]
+    for i in range(n):
+        for j in range(n - 1, i - 1, -1):
+            a, b = c[j + 1]
+            c[j][0] += mr * a - mi * b
+            c[j][1] += mr * b + mi * a
+    return c
+
+
+def _abs_ceil(z) -> int:
+    """ceil |z| for a Gaussian integer z = (re, im)."""
+    n = z[0] * z[0] + z[1] * z[1]
+    return math.isqrt(n - 1) + 1 if n else 0
+
+
 def divisibility_ball_check(r: int, t: GaussRat) -> dict:
     """Certify numerically that alpha*A_r - B_r vanishes to order 2r+1 at
     the small root alpha: the value and its first 2r X-derivatives are
-    evaluated on a tight root enclosure and must all contain zero."""
+    enclosed over a root ball and must all contain zero.
+
+    Over Z[i]: the ball becomes a dyadic disc |alpha - m| <= rho, and A, B
+    are Taylor-shifted to m once.  With their Taylor coefficients a_j, b_j
+    at m, alpha A^(k)(alpha) - B^(k)(alpha) lies within
+    sum_(j>k) j!/(j-k)! |m a_j - b_j| rho^(j-k) + sum_(j>=k) j!/(j-k)! |a_j| rho^(j-k+1)
+    of the exact k!(m a_k - b_k); that radius is rounded up to the ball grid."""
     from .series import thue_polys_at
 
+    if r < 0:
+        raise ValueError("r must be >= 0")
     tc = complex(float(t.re), float(t.im))
     alpha = root_ball(t, _root_seeds(tc)[0], Fraction(1, 1 << 120))
     A, B = thue_polys_at(r, t)
-    max_radius = Fraction(0)
-    contains = True
-    for _ in range(2 * r + 1):
-        val = alpha * A.eval_ball(alpha) - B.eval_ball(alpha)
-        contains = contains and val.contains_zero()
-        max_radius = max(max_radius, val.radius)
-        A, B = A.deriv(), B.deriv()
+    den = math.lcm(*(x.denominator for c in A.coeffs + B.coeffs for x in (c.re, c.im)))
+    n, sh = max(len(A.coeffs), len(B.coeffs), 2 * r + 1) - 1, MID_BITS
+    M, R = _dyadic_ball(alpha)  # m = M/2^sh, rho = R/2^sh
+    ga, gb = (_taylor_shift([(c.re.numerator * (den // c.re.denominator),
+                              c.im.numerator * (den // c.im.denominator)) for c in p.coeffs]
+                            + [(0, 0)] * (n + 1 - len(p.coeffs)), M, sh) for p in (A, B))
+    # 2^(sh(n+1-j)) den (m a_j - b_j), exactly
+    e = [(M[0] * a - M[1] * b - (c << sh), M[0] * b + M[1] * a - (d << sh))
+         for (a, b), (c, d) in zip(ga, gb)]
+    abs_a, abs_e = [_abs_ceil(z) for z in ga], [_abs_ceil(z) for z in e]
+    max_num, contains = 0, True
+    for k in range(2 * r + 1):
+        # 2^(sh(n+1-k)) den times the radius bound, with rho^l = R^l/2^(sh l)
+        kf = ff = math.factorial(k)
+        s, rl = ff * abs_a[k] * R, 1
+        for j in range(k + 1, n + 1):
+            ff, rl = ff * j // (j - k), rl * R
+            s += ff * rl * (abs_e[j] + R * abs_a[j])
+        scale = den << sh * (n + 1 - k)
+        num = -(-(s << GRID_BITS) // scale)  # the radius, rounded up, times 2^GRID_BITS
+        mid_sq = kf * kf * (e[k][0] ** 2 + e[k][1] ** 2) << 2 * GRID_BITS
+        contains = contains and mid_sq <= (num * scale) ** 2
+        max_num = max(max_num, num)
     return {"order": 2 * r + 1, "all_contain_zero": contains,
-            "max_radius": max_radius}
+            "max_radius": Fraction(max_num, 1 << GRID_BITS)}
 
 
 def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:

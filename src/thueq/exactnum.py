@@ -68,14 +68,6 @@ def round_up_sig(x: Rat, digits: int = 4) -> Rat:
     return Fraction(-((-x.numerator * q.denominator) // (x.denominator * q.numerator))) * q
 
 
-def round_down_sig(x: Rat, digits: int = 4) -> Rat:
-    if x == 0:
-        return Fraction(0)
-    e = _dec_exponent(x)
-    q = Fraction(10) ** (e - digits + 1)
-    return Fraction((x.numerator * q.denominator) // (x.denominator * q.numerator)) * q
-
-
 def round_nearest_sig(x: Rat, digits: int = 4) -> Rat:
     if x == 0:
         return Fraction(0)

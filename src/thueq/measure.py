@@ -189,45 +189,12 @@ def rat_pow_upper(x: Rat, e: Rat, bits: int = 80) -> Rat:
     return out
 
 
-def rat_pow_lower(x: Rat, e: Rat, bits: int = 80) -> Rat:
-    """Rational lower bound for x**e, x > 0, e >= 0."""
-    x, e = F(x), F(e)
-    if x <= 0 or e < 0:
-        raise ValueError("need x > 0 and e >= 0")
-    n, rem = divmod(e.numerator, e.denominator)
-    out = x ** n
-    if rem:
-        p, q = rem, e.denominator
-        scale = 1 << bits
-        num = x ** p
-        target = (num.numerator * scale ** q) // num.denominator
-        out *= F(iroot(target, q), scale)
-    return out
-
-
 def _kappa_coarse(t_abs: Rat, decimals: int = 2) -> Rat:
     """kappa upper end rounded up to a short decimal, so that exponent
     comparisons reduce to integer powers."""
     hi = kappa_hi(t_abs)
     q = 10 ** decimals
     return F(-((-hi.numerator * q) // hi.denominator), q)
-
-
-def irrationality_lower(t_abs: Rat, q_abs: Rat, type_index: int) -> Rat:
-    """Certified lower bound for |alpha - p/q|: 1 / (c |t| |q|^(kappa+1))."""
-    t_abs, q_abs = F(t_abs), F(q_abs)
-    if t_abs < 100:
-        raise ValueError("requires t_abs >= 100")
-    qmin = QMIN[type_index]
-    if q_abs < qmin * t_abs:
-        raise ValueError(f"requires q_abs >= QMIN[{type_index}] * t_abs "
-                         f"= {float(qmin)} * t_abs")
-    # a 2-decimal ceiling keeps the power's denominator at 100, which keeps
-    # the integer root extraction cheap; coarsening kappa upward only
-    # weakens (never invalidates) the returned lower bound
-    exp_hi = _kappa_coarse(t_abs, 2) + 1
-    q_up = round_up_sig(q_abs, 6)
-    return 1 / (C_COEFF[type_index] * t_abs * rat_pow_upper(q_up, exp_hi))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,9 @@
 """Exact algebra over Q(i) for the quartic family: truncated power series in
 s = 1/t, the root series, Pade approximants, and the polynomial identities
 behind the proof (differential-equation data, the fourth-root closed form,
-integral approximant pairs).  The root series and the Pade solve run over
-Z and return Q(i) values at their boundary.
+integral approximant pairs).  The root series, the Pade solve and the Thue
+polynomials at a concrete t run over Z (Z[i] for the last) and return Q(i)
+values at their boundary.
 
 Four types, one job each:
 
@@ -739,12 +740,56 @@ def cross_product(xi: int, r: int) -> TPoly:
     return p1 * q2 - p2 * q1
 
 
+# over Z[i], ascending (re, im) pairs: (X - i)^4, (X + i)^4, and a, b, c, d
+# of ``thue_data`` divided by 5
+_X_MINUS_I_4 = ((1, 0), (0, 4), (-6, 0), (0, -4), (1, 0))
+_X_PLUS_I_4 = ((1, 0), (0, -4), (-6, 0), (0, 4), (1, 0))
+_ABCD_5 = (((-1, 0), (0, 1)), ((1, 0), (0, 1)), ((0, -1), (-1, 0)), ((0, -1), (1, 0)))
+
+
+def _zi_mul(f, g) -> list[tuple[int, int]]:
+    """Product of two polynomials over Z[i] given as (re, im) pairs."""
+    out = [(0, 0)] * (len(f) + len(g) - 1)
+    for j, (a, b) in enumerate(f):
+        for k, (c, d) in enumerate(g):
+            x, y = out[j + k]
+            out[j + k] = (x + a * c - b * d, y + a * d + b * c)
+    return out
+
+
+def _zi_chi_star(n: list[int], P, Q) -> list[tuple[int, int]]:
+    """sum_k n_k P^k Q^(r-k) over Z[i], by homogeneous Horner."""
+    acc, qk = [(n[-1], 0)], [(1, 0)]
+    for nk in reversed(n[:-1]):
+        qk = _zi_mul(qk, Q)
+        acc = [(x + nk * a, y + nk * b) for (x, y), (a, b) in zip(_zi_mul(acc, P), qk)]
+    return acc
+
+
 def thue_polys_at(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:
-    """(A_r, B_r) as polynomials in X for a fixed Gaussian t."""
-    data = thue_data()
-    a, b, c, d, u, z = (data[k].eval_t(t_val) for k in "abcduz")
-    chi_zu, chi_uz = _chi_star(r, z, u), _chi_star(r, u, z)
-    mi_r = _gpow(-GI, r % 4)  # (1/sqrt(lambda))^r = (1/i)^r = (-i)^r
-    A = mi_r * (a * chi_zu - b * chi_uz)
-    B = mi_r * (c * chi_zu - d * chi_uz)
-    return A, B
+    """(A_r, B_r) as polynomials in X for a fixed Gaussian t, built over Z[i]
+    from the closed forms ``_check_thue_data`` certifies.  With t = T/D,
+    z = -P/(8D) and u = -Q/(8D) for P = (iT - 4D)(X - i)^4 and
+    Q = (iT + 4D)(X + i)^4, and chi_r = sum_k n_k X^k / delta:
+    A_r = i^r (a S1 - b S2)/den and B_r = i^r (c S1 - d S2)/den, where
+    S1 = sum_k n_k P^k Q^(r-k), S2 = sum_k n_k Q^k P^(r-k) and
+    den = (8D)^r delta.  Converted to ``TPoly`` only at the end."""
+    from .hyperchi import chi_coeffs
+
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    _thue_data()  # the closed forms below hold once it has passed
+    cs = chi_coeffs(r)
+    delta = math.lcm(*(c.denominator for c in cs))
+    n = [c.numerator * (delta // c.denominator) for c in cs]
+    D = math.lcm(t_val.re.denominator, t_val.im.denominator)
+    tr, ti = (x.numerator * (D // x.denominator) for x in (t_val.re, t_val.im))
+    P = _zi_mul([(-ti - 4 * D, tr)], _X_MINUS_I_4)
+    Q = _zi_mul([(-ti + 4 * D, tr)], _X_PLUS_I_4)
+    s1, s2 = _zi_chi_star(n, P, Q), _zi_chi_star(n, Q, P)
+    unit = ((5, 0), (0, 5), (-5, 0), (0, -5))[r % 4]  # 5 i^r
+    a, b, c, d = (_zi_mul([unit], f) for f in _ABCD_5)
+    den = (8 * D) ** r * delta
+    return tuple(TPoly([GaussRat(Fraction(x - u, den), Fraction(y - v, den))
+                        for (x, y), (u, v) in zip(_zi_mul(f, s1), _zi_mul(g, s2))])
+                 for f, g in ((a, b), (c, d)))

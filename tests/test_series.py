@@ -1,4 +1,5 @@
 import math
+import random
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -83,6 +84,15 @@ def _pade_oracle(B, deg_num, n):
               for k in range(deg_num + 1))
     resid = Series(list(U), B.trunc) - B * Series(v, B.trunc)
     return PadePair(U, tuple(v), resid.valuation())
+
+
+def _thue_polys_oracle(r, t_val):
+    """(A_r, B_r) from the thue_data record evaluated at t, over Q(i)."""
+    data = thue_data()
+    a, b, c, d, u, z = (data[k].eval_t(t_val) for k in "abcduz")
+    chi_zu, chi_uz = series._chi_star(r, z, u), series._chi_star(r, u, z)
+    mi_r = series._gpow(-GI, r % 4)  # (1/sqrt(lambda))^r = (1/i)^r = (-i)^r
+    return mi_r * (a * chi_zu - b * chi_uz), mi_r * (c * chi_zu - d * chi_uz)
 
 # ---------------------------------------------------------------------------
 
@@ -275,3 +285,41 @@ def test_thue_polys_shape():
     t = GaussRat(F(0), F(100))
     A, B = thue_polys_at(2, t)
     assert A.degree() >= 1 and B.degree() >= 1
+
+
+def _drawn_ts():
+    """t = 100i, a non-integral t and seeded Gaussian rationals."""
+    rng = random.Random(10)
+    ts = [GaussRat(F(0), F(100)), GaussRat(F(37, 3), F(-512, 7))]
+    for _ in range(4):
+        ts.append(GaussRat(F(rng.randint(-10**4, 10**4), rng.randint(1, 60)),
+                           F(rng.randint(-10**4, 10**4), rng.randint(1, 60))))
+    return ts
+
+
+def test_thue_polys_over_zi_match_the_q_i_oracle():
+    for t in _drawn_ts():
+        for r in range(7):
+            A, B = thue_polys_at(r, t)
+            oA, oB = _thue_polys_oracle(r, t)
+            assert isinstance(A, series.TPoly) and isinstance(B, series.TPoly)
+            assert A.coeffs == oA.coeffs and B.coeffs == oB.coeffs, (r, str(t))
+            assert max(A.degree(), B.degree()) == 4 * r + 1
+
+
+def test_thue_polys_refuse_a_negative_order():
+    with pytest.raises(ValueError):
+        thue_polys_at(-1, GaussRat(F(0), F(100)))
+
+
+def test_thue_polys_build_behind_the_identity_check(monkeypatch):
+    def failing_check(data):
+        raise ArithmeticError("thue_data identities failed")
+
+    monkeypatch.setattr(series, "_check_thue_data", failing_check)
+    series._thue_data.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError):
+            thue_polys_at(2, GaussRat(F(0), F(100)))
+    finally:
+        series._thue_data.cache_clear()
