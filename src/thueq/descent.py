@@ -9,10 +9,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import zpoly
 from .exactnum import Rat, round_up_sig
 from .rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER
-from .series import (GaussRat, PadePair, Series, pade, pade_residual, root_series,
-                     tail_bound)
+from .series import (QUARTIC, GaussRat, PadePair, Series, pade, pade_residual,
+                     root_series, tail_bound)
 
 BETA_COEFF = Fraction("8.86")          # |x - alpha y| < 8.86/(|t| |y|^3)
 TYPE_THRESHOLD = Fraction("20.14")     # type threshold: min{|x|, |y|}^4 >= 20.14 Q/|t|
@@ -117,28 +118,16 @@ def _reversed_ints(coeffs, degree: int) -> list[int]:
     return [0] * (degree + 1 - len(coeffs)) + [int(c.re) for c in reversed(coeffs)]
 
 
-def _imul(a: list[int], b: list[int]) -> list[int]:
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return out
-
-
 def _nonvanish_poly(pair: PadePair, k: int) -> tuple[int, ...]:
     """P(t) = F_t(t^(k-1) U(1/t), t^(k-1) V(1/t)) over Z, ascending, of
-    degree exactly 2k-2.  With D = X^2 - Y^2 and M = XY,
-    F_t(X, Y) = D^2 - 4M^2 - tMD."""
+    degree exactly 2k-2: with F_t = F_A + t F_B for the rows A, B of
+    ``QUARTIC`` homogenised at (X, Y), P = F_A(X, Y) + t F_B(X, Y)."""
     X = _reversed_ints(pair.U, k - 1)
     Y = _reversed_ints(pair.V, k - 1)
     if Y[-1] == 0:
         raise NonVanishingError("denominator polynomial degree dropped")
-    D = [x - y for x, y in zip(_imul(X, X), _imul(Y, Y))]
-    M = _imul(X, Y)
-    P = [a - 4 * b for a, b in zip(_imul(D, D), _imul(M, M))] + [0]
-    for j, c in enumerate(_imul(M, D)):
-        P[j + 1] -= c
+    FA, FB = (zpoly.homogenise(row, (X, ()), (Y, ()))[0] for row in QUARTIC)
+    P = zpoly.add(FA, [0] + FB)
     while P and P[-1] == 0:
         P.pop()
     if len(P) - 1 != 2 * k - 2:

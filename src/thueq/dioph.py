@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import zpoly
 from .exactnum import GRID_BITS, ComplexBall, Rat, sqrt_lower, sqrt_upper
 from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
                         is_half_integral, norm, pairs_with_norm_in, roots_of_unity)
@@ -195,17 +196,15 @@ def _embed(x: QuadInt) -> ComplexBall:
     return ComplexBall(re, im_coeff * mid, abs(im_coeff) * (hi - lo))
 
 
-def _f_poly(t: ComplexBall) -> list[ComplexBall]:
-    one = ComplexBall.exact(Fraction(1))
-    return [one, t, ComplexBall.exact(Fraction(-6)), -t, one]
-    # ascending: 1 + tX - 6X^2 - tX^3 + X^4
+# f_t, f_t' and f_t'' as the rows (A, B) of f = A + tB, read from QUARTIC
+_DF = tuple(tuple(zpoly.deriv(p)) for p in QUARTIC)
+_D2F = tuple(tuple(zpoly.deriv(p)) for p in _DF)
 
 
-def _poly_eval(coeffs: list[ComplexBall], z: ComplexBall) -> ComplexBall:
-    acc = ComplexBall.exact(Fraction(0))
-    for c in reversed(coeffs):
-        acc = acc * z + c
-    return acc
+@lru_cache(maxsize=32)
+def _coeffs_at(rows, t, lift) -> tuple:
+    """The coefficients A_k + B_k t of rows (A, B), their integers lifted."""
+    return tuple(lift(a) + lift(b) * t for a, b in zip(*rows))
 
 
 def root_ball(t: GaussRat, seed: complex, target_radius: Rat,
@@ -226,8 +225,8 @@ def root_ball(t: GaussRat, seed: complex, target_radius: Rat,
         t_ball = ComplexBall(g.re + h.re * (lo + hi) / 2,
                              g.im + h.im * (lo + hi) / 2,
                              (abs(h.re) + abs(h.im)) * (hi - lo))
-    f = QUARTIC.eval_t(GaussRat(t_ball.re_mid, t_ball.im_mid))
-    df = f.deriv()
+    t_mid = GaussRat(t_ball.re_mid, t_ball.im_mid)
+    f, df = (TPoly(_coeffs_at(rows, t_mid, GaussRat.of)) for rows in (QUARTIC, _DF))
     x = _approx_gauss(seed)
     cap = 1 << 2400
     last = None  # the previous certified radius
@@ -247,14 +246,6 @@ def root_ball(t: GaussRat, seed: complex, target_radius: Rat,
     raise TieError("root enclosure did not reach the requested radius")
 
 
-def _df_poly(t: ComplexBall) -> list[ComplexBall]:
-    four = ComplexBall.exact(Fraction(4))
-    three = ComplexBall.exact(Fraction(3))
-    twelve = ComplexBall.exact(Fraction(-12))
-    return [t, twelve, -three * t, four]
-    # f' = t - 12X - 3tX^2 + 4X^3
-
-
 def _approx_gauss(z: complex, cap: int = 1 << 200) -> GaussRat:
     return GaussRat(Fraction(z.real).limit_denominator(cap),
                     Fraction(z.imag).limit_denominator(cap))
@@ -266,16 +257,16 @@ def _limit(q: Fraction, cap: int) -> Fraction:
 
 def _certify_root(t_ball: ComplexBall, x: GaussRat) -> ComplexBall | None:
     """Newton-Kantorovich: a simple root lies within 2|f(x)/f'(x)| of x."""
-    xb = ComplexBall.exact(x.re, x.im)
-    f = _poly_eval(_f_poly(t_ball), xb)
-    df = _poly_eval(_df_poly(t_ball), xb)
+    xb, zero = ComplexBall.exact(x.re, x.im), ComplexBall.exact(Fraction(0))
+    f, df = (zpoly.evaluate(_coeffs_at(rows, t_ball, ComplexBall.exact), xb, zero)
+             for rows in (QUARTIC, _DF))
     df_lo, _ = df.abs_bounds()
     if df_lo <= 0:
         return None
     eta = f.abs_upper() / df_lo
-    # |f''| on the disc of radius 2*eta: f'' = -12 - 6tX + 12X^2
-    xr = xb.abs_upper() + 2 * eta
-    m2 = 12 + 6 * t_ball.abs_upper() * xr + 12 * xr * xr
+    # |f''| on the disc of radius 2*eta, majorized coefficient by coefficient
+    xr, t_abs = xb.abs_upper() + 2 * eta, t_ball.abs_upper()
+    m2 = sum((abs(a) + abs(b) * t_abs) * xr ** k for k, (a, b) in enumerate(zip(*_D2F)))
     if 2 * eta * m2 > df_lo:  # h = eta * m2 / |f'| must be < 1/2
         return None
     return ComplexBall(x.re, x.im, 2 * eta)
@@ -344,20 +335,6 @@ def _dyadic_ball(ball: ComplexBall) -> tuple[tuple[int, int], int]:
     return M, -(-(ball.radius.numerator << sh) // ball.radius.denominator) + 1
 
 
-def _taylor_shift(f: list, M: tuple[int, int], sh: int) -> list[list[int]]:
-    """2^(sh n) f((M + H)/2^sh) for f of degree n over Z[i], as ascending
-    (re, im) pairs: its H^j coefficient is 2^(sh(n-j)) f^(j)(M/2^sh)/j!.
-    Repeated synthetic division, exact."""
-    n, (mr, mi) = len(f) - 1, M
-    c = [[a << sh * (n - j), b << sh * (n - j)] for j, (a, b) in enumerate(f)]
-    for i in range(n):
-        for j in range(n - 1, i - 1, -1):
-            a, b = c[j + 1]
-            c[j][0] += mr * a - mi * b
-            c[j][1] += mr * b + mi * a
-    return c
-
-
 def _abs_ceil(z) -> int:
     """ceil |z| for a Gaussian integer z = (re, im)."""
     n = z[0] * z[0] + z[1] * z[1]
@@ -384,9 +361,15 @@ def divisibility_ball_check(r: int, t: GaussRat) -> dict:
     den = math.lcm(*(x.denominator for c in A.coeffs + B.coeffs for x in (c.re, c.im)))
     n, sh = max(len(A.coeffs), len(B.coeffs), 2 * r + 1) - 1, MID_BITS
     M, R = _dyadic_ball(alpha)  # m = M/2^sh, rho = R/2^sh
-    ga, gb = (_taylor_shift([(c.re.numerator * (den // c.re.denominator),
-                              c.im.numerator * (den // c.im.denominator)) for c in p.coeffs]
-                            + [(0, 0)] * (n + 1 - len(p.coeffs)), M, sh) for p in (A, B))
+
+    def cleared(p: TPoly):  # 2^(sh n) den p(X/2^sh) over Z[i], of degree n
+        pad = [Fraction(0)] * (n + 1 - len(p.coeffs))
+        return tuple([(x.numerator * (den // x.denominator)) << sh * (n - j)
+                      for j, x in enumerate(xs + pad)]
+                     for xs in ([c.re for c in p.coeffs], [c.im for c in p.coeffs]))
+
+    # shifted to M, the H^j coefficient is 2^(sh(n-j)) den p^(j)(m)/j!
+    ga, gb = (list(zip(*zpoly.gshift(cleared(p), M))) for p in (A, B))
     # 2^(sh(n+1-j)) den (m a_j - b_j), exactly
     e = [(M[0] * a - M[1] * b - (c << sh), M[0] * b + M[1] * a - (d << sh))
          for (a, b), (c, d) in zip(ga, gb)]

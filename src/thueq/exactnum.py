@@ -27,10 +27,6 @@ class UndefinedKappaError(ValueError):
     """log|t| - 2.59 is not certifiably positive."""
 
 
-class IndeterminateBallError(ZeroDivisionError):
-    """Divisor ball contains 0."""
-
-
 # ---------------------------------------------------------------------------
 # rounding helpers
 
@@ -349,48 +345,3 @@ class ComplexBall:
             + self.radius * other.radius
         )
         return ComplexBall(re, im, round_up_grid(rad))
-
-    def inverse(self) -> "ComplexBall":
-        lo, _ = self.abs_bounds()
-        if lo <= 0:
-            raise IndeterminateBallError("ball contains zero")
-        a2 = self._mid_abs_sq()
-        # 1/z for z in ball: midpoint conj(m)/|m|^2, radius r / (|m| (|m|-r))
-        mid_abs_lo = sqrt_lower(a2)
-        rad = self.radius / (mid_abs_lo * (mid_abs_lo - self.radius))
-        # account for the enclosure of 1/m itself being exact
-        return ComplexBall(self.re_mid / a2, -self.im_mid / a2, round_up_grid(rad))
-
-    def __truediv__(self, other: "ComplexBall") -> "ComplexBall":
-        return self * other.inverse()
-
-    def nth_root(self, n: int) -> "ComplexBall":
-        """Principal n-th root for balls in the right half plane, away from 0."""
-        if n <= 0:
-            raise DomainError("n must be positive")
-        lo, hi = self.abs_bounds()
-        if lo <= 0:
-            raise IndeterminateBallError("nth_root of ball containing zero")
-        if self.re_mid <= self.radius:
-            raise DomainError("nth_root requires the ball in the open right half plane")
-        # float candidate for the midpoint root, certified error bound afterwards
-        zc = complex(float(self.re_mid), float(self.im_mid)) ** (1.0 / n)
-        w_re = Fraction(zc.real).limit_denominator(1 << (2 * GRID_BITS))
-        w_im = Fraction(zc.imag).limit_denominator(1 << (2 * GRID_BITS))
-        w = ComplexBall.exact(w_re, w_im)
-        wn = w
-        for _ in range(n - 1):
-            wn = wn * w
-        # |w - z^(1/n)| <= |w^n - z| * max |d(z^{1/n})/dz| over the segment;
-        # |f'| = |z|^{(1-n)/n} / n, bounded using the ball's |z| lower bound.
-        defect = (wn - ComplexBall(self.re_mid, self.im_mid, Fraction(0))).abs_upper()
-        reach = defect + self.radius
-        # lower bound for |z| on everything within `reach` of the input ball
-        zlo = lo - defect
-        if zlo <= 0:
-            raise IndeterminateBallError("nth_root enclosure collapsed onto zero")
-        # upper bound for |z|^{(1-n)/n} = 1 / |z|^{(n-1)/n}
-        scale = 1 << GRID_BITS
-        root_lo = Fraction(iroot(zlo.numerator * scale ** n // zlo.denominator, n), scale)
-        deriv_hi = Fraction(1, n) / (root_lo ** (n - 1))
-        return ComplexBall(w_re, w_im, round_up_grid(reach * deriv_hi))

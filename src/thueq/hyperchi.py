@@ -9,6 +9,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 
+from . import zpoly
+
 Rat = Fraction
 
 # the Lettl growth constants, certified by verify_lettl
@@ -54,24 +56,25 @@ def chi_coeffs(r: int) -> tuple:
     return tuple(out)
 
 
+def chi_ints(r: int) -> tuple[list[int], int]:
+    """The numerators of chi_r = sum_k n_k X^k / delta, and delta, their common denominator."""
+    cs = chi_coeffs(r)
+    delta = reduce(math.lcm, (c.denominator for c in cs))
+    return [c.numerator * (delta // c.denominator) for c in cs], delta
+
+
 @lru_cache(maxsize=None)
 def denom_data(r: int) -> DenomData:
     """delta, n_gcd and the primitive cleared chi_r(1 - 8X): the coefficients
-    are scaled by delta to integers first, then composed with (1 - 8X) by
-    integer Horner."""
+    are scaled by delta to integers first, then Taylor-shifted to 1 and the
+    X^k coefficient scaled by (-8)^k."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    cs = chi_coeffs(r)
-    delta = reduce(math.lcm, (c.denominator for c in cs))
-    if any(delta % c.denominator for c in cs):
+    nums, delta = chi_ints(r)
+    if any(delta % c.denominator for c in chi_coeffs(r)):
         raise ArithmeticError(f"delta does not clear chi_{r}")
-    acc = [0]
-    for c in reversed(cs):
-        # acc = acc * (1 - 8X) + delta * c
-        acc = [a - 8 * b for a, b in zip(acc + [0], [0] + acc)]
-        acc[0] += c.numerator * (delta // c.denominator)
-    while len(acc) > 1 and acc[-1] == 0:
-        acc.pop()
+    shifted, _ = zpoly.gshift((nums, ()), (1, 0))
+    acc = [c * (-8) ** k for k, c in enumerate(shifted)]
     n_gcd = reduce(math.gcd, acc)
     cleared = tuple(n // n_gcd for n in acc)
     if reduce(math.gcd, cleared) != 1:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
+from . import zpoly
 from .exactnum import Rat
 from .series import QUARTIC, GaussRat, Series, root_series
 
@@ -34,37 +35,33 @@ class EnclosureCert:
     margin: Rat
 
 
-def _lmul(p: dict, q: dict) -> dict:
-    """Product of integer Laurent polynomials in t, {power: coefficient}."""
-    out: dict[int, int] = {}
-    for i, a in p.items():
-        for j, b in q.items():
-            out[i + j] = out.get(i + j, 0) + a * b
-    return out
-
-
 @lru_cache(maxsize=None)
 def _taylor_terms(center: tuple) -> tuple:
     """The monomials c t^p z^j of h(z) = f(C + z), with
     h_j = f^(j)(C)/j! = sum_i binom(i, j) f_i C^(i-j), as (j, p, c) tuples
     with integer c != 0, j = 1..4 then 0.  The center C is given as its
     sorted (power of t, coefficient) items, which must be rational integers;
-    the expansion runs on integer Laurent polynomials in t.  Built once per
-    center."""
+    it is held as t^lo times a dense integer list, and each h_j as t^base
+    times one, with base = min(0, 4 lo) below every power that occurs.
+    Built once per center."""
     if any(c.im or c.re.denominator != 1 for _, c in center):
         raise CertificationError("center coefficients must be rational integers")
-    C = {p: c.re.numerator for p, c in center}
-    cpow = [{0: 1}]
+    lo, hi = (center[0][0], center[-1][0]) if center else (0, -1)
+    C = [0] * (hi - lo + 1)
+    for p, c in center:
+        C[p - lo] = c.re.numerator
+    cpow = [[1]]
     for _ in range(4):
-        cpow.append(_lmul(cpow[-1], C))
-    h: list[dict[int, int]] = [{} for _ in range(5)]
-    for (i, e), f in QUARTIC.terms.items():  # f t^e X^i, f an integer
-        for j in range(i + 1):
-            scale = math.comb(i, j) * f.re.numerator
-            for p, c in cpow[i - j].items():
-                h[j][p + e] = h[j].get(p + e, 0) + scale * c
-    return tuple((j, p, c) for j in (1, 2, 3, 4, 0)
-                 for p, c in sorted(h[j].items()) if c)
+        cpow.append(zpoly.mul(cpow[-1], C))
+    base = min(0, 4 * lo)
+    h: list[list[int]] = [[] for _ in range(5)]
+    for e, row in enumerate(QUARTIC):  # f_i t^e X^i
+        for i, f in enumerate(row):
+            for j in range(i + 1):
+                term = zpoly.scale(math.comb(i, j) * f, cpow[i - j])
+                h[j] = zpoly.add(h[j], [0] * (e + (i - j) * lo - base) + term)
+    return tuple((j, base + k, c) for j in (1, 2, 3, 4, 0)
+                 for k, c in enumerate(h[j]) if c)
 
 
 def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,

@@ -1,20 +1,20 @@
 """Exact algebra over Q(i) for the quartic family: truncated power series in
 s = 1/t, the root series, Pade approximants, and the polynomial identities
 behind the proof (differential-equation data, the fourth-root closed form,
-integral approximant pairs).  The root series, the Pade solve and the Thue
-polynomials at a concrete t run over Z (Z[i] for the last) and return Q(i)
-values at their boundary.
+integral approximant pairs).  The root series and the Pade solve run over Z;
+the identities, the Thue polynomials at a concrete t and the approximant
+pairs run over Z[i] on the ``zpoly`` kernel.  Each returns Q(i) values at
+its boundary.
 
-Four types, one job each:
+Three types, one job each:
 
 * ``GaussRat`` -- an element of Q(i), the scalar of everything below.
 * ``Series`` -- a power series in s = 1/t known modulo s^trunc; it carries
   the root series, their Pade approximants and tail bounds.
-* ``Poly2`` -- a sparse polynomial in (X, t); it carries every identity
-  (the quartic ``QUARTIC``, the Rouche expansions about root centers,
-  which may hold negative powers of t, and the quotient-ring root check).
 * ``TPoly`` -- a dense univariate polynomial (in t or in X); it carries
   evaluation: Horner at a ``GaussRat``, ``eval_ball`` and ``deriv``.
+
+The quartic itself is the integer table ``QUARTIC``, f_t = A(X) + t B(X).
 """
 
 from __future__ import annotations
@@ -23,8 +23,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import zip_longest
 
+from . import zpoly
 from .exactnum import ComplexBall, Rat, sqrt_upper
+from .hyperchi import chi_ints, denom_data
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
@@ -68,9 +71,6 @@ class GaussRat:
                         self.re * other.im + self.im * other.re)
 
     __rmul__ = __mul__
-
-    def conj(self):
-        return GaussRat(self.re, -self.im)
 
     def abs_sq(self) -> Rat:
         return self.re * self.re + self.im * self.im
@@ -194,10 +194,6 @@ class Series:
     def is_zero(self) -> bool:
         return all(not c for c in self.coeffs)
 
-    def shift(self, k: int) -> "Series":
-        """Multiply by s^k."""
-        return Series([G0] * k + self.coeffs, self.trunc + k)
-
     def truncated(self, n: int) -> "Series":
         return Series(self.coeffs[:n], min(n, self.trunc))
 
@@ -314,16 +310,6 @@ def _bareiss_solve(M: list[list[int]]) -> tuple[int, list[int]]:
     return prev, y
 
 
-def _residual_ints(b: list[int], u: list[int], v: list[int], scale: int) -> list[int]:
-    """scale*u - b*v modulo s^len(b), on integer coefficient lists."""
-    out = [scale * u[k] if k < len(u) else 0 for k in range(len(b))]
-    for j, vj in enumerate(v):
-        if vj:
-            for k in range(j, len(b)):
-                out[k] -= vj * b[k - j]
-    return out
-
-
 def pade(B: Series, deg_num: int, deg_den: int) -> PadePair:
     """U/V with U - B*V = O(s^(deg_num+deg_den+1)), V(0) = 1, for a real
     series B: solved over Z by Bareiss elimination on B's cleared
@@ -337,8 +323,9 @@ def pade(B: Series, deg_num: int, deg_den: int) -> PadePair:
     det, y = _bareiss_solve([[b[k - j] if k >= j else 0 for j in range(1, n + 1)] + [-b[k]]
                              for k in range(deg_num + 1, deg_num + n + 1)])
     v = [det] + y
-    u = [sum(v[j] * b[k - j] for j in range(min(k, n) + 1)) for k in range(deg_num + 1)]
-    contact = _contact(_residual_ints(b, u, v, 1), order)
+    bv = zpoly.mul(b, v)
+    u = bv[:deg_num + 1]
+    contact = _contact(zpoly.sub(u, bv)[:len(b)], order)
     return PadePair(tuple(GaussRat.of(Fraction(c, det * den)) for c in u),
                     tuple(GaussRat.of(Fraction(c, det)) for c in v), contact)
 
@@ -355,7 +342,7 @@ def pade_residual(B: Series, pair: PadePair) -> Series:
     b, den_b = _real_ints(B.coeffs)
     uv, den_p = _real_ints(pair.U + pair.V)
     u, v = uv[:len(pair.U)], uv[len(pair.U):]
-    resid = _residual_ints(b, u, v, den_b)
+    resid = zpoly.sub(zpoly.scale(den_b, u), zpoly.mul(b, v))[:len(b)]
     return Series([Fraction(c, den_b * den_p) for c in resid], B.trunc)
 
 
@@ -376,138 +363,6 @@ def tail_bound(expr: Series, lead_exp: int, tmin: Rat) -> Rat:
         c += coeff.abs_upper() * tmin ** (lead_exp - j)
     return c
 
-
-# ---------------------------------------------------------------------------
-# bivariate polynomials in (X, t) over Q(i)
-
-
-class Poly2:
-    """Sparse polynomial in X and t with Gaussian-rational coefficients."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=None):
-        self.terms: dict[tuple[int, int], GaussRat] = {}
-        if terms:
-            for k, v in terms.items():
-                v = GaussRat.of(v)
-                if v:
-                    self.terms[k] = v
-
-    @staticmethod
-    def X(n: int = 1) -> "Poly2":
-        return Poly2({(n, 0): G1})
-
-    @staticmethod
-    def t(n: int = 1) -> "Poly2":
-        return Poly2({(0, n): G1})
-
-    @staticmethod
-    def const(c) -> "Poly2":
-        return Poly2({(0, 0): GaussRat.of(c)})
-
-    def __add__(self, other):
-        other = _as_poly2(other)
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            w = out.get(k, G0) + v
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        p = Poly2()
-        p.terms = out
-        return p
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        p = Poly2()
-        p.terms = {k: -v for k, v in self.terms.items()}
-        return p
-
-    def __sub__(self, other):
-        return self + (-_as_poly2(other))
-
-    def __rsub__(self, other):
-        return _as_poly2(other) - self
-
-    def __mul__(self, other):
-        other = _as_poly2(other)
-        out: dict[tuple[int, int], GaussRat] = {}
-        for (i1, j1), v1 in self.terms.items():
-            for (i2, j2), v2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                w = out.get(k, G0) + v1 * v2
-                if w:
-                    out[k] = w
-                elif k in out:
-                    del out[k]
-        p = Poly2()
-        p.terms = out
-        return p
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = Poly2.const(1)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def dX(self) -> "Poly2":
-        p = Poly2()
-        for (i, j), v in self.terms.items():
-            if i:
-                p.terms[(i - 1, j)] = v * Fraction(i)
-        return p
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (self - _as_poly2(other)).is_zero()
-
-    def eval_X(self, x) -> "TPoly":
-        """Substitute a Gaussian-rational for X, leaving a polynomial in t."""
-        return self._eval(1, x)
-
-    def eval_t(self, tval) -> "TPoly":
-        """Substitute for t, leaving a polynomial in X."""
-        return self._eval(0, tval)
-
-    def _eval(self, keep: int, val) -> "TPoly":
-        val = GaussRat.of(val)
-        out: dict[int, GaussRat] = {}
-        for key, v in self.terms.items():
-            k = key[keep]
-            w = out.get(k, G0) + v * _gpow(val, key[1 - keep])
-            if w:
-                out[k] = w
-            elif k in out:
-                del out[k]
-        if min(out, default=0) < 0:
-            raise ValueError("negative exponent left after substitution")
-        return TPoly([out.get(k, G0) for k in range(max(out, default=0) + 1)])
-
-
-def _as_poly2(x) -> Poly2:
-    if isinstance(x, Poly2):
-        return x
-    return Poly2.const(x)
-
-
-def _gpow(x: GaussRat, n: int) -> GaussRat:
-    if n < 0:
-        raise ValueError("negative exponent: only polynomials can be evaluated")
-    out = G1
-    for _ in range(n):
-        out = out * x
-    return out
 
 
 class TPoly:
@@ -575,16 +430,11 @@ class TPoly:
         return TPoly([c * Fraction(k) for k, c in enumerate(self.coeffs)][1:] or [G0])
 
     def __call__(self, x: GaussRat) -> GaussRat:
-        acc = G0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        return zpoly.evaluate(self.coeffs, x, G0)
 
     def eval_ball(self, z: ComplexBall) -> ComplexBall:
-        acc = ComplexBall.exact(Fraction(0))
-        for c in reversed(self.coeffs):
-            acc = acc * z + ComplexBall.exact(c.re, c.im)
-        return acc
+        return zpoly.evaluate([ComplexBall.exact(c.re, c.im) for c in self.coeffs], z,
+                              ComplexBall.exact(Fraction(0)))
 
     def __repr__(self):
         return " + ".join(f"({c})*x^{k}" for k, c in enumerate(self.coeffs) if c) or "0"
@@ -599,61 +449,88 @@ def _as_tpoly(x) -> TPoly:
 
 
 # ---------------------------------------------------------------------------
-# the quartic form's differential-equation data
+# the quartic form and its identities, over Z[i] on the ``zpoly`` kernel
 
-_X, _T = Poly2.X(), Poly2.t()
-QUARTIC = _X ** 4 - _T * _X ** 3 - 6 * _X ** 2 + _T * _X + 1  # f_t(X)
-_U = GI * _T + 4  # u = it + 4
-_Z = GI * _T - 4  # z = it - 4
+# f_t(X) = A(X) + t B(X): the rows are keyed by the power of t and padded to
+# degree 4, so each is also a homogeneous coefficient list of F_t(X, Y)
+QUARTIC = ((1, 0, -6, 0, 1), (0, 1, 0, -1, 0))
+_U_T, _Z_T = ((4,), (0, 1)), ((-4,), (0, 1))  # u = it + 4 and z = it - 4, in t
+# a, b, c, d of ``thue_data``, held without their common prefactor 5/2
+_ABCD = (((-2,), (0, 2)), ((2,), (0, 2)), ((0, -2), (-2,)), ((0, 2), (-2,)))
+# (X - i)^4 and (X + i)^4
+_X_MINUS_I_4, _X_PLUS_I_4 = (zpoly.gmul(sq, sq) for sq in (
+    zpoly.gmul(f, f) for f in (((0, 1), (-1,)), ((0, 1), (1,)))))
+
+
+def _in_t(f) -> list:
+    """A polynomial in t over Z[i] as a form free of X."""
+    return [((a,), (b,)) for a, b in zip_longest(*f, fillvalue=0)]
+
+
+def _i_pow(k: int, c: int = 1):
+    """c i^k, a constant over Z[i]."""
+    return (((c,), ()), ((), (c,)), ((-c,), ()), ((), (-c,)))[k % 4]
+
+
+def _tpoly(f, den: int) -> TPoly:
+    """A polynomial over Z[i], divided by den, as a ``TPoly``."""
+    return TPoly([GaussRat(Fraction(x, den), Fraction(y, den))
+                  for x, y in zip_longest(*f, fillvalue=0)])
 
 
 def thue_data() -> dict:
     """The polynomials attached to P = X^4 - tX^3 - 6X^2 + tX + 1 and
     U = X^2 + 1: the second-order identity U P'' - 3 U' P' + 6 U'' P = 0
     holds, the discriminant constant is lambda = -1, and the record carries
-    Y = 2UP' - 4U'P plus the auxiliary linear and quartic factors.  Built
-    and checked once per process; each call returns a fresh dict."""
+    Y = 2UP' - 4U'P plus the auxiliary linear and quartic factors, as
+    ``zpoly`` forms over Z[i]: a, b, c, d without their prefactor 5/2, and
+    u, z times 16.  Built and checked once per process; each call returns a
+    fresh dict."""
     return dict(_thue_data())
 
 
 @lru_cache(maxsize=None)
 def _thue_data() -> dict:
-    X, P = _X, QUARTIC
-    U = X ** 2 + 1
-    ode = U * P.dX().dX() - 3 * U.dX() * P.dX() + 6 * U.dX().dX() * P
-    if not ode.is_zero():
+    U = (1, 0, 1)
+    dU = zpoly.deriv(U)
+    ode, Y = [], []
+    for p in QUARTIC:  # U is free of t, so each power of t stands alone
+        dp = zpoly.deriv(p)
+        ode.append(zpoly.add(zpoly.sub(zpoly.mul(U, zpoly.deriv(dp)),
+                                       zpoly.scale(3, zpoly.mul(dU, dp))),
+                             zpoly.scale(6, zpoly.mul(zpoly.deriv(dU), p))))
+        Y.append(zpoly.sub(zpoly.scale(2, zpoly.mul(U, dp)), zpoly.scale(4, zpoly.mul(dU, p))))
+    if any(c for row in ode for c in row):
         raise ArithmeticError("differential identity failed")
-    Y = 2 * U * P.dX() - 4 * U.dX() * P
-    i = GI
-    # sqrt(lambda) = i with lambda = -1; prefactor (n^2-1)/6 = 5/2
-    half5 = Fraction(5, 2)
-    a = half5 * (i * U.dX() + Poly2.const(-2))
-    b = half5 * (i * U.dX() - Poly2.const(-2))
-    c = half5 * (i * (U.dX() * X - 2 * U) + (-2) * X)
-    d = half5 * (i * (U.dX() * X - 2 * U) - (-2) * X)
-    u = Fraction(1, 2) * (Fraction(1, 8) * (-i) * Y - P)  # Y/(2n sqrt(l)) = -iY/8
-    z = Fraction(1, 2) * (Fraction(1, 8) * (-i) * Y + P)
-    data = {"P": P, "U": U, "Y": Y, "a": a, "b": b, "c": c, "d": d,
-            "u": u, "z": z, "lambda": GaussRat.of(-1)}
+    # sqrt(lambda) = i with lambda = -1; prefactor (n^2-1)/6 = 5/2 held apart
+    w = zpoly.sub(zpoly.mul(dU, (0, 1)), zpoly.scale(2, U))  # U'X - 2U
+    a, b, c, d = ((-2,), dU), ((2,), dU), ((0, -2), w), ((0, 2), w)
+    # 16u = -iY - 8P and 16z = -iY + 8P, from Y/(2n sqrt(lambda)) = -iY/8
+    data = {"P": [(p, ()) for p in QUARTIC], "U": [(U, ())], "Y": [(y, ()) for y in Y],
+            "a": [a], "b": [b], "c": [c], "d": [d],
+            "u": [(zpoly.scale(-8, p), zpoly.scale(-1, y)) for p, y in zip(QUARTIC, Y)],
+            "z": [(zpoly.scale(8, p), zpoly.scale(-1, y)) for p, y in zip(QUARTIC, Y)],
+            "lambda": -1}
     _check_thue_data(data)
     return data
 
 
 def _check_thue_data(data: dict) -> None:
-    X, t, i = _X, _T, GI
-    identities = {
-        "Y": data["Y"] == 2 * t * X ** 4 + 32 * X ** 3 - 12 * t * X ** 2 - 32 * X + 2 * t,
-        "a": data["a"] == 5 * i * X - 5,
-        "b": data["b"] == 5 * i * X + 5,
-        "c": data["c"] == -5 * X - 5 * i,
-        "d": data["d"] == 5 * X - 5 * i,
-        "u": data["u"] == Fraction(-1, 8) * _U * (X + i) ** 4,
-        "z": data["z"] == Fraction(-1, 8) * _Z * (X - i) ** 4,
-        # a d - b c is a scalar multiple of U, and u z a multiple of U^4
-        "ad-bc": data["a"] * data["d"] - data["b"] * data["c"] == 50 * i * data["U"],
-        "uz": data["u"] * data["z"] == Fraction(-1, 64) * (t * t + 16) * data["U"] ** 4,
+    (A, B), U = QUARTIC, data["U"]
+    U4 = zpoly.fmul(zpoly.fmul(U, U), zpoly.fmul(U, U))
+    u_lin, z_lin = (zpoly.gmul(((-2,), ()), f) for f in (_U_T, _Z_T))
+    fmul = zpoly.fmul
+    identities = {  # name: (left side, right side)
+        "Y": (data["Y"], [(zpoly.scale(-32, B), ()), (zpoly.scale(2, A), ())]),
+        **{k: (data[k], [f]) for k, f in zip("abcd", _ABCD)},
+        "u": (data["u"], fmul(_in_t(u_lin), [_X_PLUS_I_4])),
+        "z": (data["z"], fmul(_in_t(z_lin), [_X_MINUS_I_4])),
+        # a d - b c is a multiple of U, and u z one of U^4
+        "ad-bc": (fmul(data["a"], data["d"]),
+                  zpoly.fadd(fmul(data["b"], data["c"]), fmul([((), (8,))], U))),
+        "uz": (fmul(data["u"], data["z"]), fmul(_in_t(zpoly.gmul(u_lin, z_lin)), U4)),
     }
-    failed = [name for name, ok in identities.items() if not ok]
+    failed = [name for name, (lhs, rhs) in identities.items() if not zpoly.same(lhs, rhs)]
     if failed:
         raise ArithmeticError(f"thue_data identities failed: {', '.join(failed)}")
 
@@ -668,68 +545,53 @@ def quotient_root_check(which: str, perturb: bool = False) -> bool:
     f_t(X) = X^4 - tX^3 - 6X^2 + tX + 1 and reduce to zero.
 
     N(y, t) = sum_m f_m(t) num^m den^(4-m) has y-degree at most 4, so one
-    reduction y^4 -> z/u settles it: N vanishes iff u N_{<4} + z N_4 = 0."""
-    y = _X  # the fourth root takes the X slot
-    coef = GaussRat(Fraction(0), Fraction(2)) if perturb else GI
+    reduction y^4 -> z/u settles it: N vanishes iff u N_{<4} + z N_4 = 0.
+    Over Z[i]: each row of ``QUARTIC`` homogenised at (num, den) is the
+    coefficient of one power of t in N."""
+    y, one = ((0, 1), ()), ((1,), ())  # the fourth root takes the X slot
+    coef = ((), (2 if perturb else 1,))  # i, or 2i when perturbed
     if which == "type0":
-        num, den = coef * (y - 1), y + 1
+        num, den = zpoly.gmul(coef, zpoly.gsub(y, one)), zpoly.gadd(y, one)
     elif which == "type3":
-        num, den = y - coef, 1 - coef * y
+        num, den = zpoly.gsub(y, coef), zpoly.gsub(one, zpoly.gmul(coef, y))
     else:
         raise ValueError("which must be 'type0' or 'type3'")
-    N = sum(f * Poly2.t(e) * num ** m * den ** (4 - m)
-            for (m, e), f in QUARTIC.terms.items())
-    low = Poly2({k: v for k, v in N.terms.items() if k[0] < 4})
-    top = Poly2({(0, e): v for (m, e), v in N.terms.items() if m == 4})
-    return (_U * low + _Z * top).is_zero()
+    N = [zpoly.homogenise(row, num, den) for row in QUARTIC]
+    low = [(re[:4], im[:4]) for re, im in N]
+    top = [(re[4:], im[4:]) for re, im in N]  # the y^4 coefficient, as a constant
+    return zpoly.same(zpoly.fadd(zpoly.fmul(_in_t(_U_T), low), zpoly.fmul(_in_t(_Z_T), top)), ())
 
 
 # ---------------------------------------------------------------------------
-# integral approximant pairs p_r, q_r
+# integral approximant pairs p_r, q_r and the Thue polynomials, over Z[i]
 
 
 class IntegralityError(ArithmeticError):
     pass
 
 
-def _chi_star(r: int, p, q):
-    """chi*(p, q) = sum_k a_k p^k q^(r-k) for the coefficients a_k of chi_r,
-    over any polynomial type."""
-    from .hyperchi import chi_coeffs
-
-    ps, qs = [p ** 0], [q ** 0]
-    for _ in range(r):
-        ps.append(ps[-1] * p)
-        qs.append(qs[-1] * q)
-    return sum(ak * ps[k] * qs[r - k] for k, ak in enumerate(chi_coeffs(r)))
-
-
 def approximants(xi: int, r: int) -> tuple[TPoly, TPoly]:
-    """(p_r, q_r) at the anchor xi in {0, 1}: exact polynomials in t over
-    Q(i) whose coefficients are Gaussian integers."""
-    from .hyperchi import denom_data
-
+    """(p_r, q_r) at the anchor xi in {0, 1}: exact polynomials in t with
+    Gaussian-integer coefficients.  With S1 = chi*(z, u) and S2 = chi*(u, z)
+    on the cleared chi_r, p = -i^(r+1) (S1 - S2)/N and q = -i^r (S1 + S2)/N
+    at xi = 0, p = -(1+i)(-i)^r (S1 - iS2)/N and q = (i-1)(-i)^r (S1 + iS2)/N
+    at xi = 1, for N = ``denom_data(r).n_gcd``."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    dd = denom_data(r)
-    ratio = Fraction(dd.delta, dd.n_gcd)
-    # u^r chi(1-8/u) and z^r chi(1+8/z), using u-8 = z and z+8 = u
-    u, z = _U.eval_X(0), _Z.eval_X(0)
-    first, second = _chi_star(r, z, u), _chi_star(r, u, z)
-    i_r = _gpow(GI, r % 4)
+    (n, _), n_gcd = chi_ints(r), denom_data(r).n_gcd
+    s1, s2 = zpoly.homogenise(n, _Z_T, _U_T), zpoly.homogenise(n, _U_T, _Z_T)
     if xi == 0:
-        p = -(i_r * GI) * ratio * (first - second)
-        q = -i_r * ratio * (first + second)
+        units = _i_pow(r + 1, -1), _i_pow(r, -1)
     elif xi == 1:
-        mi_r = _gpow(-GI, r % 4)
-        p = (-(GI + 1)) * mi_r * ratio * (first - GI * second)
-        q = (GI - 1) * mi_r * ratio * (first + GI * second)
+        units = (zpoly.gmul(((-1,), (-1,)), _i_pow(-r)), zpoly.gmul(((-1,), (1,)), _i_pow(-r)))
+        s2 = zpoly.gmul(_i_pow(1), s2)
     else:
         raise ValueError("xi must be 0 or 1")
-    for poly in (p, q):
-        for c in poly.coeffs:
-            if not c.is_gaussian_integer():
-                raise IntegralityError(f"non-integral coefficient {c} (xi={xi}, r={r})")
+    p, q = (_tpoly(zpoly.gmul(unit, f), n_gcd)
+            for unit, f in zip(units, (zpoly.gsub(s1, s2), zpoly.gadd(s1, s2))))
+    for c in p.coeffs + q.coeffs:
+        if not c.is_gaussian_integer():
+            raise IntegralityError(f"non-integral coefficient {c} (xi={xi}, r={r})")
     return p, q
 
 
@@ -740,56 +602,23 @@ def cross_product(xi: int, r: int) -> TPoly:
     return p1 * q2 - p2 * q1
 
 
-# over Z[i], ascending (re, im) pairs: (X - i)^4, (X + i)^4, and a, b, c, d
-# of ``thue_data`` divided by 5
-_X_MINUS_I_4 = ((1, 0), (0, 4), (-6, 0), (0, -4), (1, 0))
-_X_PLUS_I_4 = ((1, 0), (0, -4), (-6, 0), (0, 4), (1, 0))
-_ABCD_5 = (((-1, 0), (0, 1)), ((1, 0), (0, 1)), ((0, -1), (-1, 0)), ((0, -1), (1, 0)))
-
-
-def _zi_mul(f, g) -> list[tuple[int, int]]:
-    """Product of two polynomials over Z[i] given as (re, im) pairs."""
-    out = [(0, 0)] * (len(f) + len(g) - 1)
-    for j, (a, b) in enumerate(f):
-        for k, (c, d) in enumerate(g):
-            x, y = out[j + k]
-            out[j + k] = (x + a * c - b * d, y + a * d + b * c)
-    return out
-
-
-def _zi_chi_star(n: list[int], P, Q) -> list[tuple[int, int]]:
-    """sum_k n_k P^k Q^(r-k) over Z[i], by homogeneous Horner."""
-    acc, qk = [(n[-1], 0)], [(1, 0)]
-    for nk in reversed(n[:-1]):
-        qk = _zi_mul(qk, Q)
-        acc = [(x + nk * a, y + nk * b) for (x, y), (a, b) in zip(_zi_mul(acc, P), qk)]
-    return acc
-
-
 def thue_polys_at(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:
     """(A_r, B_r) as polynomials in X for a fixed Gaussian t, built over Z[i]
     from the closed forms ``_check_thue_data`` certifies.  With t = T/D,
     z = -P/(8D) and u = -Q/(8D) for P = (iT - 4D)(X - i)^4 and
     Q = (iT + 4D)(X + i)^4, and chi_r = sum_k n_k X^k / delta:
     A_r = i^r (a S1 - b S2)/den and B_r = i^r (c S1 - d S2)/den, where
-    S1 = sum_k n_k P^k Q^(r-k), S2 = sum_k n_k Q^k P^(r-k) and
-    den = (8D)^r delta.  Converted to ``TPoly`` only at the end."""
-    from .hyperchi import chi_coeffs
-
+    S1 = chi*(P, Q), S2 = chi*(Q, P) and den = (8D)^r delta.  Converted to
+    ``TPoly`` only at the end."""
     if r < 0:
         raise ValueError("r must be >= 0")
     _thue_data()  # the closed forms below hold once it has passed
-    cs = chi_coeffs(r)
-    delta = math.lcm(*(c.denominator for c in cs))
-    n = [c.numerator * (delta // c.denominator) for c in cs]
+    n, delta = chi_ints(r)
     D = math.lcm(t_val.re.denominator, t_val.im.denominator)
     tr, ti = (x.numerator * (D // x.denominator) for x in (t_val.re, t_val.im))
-    P = _zi_mul([(-ti - 4 * D, tr)], _X_MINUS_I_4)
-    Q = _zi_mul([(-ti + 4 * D, tr)], _X_PLUS_I_4)
-    s1, s2 = _zi_chi_star(n, P, Q), _zi_chi_star(n, Q, P)
-    unit = ((5, 0), (0, 5), (-5, 0), (0, -5))[r % 4]  # 5 i^r
-    a, b, c, d = (_zi_mul([unit], f) for f in _ABCD_5)
-    den = (8 * D) ** r * delta
-    return tuple(TPoly([GaussRat(Fraction(x - u, den), Fraction(y - v, den))
-                        for (x, y), (u, v) in zip(_zi_mul(f, s1), _zi_mul(g, s2))])
-                 for f, g in ((a, b), (c, d)))
+    P = zpoly.gmul(((-ti - 4 * D,), (tr,)), _X_MINUS_I_4)
+    Q = zpoly.gmul(((-ti + 4 * D,), (tr,)), _X_PLUS_I_4)
+    s1, s2 = zpoly.homogenise(n, P, Q), zpoly.homogenise(n, Q, P)
+    unit, den = _i_pow(r, 5), 2 * (8 * D) ** r * delta  # the prefactor 5/2 of a..d
+    return tuple(_tpoly(zpoly.gmul(unit, zpoly.gsub(zpoly.gmul(f, s1), zpoly.gmul(g, s2))), den)
+                 for f, g in (_ABCD[:2], _ABCD[2:]))

@@ -1,0 +1,111 @@
+"""Dense integer polynomials: the one kernel of the exact polynomial algebra.
+A polynomial over Z is a sequence of ints, ascending; one over Z[i] is a pair
+(re, im) of such sequences, so each operation reduces to integer
+convolutions; a form in (X, t) is a sequence, indexed by the power of t, of
+polynomials in X over Z[i].  Results are new lists, no argument is mutated,
+and trailing zeros may appear anywhere.
+"""
+
+from __future__ import annotations
+
+from itertools import zip_longest
+
+ZERO = ((), ())  # the zero of Z[i][X]
+
+
+def add(a, b) -> list[int]:
+    return [x + y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def sub(a, b) -> list[int]:
+    return [x - y for x, y in zip_longest(a, b, fillvalue=0)]
+
+
+def scale(c: int, a) -> list[int]:
+    return [c * x for x in a]
+
+
+def mul(a, b) -> list[int]:
+    """The product, by one convolution."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for k, y in enumerate(b, i):
+                out[k] += x * y
+    return out
+
+
+def deriv(a) -> list[int]:
+    return [k * c for k, c in enumerate(a)][1:]
+
+
+def evaluate(coeffs, x, zero):
+    """Horner's rule in the arithmetic of the coefficients and x."""
+    acc = zero
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# over Z[i]
+
+
+def gadd(f, g):
+    return add(f[0], g[0]), add(f[1], g[1])
+
+
+def gsub(f, g):
+    return sub(f[0], g[0]), sub(f[1], g[1])
+
+
+def gmul(f, g):
+    (a, b), (c, d) = f, g
+    return sub(mul(a, c), mul(b, d)), add(mul(a, d), mul(b, c))
+
+
+def gshift(f, m: tuple[int, int]):
+    """f(X + m) for a Gaussian integer m = (re, im), by repeated synthetic
+    division: its X^j coefficient is f^(j)(m)/j!."""
+    n, (mr, mi) = max(len(f[0]), len(f[1])), m
+    re, im = (list(p) + [0] * (n - len(p)) for p in f)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            a, b = re[j + 1], im[j + 1]
+            re[j] += mr * a - mi * b
+            im[j] += mr * b + mi * a
+    return re, im
+
+
+def homogenise(n, P, Q):
+    """sum_k n_k P^k Q^(d-k) with d = len(n) - 1, for integers n_k and P, Q
+    over Z[i] (the chi-star of n at (P, Q)), by homogeneous Horner."""
+    acc, qk = ([n[-1]], []), ([1], [])
+    for nk in reversed(n[:-1]):
+        qk = gmul(qk, Q)
+        acc = gadd(gmul(acc, P), (scale(nk, qk[0]), scale(nk, qk[1])))
+    return acc
+
+
+# ---------------------------------------------------------------------------
+# forms in (X, t)
+
+
+def fadd(F, G) -> list:
+    return [gadd(f, g) for f, g in zip_longest(F, G, fillvalue=ZERO)]
+
+
+def fmul(F, G) -> list:
+    out = [ZERO] * (len(F) + len(G) - 1)
+    for e, f in enumerate(F):
+        for k, g in enumerate(G, e):
+            out[k] = gadd(out[k], gmul(f, g))
+    return out
+
+
+def same(F, G) -> bool:
+    """F = G as forms, trailing zeros aside; same(F, ()) tests F = 0."""
+    return not any(c for f, g in zip_longest(F, G, fillvalue=ZERO)
+                   for part in gsub(f, g) for c in part)

@@ -1,0 +1,199 @@
+"""Reference oracles over Q(i): the sparse (X, t) polynomial type and the
+constructions that ran on it before the integer kernel replaced them.  The
+tests check ``thueq.zpoly`` and its callers against these."""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from itertools import zip_longest
+
+from thueq.hyperchi import chi_coeffs, denom_data
+from thueq.series import G0, G1, GI, GaussRat, TPoly
+
+
+class Poly2:
+    """Sparse polynomial in X and t with Gaussian-rational coefficients."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms=None):
+        self.terms: dict[tuple[int, int], GaussRat] = {}
+        if terms:
+            for k, v in terms.items():
+                v = GaussRat.of(v)
+                if v:
+                    self.terms[k] = v
+
+    @staticmethod
+    def X(n: int = 1) -> "Poly2":
+        return Poly2({(n, 0): G1})
+
+    @staticmethod
+    def t(n: int = 1) -> "Poly2":
+        return Poly2({(0, n): G1})
+
+    @staticmethod
+    def const(c) -> "Poly2":
+        return Poly2({(0, 0): GaussRat.of(c)})
+
+    def __add__(self, other):
+        other = _as_poly2(other)
+        out = dict(self.terms)
+        for k, v in other.terms.items():
+            w = out.get(k, G0) + v
+            if w:
+                out[k] = w
+            elif k in out:
+                del out[k]
+        p = Poly2()
+        p.terms = out
+        return p
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        p = Poly2()
+        p.terms = {k: -v for k, v in self.terms.items()}
+        return p
+
+    def __sub__(self, other):
+        return self + (-_as_poly2(other))
+
+    def __rsub__(self, other):
+        return _as_poly2(other) - self
+
+    def __mul__(self, other):
+        other = _as_poly2(other)
+        out: dict[tuple[int, int], GaussRat] = {}
+        for (i1, j1), v1 in self.terms.items():
+            for (i2, j2), v2 in other.terms.items():
+                k = (i1 + i2, j1 + j2)
+                w = out.get(k, G0) + v1 * v2
+                if w:
+                    out[k] = w
+                elif k in out:
+                    del out[k]
+        p = Poly2()
+        p.terms = out
+        return p
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        out = Poly2.const(1)
+        base = self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def dX(self) -> "Poly2":
+        p = Poly2()
+        for (i, j), v in self.terms.items():
+            if i:
+                p.terms[(i - 1, j)] = v * Fraction(i)
+        return p
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other):
+        return (self - _as_poly2(other)).is_zero()
+
+    def eval_X(self, x) -> TPoly:
+        """Substitute a Gaussian-rational for X, leaving a polynomial in t."""
+        return self._eval(1, x)
+
+    def eval_t(self, tval) -> TPoly:
+        """Substitute for t, leaving a polynomial in X."""
+        return self._eval(0, tval)
+
+    def _eval(self, keep: int, val) -> TPoly:
+        val = GaussRat.of(val)
+        out: dict[int, GaussRat] = {}
+        for key, v in self.terms.items():
+            k = key[keep]
+            w = out.get(k, G0) + v * _gpow(val, key[1 - keep])
+            if w:
+                out[k] = w
+            elif k in out:
+                del out[k]
+        if min(out, default=0) < 0:
+            raise ValueError("negative exponent left after substitution")
+        return TPoly([out.get(k, G0) for k in range(max(out, default=0) + 1)])
+
+
+def _as_poly2(x) -> Poly2:
+    if isinstance(x, Poly2):
+        return x
+    return Poly2.const(x)
+
+
+def _gpow(x: GaussRat, n: int) -> GaussRat:
+    if n < 0:
+        raise ValueError("negative exponent: only polynomials can be evaluated")
+    out = G1
+    for _ in range(n):
+        out = out * x
+    return out
+
+
+def from_pair(f, t_power: int = 0) -> Poly2:
+    """A polynomial in X over Z[i], as ``zpoly`` holds it, times t^t_power."""
+    return Poly2({(k, t_power): GaussRat(Fraction(a), Fraction(b))
+                  for k, (a, b) in enumerate(zip_longest(*f, fillvalue=0))})
+
+
+def from_form(F) -> Poly2:
+    """A ``zpoly`` form in (X, t) as a Poly2."""
+    return sum((from_pair(f, e) for e, f in enumerate(F)), Poly2())
+
+
+# ---------------------------------------------------------------------------
+# the quartic and the constructions that ran on Poly2
+
+X, T = Poly2.X(), Poly2.t()
+QUARTIC = X ** 4 - T * X ** 3 - 6 * X ** 2 + T * X + 1  # f_t(X)
+U_T, Z_T = GI * T + 4, GI * T - 4  # u = it + 4, z = it - 4
+
+
+def thue_data_oracle() -> dict:
+    """The thue_data record by the Poly2 derivation, unchecked."""
+    P = QUARTIC
+    U = X ** 2 + 1
+    Y = 2 * U * P.dX() - 4 * U.dX() * P
+    half5 = Fraction(5, 2)
+    i = GI
+    return {"P": P, "U": U, "Y": Y,
+            "a": half5 * (i * U.dX() + Poly2.const(-2)),
+            "b": half5 * (i * U.dX() - Poly2.const(-2)),
+            "c": half5 * (i * (U.dX() * X - 2 * U) + (-2) * X),
+            "d": half5 * (i * (U.dX() * X - 2 * U) - (-2) * X),
+            "u": Fraction(1, 2) * (Fraction(1, 8) * (-i) * Y - P),
+            "z": Fraction(1, 2) * (Fraction(1, 8) * (-i) * Y + P)}
+
+
+def chi_star_oracle(r: int, p, q):
+    """chi*(p, q) = sum_k a_k p^k q^(r-k) for the coefficients a_k of chi_r,
+    over any polynomial type."""
+    ps, qs = [p ** 0], [q ** 0]
+    for _ in range(r):
+        ps.append(ps[-1] * p)
+        qs.append(qs[-1] * q)
+    return sum(ak * ps[k] * qs[r - k] for k, ak in enumerate(chi_coeffs(r)))
+
+
+def approximants_oracle(xi: int, r: int) -> tuple[TPoly, TPoly]:
+    """(p_r, q_r) by the GaussRat chi-star construction."""
+    dd = denom_data(r)
+    ratio = Fraction(dd.delta, dd.n_gcd)
+    u, z = U_T.eval_X(0), Z_T.eval_X(0)
+    first, second = chi_star_oracle(r, z, u), chi_star_oracle(r, u, z)
+    i_r = _gpow(GI, r % 4)
+    if xi == 0:
+        return (-(i_r * GI) * ratio * (first - second), -i_r * ratio * (first + second))
+    mi_r = _gpow(-GI, r % 4)
+    return ((-(GI + 1)) * mi_r * ratio * (first - GI * second),
+            (GI - 1) * mi_r * ratio * (first + GI * second))

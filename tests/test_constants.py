@@ -30,3 +30,11 @@ def test_every_published_decimal_is_spelled_once():
     assert sorted(m for m, text in found if text == "5.02") == ["descent.py", "rouche.py"]
     assert rouche.ALPHA2_RADIUS == descent.STEP2_DIVISOR
     assert measure.ABSORB_BASE[0] == measure.QMIN[0]
+
+
+def test_no_source_module_relies_on_assert():
+    # python -O strips assert statements, so a certified check must raise
+    found = [f"{path.name}:{node.lineno}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
+    assert len(list(SRC.glob("*.py"))) >= 10
+    assert found == []

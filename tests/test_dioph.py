@@ -331,6 +331,47 @@ def test_root_ball_stops_once_the_radius_stalls(monkeypatch):
     assert len(calls) <= 4  # all 14 Newton steps ran before the stall check
 
 
+def _certify_root_oracle(t, x):
+    """Newton-Kantorovich on hand-written f_t and f_t' ball lists, with the
+    f_t'' majorant 12 + 6|t|r + 12r^2."""
+    def horner(coeffs, z):
+        acc = ComplexBall.exact(F(0))
+        for c in reversed(coeffs):
+            acc = acc * z + c
+        return acc
+
+    one, xb = ComplexBall.exact(F(1)), ComplexBall.exact(x.re, x.im)
+    f = horner([one, t, ComplexBall.exact(F(-6)), -t, one], xb)
+    df = horner([t, ComplexBall.exact(F(-12)), -ComplexBall.exact(F(3)) * t,
+                 ComplexBall.exact(F(4))], xb)
+    df_lo = df.abs_bounds()[0]
+    if df_lo <= 0:
+        return None
+    eta = f.abs_upper() / df_lo
+    xr = xb.abs_upper() + 2 * eta
+    if 2 * eta * (12 + 6 * t.abs_upper() * xr + 12 * xr * xr) > df_lo:
+        return None
+    return ComplexBall(x.re, x.im, 2 * eta)
+
+
+def test_certify_root_matches_the_hand_written_quartic():
+    # an exact and an enclosed parameter, Newton points at several distances
+    # from each root: the balls (or refusals) agree exactly
+    lo, hi = dioph.sqrt_lower(F(7), 200), dioph.sqrt_upper(F(7), 200)
+    t_balls = [ComplexBall.exact(F(0), F(100)), ComplexBall.exact(F(-37, 3), F(512, 7)),
+               ComplexBall(F(3, 2), 20 * (lo + hi), 20 * (hi - lo))]
+    outcomes = set()
+    for tb in t_balls:
+        tc = complex(float(tb.re_mid), float(tb.im_mid))
+        for z, eps in itertools.product(_root_seeds(tc), (0.5, 0.3, 0.2, 0.1, 0.05, 0.03,
+                                                          1e-2, 1e-4, 1e-9, 0.0)):
+            x = dioph._approx_gauss(z * (1 + eps * (1 + 1j)) + eps)
+            ball = dioph._certify_root(tb, x)
+            assert ball == _certify_root_oracle(tb, x), (tb, z, eps)
+            outcomes.add(ball is None)
+    assert outcomes == {True, False}
+
+
 def test_divisibility_vanishing_order():
     t = GaussRat(F(0), F(100))
     for r in (1, 2, 3):

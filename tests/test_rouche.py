@@ -1,6 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
+from oracles import QUARTIC, Poly2
 
 from thueq import rouche
 from thueq.rouche import (
@@ -13,7 +14,7 @@ from thueq.rouche import (
     certify_high_order,
     root_separation,
 )
-from thueq.series import QUARTIC, GaussRat, Poly2
+from thueq.series import GaussRat
 
 
 def test_base_certificates_verify():

@@ -6,8 +6,10 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from oracles import (QUARTIC as QUARTIC_ORACLE, _gpow, approximants_oracle, chi_star_oracle,
+                     from_form, thue_data_oracle)
 
-from thueq import series
+from thueq import series, zpoly
 from thueq.descent import KMAX, KSTART
 from thueq.series import (
     G0,
@@ -16,7 +18,6 @@ from thueq.series import (
     DegeneratePadeError,
     GaussRat,
     PadePair,
-    Poly2,
     Series,
     alpha3_series,
     approximants,
@@ -87,11 +88,11 @@ def _pade_oracle(B, deg_num, n):
 
 
 def _thue_polys_oracle(r, t_val):
-    """(A_r, B_r) from the thue_data record evaluated at t, over Q(i)."""
-    data = thue_data()
+    """(A_r, B_r) from the Poly2 thue_data record evaluated at t, over Q(i)."""
+    data = thue_data_oracle()
     a, b, c, d, u, z = (data[k].eval_t(t_val) for k in "abcduz")
-    chi_zu, chi_uz = series._chi_star(r, z, u), series._chi_star(r, u, z)
-    mi_r = series._gpow(-GI, r % 4)  # (1/sqrt(lambda))^r = (1/i)^r = (-i)^r
+    chi_zu, chi_uz = chi_star_oracle(r, z, u), chi_star_oracle(r, u, z)
+    mi_r = _gpow(-GI, r % 4)  # (1/sqrt(lambda))^r = (1/i)^r = (-i)^r
     return mi_r * (a * chi_zu - b * chi_uz), mi_r * (c * chi_zu - d * chi_uz)
 
 # ---------------------------------------------------------------------------
@@ -212,6 +213,59 @@ def test_thue_data_identities():
     thue_data()  # raises on any failed internal identity
 
 
+def test_quartic_table_is_the_oracle_quartic():
+    assert from_form([(row, ()) for row in series.QUARTIC]) == QUARTIC_ORACLE
+
+
+def test_thue_data_matches_the_poly2_derivation():
+    data, oracle = thue_data(), thue_data_oracle()
+    for k in "PUY":
+        assert from_form(data[k]) == oracle[k], k
+    for k in "abcd":  # held without the prefactor 5/2
+        assert F(5, 2) * from_form(data[k]) == oracle[k], k
+    for k in "uz":  # held times 16
+        assert from_form(data[k]) == 16 * oracle[k], k
+
+
+def _bump(form):
+    """The form plus 1 in its constant term."""
+    return [zpoly.gadd(form[0], ((1,), ()))] + list(form[1:])
+
+
+@pytest.mark.parametrize("entry, perturb, failed", [
+    ("Y", _bump, "Y"),
+    ("a", _bump, "a, ad-bc"),
+    ("b", _bump, "b, ad-bc"),
+    ("c", _bump, "c, ad-bc"),
+    ("d", _bump, "d, ad-bc"),
+    ("u", _bump, "u, uz"),
+    ("z", _bump, "z, uz"),
+    # (iU)^4 = U^4, so i U moves a d - b c alone; 2U moves u z as well
+    ("U", lambda U: zpoly.fmul([((), (1,))], U), "ad-bc"),
+    ("U", lambda U: zpoly.fmul([((2,), ())], U), "ad-bc, uz"),
+], ids=["Y", "a", "b", "c", "d", "u", "z", "ad-bc", "uz"])
+def test_each_thue_identity_fails_on_a_perturbed_entry(entry, perturb, failed):
+    data = thue_data()
+    series._check_thue_data(data)
+    data[entry] = perturb(data[entry])
+    with pytest.raises(ArithmeticError) as err:
+        series._check_thue_data(data)
+    assert str(err.value) == f"thue_data identities failed: {failed}"
+
+
+def test_differential_identity_fails_on_a_perturbed_quartic(monkeypatch):
+    A, B = series.QUARTIC
+    monkeypatch.setattr(series, "QUARTIC", ((2,) + A[1:], B))
+    series._thue_data.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="differential identity failed"):
+            thue_data()
+    finally:
+        monkeypatch.undo()
+        series._thue_data.cache_clear()
+    thue_data()
+
+
 def test_thue_data_check_fails_closed_under_python_O():
     # the identities must be checked by raises, not by asserts that -O strips
     code = (
@@ -250,14 +304,6 @@ def test_root_series_built_once():
         root_series(1)
 
 
-def test_poly2_evaluation_refuses_negative_t_powers():
-    laurent = Poly2.X() + Poly2.t(-1)
-    with pytest.raises(ValueError):
-        laurent.eval_t(G(2))
-    with pytest.raises(ValueError):
-        laurent.eval_X(G(2))
-
-
 def test_quotient_root_check():
     assert quotient_root_check("type0")
     assert quotient_root_check("type3")
@@ -272,6 +318,14 @@ def test_approximants_are_gaussian_integral():
             p, q = approximants(xi, r)
             for poly in (p, q):
                 assert all(c.is_gaussian_integer() for c in poly.coeffs)
+
+
+def test_approximants_match_the_gaussrat_chi_star_oracle():
+    for xi in (0, 1):
+        for r in range(1, 7):
+            p, q = approximants(xi, r)
+            op, oq = approximants_oracle(xi, r)
+            assert (p.coeffs, q.coeffs) == (op.coeffs, oq.coeffs), (xi, r)
 
 
 def test_cross_product_nonvanishing():
