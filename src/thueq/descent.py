@@ -136,14 +136,14 @@ def _nonvanish_poly(pair: PadePair, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _step_algebra(type_index: int, k: int) -> tuple[PadePair, Series, tuple[int, ...]]:
+def _step_algebra(type_index: int, k: int) -> tuple[PadePair, Series, Series, tuple[int, ...]]:
     """The tmin-free part of step k, built once per process: the integral
-    Pade pair of the root series, its residual U - BV and the non-vanishing
-    polynomial P.  The residual is shared by every caller and must not be
-    mutated."""
+    Pade pair of the root series, its residual U - BV, V as a series and the
+    non-vanishing polynomial P.  The series are shared by every caller and
+    must not be mutated."""
     B = root_series(type_index)
     pair = _integral_pair(pade(B, k - 1, k - 1))
-    return pair, pade_residual(B, pair), _nonvanish_poly(pair, k)
+    return pair, pade_residual(B, pair), Series(pair.V, B.trunc), _nonvanish_poly(pair, k)
 
 
 def _nonvanish_gate(P: tuple[int, ...], c0: Rat, c3: Rat, tmin: Rat) -> Rat:
@@ -168,10 +168,10 @@ def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = Fraction(100)) -> Ste
         raise ValueError("type_index must be 0 or 3")
     if k < KSTART[type_index]:
         raise ValueError("step index too small for this chain")
-    pair, resid, P = _step_algebra(type_index, k)
+    pair, resid, V, P = _step_algebra(type_index, k)
     c1 = tail_bound(resid, 2 * k - 1, tmin)
     c2 = BETA_COEFF * c0 ** 4
-    c3 = tail_bound(Series(list(pair.V), resid.trunc), 0, tmin)
+    c3 = tail_bound(V, 0, tmin)
     hi_c, hi_exp = HIGH_ORDER[type_index]
     c_exact = (c1 + c2 * c3 * tmin ** (-(2 * k - 2))
                + hi_c * c3 * tmin ** (-(hi_exp + 1 - 2 * k)))

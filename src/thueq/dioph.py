@@ -15,7 +15,7 @@ from . import zpoly
 from .exactnum import GRID_BITS, ComplexBall, Rat, sqrt_lower, sqrt_upper
 from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
                         is_half_integral, norm, pairs_with_norm_in, roots_of_unity)
-from .series import QUARTIC, GaussRat, TPoly
+from .series import G0, QUARTIC, GaussRat
 
 
 class TieError(ArithmeticError):
@@ -79,6 +79,8 @@ def small_solution_search(tmin_abs: Rat = Fraction(0)) -> list[Solution]:
     """All non-trivial solutions with min{|x|, |y|} < 3 and |t| >= tmin_abs,
     up to equivalence and the sign normalizations on x, y and t."""
     global _SEARCH_CACHE
+    if tmin_abs < 0:
+        raise ValueError("tmin_abs must be nonnegative")
     if _SEARCH_CACHE is None:
         _SEARCH_CACHE = _search_all()
     tmin_sq = Fraction(tmin_abs) ** 2
@@ -226,15 +228,15 @@ def root_ball(t: GaussRat, seed: complex, target_radius: Rat,
                              g.im + h.im * (lo + hi) / 2,
                              (abs(h.re) + abs(h.im)) * (hi - lo))
     t_mid = GaussRat(t_ball.re_mid, t_ball.im_mid)
-    f, df = (TPoly(_coeffs_at(rows, t_mid, GaussRat.of)) for rows in (QUARTIC, _DF))
+    f, df = (_coeffs_at(rows, t_mid, GaussRat.of) for rows in (QUARTIC, _DF))
     x = _approx_gauss(seed)
     cap = 1 << 2400
     last = None  # the previous certified radius
     for _ in range(14):
-        dfx = df(x)
+        dfx = zpoly.evaluate(df, x, G0)
         if not dfx:
             break
-        x = x - f(x) / dfx
+        x = x - zpoly.evaluate(f, x, G0) / dfx
         x = GaussRat(_limit(x.re, cap), _limit(x.im, cap))
         ball = _certify_root(t_ball, x)
         if ball is not None:
@@ -358,15 +360,13 @@ def divisibility_ball_check(r: int, t: GaussRat) -> dict:
     tc = complex(float(t.re), float(t.im))
     alpha = root_ball(t, _root_seeds(tc)[0], Fraction(1, 1 << 120))
     A, B = thue_polys_at(r, t)
-    den = math.lcm(*(x.denominator for c in A.coeffs + B.coeffs for x in (c.re, c.im)))
-    n, sh = max(len(A.coeffs), len(B.coeffs), 2 * r + 1) - 1, MID_BITS
+    den = math.lcm(A.den, B.den)
+    n, sh = max(A.degree(), B.degree(), 2 * r), MID_BITS
     M, R = _dyadic_ball(alpha)  # m = M/2^sh, rho = R/2^sh
 
-    def cleared(p: TPoly):  # 2^(sh n) den p(X/2^sh) over Z[i], of degree n
-        pad = [Fraction(0)] * (n + 1 - len(p.coeffs))
-        return tuple([(x.numerator * (den // x.denominator)) << sh * (n - j)
-                      for j, x in enumerate(xs + pad)]
-                     for xs in ([c.re for c in p.coeffs], [c.im for c in p.coeffs]))
+    def cleared(p):  # 2^(sh n) den p(X/2^sh) over Z[i], of degree n
+        return tuple([(x * (den // p.den)) << sh * (n - j)
+                      for j, x in enumerate(zpoly.pad(xs, n + 1))] for xs in p.num)
 
     # shifted to M, the H^j coefficient is 2^(sh(n-j)) den p^(j)(m)/j!
     ga, gb = (list(zip(*zpoly.gshift(cleared(p), M))) for p in (A, B))

@@ -19,12 +19,6 @@ LETTL_L0, LETTL_E_BASE = Fraction("1.6"), Fraction("10.7")
 
 
 @dataclass(frozen=True)
-class ChiPoly:
-    r: int
-    coeffs: tuple  # Rat, ascending, length r+1
-
-
-@dataclass(frozen=True)
 class DenomData:
     r: int
     delta: int          # lcm of denominators of chi_r
@@ -34,13 +28,6 @@ class DenomData:
 
 class LettlBoundViolation(ArithmeticError):
     pass
-
-
-@lru_cache(maxsize=None)
-def chi(r: int) -> ChiPoly:
-    if r < 0:
-        raise ValueError("r must be nonnegative")
-    return ChiPoly(r, tuple(chi_coeffs(r)))
 
 
 @lru_cache(maxsize=None)

@@ -275,8 +275,9 @@ def theorem_assembly(tmin: Rat = F(100), kmax: int = 11) -> ProofReport:
 
     def g_irred():
         ts, _ = irreducibility_exceptions()
-        bad = [t for t in ts if F(t.abs_sq()) >= tmin ** 2]
-        return not bad, f"{len(ts)} reducible parameters, all below tmin"
+        bad = [t for t in ts if tmin < 0 or F(t.abs_sq()) >= tmin ** 2]
+        return not bad, (f"{len(ts)} reducible parameters, "
+                         + (f"{len(bad)} at or above tmin" if bad else "all below tmin"))
 
     def g_small():
         sols = small_solution_search(tmin)

@@ -1,18 +1,22 @@
 """Exact algebra over Q(i) for the quartic family: truncated power series in
 s = 1/t, the root series, Pade approximants, and the polynomial identities
 behind the proof (differential-equation data, the fourth-root closed form,
-integral approximant pairs).  The root series and the Pade solve run over Z;
-the identities, the Thue polynomials at a concrete t and the approximant
-pairs run over Z[i] on the ``zpoly`` kernel.  Each returns Q(i) values at
-its boundary.
+integral approximant pairs).  All of it runs over Z or Z[i] on the ``zpoly``
+kernel.
 
 Three types, one job each:
 
-* ``GaussRat`` -- an element of Q(i), the scalar of everything below.
+* ``GaussRat`` -- an element of Q(i), the scalar at the boundary.
 * ``Series`` -- a power series in s = 1/t known modulo s^trunc; it carries
-  the root series, their Pade approximants and tail bounds.
+  the root series, their Pade residuals and tail bounds.
 * ``TPoly`` -- a dense univariate polynomial (in t or in X); it carries
+  the approximant pairs, the Thue polynomials at a concrete t and
   evaluation: Horner at a ``GaussRat``, ``eval_ball`` and ``deriv``.
+
+``Series`` and ``TPoly`` share one storage: a Z[i] numerator, two integer
+lists in the ``zpoly`` format, over one positive denominator in lowest
+terms.  Both are built from scalars, or from integers by ``from_ints``;
+``coeffs`` reads the coefficients back as ``GaussRat``s.
 
 The quartic itself is the integer table ``QUARTIC``, f_t = A(X) + t B(X).
 """
@@ -26,7 +30,7 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from . import zpoly
-from .exactnum import ComplexBall, Rat, sqrt_upper
+from .exactnum import ComplexBall, Rat
 from .hyperchi import chi_ints, denom_data
 
 # ---------------------------------------------------------------------------
@@ -90,11 +94,6 @@ class GaussRat:
     def is_gaussian_integer(self) -> bool:
         return self.re.denominator == 1 and self.im.denominator == 1
 
-    def abs_upper(self) -> Rat:
-        if self.im == 0:
-            return abs(self.re)
-        return sqrt_upper(self.abs_sq())
-
     def __str__(self):
         if self.im == 0:
             return str(self.re)
@@ -109,103 +108,189 @@ GI = GaussRat(Fraction(0), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
-# truncated power series
+# polynomials and truncated series over Q(i): one storage, a Z[i] numerator
+# over one denominator
 
 
 class ValuationError(ArithmeticError):
     pass
 
 
-class Series:
-    """Power series known modulo s^trunc, dense Gaussian-rational coeffs."""
+def _cleared(coeffs) -> tuple[tuple[list[int], list[int]], int]:
+    """Q(i) scalars (int, ``Fraction`` or ``GaussRat``) as a Z[i] numerator
+    (re, im) over their least common denominator."""
+    cs = [GaussRat.of(c) for c in coeffs]
+    den = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+    return tuple([x.numerator * (den // x.denominator) for x in xs]
+                 for xs in ([c.re for c in cs], [c.im for c in cs])), den
 
-    __slots__ = ("coeffs", "trunc")
 
-    def __init__(self, coeffs, trunc: int):
-        cs = [GaussRat.of(c) for c in coeffs[:trunc]]
-        while len(cs) < trunc:
-            cs.append(G0)
-        self.coeffs = cs
-        self.trunc = trunc
+def _strip(xs) -> list[int]:
+    xs = list(xs)
+    while xs and not xs[-1]:
+        xs.pop()
+    return xs
 
-    def __getitem__(self, k: int) -> GaussRat:
-        if k >= self.trunc:
-            raise IndexError(f"coefficient of s^{k} unknown (trunc {self.trunc})")
-        return self.coeffs[k]
 
-    def __eq__(self, other):
-        n = min(self.trunc, other.trunc)
-        return self.coeffs[:n] == other.coeffs[:n]
+class _GaussDense:
+    """The storage ``TPoly`` and ``Series`` share: coefficient k is
+    (re[k] + i im[k]) / den for the Z[i] numerator num = (re, im), two integer
+    lists in the ``zpoly`` format without trailing zeros, and the positive
+    integer den.  It is kept in lowest terms, so den is the least common
+    denominator and equal values have equal storage.  Arithmetic runs on
+    ``zpoly``; values are not mutated once built."""
+
+    __slots__ = ("num", "den")
+
+    def _set(self, num, den: int, n: int | None = None):
+        re, im = (_strip(xs[:n]) for xs in num)
+        g = math.gcd(den, *re, *im)
+        if g != 1:
+            re, im, den = [x // g for x in re], [x // g for x in im], den // g
+        self.num, self.den = (re, im), den
+        return self
+
+    def _width(self) -> int:
+        return max(len(self.num[0]), len(self.num[1]))
+
+    def _num_pairs(self):
+        """The numerator's coefficients (re_k, im_k), k < width."""
+        n = self._width()
+        return zip(*(zpoly.pad(xs, n) for xs in self.num))
+
+    @property
+    def coeffs(self) -> list[GaussRat]:
+        """The coefficients as ``GaussRat``s: a view, built on each read."""
+        den = self.den
+        return [GaussRat(Fraction(a, den), Fraction(b, den)) for a, b in self._num_pairs()]
+
+    def is_zero(self) -> bool:
+        return not (self.num[0] or self.num[1])
+
+    def _lift(self, x):
+        """x as a value of this type: itself, or a scalar as a constant."""
+        if isinstance(x, type(self)):
+            return x
+        if isinstance(x, (int, Fraction, GaussRat)):
+            return self._like(*_cleared([x]))
+        raise TypeError(f"cannot combine {type(self).__name__} with {type(x).__name__}")
 
     def __add__(self, other):
-        other = _as_series(other, self.trunc)
-        n = min(self.trunc, other.trunc)
-        return Series([self.coeffs[k] + other.coeffs[k] for k in range(n)], n)
+        other = self._lift(other)
+        den = math.lcm(self.den, other.den)
+        return self._like(zpoly.gadd(zpoly.gscale(den // self.den, self.num),
+                                     zpoly.gscale(den // other.den, other.num)), den, other)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Series([-c for c in self.coeffs], self.trunc)
+        return self._like(zpoly.gscale(-1, self.num), self.den)
 
     def __sub__(self, other):
-        return self + (-_as_series(other, self.trunc))
+        return self + -self._lift(other)
 
     def __rsub__(self, other):
-        return _as_series(other, self.trunc) - self
+        return self._lift(other) - self
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, GaussRat)):
-            g = GaussRat.of(other)
-            return Series([c * g for c in self.coeffs], self.trunc)
-        n = min(self.trunc, other.trunc)
-        out = [G0] * n
-        for j, cj in enumerate(self.coeffs[:n]):
-            if not cj:
-                continue
-            for k, dk in enumerate(other.coeffs[: n - j]):
-                if dk:
-                    out[j + k] = out[j + k] + cj * dk
-        return Series(out, n)
+        other = self._lift(other)
+        return self._like(zpoly.gmul(self.num, other.num), self.den * other.den, other)
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "Series":
-        c0 = self.coeffs[0]
-        if not c0:
-            raise ValuationError("series not invertible: zero constant term")
-        inv0 = c0.inv()
-        out = [inv0]
-        for k in range(1, self.trunc):
-            acc = G0
-            for j in range(k):
-                acc = acc + out[j] * self.coeffs[k - j]
-            out.append(-acc * inv0)
-        return Series(out, self.trunc)
 
-    def __truediv__(self, other):
-        return self * other.inverse()
+class Series(_GaussDense):
+    """Power series known modulo s^trunc, over Q(i)."""
 
-    def valuation(self) -> int:
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
+    __slots__ = ("trunc",)
+
+    def __init__(self, coeffs, trunc: int):
+        self.trunc = trunc
+        self._set(*_cleared(coeffs[:trunc]))
+
+    @classmethod
+    def from_ints(cls, num, den: int, trunc: int) -> "Series":
+        """The series num/den modulo s^trunc, for a Z[i] numerator num and a
+        positive integer den, reduced to lowest terms."""
+        out = cls.__new__(cls)
+        out.trunc = trunc
+        return out._set(num, den, trunc)
+
+    def _like(self, num, den, other=None):
+        trunc = self.trunc if other is None else min(self.trunc, other.trunc)
+        return Series.from_ints(num, den, trunc)
+
+    def _width(self) -> int:
         return self.trunc
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
+    def __getitem__(self, k: int) -> GaussRat:
+        if not 0 <= k < self.trunc:
+            raise IndexError(f"coefficient of s^{k} unknown (trunc {self.trunc})")
+        re, im = (xs[k] if k < len(xs) else 0 for xs in self.num)
+        return GaussRat(Fraction(re, self.den), Fraction(im, self.den))
+
+    def __eq__(self, other):
+        return (self - other).is_zero()
+
+    def valuation(self) -> int:
+        return min(next((k for k, c in enumerate(xs) if c), self.trunc) for xs in self.num)
 
     def truncated(self, n: int) -> "Series":
-        return Series(self.coeffs[:n], min(n, self.trunc))
+        return Series.from_ints(self.num, self.den, min(n, self.trunc))
 
     def __repr__(self):
         terms = [f"({c})*s^{k}" for k, c in enumerate(self.coeffs) if c]
-        return " + ".join(terms) or "0" + f"  (mod s^{self.trunc})"
+        return (" + ".join(terms) or "0") + f"  (mod s^{self.trunc})"
 
 
-def _as_series(x, trunc: int) -> Series:
-    if isinstance(x, Series):
-        return x
-    return Series([GaussRat.of(x)], trunc)
+class TPoly(_GaussDense):
+    """Dense univariate polynomial over Q(i) (used for both t and X)."""
+
+    __slots__ = ()
+
+    def __init__(self, coeffs):
+        self._set(*_cleared(coeffs))
+
+    @classmethod
+    def from_ints(cls, num, den: int = 1) -> "TPoly":
+        """The polynomial num/den, for a Z[i] numerator num and a positive
+        integer den, reduced to lowest terms."""
+        return cls.__new__(cls)._set(num, den)
+
+    def _like(self, num, den, other=None):
+        return TPoly.from_ints(num, den)
+
+    def degree(self) -> int:
+        return self._width() - 1
+
+    def __pow__(self, n: int):
+        out, base = TPoly([1]), self
+        while n:
+            if n & 1:
+                out = out * base
+            base = base * base
+            n >>= 1
+        return out
+
+    def __eq__(self, other):
+        other = self._lift(other)
+        return self.num == other.num and self.den == other.den
+
+    def deriv(self) -> "TPoly":
+        return TPoly.from_ints(tuple(zpoly.deriv(xs) for xs in self.num), self.den)
+
+    def __call__(self, x: GaussRat) -> GaussRat:
+        """Horner on the numerator, divided by den once."""
+        num = [GaussRat(Fraction(a), Fraction(b)) for a, b in self._num_pairs()]
+        return zpoly.evaluate(num, x, G0) / self.den
+
+    def eval_ball(self, z: ComplexBall) -> ComplexBall:
+        den = self.den
+        return zpoly.evaluate([ComplexBall.exact(Fraction(a, den), Fraction(b, den))
+                               for a, b in self._num_pairs()], z, ComplexBall.exact(Fraction(0)))
+
+    def __repr__(self):
+        return " + ".join(f"({c})*x^{k}" for k, c in enumerate(self.coeffs) if c) or "0"
 
 
 # ---------------------------------------------------------------------------
@@ -238,12 +323,12 @@ def newton_alpha_series(N: int) -> Series:
     """The series alpha(s) with alpha(0) = 0 killing s*f, modulo s^N."""
     if N < 2:
         raise ValueError("need truncation order >= 2")
-    return Series(_alpha_ints(N), N)
+    return Series.from_ints((_alpha_ints(N), []), 1, N)
 
 
 def alpha3_series(alpha: Series) -> Series:
     """-(alpha+1)/(alpha-1), the Moebius image giving the root near 1."""
-    if alpha.coeffs[0]:
+    if not alpha.valuation():
         raise ValuationError("expected a series vanishing at s=0")
     return Series(_moebius(alpha.coeffs), alpha.trunc)
 
@@ -256,7 +341,7 @@ def root_series(type_index: int) -> Series:
     if type_index == 0:
         return newton_alpha_series(31)
     if type_index == 3:
-        return Series(_moebius(_alpha_ints(30)), 30)
+        return Series.from_ints((_moebius(_alpha_ints(30)), []), 1, 30)
     raise ValueError("type_index must be 0 or 3")
 
 
@@ -275,13 +360,11 @@ class PadePair:
     contact_order: int
 
 
-def _real_ints(coeffs) -> tuple[list[int], int]:
-    """Integer numerators of real Q(i) scalars over their least common
-    denominator, and that denominator."""
-    if any(c.im for c in coeffs):
+def _real(num) -> list[int]:
+    """The real part of a Z[i] numerator that must be real."""
+    if any(num[1]):
         raise ValueError("expected real coefficients")
-    den = math.lcm(*(c.re.denominator for c in coeffs))
-    return [c.re.numerator * (den // c.re.denominator) for c in coeffs], den
+    return num[0]
 
 
 def _bareiss_solve(M: list[list[int]]) -> tuple[int, list[int]]:
@@ -312,13 +395,12 @@ def _bareiss_solve(M: list[list[int]]) -> tuple[int, list[int]]:
 
 def pade(B: Series, deg_num: int, deg_den: int) -> PadePair:
     """U/V with U - B*V = O(s^(deg_num+deg_den+1)), V(0) = 1, for a real
-    series B: solved over Z by Bareiss elimination on B's cleared
-    coefficients, converted to Q(i) at the end."""
+    series B: solved over Z by Bareiss elimination on B's numerator,
+    converted to Q(i) at the end."""
     order = deg_num + deg_den + 1
     if B.trunc < order:
         raise ValuationError(f"series known only modulo s^{B.trunc}, need {order}")
-    b, den = _real_ints(B.coeffs)
-    n = deg_den
+    b, den, n = zpoly.pad(_real(B.num), B.trunc), B.den, deg_den
     # unknowns v_1..v_n from sum_j v_j b_{k-j} = -b_k, k = deg_num+1..deg_num+n
     det, y = _bareiss_solve([[b[k - j] if k >= j else 0 for j in range(1, n + 1)] + [-b[k]]
                              for k in range(deg_num + 1, deg_num + n + 1)])
@@ -339,113 +421,32 @@ def _contact(resid: list[int], required: int) -> int:
 
 def pade_residual(B: Series, pair: PadePair) -> Series:
     """U - B*V as a series (valuation >= contact order), computed over Z."""
-    b, den_b = _real_ints(B.coeffs)
-    uv, den_p = _real_ints(pair.U + pair.V)
+    b = _real(B.num)
+    uv, den_p = _cleared(pair.U + pair.V)
+    uv = _real(uv)
     u, v = uv[:len(pair.U)], uv[len(pair.U):]
-    resid = zpoly.sub(zpoly.scale(den_b, u), zpoly.mul(b, v))[:len(b)]
-    return Series([Fraction(c, den_b * den_p) for c in resid], B.trunc)
+    resid = zpoly.sub(zpoly.scale(B.den, u), zpoly.mul(b, v))
+    return Series.from_ints((resid, []), B.den * den_p, B.trunc)
 
 
 # ---------------------------------------------------------------------------
 # tail bounds
 
 def tail_bound(expr: Series, lead_exp: int, tmin: Rat) -> Rat:
-    """c with |expr(1/t)| <= c / |t|^lead_exp for all |t| >= tmin (exact)."""
+    """c with |expr(1/t)| <= c / |t|^lead_exp for all |t| >= tmin (exact), for
+    a real series: c = sum_j |n_j| tmin^(lead_exp - j) / den over the
+    numerator n_j, summed over Z by Horner in tmin = p/q and divided once."""
     tmin = Fraction(tmin)
     if tmin < 1:
         raise ValueError("tmin must be >= 1")
-    c = Fraction(0)
-    for j, coeff in enumerate(expr.coeffs):
-        if not coeff:
-            continue
-        if j < lead_exp:
-            raise ValueError(f"term s^{j} below claimed leading exponent {lead_exp}")
-        c += coeff.abs_upper() * tmin ** (lead_exp - j)
-    return c
-
-
-
-class TPoly:
-    """Dense univariate polynomial over Q(i) (used for both t and X)."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        cs = [GaussRat.of(c) for c in coeffs]
-        while len(cs) > 1 and not cs[-1]:
-            cs.pop()
-        self.coeffs = cs or [G0]
-
-    def degree(self) -> int:
-        return len(self.coeffs) - 1 if any(map(bool, self.coeffs)) else -1
-
-    def __add__(self, other):
-        other = _as_tpoly(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        a = self.coeffs + [G0] * (n - len(self.coeffs))
-        b = other.coeffs + [G0] * (n - len(other.coeffs))
-        return TPoly([x + y for x, y in zip(a, b)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return TPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        return self + (-_as_tpoly(other))
-
-    def __rsub__(self, other):
-        return _as_tpoly(other) - self
-
-    def __mul__(self, other):
-        other = _as_tpoly(other)
-        out = [G0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b:
-                    out[i + j] = out[i + j] + a * b
-        return TPoly(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        out = TPoly([G1])
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coeffs)
-
-    def __eq__(self, other):
-        return (self - _as_tpoly(other)).is_zero()
-
-    def deriv(self) -> "TPoly":
-        return TPoly([c * Fraction(k) for k, c in enumerate(self.coeffs)][1:] or [G0])
-
-    def __call__(self, x: GaussRat) -> GaussRat:
-        return zpoly.evaluate(self.coeffs, x, G0)
-
-    def eval_ball(self, z: ComplexBall) -> ComplexBall:
-        return zpoly.evaluate([ComplexBall.exact(c.re, c.im) for c in self.coeffs], z,
-                              ComplexBall.exact(Fraction(0)))
-
-    def __repr__(self):
-        return " + ".join(f"({c})*x^{k}" for k, c in enumerate(self.coeffs) if c) or "0"
-
-
-def _as_tpoly(x) -> TPoly:
-    if isinstance(x, TPoly):
-        return x
-    if isinstance(x, (int, Fraction, GaussRat)):
-        return TPoly([GaussRat.of(x)])
-    raise TypeError
+    n, (p, q) = _real(expr.num), (tmin.numerator, tmin.denominator)
+    j = next((j for j, c in enumerate(n) if c), lead_exp)
+    if j < lead_exp:
+        raise ValueError(f"term s^{j} below claimed leading exponent {lead_exp}")
+    acc, qk = 0, 1  # sum_j |n_j| q^(j - lead_exp) p^(top - j), top the last index
+    for c in n[lead_exp:]:
+        acc, qk = acc * p + abs(c) * qk, qk * q
+    return Fraction(acc, expr.den * p ** max(len(n) - 1 - lead_exp, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +471,6 @@ def _in_t(f) -> list:
 def _i_pow(k: int, c: int = 1):
     """c i^k, a constant over Z[i]."""
     return (((c,), ()), ((), (c,)), ((-c,), ()), ((), (-c,)))[k % 4]
-
-
-def _tpoly(f, den: int) -> TPoly:
-    """A polynomial over Z[i], divided by den, as a ``TPoly``."""
-    return TPoly([GaussRat(Fraction(x, den), Fraction(y, den))
-                  for x, y in zip_longest(*f, fillvalue=0)])
 
 
 def thue_data() -> dict:
@@ -587,11 +582,10 @@ def approximants(xi: int, r: int) -> tuple[TPoly, TPoly]:
         s2 = zpoly.gmul(_i_pow(1), s2)
     else:
         raise ValueError("xi must be 0 or 1")
-    p, q = (_tpoly(zpoly.gmul(unit, f), n_gcd)
+    p, q = (TPoly.from_ints(zpoly.gmul(unit, f), n_gcd)
             for unit, f in zip(units, (zpoly.gsub(s1, s2), zpoly.gadd(s1, s2))))
-    for c in p.coeffs + q.coeffs:
-        if not c.is_gaussian_integer():
-            raise IntegralityError(f"non-integral coefficient {c} (xi={xi}, r={r})")
+    if p.den != 1 or q.den != 1:
+        raise IntegralityError(f"non-integral coefficients (xi={xi}, r={r})")
     return p, q
 
 
@@ -608,17 +602,16 @@ def thue_polys_at(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:
     z = -P/(8D) and u = -Q/(8D) for P = (iT - 4D)(X - i)^4 and
     Q = (iT + 4D)(X + i)^4, and chi_r = sum_k n_k X^k / delta:
     A_r = i^r (a S1 - b S2)/den and B_r = i^r (c S1 - d S2)/den, where
-    S1 = chi*(P, Q), S2 = chi*(Q, P) and den = (8D)^r delta.  Converted to
-    ``TPoly`` only at the end."""
+    S1 = chi*(P, Q), S2 = chi*(Q, P) and den = (8D)^r delta."""
     if r < 0:
         raise ValueError("r must be >= 0")
     _thue_data()  # the closed forms below hold once it has passed
     n, delta = chi_ints(r)
-    D = math.lcm(t_val.re.denominator, t_val.im.denominator)
-    tr, ti = (x.numerator * (D // x.denominator) for x in (t_val.re, t_val.im))
+    ((tr,), (ti,)), D = _cleared([t_val])
     P = zpoly.gmul(((-ti - 4 * D,), (tr,)), _X_MINUS_I_4)
     Q = zpoly.gmul(((-ti + 4 * D,), (tr,)), _X_PLUS_I_4)
     s1, s2 = zpoly.homogenise(n, P, Q), zpoly.homogenise(n, Q, P)
     unit, den = _i_pow(r, 5), 2 * (8 * D) ** r * delta  # the prefactor 5/2 of a..d
-    return tuple(_tpoly(zpoly.gmul(unit, zpoly.gsub(zpoly.gmul(f, s1), zpoly.gmul(g, s2))), den)
+    return tuple(TPoly.from_ints(zpoly.gmul(unit, zpoly.gsub(zpoly.gmul(f, s1),
+                                                             zpoly.gmul(g, s2))), den)
                  for f, g in (_ABCD[:2], _ABCD[2:]))

@@ -25,6 +25,11 @@ def scale(c: int, a) -> list[int]:
     return [c * x for x in a]
 
 
+def pad(a, n: int) -> list[int]:
+    """a with zeros appended up to length n."""
+    return list(a) + [0] * (n - len(a))
+
+
 def mul(a, b) -> list[int]:
     """The product, by one convolution."""
     if not a or not b:
@@ -62,15 +67,22 @@ def gsub(f, g):
 
 
 def gmul(f, g):
+    """The product by three integer convolutions, (a + bi)(c + di) =
+    ac - bd + ((a + b)(c + d) - ac - bd)i."""
     (a, b), (c, d) = f, g
-    return sub(mul(a, c), mul(b, d)), add(mul(a, d), mul(b, c))
+    ac, bd = mul(a, c), mul(b, d)
+    return sub(ac, bd), sub(sub(mul(add(a, b), add(c, d)), ac), bd)
+
+
+def gscale(c: int, f):
+    return scale(c, f[0]), scale(c, f[1])
 
 
 def gshift(f, m: tuple[int, int]):
     """f(X + m) for a Gaussian integer m = (re, im), by repeated synthetic
     division: its X^j coefficient is f^(j)(m)/j!."""
     n, (mr, mi) = max(len(f[0]), len(f[1])), m
-    re, im = (list(p) + [0] * (n - len(p)) for p in f)
+    re, im = (pad(p, n) for p in f)
     for i in range(n - 1):
         for j in range(n - 2, i - 1, -1):
             a, b = re[j + 1], im[j + 1]
@@ -85,7 +97,7 @@ def homogenise(n, P, Q):
     acc, qk = ([n[-1]], []), ([1], [])
     for nk in reversed(n[:-1]):
         qk = gmul(qk, Q)
-        acc = gadd(gmul(acc, P), (scale(nk, qk[0]), scale(nk, qk[1])))
+        acc = gadd(gmul(acc, P), gscale(nk, qk))
     return acc
 
 

@@ -8,7 +8,7 @@ from fractions import Fraction
 from itertools import zip_longest
 
 from thueq.hyperchi import chi_coeffs, denom_data
-from thueq.series import G0, G1, GI, GaussRat, TPoly
+from thueq.series import G0, G1, GI, GaussRat, Series, TPoly, ValuationError
 
 
 class Poly2:
@@ -138,6 +138,19 @@ def _gpow(x: GaussRat, n: int) -> GaussRat:
     for _ in range(n):
         out = out * x
     return out
+
+
+def series_inverse(s: Series) -> Series:
+    """1/s modulo s^trunc by the Q(i) recurrence on its coefficients, for a
+    series with a nonzero constant term."""
+    c = s.coeffs
+    if not c[0]:
+        raise ValuationError("series not invertible: zero constant term")
+    inv0 = c[0].inv()
+    out = [inv0]
+    for k in range(1, s.trunc):
+        out.append(-sum((out[j] * c[k - j] for j in range(k)), G0) * inv0)
+    return Series(out, s.trunc)
 
 
 def from_pair(f, t_power: int = 0) -> Poly2:

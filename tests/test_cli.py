@@ -1,10 +1,15 @@
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thueq.cli import main
 
@@ -101,6 +106,30 @@ def test_negative_max_abs_is_a_usage_error():
     r = run_cli("enumerate", "--max-abs", "-1")
     assert r.returncode == 64
     assert "--max-abs" in r.stderr and "certification failure" not in r.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify-all", "--tmin", "-1"),
+    ("small-solutions", "--tmin", "-5"),
+    ("descent", "--type", "0", "--tmin=-1/2"),
+    ("constants", "--type", "3", "--tmin", "-100"),
+    ("rouche-certs", "--tmin=-100"),
+])
+def test_negative_tmin_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 64
+    err = capsys.readouterr().err
+    assert "--tmin" in err and "must be nonnegative" in err
+
+
+def test_verify_all_below_the_reducible_parameters_names_them(capsys):
+    # at tmin = 0 every reducible parameter is at or above tmin
+    code, doc = main_json(capsys, "verify-all", "--tmin", "0")
+    assert code == 1
+    gate = doc["gates"][0]
+    assert gate["name"] == "irreducibility exceptions below tmin" and not gate["ok"]
+    assert gate["detail"] == "27 reducible parameters, 27 at or above tmin"
 
 
 @pytest.mark.parametrize("argv", [
@@ -262,3 +291,94 @@ def test_thueq_threads_env_is_tolerated(monkeypatch, capsys):
     monkeypatch.setenv("THUEQ_THREADS", "not-a-number")
     code, doc = main_json(capsys, "enumerate", "--max-abs", "2", "--json")
     assert code == 0
+
+
+# ---------------------------------------------------------------------------
+# fuzz: every argument vector ends in a documented exit code
+
+# "huge" stops at 10^30: at 10^300 a single verify-all or rouche-certs call
+# takes several seconds in exact arithmetic, which would make this test slow
+# without reaching any new code path
+_BAD = st.sampled_from(["x", "", "1/0", "nan", "inf", "0x10", " 7 ", "--json", "1//2", "3.0"])
+_RAT = st.one_of(
+    st.integers(-10**30, 10**30).map(str),
+    st.builds("{}/{}".format, st.integers(-10**6, 10**6), st.integers(-10**3, 10**3)),
+    st.sampled_from(["0", "-0", "100", "1e30", "-1e30", "2.5", "1e-30"]),
+    _BAD,
+)
+_INT = st.one_of(st.integers(-5, 30).map(str), st.just(str(10**30)), _BAD)
+
+
+def _eps_in_budget(text: str) -> bool:
+    # eps = 1/1000 runs for over a minute, an open performance item, so
+    # positive eps stays at or above 1/20; nonpositive and malformed eps stay in
+    try:
+        return not 0 < Fraction(text) < Fraction(1, 20)
+    except (ValueError, ZeroDivisionError):
+        return True
+
+
+def _max_abs_in_budget(text: str) -> bool:
+    # the enumeration grows with the square of --max-abs: 20 takes about 0.5 s
+    try:
+        return Fraction(text) <= 20
+    except (ValueError, ZeroDivisionError):
+        return True
+
+
+_OUT = object()  # --out draws a path in the test's temporary directory
+_TYPE, _KMAX = st.sampled_from(["0", "3"]) | _INT, st.integers(2, 11).map(str) | _INT
+_FLAGS = {
+    "verify-all": {"--tmin": _RAT, "--kmax": _KMAX, "--out": _OUT},
+    "irreducible-list": {"--json": None},
+    "small-solutions": {"--tmin": _RAT, "--json": None},
+    "enumerate": {"--max-abs": _RAT.filter(_max_abs_in_budget), "--json": None},
+    "descent": {"--type": _TYPE, "--tmin": _RAT, "--kmax": _KMAX, "--json": None},
+    "constants": {"--type": _TYPE, "--tmin": _RAT, "--json": None},
+    "corollary-lin": {"--C": _RAT, "--t0": _RAT, "--json": None},
+    "corollary-eps": {"--eps": _RAT.filter(_eps_in_budget), "--json": None},
+    "rouche-certs": {"--tmin": _RAT, "--json": None},
+}
+_REQUIRED = {"enumerate": "--max-abs", "descent": "--type", "constants": "--type",
+             "corollary-lin": "--C", "corollary-eps": "--eps"}
+_ANY_FLAG = sorted({f for flags in _FLAGS.values() for f in flags} | {"--version", "-h"})
+
+
+@st.composite
+def _argv(draw, out_dir: str):
+    command = draw(st.sampled_from(sorted(_FLAGS) + ["no-such-command", "--version", ""]))
+    flags = _FLAGS.get(command, {})
+    # the command's own flags, each possibly repeated; the required one usually
+    # first, and sometimes a flag that belongs elsewhere
+    names = draw(st.lists(st.sampled_from(sorted(flags) or _ANY_FLAG), max_size=4))
+    if command in _REQUIRED and draw(st.integers(0, 4)):
+        names.insert(0, _REQUIRED[command])
+    if not draw(st.integers(0, 4)):
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(_ANY_FLAG)))
+    argv = [command] if command else []
+    for name in names:
+        argv.append(name)
+        values = flags.get(name, _RAT)
+        if values is None or name in ("--version", "-h"):
+            continue
+        if values is _OUT:
+            values = st.sampled_from([f"{out_dir}/r.json", f"{out_dir}/missing/r.json", out_dir])
+        if draw(st.integers(0, 7)):  # else the value is missing
+            argv.append(draw(values))
+    return argv
+
+
+def test_cli_fuzz_ends_in_a_documented_exit_code():
+    with tempfile.TemporaryDirectory() as out_dir:
+        @settings(max_examples=150, deadline=None, database=None)
+        @given(_argv(out_dir))
+        def run(argv):
+            sink = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+                    code = main(argv)
+            except SystemExit as exc:  # argparse's own exits: usage, --help, --version
+                code = exc.code
+            assert code in (0, 1, 2, 64), (argv, code, sink.getvalue()[-500:])
+
+        run()

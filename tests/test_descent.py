@@ -186,7 +186,7 @@ def test_nonvanish_poly_matches_the_gaussian_rational_expression():
     t = TPoly([0, 1])
     for ti in KSTART:
         for k in range(KSTART[ti], KMAX + 1):
-            pair, _, P = descent._step_algebra(ti, k)
+            pair, _, _, P = descent._step_algebra(ti, k)
             X, Y = _reverse(pair.U, k - 1), _reverse(pair.V, k - 1)
             oracle = (X**4 - t * X**3 * Y - 6 * X**2 * Y**2
                       + t * X * Y**3 + Y**4)

@@ -134,6 +134,12 @@ def test_small_solution_search_empty_at_100():
     assert small_solution_search(F(100)) == []
 
 
+def test_small_solution_search_refuses_a_negative_bound():
+    # |t| >= -5 holds for every t; squaring the bound once dropped them all
+    with pytest.raises(ValueError):
+        small_solution_search(F(-5))
+
+
 def test_small_solution_search_full_t_set():
     # the +-closed t-value set of every non-trivial solution with
     # min{|x|, |y|} < 3: +-{1, 4, 4i, 3 sqrt(-2), 2 sqrt(-3),
@@ -438,6 +444,16 @@ def test_divisibility_check_sees_a_perturbed_b(monkeypatch):
     t = GaussRat(F(0), F(100))
     for r in (1, 2, 3):
         assert not divisibility_ball_check(r, t)["all_contain_zero"], r
+
+
+@pytest.mark.parametrize("r, t, radius", [
+    (5, GaussRat(F(37, 3), F(-512, 7)), F(1085807812203038287421, 1 << 127)),
+    (3, GaussRat(F(0), F(100)), F(416625330323, 1 << 128)),
+])
+def test_divisibility_check_radius_is_pinned(r, t, radius):
+    # exact values, taken while the Thue polynomials were still held as GaussRat lists
+    out = divisibility_ball_check(r, t)
+    assert out["all_contain_zero"] and out["max_radius"] == radius
 
 
 def test_divisibility_check_refuses_a_negative_order():

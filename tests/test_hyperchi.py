@@ -5,7 +5,6 @@ import pytest
 
 from thueq.hyperchi import (
     LettlBoundViolation,
-    chi,
     chi_coeffs,
     denom_data,
     gamma_ratio_g1,
@@ -113,8 +112,6 @@ def chi_ode_residual(r: int) -> list:
 def test_chi_small_cases():
     assert chi_coeffs(1) == (F(1), F(5, 3))
     assert chi_coeffs(2) == (F(1), F(6), F(15, 7))
-    c = chi(1)
-    assert c.r == 1 and c.coeffs == (F(1), F(5, 3))
 
 
 def test_chi_ode_residual_vanishes():

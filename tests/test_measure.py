@@ -148,6 +148,15 @@ def test_theorem_assembly_inconclusive_below_domain(assembly_80):
     assert "kappa below 3" in failed
 
 
+def test_theorem_assembly_below_zero_fails_the_first_gates():
+    # every t has |t| >= -200; squaring tmin once passed the irreducibility gate
+    rep = theorem_assembly(F(-200))
+    assert rep.verdict == "inconclusive"
+    irred, small = rep.all_gates[:2]
+    assert not irred.ok and irred.detail == "27 reducible parameters, 27 at or above tmin"
+    assert not small.ok and small.detail.startswith("ValueError")
+
+
 def test_theorem_assembly_gate_failure_is_reported_not_raised():
     # an unusable descent depth must surface as a failed gate
     rep = theorem_assembly(F(100), kmax=5)

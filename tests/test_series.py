@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (QUARTIC as QUARTIC_ORACLE, _gpow, approximants_oracle, chi_star_oracle,
-                     from_form, thue_data_oracle)
+                     from_form, series_inverse, thue_data_oracle)
 
 from thueq import series, zpoly
 from thueq.descent import KMAX, KSTART
@@ -19,6 +19,7 @@ from thueq.series import (
     GaussRat,
     PadePair,
     Series,
+    TPoly,
     alpha3_series,
     approximants,
     cross_product,
@@ -52,7 +53,7 @@ def _newton_oracle(N):
 
     x = Series([0], N)
     for _ in range(math.ceil(math.log2(N)) + 1):
-        x = x - f(x) / df(x)
+        x = x - f(x) * series_inverse(df(x))
     return x
 
 
@@ -77,11 +78,12 @@ def _solve_linear_oracle(A, rhs):
 def _pade_oracle(B, deg_num, n):
     """The Pade pair by Gaussian elimination over Q(i), contact order from
     the Series residual."""
-    rows = [[B.coeffs[k - j] if k >= j else G0 for j in range(1, n + 1)]
+    b = B.coeffs
+    rows = [[b[k - j] if k >= j else G0 for j in range(1, n + 1)]
             for k in range(deg_num + 1, deg_num + n + 1)]
-    rhs = [-B.coeffs[k] for k in range(deg_num + 1, deg_num + n + 1)]
+    rhs = [-b[k] for k in range(deg_num + 1, deg_num + n + 1)]
     v = [G1] + (_solve_linear_oracle(rows, rhs) if n else [])
-    U = tuple(sum((v[j] * B.coeffs[k - j] for j in range(min(k, n) + 1)), G0)
+    U = tuple(sum((v[j] * b[k - j] for j in range(min(k, n) + 1)), G0)
               for k in range(deg_num + 1))
     resid = Series(list(U), B.trunc) - B * Series(v, B.trunc)
     return PadePair(U, tuple(v), resid.valuation())
@@ -198,6 +200,33 @@ def test_pade_requires_enough_terms():
     a = newton_alpha_series(5)
     with pytest.raises(ArithmeticError):
         pade(a, 10, 10)
+
+
+_gauss_rats = st.lists(st.builds(lambda a, b, c, d: GaussRat(F(a, c), F(b, d)),
+                                 st.integers(-50, 50), st.integers(-50, 50),
+                                 st.integers(1, 12), st.integers(1, 12)), max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gauss_rats, _gauss_rats, st.integers(1, 8))
+def test_the_one_storage_against_coefficientwise_q_i(a, b, trunc):
+    # num over den in lowest terms: den is the least common denominator, the
+    # coefficients read back, and a common factor in from_ints reduces away
+    p, q = TPoly(a), TPoly(b)
+    while a and not a[-1]:
+        a = a[:-1]
+    assert p.coeffs == a and p.degree() == len(a) - 1
+    assert p.den == math.lcm(*(x.denominator for c in a for x in (c.re, c.im)))
+    tripled = TPoly.from_ints(tuple([3 * x for x in xs] for xs in p.num), 3 * p.den)
+    assert (tripled.num, tripled.den) == (p.num, p.den) and tripled == p
+    prod = [sum((x * y for i, x in enumerate(a) for j, y in enumerate(b) if i + j == k), G0)
+            for k in range(len(a) + len(b))]
+    n = max(len(a), len(b))
+    total = [x + y for x, y in zip(a + [G0] * n, b + [G0] * n)]
+    assert p * q == TPoly(prod) and p + q == TPoly(total) and p - p == 0
+    S, T = Series(a, trunc), Series(b, trunc)
+    assert (S * T).coeffs == (prod + [G0] * trunc)[:trunc]
+    assert (S - T + T).coeffs == (a + [G0] * trunc)[:trunc] and S == S - T + T
 
 
 def test_tail_bound():
