@@ -17,8 +17,13 @@ EXIT_INTERNAL = 2
 EXIT_USAGE = 64
 
 # rounded bounds can carry thousands of digits; keep str() able to print them
+MAX_DIGITS = 200_000
 if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(200_000)
+    sys.set_int_max_str_digits(MAX_DIGITS)
+
+
+class OutputLimitError(Exception):
+    """An exact result has more digits than the CLI prints."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,7 +49,11 @@ def _nonneg_rat(text: str) -> Fraction:
 def _num(x) -> dict:
     """Canonical rendering of a rational: exact plus 4-digit decimal hint."""
     x = Fraction(x)
-    return {"rat": f"{x.numerator}/{x.denominator}", "dec": sig_str(x)}
+    try:
+        rat = f"{x.numerator}/{x.denominator}"
+    except ValueError:  # an integer past MAX_DIGITS
+        raise OutputLimitError from None
+    return {"rat": rat, "dec": sig_str(x)}
 
 
 def _quad(q) -> dict:
@@ -338,6 +347,11 @@ def main(argv=None) -> int:
             parser.error(f"--kmax must be in [{kmin}, {KMAX}]")
     try:
         return args.fn(args)
+    except OutputLimitError:
+        hint = "a smaller --C" if args.command == "corollary-lin" else "smaller arguments"
+        print(f"output limit: an exact result exceeds the {MAX_DIGITS:,}-digit "
+              f"output limit; ask for {hint}", file=sys.stderr)
+        return EXIT_USAGE
     except (ArithmeticError, ValueError) as exc:
         print(f"certification failure: {type(exc).__name__}: {exc}",
               file=sys.stderr)

@@ -187,13 +187,18 @@ def t_value_set(solutions) -> set:
 # certified root enclosures and type classification
 
 
+@lru_cache(maxsize=32)
+def _sqrt_enclosure(d: int) -> tuple[Fraction, Fraction]:
+    """sqrt(d) lies in [lo, hi], both on the ball grid."""
+    return sqrt_lower(Fraction(d)), sqrt_upper(Fraction(d))
+
+
 def _embed(x: QuadInt) -> ComplexBall:
     """Complex embedding with Im(sqrt(-d)) > 0, certified enclosure."""
     re, im_coeff = x.re_im()
     if im_coeff == 0:
         return ComplexBall.exact(re)
-    lo = sqrt_lower(Fraction(x.d))
-    hi = sqrt_upper(Fraction(x.d))
+    lo, hi = _sqrt_enclosure(x.d)
     mid = (lo + hi) / 2
     return ComplexBall(re, im_coeff * mid, abs(im_coeff) * (hi - lo))
 
@@ -278,9 +283,18 @@ def all_root_balls(t_complex: complex, t_gauss, extra_sqrt,
                    target_radius: Rat) -> list[ComplexBall]:
     """The four roots of f_t, ordered by the cyclic structure starting from
     the root of smallest modulus: alpha0, alpha1 (near -1), alpha2 (large),
-    alpha3 (near 1)."""
+    alpha3 (near 1).
+
+    The certified, pairwise disjoint set is built once per process for each
+    (t, radius) and shared by every caller (at most 64 sets are kept); a
+    TieError is not cached.  Each call returns a fresh list."""
+    return list(_root_balls(t_complex, t_gauss, extra_sqrt, target_radius))
+
+
+@lru_cache(maxsize=64)
+def _root_balls(t_complex, t_gauss, extra_sqrt, target_radius) -> tuple[ComplexBall, ...]:
     seeds = _root_seeds(t_complex)
-    balls = [root_ball(t_gauss, s, target_radius, extra_sqrt) for s in seeds]
+    balls = tuple(root_ball(t_gauss, s, target_radius, extra_sqrt) for s in seeds)
     # pairwise disjointness makes the correspondence certified
     for i in range(4):
         for j in range(i + 1, 4):

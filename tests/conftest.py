@@ -4,9 +4,17 @@ from fractions import Fraction
 
 import pytest
 
+from thueq import dioph
 from thueq.descent import run_descent
 from thueq.hyperchi import verify_lettl
 from thueq.measure import theorem_assembly
+
+
+@pytest.fixture(autouse=True)
+def _cold_root_balls():
+    """Each test starts without cached root balls, so a test that patches
+    root_ball or _certify_root does not depend on which tests ran before."""
+    dioph._root_balls.cache_clear()
 
 
 @pytest.fixture(scope="session")

@@ -171,6 +171,14 @@ def test_math_domain_errors_exit_2():
     assert r.returncode == 2
 
 
+def test_a_result_past_the_output_limit_exits_64(capsys):
+    # C0 has 756,617 digits at C = 10^300: certified, but too long to print
+    assert main(["corollary-lin", "--C", "1e300"]) == 64
+    err = capsys.readouterr().err
+    assert "200,000-digit output limit" in err and "--C" in err
+    assert "certification failure" not in err
+
+
 def test_unwritable_out_exits_2(capsys, tmp_path):
     assert main(["verify-all", "--out", str(tmp_path / "missing" / "x.json")]) == 2
     err = capsys.readouterr().err

@@ -319,8 +319,53 @@ def test_root_balls_of_an_irrational_parameter_are_pinned(d, a, b, digest):
     t = QuadInt(d, a, b)
     t_gauss, extra = _t_exact(t)
     assert t_gauss is None  # the parameter is enclosed in a ball
-    balls = all_root_balls(_t_complex(t), t_gauss, extra, F(1, 1 << 64))
-    assert hashlib.sha256(repr(balls).encode()).hexdigest() == digest
+    for _ in ("cold", "cached"):
+        balls = all_root_balls(_t_complex(t), t_gauss, extra, F(1, 1 << 64))
+        assert hashlib.sha256(repr(balls).encode()).hexdigest() == digest
+    assert dioph._root_balls.cache_info().hits == 1
+
+
+def _counting_root_ball(monkeypatch) -> list:
+    calls = []
+    real = dioph.root_ball
+    monkeypatch.setattr(dioph, "root_ball",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+def test_one_root_ball_set_per_t(monkeypatch):
+    # three classifications and one query on one t build the four balls once
+    calls = _counting_root_ball(monkeypatch)
+    t = QuadInt(1, 0, 100)
+    t_gauss, extra = _t_exact(t)
+    assert classify_type(t, QuadInt(1, -5, 0), QuadInt(1, 5, 0)) == 1
+    assert classify_type(t, QuadInt(1, 5, 0), QuadInt(1, 5, 0)) == 3
+    assert classify_type(t, QuadInt(1, 0, 99), QuadInt(1, 1, 0)) == 2
+    all_root_balls(_t_complex(t), t_gauss, extra, F(1, 1 << 64))
+    assert len(calls) == 4
+
+
+def test_cached_root_balls_equal_the_cold_ones_in_a_fresh_list():
+    t = QuadInt(1, 37, -512)
+    args = (_t_complex(t), *_t_exact(t), F(1, 1 << 64))
+    cold = all_root_balls(*args)
+    cached = all_root_balls(*args)
+    assert dioph._root_balls.cache_info().hits == 1
+    assert cached == cold and cached is not cold
+    cached[0] = None
+    assert all_root_balls(*args) == cold
+
+
+def test_a_tied_rung_is_not_cached(monkeypatch):
+    # t = 3 + 40 omega in d = 7 stalls short of 2^-256 (see the test below)
+    t = QuadInt(7, 3, 40)
+    args = (_t_complex(t), *_t_exact(t), F(1, 1 << 256))
+    calls = _counting_root_ball(monkeypatch)
+    for n in (1, 2):
+        with pytest.raises(TieError):
+            all_root_balls(*args)
+        assert len(calls) == n  # the first seed stalls, and is retried
+    assert dioph._root_balls.cache_info().currsize == 0
 
 
 def test_root_ball_stops_once_the_radius_stalls(monkeypatch):
