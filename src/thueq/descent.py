@@ -4,7 +4,6 @@ replayed in exact rational arithmetic and every side condition certified."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -12,7 +11,7 @@ from functools import lru_cache
 from . import zpoly
 from .exactnum import Rat, round_up_sig
 from .rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER
-from .series import (QUARTIC, GaussRat, PadePair, Series, pade, pade_residual,
+from .series import (QUARTIC, PadePair, Series, inverse_horner, pade, pade_residual,
                      root_series, tail_bound)
 
 BETA_COEFF = Fraction("8.86")          # |x - alpha y| < 8.86/(|t| |y|^3)
@@ -40,13 +39,11 @@ class NonVanishingError(ArithmeticError):
 class StepRecord:
     type_index: int
     k: int
-    c0_in: Rat
     c1: Rat
     c2: Rat
     c3: Rat
     c_exact: Rat
     c_out: Rat
-    y_lower_at_100: Rat
     nonvanish_margin: Rat
     nonvanish_ok: bool
     pade: PadePair
@@ -94,28 +91,10 @@ def step2_type0(tmin: Rat = Fraction(100)) -> Rat:
     return STEP2_DIVISOR
 
 
-def _integral_pair(pair: PadePair) -> PadePair:
-    """Scale (U, V) to primitive integer coefficients: the linear form
-    t^(k-1)(Vx - Uy) must be a quadratic integer, so rational coefficients
-    are cleared by the lcm of denominators (then reduced to content 1)."""
-    vals = [c for c in pair.U + pair.V if c]
-    if any(c.im for c in vals):
-        raise DerivationError("expected real Pade coefficients")
-    lam = Fraction(
-        math.lcm(*(c.re.denominator for c in vals)),
-        math.gcd(*(c.re.numerator for c in vals)),
-    )
-    scale = GaussRat.of(lam)
-    return PadePair(tuple(c * scale for c in pair.U),
-                    tuple(c * scale for c in pair.V), pair.contact_order)
-
-
 def _reversed_ints(coeffs, degree: int) -> list[int]:
     """Ascending integer coefficients of t^degree * p(1/t), where coeffs are
-    the ascending (real integral) coefficients of p, of degree <= degree."""
-    if any(c.im or c.re.denominator != 1 for c in coeffs):
-        raise DerivationError("Pade pair is not integral")
-    return [0] * (degree + 1 - len(coeffs)) + [int(c.re) for c in reversed(coeffs)]
+    the ascending integer coefficients of p, of degree <= degree."""
+    return [0] * (degree + 1 - len(coeffs)) + list(reversed(coeffs))
 
 
 def _nonvanish_poly(pair: PadePair, k: int) -> tuple[int, ...]:
@@ -137,28 +116,26 @@ def _nonvanish_poly(pair: PadePair, k: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _step_algebra(type_index: int, k: int) -> tuple[PadePair, Series, Series, tuple[int, ...]]:
-    """The tmin-free part of step k, built once per process: the integral
+    """The tmin-free part of step k, built once per process: the integer
     Pade pair of the root series, its residual U - BV, V as a series and the
     non-vanishing polynomial P.  The series are shared by every caller and
     must not be mutated."""
     B = root_series(type_index)
-    pair = _integral_pair(pade(B, k - 1, k - 1))
-    return pair, pade_residual(B, pair), Series(pair.V, B.trunc), _nonvanish_poly(pair, k)
+    pair = pade(B, k - 1, k - 1)
+    V = Series.from_ints((pair.V, ()), 1, B.trunc)
+    return pair, pade_residual(B, pair), V, _nonvanish_poly(pair, k)
 
 
 def _nonvanish_gate(P: tuple[int, ...], c0: Rat, c3: Rat, tmin: Rat) -> Rat:
     """Certified margin of |F_t(A(1/t) y, y)| > 1 under |y| > |t|^(k-1)/c0:
     L * tmin^deg / (c0^4 c3^4) - 1, with L the leading coefficient of P
     minus the absolute lower-order contribution at tmin."""
-    deg = len(P) - 1
     tmin = Fraction(tmin)
-    L = Fraction(abs(P[deg]))
-    for j in range(deg):
-        if P[j]:
-            L -= abs(P[j]) * tmin ** (j - deg)
+    lead, *lower = (abs(c) for c in reversed(P))
+    L = inverse_horner([lead] + [-c for c in lower], tmin)
     if L <= 0:
         raise NonVanishingError("no positive lower bound for |P(t)|")
-    return L * tmin ** deg / (Fraction(c0) ** 4 * Fraction(c3) ** 4) - 1
+    return L * tmin ** len(lower) / (Fraction(c0) ** 4 * Fraction(c3) ** 4) - 1
 
 
 def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = Fraction(100)) -> StepRecord:
@@ -178,9 +155,8 @@ def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = Fraction(100)) -> Ste
     c_out = round_up_sig(c_exact, 4)
     margin = _nonvanish_gate(P, c0, c3, tmin)
     return StepRecord(
-        type_index=type_index, k=k, c0_in=c0,
+        type_index=type_index, k=k,
         c1=c1, c2=c2, c3=c3, c_exact=c_exact, c_out=c_out,
-        y_lower_at_100=Fraction(100) ** k / c_out,
         nonvanish_margin=margin, nonvanish_ok=margin > 0, pade=pair,
     )
 

@@ -1,6 +1,5 @@
 """Exact rational substrate: intervals with rational endpoints, certified
-logarithm enclosures, fractional-power comparisons and complex ball
-arithmetic.
+logarithm enclosures, integer roots and complex ball arithmetic.
 
 Every routine here either returns an exact rational or an enclosure that
 provably contains the true real/complex value.  No floating point enters
@@ -89,22 +88,12 @@ def sig_str(x: Rat, digits: int = 4) -> str:
 
 
 def _plain_decimal(r: Rat) -> str:
-    e = _dec_exponent(r)
-    if e >= 0:
-        scaled = r
-        shift = 0
-        while scaled.denominator != 1:
-            scaled *= 10
-            shift += 1
-        s = str(scaled.numerator)
-        return s if shift == 0 else s[:-shift] + "." + s[-shift:]
-    shift = 0
-    scaled = r
+    scaled, shift = r, 0
     while scaled.denominator != 1:
         scaled *= 10
         shift += 1
-    s = str(scaled.numerator).rjust(shift, "0")
-    return "0." + s.rjust(shift, "0")
+    s = str(scaled.numerator).rjust(shift + 1, "0")  # a leading 0 below 1
+    return s if shift == 0 else s[:-shift] + "." + s[-shift:]
 
 
 # ---------------------------------------------------------------------------
@@ -143,10 +132,7 @@ def sqrt_upper(q: Rat, bits: int = GRID_BITS) -> Rat:
         return Fraction(0)
     scale = 1 << bits
     n = -((-q.numerator * scale * scale) // q.denominator)
-    s = math.isqrt(n)
-    if s * s < n:
-        s += 1
-    return Fraction(s, scale)
+    return Fraction(math.isqrt(n - 1) + 1, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +261,6 @@ def kappa(t_abs: Rat, target_width: Rat) -> RatInterval:
             return result
         w /= 4
     raise UndefinedKappaError(f"kappa enclosure did not converge for t={t_abs}")
-
-
-def pow_cmp(a: Rat, p: int, b: Rat, q: int) -> int:
-    """Ordering of a**(1/p) versus b**(1/q): -1, 0 or +1.
-
-    Exact: reduces to comparing a**q with b**p.
-    """
-    a, b = Fraction(a), Fraction(b)
-    if a <= 0 or b <= 0 or p <= 0 or q <= 0:
-        raise DomainError("pow_cmp requires positive arguments")
-    lhs = a ** q
-    rhs = b ** p
-    return (lhs > rhs) - (lhs < rhs)
 
 
 # ---------------------------------------------------------------------------

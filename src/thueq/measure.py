@@ -9,13 +9,14 @@ check at tmin certifies the whole range |t| >= tmin.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import descent, exactnum
 from .exactnum import (Rat, UndefinedKappaError, iroot, kappa, ln_enclosure,
-                       pow_cmp, round_up_sig, sig_str)
+                       round_up_sig, sig_str)
 from .hyperchi import LETTL_E_BASE, LETTL_K0, LETTL_L0, LETTL_Q_BASE
 from .rouche import (ALPHA0_RADIUS, ALPHA2_RADIUS, ALPHA13_RADIUS, base_certificates,
                      root_separation)
@@ -182,10 +183,7 @@ def rat_pow_upper(x: Rat, e: Rat, bits: int = 80) -> Rat:
         scale = 1 << bits
         num = x ** p
         target = -((-num.numerator * scale ** q) // num.denominator)
-        r = iroot(target, q)
-        if r ** q < target:
-            r += 1
-        out *= F(r, scale)
+        out *= F(iroot(target - 1, q) + 1, scale)
     return out
 
 
@@ -241,16 +239,8 @@ def contradiction_upper_bound(tmin: Rat) -> Rat | None:
     p = int(100 * (3 - kc))
     if p <= 0:
         return None
-    lo, hi = 1, 10
-    while pow_cmp(F(hi), 100, CONTRADICTION_COEFF, p) < 0:
-        hi *= 10
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pow_cmp(F(mid), 100, CONTRADICTION_COEFF, p) >= 0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return F(lo)
+    # X^(p/100) >= 137.16 iff the integer X^p is >= ceil(137.16^100)
+    return F(iroot(math.ceil(CONTRADICTION_COEFF ** 100) - 1, p) + 1)
 
 
 def theorem_assembly(tmin: Rat = F(100), kmax: int = 11) -> ProofReport:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import zpoly
 from .exactnum import Rat
-from .series import QUARTIC, GaussRat, Series, root_series
+from .series import QUARTIC, Series, inverse_horner, root_series
 
 
 class CertificationError(ArithmeticError):
@@ -27,7 +27,7 @@ class CertificationError(ArithmeticError):
 
 @dataclass(frozen=True)
 class EnclosureCert:
-    center: dict          # {power of t: GaussRat}, negative powers allowed
+    center: dict          # {power of t: int}, negative powers allowed
     radius_c: Rat
     radius_exp: int
     tmin: Rat
@@ -40,16 +40,16 @@ def _taylor_terms(center: tuple) -> tuple:
     """The monomials c t^p z^j of h(z) = f(C + z), with
     h_j = f^(j)(C)/j! = sum_i binom(i, j) f_i C^(i-j), as (j, p, c) tuples
     with integer c != 0, j = 1..4 then 0.  The center C is given as its
-    sorted (power of t, coefficient) items, which must be rational integers;
-    it is held as t^lo times a dense integer list, and each h_j as t^base
-    times one, with base = min(0, 4 lo) below every power that occurs.
+    sorted (power of t, coefficient) items, which must be ints; it is held
+    as t^lo times a dense integer list, and each h_j as t^base times one,
+    with base = min(0, 4 lo) below every power that occurs.
     Built once per center."""
-    if any(c.im or c.re.denominator != 1 for _, c in center):
+    if not all(isinstance(c, int) for _, c in center):
         raise CertificationError("center coefficients must be rational integers")
     lo, hi = (center[0][0], center[-1][0]) if center else (0, -1)
     C = [0] * (hi - lo + 1)
     for p, c in center:
-        C[p - lo] = c.re.numerator
+        C[p - lo] = c
     cpow = [[1]]
     for _ in range(4):
         cpow.append(zpoly.mul(cpow[-1], C))
@@ -82,31 +82,30 @@ def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
     if len(dominants) != 1:
         raise CertificationError("dominant linear term not unique")
     _, p0, c0 = dominants[0]
-    A = abs(c0) * radius_c
-    w = 1 / tmin
-    rest = Fraction(0)
-    ok = True
+    # the rest as sum_d a_d w^d over d = e - e0 >= 0, with w = 1/tmin and
+    # radius_c = rn/rd: radius_c^j cleared by rd^4 (j <= 4)
+    rn, rd = radius_c.numerator, radius_c.denominator
+    cleared = [rn ** j * rd ** (4 - j) for j in range(5)]
+    rest: list[int] = []
     for j, p, c in terms:
         if j == 1 and p == p0:
             continue
-        e = j * radius_exp - p
-        if e < e0:
+        d = j * radius_exp - p - e0
+        if d < 0:
             # a non-dominant term decays slower than the dominant one:
             # no uniform certificate from this split
-            ok = False
-            break
-        rest += abs(c) * radius_c ** j * w ** (e - e0)
-    if not ok:
-        return EnclosureCert(center, radius_c, radius_exp, tmin, False, Fraction(-1))
-    margin = A - rest
+            return EnclosureCert(center, radius_c, radius_exp, tmin, False, Fraction(-1))
+        rest += [0] * (d + 1 - len(rest))
+        rest[d] += abs(c) * cleared[j]
+    margin = abs(c0) * radius_c - inverse_horner(rest, tmin) / rd ** 4
     return EnclosureCert(center, radius_c, radius_exp, tmin, margin > 0, margin)
 
 
 # the four low-order root centers of the quartic
-CENTER_ALPHA0 = {-1: GaussRat.of(-1)}
-CENTER_ALPHA1 = {0: GaussRat.of(-1)}
-CENTER_ALPHA3 = {0: GaussRat.of(1)}
-CENTER_ALPHA2 = {1: GaussRat.of(1)}
+CENTER_ALPHA0 = {-1: -1}
+CENTER_ALPHA1 = {0: -1}
+CENTER_ALPHA3 = {0: 1}
+CENTER_ALPHA2 = {1: 1}
 
 ALPHA0_RADIUS = Fraction("5.01")   # alpha0 within 5.01/|t|^3
 ALPHA13_RADIUS = Fraction("2.16")  # alpha1 and alpha3 within 2.16/|t|
@@ -129,7 +128,10 @@ def base_certificates(tmin: Rat = Fraction(100)) -> dict[str, EnclosureCert]:
 
 
 def _series_center(s: Series) -> dict:
-    return {-k: c for k, c in enumerate(s.coeffs) if c}
+    """The center {-k: s_k} of a root series, which lies in Z[[1/t]]."""
+    if s.den != 1 or s.num[1]:
+        raise CertificationError("center coefficients must be rational integers")
+    return {-k: c for k, c in enumerate(s.num[0]) if c}
 
 
 # the high-order radii radius_c/|t|^radius_exp, by root type: type 0 is

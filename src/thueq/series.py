@@ -355,7 +355,7 @@ class DegeneratePadeError(ArithmeticError):
 
 @dataclass(frozen=True)
 class PadePair:
-    U: tuple  # GaussRat coefficients, ascending
+    U: tuple  # integer coefficients, ascending
     V: tuple
     contact_order: int
 
@@ -394,9 +394,9 @@ def _bareiss_solve(M: list[list[int]]) -> tuple[int, list[int]]:
 
 
 def pade(B: Series, deg_num: int, deg_den: int) -> PadePair:
-    """U/V with U - B*V = O(s^(deg_num+deg_den+1)), V(0) = 1, for a real
-    series B: solved over Z by Bareiss elimination on B's numerator,
-    converted to Q(i) at the end."""
+    """U/V with U - B*V = O(s^(deg_num+deg_den+1)) for a real series B, as
+    the primitive integer pair with V(0) > 0: solved over Z by Bareiss
+    elimination on B's numerator."""
     order = deg_num + deg_den + 1
     if B.trunc < order:
         raise ValuationError(f"series known only modulo s^{B.trunc}, need {order}")
@@ -408,8 +408,10 @@ def pade(B: Series, deg_num: int, deg_den: int) -> PadePair:
     bv = zpoly.mul(b, v)
     u = bv[:deg_num + 1]
     contact = _contact(zpoly.sub(u, bv)[:len(b)], order)
-    return PadePair(tuple(GaussRat.of(Fraction(c, det * den)) for c in u),
-                    tuple(GaussRat.of(Fraction(c, det)) for c in v), contact)
+    # U = u/(det den) and V = v/det, cleared by det den and made primitive
+    v = zpoly.scale(den, v)
+    g = math.gcd(*u, *v) * (1 if det > 0 else -1)
+    return PadePair(tuple(c // g for c in u), tuple(c // g for c in v), contact)
 
 
 def _contact(resid: list[int], required: int) -> int:
@@ -421,32 +423,35 @@ def _contact(resid: list[int], required: int) -> int:
 
 def pade_residual(B: Series, pair: PadePair) -> Series:
     """U - B*V as a series (valuation >= contact order), computed over Z."""
-    b = _real(B.num)
-    uv, den_p = _cleared(pair.U + pair.V)
-    uv = _real(uv)
-    u, v = uv[:len(pair.U)], uv[len(pair.U):]
-    resid = zpoly.sub(zpoly.scale(B.den, u), zpoly.mul(b, v))
-    return Series.from_ints((resid, []), B.den * den_p, B.trunc)
+    resid = zpoly.sub(zpoly.scale(B.den, pair.U), zpoly.mul(_real(B.num), pair.V))
+    return Series.from_ints((resid, []), B.den, B.trunc)
 
 
 # ---------------------------------------------------------------------------
 # tail bounds
 
+def inverse_horner(a, tmin: Rat) -> Rat:
+    """sum_d a_d / tmin^d for integers a_d (exact): summed over Z by Horner's
+    rule in tmin = p/q and divided once."""
+    p, q = tmin.numerator, tmin.denominator
+    acc, qk = 0, 1  # sum_d a_d q^d p^(top - d), top the last index
+    for c in a:
+        acc, qk = acc * p + c * qk, qk * q
+    return Fraction(acc, p ** max(len(a) - 1, 0))
+
+
 def tail_bound(expr: Series, lead_exp: int, tmin: Rat) -> Rat:
     """c with |expr(1/t)| <= c / |t|^lead_exp for all |t| >= tmin (exact), for
-    a real series: c = sum_j |n_j| tmin^(lead_exp - j) / den over the
-    numerator n_j, summed over Z by Horner in tmin = p/q and divided once."""
+    a real series: c = sum_j |n_j| / tmin^(j - lead_exp) / den over the
+    numerator n_j."""
     tmin = Fraction(tmin)
     if tmin < 1:
         raise ValueError("tmin must be >= 1")
-    n, (p, q) = _real(expr.num), (tmin.numerator, tmin.denominator)
+    n = _real(expr.num)
     j = next((j for j, c in enumerate(n) if c), lead_exp)
     if j < lead_exp:
         raise ValueError(f"term s^{j} below claimed leading exponent {lead_exp}")
-    acc, qk = 0, 1  # sum_j |n_j| q^(j - lead_exp) p^(top - j), top the last index
-    for c in n[lead_exp:]:
-        acc, qk = acc * p + abs(c) * qk, qk * q
-    return Fraction(acc, expr.den * p ** max(len(n) - 1 - lead_exp, 0))
+    return inverse_horner([abs(c) for c in n[lead_exp:]], tmin) / expr.den
 
 
 # ---------------------------------------------------------------------------

@@ -210,3 +210,39 @@ def approximants_oracle(xi: int, r: int) -> tuple[TPoly, TPoly]:
     mi_r = _gpow(-GI, r % 4)
     return ((-(GI + 1)) * mi_r * ratio * (first - GI * second),
             (GI - 1) * mi_r * ratio * (first + GI * second))
+
+
+# ---------------------------------------------------------------------------
+# the |t|-uniform margins as they were summed before one integer Horner
+# replaced the per-term Fraction powers
+
+
+def enclosure_margin_oracle(terms, radius_c: Fraction, radius_exp: int,
+                            tmin: Fraction) -> Fraction:
+    """The margin of ``rouche.certify_enclosure`` on the Taylor monomials
+    (j, p, c): |c0| radius_c minus sum |c| radius_c^j w^(e - e0) over the
+    other monomials, e = j radius_exp - p and w = 1/tmin, or -1 when one of
+    them decays slower than the dominant linear term (p0, c0)."""
+    lin = [(radius_exp - p, p, c) for j, p, c in terms if j == 1]
+    e0 = min(e for e, _, _ in lin)
+    (_, p0, c0), = [x for x in lin if x[0] == e0]
+    w, rest = 1 / tmin, Fraction(0)
+    for j, p, c in terms:
+        if j == 1 and p == p0:
+            continue
+        e = j * radius_exp - p
+        if e < e0:
+            return Fraction(-1)
+        rest += abs(c) * radius_c ** j * w ** (e - e0)
+    return abs(c0) * radius_c - rest
+
+
+def nonvanish_margin_oracle(P, c0: Fraction, c3: Fraction, tmin: Fraction) -> Fraction:
+    """The margin of ``descent._nonvanish_gate``: L tmin^deg / (c0^4 c3^4) - 1
+    with L = |P_deg| - sum_j |P_j| tmin^(j - deg), term by term."""
+    deg = len(P) - 1
+    L = Fraction(abs(P[deg]))
+    for j in range(deg):
+        if P[j]:
+            L -= abs(P[j]) * tmin ** (j - deg)
+    return L * tmin ** deg / (c0 ** 4 * c3 ** 4) - 1

@@ -229,8 +229,10 @@ def test_criterion_06_descent_tables(descent_chain_0, descent_chain_3):
                 assert abs(rec.c_out - ref) <= ulp
             assert all(r.nonvanish_ok for r in chain)
         # final bounds at published (4 significant digit) precision
-        assert round_nearest_sig(descent_chain_0[-1].y_lower_at_100) >= F("2.116e13")
-        assert round_nearest_sig(descent_chain_3[-1].y_lower_at_100) >= F("1.047e13")
+        final0, final3 = (F(100) ** chain[-1].k / chain[-1].c_out
+                          for chain in (descent_chain_0, descent_chain_3))
+        assert round_nearest_sig(final0) >= F("2.116e13")
+        assert round_nearest_sig(final3) >= F("1.047e13")
 
 
 def test_criterion_07_measure_constants():

@@ -304,9 +304,6 @@ def test_thueq_threads_env_is_tolerated(monkeypatch, capsys):
 # ---------------------------------------------------------------------------
 # fuzz: every argument vector ends in a documented exit code
 
-# "huge" stops at 10^30: at 10^300 a single verify-all or rouche-certs call
-# takes several seconds in exact arithmetic, which would make this test slow
-# without reaching any new code path
 _BAD = st.sampled_from(["x", "", "1/0", "nan", "inf", "0x10", " 7 ", "--json", "1//2", "3.0"])
 _RAT = st.one_of(
     st.integers(-10**30, 10**30).map(str),
@@ -314,6 +311,10 @@ _RAT = st.one_of(
     st.sampled_from(["0", "-0", "100", "1e30", "-1e30", "2.5", "1e-30"]),
     _BAD,
 )
+# --tmin draws reach 10^300; --C and --t0 draws stay at 10^30, since a --C of
+# 10^300 spends most of a second to meet the output limit, which
+# test_a_result_past_the_output_limit_exits_64 covers
+_TMIN = _RAT | st.integers(-10**300, 10**300).map(str) | st.sampled_from(["1e300", "-1e300"])
 _INT = st.one_of(st.integers(-5, 30).map(str), st.just(str(10**30)), _BAD)
 
 
@@ -337,15 +338,15 @@ def _max_abs_in_budget(text: str) -> bool:
 _OUT = object()  # --out draws a path in the test's temporary directory
 _TYPE, _KMAX = st.sampled_from(["0", "3"]) | _INT, st.integers(2, 11).map(str) | _INT
 _FLAGS = {
-    "verify-all": {"--tmin": _RAT, "--kmax": _KMAX, "--out": _OUT},
+    "verify-all": {"--tmin": _TMIN, "--kmax": _KMAX, "--out": _OUT},
     "irreducible-list": {"--json": None},
-    "small-solutions": {"--tmin": _RAT, "--json": None},
+    "small-solutions": {"--tmin": _TMIN, "--json": None},
     "enumerate": {"--max-abs": _RAT.filter(_max_abs_in_budget), "--json": None},
-    "descent": {"--type": _TYPE, "--tmin": _RAT, "--kmax": _KMAX, "--json": None},
-    "constants": {"--type": _TYPE, "--tmin": _RAT, "--json": None},
+    "descent": {"--type": _TYPE, "--tmin": _TMIN, "--kmax": _KMAX, "--json": None},
+    "constants": {"--type": _TYPE, "--tmin": _TMIN, "--json": None},
     "corollary-lin": {"--C": _RAT, "--t0": _RAT, "--json": None},
     "corollary-eps": {"--eps": _RAT.filter(_eps_in_budget), "--json": None},
-    "rouche-certs": {"--tmin": _RAT, "--json": None},
+    "rouche-certs": {"--tmin": _TMIN, "--json": None},
 }
 _REQUIRED = {"enumerate": "--max-abs", "descent": "--type", "constants": "--type",
              "corollary-lin": "--C", "corollary-eps": "--eps"}

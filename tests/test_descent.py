@@ -1,19 +1,19 @@
 from fractions import Fraction as F
 
 import pytest
+from oracles import nonvanish_margin_oracle
 
 from thueq import descent
 from thueq.exactnum import round_nearest_sig
 from thueq.descent import (
     KMAX,
     KSTART,
-    DerivationError,
     run_descent,
     run_step,
     step1,
     step2_type0,
 )
-from thueq.series import GaussRat, PadePair, TPoly
+from thueq.series import GaussRat, TPoly
 
 # rounded per-step constants of the two chains at |t| >= 100; each value may
 # sit one unit in the 4th significant digit above the published rounding
@@ -84,8 +84,8 @@ def test_final_lower_bounds(descent_chain_0, descent_chain_3):
     # the published figures are 4-significant-digit roundings: even the
     # published chain's own exact quotient 10^22 / 4.726e8 = 2.11595e13
     # sits below 2.116e13, so the floors hold at display precision
-    final0 = descent_chain_0[-1].y_lower_at_100
-    final3 = descent_chain_3[-1].y_lower_at_100
+    final0, final3 = (F(100) ** chain[-1].k / chain[-1].c_out
+                      for chain in (descent_chain_0, descent_chain_3))
     assert round_nearest_sig(final0) >= F("2.116e13")
     assert round_nearest_sig(final3) >= F("1.047e13")
     assert final0 > F("2.115e13")
@@ -101,14 +101,16 @@ def test_nonvanishing_gates(descent_chain_0, descent_chain_3):
 def test_step_record_invariants(descent_chain_0, descent_chain_3):
     for rec in descent_chain_0 + descent_chain_3:
         assert rec.c_out >= rec.c_exact >= rec.c1 > 0
-        assert rec.c2 == F("8.86") * rec.c0_in**4
-        assert rec.y_lower_at_100 == F(100) ** rec.k / rec.c_out
         assert rec.pade.contact_order >= 2 * rec.k - 1
+    # each chain starts from its closed-form bound |y| > |t|^(k-1)/c0
+    assert descent_chain_0[0].c2 == F("8.86") * F("5.02") ** 4
+    assert descent_chain_3[0].c2 == F("8.86") * F("2.27") ** 4
 
 
-def test_chaining_feeds_c_out(descent_chain_0):
-    for prev, nxt in zip(descent_chain_0, descent_chain_0[1:]):
-        assert nxt.c0_in == prev.c_out
+def test_chaining_feeds_c_out(descent_chain_0, descent_chain_3):
+    for chain in (descent_chain_0, descent_chain_3):
+        for prev, nxt in zip(chain, chain[1:]):
+            assert nxt.c2 == F("8.86") * prev.c_out**4
 
 
 def test_run_step_rejects_bad_indices():
@@ -194,8 +196,10 @@ def test_nonvanish_poly_matches_the_gaussian_rational_expression():
             assert len(P) - 1 == 2 * k - 2
 
 
-def test_nonvanish_poly_refuses_a_non_integral_pair():
-    half = GaussRat.of(F(1, 2))
-    pair = PadePair((half, GaussRat.of(1)), (GaussRat.of(1), GaussRat.of(2)), 3)
-    with pytest.raises(DerivationError):
-        descent._nonvanish_poly(pair, 2)
+def test_nonvanish_margins_match_the_per_term_sum():
+    for tmin in (F(100), F(101), F(12345, 7), F(10**6), F(10**30)):
+        for ti, c0 in ((0, step2_type0(tmin)), (3, 1 / step1(3, tmin))):
+            for rec in run_descent(ti, tmin=tmin):
+                P = descent._step_algebra(ti, rec.k)[3]
+                assert rec.nonvanish_margin == nonvanish_margin_oracle(P, c0, rec.c3, tmin)
+                c0 = rec.c_out

@@ -12,7 +12,6 @@ from thueq.exactnum import (
     iroot,
     kappa,
     ln_enclosure,
-    pow_cmp,
     round_down_grid,
     round_nearest_sig,
     round_up_grid,
@@ -157,13 +156,6 @@ def test_ln_enclosure_matches_the_halving_reduction_at_the_boundaries():
 def test_kappa_enclosure():
     k = kappa(F(100), F(1, 10**7))
     assert F("2.82118") < k.lo <= k.hi < F("2.82119")
-
-
-def test_pow_cmp():
-    assert pow_cmp(F(2), 2, F(3), 3) == -1  # 2^(1/2) < 3^(1/3): 8 < 9
-    assert pow_cmp(F(4), 1, F(2), 2) == 1  # 4 > sqrt(2)
-    assert pow_cmp(F(4), 2, F(2), 1) == 0  # 4^(1/2) = 2
-    assert pow_cmp(F(9), 1, F(2), 3) == 1
 
 
 def test_complex_ball_arithmetic():

@@ -72,9 +72,15 @@ def test_contradiction_upper_bound():
     upper = contradiction_upper_bound(F(100))
     assert upper == 3731868499357
     assert upper <= F("3.74e12")
-    # upper is the least integer X with X^17 >= 137.16^100, certified by
-    # the integer-power comparison (any solution then has |y| < X)
-    assert (upper - 1) ** 17 < CONTRADICTION_COEFF**100 <= upper**17
+    # upper is the least integer X with X^p >= 137.16^100 for p = 100(3 -
+    # kappa), kappa rounded up to two decimals (any solution has |y| < X)
+    pins = {F(100): (17, 3731868499357), F(101): (18, 747284510192), F(150): (48, 28351),
+            F(999): (114, 75), F(12345): (146, 30), F(10**6): (167, 20),
+            F(1234567, 3): (164, 21), F(10**30): (194, 13)}
+    for tmin, (p, pin) in pins.items():
+        upper = contradiction_upper_bound(tmin)
+        assert upper == pin, tmin
+        assert (upper - 1) ** p < CONTRADICTION_COEFF**100 <= upper**p
 
 
 def irrationality_lower(t_abs, q_abs, type_index):

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from oracles import QUARTIC, Poly2
+from oracles import QUARTIC, Poly2, enclosure_margin_oracle
 
 from thueq import rouche
 from thueq.rouche import (
@@ -113,7 +113,27 @@ def test_integer_taylor_terms_match_the_poly2_expansion():
         assert {(j, p, GaussRat.of(c)) for j, p, c in terms} == _taylor_terms_oracle(center)
 
 
+def _six_certificates() -> list:
+    """(center, radius_c, radius_exp) of the four base and the two
+    high-order certificates."""
+    out = [(center, c, k) for _, center, c, k in BASE_CERT_PARAMS]
+    out += [(certify_high_order(which).center, *HIGH_ORDER[ti])
+            for which, ti in (("B", 0), ("B3", 3))]
+    return out
+
+
+def test_margins_match_the_per_term_fraction_sum():
+    for center, radius_c, radius_exp in _six_certificates():
+        assert all(isinstance(c, int) for c in center.values())
+        terms = rouche._taylor_terms(tuple(sorted(center.items())))
+        for r in (radius_c, radius_c / 1000, radius_c * 3):
+            for tmin in (F(100), F(101), F(12345, 7), F(10**6), F(10**30)):
+                cert = certify_enclosure(center, r, radius_exp, tmin)
+                assert cert.margin == enclosure_margin_oracle(terms, r, radius_exp, tmin)
+                assert cert.verified == (cert.margin > 0)
+
+
 def test_taylor_terms_refuse_a_non_integral_center():
-    for c in (GaussRat.of(F(1, 2)), GaussRat(F(0), F(1))):
+    for c in (F(1, 2), GaussRat.of(F(1, 2)), GaussRat(F(0), F(1))):
         with pytest.raises(CertificationError):
             certify_enclosure({0: c}, F("2.16"), 1, F(100))

@@ -23,6 +23,7 @@ from thueq.series import (
     alpha3_series,
     approximants,
     cross_product,
+    inverse_horner,
     newton_alpha_series,
     pade,
     pade_residual,
@@ -89,6 +90,16 @@ def _pade_oracle(B, deg_num, n):
     return PadePair(U, tuple(v), resid.valuation())
 
 
+def _primitive(pair):
+    """A real pair with V(0) = 1 scaled to the primitive integer pair, whose
+    V(0) stays positive."""
+    assert not any(c.im for c in pair.U + pair.V)
+    vals = [c.re for c in pair.U + pair.V]
+    lam = F(math.lcm(*(x.denominator for x in vals)), math.gcd(*(x.numerator for x in vals)))
+    ints = [int(x * lam) for x in vals]
+    return PadePair(tuple(ints[:len(pair.U)]), tuple(ints[len(pair.U):]), pair.contact_order)
+
+
 def _thue_polys_oracle(r, t_val):
     """(A_r, B_r) from the Poly2 thue_data record evaluated at t, over Q(i)."""
     data = thue_data_oracle()
@@ -146,8 +157,8 @@ def test_root_cycle_identity():
 def test_pade_small_case():
     a = newton_alpha_series(31)
     pair = pade(a, 1, 2)
-    assert pair.U == (G(0), G(-1))
-    assert pair.V == (G(1), G(0), G(5))
+    assert pair.U == (0, -1)
+    assert pair.V == (1, 0, 5)
     assert pair.contact_order == 5
 
 
@@ -165,8 +176,8 @@ def test_bareiss_pade_matches_gaussian_elimination_on_both_chains():
         B = root_series(ti)
         for k in range(KSTART[ti], KMAX + 1):
             pair = pade(B, k - 1, k - 1)
-            assert pair == _pade_oracle(B, k - 1, k - 1), (ti, k)
-            assert pair.V[0] == G1
+            assert pair == _primitive(_pade_oracle(B, k - 1, k - 1)), (ti, k)
+            assert all(isinstance(c, int) for c in pair.U + pair.V) and pair.V[0] > 0
             U, V = Series(list(pair.U), B.trunc), Series(list(pair.V), B.trunc)
             assert pade_residual(B, pair) == U - B * V
 
@@ -185,7 +196,7 @@ def test_bareiss_pade_on_drawn_integer_series(nums, den, deg_num, deg_den):
             pade(B, deg_num, deg_den)
         return
     pair = pade(B, deg_num, deg_den)
-    assert pair == oracle
+    assert pair == _primitive(oracle)
     assert pade_residual(B, pair).valuation() == pair.contact_order
 
 
@@ -227,6 +238,13 @@ def test_the_one_storage_against_coefficientwise_q_i(a, b, trunc):
     S, T = Series(a, trunc), Series(b, trunc)
     assert (S * T).coeffs == (prod + [G0] * trunc)[:trunc]
     assert (S - T + T).coeffs == (a + [G0] * trunc)[:trunc] and S == S - T + T
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-10**6, 10**6), max_size=8), st.integers(1, 10**4), st.integers(1, 50))
+def test_inverse_horner_is_the_direct_sum(a, p, q):
+    tmin = F(p, q)
+    assert inverse_horner(a, tmin) == sum((F(c) / tmin ** d for d, c in enumerate(a)), F(0))
 
 
 def test_tail_bound():
