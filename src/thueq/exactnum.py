@@ -44,12 +44,17 @@ def _dec_exponent(x: Rat) -> int:
     """e such that 10**e <= x < 10**(e+1), for x > 0."""
     if x <= 0:
         raise DomainError("positive value required")
+    n, d = x.numerator, x.denominator
+
+    def at_least(e: int) -> bool:  # x >= 10**e
+        return n >= d * 10 ** e if e >= 0 else n * 10 ** -e >= d
+
     # crude estimate from bit lengths: log10(x) ~ 0.30103 * log2(x)
-    e = (x.numerator.bit_length() - x.denominator.bit_length()) * 30103 // 100000
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
     # correct the crude estimate
-    while x >= Fraction(10) ** (e + 1):
+    while at_least(e + 1):
         e += 1
-    while x < Fraction(10) ** e:
+    while not at_least(e):
         e -= 1
     return e
 
@@ -172,33 +177,154 @@ class RatInterval:
         return RatInterval(self.lo / other.hi, self.hi / other.lo)
 
 
-def _atanh_enclosure(u: Rat, tail_budget: Rat) -> RatInterval:
-    """Enclosure of atanh(u) for |u| < 1/2 with tail <= tail_budget."""
-    u2 = u * u
-    term = u
-    total = Fraction(0)
-    k = 0
-    while True:
-        total += term / (2 * k + 1)
-        term *= u2
-        k += 1
-        # remaining tail bounded by geometric series
-        tail = abs(term) / ((2 * k + 1) * (1 - u2))
-        if tail <= tail_budget:
-            break
-    return RatInterval(total - tail, total + tail)
+# ---------------------------------------------------------------------------
+# logarithms over Z
+
+class _AtanhSeries:
+    """atanh(a/b) for integers with |a/b| < 1/2, b > 0, summed over Z.  The
+    powers of a^2 and b^2 are kept, so that sums to several budgets share
+    them."""
+
+    __slots__ = ("a", "b", "_c", "_a2", "_b2")
+
+    def __init__(self, a: int, b: int):
+        self.a, self.b = a, b
+        self._c = b * b - a * a
+        self._a2, self._b2 = [1, a * a], [1, b * b]
+
+    @staticmethod
+    def _pow(table: list, n: int) -> int:
+        while len(table) <= n:
+            table.append(table[-1] * table[1])
+        return table[n]
+
+    def enclose(self, bn: int, bd: int) -> tuple[int, int, int]:
+        """(s, r, den) with atanh(a/b) in [(s - r)/den, (s + r)/den].
+
+        s/den is the sum of the first n terms u^(2j+1)/(2j+1), u = a/b, over
+        the denominator b^(2n-1) (2n+1) (b^2 - a^2) prod_{j<n} (2j+1), and
+        r/den = |u|^(2n+1) / ((2n+1)(1 - u^2)) bounds the rest geometrically,
+        for the least n >= 1 with r/den <= bn/bd (both positive).
+        """
+        a, b, c = self.a, self.b, self._c
+        a2, b2 = self._a2, self._b2
+        n = 1
+        while abs(a) * self._pow(a2, n) * bd > bn * b * self._pow(b2, n - 1) * (2 * n + 1) * c:
+            n += 1
+        odd = math.prod(range(1, 2 * n, 2))
+        s = a * sum(a2[j] * b2[n - 1 - j] * (odd // (2 * j + 1)) for j in range(n))
+        m = (2 * n + 1) * c
+        return s * m, abs(a) * a2[n] * odd, b * b2[n - 1] * odd * m
 
 
 _LN2_CACHE: dict[int, RatInterval] = {}
 
 
 def _ln2(tail_budget: Rat) -> RatInterval:
+    """ln 2 = 2 atanh(1/3) with tail <= tail_budget.
+
+    The cache is keyed by the decimal exponent of the budget, and the first
+    budget of a decade fixes the entry for every later one in the process.
+    So an enclosure that folds in k ln 2 depends on the earlier calls: the
+    published corollary-eps thresholds were taken with this cache, and a
+    cache-free or decade-floor ln 2 moves them.
+    """
     key = _dec_exponent(tail_budget) if tail_budget > 0 else 0
     iv = _LN2_CACHE.get(key)
     if iv is None:
-        iv = _atanh_enclosure(Fraction(1, 3), tail_budget / 2).scale(2)
+        s, r, den = _AtanhSeries(1, 3).enclose(tail_budget.numerator, 2 * tail_budget.denominator)
+        iv = RatInterval(Fraction(2 * (s - r), den), Fraction(2 * (s + r), den))
         _LN2_CACHE[key] = iv
     return iv
+
+
+KAPPA_NUM_SHIFT = Fraction("1.08")
+KAPPA_DEN_SHIFT = Fraction("2.59")
+
+
+class LnArg:
+    """One x > 0 reduced once for its logarithm: x = 2**k * m with m in
+    [3/4, 3/2), and ln x = k ln 2 + 2 atanh(a/b) with a/b = (m - 1)/(m + 1)
+    in lowest terms.  Enclosures of several widths, of ln x and of kappa,
+    share the reduction and the power table of the series."""
+
+    __slots__ = ("x", "k", "_atanh")
+
+    def __init__(self, x: Rat):
+        x = Fraction(x)
+        if x <= 0:
+            raise DomainError("ln of non-positive value")
+        self.x = x
+        p, q = x.numerator, x.denominator
+        # p / (q 2**k) lies in (1/2, 2) for k from the bit lengths; one step
+        # more lands it in [3/4, 3/2)
+        k = p.bit_length() - q.bit_length()
+        if k >= 0:
+            q <<= k
+        else:
+            p <<= -k
+        if 2 * p >= 3 * q:
+            q <<= 1
+            k += 1
+        elif 4 * p < 3 * q:
+            p <<= 1
+            k -= 1
+        g = math.gcd(p - q, p + q)
+        self.k = k
+        self._atanh = _AtanhSeries((p - q) // g, (p + q) // g)
+
+    def _unrounded(self, wn: int, wd: int) -> tuple[int, int, int, int]:
+        """(lo, lo_den, hi, hi_den): ln x in [lo/lo_den, hi/hi_den] before
+        the grid rounding to width wn/wd.  Of the budget w/4, half goes to
+        the atanh tail, and w/(8|k|) to the ln 2 enclosure."""
+        s, r, den = self._atanh.enclose(wn, 8 * wd)
+        lo, hi = 2 * (s - r), 2 * (s + r)
+        k = self.k
+        if k == 0:
+            return lo, den, hi, den
+        ln2 = _ln2(Fraction(wn, 8 * abs(k) * wd))
+        c_lo, c_hi = (ln2.lo, ln2.hi) if k > 0 else (ln2.hi, ln2.lo)
+        return (lo * c_lo.denominator + k * c_lo.numerator * den, den * c_lo.denominator,
+                hi * c_hi.denominator + k * c_hi.numerator * den, den * c_hi.denominator)
+
+    def _grid(self, target_width: Rat) -> tuple[int, int, int]:
+        """(lo, hi, bits): ln x in [lo, hi] / 2**bits, rounded outward onto
+        the coarsest 2**-bits grid (bits >= 8 past the width's denominator)
+        with spacing at most target_width / 8."""
+        target_width = Fraction(target_width)
+        if target_width <= 0:
+            raise DomainError("target_width must be positive")
+        wn, wd = target_width.numerator, target_width.denominator
+        lo, lo_den, hi, hi_den = self._unrounded(wn, wd)
+        bits = max(8, wd.bit_length() + 8)
+        while 8 * wd > wn << bits:
+            bits += 8
+        return (lo << bits) // lo_den, -((-hi << bits) // hi_den), bits
+
+    def ln(self, target_width: Rat) -> RatInterval:
+        """Interval containing ln x, of width <= target_width."""
+        lo, hi, bits = self._grid(target_width)
+        return RatInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
+
+    def kappa(self, target_width: Rat) -> RatInterval:
+        """Enclosure of (ln x + 1.08) / (ln x - 2.59), of width <= target_width."""
+        nn, nd = KAPPA_NUM_SHIFT.numerator, KAPPA_NUM_SHIFT.denominator
+        dn, dd = KAPPA_DEN_SHIFT.numerator, KAPPA_DEN_SHIFT.denominator
+        target_width = Fraction(target_width)
+        tn, td = target_width.numerator, target_width.denominator
+        w = min(target_width, Fraction(1, 16))
+        for _ in range(64):
+            lo, hi, bits = self._grid(w)
+            # (ln x + 1.08) and (ln x - 2.59) over the common denominator
+            # 2**bits * nd * dd
+            num_lo, num_hi = ((e * nd + (nn << bits)) * dd for e in (lo, hi))
+            den_lo, den_hi = ((e * dd - (dn << bits)) * nd for e in (lo, hi))
+            if den_hi <= 0:
+                raise UndefinedKappaError(f"log({self.x}) <= 2.59")
+            if den_lo > 0 and (num_hi * den_hi - num_lo * den_lo) * td <= tn * den_lo * den_hi:
+                return RatInterval(Fraction(num_lo, den_hi), Fraction(num_hi, den_lo))
+            w /= 4
+        raise UndefinedKappaError(f"kappa enclosure did not converge for t={self.x}")
 
 
 def ln_enclosure(x: Rat, target_width: Rat) -> RatInterval:
@@ -207,60 +333,14 @@ def ln_enclosure(x: Rat, target_width: Rat) -> RatInterval:
     ln x = k ln 2 + 2 atanh((m-1)/(m+1)) after reducing x = 2**k * m with
     m in [3/4, 3/2); both series tails are bounded geometrically.
     """
-    x = Fraction(x)
-    if x <= 0:
-        raise DomainError("ln of non-positive value")
-    if target_width <= 0:
-        raise DomainError("target_width must be positive")
-    if x == 1:
-        return RatInterval(Fraction(0), Fraction(0))
-    # x / 2**k lies in (1/2, 2) for k from the bit lengths; one step more
-    # lands it in [3/4, 3/2)
-    n, d = x.numerator, x.denominator
-    k = n.bit_length() - d.bit_length()
-    m = Fraction(n, d << k) if k >= 0 else Fraction(n << -k, d)
-    if m >= Fraction(3, 2):
-        m /= 2
-        k += 1
-    elif m < Fraction(3, 4):
-        m *= 2
-        k -= 1
-    budget = target_width / 4
-    total = _atanh_enclosure((m - 1) / (m + 1), budget / 2).scale(2)
-    if k != 0:
-        total = total + _ln2(budget / (2 * abs(k))).scale(k)
-    # outward-round endpoints onto a power-of-two grid to cap denominators
-    bits = max(8, (4 * target_width.denominator.bit_length() // 4) + 8)
-    while Fraction(2, 1 << bits) > target_width / 4:
-        bits += 8
-    return RatInterval(round_down_grid(total.lo, bits), round_up_grid(total.hi, bits))
-
-
-KAPPA_NUM_SHIFT = Fraction("1.08")
-KAPPA_DEN_SHIFT = Fraction("2.59")
+    return LnArg(x).ln(target_width)
 
 
 def kappa(t_abs: Rat, target_width: Rat) -> RatInterval:
     """Enclosure of (ln|t| + 1.08) / (ln|t| - 2.59)."""
-    t_abs = Fraction(t_abs)
-    if t_abs <= 0:
+    if Fraction(t_abs) <= 0:
         raise DomainError("t_abs must be positive")
-    w = min(Fraction(target_width), Fraction(1, 16))
-    for _ in range(64):
-        ln_t = ln_enclosure(t_abs, w)
-        den_lo = ln_t.lo - KAPPA_DEN_SHIFT
-        if ln_t.hi - KAPPA_DEN_SHIFT <= 0:
-            raise UndefinedKappaError(f"log({t_abs}) <= 2.59")
-        if den_lo <= 0:
-            w /= 4
-            continue
-        num = ln_t.shift(KAPPA_NUM_SHIFT)
-        den = ln_t.shift(-KAPPA_DEN_SHIFT)
-        result = num.div_pos(den)
-        if result.width <= target_width:
-            return result
-        w /= 4
-    raise UndefinedKappaError(f"kappa enclosure did not converge for t={t_abs}")
+    return LnArg(t_abs).kappa(target_width)
 
 
 # ---------------------------------------------------------------------------

@@ -371,36 +371,53 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
     }
 
 
+def _eps_gate_fn(eps: Rat):
+    """The three threshold conditions of _eps_gates at one eps, as a function
+    of t, with the eps-only terms summed once."""
+    ln = _log_constants()
+    ln4_hi = ln[F(4)].hi
+    # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= ln t
+    type_log = ln4_hi + (1 - eps) * ln[descent.TYPE_THRESHOLD].hi
+    # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) ln t
+    beta_log, absorb_log = ln[descent.BETA_COEFF].hi, ln[CUBIC_ABSORB].lo
+    cubic_slope = F(1, 2) + eps / 4
+    # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa))
+    #       < (t^(2-eps) / 4)^(1/4), compared in the log domain
+    one_plus_eps, two_minus_eps = 1 + eps, 2 - eps
+    ln_b_hi = ln[CONTRADICTION_COEFF].hi - two_minus_eps * ln[C2_DIVISOR].lo
+
+    def gates(t: Rat) -> list[GateResult]:
+        # one reduction of t serves ln t at LN_WIDTH and kappa at KAPPA_WIDTH
+        arg = exactnum.LnArg(t)
+        ln_t_lo = arg.ln(LN_WIDTH).lo
+        out = [GateResult("type threshold", type_log <= ln_t_lo,
+                          "4 * 20.14^(1-eps) <= |t|"),
+               GateResult("cubic absorption",
+                          beta_log <= absorb_log + cubic_slope * ln_t_lo,
+                          "8.86 / |t|^(1/2 + eps/4) <= 0.33")]
+        try:
+            k_hi = arg.kappa(KAPPA_WIDTH).hi
+        except UndefinedKappaError:
+            out.append(GateResult("measure contradiction", False, "kappa undefined"))
+            return out
+        g_lo = one_plus_eps - k_hi
+        if g_lo <= 0:
+            out.append(GateResult("measure contradiction", False,
+                                  "1 + eps - kappa not positive"))
+            return out
+        lhs_log = ln_b_hi / g_lo
+        rhs_log = (two_minus_eps * ln_t_lo - ln4_hi) / 4
+        out.append(GateResult("measure contradiction", lhs_log < rhs_log,
+                              "log comparison with kappa upper end"))
+        return out
+
+    return gates
+
+
 def _eps_gates(t: Rat, eps: Rat) -> list[GateResult]:
     """The three threshold conditions at modulus t, certified as linear
     inequalities in ln t between outward enclosures of width LN_WIDTH."""
-    ln = _log_constants()
-    ln_t = ln_enclosure(t, LN_WIDTH)
-    out = []
-    # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= ln t
-    ok = ln[F(4)].hi + (1 - eps) * ln[descent.TYPE_THRESHOLD].hi <= ln_t.lo
-    out.append(GateResult("type threshold", ok, "4 * 20.14^(1-eps) <= |t|"))
-    # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) ln t
-    ok = ln[descent.BETA_COEFF].hi <= ln[CUBIC_ABSORB].lo + (F(1, 2) + eps / 4) * ln_t.lo
-    out.append(GateResult("cubic absorption", ok, "8.86 / |t|^(1/2 + eps/4) <= 0.33"))
-    # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa))
-    #       < (t^(2-eps) / 4)^(1/4), compared in the log domain
-    try:
-        k_hi = kappa_hi(t)
-    except UndefinedKappaError:
-        out.append(GateResult("measure contradiction", False, "kappa undefined"))
-        return out
-    g_lo = 1 + eps - k_hi
-    if g_lo <= 0:
-        out.append(GateResult("measure contradiction", False,
-                              "1 + eps - kappa not positive"))
-        return out
-    ln_b_hi = ln[CONTRADICTION_COEFF].hi - (2 - eps) * ln[C2_DIVISOR].lo
-    lhs_log = ln_b_hi / g_lo
-    rhs_log = ((2 - eps) * ln_t.lo - ln[F(4)].hi) / 4
-    out.append(GateResult("measure contradiction", lhs_log < rhs_log,
-                          "log comparison with kappa upper end"))
-    return out
+    return _eps_gate_fn(eps)(t)
 
 
 def corollary_eps(eps: Rat) -> dict:
@@ -414,9 +431,15 @@ def corollary_eps(eps: Rat) -> dict:
     eps = F(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
+    gates_at = _eps_gate_fn(eps)
+    passed = {}  # t -> its gates, for every t at which they all hold
 
     def holds(t: Rat) -> bool:
-        return all(g.ok for g in _eps_gates(t, eps))
+        gates = gates_at(t)
+        ok = all(g.ok for g in gates)
+        if ok:
+            passed[t] = gates
+        return ok
 
     # least j with holds(100 * 2^j); j = lo is known (or taken) to fail
     lo, hi = -1, 0
@@ -436,8 +459,7 @@ def corollary_eps(eps: Rat) -> dict:
         else:
             lo = mid
     t0 = hi
-    recheck = _eps_gates(2 * t0, eps)
+    recheck = gates_at(2 * t0)
     if not all(g.ok for g in recheck):
         raise ChainError("gates do not re-verify at 2 * t0")
-    return {"t0": t0, "gates": tuple(_eps_gates(t0, eps)),
-            "gates_at_double": tuple(recheck)}
+    return {"t0": t0, "gates": tuple(passed[t0]), "gates_at_double": tuple(recheck)}

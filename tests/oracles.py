@@ -1,12 +1,15 @@
-"""Reference oracles over Q(i): the sparse (X, t) polynomial type and the
-constructions that ran on it before the integer kernel replaced them.  The
-tests check ``thueq.zpoly`` and its callers against these."""
+"""Reference oracles: the sparse (X, t) polynomial type over Q(i) and the
+constructions that ran on it before the integer kernel replaced them, and
+the Fraction logarithms that ran before ``exactnum.LnArg``.  The tests check
+``thueq.zpoly``, ``thueq.exactnum`` and their callers against these."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import zip_longest
 
+from thueq import exactnum
+from thueq.exactnum import DomainError, RatInterval, UndefinedKappaError
 from thueq.hyperchi import chi_coeffs, denom_data
 from thueq.series import G0, G1, GI, GaussRat, Series, TPoly, ValuationError
 
@@ -246,3 +249,84 @@ def nonvanish_margin_oracle(P, c0: Fraction, c3: Fraction, tmin: Fraction) -> Fr
         if P[j]:
             L -= abs(P[j]) * tmin ** (j - deg)
     return L * tmin ** deg / (c0 ** 4 * c3 ** 4) - 1
+
+
+# ---------------------------------------------------------------------------
+# the logarithms as they were summed in Fraction arithmetic before the
+# integer kernel; ln 2 reads and fills the same cache as ``exactnum._ln2``
+
+
+def atanh_enclosure_oracle(u: Fraction, tail_budget: Fraction) -> RatInterval:
+    """Enclosure of atanh(u) for |u| < 1/2 with tail <= tail_budget."""
+    u2 = u * u
+    term = u
+    total = Fraction(0)
+    k = 0
+    while True:
+        total += term / (2 * k + 1)
+        term *= u2
+        k += 1
+        # remaining tail bounded by geometric series
+        tail = abs(term) / ((2 * k + 1) * (1 - u2))
+        if tail <= tail_budget:
+            break
+    return RatInterval(total - tail, total + tail)
+
+
+def ln2_oracle(tail_budget: Fraction) -> RatInterval:
+    key = exactnum._dec_exponent(tail_budget) if tail_budget > 0 else 0
+    iv = exactnum._LN2_CACHE.get(key)
+    if iv is None:
+        iv = atanh_enclosure_oracle(Fraction(1, 3), tail_budget / 2).scale(2)
+        exactnum._LN2_CACHE[key] = iv
+    return iv
+
+
+def ln_enclosure_oracle(x, target_width: Fraction) -> RatInterval:
+    x = Fraction(x)
+    if x <= 0:
+        raise DomainError("ln of non-positive value")
+    if target_width <= 0:
+        raise DomainError("target_width must be positive")
+    if x == 1:
+        return RatInterval(Fraction(0), Fraction(0))
+    n, d = x.numerator, x.denominator
+    k = n.bit_length() - d.bit_length()
+    m = Fraction(n, d << k) if k >= 0 else Fraction(n << -k, d)
+    if m >= Fraction(3, 2):
+        m /= 2
+        k += 1
+    elif m < Fraction(3, 4):
+        m *= 2
+        k -= 1
+    budget = target_width / 4
+    total = atanh_enclosure_oracle((m - 1) / (m + 1), budget / 2).scale(2)
+    if k != 0:
+        total = total + ln2_oracle(budget / (2 * abs(k))).scale(k)
+    bits = max(8, (4 * target_width.denominator.bit_length() // 4) + 8)
+    while Fraction(2, 1 << bits) > target_width / 4:
+        bits += 8
+    return RatInterval(exactnum.round_down_grid(total.lo, bits),
+                       exactnum.round_up_grid(total.hi, bits))
+
+
+def kappa_oracle(t_abs, target_width: Fraction) -> RatInterval:
+    t_abs = Fraction(t_abs)
+    if t_abs <= 0:
+        raise DomainError("t_abs must be positive")
+    w = min(Fraction(target_width), Fraction(1, 16))
+    for _ in range(64):
+        ln_t = ln_enclosure_oracle(t_abs, w)
+        den_lo = ln_t.lo - exactnum.KAPPA_DEN_SHIFT
+        if ln_t.hi - exactnum.KAPPA_DEN_SHIFT <= 0:
+            raise UndefinedKappaError(f"log({t_abs}) <= 2.59")
+        if den_lo <= 0:
+            w /= 4
+            continue
+        num = ln_t.shift(exactnum.KAPPA_NUM_SHIFT)
+        den = ln_t.shift(-exactnum.KAPPA_DEN_SHIFT)
+        result = num.div_pos(den)
+        if result.width <= target_width:
+            return result
+        w /= 4
+    raise UndefinedKappaError(f"kappa enclosure did not converge for t={t_abs}")

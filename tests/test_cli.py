@@ -59,6 +59,9 @@ PINS = {
         "550517aad00de490bc5f88ceb9a41cccf8a1181564e6818d188d9b9dc35507da",
     "corollary-eps --eps 3/4":
         "083398de8b352125b3a97ecf99042945a2b5a97961c246dd2e0afbbb81898264",
+    # taken before ln_enclosure and kappa moved to integers; t0 has 719 bits
+    "corollary-eps --eps 37/1000 --json":
+        "e9bfd741717311511389a895df819eb672852dbf227d74b007841dc61248ed74",
     # taken before the closed-form step lines were formatted from descent's
     # named constants
     "descent --type 0":

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
@@ -9,6 +10,7 @@ from thueq.exactnum import (
     ComplexBall,
     DomainError,
     RatInterval,
+    UndefinedKappaError,
     iroot,
     kappa,
     ln_enclosure,
@@ -20,6 +22,9 @@ from thueq.exactnum import (
     sqrt_lower,
     sqrt_upper,
 )
+from thueq.measure import KAPPA_WIDTH
+
+from oracles import atanh_enclosure_oracle, kappa_oracle, ln_enclosure_oracle
 
 rationals = st.fractions(
     min_value=F(-10**6), max_value=F(10**6), max_denominator=10**6
@@ -123,7 +128,7 @@ def ln_enclosure_by_halving(x, target_width):
         m *= 2
         k -= 1
     budget = target_width / 4
-    total = exactnum._atanh_enclosure((m - 1) / (m + 1), budget / 2).scale(2)
+    total = atanh_enclosure_oracle((m - 1) / (m + 1), budget / 2).scale(2)
     if k != 0:
         total = total + exactnum._ln2(budget / (2 * abs(k))).scale(k)
     bits = max(8, (4 * target_width.denominator.bit_length() // 4) + 8)
@@ -133,6 +138,10 @@ def ln_enclosure_by_halving(x, target_width):
 
 
 WIDTHS = (F(1, 16), F(1, 10**6), F(1, 10**7), F(1, 2**40))
+# m = 3/2 and m = 3/4 after reduction, and their neighbours
+BOUNDARY_X = [x for j in (-70, -3, 0, 1, 5, 141) for c in (F(3, 2), F(3, 4))
+              for x in (c * F(2) ** j, c * F(2) ** j * F(1000001, 1000000),
+                        c * F(2) ** j * F(999999, 1000000))]
 
 
 @given(st.integers(min_value=1, max_value=2**600), st.integers(min_value=1, max_value=2**600),
@@ -144,13 +153,92 @@ def test_ln_enclosure_matches_the_halving_reduction(n, d, w):
 
 
 def test_ln_enclosure_matches_the_halving_reduction_at_the_boundaries():
-    # m = 3/2 and m = 3/4 after reduction, and their neighbours
-    for j in (-70, -3, 0, 1, 5, 141):
-        for c in (F(3, 2), F(3, 4)):
-            for x in (c * F(2) ** j, c * F(2) ** j * F(1000001, 1000000),
-                      c * F(2) ** j * F(999999, 1000000)):
-                if x != 1:
-                    assert ln_enclosure(x, F(1, 10**6)) == ln_enclosure_by_halving(x, F(1, 10**6))
+    for x in BOUNDARY_X:
+        if x != 1:
+            assert ln_enclosure(x, F(1, 10**6)) == ln_enclosure_by_halving(x, F(1, 10**6))
+
+
+def on_the_same_ln2_cache(cold, *fns):
+    """Run each fn from the same state of the ln 2 cache (empty when cold,
+    else as the process left it) and return their results, an exception as
+    its type and message; the cache is left as it was."""
+    saved = dict(exactnum._LN2_CACHE)
+    results = []
+    for fn in fns:
+        exactnum._LN2_CACHE.clear()
+        exactnum._LN2_CACHE.update({} if cold else saved)
+        try:
+            results.append(fn())
+        except (DomainError, UndefinedKappaError) as exc:
+            results.append((type(exc), str(exc)))
+    exactnum._LN2_CACHE.clear()
+    exactnum._LN2_CACHE.update(saved)
+    return results
+
+
+@given(st.integers(min_value=1, max_value=2**600), st.integers(min_value=1, max_value=2**600),
+       st.sampled_from(WIDTHS), st.booleans())
+def test_ln_enclosure_equals_the_fraction_oracle(n, d, w, cold):
+    x = F(n, d)
+    got, want = on_the_same_ln2_cache(cold, lambda: ln_enclosure(x, w),
+                                      lambda: ln_enclosure_oracle(x, w))
+    assert got == want
+
+
+def test_ln_enclosure_equals_the_fraction_oracle_at_the_boundaries():
+    for x, w, cold in itertools.product(BOUNDARY_X + [F(1), F(2), F(1, 2), F(3), F(1, 3)],
+                                        WIDTHS, (True, False)):
+        got, want = on_the_same_ln2_cache(cold, lambda: ln_enclosure(x, w),
+                                          lambda: ln_enclosure_oracle(x, w))
+        assert got == want
+
+
+@given(st.one_of(st.integers(min_value=1, max_value=2**600),
+                 st.integers(min_value=1, max_value=10**4)),
+       st.one_of(st.integers(min_value=1, max_value=2**600),
+                 st.integers(min_value=1, max_value=100)), st.booleans())
+def test_kappa_equals_the_fraction_oracle(n, d, cold):
+    # n/d below e^2.59 raises UndefinedKappaError on both sides, with the same message
+    t = F(n, d)
+    got, want = on_the_same_ln2_cache(cold, lambda: kappa(t, KAPPA_WIDTH),
+                                      lambda: kappa_oracle(t, KAPPA_WIDTH))
+    assert got == want
+
+
+def test_kappa_equals_the_fraction_oracle_on_moduli():
+    moduli = [F(n) for n in range(12, 40)] + [F(10**j + 1) for j in range(2, 300, 17)]
+    for t, cold in itertools.product(moduli, (True, False)):
+        got, want = on_the_same_ln2_cache(cold, lambda: kappa(t, KAPPA_WIDTH),
+                                          lambda: kappa_oracle(t, KAPPA_WIDTH))
+        assert got == want
+
+
+def test_ln_enclosure_rejects_bad_arguments():
+    for x, w in ((F(0), F(1, 16)), (F(-1), F(1, 16)), (F(2), F(0)), (F(2), F(-1, 16))):
+        with pytest.raises(DomainError):
+            ln_enclosure(x, w)
+    with pytest.raises(DomainError):
+        kappa(F(0), KAPPA_WIDTH)
+
+
+def test_ln_enclosure_depends_on_the_ln2_cache():
+    # _ln2 keys its cache by the decimal exponent of the budget, and the
+    # first budget of a decade wins: this enclosure at k = 12 reads the
+    # ln 2 entry that an earlier call at k = 5 left in the same decade
+    x, w = F(5, 4) * 2 ** 12, F(1, 10**6)
+    cold, after = on_the_same_ln2_cache(True, lambda: ln_enclosure(x, w), lambda: (
+        ln_enclosure(F(5, 4) * 2 ** 5, w), ln_enclosure(x, w))[1])
+    assert cold.lo == F(2292682955, 2**28)
+    assert after.lo == F(2292682895, 2**28)
+
+
+@given(st.integers(min_value=1, max_value=10**400), st.integers(min_value=1, max_value=10**400))
+def test_dec_exponent_brackets(n, d):
+    x = F(n, d)
+    e = exactnum._dec_exponent(x)
+    assert F(10) ** e <= x < F(10) ** (e + 1)
+    assert exactnum._dec_exponent(F(10) ** e) == e
+    assert exactnum._dec_exponent(F(10) ** e * F(10**50 - 1, 10**50)) == e - 1
 
 
 def test_kappa_enclosure():

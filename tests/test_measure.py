@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 
@@ -283,6 +284,41 @@ EPS_T0 = {
 def test_corollary_eps_thresholds_are_pinned():
     got = {eps: corollary_eps(F(eps))["t0"] for eps in EPS_T0}
     assert got == {eps: F(t0) for eps, t0 in EPS_T0.items()}
+
+
+@pytest.fixture
+def fresh_log_caches(monkeypatch):
+    """An empty ln 2 cache and uncached log constants, as in a new process;
+    the process's own caches are back in place after the test."""
+    monkeypatch.setattr(exactnum, "_LN2_CACHE", {})
+    monkeypatch.setattr(measure, "_log_constants",
+                        lru_cache(maxsize=None)(measure._log_constants.__wrapped__))
+
+
+def test_corollary_eps_thresholds_hold_in_reverse_order(fresh_log_caches):
+    # the ln 2 cache keeps the first enclosure of each decade of budgets, so
+    # the thresholds could depend on the order of the queries; these do not
+    got = {eps: corollary_eps(F(eps))["t0"] for eps in reversed(EPS_T0)}
+    assert got == {eps: F(t0) for eps, t0 in EPS_T0.items()}
+
+
+def test_corollary_eps_thresholds_hold_on_a_cold_ln2_cache(fresh_log_caches):
+    got = {}
+    for eps in EPS_T0:
+        exactnum._LN2_CACHE.clear()
+        got[eps] = corollary_eps(F(eps))["t0"]
+    assert got == {eps: F(t0) for eps, t0 in EPS_T0.items()}
+
+
+def test_corollary_eps_reduces_each_modulus_once(monkeypatch):
+    # one LnArg per gate evaluation serves ln t and kappa, and t0 is not
+    # evaluated again after the search found it
+    seen = []
+    real = exactnum.LnArg
+    monkeypatch.setattr(exactnum, "LnArg", lambda x: seen.append(x) or real(x))
+    out = corollary_eps(F(1, 2))
+    assert len(seen) == len(set(seen))
+    assert out["t0"] in seen and seen[-1] == 2 * out["t0"]
 
 
 def test_corollary_eps_domain():
