@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import zpoly
-from .exactnum import GRID_BITS, ComplexBall, Rat, sqrt_lower, sqrt_upper
+from .exactnum import GRID_BITS, ComplexBall, Rat, sqrt_bounds
 from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
                         is_half_integral, norm, pairs_with_norm_in, roots_of_unity)
 from .series import G0, QUARTIC, GaussRat
@@ -188,17 +188,17 @@ def t_value_set(solutions) -> set:
 
 
 @lru_cache(maxsize=32)
-def _sqrt_enclosure(d: int) -> tuple[Fraction, Fraction]:
-    """sqrt(d) lies in [lo, hi], both on the ball grid."""
-    return sqrt_lower(Fraction(d)), sqrt_upper(Fraction(d))
+def _sqrt_enclosure(d: int, bits: int) -> tuple[Fraction, Fraction]:
+    """sqrt(d) lies in [lo, hi], both on the 2^-bits grid."""
+    return sqrt_bounds(Fraction(d), bits)
 
 
-def _embed(x: QuadInt) -> ComplexBall:
-    """Complex embedding with Im(sqrt(-d)) > 0, certified enclosure."""
+def _embed(x: QuadInt, bits: int = GRID_BITS) -> ComplexBall:
+    """Certified complex embedding (Im sqrt(-d) > 0), sqrt(d) on the 2^-bits grid."""
     re, im_coeff = x.re_im()
     if im_coeff == 0:
         return ComplexBall.exact(re)
-    lo, hi = _sqrt_enclosure(x.d)
+    lo, hi = _sqrt_enclosure(x.d, bits)
     mid = (lo + hi) / 2
     return ComplexBall(re, im_coeff * mid, abs(im_coeff) * (hi - lo))
 
@@ -214,24 +214,18 @@ def _coeffs_at(rows, t, lift) -> tuple:
     return tuple(lift(a) + lift(b) * t for a, b in zip(*rows))
 
 
-def root_ball(t: GaussRat, seed: complex, target_radius: Rat,
-              extra_sqrt=None) -> ComplexBall:
+def root_ball(t: GaussRat | None, seed: complex, target_radius: Rat,
+              t_irrational: QuadInt | None = None) -> ComplexBall:
     """Certified enclosure of the root of f_t nearest the float seed.
 
     Newton iteration in exact rational complex arithmetic (denominators
     pruned) at the parameter's midpoint, then a Newton-Kantorovich radius
-    certificate over the parameter's ball.  When the parameter itself is
-    irrational (t = g + h*sqrt(d)), pass extra_sqrt = (d, g, h), rational g, h.
+    certificate over the parameter's ball.  An irrational parameter comes as
+    (None, t_irrational) from _t_exact, with sqrt(d) on the 2^-200 grid.
     """
     target_radius = Fraction(target_radius)
-    if extra_sqrt is None:
-        t_ball = ComplexBall.exact(t.re, t.im)
-    else:
-        d, g, h = extra_sqrt
-        lo, hi = sqrt_lower(Fraction(d), 200), sqrt_upper(Fraction(d), 200)
-        t_ball = ComplexBall(g.re + h.re * (lo + hi) / 2,
-                             g.im + h.im * (lo + hi) / 2,
-                             (abs(h.re) + abs(h.im)) * (hi - lo))
+    t_ball = (ComplexBall.exact(t.re, t.im) if t_irrational is None
+              else _embed(t_irrational, 200))
     t_mid = GaussRat(t_ball.re_mid, t_ball.im_mid)
     f, df = (_coeffs_at(rows, t_mid, GaussRat.of) for rows in (QUARTIC, _DF))
     x = _approx_gauss(seed)
@@ -254,8 +248,8 @@ def root_ball(t: GaussRat, seed: complex, target_radius: Rat,
 
 
 def _approx_gauss(z: complex, cap: int = 1 << 200) -> GaussRat:
-    return GaussRat(Fraction(z.real).limit_denominator(cap),
-                    Fraction(z.imag).limit_denominator(cap))
+    return GaussRat(_limit(Fraction(z.real), cap),
+                    _limit(Fraction(z.imag), cap))
 
 
 def _limit(q: Fraction, cap: int) -> Fraction:
@@ -279,22 +273,22 @@ def _certify_root(t_ball: ComplexBall, x: GaussRat) -> ComplexBall | None:
     return ComplexBall(x.re, x.im, 2 * eta)
 
 
-def all_root_balls(t_complex: complex, t_gauss, extra_sqrt,
+def all_root_balls(t_complex: complex, t_gauss, t_irrational,
                    target_radius: Rat) -> list[ComplexBall]:
     """The four roots of f_t, ordered by the cyclic structure starting from
     the root of smallest modulus: alpha0, alpha1 (near -1), alpha2 (large),
-    alpha3 (near 1).
+    alpha3 (near 1).  The parameter is the pair that _t_exact returns.
 
     The certified, pairwise disjoint set is built once per process for each
     (t, radius) and shared by every caller (at most 64 sets are kept); a
     TieError is not cached.  Each call returns a fresh list."""
-    return list(_root_balls(t_complex, t_gauss, extra_sqrt, target_radius))
+    return list(_root_balls(t_complex, t_gauss, t_irrational, target_radius))
 
 
 @lru_cache(maxsize=64)
-def _root_balls(t_complex, t_gauss, extra_sqrt, target_radius) -> tuple[ComplexBall, ...]:
+def _root_balls(t_complex, t_gauss, t_irrational, target_radius) -> tuple[ComplexBall, ...]:
     seeds = _root_seeds(t_complex)
-    balls = tuple(root_ball(t_gauss, s, target_radius, extra_sqrt) for s in seeds)
+    balls = tuple(root_ball(t_gauss, s, target_radius, t_irrational) for s in seeds)
     # pairwise disjointness makes the correspondence certified
     for i in range(4):
         for j in range(i + 1, 4):
@@ -410,12 +404,15 @@ def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
     if x.abs_sq() == 0 and y.abs_sq() == 0:
         raise ValueError("(0, 0) has no type")
     tc = _t_complex(t)
-    t_gauss, extra = _t_exact(t)
+    t_gauss, t_irrational = _t_exact(t)
     xb, yb = _embed(x), _embed(y)
-    for bits in (64, 128, 256):
+    # an irrational parameter tries 2^-64 only: the 2^-128 ball grid on its
+    # t-coefficients, times |t|^3 ~ |f'| at the large root, stalls that root's
+    # radius near 2^-127 whatever |t| and the precision of sqrt(d)
+    for bits in (64, 128, 256) if t_irrational is None else (64,):
         radius = Fraction(1, 1 << bits)
         try:
-            roots = all_root_balls(tc, t_gauss, extra, radius)
+            roots = all_root_balls(tc, t_gauss, t_irrational, radius)
         except TieError:
             continue
         bounds = []
@@ -435,9 +432,11 @@ def _t_complex(t: QuadInt) -> complex:
 
 
 def _t_exact(t: QuadInt):
+    """(t_gauss, t_irrational): t as a GaussRat when it lies in Q(i), else
+    (None, t)."""
     re, im = t.re_im()
     if im == 0:
         return GaussRat(re, Fraction(0)), None
     if t.d == 1:
         return GaussRat(re, im), None
-    return None, (t.d, GaussRat(re, Fraction(0)), GaussRat(Fraction(0), im))
+    return None, t

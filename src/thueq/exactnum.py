@@ -35,11 +35,6 @@ def round_up_grid(x: Rat, bits: int = GRID_BITS) -> Rat:
     return Fraction(-((-x.numerator * scale) // x.denominator), scale)
 
 
-def round_down_grid(x: Rat, bits: int = GRID_BITS) -> Rat:
-    scale = 1 << bits
-    return Fraction((x.numerator * scale) // x.denominator, scale)
-
-
 def _dec_exponent(x: Rat) -> int:
     """e such that 10**e <= x < 10**(e+1), for x > 0."""
     if x <= 0:
@@ -119,25 +114,16 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
-def sqrt_lower(q: Rat, bits: int = GRID_BITS) -> Rat:
-    """Rational lower bound for sqrt(q), q >= 0."""
+def sqrt_bounds(q: Rat, bits: int = GRID_BITS) -> tuple[Rat, Rat]:
+    """(lo, hi) on the 2**-bits grid with lo <= sqrt(q) <= hi, q >= 0: lo is
+    the floor and hi the ceiling of 2**bits sqrt(q), over 2**bits."""
     if q < 0:
         raise DomainError("sqrt of negative rational")
-    if q == 0:
-        return Fraction(0)
     scale = 1 << bits
-    n = (q.numerator * scale * scale) // q.denominator
-    return Fraction(math.isqrt(n), scale)
-
-
-def sqrt_upper(q: Rat, bits: int = GRID_BITS) -> Rat:
-    if q < 0:
-        raise DomainError("sqrt of negative rational")
-    if q == 0:
-        return Fraction(0)
-    scale = 1 << bits
-    n = -((-q.numerator * scale * scale) // q.denominator)
-    return Fraction(math.isqrt(n - 1) + 1, scale)
+    n, rem = divmod(q.numerator * scale * scale, q.denominator)
+    r = math.isqrt(n)
+    hi = r if rem == 0 and r * r == n else r + 1
+    return Fraction(r, scale), Fraction(hi, scale)
 
 
 # ---------------------------------------------------------------------------
@@ -158,23 +144,6 @@ class RatInterval:
 
     def contains(self, x: Rat) -> bool:
         return self.lo <= x <= self.hi
-
-    def __add__(self, other: "RatInterval") -> "RatInterval":
-        return RatInterval(self.lo + other.lo, self.hi + other.hi)
-
-    def shift(self, c: Rat) -> "RatInterval":
-        return RatInterval(self.lo + c, self.hi + c)
-
-    def scale(self, c: Rat) -> "RatInterval":
-        if c >= 0:
-            return RatInterval(self.lo * c, self.hi * c)
-        return RatInterval(self.hi * c, self.lo * c)
-
-    def div_pos(self, other: "RatInterval") -> "RatInterval":
-        """Division assuming both intervals are strictly positive."""
-        if other.lo <= 0:
-            raise DomainError("divisor interval not strictly positive")
-        return RatInterval(self.lo / other.hi, self.hi / other.lo)
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +334,8 @@ class ComplexBall:
 
     def abs_bounds(self) -> tuple[Rat, Rat]:
         """Certified [lo, hi] for |z| over the ball."""
-        a2 = self._mid_abs_sq()
-        lo = sqrt_lower(a2) - self.radius
-        hi = sqrt_upper(a2) + self.radius
-        return (max(lo, Fraction(0)), hi)
+        lo, hi = sqrt_bounds(self._mid_abs_sq())
+        return (max(lo - self.radius, Fraction(0)), hi + self.radius)
 
     def abs_upper(self) -> Rat:
         return self.abs_bounds()[1]

@@ -208,7 +208,11 @@ LN_WIDTH = F(1, 10 ** 6)
 def _log_constants() -> dict:
     """Run once per process: certify the tmin-free constants of beta, kappa
     and the contradiction bound, and enclose (width LN_WIDTH) the logs of the
-    constants the corollary-eps gates use, keyed by the constant.
+    constants the corollary-eps gates use, keyed by the constant.  The
+    corollaries rest on both measure chains (c = 15.48 through 137.16, and
+    the Lettl bounds behind kappa), so these run here too, at |t| = 100:
+    every corollary threshold lies above 100, and the chains are monotone
+    in |t|.
 
     |F_t| = prod |x - alpha_k y| <= 1 and |x - alpha_k y| >= |alpha_j - alpha_k||y|/2
     for the closest root alpha_j need beta >= 8/(min_pairwise^2 min_to_alpha2),
@@ -218,6 +222,8 @@ def _log_constants() -> dict:
     the contradiction coefficient must dominate 8.86 * 15.48.  A failure
     raises, and is not cached.
     """
+    measure_constants(0, F(100))
+    measure_constants(3, F(100))
     sep = root_separation(100)
     if descent.BETA_COEFF * sep["min_pairwise"] ** 2 * sep["min_to_alpha2_coeff"] < 8:
         raise ChainError(f"beta {descent.BETA_COEFF} < 8/(min_pairwise^2 * min_to_alpha2)")

@@ -1,10 +1,13 @@
 """Reference oracles: the sparse (X, t) polynomial type over Q(i) and the
-constructions that ran on it before the integer kernel replaced them, and
-the Fraction logarithms that ran before ``exactnum.LnArg``.  The tests check
-``thueq.zpoly``, ``thueq.exactnum`` and their callers against these."""
+constructions that ran on it before the integer kernel replaced them, the
+Fraction logarithms that ran before ``exactnum.LnArg`` with the interval
+arithmetic they use, and the two square roots that ``exactnum.sqrt_bounds``
+replaced.  The tests check ``thueq.zpoly``, ``thueq.exactnum`` and their
+callers against these."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import zip_longest
 
@@ -252,6 +255,57 @@ def nonvanish_margin_oracle(P, c0: Fraction, c3: Fraction, tmin: Fraction) -> Fr
 
 
 # ---------------------------------------------------------------------------
+# rational square roots and interval arithmetic
+
+
+def sqrt_lower(q: Fraction, bits: int = exactnum.GRID_BITS) -> Fraction:
+    """Rational lower bound for sqrt(q), q >= 0."""
+    if q < 0:
+        raise DomainError("sqrt of negative rational")
+    if q == 0:
+        return Fraction(0)
+    scale = 1 << bits
+    n = (q.numerator * scale * scale) // q.denominator
+    return Fraction(math.isqrt(n), scale)
+
+
+def sqrt_upper(q: Fraction, bits: int = exactnum.GRID_BITS) -> Fraction:
+    if q < 0:
+        raise DomainError("sqrt of negative rational")
+    if q == 0:
+        return Fraction(0)
+    scale = 1 << bits
+    n = -((-q.numerator * scale * scale) // q.denominator)
+    return Fraction(math.isqrt(n - 1) + 1, scale)
+
+
+def round_down_grid(x: Fraction, bits: int = exactnum.GRID_BITS) -> Fraction:
+    scale = 1 << bits
+    return Fraction((x.numerator * scale) // x.denominator, scale)
+
+
+def iv_add(a: RatInterval, b: RatInterval) -> RatInterval:
+    return RatInterval(a.lo + b.lo, a.hi + b.hi)
+
+
+def iv_shift(a: RatInterval, c: Fraction) -> RatInterval:
+    return RatInterval(a.lo + c, a.hi + c)
+
+
+def iv_scale(a: RatInterval, c: Fraction) -> RatInterval:
+    if c >= 0:
+        return RatInterval(a.lo * c, a.hi * c)
+    return RatInterval(a.hi * c, a.lo * c)
+
+
+def iv_div_pos(a: RatInterval, b: RatInterval) -> RatInterval:
+    """Division assuming both intervals are strictly positive."""
+    if b.lo <= 0:
+        raise DomainError("divisor interval not strictly positive")
+    return RatInterval(a.lo / b.hi, a.hi / b.lo)
+
+
+# ---------------------------------------------------------------------------
 # the logarithms as they were summed in Fraction arithmetic before the
 # integer kernel; ln 2 reads and fills the same cache as ``exactnum._ln2``
 
@@ -277,7 +331,7 @@ def ln2_oracle(tail_budget: Fraction) -> RatInterval:
     key = exactnum._dec_exponent(tail_budget) if tail_budget > 0 else 0
     iv = exactnum._LN2_CACHE.get(key)
     if iv is None:
-        iv = atanh_enclosure_oracle(Fraction(1, 3), tail_budget / 2).scale(2)
+        iv = iv_scale(atanh_enclosure_oracle(Fraction(1, 3), tail_budget / 2), 2)
         exactnum._LN2_CACHE[key] = iv
     return iv
 
@@ -300,13 +354,13 @@ def ln_enclosure_oracle(x, target_width: Fraction) -> RatInterval:
         m *= 2
         k -= 1
     budget = target_width / 4
-    total = atanh_enclosure_oracle((m - 1) / (m + 1), budget / 2).scale(2)
+    total = iv_scale(atanh_enclosure_oracle((m - 1) / (m + 1), budget / 2), 2)
     if k != 0:
-        total = total + ln2_oracle(budget / (2 * abs(k))).scale(k)
+        total = iv_add(total, iv_scale(ln2_oracle(budget / (2 * abs(k))), k))
     bits = max(8, (4 * target_width.denominator.bit_length() // 4) + 8)
     while Fraction(2, 1 << bits) > target_width / 4:
         bits += 8
-    return RatInterval(exactnum.round_down_grid(total.lo, bits),
+    return RatInterval(round_down_grid(total.lo, bits),
                        exactnum.round_up_grid(total.hi, bits))
 
 
@@ -323,9 +377,9 @@ def kappa_oracle(t_abs, target_width: Fraction) -> RatInterval:
         if den_lo <= 0:
             w /= 4
             continue
-        num = ln_t.shift(exactnum.KAPPA_NUM_SHIFT)
-        den = ln_t.shift(-exactnum.KAPPA_DEN_SHIFT)
-        result = num.div_pos(den)
+        num = iv_shift(ln_t, exactnum.KAPPA_NUM_SHIFT)
+        den = iv_shift(ln_t, -exactnum.KAPPA_DEN_SHIFT)
+        result = iv_div_pos(num, den)
         if result.width <= target_width:
             return result
         w /= 4

@@ -29,6 +29,8 @@ from thueq.quadfield import (QuadInt, div_exact, eligible_fields, enumerate_boun
                              field_pairs, norm, roots_of_unity)
 from thueq.series import GaussRat
 
+from oracles import sqrt_lower, sqrt_upper
+
 
 def test_eval_form_known_values():
     t = QuadInt(1, 0, 20)
@@ -317,12 +319,79 @@ def test_all_root_balls():
 ])
 def test_root_balls_of_an_irrational_parameter_are_pinned(d, a, b, digest):
     t = QuadInt(d, a, b)
-    t_gauss, extra = _t_exact(t)
+    t_gauss, t_irrational = _t_exact(t)
     assert t_gauss is None  # the parameter is enclosed in a ball
     for _ in ("cold", "cached"):
-        balls = all_root_balls(_t_complex(t), t_gauss, extra, F(1, 1 << 64))
+        balls = all_root_balls(_t_complex(t), t_gauss, t_irrational, F(1, 1 << 64))
         assert hashlib.sha256(repr(balls).encode()).hexdigest() == digest
     assert dioph._root_balls.cache_info().hits == 1
+
+
+@pytest.mark.parametrize("a, b, digest", [
+    # sha256 of repr(all_root_balls(...)) at 2^-128 for a Gaussian parameter,
+    # taken before every parameter ball went through dioph._embed
+    (37, -512, "5a4dc745d3dc1e0769dd006209ea4627fa41151dd23e690fa6b61f26f97bfff1"),
+    (-200, 35, "b29ea6944a448456b91d262acc4bd4b712c327d201e5ec56e2d857402df2db58"),
+])
+def test_root_balls_of_a_gaussian_parameter_are_pinned(a, b, digest):
+    t = QuadInt(1, a, b)
+    balls = all_root_balls(_t_complex(t), *_t_exact(t), F(1, 1 << 128))
+    assert hashlib.sha256(repr(balls).encode()).hexdigest() == digest
+
+
+def _inline_parameter_ball(t: QuadInt) -> ComplexBall:
+    """The ball root_ball built for an irrational parameter t = g + h sqrt(d)
+    from the triple (d, g, h), with sqrt(d) enclosed at 200 bits."""
+    re, im = t.re_im()
+    d, g, h = t.d, GaussRat(re, F(0)), GaussRat(F(0), im)
+    lo, hi = sqrt_lower(F(d), 200), sqrt_upper(F(d), 200)
+    return ComplexBall(g.re + h.re * (lo + hi) / 2, g.im + h.im * (lo + hi) / 2,
+                       (abs(h.re) + abs(h.im)) * (hi - lo))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 7, 11, 163, 10**6 + 3])
+def test_embed_at_200_bits_is_the_inline_parameter_ball(d):
+    rng = random.Random(d)
+    ts = [QuadInt(d, 3, 40), QuadInt(d, -5, 1), QuadInt(d, 0, -1), QuadInt(d, 10**30, 7)]
+    ts += [QuadInt(d, rng.randint(-10**6, 10**6), rng.choice([-1, 1]) * rng.randint(1, 10**6))
+           for _ in range(5)]
+    for t in ts:
+        assert _t_exact(t) == (None, t)
+        assert dioph._embed(t, 200) == _inline_parameter_ball(t), str(t)
+
+
+def _tie_at_64(monkeypatch) -> list:
+    """Record the radius of every root-ball set classify_type asks for, and
+    make the 2^-64 set tie."""
+    radii = []
+    real = dioph.all_root_balls
+
+    def all_root_balls(t_complex, t_gauss, t_irrational, radius):
+        radii.append(radius)
+        if radius == F(1, 1 << 64):
+            raise TieError("forced tie")
+        return real(t_complex, t_gauss, t_irrational, radius)
+
+    monkeypatch.setattr(dioph, "all_root_balls", all_root_balls)
+    return radii
+
+
+def test_an_enclosed_parameter_tries_only_the_first_rung(monkeypatch):
+    # the higher rungs cannot certify for a ball parameter, so a tie at
+    # 2^-64 is final
+    radii = _tie_at_64(monkeypatch)
+    for t in (QuadInt(7, 3, 40), QuadInt(11, -5, 31), QuadInt(2, 3, 70)):
+        with pytest.raises(TieError):
+            classify_type(t, QuadInt(t.d, -5, 0), QuadInt(t.d, 5, 0))
+    assert radii == [F(1, 1 << 64)] * 3
+
+
+def test_a_gaussian_parameter_climbs_to_the_next_rung(monkeypatch):
+    radii = _tie_at_64(monkeypatch)
+    t = QuadInt(1, 0, 100)
+    assert classify_type(t, QuadInt(1, -5, 0), QuadInt(1, 5, 0)) == 1
+    assert classify_type(t, QuadInt(1, 0, 99), QuadInt(1, 1, 0)) == 2
+    assert radii == [F(1, 1 << 64), F(1, 1 << 128)] * 2
 
 
 def _counting_root_ball(monkeypatch) -> list:
@@ -337,11 +406,11 @@ def test_one_root_ball_set_per_t(monkeypatch):
     # three classifications and one query on one t build the four balls once
     calls = _counting_root_ball(monkeypatch)
     t = QuadInt(1, 0, 100)
-    t_gauss, extra = _t_exact(t)
+    t_gauss, t_irrational = _t_exact(t)
     assert classify_type(t, QuadInt(1, -5, 0), QuadInt(1, 5, 0)) == 1
     assert classify_type(t, QuadInt(1, 5, 0), QuadInt(1, 5, 0)) == 3
     assert classify_type(t, QuadInt(1, 0, 99), QuadInt(1, 1, 0)) == 2
-    all_root_balls(_t_complex(t), t_gauss, extra, F(1, 1 << 64))
+    all_root_balls(_t_complex(t), t_gauss, t_irrational, F(1, 1 << 64))
     assert len(calls) == 4
 
 
@@ -369,16 +438,18 @@ def test_a_tied_rung_is_not_cached(monkeypatch):
 
 
 def test_root_ball_stops_once_the_radius_stalls(monkeypatch):
-    # t = 3 + 40 omega in d = 7 is enclosed to 200 bits, so the certified
-    # radius bottoms out near 2^-132 and 2^-256 is out of reach
+    # t = 3 + 40 omega in d = 7 is a ball of nonzero radius, so every
+    # t-coefficient of f_t is rounded up to the 2^-128 ball grid: the certified
+    # radius bottoms out near 2^-132 (2^-127 for the large root) whatever the
+    # precision of sqrt(d), and 2^-256 is out of reach
     t = QuadInt(7, 3, 40)
-    t_gauss, extra = _t_exact(t)
+    t_gauss, t_irrational = _t_exact(t)
     calls = []
     real = dioph._certify_root
     monkeypatch.setattr(dioph, "_certify_root",
                         lambda *args: calls.append(args) or real(*args))
     with pytest.raises(TieError):
-        root_ball(t_gauss, _root_seeds(_t_complex(t))[0], F(1, 1 << 256), extra)
+        root_ball(t_gauss, _root_seeds(_t_complex(t))[0], F(1, 1 << 256), t_irrational)
     assert len(calls) <= 4  # all 14 Newton steps ran before the stall check
 
 
@@ -408,7 +479,7 @@ def _certify_root_oracle(t, x):
 def test_certify_root_matches_the_hand_written_quartic():
     # an exact and an enclosed parameter, Newton points at several distances
     # from each root: the balls (or refusals) agree exactly
-    lo, hi = dioph.sqrt_lower(F(7), 200), dioph.sqrt_upper(F(7), 200)
+    lo, hi = dioph._sqrt_enclosure(7, 200)
     t_balls = [ComplexBall.exact(F(0), F(100)), ComplexBall.exact(F(-37, 3), F(512, 7)),
                ComplexBall(F(3, 2), 20 * (lo + hi), 20 * (hi - lo))]
     outcomes = set()

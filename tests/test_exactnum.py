@@ -14,17 +14,16 @@ from thueq.exactnum import (
     iroot,
     kappa,
     ln_enclosure,
-    round_down_grid,
     round_nearest_sig,
     round_up_grid,
     round_up_sig,
     sig_str,
-    sqrt_lower,
-    sqrt_upper,
+    sqrt_bounds,
 )
 from thueq.measure import KAPPA_WIDTH
 
-from oracles import atanh_enclosure_oracle, kappa_oracle, ln_enclosure_oracle
+from oracles import (atanh_enclosure_oracle, iv_add, iv_div_pos, iv_scale, iv_shift,
+                     kappa_oracle, ln_enclosure_oracle, round_down_grid, sqrt_lower, sqrt_upper)
 
 rationals = st.fractions(
     min_value=F(-10**6), max_value=F(10**6), max_denominator=10**6
@@ -75,25 +74,49 @@ def test_sig_str():
 
 @given(positive_rationals)
 def test_sqrt_bounds(q):
-    lo, hi = sqrt_lower(q), sqrt_upper(q)
+    lo, hi = sqrt_bounds(q)
     assert 0 <= lo <= hi
     assert lo * lo <= q <= hi * hi
     assert hi - lo <= F(2, 2**100)
 
 
 def test_sqrt_exact():
+    assert sqrt_bounds(F(4)) == (2, 2)
+    assert sqrt_bounds(F(0)) == (0, 0)
     assert sqrt_lower(F(4)) == 2 == sqrt_upper(F(4))
     assert sqrt_lower(F(0)) == 0 == sqrt_upper(F(0))
+    with pytest.raises(DomainError):
+        sqrt_bounds(F(-1, 3))
+
+
+SQRT_BITS = (0, 64, 128, 200, 264)
+
+
+@given(st.one_of(st.just(0), st.integers(min_value=0, max_value=2**600)),
+       st.integers(min_value=1, max_value=2**600), st.sampled_from(SQRT_BITS),
+       st.sampled_from(("q", "square", "grid square")), st.integers(min_value=0, max_value=264))
+def test_sqrt_bounds_equals_the_two_square_roots(n, d, bits, kind, k):
+    # a grid square (n / 2^k)^2 with k <= bits has its root on the 2^-bits grid
+    q = {"q": F(n, d), "square": F(n, d) ** 2, "grid square": F(n, 1 << min(k, bits)) ** 2}[kind]
+    assert sqrt_bounds(q, bits) == (sqrt_lower(q, bits), sqrt_upper(q, bits))
+
+
+def test_sqrt_bounds_equals_the_two_square_roots_on_exact_squares():
+    # 19/2 and 13/3 floor to a square at 2^0 with a nonzero remainder
+    cases = [F(0), F(1), F(4), F(9, 4), F(3, 2**64) ** 2, F(5 * 2**300 + 1, 2**100) ** 2,
+             F(2**600 - 1, 2**64) ** 2, F(7), F(163), F(10**6 + 3), F(19, 2), F(13, 3)]
+    for q, bits in itertools.product(cases, SQRT_BITS):
+        assert sqrt_bounds(q, bits) == (sqrt_lower(q, bits), sqrt_upper(q, bits))
 
 
 def test_interval_arithmetic():
     a = RatInterval(F(1), F(2))
     b = RatInterval(F(3), F(5))
-    s = a + b
+    s = iv_add(a, b)
     assert (s.lo, s.hi) == (4, 7)
-    assert a.shift(F(10)).lo == 11
-    assert a.scale(F(-2)).lo == -4 and a.scale(F(-2)).hi == -2
-    q = a.div_pos(b)
+    assert iv_shift(a, F(10)).lo == 11
+    assert iv_scale(a, F(-2)).lo == -4 and iv_scale(a, F(-2)).hi == -2
+    q = iv_div_pos(a, b)
     assert q.lo == F(1, 5) and q.hi == F(2, 3)
     assert a.contains(F(3, 2)) and not a.contains(F(3))
     with pytest.raises(ValueError):
@@ -128,9 +151,9 @@ def ln_enclosure_by_halving(x, target_width):
         m *= 2
         k -= 1
     budget = target_width / 4
-    total = atanh_enclosure_oracle((m - 1) / (m + 1), budget / 2).scale(2)
+    total = iv_scale(atanh_enclosure_oracle((m - 1) / (m + 1), budget / 2), 2)
     if k != 0:
-        total = total + exactnum._ln2(budget / (2 * abs(k))).scale(k)
+        total = iv_add(total, iv_scale(exactnum._ln2(budget / (2 * abs(k))), k))
     bits = max(8, (4 * target_width.denominator.bit_length() // 4) + 8)
     while F(2, 1 << bits) > target_width / 4:
         bits += 8

@@ -5,8 +5,9 @@ from functools import lru_cache
 import pytest
 
 from thueq import descent, exactnum, hyperchi, measure, rouche, series
+from thueq.cli import main
 from thueq.dioph import root_ball
-from thueq.exactnum import iroot, round_up_sig, sqrt_lower, sqrt_upper
+from thueq.exactnum import iroot, round_up_sig, sqrt_bounds
 from thueq.measure import (
     CONTRADICTION_COEFF,
     ChainError,
@@ -133,8 +134,8 @@ def test_irrationality_bound_against_certified_root():
         pi = F(pb * qa - pa * qb, q_sq)
         dr = alpha.re_mid - pr
         di = alpha.im_mid - pi
-        dist_lo = max(F(0), sqrt_lower(dr * dr + di * di) - alpha.radius)
-        lb = irrationality_lower(F(100), sqrt_upper(F(q_sq)), 0)
+        dist_lo = max(F(0), sqrt_bounds(dr * dr + di * di)[0] - alpha.radius)
+        lb = irrationality_lower(F(100), sqrt_bounds(F(q_sq))[1], 0)
         assert dist_lo > lb
 
 
@@ -408,6 +409,25 @@ def test_log_constants_run_once_per_process(monkeypatch):
     constants = {F("2.94"), F("13.27"), F(4), F("20.14"), F("8.86"), F("0.33"),
                  F("0.31"), CONTRADICTION_COEFF}
     assert sorted(c for c in calls if c in constants) == sorted(constants)
+
+
+def test_corollaries_fail_closed_without_the_lettl_bounds(monkeypatch, capsys):
+    # the corollaries rest on the measure chains, whose Lettl growth bounds
+    # are checked once per process; a failed check must stop both of them
+    def failing(rmax):
+        raise ChainError("Lettl growth bound fails at r = 7")
+
+    monkeypatch.setattr(hyperchi, "verify_lettl", failing)
+    for name in ("_tmin_free_checks", "_log_constants"):
+        monkeypatch.setattr(measure, name,
+                            lru_cache(maxsize=None)(getattr(measure, name).__wrapped__))
+    with pytest.raises(ChainError, match="Lettl"):
+        corollary_eps(F(1, 2))
+    with pytest.raises(ChainError, match="Lettl"):
+        corollary_lin(F(1))
+    for argv in (["corollary-eps", "--eps", "1/2"], ["corollary-lin", "--C", "1"]):
+        assert main(argv) == 2
+        assert "Lettl growth bound fails" in capsys.readouterr().err
 
 
 def test_corollary_lin_accepts_its_own_threshold():
