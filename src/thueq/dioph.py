@@ -6,16 +6,17 @@ classification via certified root enclosures."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import zpoly
-from .exactnum import GRID_BITS, ComplexBall, Rat, sqrt_bounds
+from .exactnum import GRID_BITS, ComplexBall, Rat, gauss_over, sqrt_bounds, sqrt_grid
 from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
                         is_half_integral, norm, pairs_with_norm_in, roots_of_unity)
-from .series import G0, QUARTIC, GaussRat
+from .series import QUARTIC, GaussRat
 
 
 class TieError(ArithmeticError):
@@ -208,35 +209,63 @@ _DF = tuple(tuple(zpoly.deriv(p)) for p in QUARTIC)
 _D2F = tuple(tuple(zpoly.deriv(p)) for p in _DF)
 
 
-@lru_cache(maxsize=32)
-def _coeffs_at(rows, t, lift) -> tuple:
-    """The coefficients A_k + B_k t of rows (A, B), their integers lifted."""
-    return tuple(lift(a) + lift(b) * t for a, b in zip(*rows))
+@lru_cache(maxsize=64)
+def _coeffs_at(t_ball: ComplexBall) -> tuple:
+    """(rows, T, m2, td): f_t and f_t' at the ball's midpoint as Z[i] coefficients
+    over T, each with its coefficient radii in units of 2^-GRID_BITS as ComplexBall
+    lifts A_k + B_k t; the majorant |A_k| + |B_k| |t| of f_t'' as integers over td."""
+    (tr, ti, T), rho = gauss_over(t_ball.re_mid, t_ball.im_mid), t_ball.radius
+    rows = [(tuple((a * T + b * tr, b * ti) for a, b in zip(*p)),
+             tuple(-(-(abs(b) * rho.numerator << GRID_BITS) // rho.denominator) for b in p[1]))
+            for p in (QUARTIC, _DF)]
+    tn, td = t_ball.abs_upper().as_integer_ratio()
+    return rows, T, [abs(a) * td + abs(b) * tn for a, b in zip(*_D2F)], td
+
+
+@lru_cache(maxsize=1)
+def _evaluate(t_ball: ComplexBall, x: GaussRat) -> tuple:
+    """(z, n, xu, f, f'): the one evaluation at x = z/n, |x| <= xu 2^-GRID_BITS,
+    that the Newton step from x and the certificate of x share.  Each value
+    is (V, K, r): V/K is exact at the ball's midpoint (homogenised Horner over
+    Z[i]), and r 2^-GRID_BITS is the radius that ComplexBall Horner gives it."""
+    rows, T, _, _ = _coeffs_at(t_ball)
+    zr, zi, n = gauss_over(x.re, x.im)
+    xu = sqrt_grid(zr * zr + zi * zi, n * n)[1]
+    out = [(zr, zi), n, xu]
+    for coeffs, radii in rows:
+        (vr, vi), npow, r = coeffs[-1], 1, radii[-1]
+        for (cr, ci), c in zip(reversed(coeffs[:-1]), reversed(radii[:-1])):
+            npow *= n
+            vr, vi = vr * zr - vi * zi + cr * npow, vr * zi + vi * zr + ci * npow
+            r = -(-xu * r >> GRID_BITS) + c
+        out.append(((vr, vi), T * npow, r))
+    return tuple(out)
 
 
 def root_ball(t: GaussRat | None, seed: complex, target_radius: Rat,
               t_irrational: QuadInt | None = None) -> ComplexBall:
     """Certified enclosure of the root of f_t nearest the float seed.
 
-    Newton iteration in exact rational complex arithmetic (denominators
-    pruned) at the parameter's midpoint, then a Newton-Kantorovich radius
-    certificate over the parameter's ball.  An irrational parameter comes as
-    (None, t_irrational) from _t_exact, with sqrt(d) on the 2^-200 grid.
+    Newton steps at the parameter's midpoint (denominators pruned) and
+    Newton-Kantorovich certificates over its ball, from one integer evaluation
+    per iterate.  An irrational parameter comes as (None, t_irrational) from
+    _t_exact, with sqrt(d) on the 2^-200 grid.
     """
     target_radius = Fraction(target_radius)
     t_ball = (ComplexBall.exact(t.re, t.im) if t_irrational is None
               else _embed(t_irrational, 200))
-    t_mid = GaussRat(t_ball.re_mid, t_ball.im_mid)
-    f, df = (_coeffs_at(rows, t_mid, GaussRat.of) for rows in (QUARTIC, _DF))
     x = _approx_gauss(seed)
     cap = 1 << 2400
     last = None  # the previous certified radius
     for _ in range(14):
-        dfx = zpoly.evaluate(df, x, G0)
-        if not dfx:
+        (zr, zi), n, _, (F, _, _), (D, _, _) = _evaluate(t_ball, x)
+        dn = D[0] ** 2 + D[1] ** 2
+        if not dn:
             break
-        x = x - zpoly.evaluate(f, x, G0) / dfx
-        x = GaussRat(_limit(x.re, cap), _limit(x.im, cap))
+        # x - f/f' = (z D - F) / (n D) = (z D - F) conj(D) / (n |D|^2)
+        wr, wi = zr * D[0] - zi * D[1] - F[0], zr * D[1] + zi * D[0] - F[1]
+        x = GaussRat(*(_limit(Fraction(w, n * dn), cap)
+                       for w in (wr * D[0] + wi * D[1], wi * D[0] - wr * D[1])))
         ball = _certify_root(t_ball, x)
         if ball is not None:
             if ball.radius <= target_radius:
@@ -257,20 +286,21 @@ def _limit(q: Fraction, cap: int) -> Fraction:
 
 
 def _certify_root(t_ball: ComplexBall, x: GaussRat) -> ComplexBall | None:
-    """Newton-Kantorovich: a simple root lies within 2|f(x)/f'(x)| of x."""
-    xb, zero = ComplexBall.exact(x.re, x.im), ComplexBall.exact(Fraction(0))
-    f, df = (zpoly.evaluate(_coeffs_at(rows, t_ball, ComplexBall.exact), xb, zero)
-             for rows in (QUARTIC, _DF))
-    df_lo, _ = df.abs_bounds()
-    if df_lo <= 0:
+    """Newton-Kantorovich: a simple root lies within 2|f(x)/f'(x)| of x.
+    |f| and |f'| are bounded as ComplexBall Horner bounds them, over Z."""
+    _, _, xu, (F, kf, rf), (D, kd, rd) = _evaluate(t_ball, x)
+    # |f'| >= ed 2^-GRID_BITS, and eta = en / ed bounds |f/f'|
+    ed = sqrt_grid(D[0] ** 2 + D[1] ** 2, kd * kd)[0] - rd
+    if ed <= 0:
         return None
-    eta = f.abs_upper() / df_lo
-    # |f''| on the disc of radius 2*eta, majorized coefficient by coefficient
-    xr, t_abs = xb.abs_upper() + 2 * eta, t_ball.abs_upper()
-    m2 = sum((abs(a) + abs(b) * t_abs) * xr ** k for k, (a, b) in enumerate(zip(*_D2F)))
-    if 2 * eta * m2 > df_lo:  # h = eta * m2 / |f'| must be < 1/2
+    en = sqrt_grid(F[0] ** 2 + F[1] ** 2, kf * kf)[1] + rf
+    # |f''| <= m / (td xd^2) on the disc |z - x| <= 2 eta, where |z| <= xn / xd
+    _, _, m2, td = _coeffs_at(t_ball)
+    xn, xd = xu * ed + (2 * en << GRID_BITS), ed << GRID_BITS
+    m = sum(c * xn ** k * xd ** (len(m2) - 1 - k) for k, c in enumerate(m2))
+    if 2 * en * m << GRID_BITS > ed * ed * td * xd ** (len(m2) - 1):  # h < 1/2 fails
         return None
-    return ComplexBall(x.re, x.im, 2 * eta)
+    return ComplexBall(x.re, x.im, Fraction(2 * en, ed))
 
 
 def all_root_balls(t_complex: complex, t_gauss, t_irrational,
@@ -290,25 +320,32 @@ def _root_balls(t_complex, t_gauss, t_irrational, target_radius) -> tuple[Comple
     seeds = _root_seeds(t_complex)
     balls = tuple(root_ball(t_gauss, s, target_radius, t_irrational) for s in seeds)
     # pairwise disjointness makes the correspondence certified
-    for i in range(4):
-        for j in range(i + 1, 4):
-            diff = balls[i] - balls[j]
-            if diff.abs_bounds()[0] <= 0:
-                raise TieError("root enclosures overlap")
+    if any((a - b).abs_bounds()[0] <= 0 for a, b in itertools.combinations(balls, 2)):
+        raise TieError("root enclosures overlap")
     return balls
 
 
 def _root_seeds(t: complex) -> list[complex]:
-    """Float seeds: crude Durand-Kerner on f_t, then ordered as
-    (smallest, near -1, large, near 1)."""
+    """Float seeds: crude Durand-Kerner on f_t, ordered as (smallest, near -1,
+    large, near 1).  Where a seed fails the float check (a Newton step above
+    1e-8 max(1, |z|), or two seeds coinciding), as the small ones do past
+    |t| ~ 10^34, the seeds are -1/t, -1, t, 1, each polished by float Newton."""
     import cmath
     coeffs = [1.0, -t, -6.0, t, 1.0]  # descending in X
 
-    def f(z):
+    def f(z, cs=coeffs):
         acc = 0j
-        for c in coeffs:
+        for c in cs:
             acc = acc * z + c
         return acc
+
+    def newton_step(z):  # nan where f'(z) vanishes or the floats overflow
+        df = f(z, [4.0, -3 * t, -12.0, t])
+        return f(z) / df if df else complex("nan")
+
+    def polish(z, steps=8):  # float Newton, up to where the floats overflow
+        step = newton_step(z)
+        return polish(z - step, steps - 1) if steps and cmath.isfinite(step) else z
 
     zs = [0.4 * cmath.exp(2j * cmath.pi * (k + 0.25) / 4) * (1 + abs(t))
           for k in range(4)]
@@ -325,6 +362,9 @@ def _root_seeds(t: complex) -> list[complex]:
             zs = new
             break
         zs = new
+    if not all(abs(newton_step(z)) <= 1e-8 * max(1.0, abs(z)) for z in zs) or any(
+            abs(a - b) <= 1e-8 * max(abs(a), abs(b)) for a, b in itertools.combinations(zs, 2)):
+        return [polish(z) for z in (-1 / t, -1 + 0j, t, 1 + 0j)]
     large = max(zs, key=abs)
     small = min(zs, key=abs)
     rest = [z for z in zs if z not in (large, small)]
@@ -343,12 +383,6 @@ def _dyadic_ball(ball: ComplexBall) -> tuple[tuple[int, int], int]:
     M = tuple((2 * (x.numerator << sh) + x.denominator) // (2 * x.denominator)
               for x in (ball.re_mid, ball.im_mid))
     return M, -(-(ball.radius.numerator << sh) // ball.radius.denominator) + 1
-
-
-def _abs_ceil(z) -> int:
-    """ceil |z| for a Gaussian integer z = (re, im)."""
-    n = z[0] * z[0] + z[1] * z[1]
-    return math.isqrt(n - 1) + 1 if n else 0
 
 
 def divisibility_ball_check(r: int, t: GaussRat) -> dict:
@@ -381,7 +415,7 @@ def divisibility_ball_check(r: int, t: GaussRat) -> dict:
     # 2^(sh(n+1-j)) den (m a_j - b_j), exactly
     e = [(M[0] * a - M[1] * b - (c << sh), M[0] * b + M[1] * a - (d << sh))
          for (a, b), (c, d) in zip(ga, gb)]
-    abs_a, abs_e = [_abs_ceil(z) for z in ga], [_abs_ceil(z) for z in e]
+    abs_a, abs_e = ([sqrt_grid(a * a + b * b, 1, 0)[1] for a, b in zs] for zs in (ga, e))
     max_num, contains = 0, True
     for k in range(2 * r + 1):
         # 2^(sh(n+1-k)) den times the radius bound, with rho^l = R^l/2^(sh l)
@@ -415,10 +449,7 @@ def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
             roots = all_root_balls(tc, t_gauss, t_irrational, radius)
         except TieError:
             continue
-        bounds = []
-        for ab in roots:
-            beta = xb - ab * yb
-            bounds.append(beta.abs_bounds())
+        bounds = [(xb - ab * yb).abs_bounds() for ab in roots]
         order = sorted(range(4), key=lambda i: bounds[i][1])
         best = order[0]
         if all(bounds[best][1] < bounds[j][0] for j in order[1:]):

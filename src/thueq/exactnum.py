@@ -114,16 +114,25 @@ def iroot(n: int, k: int) -> int:
         x = y
 
 
+def sqrt_grid(n: int, d: int, bits: int = GRID_BITS) -> tuple[int, int]:
+    """The floor and the ceiling of 2**bits sqrt(n/d), integers n >= 0, d > 0,
+    by one divmod and one isqrt; they are equal only when both are exact."""
+    q, rem = divmod(n << 2 * bits, d)
+    r = math.isqrt(q)
+    return r, (r if rem == 0 and r * r == q else r + 1)
+
+
+def gauss_over(re: Rat, im: Rat) -> tuple[int, int, int]:
+    """(a, b, n) with re + i im = (a + bi)/n over the least common denominator n."""
+    n = math.lcm(re.denominator, im.denominator)
+    return re.numerator * (n // re.denominator), im.numerator * (n // im.denominator), n
+
+
 def sqrt_bounds(q: Rat, bits: int = GRID_BITS) -> tuple[Rat, Rat]:
-    """(lo, hi) on the 2**-bits grid with lo <= sqrt(q) <= hi, q >= 0: lo is
-    the floor and hi the ceiling of 2**bits sqrt(q), over 2**bits."""
+    """(lo, hi) on the 2**-bits grid with lo <= sqrt(q) <= hi, q >= 0."""
     if q < 0:
         raise DomainError("sqrt of negative rational")
-    scale = 1 << bits
-    n, rem = divmod(q.numerator * scale * scale, q.denominator)
-    r = math.isqrt(n)
-    hi = r if rem == 0 and r * r == n else r + 1
-    return Fraction(r, scale), Fraction(hi, scale)
+    return tuple(Fraction(e, 1 << bits) for e in sqrt_grid(q.numerator, q.denominator, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +146,6 @@ class RatInterval:
     def __post_init__(self):
         if self.lo > self.hi:
             raise DomainError(f"empty interval [{self.lo}, {self.hi}]")
-
-    @property
-    def width(self) -> Rat:
-        return self.hi - self.lo
-
-    def contains(self, x: Rat) -> bool:
-        return self.lo <= x <= self.hi
 
 
 # ---------------------------------------------------------------------------
@@ -329,19 +331,14 @@ class ComplexBall:
     def exact(re: Rat, im: Rat = Fraction(0)) -> "ComplexBall":
         return ComplexBall(Fraction(re), Fraction(im), Fraction(0))
 
-    def _mid_abs_sq(self) -> Rat:
-        return self.re_mid * self.re_mid + self.im_mid * self.im_mid
-
     def abs_bounds(self) -> tuple[Rat, Rat]:
-        """Certified [lo, hi] for |z| over the ball."""
-        lo, hi = sqrt_bounds(self._mid_abs_sq())
-        return (max(lo - self.radius, Fraction(0)), hi + self.radius)
+        """Certified [lo, hi] for |z| over the ball; |mid|^2 is not normalised."""
+        a, b, n = gauss_over(self.re_mid, self.im_mid)
+        lo, hi = (Fraction(e, 1 << GRID_BITS) for e in sqrt_grid(a * a + b * b, n * n))
+        return max(lo - self.radius, Fraction(0)), hi + self.radius
 
     def abs_upper(self) -> Rat:
         return self.abs_bounds()[1]
-
-    def contains_zero(self) -> bool:
-        return self.abs_bounds()[0] <= 0
 
     def __neg__(self) -> "ComplexBall":
         return ComplexBall(-self.re_mid, -self.im_mid, self.radius)
@@ -359,9 +356,8 @@ class ComplexBall:
     def __mul__(self, other: "ComplexBall") -> "ComplexBall":
         re = self.re_mid * other.re_mid - self.im_mid * other.im_mid
         im = self.re_mid * other.im_mid + self.im_mid * other.re_mid
-        rad = (
-            self.abs_upper() * other.radius
-            + other.abs_upper() * self.radius
-            + self.radius * other.radius
-        )
+        rad = self.radius * other.radius
+        for a, b in ((self, other), (other, self)):
+            if b.radius:  # a modulus only where it meets a nonzero radius
+                rad += a.abs_upper() * b.radius
         return ComplexBall(re, im, round_up_grid(rad))

@@ -1,9 +1,12 @@
 """Reference oracles: the sparse (X, t) polynomial type over Q(i) and the
 constructions that ran on it before the integer kernel replaced them, the
 Fraction logarithms that ran before ``exactnum.LnArg`` with the interval
-arithmetic they use, and the two square roots that ``exactnum.sqrt_bounds``
-replaced.  The tests check ``thueq.zpoly``, ``thueq.exactnum`` and their
-callers against these."""
+arithmetic they use, the two square roots that ``exactnum.sqrt_bounds``
+replaced, and the concrete-t root balls as they were computed in
+``GaussRat``/``ComplexBall`` arithmetic before the integer Newton steps and
+certificates of ``thueq.dioph``, with the ``ComplexBall`` modulus and product
+and the Durand-Kerner seeds they ran on.  The tests check ``thueq.zpoly``,
+``thueq.exactnum`` and their callers against these."""
 
 from __future__ import annotations
 
@@ -11,8 +14,8 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from thueq import exactnum
-from thueq.exactnum import DomainError, RatInterval, UndefinedKappaError
+from thueq import dioph, exactnum, zpoly
+from thueq.exactnum import ComplexBall, DomainError, RatInterval, UndefinedKappaError
 from thueq.hyperchi import chi_coeffs, denom_data
 from thueq.series import G0, G1, GI, GaussRat, Series, TPoly, ValuationError
 
@@ -284,6 +287,14 @@ def round_down_grid(x: Fraction, bits: int = exactnum.GRID_BITS) -> Fraction:
     return Fraction((x.numerator * scale) // x.denominator, scale)
 
 
+def iv_width(a: RatInterval) -> Fraction:
+    return a.hi - a.lo
+
+
+def iv_contains(a: RatInterval, x: Fraction) -> bool:
+    return a.lo <= x <= a.hi
+
+
 def iv_add(a: RatInterval, b: RatInterval) -> RatInterval:
     return RatInterval(a.lo + b.lo, a.hi + b.hi)
 
@@ -380,7 +391,117 @@ def kappa_oracle(t_abs, target_width: Fraction) -> RatInterval:
         num = iv_shift(ln_t, exactnum.KAPPA_NUM_SHIFT)
         den = iv_shift(ln_t, -exactnum.KAPPA_DEN_SHIFT)
         result = iv_div_pos(num, den)
-        if result.width <= target_width:
+        if iv_width(result) <= target_width:
             return result
         w /= 4
     raise UndefinedKappaError(f"kappa enclosure did not converge for t={t_abs}")
+
+
+# ---------------------------------------------------------------------------
+# complex balls: the modulus bounds and the product as they were computed
+# before the integer ends of |mid|^2
+
+
+def ball_abs_bounds_oracle(z: ComplexBall) -> tuple[Fraction, Fraction]:
+    """|z| bounds from the normalised Fraction |mid|^2."""
+    lo, hi = exactnum.sqrt_bounds(z.re_mid * z.re_mid + z.im_mid * z.im_mid)
+    return (max(lo - z.radius, Fraction(0)), hi + z.radius)
+
+
+def ball_mul_oracle(a: ComplexBall, b: ComplexBall) -> ComplexBall:
+    """The product with both moduli taken, whatever the radii."""
+    re = a.re_mid * b.re_mid - a.im_mid * b.im_mid
+    im = a.re_mid * b.im_mid + a.im_mid * b.re_mid
+    rad = (ball_abs_bounds_oracle(a)[1] * b.radius + ball_abs_bounds_oracle(b)[1] * a.radius
+           + a.radius * b.radius)
+    return ComplexBall(re, im, exactnum.round_up_grid(rad))
+
+
+def ball_contains_zero(z: ComplexBall) -> bool:
+    return z.abs_bounds()[0] <= 0
+
+
+# ---------------------------------------------------------------------------
+# the concrete-t root balls in GaussRat/ComplexBall arithmetic
+
+
+def coeffs_at_oracle(rows, t, lift) -> tuple:
+    """The coefficients A_k + B_k t of rows (A, B), their integers lifted."""
+    return tuple(lift(a) + lift(b) * t for a, b in zip(*rows))
+
+
+def certify_root_oracle(t_ball: ComplexBall, x: GaussRat) -> ComplexBall | None:
+    """Newton-Kantorovich by ComplexBall Horner on the lifted coefficients."""
+    xb, zero = ComplexBall.exact(x.re, x.im), ComplexBall.exact(Fraction(0))
+    f, df = (zpoly.evaluate(coeffs_at_oracle(rows, t_ball, ComplexBall.exact), xb, zero)
+             for rows in (dioph.QUARTIC, dioph._DF))
+    df_lo, _ = df.abs_bounds()
+    if df_lo <= 0:
+        return None
+    eta = f.abs_upper() / df_lo
+    # |f''| on the disc of radius 2*eta, majorized coefficient by coefficient
+    xr, t_abs = xb.abs_upper() + 2 * eta, t_ball.abs_upper()
+    m2 = sum((abs(a) + abs(b) * t_abs) * xr ** k for k, (a, b) in enumerate(zip(*dioph._D2F)))
+    if 2 * eta * m2 > df_lo:  # h = eta * m2 / |f'| must be < 1/2
+        return None
+    return ComplexBall(x.re, x.im, 2 * eta)
+
+
+def root_ball_oracle(t, seed: complex, target_radius, t_irrational=None) -> ComplexBall:
+    """``dioph.root_ball`` with GaussRat Newton steps and the ball certificate."""
+    target_radius = Fraction(target_radius)
+    t_ball = (ComplexBall.exact(t.re, t.im) if t_irrational is None
+              else dioph._embed(t_irrational, 200))
+    t_mid = GaussRat(t_ball.re_mid, t_ball.im_mid)
+    f, df = (coeffs_at_oracle(rows, t_mid, GaussRat.of) for rows in (dioph.QUARTIC, dioph._DF))
+    x = dioph._approx_gauss(seed)
+    cap = 1 << 2400
+    last = None
+    for _ in range(14):
+        dfx = zpoly.evaluate(df, x, G0)
+        if not dfx:
+            break
+        x = x - zpoly.evaluate(f, x, G0) / dfx
+        x = GaussRat(dioph._limit(x.re, cap), dioph._limit(x.im, cap))
+        ball = certify_root_oracle(t_ball, x)
+        if ball is not None:
+            if ball.radius <= target_radius:
+                return ball
+            if last is not None and ball.radius >= last:
+                break
+            last = ball.radius
+    raise dioph.TieError("root enclosure did not reach the requested radius")
+
+
+def root_seeds_oracle(t: complex) -> list[complex]:
+    """Durand-Kerner seeds with no float check and no asymptotic fallback."""
+    import cmath
+    coeffs = [1.0, -t, -6.0, t, 1.0]
+
+    def f(z):
+        acc = 0j
+        for c in coeffs:
+            acc = acc * z + c
+        return acc
+
+    zs = [0.4 * cmath.exp(2j * cmath.pi * (k + 0.25) / 4) * (1 + abs(t))
+          for k in range(4)]
+    for _ in range(200):
+        new = []
+        for i, z in enumerate(zs):
+            num = f(z)
+            den = 1.0
+            for j, w in enumerate(zs):
+                if i != j:
+                    den *= (z - w)
+            new.append(z - num / den)
+        if max(abs(a - b) for a, b in zip(new, zs)) < 1e-13:
+            zs = new
+            break
+        zs = new
+    large = max(zs, key=abs)
+    small = min(zs, key=abs)
+    rest = [z for z in zs if z not in (large, small)]
+    near_m1 = min(rest, key=lambda z: abs(z + 1))
+    near_p1 = [z for z in rest if z is not near_m1][0]
+    return [small, near_m1, large, near_p1]

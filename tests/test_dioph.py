@@ -1,3 +1,4 @@
+import cmath
 import hashlib
 import itertools
 import math
@@ -29,7 +30,8 @@ from thueq.quadfield import (QuadInt, div_exact, eligible_fields, enumerate_boun
                              field_pairs, norm, roots_of_unity)
 from thueq.series import GaussRat
 
-from oracles import sqrt_lower, sqrt_upper
+from oracles import (ball_contains_zero, root_ball_oracle, root_seeds_oracle, sqrt_lower,
+                     sqrt_upper)
 
 
 def test_eval_form_known_values():
@@ -453,6 +455,86 @@ def test_root_ball_stops_once_the_radius_stalls(monkeypatch):
     assert len(calls) <= 4  # all 14 Newton steps ran before the stall check
 
 
+def _oracle_parameters() -> list[QuadInt]:
+    """One seeded parameter per field, |t| between 10^2 and 10^6."""
+    rng = random.Random(17)
+    out = []
+    for d in (1, 2, 3, 5, 7, 11):
+        m = 10 ** rng.uniform(2, 6)
+        out.append(QuadInt(d, round(m * rng.uniform(-1, 1)), round(m * rng.uniform(-1, 1)) or 1))
+    return out
+
+
+def test_root_ball_matches_the_fraction_oracle():
+    # every seed at 2^-64, 2^-128 and 2^-256: the integer Newton steps and
+    # certificates give the GaussRat/ComplexBall path's ball, or its tie
+    outcomes = []
+    for t in _oracle_parameters():
+        t_gauss, t_irrational = _t_exact(t)
+        for seed, bits in itertools.product(_root_seeds(_t_complex(t)), (64, 128, 256)):
+            got, want = [], []
+            for fn, out in ((root_ball, got), (root_ball_oracle, want)):
+                try:
+                    out.append(fn(t_gauss, seed, F(1, 1 << bits), t_irrational))
+                except TieError as e:
+                    out.append(str(e))
+            assert got == want, (str(t), seed, bits)
+            outcomes.append(isinstance(got[0], str))
+    assert True in outcomes and False in outcomes
+
+
+def test_root_ball_evaluates_f_once_per_iterate(monkeypatch):
+    # the Newton step from an iterate reuses the evaluation that certified it
+    calls = []
+    real = dioph._certify_root
+    monkeypatch.setattr(dioph, "_certify_root",
+                        lambda *args: calls.append(args) or real(*args))
+    for t, bits in ((QuadInt(1, 37, -512), 256), (QuadInt(7, 3, 40), 128)):
+        t_gauss, t_irrational = _t_exact(t)
+        for seed in _root_seeds(_t_complex(t)):
+            calls.clear()
+            dioph._evaluate.cache_clear()
+            try:
+                root_ball(t_gauss, seed, F(1, 1 << bits), t_irrational)
+            except TieError:
+                pass
+            # the seed, then each certified iterate
+            assert dioph._evaluate.cache_info().misses == len(calls) + 1 >= 2
+
+
+def test_root_seeds_are_unchanged_up_to_1e30():
+    # the float check passes every Durand-Kerner seed set here, so the
+    # asymptotic fallback leaves them bit for bit
+    rng = random.Random(30)
+    ts = [complex(rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(150)]
+    ts += [cmath.rect(10 ** rng.uniform(-2, 30), rng.uniform(-math.pi, math.pi))
+           for _ in range(450)]
+    for t in ts + [0j, 100j, 1e30 + 0j, -1e30j]:
+        assert _root_seeds(t) == root_seeds_oracle(t), t
+
+
+@pytest.mark.parametrize("k, e", [(3, 30), (5, 35), (1, 39), (3, 60), (6, 100)])
+def test_large_gaussian_parameters_classify(k, e):
+    # the Durand-Kerner seeds fail past |t| ~ 10^34; the asymptotic ones
+    # certify, and each pair lands on the root its x/y sits at
+    t = QuadInt(1, k * 10**e + 1, (8 - k) * 10**e - 3)
+    one, i = QuadInt(1, 1, 0), QuadInt(1, 0, 1)
+    assert classify_type(t, one, i) == 0  # x/y = -i, at distance 1 from alpha0 ~ -1/t
+    assert classify_type(t, -one, one) == 1
+    assert classify_type(t, t, one) == 2
+    assert classify_type(t, one, one) == 3
+
+
+@pytest.mark.parametrize("d", [2, 7])
+def test_an_irrational_parameter_at_1e60_fails_closed(d):
+    # sqrt(d) on the 2^-200 grid leaves t a radius near 1 at |t| ~ 10^60, so
+    # the large root cannot be certified: a tie, never a type
+    t = QuadInt(d, 3 * 10**60 + 1, 10**60)
+    for x, y in ((1, 1), (-1, 1), (0, 1)):
+        with pytest.raises(TieError):
+            classify_type(t, QuadInt(d, x, 0), QuadInt(d, y, 0))
+
+
 def _certify_root_oracle(t, x):
     """Newton-Kantorovich on hand-written f_t and f_t' ball lists, with the
     f_t'' majorant 12 + 6|t|r + 12r^2."""
@@ -512,7 +594,7 @@ def _divisibility_oracle(r, t):
     max_radius, contains = F(0), True
     for _ in range(2 * r + 1):
         val = alpha * A.eval_ball(alpha) - B.eval_ball(alpha)
-        contains = contains and val.contains_zero()
+        contains = contains and ball_contains_zero(val)
         max_radius = max(max_radius, val.radius)
         A, B = A.deriv(), B.deriv()
     return {"order": 2 * r + 1, "all_contain_zero": contains, "max_radius": max_radius}

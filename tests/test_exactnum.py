@@ -19,11 +19,14 @@ from thueq.exactnum import (
     round_up_sig,
     sig_str,
     sqrt_bounds,
+    sqrt_grid,
 )
 from thueq.measure import KAPPA_WIDTH
 
-from oracles import (atanh_enclosure_oracle, iv_add, iv_div_pos, iv_scale, iv_shift,
-                     kappa_oracle, ln_enclosure_oracle, round_down_grid, sqrt_lower, sqrt_upper)
+from oracles import (atanh_enclosure_oracle, ball_abs_bounds_oracle, ball_contains_zero,
+                     ball_mul_oracle, iv_add, iv_contains, iv_div_pos, iv_scale, iv_shift,
+                     iv_width, kappa_oracle, ln_enclosure_oracle, round_down_grid, sqrt_lower,
+                     sqrt_upper)
 
 rationals = st.fractions(
     min_value=F(-10**6), max_value=F(10**6), max_denominator=10**6
@@ -101,6 +104,20 @@ def test_sqrt_bounds_equals_the_two_square_roots(n, d, bits, kind, k):
     assert sqrt_bounds(q, bits) == (sqrt_lower(q, bits), sqrt_upper(q, bits))
 
 
+@given(st.integers(min_value=0, max_value=2**600), st.integers(min_value=1, max_value=2**300),
+       st.integers(min_value=1, max_value=2**300), st.sampled_from(SQRT_BITS),
+       st.sampled_from(("q", "square")))
+def test_sqrt_grid_takes_an_unreduced_quotient(n, d, c, bits, kind):
+    # n/d with a common factor c (c^2 for a square): the grid ends of the
+    # reduced rational, which the two square roots give
+    if kind == "square":
+        n, d, c = n * n, d * d, c * c
+    q = F(n, d)
+    ends = (sqrt_lower(q, bits) * 2**bits, sqrt_upper(q, bits) * 2**bits)
+    assert sqrt_grid(n * c, d * c, bits) == ends
+    assert all(isinstance(e, int) for e in sqrt_grid(n * c, d * c, bits))
+
+
 def test_sqrt_bounds_equals_the_two_square_roots_on_exact_squares():
     # 19/2 and 13/3 floor to a square at 2^0 with a nonzero remainder
     cases = [F(0), F(1), F(4), F(9, 4), F(3, 2**64) ** 2, F(5 * 2**300 + 1, 2**100) ** 2,
@@ -118,7 +135,8 @@ def test_interval_arithmetic():
     assert iv_scale(a, F(-2)).lo == -4 and iv_scale(a, F(-2)).hi == -2
     q = iv_div_pos(a, b)
     assert q.lo == F(1, 5) and q.hi == F(2, 3)
-    assert a.contains(F(3, 2)) and not a.contains(F(3))
+    assert iv_contains(a, F(3, 2)) and not iv_contains(a, F(3))
+    assert iv_width(a) == 1 and iv_width(b) == 2
     with pytest.raises(ValueError):
         RatInterval(F(2), F(1))
 
@@ -130,7 +148,7 @@ def test_ln_enclosure_known_values():
     assert ln100.hi - ln100.lo <= w
     ln2 = ln_enclosure(F(2), w)
     assert F("0.693147") < ln2.lo and ln2.hi < F("0.693148")
-    assert ln_enclosure(F(1), w).contains(F(0))
+    assert iv_contains(ln_enclosure(F(1), w), F(0))
 
 
 def test_ln_enclosure_reciprocal_symmetry():
@@ -274,16 +292,52 @@ def test_complex_ball_arithmetic():
     lo, hi = z.abs_bounds()
     assert lo == 5 == hi
     s = z + (-z)
-    assert s.contains_zero()
+    assert ball_contains_zero(s)
     d = z - z
-    assert d.contains_zero()
+    assert ball_contains_zero(d)
 
 
 @given(rationals, rationals, rationals, rationals)
 def test_complex_ball_product_contains_exact(a, b, c, d):
     z = ComplexBall.exact(a, b) * ComplexBall.exact(c, d)
     exact = ComplexBall.exact(a * c - b * d, a * d + b * c)
-    assert (z - exact).contains_zero()
+    assert ball_contains_zero(z - exact)
+
+
+# midpoints over independent or shared denominators, up to the 2^2400 of a
+# Newton iterate, and radii that are often 0
+big_rationals = st.fractions(min_value=-10**12, max_value=10**12, max_denominator=2**2400)
+radii = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=10**3,
+                                              max_denominator=2**300))
+balls = st.one_of(
+    st.builds(ComplexBall, big_rationals, big_rationals, radii),
+    st.builds(lambda a, b, n, r: ComplexBall(F(a, n), F(b, n), r),
+              st.integers(-2**900, 2**900), st.integers(-2**900, 2**900),
+              st.integers(1, 2**900), radii))
+
+
+@given(balls)
+def test_complex_ball_modulus_equals_the_fraction_formula(z):
+    assert z.abs_bounds() == ball_abs_bounds_oracle(z)
+
+
+@given(balls, balls)
+def test_complex_ball_product_equals_the_two_modulus_formula(a, b):
+    assert a * b == ball_mul_oracle(a, b)
+
+
+def test_complex_ball_product_takes_a_modulus_only_against_a_radius(monkeypatch):
+    calls = []
+    real = ComplexBall.abs_bounds
+    monkeypatch.setattr(ComplexBall, "abs_bounds", lambda z: calls.append(z) or real(z))
+    exact, ball = ComplexBall.exact(F(3), F(-4, 7)), ComplexBall(F(1, 3), F(2), F(1, 2**70))
+    counts = []
+    for a, b in ((exact, exact), (exact, ball), (ball, exact), (ball, ball)):
+        calls.clear()
+        product = a * b
+        counts.append(len(calls))
+        assert product == ball_mul_oracle(a, b)
+    assert counts == [0, 1, 1, 2]
 
 
 @given(st.integers(min_value=0, max_value=2 ** 4096 - 1), st.integers(min_value=1, max_value=12))
