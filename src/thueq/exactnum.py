@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 Rat = Fraction
 
@@ -169,8 +170,8 @@ class _AtanhSeries:
             table.append(table[-1] * table[1])
         return table[n]
 
-    def enclose(self, bn: int, bd: int) -> tuple[int, int, int]:
-        """(s, r, den) with atanh(a/b) in [(s - r)/den, (s + r)/den].
+    def enclose(self, bn: int, bd: int) -> tuple[int, int, int, int]:
+        """(s, r, den, n) with atanh(a/b) in [(s - r)/den, (s + r)/den].
 
         s/den is the sum of the first n terms u^(2j+1)/(2j+1), u = a/b, over
         the denominator b^(2n-1) (2n+1) (b^2 - a^2) prod_{j<n} (2j+1), and
@@ -185,14 +186,14 @@ class _AtanhSeries:
         odd = math.prod(range(1, 2 * n, 2))
         s = a * sum(a2[j] * b2[n - 1 - j] * (odd // (2 * j + 1)) for j in range(n))
         m = (2 * n + 1) * c
-        return s * m, abs(a) * a2[n] * odd, b * b2[n - 1] * odd * m
+        return s * m, abs(a) * a2[n] * odd, b * b2[n - 1] * odd * m, n
 
 
 _LN2_CACHE: dict[int, RatInterval] = {}
 
 
-def _ln2(tail_budget: Rat) -> RatInterval:
-    """ln 2 = 2 atanh(1/3) with tail <= tail_budget.
+def _ln2(bn: Rat, bd: int = 1) -> RatInterval:
+    """ln 2 = 2 atanh(1/3) with tail <= bn/bd (bn rational or an integer).
 
     The cache is keyed by the decimal exponent of the budget, and the first
     budget of a decade fixes the entry for every later one in the process.
@@ -200,13 +201,18 @@ def _ln2(tail_budget: Rat) -> RatInterval:
     published corollary-eps thresholds were taken with this cache, and a
     cache-free or decade-floor ln 2 moves them.
     """
-    key = _dec_exponent(tail_budget) if tail_budget > 0 else 0
+    key = _ln2_key(bn, bd)
     iv = _LN2_CACHE.get(key)
     if iv is None:
-        s, r, den = _AtanhSeries(1, 3).enclose(tail_budget.numerator, 2 * tail_budget.denominator)
+        s, r, den, _ = _AtanhSeries(1, 3).enclose(bn, 2 * bd)
         iv = RatInterval(Fraction(2 * (s - r), den), Fraction(2 * (s + r), den))
         _LN2_CACHE[key] = iv
     return iv
+
+
+@lru_cache(maxsize=256)
+def _ln2_key(bn: Rat, bd: int) -> int:
+    return _dec_exponent(Fraction(bn, bd)) if bn > 0 else 0
 
 
 KAPPA_NUM_SHIFT = Fraction("1.08")
@@ -222,7 +228,8 @@ class LnArg:
     __slots__ = ("x", "k", "_atanh")
 
     def __init__(self, x: Rat):
-        x = Fraction(x)
+        if not isinstance(x, int):
+            x = Fraction(x)
         if x <= 0:
             raise DomainError("ln of non-positive value")
         self.x = x
@@ -244,48 +251,44 @@ class LnArg:
         self.k = k
         self._atanh = _AtanhSeries((p - q) // g, (p + q) // g)
 
-    def _unrounded(self, wn: int, wd: int) -> tuple[int, int, int, int]:
-        """(lo, lo_den, hi, hi_den): ln x in [lo/lo_den, hi/hi_den] before
-        the grid rounding to width wn/wd.  Of the budget w/4, half goes to
-        the atanh tail, and w/(8|k|) to the ln 2 enclosure."""
-        s, r, den = self._atanh.enclose(wn, 8 * wd)
+    def _unrounded(self, wn: int, wd: int) -> tuple[int, int, int, int, int]:
+        """(lo, lo_den, hi, hi_den, n): ln x in [lo/lo_den, hi/hi_den] before
+        the grid rounding to width wn/wd, from n atanh terms.  Of the budget
+        w/4, half goes to the atanh tail, and w/(8|k|) to the ln 2 enclosure.
+        For a fixed k, n and sign of a, both ends increase with x."""
+        s, r, den, n = self._atanh.enclose(wn, 8 * wd)
         lo, hi = 2 * (s - r), 2 * (s + r)
         k = self.k
         if k == 0:
-            return lo, den, hi, den
-        ln2 = _ln2(Fraction(wn, 8 * abs(k) * wd))
+            return lo, den, hi, den, n
+        ln2 = _ln2(wn, 8 * abs(k) * wd)
         c_lo, c_hi = (ln2.lo, ln2.hi) if k > 0 else (ln2.hi, ln2.lo)
         return (lo * c_lo.denominator + k * c_lo.numerator * den, den * c_lo.denominator,
-                hi * c_hi.denominator + k * c_hi.numerator * den, den * c_hi.denominator)
+                hi * c_hi.denominator + k * c_hi.numerator * den, den * c_hi.denominator, n)
 
-    def _grid(self, target_width: Rat) -> tuple[int, int, int]:
-        """(lo, hi, bits): ln x in [lo, hi] / 2**bits, rounded outward onto
-        the coarsest 2**-bits grid (bits >= 8 past the width's denominator)
-        with spacing at most target_width / 8."""
-        target_width = Fraction(target_width)
-        if target_width <= 0:
+    def _grid(self, wn: int, wd: int) -> tuple[int, int, int, int]:
+        """(lo, hi, bits, n): ln x in [lo, hi] / 2**bits, the ends of
+        _unrounded(wn, wd) rounded outward onto the coarsest 2**-bits grid
+        (bits >= 8 past wd's length) with spacing at most (wn/wd) / 8."""
+        if wn <= 0:
             raise DomainError("target_width must be positive")
-        wn, wd = target_width.numerator, target_width.denominator
-        lo, lo_den, hi, hi_den = self._unrounded(wn, wd)
+        lo, lo_den, hi, hi_den, n = self._unrounded(wn, wd)
         bits = max(8, wd.bit_length() + 8)
         while 8 * wd > wn << bits:
             bits += 8
-        return (lo << bits) // lo_den, -((-hi << bits) // hi_den), bits
+        return (lo << bits) // lo_den, -((-hi << bits) // hi_den), bits, n
 
-    def ln(self, target_width: Rat) -> RatInterval:
-        """Interval containing ln x, of width <= target_width."""
-        lo, hi, bits = self._grid(target_width)
-        return RatInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
-
-    def kappa(self, target_width: Rat) -> RatInterval:
-        """Enclosure of (ln x + 1.08) / (ln x - 2.59), of width <= target_width."""
+    def kappa(self, tn: int, td: int) -> tuple[int, int, int, int, list]:
+        """(num_lo, den_hi, num_hi, den_lo, rungs): (ln x + 1.08)/(ln x - 2.59)
+        lies in [num_lo/den_hi, num_hi/den_lo], of width <= tn/td in lowest
+        terms; rungs lists ((wn, wd, bits, n), lo, hi) of each ln grid it read."""
         nn, nd = KAPPA_NUM_SHIFT.numerator, KAPPA_NUM_SHIFT.denominator
         dn, dd = KAPPA_DEN_SHIFT.numerator, KAPPA_DEN_SHIFT.denominator
-        target_width = Fraction(target_width)
-        tn, td = target_width.numerator, target_width.denominator
-        w = min(target_width, Fraction(1, 16))
+        wn, wd = (tn, td) if 16 * tn <= td else (1, 16)
+        rungs = []
         for _ in range(64):
-            lo, hi, bits = self._grid(w)
+            lo, hi, bits, n = self._grid(wn, wd)
+            rungs.append(((wn, wd, bits, n), lo, hi))
             # (ln x + 1.08) and (ln x - 2.59) over the common denominator
             # 2**bits * nd * dd
             num_lo, num_hi = ((e * nd + (nn << bits)) * dd for e in (lo, hi))
@@ -293,8 +296,9 @@ class LnArg:
             if den_hi <= 0:
                 raise UndefinedKappaError(f"log({self.x}) <= 2.59")
             if den_lo > 0 and (num_hi * den_hi - num_lo * den_lo) * td <= tn * den_lo * den_hi:
-                return RatInterval(Fraction(num_lo, den_hi), Fraction(num_hi, den_lo))
-            w /= 4
+                return num_lo, den_hi, num_hi, den_lo, rungs
+            g = math.gcd(wn, 4)  # w / 4 in lowest terms
+            wn, wd = wn // g, wd * (4 // g)
         raise UndefinedKappaError(f"kappa enclosure did not converge for t={self.x}")
 
 
@@ -304,14 +308,18 @@ def ln_enclosure(x: Rat, target_width: Rat) -> RatInterval:
     ln x = k ln 2 + 2 atanh((m-1)/(m+1)) after reducing x = 2**k * m with
     m in [3/4, 3/2); both series tails are bounded geometrically.
     """
-    return LnArg(x).ln(target_width)
+    arg, w = LnArg(x), Fraction(target_width)
+    lo, hi, bits, _ = arg._grid(w.numerator, w.denominator)
+    return RatInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
 def kappa(t_abs: Rat, target_width: Rat) -> RatInterval:
     """Enclosure of (ln|t| + 1.08) / (ln|t| - 2.59)."""
     if Fraction(t_abs) <= 0:
         raise DomainError("t_abs must be positive")
-    return LnArg(t_abs).kappa(target_width)
+    w = Fraction(target_width)
+    num_lo, den_hi, num_hi, den_lo, _ = LnArg(t_abs).kappa(w.numerator, w.denominator)
+    return RatInterval(Fraction(num_lo, den_hi), Fraction(num_hi, den_lo))
 
 
 # ---------------------------------------------------------------------------

@@ -377,95 +377,127 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
     }
 
 
-def _eps_gate_fn(eps: Rat):
-    """The three threshold conditions of _eps_gates at one eps, as a function
-    of t, with the eps-only terms summed once."""
-    ln = _log_constants()
-    ln4_hi = ln[F(4)].hi
-    # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= ln t
-    type_log = ln4_hi + (1 - eps) * ln[descent.TYPE_THRESHOLD].hi
-    # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) ln t
-    beta_log, absorb_log = ln[descent.BETA_COEFF].hi, ln[CUBIC_ABSORB].lo
-    cubic_slope = F(1, 2) + eps / 4
-    # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa))
-    #       < (t^(2-eps) / 4)^(1/4), compared in the log domain
-    one_plus_eps, two_minus_eps = 1 + eps, 2 - eps
-    ln_b_hi = ln[CONTRADICTION_COEFF].hi - two_minus_eps * ln[C2_DIVISOR].lo
+EPS_GATES = (("type threshold", "4 * 20.14^(1-eps) <= |t|"),
+             ("cubic absorption", "8.86 / |t|^(1/2 + eps/4) <= 0.33"))
 
-    def gates(t: Rat) -> list[GateResult]:
+
+def _eps_gate_fn(eps: Rat):
+    """_eps_gates at one eps on the integers of one LnArg: (ok_i, ok_ii, ok_iii,
+    detail_iii) and the state the gates read, or None without kappa: the piece
+    (k, atanh argument's sign, grid widths, bits and term counts) and grid ends."""
+    ln = _log_constants()
+    p, q = eps.numerator, eps.denominator
+    ln4_hi, wn, wd = ln[F(4)].hi, LN_WIDTH.numerator, LN_WIDTH.denominator
+    # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= ln t
+    # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) ln t
+    floors = [(x.numerator, x.denominator) for x in (
+        ln4_hi + (1 - eps) * ln[descent.TYPE_THRESHOLD].hi,
+        (ln[descent.BETA_COEFF].hi - ln[CUBIC_ABSORB].lo) / (F(1, 2) + eps / 4))]
+    # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa)) < (t^(2-eps)/4)^(1/4)
+    #       as ln_b < g R: g = 1 + eps - num_hi/den_lo = gq/(q den_lo), and at ln t = lo/2^bits
+    #       R = ((2-eps) ln t - ln 4)/4 = (r_slope lo - (r_shift << bits))/(4 q 2^bits den(ln 4))
+    ln_b = ln[CONTRADICTION_COEFF].hi - (2 - eps) * ln[C2_DIVISOR].lo
+    r_slope, r_shift = (2 * q - p) * ln4_hi.denominator, q * ln4_hi.numerator
+    b_num, b_den = ln_b.numerator * 4 * q * q * ln4_hi.denominator, ln_b.denominator
+
+    def gates(arg) -> tuple[tuple, tuple | None]:
         # one reduction of t serves ln t at LN_WIDTH and kappa at KAPPA_WIDTH
-        arg = exactnum.LnArg(t)
-        ln_t_lo = arg.ln(LN_WIDTH).lo
-        out = [GateResult("type threshold", type_log <= ln_t_lo,
-                          "4 * 20.14^(1-eps) <= |t|"),
-               GateResult("cubic absorption",
-                          beta_log <= absorb_log + cubic_slope * ln_t_lo,
-                          "8.86 / |t|^(1/2 + eps/4) <= 0.33")]
+        lo, hi, bits, n = arg._grid(wn, wd)
+        oks = tuple(fn << bits <= lo * fd for fn, fd in floors)
         try:
-            k_hi = arg.kappa(KAPPA_WIDTH).hi
+            *_, num_hi, den_lo, rungs = arg.kappa(KAPPA_WIDTH.numerator, KAPPA_WIDTH.denominator)
         except UndefinedKappaError:
-            out.append(GateResult("measure contradiction", False, "kappa undefined"))
-            return out
-        g_lo = one_plus_eps - k_hi
-        if g_lo <= 0:
-            out.append(GateResult("measure contradiction", False,
-                                  "1 + eps - kappa not positive"))
-            return out
-        lhs_log = ln_b_hi / g_lo
-        rhs_log = (two_minus_eps * ln_t_lo - ln4_hi) / 4
-        out.append(GateResult("measure contradiction", lhs_log < rhs_log,
-                              "log comparison with kappa upper end"))
-        return out
+            return (*oks, False, "kappa undefined"), None
+        gq = (q + p) * den_lo - q * num_hi
+        oks += ((False, "1 + eps - kappa not positive") if gq <= 0 else
+                ((b_num << bits) * den_lo < b_den * gq * (r_slope * lo - (r_shift << bits)),
+                 "log comparison with kappa upper end"))
+        grids = [((wn, wd, bits, n), lo, hi)] + rungs
+        return oks, ((arg.k, arg._atanh.a > 0, *(w for w, _, _ in grids)),
+                     tuple(e for _, g_lo, g_hi in grids for e in (g_lo, g_hi)))
 
     return gates
 
 
+def _gate_results(oks: tuple) -> tuple[GateResult, ...]:
+    return (GateResult("type threshold", oks[0], "4 * 20.14^(1-eps) <= |t|"),
+            GateResult("cubic absorption", oks[1], "8.86 / |t|^(1/2 + eps/4) <= 0.33"),
+            GateResult("measure contradiction", oks[2], oks[3]))
+
+
 def _eps_gates(t: Rat, eps: Rat) -> list[GateResult]:
-    """The three threshold conditions at modulus t, certified as linear
-    inequalities in ln t between outward enclosures of width LN_WIDTH."""
-    return _eps_gate_fn(eps)(t)
+    """The three threshold conditions at modulus t, decided by _eps_gate_fn."""
+    return list(_gate_results(_eps_gate_fn(F(eps))(exactnum.LnArg(t))[0]))
+
+
+def _crossing(lo: int, hi: int, s_lo: tuple, s_hi: tuple, arg_of) -> tuple[int | None, int]:
+    """If the states at lo and hi share their piece and differ only by 1 in one
+    lower grid end (a step of an upper end only raises kappa's), each t between
+    has one of them, as the end rounds a bound of ln t growing with t in the
+    piece: the least t with hi's, by Newton and secant steps, and the steps."""
+    diff = [i for i, (a, b) in enumerate(zip(s_lo[1], s_hi[1])) if a != b]
+    i = diff[0] if len(diff) == 1 and s_lo[0] == s_hi[0] else 1
+    if i % 2 or s_hi[1][i] != s_lo[1][i] + 1:
+        return None, 0
+    (wn, wd, bits, _), g = s_lo[0][2 + i // 2], s_lo[1][i] + 1
+
+    def side(t: int) -> tuple[bool, int]:
+        # floor(2^bits lo) >= g, and about 2^16 t (lo - g / 2^bits)
+        lo_num, lo_den = arg_of(t)._unrounded(wn, wd)[:2]
+        e = (lo_num << bits) - g * lo_den
+        return e >= 0, (e * t << 16) // (lo_den << bits)
+
+    y = side(hi)[1]
+    t, prev, steps = hi - (y >> 16), (hi, y), 1  # the bound's slope is about 1/t
+    while hi - lo > 1:
+        t = min(max(t, lo + 1), hi - 1)
+        up, y = side(t)
+        lo, hi = (lo, t) if up else (t, hi)
+        (t1, y1), prev, steps = prev, (t, y), steps + 1
+        t = t - y * (t - t1) // (y - y1) if y != y1 else (lo + hi) // 2
+    return hi, steps
 
 
 def corollary_eps(eps: Rat) -> dict:
-    """Smallest certified threshold t0 for |F_t| <= |t|^(2-eps).
-
-    Every eps in (0, 1) has one: kappa falls to 1 like 3.67 / ln t.  The
-    doubling bracket [50 * 2^j, 100 * 2^j] is found by exponential, then
-    binary search over j, and t0 by integer bisection inside it, so the cost
-    is one gate evaluation per bit of t0.
-    """
+    """The threshold t0 for |F_t| <= |t|^(2-eps) at which an integer bisection
+    ends: the gates fail at t0 - 1 and hold at t0 and 2 t0.  Every eps in
+    (0, 1) has one, as kappa falls to 1 like 3.67 / ln t.  The bracket
+    [50 * 2^j, 100 * 2^j] is found by exponential, then binary search over
+    j, and t0 by bisection in it until _crossing fixes where it ends.  The
+    gates are not monotone near t0 (kappa's upper end rises where ln t's
+    upper grid end steps up), so soundness rests on the exact conditions
+    being monotone.  Each t skipped has the k and widths of the bracket's
+    ends, so the ln 2 cache fills as under the bisection."""
     eps = F(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    gates_at = _eps_gate_fn(eps)
-    passed = {}  # t -> its gates, for every t at which they all hold
+    gates_at, arg_of, evals = _eps_gate_fn(eps), lru_cache(maxsize=None)(exactnum.LnArg), {}
 
-    def holds(t: Rat) -> bool:
-        gates = gates_at(t)
-        ok = all(g.ok for g in gates)
-        if ok:
-            passed[t] = gates
-        return ok
+    def holds(t: int) -> bool:
+        evals[t] = gates_at(arg_of(t))
+        return all(evals[t][0][:3])
 
     # least j with holds(100 * 2^j); j = lo is known (or taken) to fail
     lo, hi = -1, 0
-    while not holds(F(100 << hi)):
+    while not holds(100 << hi):
         lo, hi = hi, 2 * hi + 1
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        if holds(F(100 << mid)):
+        if holds(100 << mid):
             hi = mid
         else:
             lo = mid
-    lo, hi = F(50 << hi), F(100 << hi)
+    lo, hi, cross, steps = 50 << hi, 100 << hi, None, 0
     while hi - lo > 1:
-        mid = F(int((lo + hi) // 2))
+        if cross is None and lo in evals and evals[lo][1] and evals[hi][1]:
+            cross, steps = _crossing(lo, hi, evals[lo][1], evals[hi][1], arg_of)
+        mid = (lo + hi) // 2 if cross is None or not lo < cross <= hi else min(cross, hi - 1)
         if holds(mid):
             hi = mid
         else:
             lo = mid
-    t0 = hi
-    recheck = gates_at(2 * t0)
-    if not all(g.ok for g in recheck):
+    recheck = gates_at(exactnum.LnArg(2 * hi))[0]
+    if not all(recheck[:3]):
         raise ChainError("gates do not re-verify at 2 * t0")
-    return {"t0": t0, "gates": tuple(passed[t0]), "gates_at_double": tuple(recheck)}
+    return {"t0": F(hi), "gates": _gate_results(evals[hi][0]),
+            "gates_at_double": _gate_results(recheck), "evaluations": len(evals) + 1 + steps}

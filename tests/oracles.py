@@ -5,8 +5,10 @@ arithmetic they use, the two square roots that ``exactnum.sqrt_bounds``
 replaced, and the concrete-t root balls as they were computed in
 ``GaussRat``/``ComplexBall`` arithmetic before the integer Newton steps and
 certificates of ``thueq.dioph``, with the ``ComplexBall`` modulus and product
-and the Durand-Kerner seeds they ran on.  The tests check ``thueq.zpoly``,
-``thueq.exactnum`` and their callers against these."""
+and the Durand-Kerner seeds they ran on, and the ``corollary_eps`` bisection
+with its ``Fraction`` gates as it ran before the integer gate kernel.  The
+tests check ``thueq.zpoly``, ``thueq.exactnum`` and their callers against
+these."""
 
 from __future__ import annotations
 
@@ -14,9 +16,10 @@ import math
 from fractions import Fraction
 from itertools import zip_longest
 
-from thueq import dioph, exactnum, zpoly
+from thueq import descent, dioph, exactnum, measure, zpoly
 from thueq.exactnum import ComplexBall, DomainError, RatInterval, UndefinedKappaError
 from thueq.hyperchi import chi_coeffs, denom_data
+from thueq.measure import GateResult
 from thueq.series import G0, G1, GI, GaussRat, Series, TPoly, ValuationError
 
 
@@ -505,3 +508,94 @@ def root_seeds_oracle(t: complex) -> list[complex]:
     near_m1 = min(rest, key=lambda z: abs(z + 1))
     near_p1 = [z for z in rest if z is not near_m1][0]
     return [small, near_m1, large, near_p1]
+
+
+# ---------------------------------------------------------------------------
+# corollary_eps as it searched before the integer gate kernel: one Fraction
+# gate evaluation per bisection step, with no crossing shortcut
+
+
+def eps_gate_fn_oracle(eps: Fraction):
+    """The three threshold conditions of measure._eps_gates at one eps, as a
+    function of t, with the eps-only terms summed once."""
+    ln = measure._log_constants()
+    ln4_hi = ln[Fraction(4)].hi
+    # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= ln t
+    type_log = ln4_hi + (1 - eps) * ln[descent.TYPE_THRESHOLD].hi
+    # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) ln t
+    beta_log, absorb_log = ln[descent.BETA_COEFF].hi, ln[measure.CUBIC_ABSORB].lo
+    cubic_slope = Fraction(1, 2) + eps / 4
+    # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa))
+    #       < (t^(2-eps) / 4)^(1/4), compared in the log domain
+    one_plus_eps, two_minus_eps = 1 + eps, 2 - eps
+    ln_b_hi = ln[measure.CONTRADICTION_COEFF].hi - two_minus_eps * ln[measure.C2_DIVISOR].lo
+
+    def gates(t: Fraction) -> list[GateResult]:
+        # ln t at LN_WIDTH, then kappa at KAPPA_WIDTH, in that order
+        ln_t_lo = exactnum.ln_enclosure(t, measure.LN_WIDTH).lo
+        out = [GateResult("type threshold", type_log <= ln_t_lo,
+                          "4 * 20.14^(1-eps) <= |t|"),
+               GateResult("cubic absorption",
+                          beta_log <= absorb_log + cubic_slope * ln_t_lo,
+                          "8.86 / |t|^(1/2 + eps/4) <= 0.33")]
+        try:
+            k_hi = exactnum.kappa(t, measure.KAPPA_WIDTH).hi
+        except UndefinedKappaError:
+            out.append(GateResult("measure contradiction", False, "kappa undefined"))
+            return out
+        g_lo = one_plus_eps - k_hi
+        if g_lo <= 0:
+            out.append(GateResult("measure contradiction", False,
+                                  "1 + eps - kappa not positive"))
+            return out
+        lhs_log = ln_b_hi / g_lo
+        rhs_log = (two_minus_eps * ln_t_lo - ln4_hi) / 4
+        out.append(GateResult("measure contradiction", lhs_log < rhs_log,
+                              "log comparison with kappa upper end"))
+        return out
+
+    return gates
+
+
+def corollary_eps_oracle(eps: Fraction) -> dict:
+    """The integer bisection of measure.corollary_eps, one gate evaluation
+    per bit of t0; "evaluations" counts them, the recheck at 2 t0 included."""
+    eps = Fraction(eps)
+    if not 0 < eps < 1:
+        raise ValueError("eps must be in (0, 1)")
+    gates_at = eps_gate_fn_oracle(eps)
+    passed = {}  # t -> its gates, for every t at which they all hold
+    count = 0
+
+    def holds(t: Fraction) -> bool:
+        nonlocal count
+        count += 1
+        gates = gates_at(t)
+        ok = all(g.ok for g in gates)
+        if ok:
+            passed[t] = gates
+        return ok
+
+    # least j with holds(100 * 2^j); j = lo is known (or taken) to fail
+    lo, hi = -1, 0
+    while not holds(Fraction(100 << hi)):
+        lo, hi = hi, 2 * hi + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(Fraction(100 << mid)):
+            hi = mid
+        else:
+            lo = mid
+    lo, hi = Fraction(50 << hi), Fraction(100 << hi)
+    while hi - lo > 1:
+        mid = Fraction(int((lo + hi) // 2))
+        if holds(mid):
+            hi = mid
+        else:
+            lo = mid
+    t0 = hi
+    recheck = gates_at(2 * t0)
+    if not all(g.ok for g in recheck):
+        raise measure.ChainError("gates do not re-verify at 2 * t0")
+    return {"t0": t0, "gates": tuple(passed[t0]), "gates_at_double": tuple(recheck),
+            "evaluations": count + 1}
