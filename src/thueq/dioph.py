@@ -14,8 +14,8 @@ from functools import lru_cache
 
 from . import zpoly
 from .exactnum import GRID_BITS, ComplexBall, Rat, gauss_over, sqrt_bounds, sqrt_grid
-from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
-                        is_half_integral, norm, pairs_with_norm_in, roots_of_unity)
+from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded, norm,
+                        pairs_with_norm_in, ring, roots_of_unity)
 from .series import QUARTIC, GaussRat
 
 
@@ -123,10 +123,8 @@ def _search_all() -> list[Solution]:
 @lru_cache(maxsize=None)
 def _x_part(d: int, a: int, b: int) -> tuple:
     """The part of the t-solve fixed by the field and x = a + b w: the product
-    of (a, b) pairs, s, x^2 and x^4.  w^2 = s w - m, with s = 1, m = (1+d)/4
-    when half-integral, else s = 0, m = d."""
-    s = 1 if is_half_integral(d) else 0
-    m = (1 + d) // 4 if s else d
+    of (a, b) pairs, s, x^2 and x^4, with w^2 = s w - m for (s, m) = ring(d)."""
+    s, m = ring(d)
 
     def mul(p, q):
         return (p[0] * q[0] - m * p[1] * q[1],
@@ -222,16 +220,15 @@ def _coeffs_at(t_ball: ComplexBall) -> tuple:
     return rows, T, [abs(a) * td + abs(b) * tn for a, b in zip(*_D2F)], td
 
 
-@lru_cache(maxsize=1)
 def _evaluate(t_ball: ComplexBall, x: GaussRat) -> tuple:
-    """(z, n, xu, f, f'): the one evaluation at x = z/n, |x| <= xu 2^-GRID_BITS,
-    that the Newton step from x and the certificate of x share.  Each value
+    """(x, z, n, xu, f, f'): the one evaluation at x = z/n, |x| <= xu 2^-GRID_BITS,
+    that the certificate of x and the Newton step from x share.  Each value
     is (V, K, r): V/K is exact at the ball's midpoint (homogenised Horner over
     Z[i]), and r 2^-GRID_BITS is the radius that ComplexBall Horner gives it."""
     rows, T, _, _ = _coeffs_at(t_ball)
     zr, zi, n = gauss_over(x.re, x.im)
     xu = sqrt_grid(zr * zr + zi * zi, n * n)[1]
-    out = [(zr, zi), n, xu]
+    out = [x, (zr, zi), n, xu]
     for coeffs, radii in rows:
         (vr, vi), npow, r = coeffs[-1], 1, radii[-1]
         for (cr, ci), c in zip(reversed(coeffs[:-1]), reversed(radii[:-1])):
@@ -248,17 +245,18 @@ def root_ball(t: GaussRat | None, seed: complex, target_radius: Rat,
 
     Newton steps at the parameter's midpoint (denominators pruned) and
     Newton-Kantorovich certificates over its ball, from one integer evaluation
-    per iterate.  An irrational parameter comes as (None, t_irrational) from
-    _t_exact, with sqrt(d) on the 2^-200 grid.
+    per iterate: it certifies the iterate, then takes the step from it.  The
+    seed is evaluated for its step only.  An irrational parameter comes as
+    (None, t_irrational) from _t_exact, with sqrt(d) on the 2^-200 grid.
     """
     target_radius = Fraction(target_radius)
     t_ball = (ComplexBall.exact(t.re, t.im) if t_irrational is None
               else _embed(t_irrational, 200))
-    x = _approx_gauss(seed)
+    ev = _evaluate(t_ball, _approx_gauss(seed))
     cap = 1 << 2400
     last = None  # the previous certified radius
     for _ in range(14):
-        (zr, zi), n, _, (F, _, _), (D, _, _) = _evaluate(t_ball, x)
+        _, (zr, zi), n, _, (F, _, _), (D, _, _) = ev
         dn = D[0] ** 2 + D[1] ** 2
         if not dn:
             break
@@ -266,7 +264,8 @@ def root_ball(t: GaussRat | None, seed: complex, target_radius: Rat,
         wr, wi = zr * D[0] - zi * D[1] - F[0], zr * D[1] + zi * D[0] - F[1]
         x = GaussRat(*(_limit(Fraction(w, n * dn), cap)
                        for w in (wr * D[0] + wi * D[1], wi * D[0] - wr * D[1])))
-        ball = _certify_root(t_ball, x)
+        ev = _evaluate(t_ball, x)
+        ball = _certify_root(t_ball, ev)
         if ball is not None:
             if ball.radius <= target_radius:
                 return ball
@@ -285,10 +284,11 @@ def _limit(q: Fraction, cap: int) -> Fraction:
     return q if q.denominator <= cap else q.limit_denominator(cap)
 
 
-def _certify_root(t_ball: ComplexBall, x: GaussRat) -> ComplexBall | None:
-    """Newton-Kantorovich: a simple root lies within 2|f(x)/f'(x)| of x.
-    |f| and |f'| are bounded as ComplexBall Horner bounds them, over Z."""
-    _, _, xu, (F, kf, rf), (D, kd, rd) = _evaluate(t_ball, x)
+def _certify_root(t_ball: ComplexBall, ev: tuple) -> ComplexBall | None:
+    """Newton-Kantorovich: a simple root lies within 2|f(x)/f'(x)| of x, for
+    ev = _evaluate(t_ball, x).  |f| and |f'| are bounded as ComplexBall Horner
+    bounds them, over Z."""
+    x, _, _, xu, (F, kf, rf), (D, kd, rd) = ev
     # |f'| >= ed 2^-GRID_BITS, and eta = en / ed bounds |f/f'|
     ed = sqrt_grid(D[0] ** 2 + D[1] ** 2, kd * kd)[0] - rd
     if ed <= 0:

@@ -377,10 +377,6 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
     }
 
 
-EPS_GATES = (("type threshold", "4 * 20.14^(1-eps) <= |t|"),
-             ("cubic absorption", "8.86 / |t|^(1/2 + eps/4) <= 0.33"))
-
-
 def _eps_gate_fn(eps: Rat):
     """_eps_gates at one eps on the integers of one LnArg: (ok_i, ok_ii, ok_iii,
     detail_iii) and the state the gates read, or None without kappa: the piece

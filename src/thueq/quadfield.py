@@ -2,8 +2,9 @@
 
 Elements are stored as a + b*omega with integer a, b, where
 omega = (1 + sqrt(-d))/2 when d = 3 (mod 4) and omega = sqrt(-d) otherwise.
-The squared absolute value is then an integer, which makes bounded
-enumeration and divisibility tests exact.
+``ring`` decides the basis; every formula below reads its table.  The
+squared absolute value is then an integer, which makes bounded enumeration
+and divisibility tests exact.
 """
 
 from __future__ import annotations
@@ -16,9 +17,11 @@ from functools import lru_cache
 Rat = Fraction
 
 
-def is_half_integral(d: int) -> bool:
-    """True when the ring is Z[(1+sqrt(-d))/2], i.e. -d = 1 (mod 4)."""
-    return d % 4 == 3
+def ring(d: int) -> tuple[int, int]:
+    """(s, m) with omega^2 = s*omega - m: s = 1 and m = (1+d)/4 for the ring
+    Z[(1+sqrt(-d))/2] when -d = 1 (mod 4), else s = 0 and m = d.  Then
+    N(a + b*omega) = a^2 + s ab + m b^2, and 4N = (2a + sb)^2 + (4m - s) b^2."""
+    return (1, (1 + d) // 4) if d % 4 == 3 else (0, d)
 
 
 @dataclass(frozen=True)
@@ -41,18 +44,11 @@ class QuadInt:
     def is_rational(self) -> bool:
         return self.b == 0
 
-    def _check(self, other: "QuadInt") -> None:
-        if self.d != other.d and not (self.is_rational() or other.is_rational()):
-            raise ValueError(f"mixed fields d={self.d} and d={other.d}")
-
     def _lift(self, d: int) -> "QuadInt":
         return QuadInt(d, self.a, 0) if self.is_rational() and d != self.d else self
 
     def __add__(self, other):
-        other = _coerce(other)
-        self._check(other)
-        d = self.d if not self.is_rational() else other.d
-        x, y = self._lift(d), other._lift(d)
+        d, x, y = _common(self, other)
         return QuadInt(d, x.a + y.a, x.b + y.b)
 
     def __neg__(self):
@@ -62,16 +58,9 @@ class QuadInt:
         return self + (-_coerce(other))
 
     def __mul__(self, other):
-        other = _coerce(other)
-        self._check(other)
-        d = self.d if not self.is_rational() else other.d
-        x, y = self._lift(d), other._lift(d)
-        if is_half_integral(d):
-            # omega^2 = omega - (1+d)/4
-            m = (1 + d) // 4
-            return QuadInt(d, x.a * y.a - m * x.b * y.b,
-                           x.a * y.b + x.b * y.a + x.b * y.b)
-        return QuadInt(d, x.a * y.a - d * x.b * y.b, x.a * y.b + x.b * y.a)
+        d, x, y = _common(self, other)
+        s, m = ring(d)
+        return QuadInt(d, x.a * y.a - m * x.b * y.b, x.a * y.b + x.b * y.a + s * x.b * y.b)
 
     def __rmul__(self, other):
         return self * other
@@ -95,18 +84,15 @@ class QuadInt:
         return out
 
     def conj(self) -> "QuadInt":
-        if is_half_integral(self.d):
-            return QuadInt(self.d, self.a + self.b, -self.b)
-        return QuadInt(self.d, self.a, -self.b)
+        return QuadInt(self.d, self.a + ring(self.d)[0] * self.b, -self.b)
 
     def abs_sq(self) -> int:
         return norm(self.d, self.a, self.b)
 
     def re_im(self) -> tuple[Rat, Rat]:
         """(rational part, coefficient of sqrt(d) in the imaginary part)."""
-        if is_half_integral(self.d):
-            return (Fraction(2 * self.a + self.b, 2), Fraction(self.b, 2))
-        return (Fraction(self.a), Fraction(self.b))
+        s = ring(self.d)[0]
+        return (Fraction(2 * self.a + s * self.b, 2), Fraction(self.b, 1 + s))
 
     def divides(self, other: "QuadInt") -> bool:
         try:
@@ -136,13 +122,19 @@ def _coerce(x) -> QuadInt:
     raise TypeError(f"cannot coerce {x!r} to QuadInt")
 
 
+def _common(x, y) -> tuple[int, QuadInt, QuadInt]:
+    """(d, x, y): both coerced and lifted to their common field d, where a
+    rational integer joins the other operand's field."""
+    x, y = _coerce(x), _coerce(y)
+    if x.d != y.d and not (x.is_rational() or y.is_rational()):
+        raise ValueError(f"mixed fields d={x.d} and d={y.d}")
+    d = x.d if not x.is_rational() else y.d
+    return d, x._lift(d), y._lift(d)
+
+
 def div_exact(x: QuadInt, y: QuadInt) -> QuadInt:
     """x / y, raising ValueError when y does not divide x in the ring."""
-    x, y = _coerce(x), _coerce(y)
-    if not (x.is_rational() or y.is_rational()) and x.d != y.d:
-        raise ValueError("mixed fields")
-    d = y.d if not y.is_rational() else x.d
-    x, y = x._lift(d), y._lift(d)
+    d, x, y = _common(x, y)
     n = y.abs_sq()
     if n == 0:
         raise ZeroDivisionError("division by zero element")
@@ -167,20 +159,10 @@ def roots_of_unity(d: int) -> tuple[QuadInt, ...]:
 
 
 # fields with ring elements of absolute value <= m exist iff the shortest
-# non-rational vector fits: (1+d)/4 <= m^2 in the half-integral case, d <= m^2
-# otherwise
+# non-rational vector fits: N(omega) = m <= m^2 for (s, m) = ring(d)
 def eligible_fields(m) -> list[int]:
     m2 = Fraction(m) ** 2
-    out = []
-    for d in range(1, int(4 * m2) + 2):
-        if not _squarefree(d):
-            continue
-        if is_half_integral(d):
-            if Fraction(1 + d, 4) <= m2:
-                out.append(d)
-        elif d <= m2:
-            out.append(d)
-    return out
+    return [d for d in range(1, int(4 * m2) + 2) if _squarefree(d) and ring(d)[1] <= m2]
 
 
 def _squarefree(n: int) -> bool:
@@ -194,41 +176,38 @@ def _squarefree(n: int) -> bool:
 
 def norm(d: int, a: int, b: int) -> int:
     """N(a + b*omega) = |a + b*omega|^2 in Q(sqrt(-d))."""
-    if is_half_integral(d):
-        return a * a + a * b + b * b * (1 + d) // 4
-    return a * a + d * b * b
+    s, m = ring(d)
+    return a * a + s * a * b + m * b * b
 
 
 def field_pairs(d: int, m2, normalize: bool = False):
     """Integer pairs (a, b) with b != 0 and N(a + b*omega) <= m2 in field d,
     in (b, a) order; with normalize=True only b > 0 (positive imaginary
     part)."""
-    # N = ((2a + b)^2 + d b^2)/4 in the half-integral case, a^2 + d b^2 otherwise
-    half = is_half_integral(d)
-    lim = Fraction(m2) * (4 if half else 1)
-    bmax = math.isqrt(int(lim / d))
+    s, m = ring(d)
+    lim, c = 4 * Fraction(m2), 4 * m - s  # 4N = (2a + sb)^2 + c b^2
+    bmax = math.isqrt(int(lim / c))
     for b in range(1 if normalize else -bmax, bmax + 1):
         if b == 0:
             continue
-        r = math.isqrt(int(lim - d * b * b))  # |2a + b| <= r, resp. |a| <= r
-        lo, hi = (-((r + b) // 2), (r - b) // 2) if half else (-r, r)
-        for a in range(lo, hi + 1):
+        r = math.isqrt(int(lim - c * b * b))  # |2a + sb| <= r
+        for a in range(-((r + s * b) // 2), (r - s * b) // 2 + 1):
             yield a, b
 
 
 def pairs_with_norm_in(d: int, m2, norms):
     """The pairs of field_pairs(d, m2, normalize=True) whose norm lies in
     the set norms, in the same (b, a) order: for each b and each norm n,
-    a^2 = n - d b^2, resp. (2a + b)^2 = 4n - d b^2, solved by isqrt."""
-    half = is_half_integral(d)
-    scaled = [(4 if half else 1) * n for n in norms if 0 < n <= m2]
-    for b in range(1, math.isqrt(max(scaled, default=0) // d) + 1):
-        # s = a, resp. s = 2a + b with s = b (mod 2) as s^2 = b^2 (mod 4)
-        db2 = d * b * b
-        row = {s for n in scaled if n >= db2 for r in [math.isqrt(n - db2)]
-               if r * r == n - db2 for s in (-r, r)}
-        for s in sorted(row):
-            yield ((s - b) // 2 if half else s), b
+    (2a + sb)^2 = 4n - (4m - s) b^2 for (s, m) = ring(d), solved by isqrt."""
+    s, m = ring(d)
+    c, scaled = 4 * m - s, [4 * n for n in norms if 0 < n <= m2]
+    for b in range(1, math.isqrt(max(scaled, default=0) // c) + 1):
+        # v = 2a + sb with v = sb (mod 2), as v^2 = (sb)^2 (mod 4)
+        cb2 = c * b * b
+        row = {v for n in scaled if n >= cb2 for r in [math.isqrt(n - cb2)]
+               if r * r == n - cb2 for v in (-r, r)}
+        for v in sorted(row):
+            yield (v - s * b) // 2, b
 
 
 def enumerate_bounded(m: Rat, normalize: bool = False) -> list[QuadInt]:

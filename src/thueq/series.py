@@ -1,8 +1,8 @@
 """Exact algebra over Q(i) for the quartic family: truncated power series in
 s = 1/t, the root series, Pade approximants, and the polynomial identities
 behind the proof (differential-equation data, the fourth-root closed form,
-integral approximant pairs).  All of it runs over Z or Z[i] on the ``zpoly``
-kernel.
+the Thue polynomials at a concrete t).  All of it runs over Z or Z[i] on the
+``zpoly`` kernel.
 
 Three types, one job each:
 
@@ -10,8 +10,8 @@ Three types, one job each:
 * ``Series`` -- a power series in s = 1/t known modulo s^trunc; it carries
   the root series, their Pade residuals and tail bounds.
 * ``TPoly`` -- a dense univariate polynomial (in t or in X); it carries
-  the approximant pairs, the Thue polynomials at a concrete t and
-  evaluation: Horner at a ``GaussRat``, ``eval_ball`` and ``deriv``.
+  the Thue polynomials at a concrete t and evaluation: Horner at a
+  ``GaussRat``, ``eval_ball`` and ``deriv``.
 
 ``Series`` and ``TPoly`` share one storage: a Z[i] numerator, two integer
 lists in the ``zpoly`` format, over one positive denominator in lowest
@@ -31,7 +31,7 @@ from itertools import zip_longest
 
 from . import zpoly
 from .exactnum import ComplexBall, Rat
-from .hyperchi import chi_ints, denom_data
+from .hyperchi import chi_ints
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
@@ -310,9 +310,9 @@ def _alpha_ints(N: int) -> list[int]:
     return a
 
 
-def _moebius(a: list) -> list:
+def _moebius(a: list[int]) -> list[int]:
     """Coefficients of (1 + alpha)/(1 - alpha) for alpha(0) = 0, by the
-    recurrence b = 1 + alpha + alpha b, over the scalars of a."""
+    recurrence b = 1 + alpha + alpha b, over Z."""
     b = [a[0] + 1]
     for n in range(1, len(a)):
         b.append(sum((a[i] * b[n - i] for i in range(1, n + 1) if a[i]), a[n]))
@@ -327,10 +327,11 @@ def newton_alpha_series(N: int) -> Series:
 
 
 def alpha3_series(alpha: Series) -> Series:
-    """-(alpha+1)/(alpha-1), the Moebius image giving the root near 1."""
-    if not alpha.valuation():
-        raise ValuationError("expected a series vanishing at s=0")
-    return Series(_moebius(alpha.coeffs), alpha.trunc)
+    """-(alpha+1)/(alpha-1), the Moebius image giving the root near 1, for an
+    integer, real series alpha vanishing at s=0 (as newton_alpha_series)."""
+    if alpha.den != 1 or alpha.num[1] or not alpha.valuation():
+        raise ValueError("expected an integer, real series vanishing at s=0")
+    return Series.from_ints((_moebius(zpoly.pad(alpha.num[0], alpha.trunc)), []), 1, alpha.trunc)
 
 
 @lru_cache(maxsize=None)
@@ -341,7 +342,7 @@ def root_series(type_index: int) -> Series:
     if type_index == 0:
         return newton_alpha_series(31)
     if type_index == 3:
-        return Series.from_ints((_moebius(_alpha_ints(30)), []), 1, 30)
+        return alpha3_series(newton_alpha_series(30))
     raise ValueError("type_index must be 0 or 3")
 
 
@@ -563,42 +564,7 @@ def quotient_root_check(which: str, perturb: bool = False) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# integral approximant pairs p_r, q_r and the Thue polynomials, over Z[i]
-
-
-class IntegralityError(ArithmeticError):
-    pass
-
-
-def approximants(xi: int, r: int) -> tuple[TPoly, TPoly]:
-    """(p_r, q_r) at the anchor xi in {0, 1}: exact polynomials in t with
-    Gaussian-integer coefficients.  With S1 = chi*(z, u) and S2 = chi*(u, z)
-    on the cleared chi_r, p = -i^(r+1) (S1 - S2)/N and q = -i^r (S1 + S2)/N
-    at xi = 0, p = -(1+i)(-i)^r (S1 - iS2)/N and q = (i-1)(-i)^r (S1 + iS2)/N
-    at xi = 1, for N = ``denom_data(r).n_gcd``."""
-    if r < 1:
-        raise ValueError("r must be >= 1")
-    (n, _), n_gcd = chi_ints(r), denom_data(r).n_gcd
-    s1, s2 = zpoly.homogenise(n, _Z_T, _U_T), zpoly.homogenise(n, _U_T, _Z_T)
-    if xi == 0:
-        units = _i_pow(r + 1, -1), _i_pow(r, -1)
-    elif xi == 1:
-        units = (zpoly.gmul(((-1,), (-1,)), _i_pow(-r)), zpoly.gmul(((-1,), (1,)), _i_pow(-r)))
-        s2 = zpoly.gmul(_i_pow(1), s2)
-    else:
-        raise ValueError("xi must be 0 or 1")
-    p, q = (TPoly.from_ints(zpoly.gmul(unit, f), n_gcd)
-            for unit, f in zip(units, (zpoly.gsub(s1, s2), zpoly.gadd(s1, s2))))
-    if p.den != 1 or q.den != 1:
-        raise IntegralityError(f"non-integral coefficients (xi={xi}, r={r})")
-    return p, q
-
-
-def cross_product(xi: int, r: int) -> TPoly:
-    """p_r q_{r+1} - p_{r+1} q_r as a polynomial in t."""
-    p1, q1 = approximants(xi, r)
-    p2, q2 = approximants(xi, r + 1)
-    return p1 * q2 - p2 * q1
+# the Thue polynomials at a concrete t, over Z[i]
 
 
 def thue_polys_at(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:

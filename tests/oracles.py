@@ -6,9 +6,11 @@ replaced, and the concrete-t root balls as they were computed in
 ``GaussRat``/``ComplexBall`` arithmetic before the integer Newton steps and
 certificates of ``thueq.dioph``, with the ``ComplexBall`` modulus and product
 and the Durand-Kerner seeds they ran on, and the ``corollary_eps`` bisection
-with its ``Fraction`` gates as it ran before the integer gate kernel.  The
-tests check ``thueq.zpoly``, ``thueq.exactnum`` and their callers against
-these."""
+with its ``Fraction`` gates as it ran before the integer gate kernel, the
+branchy Z[omega] formulas that ran before the one ``quadfield.ring`` table,
+and the integral approximant pairs, which no command runs.  The tests check
+``thueq.zpoly``, ``thueq.exactnum``, ``thueq.quadfield`` and their callers
+against these."""
 
 from __future__ import annotations
 
@@ -18,9 +20,11 @@ from itertools import zip_longest
 
 from thueq import descent, dioph, exactnum, measure, zpoly
 from thueq.exactnum import ComplexBall, DomainError, RatInterval, UndefinedKappaError
-from thueq.hyperchi import chi_coeffs, denom_data
+from thueq.hyperchi import chi_coeffs, chi_ints, denom_data
 from thueq.measure import GateResult
-from thueq.series import G0, G1, GI, GaussRat, Series, TPoly, ValuationError
+from thueq.quadfield import _squarefree
+from thueq.series import (G0, G1, GI, _U_T, _Z_T, GaussRat, Series, TPoly, ValuationError,
+                          _i_pow)
 
 
 class Poly2:
@@ -222,6 +226,45 @@ def approximants_oracle(xi: int, r: int) -> tuple[TPoly, TPoly]:
     mi_r = _gpow(-GI, r % 4)
     return ((-(GI + 1)) * mi_r * ratio * (first - GI * second),
             (GI - 1) * mi_r * ratio * (first + GI * second))
+
+
+# the integral approximant pairs p_r, q_r over Z[i] on the ``zpoly`` kernel:
+# no command runs them, so they are checked here against approximants_oracle
+
+
+class IntegralityError(ArithmeticError):
+    pass
+
+
+def approximants(xi: int, r: int) -> tuple[TPoly, TPoly]:
+    """(p_r, q_r) at the anchor xi in {0, 1}: exact polynomials in t with
+    Gaussian-integer coefficients.  With S1 = chi*(z, u) and S2 = chi*(u, z)
+    on the cleared chi_r, p = -i^(r+1) (S1 - S2)/N and q = -i^r (S1 + S2)/N
+    at xi = 0, p = -(1+i)(-i)^r (S1 - iS2)/N and q = (i-1)(-i)^r (S1 + iS2)/N
+    at xi = 1, for N = ``denom_data(r).n_gcd``."""
+    if r < 1:
+        raise ValueError("r must be >= 1")
+    (n, _), n_gcd = chi_ints(r), denom_data(r).n_gcd
+    s1, s2 = zpoly.homogenise(n, _Z_T, _U_T), zpoly.homogenise(n, _U_T, _Z_T)
+    if xi == 0:
+        units = _i_pow(r + 1, -1), _i_pow(r, -1)
+    elif xi == 1:
+        units = (zpoly.gmul(((-1,), (-1,)), _i_pow(-r)), zpoly.gmul(((-1,), (1,)), _i_pow(-r)))
+        s2 = zpoly.gmul(_i_pow(1), s2)
+    else:
+        raise ValueError("xi must be 0 or 1")
+    p, q = (TPoly.from_ints(zpoly.gmul(unit, f), n_gcd)
+            for unit, f in zip(units, (zpoly.gsub(s1, s2), zpoly.gadd(s1, s2))))
+    if p.den != 1 or q.den != 1:
+        raise IntegralityError(f"non-integral coefficients (xi={xi}, r={r})")
+    return p, q
+
+
+def cross_product(xi: int, r: int) -> TPoly:
+    """p_r q_{r+1} - p_{r+1} q_r as a polynomial in t."""
+    p1, q1 = approximants(xi, r)
+    p2, q2 = approximants(xi, r + 1)
+    return p1 * q2 - p2 * q1
 
 
 # ---------------------------------------------------------------------------
@@ -599,3 +642,83 @@ def corollary_eps_oracle(eps: Fraction) -> dict:
         raise measure.ChainError("gates do not re-verify at 2 * t0")
     return {"t0": t0, "gates": tuple(passed[t0]), "gates_at_double": tuple(recheck),
             "evaluations": count + 1}
+
+
+# ---------------------------------------------------------------------------
+# the Z[omega] formulas as they branched on the half-integral basis before
+# ``quadfield.ring`` held one table
+
+
+def is_half_integral(d: int) -> bool:
+    """True when the ring is Z[(1+sqrt(-d))/2], i.e. -d = 1 (mod 4)."""
+    return d % 4 == 3
+
+
+def mul_oracle(d: int, x: tuple, y: tuple) -> tuple:
+    """The (a, b) pair of the product of a + b*omega pairs x and y in field d."""
+    (xa, xb), (ya, yb) = x, y
+    if is_half_integral(d):
+        # omega^2 = omega - (1+d)/4
+        m = (1 + d) // 4
+        return (xa * ya - m * xb * yb, xa * yb + xb * ya + xb * yb)
+    return (xa * ya - d * xb * yb, xa * yb + xb * ya)
+
+
+def conj_oracle(d: int, a: int, b: int) -> tuple:
+    if is_half_integral(d):
+        return (a + b, -b)
+    return (a, -b)
+
+
+def re_im_oracle(d: int, a: int, b: int) -> tuple[Fraction, Fraction]:
+    """(rational part, coefficient of sqrt(d) in the imaginary part)."""
+    if is_half_integral(d):
+        return (Fraction(2 * a + b, 2), Fraction(b, 2))
+    return (Fraction(a), Fraction(b))
+
+
+def eligible_fields_oracle(m) -> list[int]:
+    m2 = Fraction(m) ** 2
+    out = []
+    for d in range(1, int(4 * m2) + 2):
+        if not _squarefree(d):
+            continue
+        if is_half_integral(d):
+            if Fraction(1 + d, 4) <= m2:
+                out.append(d)
+        elif d <= m2:
+            out.append(d)
+    return out
+
+
+def norm_oracle(d: int, a: int, b: int) -> int:
+    """N(a + b*omega) = |a + b*omega|^2 in Q(sqrt(-d))."""
+    if is_half_integral(d):
+        return a * a + a * b + b * b * (1 + d) // 4
+    return a * a + d * b * b
+
+
+def field_pairs_oracle(d: int, m2, normalize: bool = False):
+    # N = ((2a + b)^2 + d b^2)/4 in the half-integral case, a^2 + d b^2 otherwise
+    half = is_half_integral(d)
+    lim = Fraction(m2) * (4 if half else 1)
+    bmax = math.isqrt(int(lim / d))
+    for b in range(1 if normalize else -bmax, bmax + 1):
+        if b == 0:
+            continue
+        r = math.isqrt(int(lim - d * b * b))  # |2a + b| <= r, resp. |a| <= r
+        lo, hi = (-((r + b) // 2), (r - b) // 2) if half else (-r, r)
+        for a in range(lo, hi + 1):
+            yield a, b
+
+
+def pairs_with_norm_in_oracle(d: int, m2, norms):
+    half = is_half_integral(d)
+    scaled = [(4 if half else 1) * n for n in norms if 0 < n <= m2]
+    for b in range(1, math.isqrt(max(scaled, default=0) // d) + 1):
+        # s = a, resp. s = 2a + b with s = b (mod 2) as s^2 = b^2 (mod 4)
+        db2 = d * b * b
+        row = {s for n in scaled if n >= db2 for r in [math.isqrt(n - db2)]
+               if r * r == n - db2 for s in (-r, r)}
+        for s in sorted(row):
+            yield ((s - b) // 2 if half else s), b

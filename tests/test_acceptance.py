@@ -8,6 +8,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
+from oracles import approximants, cross_product
+
 from thueq.cli import main
 from thueq.descent import run_descent
 from thueq.dioph import (
@@ -41,8 +43,6 @@ from thueq.series import (
     GaussRat,
     Series,
     alpha3_series,
-    approximants,
-    cross_product,
     newton_alpha_series,
     pade,
     pade_residual,

@@ -2,6 +2,8 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, strategies as st
+from oracles import (conj_oracle, eligible_fields_oracle, field_pairs_oracle, is_half_integral,
+                     mul_oracle, norm_oracle, pairs_with_norm_in_oracle, re_im_oracle)
 
 from thueq.quadfield import (
     QuadInt,
@@ -10,9 +12,9 @@ from thueq.quadfield import (
     eligible_fields,
     enumerate_bounded,
     field_pairs,
-    is_half_integral,
     norm,
     pairs_with_norm_in,
+    ring,
     roots_of_unity,
 )
 
@@ -20,7 +22,7 @@ from thueq.quadfield import (
 def from_root_coords(d: int, p, q) -> QuadInt:
     """Element p + q*sqrt(-d), raising if not integral in the ring."""
     p, q = F(p), F(q)
-    if is_half_integral(d):
+    if ring(d)[0]:
         b = 2 * q
         a = p - q
     else:
@@ -32,9 +34,11 @@ def from_root_coords(d: int, p, q) -> QuadInt:
 
 
 def test_half_integral_convention():
-    # omega = (1 + sqrt(-d))/2 exactly when -d = 1 mod 4
-    assert is_half_integral(3) and is_half_integral(7) and is_half_integral(11)
-    assert not is_half_integral(1) and not is_half_integral(2)
+    # omega = (1 + sqrt(-d))/2 exactly when -d = 1 mod 4, where
+    # omega^2 = omega - (1+d)/4; otherwise omega^2 = -d
+    assert [ring(d) for d in (3, 7, 11)] == [(1, 1), (1, 2), (1, 3)]
+    assert [ring(d) for d in (1, 2, 5, 6)] == [(0, 1), (0, 2), (0, 5), (0, 6)]
+    assert all(ring(d)[0] == is_half_integral(d) for d in range(1, 400))
 
 
 def test_re_im():
@@ -190,3 +194,40 @@ def test_field_pairs_order_and_normalization():
 def test_pairs_with_norm_in_is_the_filtered_walk(d, m2, norms):
     assert list(pairs_with_norm_in(d, m2, norms)) == [
         (a, b) for a, b in field_pairs(d, m2, normalize=True) if norm(d, a, b) in norms]
+
+
+# the one ring(d) table against the branchy formulas it replaced (oracles):
+# every squarefree d <= 400 and coordinates up to 10^6
+fields = st.integers(1, 400).filter(_squarefree)
+coords = st.integers(-10**6, 10**6)
+# squared bounds m^2, integer and not
+squared_bounds = st.one_of(st.integers(0, 3000).map(F),
+                           st.builds(F, st.integers(0, 12000), st.integers(2, 7)))
+
+
+@given(fields, coords, coords, coords, coords)
+@example(3, 1, 1, -1, 2)
+@example(7, 10**6, -10**6, -10**6, 10**6)
+def test_ring_arithmetic_matches_the_branchy_formulas(d, a, b, c, e):
+    # b = 0 puts x at d = 1, where both tables give the same rational integer
+    x, y = QuadInt(d, a, b), QuadInt(d, c, e)
+    assert norm(d, a, b) == norm_oracle(d, a, b) == x.abs_sq()
+    assert ((x * y).a, (x * y).b) == mul_oracle(d, (a, b), (c, e))
+    assert (x.conj().a, x.conj().b) == conj_oracle(d, a, b)
+    assert x.re_im() == re_im_oracle(d, a, b)
+
+
+# bounds m with an integer or a non-integer square
+@given(st.fractions(0, 25, max_denominator=12))
+@example(F(3))
+@example(F(5, 2))  # sqrt(-5) at m = 5/2
+def test_eligible_fields_match_the_branchy_formula(m):
+    assert eligible_fields(m) == eligible_fields_oracle(m)
+
+
+@given(fields, squared_bounds, st.booleans(), st.sets(st.integers(0, 3000), max_size=40))
+@example(11, F(25), True, {25})  # -2 + 3 omega and -1 + 3 omega
+@example(2, F(37, 4), False, {1, 2, 3, 9})
+def test_field_pairs_match_the_branchy_formulas(d, m2, normalize, norms):
+    assert list(field_pairs(d, m2, normalize)) == list(field_pairs_oracle(d, m2, normalize))
+    assert list(pairs_with_norm_in(d, m2, norms)) == list(pairs_with_norm_in_oracle(d, m2, norms))

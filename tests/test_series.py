@@ -6,8 +6,8 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import (QUARTIC as QUARTIC_ORACLE, _gpow, approximants_oracle, chi_star_oracle,
-                     from_form, series_inverse, thue_data_oracle)
+from oracles import (QUARTIC as QUARTIC_ORACLE, _gpow, approximants, approximants_oracle,
+                     chi_star_oracle, cross_product, from_form, series_inverse, thue_data_oracle)
 
 from thueq import series, zpoly
 from thueq.descent import KMAX, KSTART
@@ -21,8 +21,6 @@ from thueq.series import (
     Series,
     TPoly,
     alpha3_series,
-    approximants,
-    cross_product,
     inverse_horner,
     newton_alpha_series,
     pade,
@@ -349,6 +347,28 @@ def test_root_series_built_once():
     assert root_series(3).trunc == 30
     with pytest.raises(ValueError):
         root_series(1)
+
+
+def test_moebius_builder_runs_without_gaussrat_arithmetic(monkeypatch):
+    # the type-3 series is built over Z: no GaussRat sum or product
+    def refuse(*args):
+        raise AssertionError("GaussRat arithmetic")
+
+    for name in ("__add__", "__radd__", "__mul__"):
+        monkeypatch.setattr(GaussRat, name, refuse)
+    root_series.cache_clear()
+    try:
+        a3 = root_series(3)
+        assert alpha3_series(newton_alpha_series(31)).truncated(30).num == a3.num
+    finally:
+        root_series.cache_clear()
+
+
+def test_alpha3_series_refuses_all_but_an_integer_real_series():
+    a = newton_alpha_series(31)
+    for bad in (a * F(1, 2), a * GI, a + 1, Series([], 0)):
+        with pytest.raises(ValueError):
+            alpha3_series(bad)
 
 
 def test_quotient_root_check():
