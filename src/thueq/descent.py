@@ -11,8 +11,7 @@ from functools import lru_cache
 from . import zpoly
 from .exactnum import Rat, round_up_sig
 from .rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER
-from .series import (QUARTIC, PadePair, Series, inverse_horner, pade, pade_residual,
-                     root_series, tail_bound)
+from .series import QUARTIC, PadePair, horner, pade, pade_residual, root_series, tail_ints
 
 BETA_COEFF = Fraction("8.86")          # |x - alpha y| < 8.86/(|t| |y|^3)
 TYPE_THRESHOLD = Fraction("20.14")     # type threshold: min{|x|, |y|}^4 >= 20.14 Q/|t|
@@ -115,45 +114,51 @@ def _nonvanish_poly(pair: PadePair, k: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _step_algebra(type_index: int, k: int) -> tuple[PadePair, Series, Series, tuple[int, ...]]:
-    """The tmin-free part of step k, built once per process: the integer
-    Pade pair of the root series, its residual U - BV, V as a series and the
-    non-vanishing polynomial P.  The series are shared by every caller and
-    must not be mutated."""
+def _step_algebra(type_index: int, k: int) -> tuple:
+    """The tmin-free part of step k, built once per process over Z: the Pade
+    pair of the root series, the majorant lists |U - BV| from s^(2k-1) (none
+    below it) with its denominator and |V|, and the lower-bound list
+    (|P_deg|, -|P_deg-1|, ..., -|P_0|) of the non-vanishing polynomial P."""
     B = root_series(type_index)
     pair = pade(B, k - 1, k - 1)
-    V = Series.from_ints((pair.V, ()), 1, B.trunc)
-    return pair, pade_residual(B, pair), V, _nonvanish_poly(pair, k)
-
-
-def _nonvanish_gate(P: tuple[int, ...], c0: Rat, c3: Rat, tmin: Rat) -> Rat:
-    """Certified margin of |F_t(A(1/t) y, y)| > 1 under |y| > |t|^(k-1)/c0:
-    L * tmin^deg / (c0^4 c3^4) - 1, with L the leading coefficient of P
-    minus the absolute lower-order contribution at tmin."""
-    tmin = Fraction(tmin)
-    lead, *lower = (abs(c) for c in reversed(P))
-    L = inverse_horner([lead] + [-c for c in lower], tmin)
-    if L <= 0:
-        raise NonVanishingError("no positive lower bound for |P(t)|")
-    return L * tmin ** len(lower) / (Fraction(c0) ** 4 * Fraction(c3) ** 4) - 1
+    resid = pade_residual(B, pair)
+    lead, *lower = (abs(c) for c in reversed(_nonvanish_poly(pair, k)))
+    return (pair, tuple(tail_ints(resid, 2 * k - 1)), resid.den,
+            tuple(abs(c) for c in pair.V), (lead, *(-c for c in lower)))
 
 
 def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = Fraction(100)) -> StepRecord:
-    """One Pade step: from |y| > |t|^(k-1)/c0 to |y| > |t|^k/c_out."""
+    """One Pade step: from |y| > |t|^(k-1)/c0 to |y| > |t|^k/c_out, c_out >=
+    c_exact = c1 + c2 c3 tmin^-m1 + hi_c c3 tmin^-m2 for m1 = 2k-2, m2 =
+    hi_exp+1-2k >= 0 (hi_exp is the series' truncation), and the margin of
+    |F_t(A(1/t) y, y)| > 1: each an integer sum in tmin = p/q over one denominator."""
     c0, tmin = Fraction(c0), Fraction(tmin)
     if type_index not in KSTART:
         raise ValueError("type_index must be 0 or 3")
     if k < KSTART[type_index]:
         raise ValueError("step index too small for this chain")
-    pair, resid, V, P = _step_algebra(type_index, k)
-    c1 = tail_bound(resid, 2 * k - 1, tmin)
-    c2 = BETA_COEFF * c0 ** 4
-    c3 = tail_bound(V, 0, tmin)
+    pair, resid, resid_den, V, low = _step_algebra(type_index, k)
+    if tmin < 1:
+        raise ValueError("tmin must be >= 1")
+    p, q = tmin.numerator, tmin.denominator
+    n1, d1 = horner(resid, p, q)
+    c1, c3 = Fraction(n1, d1 * resid_den), Fraction(*horner(V, p, q))
+    a0, b0 = c0.numerator ** 4, c0.denominator ** 4
+    c2 = Fraction(BETA_COEFF.numerator * a0, BETA_COEFF.denominator * b0)
+    (n1, d1), (n2, d2), (n3, d3) = ((c.numerator, c.denominator) for c in (c1, c2, c3))
     hi_c, hi_exp = HIGH_ORDER[type_index]
-    c_exact = (c1 + c2 * c3 * tmin ** (-(2 * k - 2))
-               + hi_c * c3 * tmin ** (-(hi_exp + 1 - 2 * k)))
+    m1, m2 = 2 * k - 2, hi_exp + 1 - 2 * k
+    m, hn, hd = max(m1, m2), hi_c.numerator, hi_c.denominator
+    # c2 tmin^-m1 + hi_c tmin^-m2 = x / den
+    x = n2 * hd * q ** m1 * p ** (m - m1) + hn * d2 * q ** m2 * p ** (m - m2)
+    den = d2 * hd * p ** m
+    c_exact = Fraction(n1 * d3 * den + d1 * n3 * x, d1 * d3 * den)
     c_out = round_up_sig(c_exact, 4)
-    margin = _nonvanish_gate(P, c0, c3, tmin)
+    # L tmin^m1 / (c0^4 c3^4) - 1 for the lower bound L = nl / p^m1 of |P(t)| / t^m1
+    nl, den = horner(low, p, q)[0], q ** m1 * a0 * n3 ** 4
+    if nl <= 0:
+        raise NonVanishingError("no positive lower bound for |P(t)|")
+    margin = Fraction(nl * b0 * d3 ** 4 - den, den)
     return StepRecord(
         type_index=type_index, k=k,
         c1=c1, c2=c2, c3=c3, c_exact=c_exact, c_out=c_out,

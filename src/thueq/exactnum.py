@@ -41,17 +41,13 @@ def _dec_exponent(x: Rat) -> int:
     if x <= 0:
         raise DomainError("positive value required")
     n, d = x.numerator, x.denominator
-
-    def at_least(e: int) -> bool:  # x >= 10**e
-        return n >= d * 10 ** e if e >= 0 else n * 10 ** -e >= d
-
-    # crude estimate from bit lengths: log10(x) ~ 0.30103 * log2(x)
+    # log10(x) ~ 0.30103 * log2(x) from bit lengths, corrected on n/d = x / 10**e
     e = (n.bit_length() - d.bit_length()) * 30103 // 100000
-    # correct the crude estimate
-    while at_least(e + 1):
-        e += 1
-    while not at_least(e):
-        e -= 1
+    n, d = (n, d * 10 ** e) if e >= 0 else (n * 10 ** -e, d)
+    while n >= 10 * d:
+        d, e = 10 * d, e + 1
+    while n < d:
+        n, e = 10 * n, e - 1
     return e
 
 
@@ -59,9 +55,9 @@ def round_up_sig(x: Rat, digits: int = 4) -> Rat:
     """Round a positive rational up to `digits` significant decimal digits."""
     if x == 0:
         return Fraction(0)
-    e = _dec_exponent(x)
-    q = Fraction(10) ** (e - digits + 1)
-    return Fraction(-((-x.numerator * q.denominator) // (x.denominator * q.numerator))) * q
+    s = _dec_exponent(x) - digits + 1  # round up to a multiple of 10**s
+    n, d, z = x.numerator, x.denominator, 10 ** abs(s)
+    return Fraction(-(-n // (d * z)) * z) if s >= 0 else Fraction(-(-n * z // d), z)
 
 
 def round_nearest_sig(x: Rat, digits: int = 4) -> Rat:

@@ -77,17 +77,25 @@ class ProofReport:
     verdict: str  # "proven" | "inconclusive"
 
 
+@lru_cache(maxsize=64)
+def _kappa(t_abs: Rat):
+    """kappa(t_abs, KAPPA_WIDTH) once per t; a repeat would read the same ln 2 entries."""
+    return kappa(t_abs, KAPPA_WIDTH)
+
+
 def kappa_hi(t_abs: Rat) -> Rat:
-    return kappa(t_abs, KAPPA_WIDTH).hi
+    return _kappa(t_abs).hi
 
 
 def kappa_lo(t_abs: Rat) -> Rat:
-    return kappa(t_abs, KAPPA_WIDTH).lo
+    return _kappa(t_abs).lo
 
 
 class _Chain:
-    def __init__(self):
+    def __init__(self, lines=()):
         self.lines = []
+        for line in lines:
+            self.require(*line)
 
     def require(self, name: str, lhs: Rat, rhs: Rat) -> None:
         """Record the line lhs <= rhs or fail with its name."""
@@ -112,6 +120,33 @@ def _tmin_free_checks() -> bool:
     return True
 
 
+@lru_cache(maxsize=None)
+def _fixed_lines(type_index: int) -> tuple:
+    """The lines of one type's chain free of tmin, checked and named once per
+    process: the four runs of them between the tmin lines of
+    measure_constants.  A failure raises, and is not cached."""
+    k0, l0c = K0[type_index], L0[type_index]
+    prefactor, absorb = C_PREFACTOR[type_index], ABSORB_BASE[type_index]
+    c, qmin = C_COEFF[type_index], QMIN[type_index]
+    return tuple(_Chain(run).lines for run in (
+        [("numerator base 2.94", LETTL_Q_BASE * UZ_CAP * F("2.09"), Q_BASE)],
+        # constant-order absorption: 1.02 <= 1.14 * 0.96^(1/4) * 0.88^(3/4)
+        [("error prefactor 1.14",
+          ERR_FLOOR ** 4, ERR_PREFACTOR ** 4 * T4_FLOOR * T12_FLOOR ** 3),
+         ("error base 1.24", UZ_CAP, ERR_BASE * T4_FLOOR * T12_FLOOR),
+         ("error coefficient 1.83", LETTL_L0 * ERR_PREFACTOR, L0[0]),
+         ("error base 13.27", LETTL_E_BASE * ERR_BASE, E_DIV)],
+        # the sqrt(2) unit factor: 2 * 3.32^2 <= 4.7^2
+        [("unit factor 4.7", 2 * K0[0] ** 2, k0 ** 2)] if type_index == 3 else [],
+        # 1.83 * sqrt(2) * 1.44 / 1.02 <= 3.66, squared
+        ([("error coefficient 3.66", 2 * (L0[0] * I_DIST_CAP / ERR_FLOOR) ** 2, l0c ** 2)]
+         if type_index == 3 else [])
+        + [(f"c prefactor {sig_str(prefactor)}", 2 * k0 * Q_BASE, prefactor),
+           (f"absorption base {sig_str(absorb)}", 2 * l0c / E_DIV, absorb),
+           (f"c coefficient {sig_str(c)}", prefactor * absorb, c),
+           (f"q gate {sig_str(qmin)}", 1 / (2 * l0c), qmin)]))
+
+
 def measure_constants(type_index: int, tmin: Rat = F(100)) -> MeasureConstants:
     """Certify the approximation-constant package for one root family.
 
@@ -129,43 +164,27 @@ def measure_constants(type_index: int, tmin: Rat = F(100)) -> MeasureConstants:
     needed = "alpha0" if type_index == 0 else "alpha3"
     if not certs[needed].verified:
         raise ChainError(f"root enclosure {needed} unavailable at tmin={tmin}")
+    numerator, errors, unit, tail = _fixed_lines(type_index)
 
     ch = _Chain()
     # shared geometric facts about u = it+4, z = it-4, w = z/u
     ch.require("w-circle gate |1-w| < 1", F(8) / (tmin - 4), F(1))
     ch.require("|w|, |1/w| cap 1.09", 1 + F(8) / (tmin - 4), F("1.09"))
     ch.require("|u|, |z| cap 1.04|t|", tmin + 4, UZ_CAP * tmin)
-    ch.require("numerator base 2.94", LETTL_Q_BASE * UZ_CAP * F("2.09"), Q_BASE)
+    ch.lines += numerator
     ch.require("|t|-4 floor 0.96|t|", T4_FLOOR * tmin, tmin - 4)
     ch.require("|t|-12 floor 0.88|t|", T12_FLOOR * tmin, tmin - 12)
     ch.require("small-root cap 0.02", 1 / tmin + ALPHA0_RADIUS / tmin ** 3, F("0.02"))
-    # constant-order absorption: 1.02 <= 1.14 * 0.96^(1/4) * 0.88^(3/4)
-    ch.require("error prefactor 1.14",
-               ERR_FLOOR ** 4, ERR_PREFACTOR ** 4 * T4_FLOOR * T12_FLOOR ** 3)
-    ch.require("error base 1.24", UZ_CAP, ERR_BASE * T4_FLOOR * T12_FLOOR)
-    ch.require("error coefficient 1.83", LETTL_L0 * ERR_PREFACTOR, L0[0])
-    ch.require("error base 13.27", LETTL_E_BASE * ERR_BASE, E_DIV)
+    ch.lines += errors
     ch.require("kappa at least 1", F(1), kappa_lo(tmin))
-
-    k0, l0c = K0[type_index], L0[type_index]
+    ch.lines += unit
     if type_index == 3:
-        # the sqrt(2) unit factor: 2 * 3.32^2 <= 4.7^2
-        ch.require("unit factor 4.7", 2 * K0[0] ** 2, k0 ** 2)
         # |alpha3 - i| <= sqrt(2) + 2.16/|t| <= 1.44, squared
-        ch.require("distance to i cap 1.44",
-                   F(2), (I_DIST_CAP - ALPHA13_RADIUS / tmin) ** 2)
-        # 1.83 * sqrt(2) * 1.44 / 1.02 <= 3.66, squared
-        ch.require("error coefficient 3.66",
-                   2 * (L0[0] * I_DIST_CAP / ERR_FLOOR) ** 2, l0c ** 2)
-    prefactor, absorb = C_PREFACTOR[type_index], ABSORB_BASE[type_index]
-    c, qmin = C_COEFF[type_index], QMIN[type_index]
-    ch.require(f"c prefactor {sig_str(prefactor)}", 2 * k0 * Q_BASE, prefactor)
-    ch.require(f"absorption base {sig_str(absorb)}", 2 * l0c / E_DIV, absorb)
-    ch.require(f"c coefficient {sig_str(c)}", prefactor * absorb, c)
-    ch.require(f"q gate {sig_str(qmin)}", 1 / (2 * l0c), qmin)
-    return MeasureConstants(type_index=type_index, k0=k0, Q_coeff=Q_BASE,
-                            l0_coeff=l0c, E_div=E_DIV, qmin_coeff=qmin,
-                            c_coeff=c, lines=tuple(ch.lines))
+        ch.require("distance to i cap 1.44", F(2), (I_DIST_CAP - ALPHA13_RADIUS / tmin) ** 2)
+    ch.lines += tail
+    return MeasureConstants(type_index=type_index, k0=K0[type_index], Q_coeff=Q_BASE,
+                            l0_coeff=L0[type_index], E_div=E_DIV, qmin_coeff=QMIN[type_index],
+                            c_coeff=C_COEFF[type_index], lines=tuple(ch.lines))
 
 
 # ---------------------------------------------------------------------------

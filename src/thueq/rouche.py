@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import zpoly
 from .exactnum import Rat
-from .series import QUARTIC, Series, inverse_horner, root_series
+from .series import QUARTIC, Series, horner, root_series
 
 
 class CertificationError(ArithmeticError):
@@ -64,26 +64,21 @@ def _taylor_terms(center: tuple) -> tuple:
                  for k, c in enumerate(h[j]) if c)
 
 
-def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
-                      tmin: Rat) -> EnclosureCert:
-    """Certify a root of f_t within radius_c/|t|^radius_exp of center(1/t)
-    for all |t| >= tmin."""
-    radius_c, tmin = Fraction(radius_c), Fraction(tmin)
-    if tmin < 1:
-        raise CertificationError("tmin must be >= 1")
+@lru_cache(maxsize=64)
+def _enclosure_split(center: tuple, radius_c: Rat, radius_exp: int) -> tuple | None:
+    """The tmin-free part of a certificate over Z, once per (center, radius):
+    (lead, rest, den) with margin (lead - sum_d rest_d w^d) / den at w = 1/tmin
+    and lead/den = |c0| radius_c for the dominant linear term c0 t^p0 z, or None
+    if another term decays slower.  A refused center raises, and is not cached."""
     # every monomial c * t^p * z^j contributes |c| radius_c^j w^(j*radius_exp - p)
-    terms = _taylor_terms(tuple(sorted(center.items())))
-    if not any(j == 1 for j, _, _ in terms):
+    terms = _taylor_terms(center)
+    # dominant: the j=1 monomial with minimal exponent (each p occurs once)
+    lin = [(radius_exp - p, p, c) for j, p, c in terms if j == 1]
+    if not lin:
         raise CertificationError("no linear term at the center (degenerate)")
-    # dominant: the j=1 monomial with minimal exponent
-    lin = [(1 * radius_exp - p, p, c) for j, p, c in terms if j == 1]
-    e0 = min(e for e, _, _ in lin)
-    dominants = [(e, p, c) for e, p, c in lin if e == e0]
-    if len(dominants) != 1:
-        raise CertificationError("dominant linear term not unique")
-    _, p0, c0 = dominants[0]
-    # the rest as sum_d a_d w^d over d = e - e0 >= 0, with w = 1/tmin and
-    # radius_c = rn/rd: radius_c^j cleared by rd^4 (j <= 4)
+    e0, p0, c0 = min(lin)
+    # the rest as sum_d a_d w^d over d = e - e0 >= 0, with radius_c = rn/rd:
+    # radius_c^j cleared by den = rd^4 (j <= 4)
     rn, rd = radius_c.numerator, radius_c.denominator
     cleared = [rn ** j * rd ** (4 - j) for j in range(5)]
     rest: list[int] = []
@@ -94,10 +89,25 @@ def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
         if d < 0:
             # a non-dominant term decays slower than the dominant one:
             # no uniform certificate from this split
-            return EnclosureCert(center, radius_c, radius_exp, tmin, False, Fraction(-1))
+            return None
         rest += [0] * (d + 1 - len(rest))
         rest[d] += abs(c) * cleared[j]
-    margin = abs(c0) * radius_c - inverse_horner(rest, tmin) / rd ** 4
+    return abs(c0) * cleared[1], tuple(rest), cleared[0]
+
+
+def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
+                      tmin: Rat) -> EnclosureCert:
+    """Certify a root of f_t within radius_c/|t|^radius_exp of center(1/t)
+    for all |t| >= tmin: one integer Horner sum at tmin on the cached split."""
+    radius_c, tmin = Fraction(radius_c), Fraction(tmin)
+    if tmin < 1:
+        raise CertificationError("tmin must be >= 1")
+    split = _enclosure_split(tuple(sorted(center.items())), radius_c, radius_exp)
+    if split is None:
+        return EnclosureCert(center, radius_c, radius_exp, tmin, False, Fraction(-1))
+    lead, rest, den = split
+    n, d = horner(rest, tmin.numerator, tmin.denominator)
+    margin = Fraction(lead * d - n, den * d)
     return EnclosureCert(center, radius_c, radius_exp, tmin, margin > 0, margin)
 
 
@@ -121,10 +131,14 @@ BASE_CERT_PARAMS = [
 
 
 def base_certificates(tmin: Rat = Fraction(100)) -> dict[str, EnclosureCert]:
-    return {
-        name: certify_enclosure(center, c, k, tmin)
-        for name, center, c, k in BASE_CERT_PARAMS
-    }
+    """The four low-order certificates at tmin, a fresh dict on each call."""
+    return dict(_base_certificates(Fraction(tmin)))
+
+
+@lru_cache(maxsize=64)
+def _base_certificates(tmin: Rat) -> tuple:
+    return tuple((name, certify_enclosure(center, c, k, tmin))
+                 for name, center, c, k in BASE_CERT_PARAMS)
 
 
 def _series_center(s: Series) -> dict:

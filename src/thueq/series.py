@@ -431,14 +431,23 @@ def pade_residual(B: Series, pair: PadePair) -> Series:
 # ---------------------------------------------------------------------------
 # tail bounds
 
-def inverse_horner(a, tmin: Rat) -> Rat:
-    """sum_d a_d / tmin^d for integers a_d (exact): summed over Z by Horner's
-    rule in tmin = p/q and divided once."""
-    p, q = tmin.numerator, tmin.denominator
-    acc, qk = 0, 1  # sum_d a_d q^d p^(top - d), top the last index
+def horner(a, p: int, q: int) -> tuple[int, int]:
+    """(n, d) with n/d = sum_j a_j (q/p)^j for integers a_j, p > 0 and q > 0:
+    Horner's rule over Z, with d = p^top for top the last index."""
+    acc, qk = 0, 1  # sum_j a_j q^j p^(top - j)
     for c in a:
         acc, qk = acc * p + c * qk, qk * q
-    return Fraction(acc, p ** max(len(a) - 1, 0))
+    return acc, p ** max(len(a) - 1, 0)
+
+
+def tail_ints(expr: Series, lead_exp: int) -> list[int]:
+    """|n_j| for j >= lead_exp over the numerator n_j of a real series with no
+    term below s^lead_exp."""
+    n = _real(expr.num)
+    j = next((j for j, c in enumerate(n) if c), lead_exp)
+    if j < lead_exp:
+        raise ValueError(f"term s^{j} below claimed leading exponent {lead_exp}")
+    return [abs(c) for c in n[lead_exp:]]
 
 
 def tail_bound(expr: Series, lead_exp: int, tmin: Rat) -> Rat:
@@ -448,11 +457,8 @@ def tail_bound(expr: Series, lead_exp: int, tmin: Rat) -> Rat:
     tmin = Fraction(tmin)
     if tmin < 1:
         raise ValueError("tmin must be >= 1")
-    n = _real(expr.num)
-    j = next((j for j, c in enumerate(n) if c), lead_exp)
-    if j < lead_exp:
-        raise ValueError(f"term s^{j} below claimed leading exponent {lead_exp}")
-    return inverse_horner([abs(c) for c in n[lead_exp:]], tmin) / expr.den
+    n, d = horner(tail_ints(expr, lead_exp), tmin.numerator, tmin.denominator)
+    return Fraction(n, d * expr.den)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ certificates of ``thueq.dioph``, with the ``ComplexBall`` modulus and product
 and the Durand-Kerner seeds they ran on, and the ``corollary_eps`` bisection
 with its ``Fraction`` gates as it ran before the integer gate kernel, the
 branchy Z[omega] formulas that ran before the one ``quadfield.ring`` table,
-and the integral approximant pairs, which no command runs.  The tests check
+the integral approximant pairs, which no command runs, and the tmin
+certificates (descent steps, root enclosures, measure chains and the
+significant-digit rounding) as they ran in ``Fraction`` arithmetic at each
+tmin before their tmin-free parts were built once over Z.  The tests check
 ``thueq.zpoly``, ``thueq.exactnum``, ``thueq.quadfield`` and their callers
 against these."""
 
@@ -16,15 +19,22 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 from itertools import zip_longest
 
-from thueq import descent, dioph, exactnum, measure, zpoly
+from thueq import descent, dioph, exactnum, measure, rouche, zpoly
 from thueq.exactnum import ComplexBall, DomainError, RatInterval, UndefinedKappaError
-from thueq.hyperchi import chi_coeffs, chi_ints, denom_data
-from thueq.measure import GateResult
+from thueq.hyperchi import (LETTL_E_BASE, LETTL_L0, LETTL_Q_BASE, chi_coeffs, chi_ints,
+                            denom_data)
+from thueq.measure import (ABSORB_BASE, C_COEFF, C_PREFACTOR, E_DIV, ERR_BASE, ERR_FLOOR,
+                           ERR_PREFACTOR, I_DIST_CAP, K0, KAPPA_WIDTH, L0, Q_BASE, QMIN,
+                           T4_FLOOR, T12_FLOOR, UZ_CAP, ChainError, GateResult,
+                           MeasureConstants, _Chain)
 from thueq.quadfield import _squarefree
+from thueq.rouche import (ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER, CertificationError,
+                          EnclosureCert)
 from thueq.series import (G0, G1, GI, _U_T, _Z_T, GaussRat, Series, TPoly, ValuationError,
-                          _i_pow)
+                          _i_pow, pade, pade_residual, root_series, tail_bound)
 
 
 class Poly2:
@@ -293,14 +303,186 @@ def enclosure_margin_oracle(terms, radius_c: Fraction, radius_exp: int,
 
 
 def nonvanish_margin_oracle(P, c0: Fraction, c3: Fraction, tmin: Fraction) -> Fraction:
-    """The margin of ``descent._nonvanish_gate``: L tmin^deg / (c0^4 c3^4) - 1
-    with L = |P_deg| - sum_j |P_j| tmin^(j - deg), term by term."""
+    """The non-vanishing margin of ``descent.run_step``: L tmin^deg / (c0^4 c3^4)
+    - 1 with L = |P_deg| - sum_j |P_j| tmin^(j - deg), term by term."""
     deg = len(P) - 1
     L = Fraction(abs(P[deg]))
     for j in range(deg):
         if P[j]:
             L -= abs(P[j]) * tmin ** (j - deg)
     return L * tmin ** deg / (c0 ** 4 * c3 ** 4) - 1
+
+
+# ---------------------------------------------------------------------------
+# the tmin certificates as they were evaluated in Fraction arithmetic at each
+# tmin before their tmin-free parts were built once over Z
+
+
+def outcome(fn, *args):
+    """fn(*args), or the exception it raised as its type and message (the
+    type alone for a division by zero, whose message Python writes)."""
+    try:
+        return fn(*args)
+    except ZeroDivisionError:
+        return ZeroDivisionError, None
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def inverse_horner(a, tmin: Fraction) -> Fraction:
+    """sum_d a_d / tmin^d, term by term."""
+    return sum((Fraction(c) / tmin ** d for d, c in enumerate(a)), Fraction(0))
+
+
+def dec_exponent_oracle(x: Fraction) -> int:
+    """e such that 10**e <= x < 10**(e+1), for x > 0."""
+    if x <= 0:
+        raise DomainError("positive value required")
+    n, d = x.numerator, x.denominator
+
+    def at_least(e: int) -> bool:  # x >= 10**e
+        return n >= d * 10 ** e if e >= 0 else n * 10 ** -e >= d
+
+    # crude estimate from bit lengths: log10(x) ~ 0.30103 * log2(x)
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    # correct the crude estimate
+    while at_least(e + 1):
+        e += 1
+    while not at_least(e):
+        e -= 1
+    return e
+
+
+def round_up_sig_oracle(x: Fraction, digits: int = 4) -> Fraction:
+    """Round a positive rational up to `digits` significant decimal digits."""
+    if x == 0:
+        return Fraction(0)
+    e = dec_exponent_oracle(x)
+    q = Fraction(10) ** (e - digits + 1)
+    return Fraction(-((-x.numerator * q.denominator) // (x.denominator * q.numerator))) * q
+
+
+@lru_cache(maxsize=None)
+def step_algebra_oracle(type_index: int, k: int) -> tuple:
+    """The Pade pair of step k, its residual U - BV, V as a series and the
+    non-vanishing polynomial P."""
+    B = root_series(type_index)
+    pair = pade(B, k - 1, k - 1)
+    V = Series.from_ints((pair.V, ()), 1, B.trunc)
+    return pair, pade_residual(B, pair), V, descent._nonvanish_poly(pair, k)
+
+
+def nonvanish_gate_oracle(P, c0: Fraction, c3: Fraction, tmin: Fraction) -> Fraction:
+    """L * tmin^deg / (c0^4 c3^4) - 1, with L the leading coefficient of P
+    minus the absolute lower-order contribution at tmin."""
+    tmin = Fraction(tmin)
+    lead, *lower = (abs(c) for c in reversed(P))
+    L = inverse_horner([lead] + [-c for c in lower], tmin)
+    if L <= 0:
+        raise descent.NonVanishingError("no positive lower bound for |P(t)|")
+    return L * tmin ** len(lower) / (Fraction(c0) ** 4 * Fraction(c3) ** 4) - 1
+
+
+def run_step_oracle(type_index: int, k: int, c0, tmin) -> descent.StepRecord:
+    """One Pade step of ``descent.run_step``, in Fraction arithmetic at tmin."""
+    c0, tmin = Fraction(c0), Fraction(tmin)
+    if type_index not in descent.KSTART:
+        raise ValueError("type_index must be 0 or 3")
+    if k < descent.KSTART[type_index]:
+        raise ValueError("step index too small for this chain")
+    pair, resid, V, P = step_algebra_oracle(type_index, k)
+    c1 = tail_bound(resid, 2 * k - 1, tmin)
+    c2 = descent.BETA_COEFF * c0 ** 4
+    c3 = tail_bound(V, 0, tmin)
+    hi_c, hi_exp = HIGH_ORDER[type_index]
+    c_exact = (c1 + c2 * c3 * tmin ** (-(2 * k - 2))
+               + hi_c * c3 * tmin ** (-(hi_exp + 1 - 2 * k)))
+    c_out = round_up_sig_oracle(c_exact, 4)
+    margin = nonvanish_gate_oracle(P, c0, c3, tmin)
+    return descent.StepRecord(
+        type_index=type_index, k=k,
+        c1=c1, c2=c2, c3=c3, c_exact=c_exact, c_out=c_out,
+        nonvanish_margin=margin, nonvanish_ok=margin > 0, pade=pair,
+    )
+
+
+def certify_enclosure_oracle(center: dict, radius_c, radius_exp: int,
+                             tmin) -> EnclosureCert:
+    """``rouche.certify_enclosure``, with the dominant term and the cleared
+    rest re-derived at each tmin."""
+    radius_c, tmin = Fraction(radius_c), Fraction(tmin)
+    if tmin < 1:
+        raise CertificationError("tmin must be >= 1")
+    terms = rouche._taylor_terms(tuple(sorted(center.items())))
+    if not any(j == 1 for j, _, _ in terms):
+        raise CertificationError("no linear term at the center (degenerate)")
+    lin = [(1 * radius_exp - p, p, c) for j, p, c in terms if j == 1]
+    e0 = min(e for e, _, _ in lin)
+    dominants = [(e, p, c) for e, p, c in lin if e == e0]
+    if len(dominants) != 1:
+        raise CertificationError("dominant linear term not unique")
+    _, p0, c0 = dominants[0]
+    rn, rd = radius_c.numerator, radius_c.denominator
+    cleared = [rn ** j * rd ** (4 - j) for j in range(5)]
+    rest: list[int] = []
+    for j, p, c in terms:
+        if j == 1 and p == p0:
+            continue
+        d = j * radius_exp - p - e0
+        if d < 0:
+            return EnclosureCert(center, radius_c, radius_exp, tmin, False, Fraction(-1))
+        rest += [0] * (d + 1 - len(rest))
+        rest[d] += abs(c) * cleared[j]
+    margin = abs(c0) * radius_c - inverse_horner(rest, tmin) / rd ** 4
+    return EnclosureCert(center, radius_c, radius_exp, tmin, margin > 0, margin)
+
+
+def measure_constants_oracle(type_index: int, tmin) -> MeasureConstants:
+    """``measure.measure_constants`` with every line, its name and kappa
+    re-derived at tmin, and the enclosure it needs from the oracle above."""
+    F = Fraction
+    tmin = F(tmin)
+    if type_index not in (0, 3):
+        raise ValueError("type_index must be 0 or 3")
+    if tmin < 100:
+        raise ChainError("chain is only certified for tmin >= 100")
+    measure._tmin_free_checks()
+    needed = "alpha0" if type_index == 0 else "alpha3"
+    _, center, c, k = next(x for x in rouche.BASE_CERT_PARAMS if x[0] == needed)
+    if not certify_enclosure_oracle(center, c, k, tmin).verified:
+        raise ChainError(f"root enclosure {needed} unavailable at tmin={tmin}")
+
+    ch = _Chain()
+    ch.require("w-circle gate |1-w| < 1", F(8) / (tmin - 4), F(1))
+    ch.require("|w|, |1/w| cap 1.09", 1 + F(8) / (tmin - 4), F("1.09"))
+    ch.require("|u|, |z| cap 1.04|t|", tmin + 4, UZ_CAP * tmin)
+    ch.require("numerator base 2.94", LETTL_Q_BASE * UZ_CAP * F("2.09"), Q_BASE)
+    ch.require("|t|-4 floor 0.96|t|", T4_FLOOR * tmin, tmin - 4)
+    ch.require("|t|-12 floor 0.88|t|", T12_FLOOR * tmin, tmin - 12)
+    ch.require("small-root cap 0.02", 1 / tmin + ALPHA0_RADIUS / tmin ** 3, F("0.02"))
+    ch.require("error prefactor 1.14",
+               ERR_FLOOR ** 4, ERR_PREFACTOR ** 4 * T4_FLOOR * T12_FLOOR ** 3)
+    ch.require("error base 1.24", UZ_CAP, ERR_BASE * T4_FLOOR * T12_FLOOR)
+    ch.require("error coefficient 1.83", LETTL_L0 * ERR_PREFACTOR, L0[0])
+    ch.require("error base 13.27", LETTL_E_BASE * ERR_BASE, E_DIV)
+    ch.require("kappa at least 1", F(1), exactnum.kappa(tmin, KAPPA_WIDTH).lo)
+
+    k0, l0c = K0[type_index], L0[type_index]
+    if type_index == 3:
+        ch.require("unit factor 4.7", 2 * K0[0] ** 2, k0 ** 2)
+        ch.require("distance to i cap 1.44",
+                   F(2), (I_DIST_CAP - ALPHA13_RADIUS / tmin) ** 2)
+        ch.require("error coefficient 3.66",
+                   2 * (L0[0] * I_DIST_CAP / ERR_FLOOR) ** 2, l0c ** 2)
+    prefactor, absorb = C_PREFACTOR[type_index], ABSORB_BASE[type_index]
+    c, qmin = C_COEFF[type_index], QMIN[type_index]
+    ch.require(f"c prefactor {exactnum.sig_str(prefactor)}", 2 * k0 * Q_BASE, prefactor)
+    ch.require(f"absorption base {exactnum.sig_str(absorb)}", 2 * l0c / E_DIV, absorb)
+    ch.require(f"c coefficient {exactnum.sig_str(c)}", prefactor * absorb, c)
+    ch.require(f"q gate {exactnum.sig_str(qmin)}", 1 / (2 * l0c), qmin)
+    return MeasureConstants(type_index=type_index, k0=k0, Q_coeff=Q_BASE,
+                            l0_coeff=l0c, E_div=E_DIV, qmin_coeff=qmin,
+                            c_coeff=c, lines=tuple(ch.lines))
 
 
 # ---------------------------------------------------------------------------

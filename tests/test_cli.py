@@ -72,6 +72,21 @@ PINS = {
         "9d7e10b491752964e07b5ddeb0b67100b7e037cde9d1edb96ccfa47788440441",
     "corollary-lin --C 1 --json":
         "7d393846d550c5147796163c0bc30b7aeea1d115b82f4a67e8d5f412152df956",
+    # taken before the descent steps, the root enclosures and the measure
+    # chains built their tmin-free parts once over Z: a fractional tmin and
+    # a 300-digit one
+    "descent --type 0 --tmin 12345/7 --json":
+        "11c854cd81c3f79d087c980b8093562513ce6c05fe9d406078a5b1fc384641f9",
+    "descent --type 3 --tmin 12345/7 --json":
+        "90d3b8b30f085fd014d45ec751ff11e3c18d70571bd32826efd4e8e9b831d07c",
+    "constants --type 0 --tmin 12345/7 --json":
+        "705104453a6a7a33e86e42f167a22eff4fa8617ce13b8997301469c153477ebb",
+    "constants --type 3 --tmin 12345/7 --json":
+        "3dbfc555519cab677ef933e924ae790322626047e32f4ea1a880f8ea7803a31d",
+    "rouche-certs --tmin 12345/7 --json":
+        "be52c10316ac4153ced3dc4917edc1e3d503f3d822bce02ace0dc176f53e5c7e",
+    "constants --type 3 --tmin 1e300 --json":
+        "f4b4ab99272735c04790856240e90b0f74ab80b1bf17d99377733b137565a9ee",
 }
 VERIFY_ALL_REFERENCE = Path(__file__).parents[1] / "perfbench/reference/verify_all.json"
 

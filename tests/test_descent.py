@@ -1,7 +1,10 @@
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
-from oracles import nonvanish_margin_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import nonvanish_margin_oracle, outcome, run_step_oracle
 
 from thueq import descent
 from thueq.exactnum import round_nearest_sig
@@ -169,10 +172,13 @@ def test_step_algebra_built_once(monkeypatch):
     try:
         a = run_descent(0, tmin=F(100))
         b = run_descent(0, tmin=F(12345))
+        info = descent._step_algebra.cache_info()
     finally:
         descent._step_algebra.cache_clear()
-    # one Pade pair per step k = 3..11, shared by both tmin
+    # one Pade pair and one set of majorant integers per step k = 3..11,
+    # shared by both tmin
     assert len(calls) == 9
+    assert (info.misses, info.hits) == (9, 9)
     assert [r.pade for r in a] == [r.pade for r in b]
     assert b[-1].c_out < a[-1].c_out
 
@@ -188,7 +194,8 @@ def test_nonvanish_poly_matches_the_gaussian_rational_expression():
     t = TPoly([0, 1])
     for ti in KSTART:
         for k in range(KSTART[ti], KMAX + 1):
-            pair, _, _, P = descent._step_algebra(ti, k)
+            pair = descent._step_algebra(ti, k)[0]
+            P = descent._nonvanish_poly(pair, k)
             X, Y = _reverse(pair.U, k - 1), _reverse(pair.V, k - 1)
             oracle = (X**4 - t * X**3 * Y - 6 * X**2 * Y**2
                       + t * X * Y**3 + Y**4)
@@ -200,6 +207,51 @@ def test_nonvanish_margins_match_the_per_term_sum():
     for tmin in (F(100), F(101), F(12345, 7), F(10**6), F(10**30)):
         for ti, c0 in ((0, step2_type0(tmin)), (3, 1 / step1(3, tmin))):
             for rec in run_descent(ti, tmin=tmin):
-                P = descent._step_algebra(ti, rec.k)[3]
+                P = descent._nonvanish_poly(rec.pade, rec.k)
                 assert rec.nonvanish_margin == nonvanish_margin_oracle(P, c0, rec.c3, tmin)
                 c0 = rec.c_out
+
+
+# the steps the root series support: pade needs s^(2k-1), and the series
+# are known modulo s^31 (type 0) and s^30 (type 3)
+STEPS = [(ti, k) for ti, top in ((0, 16), (3, 15)) for k in range(KSTART[ti], top + 1)]
+TMIN = st.one_of(
+    st.integers(min_value=1, max_value=10**7).map(F),
+    st.builds(F, st.integers(min_value=1, max_value=10**9),
+              st.integers(min_value=2, max_value=10**4)),
+    st.integers(min_value=10**299, max_value=10**300).map(F),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(STEPS), TMIN, st.builds(F, st.integers(min_value=1, max_value=10**12),
+                                                st.integers(min_value=1, max_value=10**4)))
+def test_run_step_equals_the_fraction_oracle(step, tmin, c0):
+    assert outcome(run_step, *step, c0, tmin) == outcome(run_step_oracle, *step, c0, tmin)
+
+
+@pytest.mark.parametrize("tmin", [F(100), F(12345, 7), F(10**300), F(10**300 + 1, 3)])
+def test_every_chain_step_equals_the_fraction_oracle(tmin):
+    for ti in KSTART:
+        c0 = step2_type0(tmin) if ti == 0 else 1 / step1(3, tmin)
+        for rec in run_descent(ti, tmin=tmin):
+            want = run_step_oracle(ti, rec.k, c0, tmin)
+            for field in dataclasses.fields(rec):
+                assert getattr(rec, field.name) == getattr(want, field.name), (ti, rec.k, field)
+            c0 = rec.c_out
+
+
+@pytest.mark.parametrize("args", [
+    (0, 3, F(5), F(1, 2)),      # tmin below 1
+    (0, 3, F(5), F(0)),
+    (1, 4, F(5), F(100)),       # no such type
+    (3, 1, F(5), F(100)),       # below the chain's first step
+    (0, 17, F(5), F(100)),      # past the series' truncation
+    (0, 3, F(0), F(100)),       # c0 = 0: the margin divides by it
+    (0, 11, F(5), F(1)),        # |P(t)| has no positive lower bound at t = 1
+    (3, 11, F(5), F(2)),
+])
+def test_run_step_errors_equal_the_fraction_oracle(args):
+    got = outcome(run_step, *args)
+    assert got == outcome(run_step_oracle, *args)
+    assert isinstance(got, tuple) and isinstance(got[0], type)

@@ -24,9 +24,9 @@ from thueq.exactnum import (
 from thueq.measure import KAPPA_WIDTH
 
 from oracles import (atanh_enclosure_oracle, ball_abs_bounds_oracle, ball_contains_zero,
-                     ball_mul_oracle, iv_add, iv_contains, iv_div_pos, iv_scale, iv_shift,
-                     iv_width, kappa_oracle, ln_enclosure_oracle, round_down_grid, sqrt_lower,
-                     sqrt_upper)
+                     ball_mul_oracle, dec_exponent_oracle, iv_add, iv_contains, iv_div_pos,
+                     iv_scale, iv_shift, iv_width, kappa_oracle, ln_enclosure_oracle,
+                     round_down_grid, round_up_sig_oracle, sqrt_lower, sqrt_upper)
 
 rationals = st.fractions(
     min_value=F(-10**6), max_value=F(10**6), max_denominator=10**6
@@ -353,3 +353,48 @@ def test_iroot_edges():
         iroot(-1, 2)
     with pytest.raises(DomainError):
         iroot(5, 0)
+
+
+def _near_powers_of_ten():
+    """10**e and its neighbours one unit of a 1, 7 or 60 digit scale away."""
+    e = st.integers(min_value=-400, max_value=400)
+    ulp = st.sampled_from([F(1, 10), F(1, 10**7), F(1, 10**60)])
+    return st.builds(lambda e, u, s: F(10) ** e * (1 + s * u), e, ulp, st.sampled_from([-1, 0, 1]))
+
+
+SIG_ARGS = st.one_of(
+    positive_rationals,
+    _near_powers_of_ten(),
+    st.builds(F, st.integers(min_value=1, max_value=2**1000),
+              st.integers(min_value=1, max_value=2**1000)),
+    st.builds(F, st.integers(min_value=2**999, max_value=2**1000),
+              st.integers(min_value=2**999, max_value=2**1000)),
+)
+
+
+@given(SIG_ARGS, st.integers(min_value=1, max_value=12))
+def test_round_up_sig_equals_the_fraction_oracle(x, digits):
+    assert exactnum._dec_exponent(x) == dec_exponent_oracle(x)
+    assert round_up_sig(x, digits) == round_up_sig_oracle(x, digits)
+
+
+def test_round_up_sig_on_powers_of_ten_and_their_neighbours():
+    for e in (-301, -4, -1, 0, 1, 3, 4, 5, 300):
+        p = F(10) ** e
+        for x in (p, p - F(1, 10**320), p + F(1, 10**320), p * 9999 / 10000, p * 10001 / 10000):
+            assert exactnum._dec_exponent(x) == dec_exponent_oracle(x)
+            assert round_up_sig(x) == round_up_sig_oracle(x)
+        assert round_up_sig(p) == p and round_up_sig(p * 1001 / 1000) == p * 1001 / 1000
+        assert round_up_sig(p * 10001 / 10000) == p * 1001 / 1000
+        assert round_up_sig(p * 99999 / 100000) == p
+    for x in (F(0), F(-1), F(-1, 3)):
+        got = want = None
+        try:
+            got = round_up_sig(x)
+        except DomainError as exc:
+            got = str(exc)
+        try:
+            want = round_up_sig_oracle(x)
+        except DomainError as exc:
+            want = str(exc)
+        assert got == want

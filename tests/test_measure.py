@@ -1,8 +1,13 @@
+import importlib
 import random
 from fractions import Fraction as F
 from functools import lru_cache
 
+import oracles
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import measure_constants_oracle, outcome
 
 from thueq import descent, exactnum, hyperchi, measure, rouche, series
 from thueq.cli import main
@@ -436,3 +441,77 @@ def test_corollary_lin_accepts_its_own_threshold():
         assert corollary_lin(C, r["t0"]) == r
     with pytest.raises(ValueError):
         corollary_lin(F(1), measure.LIN_T0_FLOOR - 1)
+
+
+TMIN = st.one_of(
+    st.integers(min_value=100, max_value=10**7).map(F),
+    st.builds(F, st.integers(min_value=10**4, max_value=10**9),
+              st.integers(min_value=2, max_value=100)),
+    st.integers(min_value=10**299, max_value=10**300).map(F),
+    st.builds(F, st.integers(min_value=0, max_value=10**4),
+              st.integers(min_value=1, max_value=100)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([0, 3]), TMIN)
+def test_measure_constants_equal_the_fraction_oracle(type_index, tmin):
+    # tmin below 100 raises ChainError on both sides, with the same message
+    got = outcome(measure_constants, type_index, tmin)
+    assert got == outcome(measure_constants_oracle, type_index, tmin)
+
+
+@pytest.mark.parametrize("args", [(1, F(100)), (0, F(99)), (3, F(12345, 1000)), (3, F(0))])
+def test_measure_constants_refuse_alike(args):
+    got = outcome(measure_constants, *args)
+    assert isinstance(got, tuple) and got[0] in (ValueError, ChainError)
+    assert got == outcome(measure_constants_oracle, *args)
+
+
+def test_a_failing_tmin_free_line_raises_alike_on_every_call(monkeypatch):
+    # 1.04 <= 1.1 * 0.96 * 0.88 is false
+    for module in (measure, oracles):
+        monkeypatch.setattr(module, "ERR_BASE", F("1.1"))
+    measure._fixed_lines.cache_clear()
+    try:
+        for _ in range(2):
+            got = outcome(measure_constants, 3, F(12345, 7))
+            assert got == outcome(measure_constants_oracle, 3, F(12345, 7))
+            assert got[0] is ChainError and got[1].startswith("error base 1.24: ")
+        assert measure._fixed_lines.cache_info().currsize == 0
+    finally:
+        measure._fixed_lines.cache_clear()
+
+
+def test_kappa_is_enclosed_once_per_modulus(monkeypatch):
+    calls = []
+    real = measure.kappa
+    monkeypatch.setattr(measure, "kappa", lambda t, w: calls.append((t, w)) or real(t, w))
+    monkeypatch.setattr(measure, "_kappa", lru_cache(maxsize=64)(measure._kappa.__wrapped__))
+    t = F(123457, 3)
+    measure_constants(0, t)
+    measure_constants(3, t)
+    contradiction_upper_bound(t)
+    kappa_hi(t)
+    assert calls == [(t, measure.KAPPA_WIDTH)]
+
+
+# the caches free of tmin: each is keyed by a root type, a step, a center, an
+# order r, a field or nothing, and holds what every tmin shares
+UNBOUNDED = {"descent._step_algebra", "dioph._x_part", "hyperchi.chi_coeffs",
+             "hyperchi.denom_data", "measure._tmin_free_checks", "measure._fixed_lines",
+             "measure._log_constants", "quadfield.roots_of_unity", "rouche._taylor_terms",
+             "series.root_series", "series._thue_data"}
+
+
+def test_every_cache_keyed_by_tmin_is_bounded():
+    caches = {}
+    for name in ("descent", "dioph", "exactnum", "hyperchi", "measure", "quadfield",
+                 "rouche", "series", "zpoly"):
+        module = importlib.import_module(f"thueq.{name}")
+        caches.update({f"{name}.{attr}": fn for attr, fn in vars(module).items()
+                       if hasattr(fn, "cache_info") and fn.__module__ == module.__name__})
+    unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
+    assert unbounded == UNBOUNDED
+    for name in ("rouche._base_certificates", "measure._kappa", "rouche._enclosure_split"):
+        assert caches[name].cache_info().maxsize is not None

@@ -1,7 +1,10 @@
 from fractions import Fraction as F
 
 import pytest
-from oracles import QUARTIC, Poly2, enclosure_margin_oracle
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import (QUARTIC, Poly2, certify_enclosure_oracle, enclosure_margin_oracle,
+                     outcome)
 
 from thueq import rouche
 from thueq.rouche import (
@@ -75,17 +78,46 @@ def test_root_separation():
 
 
 def test_taylor_coefficients_built_once_per_center():
-    rouche._taylor_terms.cache_clear()
+    caches = (rouche._taylor_terms, rouche._enclosure_split, rouche._base_certificates)
+    for cache in caches:
+        cache.cache_clear()
     try:
         for tmin in (F(100), F(1000)):
             base_certificates(tmin)
+            base_certificates(tmin)
             certify_high_order("B", tmin)
             certify_high_order("B3", tmin)
-        info = rouche._taylor_terms.cache_info()
+        taylor, split, base = (cache.cache_info() for cache in caches)
     finally:
-        rouche._taylor_terms.cache_clear()
-    # four base centers plus B and B3, each expanded once
-    assert (info.misses, info.hits) == (6, 6)
+        for cache in caches:
+            cache.cache_clear()
+    # four base centers plus B and B3, each expanded and split once; the
+    # base certificates are built once per tmin
+    assert (taylor.misses, taylor.hits) == (6, 0)
+    assert (split.misses, split.hits) == (6, 6)
+    assert (base.misses, base.hits) == (2, 2)
+
+
+def test_base_certificates_are_a_fresh_dict_on_each_call():
+    first = base_certificates(F(12345, 7))
+    expected = dict(first)
+    first["alpha0"] = first.pop("alpha2")
+    first.clear()
+    assert base_certificates(F(12345, 7)) == expected
+    assert base_certificates(F(12345, 7)) is not base_certificates(F(12345, 7))
+
+
+def test_a_refused_certificate_raises_on_every_call():
+    # the linear monomials of f(C + z) have distinct powers of t and f' has
+    # no root in Z[t, 1/t], so an integer center always has a unique
+    # dominant term: the raises are for a non-integral center and tmin < 1
+    before = rouche._enclosure_split.cache_info().currsize
+    for _ in range(2):
+        for args in (({0: F(1, 2)}, F(1), 1, F(100)), ({0: 1}, F("2.16"), 1, F(1, 2))):
+            got = outcome(certify_enclosure, *args)
+            assert got[0] is CertificationError
+            assert got == outcome(certify_enclosure_oracle, *args)
+    assert rouche._enclosure_split.cache_info().currsize == before
 
 
 def _taylor_terms_oracle(center: dict) -> set:
@@ -137,3 +169,32 @@ def test_taylor_terms_refuse_a_non_integral_center():
     for c in (F(1, 2), GaussRat.of(F(1, 2)), GaussRat(F(0), F(1))):
         with pytest.raises(CertificationError):
             certify_enclosure({0: c}, F("2.16"), 1, F(100))
+
+
+TMIN = st.one_of(
+    st.integers(min_value=1, max_value=10**7).map(F),
+    st.builds(F, st.integers(min_value=1, max_value=10**9),
+              st.integers(min_value=2, max_value=10**4)),
+    st.integers(min_value=10**299, max_value=10**300).map(F),
+    st.builds(F, st.integers(min_value=0, max_value=10), st.integers(min_value=1, max_value=10)),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=5), st.sampled_from([F(1), F(1, 1000), F(3), F(7, 3)]),
+       st.integers(min_value=-3, max_value=3), TMIN)
+def test_certify_enclosure_equals_the_fraction_oracle(which, scale, exp_shift, tmin):
+    # the six certificates, with their radius scaled and their exponent
+    # moved (from one more on, a term decays slower than the dominant one)
+    center, radius_c, radius_exp = _six_certificates()[which]
+    args = (center, radius_c * scale, max(radius_exp + exp_shift, 0), tmin)
+    assert outcome(certify_enclosure, *args) == outcome(certify_enclosure_oracle, *args)
+
+
+@pytest.mark.parametrize("tmin", [F(100), F(12345, 7), F(10**300)])
+def test_base_and_high_order_certificates_equal_the_fraction_oracle(tmin):
+    for name, center, c, k in BASE_CERT_PARAMS:
+        assert base_certificates(tmin)[name] == certify_enclosure_oracle(center, c, k, tmin)
+    for which, ti in (("B", 0), ("B3", 3)):
+        cert = certify_high_order(which, tmin)
+        assert cert == certify_enclosure_oracle(cert.center, *HIGH_ORDER[ti], tmin)

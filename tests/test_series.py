@@ -21,7 +21,7 @@ from thueq.series import (
     Series,
     TPoly,
     alpha3_series,
-    inverse_horner,
+    horner,
     newton_alpha_series,
     pade,
     pade_residual,
@@ -240,9 +240,9 @@ def test_the_one_storage_against_coefficientwise_q_i(a, b, trunc):
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.integers(-10**6, 10**6), max_size=8), st.integers(1, 10**4), st.integers(1, 50))
-def test_inverse_horner_is_the_direct_sum(a, p, q):
+def test_horner_is_the_direct_sum(a, p, q):
     tmin = F(p, q)
-    assert inverse_horner(a, tmin) == sum((F(c) / tmin ** d for d, c in enumerate(a)), F(0))
+    assert F(*horner(a, p, q)) == sum((F(c) / tmin ** d for d, c in enumerate(a)), F(0))
 
 
 def test_tail_bound():
