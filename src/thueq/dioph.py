@@ -312,35 +312,48 @@ def all_root_balls(t_complex: complex, t_gauss, t_irrational,
     The certified, pairwise disjoint set is built once per process for each
     (t, radius) and shared by every caller (at most 64 sets are kept); a
     TieError is not cached.  Each call returns a fresh list."""
-    return list(_root_balls(t_complex, t_gauss, t_irrational, target_radius))
+    return list(_root_balls(t_complex, t_gauss, t_irrational, target_radius)[0])
 
 
 @lru_cache(maxsize=64)
-def _root_balls(t_complex, t_gauss, t_irrational, target_radius) -> tuple[ComplexBall, ...]:
+def _root_balls(t_complex, t_gauss, t_irrational, target_radius) -> tuple:
+    """(balls, records): the set, and the _ball_ints record of each ball."""
     seeds = _root_seeds(t_complex)
     balls = tuple(root_ball(t_gauss, s, target_radius, t_irrational) for s in seeds)
-    # pairwise disjointness makes the correspondence certified
-    if any((a - b).abs_bounds()[0] <= 0 for a, b in itertools.combinations(balls, 2)):
-        raise TieError("root enclosures overlap")
-    return balls
+    recs = tuple(map(_ball_ints, balls))
+    # pairwise disjointness makes the correspondence certified: ComplexBall's
+    # lower end of |u - v|, on the integers, must be positive
+    for (a, b, n, p, q, _), (c, e, m, p2, q2, _) in itertools.combinations(recs, 2):
+        if (sqrt_grid((a * m - c * n) ** 2 + (b * m - e * n) ** 2, (n * m) ** 2)[0]
+                <= -(-((p * q2 + p2 * q) << GRID_BITS) // (q * q2))):
+            raise TieError("root enclosures overlap")
+    return balls, recs
+
+
+def _ball_ints(ball: ComplexBall) -> tuple:
+    """(a, b, n, p, q, h): mid = (a + bi)/n, radius p/q, h = ceil(2^GRID_BITS |mid|)."""
+    a, b, n = gauss_over(ball.re_mid, ball.im_mid)
+    return (a, b, n, *ball.radius.as_integer_ratio(), sqrt_grid(a * a + b * b, n * n)[1])
 
 
 def _root_seeds(t: complex) -> list[complex]:
     """Float seeds: crude Durand-Kerner on f_t, ordered as (smallest, near -1,
     large, near 1).  Where a seed fails the float check (a Newton step above
     1e-8 max(1, |z|), or two seeds coinciding), as the small ones do past
-    |t| ~ 10^34, the seeds are -1/t, -1, t, 1, each polished by float Newton."""
-    import cmath
-    coeffs = [1.0, -t, -6.0, t, 1.0]  # descending in X
+    |t| ~ 10^34, the seeds are -1/t, -1, t, 1, each polished by float Newton.
+    They are found once per t in a process (64 kept); each call returns a new list."""
+    return list(_seed_set(t))
 
-    def f(z, cs=coeffs):
-        acc = 0j
-        for c in cs:
-            acc = acc * z + c
-        return acc
+
+@lru_cache(maxsize=64)
+def _seed_set(t: complex) -> tuple[complex, ...]:
+    import cmath
+
+    def f(z, cs=(1.0, t, -6.0, -t, 1.0)):  # ascending in X
+        return zpoly.evaluate(cs, z, 0j)
 
     def newton_step(z):  # nan where f'(z) vanishes or the floats overflow
-        df = f(z, [4.0, -3 * t, -12.0, t])
+        df = f(z, (t, -12.0, -3 * t, 4.0))
         return f(z) / df if df else complex("nan")
 
     def polish(z, steps=8):  # float Newton, up to where the floats overflow
@@ -350,27 +363,19 @@ def _root_seeds(t: complex) -> list[complex]:
     zs = [0.4 * cmath.exp(2j * cmath.pi * (k + 0.25) / 4) * (1 + abs(t))
           for k in range(4)]
     for _ in range(200):
-        new = []
-        for i, z in enumerate(zs):
-            num = f(z)
-            den = 1.0
-            for j, w in enumerate(zs):
-                if i != j:
-                    den *= (z - w)
-            new.append(z - num / den)
-        if max(abs(a - b) for a, b in zip(new, zs)) < 1e-13:
-            zs = new
+        zs, old = [z - f(z) / math.prod(z - w for w in zs[:i] + zs[i + 1:])
+                   for i, z in enumerate(zs)], zs
+        if max(abs(a - b) for a, b in zip(zs, old)) < 1e-13:
             break
-        zs = new
     if not all(abs(newton_step(z)) <= 1e-8 * max(1.0, abs(z)) for z in zs) or any(
             abs(a - b) <= 1e-8 * max(abs(a), abs(b)) for a, b in itertools.combinations(zs, 2)):
-        return [polish(z) for z in (-1 / t, -1 + 0j, t, 1 + 0j)]
+        return tuple(polish(z) for z in (-1 / t, -1 + 0j, t, 1 + 0j))
     large = max(zs, key=abs)
     small = min(zs, key=abs)
     rest = [z for z in zs if z not in (large, small)]
     near_m1 = min(rest, key=lambda z: abs(z + 1))
     near_p1 = [z for z in rest if z is not near_m1][0]
-    return [small, near_m1, large, near_p1]
+    return small, near_m1, large, near_p1
 
 
 MID_BITS = 192  # the root ball's midpoint is rounded to a multiple of 2^-MID_BITS
@@ -439,22 +444,33 @@ def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
         raise ValueError("(0, 0) has no type")
     tc = _t_complex(t)
     t_gauss, t_irrational = _t_exact(t)
-    xb, yb = _embed(x), _embed(y)
+    xs, ys = _ball_ints(_embed(x)), _ball_ints(_embed(y))
     # an irrational parameter tries 2^-64 only: the 2^-128 ball grid on its
     # t-coefficients, times |t|^3 ~ |f'| at the large root, stalls that root's
     # radius near 2^-127 whatever |t| and the precision of sqrt(d)
     for bits in (64, 128, 256) if t_irrational is None else (64,):
-        radius = Fraction(1, 1 << bits)
         try:
-            roots = all_root_balls(tc, t_gauss, t_irrational, radius)
+            _, roots = _root_balls(tc, t_gauss, t_irrational, Fraction(1, 1 << bits))
         except TieError:
             continue
-        bounds = [(xb - ab * yb).abs_bounds() for ab in roots]
-        order = sorted(range(4), key=lambda i: bounds[i][1])
-        best = order[0]
-        if all(bounds[best][1] < bounds[j][0] for j in order[1:]):
+        bounds = [_beta_bounds(xs, ys, ab) for ab in roots]
+        best = min(range(4), key=lambda i: bounds[i][1])
+        if all(bounds[best][1] < bounds[j][0] for j in range(4) if j != best):
             return best
     raise TieError(f"no strict minimal root distance for t={t}, x={x}, y={y}")
+
+
+def _beta_bounds(x: tuple, y: tuple, alpha: tuple) -> tuple[int, int]:
+    """ComplexBall's (x - alpha y).abs_bounds() times 2^GRID_BITS on _ball_ints records:
+    the product adds rho_a rho_y + (h_a 2^-GRID_BITS + rho_a) rho_y + (h_y 2^-GRID_BITS
+    + rho_y) rho_a, and the difference rho_x, each rounded up to the grid."""
+    (xr, xi, xn, xp, xq, _), (yr, yi, yn, yp, yq, yh), (a, b, n, p, q, h) = x, y, alpha
+    rad = -(-(3 * (p * yp << GRID_BITS) + h * q * yp + yh * yq * p) // (q * yq))
+    rad -= -(xp << GRID_BITS) // xq
+    den = n * yn
+    re, im = xr * den - xn * (a * yr - b * yi), xi * den - xn * (a * yi + b * yr)
+    lo, hi = sqrt_grid(re * re + im * im, (xn * den) ** 2)
+    return max(lo - rad, 0), hi + rad
 
 
 def _t_complex(t: QuadInt) -> complex:

@@ -27,11 +27,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import accumulate, zip_longest
+from operator import mul
 
 from . import zpoly
 from .exactnum import ComplexBall, Rat
 from .hyperchi import chi_ints
+from .quadfield import QuadInt
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
@@ -576,19 +578,39 @@ def quotient_root_check(which: str, perturb: bool = False) -> bool:
 def thue_polys_at(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:
     """(A_r, B_r) as polynomials in X for a fixed Gaussian t, built over Z[i]
     from the closed forms ``_check_thue_data`` certifies.  With t = T/D,
-    z = -P/(8D) and u = -Q/(8D) for P = (iT - 4D)(X - i)^4 and
-    Q = (iT + 4D)(X + i)^4, and chi_r = sum_k n_k X^k / delta:
+    z = -P/(8D) and u = -Q/(8D) for P = p(X - i)^4, Q = q(X + i)^4,
+    p = iT - 4D, q = iT + 4D, and chi_r = sum_k n_k X^k / delta:
     A_r = i^r (a S1 - b S2)/den and B_r = i^r (c S1 - d S2)/den, where
-    S1 = chi*(P, Q), S2 = chi*(Q, P) and den = (8D)^r delta."""
+    S1 = chi*(P, Q), S2 = chi*(Q, P) and den = (8D)^r delta.  Only the
+    weights p^k q^(r-k) of the X-parts (``_thue_x_polys``) depend on t."""
     if r < 0:
         raise ValueError("r must be >= 0")
     _thue_data()  # the closed forms below hold once it has passed
-    n, delta = chi_ints(r)
+    rows, delta = _thue_x_polys(r)
     ((tr,), (ti,)), D = _cleared([t_val])
-    P = zpoly.gmul(((-ti - 4 * D,), (tr,)), _X_MINUS_I_4)
-    Q = zpoly.gmul(((-ti + 4 * D,), (tr,)), _X_PLUS_I_4)
-    s1, s2 = zpoly.homogenise(n, P, Q), zpoly.homogenise(n, Q, P)
-    unit, den = _i_pow(r, 5), 2 * (8 * D) ** r * delta  # the prefactor 5/2 of a..d
-    return tuple(TPoly.from_ints(zpoly.gmul(unit, zpoly.gsub(zpoly.gmul(f, s1),
-                                                             zpoly.gmul(g, s2))), den)
-                 for f, g in (_ABCD[:2], _ABCD[2:]))
+    pk, qk = (list(accumulate([QuadInt(1, c, tr)] * r, mul, initial=QuadInt(1, 1, 0)))
+              for c in (-ti - 4 * D, -ti + 4 * D))
+    ws = list(map(mul, pk, reversed(qk)))
+    w = [z.a for z in ws] + [z.b for z in ws]
+    den = 2 * (8 * D) ** r * delta  # the prefactor 5/2 of a..d
+    return tuple(TPoly.from_ints(tuple([sum(map(mul, w, c)) for c in cols] for cols in row), den)
+                 for row in rows)
+
+
+@lru_cache(maxsize=16)
+def _thue_x_polys(r: int) -> tuple:
+    """(rows, delta): per Thue polynomial, the columns whose products with the
+    weights p^k q^(r-k), then i p^k q^(r-k), give its real and its imaginary
+    X^j coefficient: the X-parts 5 i^r (n_k a - n_(r-k) b) e_k of A_r, with c
+    and d for B_r, where e_k = (X - i)^(4k) (X + i)^(4(r-k)), k = 0..r."""
+    n, delta = chi_ints(r)
+    em, ep = (list(accumulate([f] * r, zpoly.gmul, initial=((1,), ())))
+              for f in (_X_MINUS_I_4, _X_PLUS_I_4))
+    rows = []
+    for f, g in (_ABCD[:2], _ABCD[2:]):
+        re, im = zip(*(zpoly.gmul(zpoly.gmul(_i_pow(r, 5), zpoly.gmul(em[k], ep[r - k])),
+                                  zpoly.gsub(zpoly.gscale(n[k], f), zpoly.gscale(n[r - k], g)))
+                       for k in range(r + 1)))
+        re, im = ([zpoly.pad(x, 4 * r + 2) for x in part] for part in (re, im))
+        rows.append((tuple(zip(*re, *(zpoly.scale(-1, x) for x in im))), tuple(zip(*im, *re))))
+    return tuple(rows), delta

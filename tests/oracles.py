@@ -5,22 +5,24 @@ arithmetic they use, the two square roots that ``exactnum.sqrt_bounds``
 replaced, and the concrete-t root balls as they were computed in
 ``GaussRat``/``ComplexBall`` arithmetic before the integer Newton steps and
 certificates of ``thueq.dioph``, with the ``ComplexBall`` modulus and product
-and the Durand-Kerner seeds they ran on, and the ``corollary_eps`` bisection
-with its ``Fraction`` gates as it ran before the integer gate kernel, the
-branchy Z[omega] formulas that ran before the one ``quadfield.ring`` table,
-the integral approximant pairs, which no command runs, and the tmin
-certificates (descent steps, root enclosures, measure chains and the
-significant-digit rounding) as they ran in ``Fraction`` arithmetic at each
-tmin before their tmin-free parts were built once over Z.  The tests check
-``thueq.zpoly``, ``thueq.exactnum``, ``thueq.quadfield`` and their callers
-against these."""
+and the Durand-Kerner seeds they ran on, the ``ComplexBall`` bounds on
+|x - alpha y| and overlap test of the type classification, the Thue
+polynomials at a concrete t by homogeneous Horner at each t, and the
+``corollary_eps`` bisection with its ``Fraction`` gates as it ran before the
+integer gate kernel, the branchy Z[omega] formulas that ran before the one
+``quadfield.ring`` table, the integral approximant pairs, which no command
+runs, and the tmin certificates (descent steps, root enclosures, measure
+chains and the significant-digit rounding) as they ran in ``Fraction``
+arithmetic at each tmin before their tmin-free parts were built once over Z.
+The tests check ``thueq.zpoly``, ``thueq.exactnum``, ``thueq.quadfield`` and
+their callers against these."""
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from functools import lru_cache
-from itertools import zip_longest
+from itertools import combinations, zip_longest
 
 from thueq import descent, dioph, exactnum, measure, rouche, zpoly
 from thueq.exactnum import ComplexBall, DomainError, RatInterval, UndefinedKappaError
@@ -30,11 +32,12 @@ from thueq.measure import (ABSORB_BASE, C_COEFF, C_PREFACTOR, E_DIV, ERR_BASE, E
                            ERR_PREFACTOR, I_DIST_CAP, K0, KAPPA_WIDTH, L0, Q_BASE, QMIN,
                            T4_FLOOR, T12_FLOOR, UZ_CAP, ChainError, GateResult,
                            MeasureConstants, _Chain)
-from thueq.quadfield import _squarefree
+from thueq.quadfield import QuadInt, _squarefree
 from thueq.rouche import (ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER, CertificationError,
                           EnclosureCert)
-from thueq.series import (G0, G1, GI, _U_T, _Z_T, GaussRat, Series, TPoly, ValuationError,
-                          _i_pow, pade, pade_residual, root_series, tail_bound)
+from thueq.series import (_ABCD, _U_T, _X_MINUS_I_4, _X_PLUS_I_4, _Z_T, G0, G1, GI, GaussRat,
+                          Series, TPoly, ValuationError, _cleared, _i_pow, pade, pade_residual,
+                          root_series, tail_bound)
 
 
 class Poly2:
@@ -733,6 +736,66 @@ def root_seeds_oracle(t: complex) -> list[complex]:
     near_m1 = min(rest, key=lambda z: abs(z + 1))
     near_p1 = [z for z in rest if z is not near_m1][0]
     return [small, near_m1, large, near_p1]
+
+
+# ---------------------------------------------------------------------------
+# the concrete-t queries as they ran before the integer beta bounds, the integer
+# overlap test and the per-r X-polynomials of the Thue polynomials
+
+
+def beta_bounds_oracle(x: QuadInt, y: QuadInt, alpha: ComplexBall) -> tuple[Fraction, Fraction]:
+    """The bounds on |x - alpha y| in ComplexBall arithmetic."""
+    return (dioph._embed(x) - alpha * dioph._embed(y)).abs_bounds()
+
+
+def balls_overlap_oracle(balls) -> bool:
+    """Whether some pair of balls has a zero lower end of |a - b|."""
+    return any((a - b).abs_bounds()[0] <= 0 for a, b in combinations(balls, 2))
+
+
+@lru_cache(maxsize=64)
+def root_balls_oracle(t: QuadInt, target_radius: Fraction) -> tuple[ComplexBall, ...]:
+    """The four root balls from ``dioph.root_ball``, disjoint by the ComplexBall test."""
+    t_gauss, t_irrational = dioph._t_exact(t)
+    balls = tuple(dioph.root_ball(t_gauss, s, target_radius, t_irrational)
+                  for s in dioph._root_seeds(dioph._t_complex(t)))
+    if balls_overlap_oracle(balls):
+        raise dioph.TieError("root enclosures overlap")
+    return balls
+
+
+def classify_type_oracle(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
+    """``dioph.classify_type`` with the bounds on |x - alpha_j y| in ComplexBall
+    arithmetic (root balls cached by ``root_balls_oracle``)."""
+    if x.abs_sq() == 0 and y.abs_sq() == 0:
+        raise ValueError("(0, 0) has no type")
+    for bits in (64, 128, 256) if dioph._t_exact(t)[1] is None else (64,):
+        try:
+            roots = root_balls_oracle(t, Fraction(1, 1 << bits))
+        except dioph.TieError:
+            continue
+        bounds = [beta_bounds_oracle(x, y, ab) for ab in roots]
+        order = sorted(range(4), key=lambda i: bounds[i][1])
+        best = order[0]
+        if all(bounds[best][1] < bounds[j][0] for j in order[1:]):
+            return best
+    raise dioph.TieError(f"no strict minimal root distance for t={t}, x={x}, y={y}")
+
+
+def thue_polys_at_oracle(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:
+    """``series.thue_polys_at`` by homogeneous Horner on P = (iT - 4D)(X - i)^4
+    and Q = (iT + 4D)(X + i)^4 at each t."""
+    if r < 0:
+        raise ValueError("r must be >= 0")
+    n, delta = chi_ints(r)
+    ((tr,), (ti,)), D = _cleared([t_val])
+    P = zpoly.gmul(((-ti - 4 * D,), (tr,)), _X_MINUS_I_4)
+    Q = zpoly.gmul(((-ti + 4 * D,), (tr,)), _X_PLUS_I_4)
+    s1, s2 = zpoly.homogenise(n, P, Q), zpoly.homogenise(n, Q, P)
+    unit, den = _i_pow(r, 5), 2 * (8 * D) ** r * delta  # the prefactor 5/2 of a..d
+    return tuple(TPoly.from_ints(zpoly.gmul(unit, zpoly.gsub(zpoly.gmul(f, s1),
+                                                             zpoly.gmul(g, s2))), den)
+                 for f, g in (_ABCD[:2], _ABCD[2:]))
 
 
 # ---------------------------------------------------------------------------

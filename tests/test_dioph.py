@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thueq import dioph, series
 from thueq.cli import main
@@ -25,13 +26,14 @@ from thueq.dioph import (
     small_solution_search,
     t_value_set,
 )
-from thueq.exactnum import ComplexBall
+from thueq.exactnum import GRID_BITS, ComplexBall
 from thueq.quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
-                             field_pairs, norm, roots_of_unity)
+                             field_pairs, norm, ring, roots_of_unity)
 from thueq.series import GaussRat
 
-from oracles import (ball_contains_zero, root_ball_oracle, root_seeds_oracle, sqrt_lower,
-                     sqrt_upper)
+from oracles import (ball_contains_zero, balls_overlap_oracle, beta_bounds_oracle,
+                     classify_type_oracle, outcome, root_ball_oracle, root_balls_oracle,
+                     root_seeds_oracle, sqrt_lower, sqrt_upper)
 
 
 def test_eval_form_known_values():
@@ -366,15 +368,15 @@ def _tie_at_64(monkeypatch) -> list:
     """Record the radius of every root-ball set classify_type asks for, and
     make the 2^-64 set tie."""
     radii = []
-    real = dioph.all_root_balls
+    real = dioph._root_balls
 
-    def all_root_balls(t_complex, t_gauss, t_irrational, radius):
+    def root_balls(t_complex, t_gauss, t_irrational, radius):
         radii.append(radius)
         if radius == F(1, 1 << 64):
             raise TieError("forced tie")
         return real(t_complex, t_gauss, t_irrational, radius)
 
-    monkeypatch.setattr(dioph, "all_root_balls", all_root_balls)
+    monkeypatch.setattr(dioph, "_root_balls", root_balls)
     return radii
 
 
@@ -737,3 +739,169 @@ def test_type_swap_near_roots():
                 j2 = classify_type(t, -y, x)
                 assert j2 == (j1 + 2) % 4
     assert checked >= 50
+
+
+# ---------------------------------------------------------------------------
+# the integer bounds on |x - alpha y| and the integer overlap test against
+# their ComplexBall oracles
+
+
+def _classify_parameters() -> list[QuadInt]:
+    """Two seeded parameters per field, |t| between 10^2 and 10^5, and a
+    rational one: Gaussian for d = 1, balls (irrational) for the others."""
+    rng = random.Random(21)
+    out = [QuadInt(1, -250, 0)]
+    for d in (1, 2, 3, 7, 11):
+        for _ in range(2):
+            m = 10 ** rng.uniform(2, 5)
+            out.append(QuadInt(d, round(m * rng.uniform(-1, 1)),
+                               round(m * rng.uniform(-1, 1)) or 1))
+    return out
+
+
+def _near(d: int, z: complex) -> QuadInt:
+    """A ring element of Q(sqrt(-d)) close to z."""
+    s, _ = ring(d)  # s = 1: omega = (1 + sqrt(-d))/2, else sqrt(-d)
+    b = round(z.imag * (1 + s) / math.sqrt(d))
+    return QuadInt(d, round(z.real - s * b / 2), b)
+
+
+def _pairs_near_roots(rng: random.Random, t: QuadInt) -> list[tuple[QuadInt, QuadInt]]:
+    """(x, y) with x/y near each root, a rational y for every other pair; for
+    d = 3 (mod 4) odd b makes x and y half-integral."""
+    roots, pairs = _root_seeds(_t_complex(t)), []
+    for k in range(8):
+        y = QuadInt(t.d, rng.randint(-9, 9) or 1, 0 if k % 2 else rng.randint(-9, 9))
+        re, im = y.re_im()
+        z = roots[k % 4] * complex(float(re), float(im) * math.sqrt(t.d))
+        pairs.append((_near(t.d, z) + QuadInt(t.d, rng.randint(-1, 1), rng.randint(-1, 1)), y))
+    return pairs
+
+
+def test_beta_bounds_match_the_complexball_oracle():
+    # every ball set that certifies at 2^-64, 2^-128 and 2^-256 (none reaches
+    # 2^-256 here): the integer bounds are the ComplexBall bounds as fractions
+    # on the 2^-GRID_BITS grid
+    rng, rungs = random.Random(22), set()
+    for t in _classify_parameters():
+        pairs = _pairs_near_roots(rng, t)
+        for bits in (64, 128, 256):
+            try:
+                balls, recs = dioph._root_balls(_t_complex(t), *_t_exact(t), F(1, 1 << bits))
+            except TieError:
+                continue
+            rungs.add((bits, _t_exact(t)[1] is None))
+            for x, y in pairs:
+                xs, ys = (dioph._ball_ints(dioph._embed(z)) for z in (x, y))
+                for ball, rec in zip(balls, recs):
+                    lo, hi = dioph._beta_bounds(xs, ys, rec)
+                    assert (F(lo, 1 << GRID_BITS), F(hi, 1 << GRID_BITS)) == \
+                        beta_bounds_oracle(x, y, ball), (str(t), str(x), str(y), bits)
+    assert {(64, True), (128, True), (64, False)} <= rungs
+
+
+_fields = st.sampled_from([1, 2, 3, 7, 11])
+_coords = st.integers(-10**6, 10**6)
+_ratios = st.builds(F, st.integers(-10**30, 10**30), st.integers(1, 10**30))
+_radii = st.one_of(st.just(F(0)), st.builds(F, st.integers(1, 10**20), st.integers(1, 10**40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fields, _coords, _coords, _coords, _coords, _ratios, _ratios, _radii)
+def test_beta_bounds_on_drawn_balls_match_the_oracle(d, xa, xb, ya, yb, re, im, radius):
+    x, y, alpha = QuadInt(d, xa, xb), QuadInt(d, ya, yb), ComplexBall(re, im, radius)
+    xs, ys = (dioph._ball_ints(dioph._embed(z)) for z in (x, y))
+    lo, hi = dioph._beta_bounds(xs, ys, dioph._ball_ints(alpha))
+    assert (F(lo, 1 << GRID_BITS), F(hi, 1 << GRID_BITS)) == beta_bounds_oracle(x, y, alpha)
+
+
+def test_classify_type_matches_the_complexball_oracle():
+    # the same type or the same TieError; (x, 0) ties at every rung
+    rng, seen = random.Random(23), set()
+    for t in _classify_parameters():
+        pairs = _pairs_near_roots(rng, t) + [(QuadInt(t.d, 3, 1), QuadInt(1, 0, 0))]
+        for x, y in pairs:
+            got = outcome(classify_type, t, x, y)
+            assert got == outcome(classify_type_oracle, t, x, y), (str(t), str(x), str(y))
+            seen.add(got if isinstance(got, int) else got[0])
+    assert seen == {0, 1, 2, 3, TieError}
+
+
+def test_a_forced_overlap_ties_in_both(monkeypatch):
+    # radius-1 balls: alpha0 ~ 0.01i and alpha1 ~ -1 overlap at every rung, so
+    # the pair that classifies as 2 (x/y = 99i, near alpha2 ~ 100i) ties
+    t, x, y = QuadInt(1, 0, 100), QuadInt(1, 0, 99), QuadInt(1, 1, 0)
+    assert classify_type(t, x, y) == classify_type_oracle(t, x, y) == 2
+    real = dioph.root_ball
+
+    def widened(*args):
+        ball = real(*args)
+        return ComplexBall(ball.re_mid, ball.im_mid, F(1))
+
+    monkeypatch.setattr(dioph, "root_ball", widened)
+    dioph._root_balls.cache_clear()
+    root_balls_oracle.cache_clear()
+    try:
+        with pytest.raises(TieError, match="overlap"):
+            all_root_balls(_t_complex(t), *_t_exact(t), F(1, 1 << 64))
+        with pytest.raises(TieError, match="overlap"):
+            root_balls_oracle(t, F(1, 1 << 64))
+        assert outcome(classify_type, t, x, y) == outcome(classify_type_oracle, t, x, y)
+        assert outcome(classify_type, t, x, y)[0] is TieError
+    finally:
+        root_balls_oracle.cache_clear()
+
+
+def _touching_sets(rng: random.Random) -> list[list[ComplexBall]]:
+    """Four balls, two far off and two whose radii sum to their distance k,
+    plus or minus less than, about or more than one grid step."""
+    grid, out = F(1, 1 << GRID_BITS), []
+    for delta in (0, grid / 3, grid / 2, grid, 2 * grid, F(1, 10**50), F(1, 10**30)):
+        for sign in (1, -1):
+            k = F(rng.randint(1, 10**6), rng.randint(1, 10**6))
+            a = (F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)),
+                 F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)))
+            ra = k * F(rng.randint(1, 99), 100)
+            out.append([ComplexBall(a[0], a[1], ra),
+                        ComplexBall(a[0] + 3 * k / 5, a[1] + 4 * k / 5, k - ra + sign * delta),
+                        ComplexBall(a[0] + 10**4, a[1], F(1)),
+                        ComplexBall(a[0], a[1] - 10**4, F(0))])
+    return out
+
+
+def test_overlap_test_matches_the_complexball_oracle(monkeypatch):
+    rng = random.Random(24)
+    sets = _touching_sets(rng)
+    sets += [[ComplexBall(F(rng.randint(-10**4, 10**4), rng.randint(1, 10**3)),
+                          F(rng.randint(-10**4, 10**4), rng.randint(1, 10**3)),
+                          F(rng.randint(0, 10**4), rng.randint(1, 10**4))) for _ in range(4)]
+             for _ in range(200)]
+    monkeypatch.setattr(dioph, "_root_seeds", lambda t: [0j] * 4)
+    seen = set()
+    for balls in sets:
+        it = iter(balls)
+        monkeypatch.setattr(dioph, "root_ball", lambda *args: next(it))
+        got = outcome(dioph._root_balls.__wrapped__, 0j, None, None, F(1))
+        overlap = isinstance(got, tuple) and got[0] is TieError
+        assert overlap == balls_overlap_oracle(balls), balls
+        seen.add(overlap)
+    assert seen == {True, False}
+
+
+def test_root_seeds_run_once_per_gaussian_t():
+    # classify_type's root balls and the divisibility check share the seeds
+    dioph._seed_set.cache_clear()
+    t = QuadInt(1, 37, -512)
+    assert classify_type(t, QuadInt(1, -5, 0), QuadInt(1, 5, 0)) == 1
+    assert divisibility_ball_check(3, GaussRat(F(37), F(-512)))["all_contain_zero"]
+    info = dioph._seed_set.cache_info()
+    assert info.misses == 1 and info.hits >= 1
+
+
+def test_a_mutated_seed_list_leaves_the_next_call_unchanged():
+    t = complex(37, -512)
+    first = _root_seeds(t)
+    first[0] = None
+    first.append(0j)
+    assert _root_seeds(t) == root_seeds_oracle(t)
+    assert _root_seeds(t) is not _root_seeds(t)

@@ -7,7 +7,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 from oracles import (QUARTIC as QUARTIC_ORACLE, _gpow, approximants, approximants_oracle,
-                     chi_star_oracle, cross_product, from_form, series_inverse, thue_data_oracle)
+                     chi_star_oracle, cross_product, from_form, series_inverse, thue_data_oracle,
+                     thue_polys_at_oracle)
 
 from thueq import series, zpoly
 from thueq.descent import KMAX, KSTART
@@ -426,6 +427,38 @@ def test_thue_polys_over_zi_match_the_q_i_oracle():
             assert isinstance(A, series.TPoly) and isinstance(B, series.TPoly)
             assert A.coeffs == oA.coeffs and B.coeffs == oB.coeffs, (r, str(t))
             assert max(A.degree(), B.degree()) == 4 * r + 1
+
+
+def test_thue_polys_are_the_homogenise_oracle_bit_for_bit():
+    # integral, non-integral and 300-digit t: the weighted sum of the per-r
+    # X-polynomials reduces to the numerator and denominator of homogeneous Horner
+    big = 10**300
+    ts = [GaussRat(F(5), F(-7)), GaussRat(F(0), F(100)), GaussRat(F(-4), F(0)),
+          GaussRat(F(37, 3), F(-512, 7)), GaussRat(F(big + 7), F(-3 * big - 11)),
+          GaussRat(F(big + 1, 7**5), F(2, big + 3)), GaussRat(F(0), F(4))]
+    for t in ts:
+        for r in range(7):
+            for got, want in zip(thue_polys_at(r, t), thue_polys_at_oracle(r, t)):
+                assert (got.num, got.den) == (want.num, want.den), (r, str(t))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 6), st.integers(-10**40, 10**40), st.integers(1, 10**6),
+       st.integers(-10**40, 10**40), st.integers(1, 10**6))
+def test_thue_polys_on_drawn_t_are_the_homogenise_oracle(r, a, n, b, m):
+    t = GaussRat(F(a, n), F(b, m))
+    for got, want in zip(thue_polys_at(r, t), thue_polys_at_oracle(r, t)):
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+def test_thue_x_polys_are_built_on_first_use_only():
+    out = subprocess.run(
+        [sys.executable, "-c", "from thueq import series; "
+         "print(series._thue_x_polys.cache_info().currsize)"],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "0"
+    series.thue_polys_at(3, GaussRat(F(0), F(100)))
+    assert series._thue_x_polys.cache_info().currsize >= 1
 
 
 def test_thue_polys_refuse_a_negative_order():
