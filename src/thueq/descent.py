@@ -53,28 +53,38 @@ def _require(cond: bool, msg: str) -> None:
         raise DerivationError(msg)
 
 
-def step1(type_index: int, tmin: Rat = Fraction(100)) -> Rat:
-    """First relative bound |y| > coeff * |t| (type 0, coeff 2.67) or
-    |y| > |t| / divisor (type 3, returns 1/2.27), with the derivation chain
-    re-verified exactly at tmin and min{|x|,|y|} >= 3 assumed."""
-    tmin = Fraction(tmin)
-    _require(tmin >= 100, "tmin must be >= 100")
+@lru_cache(maxsize=2)
+def _step1_fixed(type_index: int) -> bool:
+    """The tmin-free inequalities of one chain's first step, checked once per
+    process for each type.  A failure raises, and is not cached."""
     absorb = BETA_COEFF / 3 ** 4  # 8.86/|y|^4 <= 8.86/81 for |y| >= 3
     _require(absorb <= ABSORB_CAP, "absorption constant exceeds 0.11")
     if type_index == 0:
-        # |alpha| <= (1 + 5.01/tmin^2)/|t| <= 1.01/|t|
-        _require(1 + ALPHA0_RADIUS / tmin ** 2 <= ALPHA0_MODULUS,
-                 "root-modulus bound exceeds 1.01")
         _require(3 / (ALPHA0_MODULUS + ABSORB_CAP) >= STEP1_COEFF,
                  "type-0 step-1 coefficient not dominated")
-        return STEP1_COEFF
-    if type_index == 3:
+    else:
         # side case x = y gives |F| = 4|x|^4 >= 4*81 > 1: impossible
         _require(4 * Fraction(3) ** 4 > 1, "side case not excluded")
         _require(ALPHA13_RADIUS + ABSORB_CAP <= STEP1_DIVISOR, "type-3 slope exceeds 2.27")
         _require(1 / STEP1_DIVISOR > STEP1_RELATIVE_FLOOR, "relative bound below 0.44")
+    return True
+
+
+def step1(type_index: int, tmin: Rat = Fraction(100)) -> Rat:
+    """First relative bound |y| > coeff * |t| (type 0, coeff 2.67) or
+    |y| > |t| / divisor (type 3, returns 1/2.27), with the derivation chain
+    verified exactly at tmin (its tmin-free part once per process) and
+    min{|x|,|y|} >= 3 assumed."""
+    tmin = Fraction(tmin)
+    _require(tmin >= 100, "tmin must be >= 100")
+    if type_index not in KSTART:
+        raise ValueError("type_index must be 0 or 3")
+    _step1_fixed(type_index)
+    if type_index == 3:
         return 1 / STEP1_DIVISOR
-    raise ValueError("type_index must be 0 or 3")
+    # |alpha| <= (1 + 5.01/tmin^2)/|t| <= 1.01/|t|
+    _require(1 + ALPHA0_RADIUS / tmin ** 2 <= ALPHA0_MODULUS, "root-modulus bound exceeds 1.01")
+    return STEP1_COEFF
 
 
 def step2_type0(tmin: Rat = Fraction(100)) -> Rat:

@@ -10,7 +10,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from . import zpoly
 from .exactnum import GRID_BITS, ComplexBall, Rat, gauss_over, sqrt_bounds, sqrt_grid
@@ -30,19 +30,6 @@ class Solution:
     x: QuadInt
     y: QuadInt
     mu: QuadInt
-
-
-def eval_form(t: QuadInt, x: QuadInt, y: QuadInt) -> QuadInt:
-    return (x ** 4 - t * x ** 3 * y - 6 * (x * y) ** 2 + t * x * y ** 3 + y ** 4)
-
-
-def orbit(x: QuadInt, y: QuadInt) -> list[tuple[QuadInt, QuadInt]]:
-    """The equivalence class of (x, y) under (x,y) -> (-y, x)."""
-    out = [(x, y)]
-    for _ in range(3):
-        x, y = -y, x
-        out.append((x, y))
-    return out
 
 
 def irreducibility_exceptions() -> tuple[list[QuadInt], list[QuadInt]]:
@@ -72,7 +59,11 @@ def irreducibility_exceptions() -> tuple[list[QuadInt], list[QuadInt]]:
 # ---------------------------------------------------------------------------
 # small-solution search
 
-Y_CASE2_MAX_SQ = 47  # |y| < 6.86  =>  |y|^2 <= 47
+# the |y|^2 box for a unit x.  When x^4 = mu, y' = y/x is integral and
+# F_t(1, y') = 1, i.e. t(y'^2 - 1) = -y'(y'^2 - 1) + 5y'; as y' y' - (y'^2 - 1) = 1,
+# (y') and (y'^2 - 1) are coprime, so (y'^2 - 1) | 5 (y'^2 = 1 leaves 5y' = 0):
+# |y|^2 = |y'^2| <= 1 + 5.  When x^4 != mu, N(y) | N(x^4 - mu) <= 4.
+Y_UNIT_X_MAX_SQ = 1 + 5
 _SEARCH_CACHE: list | None = None
 
 
@@ -89,87 +80,97 @@ def small_solution_search(tmin_abs: Rat = Fraction(0)) -> list[Solution]:
 
 
 def _search_all() -> list[Solution]:
-    found = []
+    found, divisor_sets = [], {}
     # |x| < 3 means |x|^2 <= 8; the orbit symmetry lets us take |x| <= |y|
-    xs = [x for x in enumerate_bounded(3, normalize=True) if x.abs_sq() < 9]
-    for x in xs:
-        xa4 = x.abs_sq() ** 2
-        ybound_sq = max((1 + xa4) ** 2,
-                        Y_CASE2_MAX_SQ if x.abs_sq() == 1 else 0)
+    for x in enumerate_bounded(3, normalize=True):
+        xn, xp = x.abs_sq(), (x.a, x.b)
+        if xn >= 9:
+            continue
+        # F_t(x, y) = x^4 (mod y), so F_t(x, y) = mu forces N(y) | N(x^4 - mu)
+        # <= (1 + |x|^4)^2; x^4 = mu, of norm 0, needs a unit x
+        ybound_sq = Y_UNIT_X_MAX_SQ if xn == 1 else (1 + xn * xn) ** 2
         bound = 1 + math.isqrt(ybound_sq - 1)  # ceil(sqrt), ybound_sq >= 1
         # rational y (dy = None) first, then x's own field or, for rational
         # x, every field; a rational pair lives in d = 1 and in d = 3, whose
         # units i and zeta_6 can still make t integral
         groups = [([1, 3] if x.is_rational() else [x.d], None)]
         groups += [([d], d) for d in (eligible_fields(bound) if x.is_rational() else [x.d])]
-        x4 = x ** 4
         for ambients, dy in groups:
-            # F_t(x, y) = x^4 (mod y), so F_t(x, y) = mu forces N(y) | N(x^4 - mu);
-            # x^4 = mu gives norm 0, which every N(y) divides
-            norms = {(x4 - mu).abs_sq() for d in ambients for mu in roots_of_unity(d)}
-            # the divisors n <= ybound_sq of each norm, by trial division
-            allowed = set(range(1, ybound_sq + 1)) if 0 in norms else {
-                n for k in norms for i in range(1, math.isqrt(k) + 1) if k % i == 0
-                for n in (i, k // i) if n <= ybound_sq}
+            norms = frozenset().union(*(_x_part(d, *xp)[-1] for d in ambients))
+            # the divisors n <= ybound_sq of each norm, by trial division, once
+            # per norm set and box; norm 0 is divisible by every N(y)
+            if (norms, ybound_sq) not in divisor_sets:
+                divisor_sets[norms, ybound_sq] = set(range(1, ybound_sq + 1)) if 0 in norms else {
+                    n for k in norms for i in range(1, math.isqrt(k) + 1) if k % i == 0
+                    for n in (i, k // i) if n <= ybound_sq}
+            allowed = divisor_sets[norms, ybound_sq]
             pairs = (pairs_with_norm_in(dy, ybound_sq, allowed) if dy else
                      [(a, 0) for a in range(1, math.isqrt(ybound_sq) + 1) if a * a in allowed])
-            for a, b in pairs:
-                found.extend(_solve_for_t(x, QuadInt(dy or 1, a, b), ambients))
+            found.extend(_solve_for_t(xp, pairs, ambients))
     found.sort(key=lambda s: (s.d, s.t.abs_sq(), s.t.b, s.t.a,
                               s.x.abs_sq(), s.y.abs_sq()))
     return found
 
 
+def _mul(s: int, m: int, p: tuple, q: tuple) -> tuple:
+    """(a, b) pairs of a + b w multiplied, with w^2 = s w - m for (s, m) = ring(d)."""
+    return (p[0] * q[0] - m * p[1] * q[1], p[0] * q[1] + p[1] * q[0] + s * p[1] * q[1])
+
+
 @lru_cache(maxsize=None)
 def _x_part(d: int, a: int, b: int) -> tuple:
-    """The part of the t-solve fixed by the field and x = a + b w: the product
-    of (a, b) pairs, s, x^2 and x^4, with w^2 = s w - m for (s, m) = ring(d)."""
+    """The part of the t-solve fixed by the field and x = a + b w: (s, m) =
+    ring(d), x^2 and x^4, the units mu of d with their pairs, and the norms N(x^4 - mu)."""
     s, m = ring(d)
-
-    def mul(p, q):
-        return (p[0] * q[0] - m * p[1] * q[1],
-                p[0] * q[1] + p[1] * q[0] + s * p[1] * q[1])
-
-    x2 = mul((a, b), (a, b))
-    return mul, s, x2, mul(x2, x2)
+    x2 = _mul(s, m, (a, b), (a, b))
+    x4 = _mul(s, m, x2, x2)
+    units = tuple((mu, mu.a, mu.b) for mu in roots_of_unity(d))
+    return s, m, x2, x4, units, frozenset(norm(d, x4[0] - u, x4[1] - v) for _, u, v in units)
 
 
-def _solve_for_t(x: QuadInt, y: QuadInt, ambients: list[int]) -> list[Solution]:
-    """Every (t, mu) with F_t(x, y) = mu for a unit mu of an ambient field d:
-    t = (x^4 - 6x^2y^2 + y^4 - mu) / (xy(x^2 - y^2)), solved on the (a, b)
-    integer pairs of a + b*omega; QuadInt and Solution are built for hits
-    only."""
-    sols = []
-    xp, yp = (x.a, x.b), (y.a, y.b)
-    for d in ambients:
-        if (x.b and x.d != d) or (y.b and y.d != d):
-            raise ValueError(f"x={x} or y={y} is not in d={d}")
-        mul, s, x2, x4 = _x_part(d, *xp)
-        y2, xy = mul(yp, yp), mul(xp, yp)
-        den = mul(xy, (x2[0] - y2[0], x2[1] - y2[1]))
-        nsq = norm(d, *den)
-        if nsq == 0:
-            continue
-        dc = (den[0] + s * den[1], -den[1])  # conjugate
-        xy2, y4 = mul(xy, xy), mul(y2, y2)
-        num0 = (x4[0] - 6 * xy2[0] + y4[0], x4[1] - 6 * xy2[1] + y4[1])
-        for mu in roots_of_unity(d):
-            if d != ambients[0] and mu.is_rational():
-                continue  # +-1 already handled in the first pass
-            pa, pb = mul((num0[0] - mu.a, num0[1] - mu.b), dc)
-            if pa % nsq or pb % nsq:
+def _solve_for_t(x: tuple, ys, ambients: list[int]) -> list[Solution]:
+    """Every (t, mu) with F_t(x, y) = mu for a unit mu of an ambient field d,
+    for x and each y of ys given as (a, b) pairs of a + b w in each ambient:
+    t = (x^4 - 6x^2y^2 + y^4 - mu) / (xy(x^2 - y^2)), solved on local integer
+    pairs; QuadInt and Solution are built for hits only."""
+    sols, xa, xb = [], *x
+    # +-1 of a second ambient field were already tried in the first
+    parts = [(d, s, m, x2, x4, [u for u in units if u[2] or d == ambients[0]])
+             for d in ambients for s, m, x2, x4, units, _ in [_x_part(d, xa, xb)]]
+    for y in ys:
+        ya, yb = y
+        for d, s, m, (x2a, x2b), (x4a, x4b), units in parts:
+            # products (a + b w)(c + e w) = ac - m be + (ae + bc + s be) w
+            y2a, y2b = ya * ya - m * yb * yb, 2 * ya * yb + s * yb * yb
+            pa, pb = xa * ya - m * xb * yb, xa * yb + xb * ya + s * xb * yb  # xy
+            ea, eb = x2a - y2a, x2b - y2b
+            da, db = pa * ea - m * pb * eb, pa * eb + pb * ea + s * pb * eb  # den
+            nsq = da * da + s * da * db + m * db * db
+            if nsq == 0:
                 continue
-            sols.append(_checked_solution(d, (pa // nsq, pb // nsq), xp, yp, mu))
+            ca, cb = da + s * db, -db  # conjugate of den
+            # x^4 - 6 (xy)^2 + y^4
+            na = x4a - 6 * (pa * pa - m * pb * pb) + y2a * y2a - m * y2b * y2b
+            nb = x4b - 6 * (2 * pa * pb + s * pb * pb) + 2 * y2a * y2b + s * y2b * y2b
+            for mu, ua, ub in units:
+                ra, rb = na - ua, nb - ub
+                ta, tb = ra * ca - m * rb * cb, ra * cb + rb * ca + s * rb * cb
+                if ta % nsq == 0 and tb % nsq == 0:
+                    sols.append(_checked_solution(d, (ta // nsq, tb // nsq), x, y, mu))
     return sols
 
 
 def _checked_solution(d: int, t: tuple, x: tuple, y: tuple, mu: QuadInt) -> Solution:
     """A search hit as a Solution, after rechecking F_t(x, y) = mu monomial
-    by monomial rather than through the identity t was solved from."""
-    t, x, y = QuadInt(d, *t), QuadInt(d, *x), QuadInt(d, *y)
-    if eval_form(t, x, y) != mu:
-        raise ArithmeticError(f"F_t(x, y) != mu at t={t}, x={x}, y={y}")
-    return Solution(d, t, x, y, mu)
+    by monomial, on (a, b) pairs, rather than through the identity t was
+    solved from."""
+    s, m = ring(d)
+    terms = [reduce(lambda u, v: _mul(s, m, u, v), factors) for factors in
+             ((x, x, x, x), (t, x, x, x, y), (x, x, y, y), (t, x, y, y, y), (y, y, y, y))]
+    value = tuple(sum(c * p[i] for c, p in zip((1, -1, -6, 1, 1), terms)) for i in (0, 1))
+    if value != (mu.a, mu.b):
+        raise ArithmeticError(f"F_t(x, y) != mu at t={t}, x={x}, y={y} in d={d}")
+    return Solution(d, QuadInt(d, *t), QuadInt(d, *x), QuadInt(d, *y), mu)
 
 
 def t_value_set(solutions) -> set:

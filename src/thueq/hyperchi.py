@@ -7,9 +7,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
-
-from . import zpoly
+from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 Rat = Fraction
 
@@ -44,10 +44,15 @@ def chi_coeffs(r: int) -> tuple:
 
 
 def chi_ints(r: int) -> tuple[list[int], int]:
-    """The numerators of chi_r = sum_k n_k X^k / delta, and delta, their common denominator."""
-    cs = chi_coeffs(r)
-    delta = reduce(math.lcm, (c.denominator for c in cs))
-    return [c.numerator * (delta // c.denominator) for c in cs], delta
+    """The numerators of chi_r = sum_k n_k X^k / delta, and delta, their common
+    denominator: the running products of chi_coeffs taken over the full
+    denominator D = prod_{k<r} (4k+3)(k+1), then divided by their one gcd."""
+    # num_k = prod_{j<k} (j-r)(4j-4r-1), and D / den_k = prod_{k<=j<r} (4j+3)(j+1)
+    heads = accumulate(((k - r) * (4 * k - 4 * r - 1) for k in range(r)), mul, initial=1)
+    tails = [*accumulate(((4 * k + 3) * (k + 1) for k in reversed(range(r))), mul, initial=1)]
+    raw = [h * t for h, t in zip(heads, reversed(tails))]
+    g = math.gcd(*raw)  # divides raw[0] = D, so delta = D / g is the least denominator
+    return [n // g for n in raw], tails[-1] // g
 
 
 @lru_cache(maxsize=None)
@@ -58,13 +63,20 @@ def denom_data(r: int) -> DenomData:
     if r < 1:
         raise ValueError("r must be >= 1")
     nums, delta = chi_ints(r)
-    if any(delta % c.denominator for c in chi_coeffs(r)):
+    # the n_k / delta are chi_r's coefficients, by its term ratio: delta clears chi_r
+    if nums[0] != delta or any(
+            nums[k + 1] * (4 * k + 3) * (k + 1) != nums[k] * (k - r) * (4 * k - 4 * r - 1)
+            for k in range(r)):
         raise ArithmeticError(f"delta does not clear chi_{r}")
-    shifted, _ = zpoly.gshift((nums, ()), (1, 0))
+    # p(X + 1) by synthetic division, its X^j coefficient p^(j)(1)/j!: pass i
+    # replaces each coefficient from X^i up by the sum of those at or above it
+    shifted = list(nums)
+    for i in range(r):
+        shifted[i:] = list(accumulate(reversed(shifted[i:])))[::-1]
     acc = [c * (-8) ** k for k, c in enumerate(shifted)]
-    n_gcd = reduce(math.gcd, acc)
+    n_gcd = math.gcd(*acc)
     cleared = tuple(n // n_gcd for n in acc)
-    if reduce(math.gcd, cleared) != 1:
+    if math.gcd(*cleared) != 1:
         raise ArithmeticError(f"cleared chi_{r}(1 - 8X) is not primitive")
     return DenomData(r, delta, n_gcd, cleared)
 

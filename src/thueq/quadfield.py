@@ -9,6 +9,7 @@ and divisibility tests exact.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -94,13 +95,6 @@ class QuadInt:
         s = ring(self.d)[0]
         return (Fraction(2 * self.a + s * self.b, 2), Fraction(self.b, 1 + s))
 
-    def divides(self, other: "QuadInt") -> bool:
-        try:
-            div_exact(other, self)
-            return True
-        except ValueError:
-            return False
-
     def __str__(self):
         re, im = self.re_im()
         if im == 0:
@@ -161,17 +155,12 @@ def roots_of_unity(d: int) -> tuple[QuadInt, ...]:
 # fields with ring elements of absolute value <= m exist iff the shortest
 # non-rational vector fits: N(omega) = m <= m^2 for (s, m) = ring(d)
 def eligible_fields(m) -> list[int]:
-    m2 = Fraction(m) ** 2
-    return [d for d in range(1, int(4 * m2) + 2) if _squarefree(d) and ring(d)[1] <= m2]
-
-
-def _squarefree(n: int) -> bool:
-    k = 2
-    while k * k <= n:
-        if n % (k * k) == 0:
-            return False
-        k += 1
-    return True
+    m2 = math.floor(Fraction(m) ** 2)  # the integer N(omega) <= m^2 iff <= m2
+    n = 4 * m2  # N(omega) >= (1 + d)/4
+    free = bytearray([1]) * n  # a sieve of the squarefree d < n
+    for k in range(2, math.isqrt(n) + 1):
+        free[k * k::k * k] = bytes(len(range(k * k, n, k * k)))
+    return [d for d in range(1, n) if free[d] and ring(d)[1] <= m2]
 
 
 def norm(d: int, a: int, b: int) -> int:
@@ -200,13 +189,14 @@ def pairs_with_norm_in(d: int, m2, norms):
     the set norms, in the same (b, a) order: for each b and each norm n,
     (2a + sb)^2 = 4n - (4m - s) b^2 for (s, m) = ring(d), solved by isqrt."""
     s, m = ring(d)
-    c, scaled = 4 * m - s, [4 * n for n in norms if 0 < n <= m2]
-    for b in range(1, math.isqrt(max(scaled, default=0) // c) + 1):
-        # v = 2a + sb with v = sb (mod 2), as v^2 = (sb)^2 (mod 4)
+    c, scaled = 4 * m - s, sorted({4 * n for n in norms if 0 < n <= m2})
+    for b in range(1, math.isqrt(scaled[-1] // c) + 1 if scaled else 1):
+        # the r = |2a + sb| of the row, ascending: only the n >= c b^2 can give one
         cb2 = c * b * b
-        row = {v for n in scaled if n >= cb2 for r in [math.isqrt(n - cb2)]
-               if r * r == n - cb2 for v in (-r, r)}
-        for v in sorted(row):
+        rs = [r for n in scaled[bisect.bisect_left(scaled, cb2):]
+              for r in [math.isqrt(n - cb2)] if r * r == n - cb2]
+        # v = 2a + sb with v = sb (mod 2), as v^2 = (sb)^2 (mod 4)
+        for v in [-r for r in reversed(rs) if r] + rs:
             yield (v - s * b) // 2, b
 
 

@@ -32,7 +32,7 @@ from thueq.measure import (ABSORB_BASE, C_COEFF, C_PREFACTOR, E_DIV, ERR_BASE, E
                            ERR_PREFACTOR, I_DIST_CAP, K0, KAPPA_WIDTH, L0, Q_BASE, QMIN,
                            T4_FLOOR, T12_FLOOR, UZ_CAP, ChainError, GateResult,
                            MeasureConstants, _Chain)
-from thueq.quadfield import QuadInt, _squarefree
+from thueq.quadfield import QuadInt, div_exact
 from thueq.rouche import (ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER, CertificationError,
                           EnclosureCert)
 from thueq.series import (_ABCD, _U_T, _X_MINUS_I_4, _X_PLUS_I_4, _Z_T, G0, G1, GI, GaussRat,
@@ -922,11 +922,21 @@ def re_im_oracle(d: int, a: int, b: int) -> tuple[Fraction, Fraction]:
     return (Fraction(a), Fraction(b))
 
 
+def squarefree(n: int) -> bool:
+    """n has no square factor above 1, by trial division."""
+    k = 2
+    while k * k <= n:
+        if n % (k * k) == 0:
+            return False
+        k += 1
+    return True
+
+
 def eligible_fields_oracle(m) -> list[int]:
     m2 = Fraction(m) ** 2
     out = []
     for d in range(1, int(4 * m2) + 2):
-        if not _squarefree(d):
+        if not squarefree(d):
             continue
         if is_half_integral(d):
             if Fraction(1 + d, 4) <= m2:
@@ -967,3 +977,26 @@ def pairs_with_norm_in_oracle(d: int, m2, norms):
                if r * r == n - db2 for s in (-r, r)}
         for s in sorted(row):
             yield ((s - b) // 2 if half else s), b
+
+
+def eval_form(t: QuadInt, x: QuadInt, y: QuadInt) -> QuadInt:
+    """F_t(x, y) in QuadInt arithmetic."""
+    return (x ** 4 - t * x ** 3 * y - 6 * (x * y) ** 2 + t * x * y ** 3 + y ** 4)
+
+
+def orbit(x: QuadInt, y: QuadInt) -> list[tuple[QuadInt, QuadInt]]:
+    """The equivalence class of (x, y) under (x,y) -> (-y, x)."""
+    out = [(x, y)]
+    for _ in range(3):
+        x, y = -y, x
+        out.append((x, y))
+    return out
+
+
+def divides(y: QuadInt, x: QuadInt) -> bool:
+    """y | x in the ring."""
+    try:
+        div_exact(x, y)
+        return True
+    except ValueError:
+        return False

@@ -8,15 +8,13 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from oracles import approximants, cross_product
+from oracles import approximants, cross_product, eval_form, orbit
 
 from thueq.cli import main
 from thueq.descent import run_descent
 from thueq.dioph import (
     classify_type,
     divisibility_ball_check,
-    eval_form,
-    orbit,
     small_solution_search,
     t_value_set,
 )

@@ -159,6 +159,26 @@ def test_star_bounds():
         star_bounds(F(1), F(50))
 
 
+def test_step1_fixed_checks_run_once_per_type(monkeypatch):
+    descent._step1_fixed.cache_clear()
+    try:
+        for tmin in (F(100), F(12345)):
+            run_descent(0, tmin=tmin)
+            run_descent(3, tmin=tmin)
+        info = descent._step1_fixed.cache_info()
+        assert (info.misses, info.currsize) == (2, 2)
+        # 1/2.27 > 0.45 is false: the failure raises on every call, uncached
+        descent._step1_fixed.cache_clear()
+        monkeypatch.setattr(descent, "STEP1_RELATIVE_FLOOR", F("0.45"))
+        for _ in range(2):
+            with pytest.raises(descent.DerivationError, match="relative bound below 0.44"):
+                run_descent(3, tmin=F(100))
+        assert descent._step1_fixed.cache_info().currsize == 0
+        assert step1(0) == F("2.67")
+    finally:
+        descent._step1_fixed.cache_clear()
+
+
 def test_step_algebra_built_once(monkeypatch):
     calls = []
     real_pade = descent.pade

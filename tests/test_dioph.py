@@ -19,9 +19,7 @@ from thueq.dioph import (
     all_root_balls,
     classify_type,
     divisibility_ball_check,
-    eval_form,
     irreducibility_exceptions,
-    orbit,
     root_ball,
     small_solution_search,
     t_value_set,
@@ -32,8 +30,8 @@ from thueq.quadfield import (QuadInt, div_exact, eligible_fields, enumerate_boun
 from thueq.series import GaussRat
 
 from oracles import (ball_contains_zero, balls_overlap_oracle, beta_bounds_oracle,
-                     classify_type_oracle, outcome, root_ball_oracle, root_balls_oracle,
-                     root_seeds_oracle, sqrt_lower, sqrt_upper)
+                     classify_type_oracle, eval_form, orbit, outcome, root_ball_oracle,
+                     root_balls_oracle, root_seeds_oracle, sqrt_lower, sqrt_upper)
 
 
 def test_eval_form_known_values():
@@ -243,12 +241,13 @@ def test_every_solution_has_y_dividing_x4_minus_mu():
 
 
 def _per_pair_filter_calls() -> list[tuple]:
-    """The _solve_for_t arguments of the search when every (x, y) pair of
-    the box is tested for N(y) | N(x^4 - mu) one by one, in search order."""
+    """The (x, y, ambients) candidates of the search, x and y as (a, b)
+    pairs, when every (x, y) pair of the box is tested for N(y) | N(x^4 - mu)
+    one by one, in search order."""
     calls = []
     for x in [x for x in enumerate_bounded(3, normalize=True) if x.abs_sq() < 9]:
         ybound_sq = max((1 + x.abs_sq() ** 2) ** 2,
-                        dioph.Y_CASE2_MAX_SQ if x.abs_sq() == 1 else 0)
+                        dioph.Y_UNIT_X_MAX_SQ if x.abs_sq() == 1 else 0)
         bound = 1 + math.isqrt(ybound_sq - 1)
         rational_y = [(a, 0) for a in range(1, math.isqrt(ybound_sq) + 1)]
         groups = [([1, 3] if x.is_rational() else [x.d], 1, rational_y)]
@@ -259,45 +258,98 @@ def _per_pair_filter_calls() -> list[tuple]:
             for a, b in pairs:
                 n = norm(dy, a, b)
                 if any(k % n == 0 for k in norms):
-                    calls.append((x, QuadInt(dy, a, b), ambients))
+                    calls.append(((x.a, x.b), (a, b), ambients))
+    return calls
+
+
+def _solved_candidates(monkeypatch) -> list[tuple]:
+    """Record the (x, y, ambients) candidates that _search_all solves, one per y."""
+    calls = []
+    solve = dioph._solve_for_t
+
+    def recording(x, ys, ambients):
+        ys = list(ys)
+        calls.extend((x, y, ambients) for y in ys)
+        return solve(x, ys, ambients)
+
+    monkeypatch.setattr(dioph, "_solve_for_t", recording)
     return calls
 
 
 def test_search_solves_only_norm_divisors(monkeypatch):
     expected = small_solution_search(F(0))  # fills the cache before counting
-    calls = []
-    solve = dioph._solve_for_t
-    monkeypatch.setattr(dioph, "_solve_for_t",
-                        lambda *args: calls.append(args) or solve(*args))
+    calls = _solved_candidates(monkeypatch)
     assert dioph._search_all() == expected
     assert len(calls) < 10_000  # the unfiltered box made 118,032 calls
-    # the divisor-driven walk solves exactly what the per-pair filter solves
-    assert len(calls) == 5468
+    # the divisor-driven walk solves exactly what the per-pair filter solves;
+    # the box |y|^2 <= 47 for a unit x made 5,468
+    assert len(calls) == 4435
     assert calls == _per_pair_filter_calls()
 
 
 def test_solve_for_t_rechecks_the_form_on_each_hit(monkeypatch):
     s = small_solution_search(F(0))[0]
-    assert s in dioph._solve_for_t(s.x, s.y, [s.d])
+    args = ((s.x.a, s.x.b), [(s.y.a, s.y.b)], [s.d])
+    assert s in dioph._solve_for_t(*args)
     real = dioph._checked_solution
     # F_{t+1}(x, y) = mu - xy(x^2 - y^2) != mu: the recheck must see it
     monkeypatch.setattr(dioph, "_checked_solution",
                         lambda d, t, *rest: real(d, (t[0] + 1, t[1]), *rest))
     with pytest.raises(ArithmeticError):
-        dioph._solve_for_t(s.x, s.y, [s.d])
+        dioph._solve_for_t(*args)
 
 
-@pytest.mark.parametrize("argv, digest", [
+def test_the_search_builds_quad_ints_for_hits_only(monkeypatch):
+    # QuadInt arithmetic stays out of the per-candidate loop: one element per
+    # x of the box and three (t, x, y) per hit, over 4,435 candidates
+    dioph._search_all()  # the units of every field, cached for the process
+    dioph._x_part.cache_clear()
+    count = [0]
+    real = QuadInt.__post_init__
+    monkeypatch.setattr(QuadInt, "__post_init__",
+                        lambda self: count.__setitem__(0, count[0] + 1) or real(self))
+    sols, built = dioph._search_all(), count[0]
+    assert len(sols) == 79
+    assert built <= len(enumerate_bounded(3, normalize=True)) + 3 * len(sols)
+
+
+SEARCH_PINS = [
     (("small-solutions", "--tmin", "0", "--json"),
      "6577d438b0f207a1cfd5c001e984572c382e59549fa7a8f11d88c181cc069c23"),
     (("small-solutions", "--tmin", "0"),
      "91ee28850515ecac0ec2664e93a6aa977f9b57ef4cd7adf4b76f276c9437ea56"),
     (("enumerate", "--max-abs", "3", "--json"),
      "8ded51accc816f5e9b12a92d64cdddab3cd946a314f7f1d3e5aa08883f1e93a8"),
-])
+]
+
+
+@pytest.mark.parametrize("argv, digest", SEARCH_PINS)
 def test_search_outputs_are_pinned(capsys, argv, digest):
     assert main(list(argv)) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def _search_output_digests(monkeypatch, capsys) -> list[str]:
+    monkeypatch.setattr(dioph, "_SEARCH_CACHE", None)
+    out = []
+    for argv, _ in SEARCH_PINS[:2]:
+        assert main(list(argv)) == 0
+        out.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    return out
+
+
+def test_the_unit_x_box_is_needed_to_its_last_norm(monkeypatch, capsys):
+    # the six solutions with |x| = 1 and |y|^2 = 4 need the derived box
+    # |y|^2 <= 6; a box of 3 loses them and the small-solutions pins
+    sols = small_solution_search(F(0))
+    assert max(s.y.abs_sq() for s in sols if s.x.abs_sq() == 1) == 4
+    pins = [digest for _, digest in SEARCH_PINS[:2]]
+    assert _search_output_digests(monkeypatch, capsys) == pins
+    monkeypatch.setattr(dioph, "Y_UNIT_X_MAX_SQ", 3)
+    lost = [s for s in sols if s.x.abs_sq() == 1 and s.y.abs_sq() == 4]
+    assert len(lost) == 6
+    assert dioph._search_all() == [s for s in sols if s not in lost]
+    assert not set(_search_output_digests(monkeypatch, capsys)) & set(pins)
 
 
 def test_root_ball_certification():

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from thueq import hyperchi
 from thueq.hyperchi import (
     LettlBoundViolation,
     chi_coeffs,
+    chi_ints,
     denom_data,
     gamma_ratio_g1,
     gamma_ratio_g2,
@@ -148,6 +150,30 @@ def test_integer_denom_data_matches_the_fraction_composition():
         dd = denom_data(r)
         assert (dd.delta, dd.n_gcd) == (delta, n_gcd), r
         assert dd.cleared == tuple(n.numerator // n_gcd for n in nums), r
+
+
+def test_integer_chi_ints_match_the_fraction_coefficients():
+    for r in range(0, 61):
+        cs = chi_coeffs(r)
+        delta = math.lcm(*(c.denominator for c in cs))
+        assert chi_ints(r) == ([c.numerator * (delta // c.denominator) for c in cs], delta), r
+
+
+@pytest.mark.parametrize("bad", [
+    lambda n, delta: ([*n[:-1], n[-1] + 1], delta),
+    lambda n, delta: (n, delta + 1),
+])
+def test_denom_data_checks_that_delta_clears_chi(monkeypatch, bad):
+    # a numerator off by one breaks the term ratio of chi_r, and a delta off
+    # by one the constant term
+    real = hyperchi.chi_ints
+    monkeypatch.setattr(hyperchi, "chi_ints", lambda r: bad(*real(r)))
+    denom_data.cache_clear()
+    try:
+        with pytest.raises(ArithmeticError, match="delta does not clear chi_5"):
+            denom_data(5)
+    finally:
+        denom_data.cache_clear()
 
 
 def test_denom_data_by_valuation_agrees():

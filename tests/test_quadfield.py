@@ -2,12 +2,12 @@ from fractions import Fraction as F
 
 import pytest
 from hypothesis import example, given, strategies as st
-from oracles import (conj_oracle, eligible_fields_oracle, field_pairs_oracle, is_half_integral,
-                     mul_oracle, norm_oracle, pairs_with_norm_in_oracle, re_im_oracle)
+from oracles import (conj_oracle, divides, eligible_fields_oracle, field_pairs_oracle,
+                     is_half_integral, mul_oracle, norm_oracle, pairs_with_norm_in_oracle,
+                     re_im_oracle, squarefree)
 
 from thueq.quadfield import (
     QuadInt,
-    _squarefree,
     div_exact,
     eligible_fields,
     enumerate_bounded,
@@ -78,7 +78,7 @@ def test_ring_arithmetic_matches_embedding(a, b, c, d):
 def test_division():
     x = QuadInt(1, 3, 4)
     y = QuadInt(1, 1, 2)
-    assert y.divides(x * y)
+    assert divides(y, x * y)
     assert div_exact(x * y, y) == x
     with pytest.raises(ValueError):
         div_exact(QuadInt(1, 1, 0), QuadInt(1, 0, 2))
@@ -185,7 +185,7 @@ def test_field_pairs_order_and_normalization():
     assert (-2, 3) in half and (-1, 3) in half
 
 
-@given(st.integers(1, 2000).filter(_squarefree), st.integers(0, 5000),
+@given(st.integers(1, 2000).filter(squarefree), st.integers(0, 5000),
        st.sets(st.integers(0, 6000), max_size=40))
 @example(3, 25, {1, 2, 3, 4, 5, 7, 26})  # 2 and 5 are no norms in d = 3
 @example(1, 50, {3, 6, 7, 25, 50})  # 25 and 50 are sums of two squares twice
@@ -198,7 +198,7 @@ def test_pairs_with_norm_in_is_the_filtered_walk(d, m2, norms):
 
 # the one ring(d) table against the branchy formulas it replaced (oracles):
 # every squarefree d <= 400 and coordinates up to 10^6
-fields = st.integers(1, 400).filter(_squarefree)
+fields = st.integers(1, 400).filter(squarefree)
 coords = st.integers(-10**6, 10**6)
 # squared bounds m^2, integer and not
 squared_bounds = st.one_of(st.integers(0, 3000).map(F),
