@@ -4,9 +4,10 @@ replayed in exact rational arithmetic and every side condition certified."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from . import zpoly
 from .exactnum import Rat, round_up_sig
@@ -34,18 +35,8 @@ class NonVanishingError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    type_index: int
-    k: int
-    c1: Rat
-    c2: Rat
-    c3: Rat
-    c_exact: Rat
-    c_out: Rat
-    nonvanish_margin: Rat
-    nonvanish_ok: bool
-    pade: PadePair
+StepRecord = namedtuple("StepRecord", "type_index k c1 c2 c3 c_exact c_out "
+                                       "nonvanish_margin nonvanish_ok pade")
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -109,13 +100,17 @@ def _reversed_ints(coeffs, degree: int) -> list[int]:
 def _nonvanish_poly(pair: PadePair, k: int) -> tuple[int, ...]:
     """P(t) = F_t(t^(k-1) U(1/t), t^(k-1) V(1/t)) over Z, ascending, of
     degree exactly 2k-2: with F_t = F_A + t F_B for the rows A, B of
-    ``QUARTIC`` homogenised at (X, Y), P = F_A(X, Y) + t F_B(X, Y)."""
+    ``QUARTIC`` homogenised at (X, Y), P = F_A(X, Y) + t F_B(X, Y), by one
+    homogeneous Horner in X whose coefficients A_j + t B_j are linear in t."""
     X = _reversed_ints(pair.U, k - 1)
     Y = _reversed_ints(pair.V, k - 1)
     if Y[-1] == 0:
         raise NonVanishingError("denominator polynomial degree dropped")
-    FA, FB = (zpoly.homogenise(row, (X, ()), (Y, ()))[0] for row in QUARTIC)
-    P = zpoly.add(FA, [0] + FB)
+    cols = list(zip(*QUARTIC))  # (A_j, B_j): the coefficient of X^j, in t
+    ypow = list(accumulate([Y] * (len(cols) - 1), zpoly.mul, initial=[1]))
+    P = list(cols[-1])
+    for j in range(1, len(cols)):  # P <- P X + (A_(4-j) + t B_(4-j)) Y^j
+        P = zpoly.add(zpoly.mul(P, X), zpoly.mul(cols[-1 - j], ypow[j]))
     while P and P[-1] == 0:
         P.pop()
     if len(P) - 1 != 2 * k - 2:

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache, reduce
 
@@ -23,13 +23,7 @@ class TieError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class Solution:
-    d: int
-    t: QuadInt
-    x: QuadInt
-    y: QuadInt
-    mu: QuadInt
+Solution = namedtuple("Solution", "d t x y mu")  # QuadInt t, x, y and mu in field d
 
 
 def irreducibility_exceptions() -> tuple[list[QuadInt], list[QuadInt]]:

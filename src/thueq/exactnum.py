@@ -9,9 +9,9 @@ any certified path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import attrgetter
 
 Rat = Fraction
 
@@ -27,6 +27,38 @@ class UndefinedKappaError(ValueError):
     """log|t| - 2.59 is not certifiably positive."""
 
 
+class Frozen:
+    """Base of the immutable value types: the fields are the ``__slots__``, set
+    by ``__init__`` through ``object.__setattr__`` and read-only after; equality
+    and hashing go by the field tuple within one class, so no tuple compares
+    equal, and copy and pickle rebuild a value through ``__init__``."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._key(self)
+
+
 # ---------------------------------------------------------------------------
 # rounding helpers
 
@@ -38,25 +70,36 @@ def round_up_grid(x: Rat, bits: int = GRID_BITS) -> Rat:
 
 def _dec_exponent(x: Rat) -> int:
     """e such that 10**e <= x < 10**(e+1), for x > 0."""
+    return _dec_power(x)[0]
+
+
+def _dec_power(x: Rat) -> tuple[int, int]:
+    """(e, 10**abs(e)) with 10**e <= x < 10**(e+1), for x > 0."""
     if x <= 0:
         raise DomainError("positive value required")
     n, d = x.numerator, x.denominator
     # log10(x) ~ 0.30103 * log2(x) from bit lengths, corrected on n/d = x / 10**e
     e = (n.bit_length() - d.bit_length()) * 30103 // 100000
-    n, d = (n, d * 10 ** e) if e >= 0 else (n * 10 ** -e, d)
+    z = 10 ** abs(e)
+    n, d = (n, d * z) if e >= 0 else (n * z, d)
     while n >= 10 * d:
         d, e = 10 * d, e + 1
+        z = z * 10 if e > 0 else z // 10
     while n < d:
         n, e = 10 * n, e - 1
-    return e
+        z = z * 10 if e < 0 else z // 10
+    return e, z
 
 
 def round_up_sig(x: Rat, digits: int = 4) -> Rat:
     """Round a positive rational up to `digits` significant decimal digits."""
     if x == 0:
         return Fraction(0)
-    s = _dec_exponent(x) - digits + 1  # round up to a multiple of 10**s
-    n, d, z = x.numerator, x.denominator, 10 ** abs(s)
+    e, z = _dec_power(x)
+    s = e - digits + 1  # round up to a multiple of 10**s
+    k = abs(s) - abs(e)  # 10**abs(s) from the 10**abs(e) the exponent search built
+    z = z * 10 ** k if k >= 0 else z // 10 ** -k
+    n, d = x.numerator, x.denominator
     return Fraction(-(-n // (d * z)) * z) if s >= 0 else Fraction(-(-n * z // d), z)
 
 
@@ -135,14 +178,14 @@ def sqrt_bounds(q: Rat, bits: int = GRID_BITS) -> tuple[Rat, Rat]:
 # ---------------------------------------------------------------------------
 # intervals
 
-@dataclass(frozen=True)
-class RatInterval:
-    lo: Rat
-    hi: Rat
+class RatInterval(Frozen):
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise DomainError(f"empty interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo: Rat, hi: Rat):
+        if lo > hi:
+            raise DomainError(f"empty interval [{lo}, {hi}]")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +364,15 @@ def kappa(t_abs: Rat, target_width: Rat) -> RatInterval:
 # ---------------------------------------------------------------------------
 # complex balls
 
-@dataclass(frozen=True)
-class ComplexBall:
-    re_mid: Rat
-    im_mid: Rat
-    radius: Rat
+class ComplexBall(Frozen):
+    __slots__ = ("re_mid", "im_mid", "radius")
 
-    def __post_init__(self):
-        if self.radius < 0:
+    def __init__(self, re_mid: Rat, im_mid: Rat, radius: Rat):
+        if radius < 0:
             raise DomainError("negative ball radius")
+        object.__setattr__(self, "re_mid", re_mid)
+        object.__setattr__(self, "im_mid", im_mid)
+        object.__setattr__(self, "radius", radius)
 
     @staticmethod
     def exact(re: Rat, im: Rat = Fraction(0)) -> "ComplexBall":

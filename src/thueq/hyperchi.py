@@ -5,7 +5,7 @@ verification of the growth bounds they satisfy."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -18,12 +18,9 @@ LETTL_K0, LETTL_Q_BASE = Fraction("3.32"), Fraction("1.35")
 LETTL_L0, LETTL_E_BASE = Fraction("1.6"), Fraction("10.7")
 
 
-@dataclass(frozen=True)
-class DenomData:
-    r: int
-    delta: int          # lcm of denominators of chi_r
-    n_gcd: int          # gcd of numerators of chi_r(1 - 8X)
-    cleared: tuple      # integer coefficients of (delta/n_gcd) chi_r(1-8X)
+# delta: lcm of denominators of chi_r; n_gcd: gcd of numerators of
+# chi_r(1 - 8X); cleared: integer coefficients of (delta/n_gcd) chi_r(1-8X)
+DenomData = namedtuple("DenomData", "r delta n_gcd cleared")
 
 
 class LettlBoundViolation(ArithmeticError):

@@ -10,7 +10,7 @@ check at tmin certifies the whole range |t| >= tmin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -47,34 +47,14 @@ class ChainError(ArithmeticError):
     """A named inequality line failed; the message identifies the line."""
 
 
-@dataclass(frozen=True)
-class MeasureConstants:
-    type_index: int
-    k0: Rat
-    Q_coeff: Rat
-    l0_coeff: Rat
-    E_div: Rat
-    qmin_coeff: Rat
-    c_coeff: Rat
-    lines: tuple  # (name, margin) pairs, all margins >= 0
-
-
-@dataclass(frozen=True)
-class GateResult:
-    name: str
-    ok: bool
-    detail: str
-
-
-@dataclass(frozen=True)
-class ProofReport:
-    tmin: Rat
-    kappa_hi: Rat | None
-    contradiction_upper: Rat | None
-    descent_lower_0: Rat | None
-    descent_lower_3: Rat | None
-    all_gates: tuple
-    verdict: str  # "proven" | "inconclusive"
+# lines: (name, margin) pairs, all margins >= 0
+MeasureConstants = namedtuple("MeasureConstants", "type_index k0 Q_coeff l0_coeff E_div "
+                                                   "qmin_coeff c_coeff lines")
+GateResult = namedtuple("GateResult", "name ok detail")
+# kappa_hi, contradiction_upper and the descent lower bounds may be None;
+# verdict is "proven" or "inconclusive"
+ProofReport = namedtuple("ProofReport", "tmin kappa_hi contradiction_upper descent_lower_0 "
+                                        "descent_lower_3 all_gates verdict")
 
 
 @lru_cache(maxsize=64)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+
+from .exactnum import Frozen
 
 Rat = Fraction
 
@@ -25,20 +26,17 @@ def ring(d: int) -> tuple[int, int]:
     return (1, (1 + d) // 4) if d % 4 == 3 else (0, d)
 
 
-@dataclass(frozen=True)
-class QuadInt:
+class QuadInt(Frozen):
     """Algebraic integer a + b*omega in Q(sqrt(-d))."""
 
-    d: int
-    a: int
-    b: int
+    __slots__ = ("d", "a", "b")
 
-    def __post_init__(self):
-        if self.d < 1:
+    def __init__(self, d: int, a: int, b: int):
+        if d < 1:
             raise ValueError("d must be a positive squarefree integer")
-        if self.b == 0 and self.d != 1:
-            # canonical home for rational integers is d=1
-            object.__setattr__(self, "d", 1)
+        object.__setattr__(self, "d", d if b else 1)  # rational integers live in d=1
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "b", b)
 
     # -- basic structure ---------------------------------------------------
 

@@ -12,7 +12,7 @@ at w = 1/tmin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
@@ -25,14 +25,8 @@ class CertificationError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class EnclosureCert:
-    center: dict          # {power of t: int}, negative powers allowed
-    radius_c: Rat
-    radius_exp: int
-    tmin: Rat
-    verified: bool
-    margin: Rat
+# center: {power of t: int}, negative powers allowed
+EnclosureCert = namedtuple("EnclosureCert", "center radius_c radius_exp tmin verified margin")
 
 
 @lru_cache(maxsize=None)

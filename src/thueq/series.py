@@ -24,14 +24,14 @@ The quartic itself is the integer table ``QUARTIC``, f_t = A(X) + t B(X).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, zip_longest
 from operator import mul
 
 from . import zpoly
-from .exactnum import ComplexBall, Rat
+from .exactnum import ComplexBall, Frozen, Rat
 from .hyperchi import chi_ints
 from .quadfield import QuadInt
 
@@ -39,10 +39,12 @@ from .quadfield import QuadInt
 # Gaussian rationals
 
 
-@dataclass(frozen=True)
-class GaussRat:
-    re: Rat
-    im: Rat
+class GaussRat(Frozen):
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Rat, im: Rat):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @staticmethod
     def of(x) -> "GaussRat":
@@ -356,11 +358,8 @@ class DegeneratePadeError(ArithmeticError):
     pass
 
 
-@dataclass(frozen=True)
-class PadePair:
-    U: tuple  # integer coefficients, ascending
-    V: tuple
-    contact_order: int
+# U and V: integer coefficients, ascending
+PadePair = namedtuple("PadePair", "U V contact_order")
 
 
 def _real(num) -> list[int]:

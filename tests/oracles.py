@@ -13,7 +13,9 @@ integer gate kernel, the branchy Z[omega] formulas that ran before the one
 ``quadfield.ring`` table, the integral approximant pairs, which no command
 runs, and the tmin certificates (descent steps, root enclosures, measure
 chains and the significant-digit rounding) as they ran in ``Fraction``
-arithmetic at each tmin before their tmin-free parts were built once over Z.
+arithmetic at each tmin before their tmin-free parts were built once over Z,
+with the descent's non-vanishing polynomial as it was built over Z[i] and the
+rounding as it ran with two powers of ten.
 The tests check ``thueq.zpoly``, ``thueq.exactnum``, ``thueq.quadfield`` and
 their callers against these."""
 
@@ -365,6 +367,42 @@ def round_up_sig_oracle(x: Fraction, digits: int = 4) -> Fraction:
     return Fraction(-((-x.numerator * q.denominator) // (x.denominator * q.numerator))) * q
 
 
+def round_up_sig_two_powers(x: Fraction, digits: int = 4) -> Fraction:
+    """``exactnum.round_up_sig`` as it ran when the exponent search and the
+    rounding each built their own power of ten."""
+    if x == 0:
+        return Fraction(0)
+    if x <= 0:
+        raise DomainError("positive value required")
+    n, d = x.numerator, x.denominator
+    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
+    n, d = (n, d * 10 ** e) if e >= 0 else (n * 10 ** -e, d)
+    while n >= 10 * d:
+        d, e = 10 * d, e + 1
+    while n < d:
+        n, e = 10 * n, e - 1
+    s = e - digits + 1
+    n, d, z = x.numerator, x.denominator, 10 ** abs(s)
+    return Fraction(-(-n // (d * z)) * z) if s >= 0 else Fraction(-(-n * z // d), z)
+
+
+def nonvanish_poly_oracle(pair, k: int) -> tuple[int, ...]:
+    """``descent._nonvanish_poly`` as it ran over Z[i]: each row of the
+    quartic homogenised by ``zpoly.homogenise`` at real (X, Y), whose
+    imaginary parts stay empty."""
+    X = descent._reversed_ints(pair.U, k - 1)
+    Y = descent._reversed_ints(pair.V, k - 1)
+    if Y[-1] == 0:
+        raise descent.NonVanishingError("denominator polynomial degree dropped")
+    FA, FB = (zpoly.homogenise(row, (X, ()), (Y, ()))[0] for row in descent.QUARTIC)
+    P = zpoly.add(FA, [0] + FB)
+    while P and P[-1] == 0:
+        P.pop()
+    if len(P) - 1 != 2 * k - 2:
+        raise descent.NonVanishingError(f"P has degree {len(P) - 1}, expected {2 * k - 2}")
+    return tuple(P)
+
+
 @lru_cache(maxsize=None)
 def step_algebra_oracle(type_index: int, k: int) -> tuple:
     """The Pade pair of step k, its residual U - BV, V as a series and the
@@ -372,7 +410,7 @@ def step_algebra_oracle(type_index: int, k: int) -> tuple:
     B = root_series(type_index)
     pair = pade(B, k - 1, k - 1)
     V = Series.from_ints((pair.V, ()), 1, B.trunc)
-    return pair, pade_residual(B, pair), V, descent._nonvanish_poly(pair, k)
+    return pair, pade_residual(B, pair), V, nonvanish_poly_oracle(pair, k)
 
 
 def nonvanish_gate_oracle(P, c0: Fraction, c3: Fraction, tmin: Fraction) -> Fraction:

@@ -1,10 +1,10 @@
-import dataclasses
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import nonvanish_margin_oracle, outcome, run_step_oracle
+from oracles import (nonvanish_margin_oracle, nonvanish_poly_oracle, outcome,
+                     run_step_oracle)
 
 from thueq import descent
 from thueq.exactnum import round_nearest_sig
@@ -243,6 +243,18 @@ TMIN = st.one_of(
 )
 
 
+@pytest.mark.parametrize("step", STEPS)
+def test_nonvanish_poly_equals_the_gaussian_integer_oracle(step):
+    ti, k = step
+    pair = descent._step_algebra(ti, k)[0]
+    assert descent._nonvanish_poly(pair, k) == nonvanish_poly_oracle(pair, k)
+    # V(0) = 0 drops the degree of Y; U = V leaves P = -4 Y^4 of degree 4k-4
+    for bad in (pair._replace(V=(0,) + pair.V[1:]), pair._replace(U=pair.V)):
+        got = outcome(descent._nonvanish_poly, bad, k)
+        assert got == outcome(nonvanish_poly_oracle, bad, k)
+        assert got[0] is descent.NonVanishingError
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(STEPS), TMIN, st.builds(F, st.integers(min_value=1, max_value=10**12),
                                                 st.integers(min_value=1, max_value=10**4)))
@@ -256,8 +268,8 @@ def test_every_chain_step_equals_the_fraction_oracle(tmin):
         c0 = step2_type0(tmin) if ti == 0 else 1 / step1(3, tmin)
         for rec in run_descent(ti, tmin=tmin):
             want = run_step_oracle(ti, rec.k, c0, tmin)
-            for field in dataclasses.fields(rec):
-                assert getattr(rec, field.name) == getattr(want, field.name), (ti, rec.k, field)
+            for field in rec._fields:
+                assert getattr(rec, field) == getattr(want, field), (ti, rec.k, field)
             c0 = rec.c_out
 
 

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from thueq import exactnum
 from thueq.exactnum import (
@@ -26,7 +26,8 @@ from thueq.measure import KAPPA_WIDTH
 from oracles import (atanh_enclosure_oracle, ball_abs_bounds_oracle, ball_contains_zero,
                      ball_mul_oracle, dec_exponent_oracle, iv_add, iv_contains, iv_div_pos,
                      iv_scale, iv_shift, iv_width, kappa_oracle, ln_enclosure_oracle,
-                     round_down_grid, round_up_sig_oracle, sqrt_lower, sqrt_upper)
+                     round_down_grid, round_up_sig_oracle, round_up_sig_two_powers, sqrt_lower,
+                     sqrt_upper)
 
 rationals = st.fractions(
     min_value=F(-10**6), max_value=F(10**6), max_denominator=10**6
@@ -376,6 +377,21 @@ SIG_ARGS = st.one_of(
 def test_round_up_sig_equals_the_fraction_oracle(x, digits):
     assert exactnum._dec_exponent(x) == dec_exponent_oracle(x)
     assert round_up_sig(x, digits) == round_up_sig_oracle(x, digits)
+
+
+# m 10^e + r with e past 4,300 digits, as a value and as its reciprocal; r = 0
+# puts a power of ten itself on the rounding boundary
+_HUGE = st.builds(lambda m, e, r: m * 10 ** e + r, st.integers(min_value=1, max_value=10**20),
+                  st.integers(min_value=4301, max_value=14000),
+                  st.integers(min_value=-10**6, max_value=10**6))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(st.builds(F, _HUGE, st.integers(min_value=1, max_value=10**30)),
+                 st.builds(F, st.integers(min_value=1, max_value=10**30), _HUGE)),
+       st.integers(min_value=1, max_value=12))
+def test_round_up_sig_with_one_power_of_ten_equals_the_two_power_rounding(x, digits):
+    assert round_up_sig(x, digits) == round_up_sig_two_powers(x, digits)
 
 
 def test_round_up_sig_on_powers_of_ten_and_their_neighbours():
