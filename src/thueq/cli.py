@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .exactnum import Rat, sig_str
+from .exactnum import TMIN_FLOOR, Rat, sig_str
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
@@ -284,7 +284,7 @@ def _build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify-all", help="run the full verification pipeline")
-    p.add_argument("--tmin", type=_nonneg_rat, default=Fraction(100))
+    p.add_argument("--tmin", type=_nonneg_rat, default=TMIN_FLOOR)
     p.add_argument("--kmax", type=int, default=11)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify_all)
@@ -305,14 +305,14 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("descent", help="iterated lower bounds for |y|")
     p.add_argument("--type", type=int, choices=(0, 3), required=True)
-    p.add_argument("--tmin", type=_nonneg_rat, default=Fraction(100))
+    p.add_argument("--tmin", type=_nonneg_rat, default=TMIN_FLOOR)
     p.add_argument("--kmax", type=int, default=11)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_descent)
 
     p = sub.add_parser("constants", help="irrationality-measure constants")
     p.add_argument("--type", type=int, choices=(0, 3), required=True)
-    p.add_argument("--tmin", type=_nonneg_rat, default=Fraction(100))
+    p.add_argument("--tmin", type=_nonneg_rat, default=TMIN_FLOOR)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_constants)
 
@@ -328,7 +328,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_corollary_eps)
 
     p = sub.add_parser("rouche-certs", help="uniform root-enclosure certificates")
-    p.add_argument("--tmin", type=_nonneg_rat, default=Fraction(100))
+    p.add_argument("--tmin", type=_nonneg_rat, default=TMIN_FLOOR)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_rouche_certs)
 

@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import accumulate
 
 from . import zpoly
-from .exactnum import Rat, round_up_sig
+from .exactnum import TMIN_FLOOR, Rat, floor_line, lines, round_up_sig
 from .rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER
 from .series import QUARTIC, PadePair, horner, pade, pade_residual, root_series, tail_ints
 
@@ -27,10 +27,6 @@ KSTART = {0: 3, 3: 2}  # first Pade step of each chain
 KMAX = 11              # the root series support steps up to k = 11
 
 
-class DerivationError(ArithmeticError):
-    pass
-
-
 class NonVanishingError(ArithmeticError):
     pass
 
@@ -39,55 +35,40 @@ StepRecord = namedtuple("StepRecord", "type_index k c1 c2 c3 c_exact c_out "
                                        "nonvanish_margin nonvanish_ok pade")
 
 
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise DerivationError(msg)
-
-
 @lru_cache(maxsize=2)
-def _step1_fixed(type_index: int) -> bool:
-    """The tmin-free inequalities of one chain's first step, checked once per
+def _first_fixed(type_index: int) -> tuple:
+    """The tmin-free lines of one chain's first steps, checked once per
     process for each type.  A failure raises, and is not cached."""
-    absorb = BETA_COEFF / 3 ** 4  # 8.86/|y|^4 <= 8.86/81 for |y| >= 3
-    _require(absorb <= ABSORB_CAP, "absorption constant exceeds 0.11")
+    absorb = ("absorption cap 0.11", BETA_COEFF / 3 ** 4, ABSORB_CAP)  # 8.86/|y|^4, |y| >= 3
     if type_index == 0:
-        _require(3 / (ALPHA0_MODULUS + ABSORB_CAP) >= STEP1_COEFF,
-                 "type-0 step-1 coefficient not dominated")
-    else:
-        # side case x = y gives |F| = 4|x|^4 >= 4*81 > 1: impossible
-        _require(4 * Fraction(3) ** 4 > 1, "side case not excluded")
-        _require(ALPHA13_RADIUS + ABSORB_CAP <= STEP1_DIVISOR, "type-3 slope exceeds 2.27")
-        _require(1 / STEP1_DIVISOR > STEP1_RELATIVE_FLOOR, "relative bound below 0.44")
-    return True
-
-
-def step1(type_index: int, tmin: Rat = Fraction(100)) -> Rat:
-    """First relative bound |y| > coeff * |t| (type 0, coeff 2.67) or
-    |y| > |t| / divisor (type 3, returns 1/2.27), with the derivation chain
-    verified exactly at tmin (its tmin-free part once per process) and
-    min{|x|,|y|} >= 3 assumed."""
-    tmin = Fraction(tmin)
-    _require(tmin >= 100, "tmin must be >= 100")
-    if type_index not in KSTART:
+        return lines(absorb, ("step-1 coefficient 2.67",
+                              STEP1_COEFF, 3 / (ALPHA0_MODULUS + ABSORB_CAP)))
+    if type_index != 3:
         raise ValueError("type_index must be 0 or 3")
-    _step1_fixed(type_index)
-    if type_index == 3:
-        return 1 / STEP1_DIVISOR
-    # |alpha| <= (1 + 5.01/tmin^2)/|t| <= 1.01/|t|
-    _require(1 + ALPHA0_RADIUS / tmin ** 2 <= ALPHA0_MODULUS, "root-modulus bound exceeds 1.01")
-    return STEP1_COEFF
+    # side case x = y gives |F| = 4|x|^4 >= 4*81 > 1: on integers 1 < n is 2 <= n
+    return lines(absorb, ("side case x = y", 2, 4 * 3 ** 4),
+                 ("step-1 divisor 2.27", ALPHA13_RADIUS + ABSORB_CAP, STEP1_DIVISOR),
+                 # |y| > |t|/2.27 is strict, so 0.44 <= 1/2.27 gives |y| > 0.44|t|
+                 ("relative floor 0.44", STEP1_RELATIVE_FLOOR, 1 / STEP1_DIVISOR))
 
 
-def step2_type0(tmin: Rat = Fraction(100)) -> Rat:
-    """Second type-0 bound |y| > |t|^2 / 5.02, with the vanishing case
-    tx + y = 0 excluded via x^4 (1 - 5t^2) = mu."""
+def first_c0(type_index: int, tmin: Rat = TMIN_FLOOR) -> Rat:
+    """The c0 of |y| > |t|^(k-1)/c0 that each chain's first Pade step starts
+    from: |t|^2/5.02 after the type-0 steps |y| > 2.67|t| and |y| > |t|^2/5.02
+    (the vanishing case tx + y = 0 excluded via x^4 (1 - 5t^2) = mu), or
+    |t|/2.27 after the type-3 step.  Every line is checked at tmin (the
+    tmin-free ones once per process), with min{|x|,|y|} >= 3 assumed."""
     tmin = Fraction(tmin)
-    _require(tmin >= 100, "tmin must be >= 100")
-    c_prev = step1(0, tmin)
-    # |1 - 5 t^2| >= 5 tmin^2 - 1 > 1 excludes the vanishing side case
-    _require(5 * tmin ** 2 - 1 > 1, "side case x^4(1-5t^2)=mu not excluded")
-    extra = BETA_COEFF / (c_prev * tmin) ** 4 * tmin ** 2
-    _require(ALPHA0_RADIUS + extra <= STEP2_DIVISOR, "step-2 divisor exceeds 5.02")
+    lines(floor_line(tmin))
+    _first_fixed(type_index)
+    if type_index == 3:
+        return STEP1_DIVISOR
+    # |alpha0| <= (1 + 5.01/tmin^2)/|t| <= 1.01/|t|
+    lines(("root modulus 1.01", 1 + ALPHA0_RADIUS / tmin ** 2, ALPHA0_MODULUS),
+          # 2 <= 5 tmin^2 - 1 suffices, as |x|^4 >= 81: |x^4 (1 - 5t^2)| >= 162 > 1 >= |mu|
+          ("side case x^4 (1 - 5t^2) = mu", 2, 5 * tmin ** 2 - 1),
+          ("step-2 divisor 5.02",
+           ALPHA0_RADIUS + BETA_COEFF / (STEP1_COEFF * tmin) ** 4 * tmin ** 2, STEP2_DIVISOR))
     return STEP2_DIVISOR
 
 
@@ -132,7 +113,7 @@ def _step_algebra(type_index: int, k: int) -> tuple:
             tuple(abs(c) for c in pair.V), (lead, *(-c for c in lower)))
 
 
-def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = Fraction(100)) -> StepRecord:
+def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = TMIN_FLOOR) -> StepRecord:
     """One Pade step: from |y| > |t|^(k-1)/c0 to |y| > |t|^k/c_out, c_out >=
     c_exact = c1 + c2 c3 tmin^-m1 + hi_c c3 tmin^-m2 for m1 = 2k-2, m2 =
     hi_exp+1-2k >= 0 (hi_exp is the series' truncation), and the margin of
@@ -172,18 +153,11 @@ def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = Fraction(100)) -> Ste
 
 
 def run_descent(type_index: int, kmax: int = KMAX,
-                tmin: Rat = Fraction(100)) -> list[StepRecord]:
-    """Chain the steps, feeding each c_out into the next step's c0."""
-    if type_index not in KSTART:
-        raise ValueError("type_index must be 0 or 3")
-    kstart = KSTART[type_index]
+                tmin: Rat = TMIN_FLOOR) -> list[StepRecord]:
+    """Chain the steps from first_c0, feeding each c_out into the next step's c0."""
+    c0, kstart, records = first_c0(type_index, tmin), KSTART[type_index], []
     if not kstart <= kmax <= KMAX:
         raise ValueError(f"kmax must be in [{kstart}, {KMAX}] for type {type_index}")
-    if type_index == 0:
-        c0 = step2_type0(tmin)
-    else:
-        c0 = 1 / step1(3, tmin)  # |y| > |t|/2.27 i.e. divisor 2.27
-    records = []
     for k in range(kstart, kmax + 1):
         rec = run_step(type_index, k, c0, tmin)
         if not rec.nonvanish_ok:

@@ -16,7 +16,7 @@ from . import zpoly
 from .exactnum import GRID_BITS, ComplexBall, Rat, gauss_over, sqrt_bounds, sqrt_grid
 from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded, norm,
                         pairs_with_norm_in, ring, roots_of_unity)
-from .series import QUARTIC, GaussRat
+from .series import QUARTIC, GaussRat, horner
 
 
 class TieError(ArithmeticError):
@@ -292,8 +292,8 @@ def _certify_root(t_ball: ComplexBall, ev: tuple) -> ComplexBall | None:
     # |f''| <= m / (td xd^2) on the disc |z - x| <= 2 eta, where |z| <= xn / xd
     _, _, m2, td = _coeffs_at(t_ball)
     xn, xd = xu * ed + (2 * en << GRID_BITS), ed << GRID_BITS
-    m = sum(c * xn ** k * xd ** (len(m2) - 1 - k) for k, c in enumerate(m2))
-    if 2 * en * m << GRID_BITS > ed * ed * td * xd ** (len(m2) - 1):  # h < 1/2 fails
+    m, xd_top = horner(m2, xd, xn)
+    if 2 * en * m << GRID_BITS > ed * ed * td * xd_top:  # h < 1/2 fails
         return None
     return ComplexBall(x.re, x.im, Fraction(2 * en, ed))
 
@@ -442,8 +442,14 @@ def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
     xs, ys = _ball_ints(_embed(x)), _ball_ints(_embed(y))
     # an irrational parameter tries 2^-64 only: the 2^-128 ball grid on its
     # t-coefficients, times |t|^3 ~ |f'| at the large root, stalls that root's
-    # radius near 2^-127 whatever |t| and the precision of sqrt(d)
-    for bits in (64, 128, 256) if t_irrational is None else (64,):
+    # radius near 2^-127 whatever |t| and the precision of sqrt(d).  A t in Z[i]
+    # tries 2^-256 only for |t| >= 2^126: a ball's radius is 2 en/ed with ed <=
+    # 2^128 |f'(x)| and en >= 1 (f_t has a root in Q(i) only at t = +-4i, the
+    # double root +-i, where ed <= 0), so 2^-256 needs |f'(x)| >= 2^129; the
+    # roots' moduli multiply to 1, and about one of modulus <= 1, |x| <= 1 +
+    # 2^-256 gives |f'(x)| <= 4|x|^3 + 3|t||x|^2 + 12|x| + |t| < 4|t| + 17 < 2^129.
+    rungs = (64, 128, 256) if t.abs_sq() >= 1 << 252 else (64, 128)
+    for bits in rungs if t_irrational is None else (64,):
         try:
             _, roots = _root_balls(tc, t_gauss, t_irrational, Fraction(1, 1 << bits))
         except TieError:

@@ -27,6 +27,27 @@ class UndefinedKappaError(ValueError):
     """log|t| - 2.59 is not certifiably positive."""
 
 
+class ChainError(ArithmeticError):
+    """A named inequality line failed; the message identifies the line."""
+
+
+TMIN_FLOOR = Fraction(100)  # the least |t| the tmin chains certify, and the default tmin
+
+
+def lines(*reqs) -> tuple:
+    """Check each line (name, lhs, rhs) as lhs <= rhs, in order: the (name,
+    rhs - lhs) margins, or ChainError naming the first line that fails."""
+    for name, lhs, rhs in reqs:
+        if lhs > rhs:
+            raise ChainError(f"{name}: {lhs} > {rhs}")
+    return tuple([(name, rhs - lhs) for name, lhs, rhs in reqs])
+
+
+def floor_line(tmin: Rat) -> tuple:
+    """The line |t| >= TMIN_FLOOR that each tmin chain checks first."""
+    return f"tmin floor {TMIN_FLOOR}", TMIN_FLOOR, tmin
+
+
 class Frozen:
     """Base of the immutable value types: the fields are the ``__slots__``, set
     by ``__init__`` through ``object.__setattr__`` and read-only after; equality

@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import descent, exactnum
-from .exactnum import (Rat, UndefinedKappaError, iroot, kappa, ln_enclosure,
-                       round_up_sig, sig_str)
+from .exactnum import (TMIN_FLOOR, ChainError, Rat, UndefinedKappaError, floor_line, iroot,
+                       kappa, lines, ln_enclosure, round_up_sig, sig_str)
 from .hyperchi import LETTL_E_BASE, LETTL_K0, LETTL_L0, LETTL_Q_BASE
 from .rouche import (ALPHA0_RADIUS, ALPHA2_RADIUS, ALPHA13_RADIUS, base_certificates,
                      root_separation)
@@ -43,10 +43,6 @@ UZ_CAP, T4_FLOOR, T12_FLOOR, I_DIST_CAP = F("1.04"), F("0.96"), F("0.88"), F("1.
 ERR_FLOOR, ERR_PREFACTOR, ERR_BASE = F("1.02"), F("1.14"), F("1.24")
 
 
-class ChainError(ArithmeticError):
-    """A named inequality line failed; the message identifies the line."""
-
-
 # lines: (name, margin) pairs, all margins >= 0
 MeasureConstants = namedtuple("MeasureConstants", "type_index k0 Q_coeff l0_coeff E_div "
                                                    "qmin_coeff c_coeff lines")
@@ -69,19 +65,6 @@ def kappa_hi(t_abs: Rat) -> Rat:
 
 def kappa_lo(t_abs: Rat) -> Rat:
     return _kappa(t_abs).lo
-
-
-class _Chain:
-    def __init__(self, lines=()):
-        self.lines = []
-        for line in lines:
-            self.require(*line)
-
-    def require(self, name: str, lhs: Rat, rhs: Rat) -> None:
-        """Record the line lhs <= rhs or fail with its name."""
-        if lhs > rhs:
-            raise ChainError(f"{name}: {lhs} > {rhs}")
-        self.lines.append((name, rhs - lhs))
 
 
 @lru_cache(maxsize=None)
@@ -108,7 +91,7 @@ def _fixed_lines(type_index: int) -> tuple:
     k0, l0c = K0[type_index], L0[type_index]
     prefactor, absorb = C_PREFACTOR[type_index], ABSORB_BASE[type_index]
     c, qmin = C_COEFF[type_index], QMIN[type_index]
-    return tuple(_Chain(run).lines for run in (
+    return tuple(lines(*run) for run in (
         [("numerator base 2.94", LETTL_Q_BASE * UZ_CAP * F("2.09"), Q_BASE)],
         # constant-order absorption: 1.02 <= 1.14 * 0.96^(1/4) * 0.88^(3/4)
         [("error prefactor 1.14",
@@ -127,7 +110,7 @@ def _fixed_lines(type_index: int) -> tuple:
            (f"q gate {sig_str(qmin)}", 1 / (2 * l0c), qmin)]))
 
 
-def measure_constants(type_index: int, tmin: Rat = F(100)) -> MeasureConstants:
+def measure_constants(type_index: int, tmin: Rat = TMIN_FLOOR) -> MeasureConstants:
     """Certify the approximation-constant package for one root family.
 
     The emitted numbers weakly dominate the exact chain values; the chain
@@ -137,34 +120,31 @@ def measure_constants(type_index: int, tmin: Rat = F(100)) -> MeasureConstants:
     tmin = F(tmin)
     if type_index not in (0, 3):
         raise ValueError("type_index must be 0 or 3")
-    if tmin < 100:
-        raise ChainError("chain is only certified for tmin >= 100")
+    lines(floor_line(tmin))
     _tmin_free_checks()
-    certs = base_certificates(tmin)
     needed = "alpha0" if type_index == 0 else "alpha3"
-    if not certs[needed].verified:
+    if not base_certificates(tmin)[needed].verified:
         raise ChainError(f"root enclosure {needed} unavailable at tmin={tmin}")
     numerator, errors, unit, tail = _fixed_lines(type_index)
-
-    ch = _Chain()
-    # shared geometric facts about u = it+4, z = it-4, w = z/u
-    ch.require("w-circle gate |1-w| < 1", F(8) / (tmin - 4), F(1))
-    ch.require("|w|, |1/w| cap 1.09", 1 + F(8) / (tmin - 4), F("1.09"))
-    ch.require("|u|, |z| cap 1.04|t|", tmin + 4, UZ_CAP * tmin)
-    ch.lines += numerator
-    ch.require("|t|-4 floor 0.96|t|", T4_FLOOR * tmin, tmin - 4)
-    ch.require("|t|-12 floor 0.88|t|", T12_FLOOR * tmin, tmin - 12)
-    ch.require("small-root cap 0.02", 1 / tmin + ALPHA0_RADIUS / tmin ** 3, F("0.02"))
-    ch.lines += errors
-    ch.require("kappa at least 1", F(1), kappa_lo(tmin))
-    ch.lines += unit
-    if type_index == 3:
+    chain = (
+        # shared geometric facts about u = it+4, z = it-4, w = z/u
+        *lines(("w-circle gate |1-w| < 1", F(8) / (tmin - 4), F(1)),
+               ("|w|, |1/w| cap 1.09", 1 + F(8) / (tmin - 4), F("1.09")),
+               ("|u|, |z| cap 1.04|t|", tmin + 4, UZ_CAP * tmin)),
+        *numerator,
+        *lines(("|t|-4 floor 0.96|t|", T4_FLOOR * tmin, tmin - 4),
+               ("|t|-12 floor 0.88|t|", T12_FLOOR * tmin, tmin - 12),
+               ("small-root cap 0.02", 1 / tmin + ALPHA0_RADIUS / tmin ** 3, F("0.02"))),
+        *errors,
+        *lines(("kappa at least 1", F(1), kappa_lo(tmin))),
+        *unit,
         # |alpha3 - i| <= sqrt(2) + 2.16/|t| <= 1.44, squared
-        ch.require("distance to i cap 1.44", F(2), (I_DIST_CAP - ALPHA13_RADIUS / tmin) ** 2)
-    ch.lines += tail
+        *(lines(("distance to i cap 1.44", F(2), (I_DIST_CAP - ALPHA13_RADIUS / tmin) ** 2))
+          if type_index == 3 else ()),
+        *tail)
     return MeasureConstants(type_index=type_index, k0=K0[type_index], Q_coeff=Q_BASE,
                             l0_coeff=L0[type_index], E_div=E_DIV, qmin_coeff=QMIN[type_index],
-                            c_coeff=C_COEFF[type_index], lines=tuple(ch.lines))
+                            c_coeff=C_COEFF[type_index], lines=chain)
 
 
 # ---------------------------------------------------------------------------
@@ -208,30 +188,24 @@ def _log_constants() -> dict:
     """Run once per process: certify the tmin-free constants of beta, kappa
     and the contradiction bound, and enclose (width LN_WIDTH) the logs of the
     constants the corollary-eps gates use, keyed by the constant.  The
-    corollaries rest on both measure chains (c = 15.48 through 137.16, and
-    the Lettl bounds behind kappa), so these run here too, at |t| = 100:
-    every corollary threshold lies above 100, and the chains are monotone
-    in |t|.
-
-    |F_t| = prod |x - alpha_k y| <= 1 and |x - alpha_k y| >= |alpha_j - alpha_k||y|/2
-    for the closest root alpha_j need beta >= 8/(min_pairwise^2 min_to_alpha2),
-    checked at |t| = 100 as the separations grow with |t|.  kappa = (ln|t| +
-    1.08)/(ln|t| - 2.59) bounds the Lettl-Petho-Voutier exponent 1 + ln Q/ln E
-    with Q = 2.94|t|, E = |t|/13.27 only if 1.08 >= ln 2.94 and 2.59 >= ln 13.27;
+    corollaries rest on both measure chains (c = 15.48 through 137.16, and the
+    Lettl bounds behind kappa), so these run here too, at |t| = TMIN_FLOOR:
+    every corollary threshold lies above it, and the chains and the root
+    separations are monotone in |t|.  |F_t| = prod |x - alpha_k y| <= 1 with
+    |x - alpha_k y| >= |alpha_j - alpha_k||y|/2 for the closest root alpha_j
+    needs beta >= 8/(min_pairwise^2 min_to_alpha2).  kappa = (ln|t| + 1.08)/
+    (ln|t| - 2.59) bounds the Lettl-Petho-Voutier exponent 1 + ln Q/ln E with
+    Q = 2.94|t|, E = |t|/13.27 only if 1.08 >= ln 2.94 and 2.59 >= ln 13.27;
     the contradiction coefficient must dominate 8.86 * 15.48.  A failure
-    raises, and is not cached.
-    """
-    measure_constants(0, F(100))
-    measure_constants(3, F(100))
-    sep = root_separation(100)
-    if descent.BETA_COEFF * sep["min_pairwise"] ** 2 * sep["min_to_alpha2_coeff"] < 8:
-        raise ChainError(f"beta {descent.BETA_COEFF} < 8/(min_pairwise^2 * min_to_alpha2)")
-    if ln_enclosure(Q_BASE, LN_WIDTH).hi > exactnum.KAPPA_NUM_SHIFT:
-        raise ChainError(f"kappa shift {exactnum.KAPPA_NUM_SHIFT} is not >= ln 2.94")
-    if ln_enclosure(E_DIV, LN_WIDTH).hi > exactnum.KAPPA_DEN_SHIFT:
-        raise ChainError(f"kappa shift {exactnum.KAPPA_DEN_SHIFT} is not >= ln 13.27")
-    if CONTRADICTION_COEFF < descent.BETA_COEFF * C_COEFF[3]:
-        raise ChainError(f"contradiction coefficient {CONTRADICTION_COEFF} < 8.86 * 15.48")
+    raises, and is not cached."""
+    measure_constants(0, TMIN_FLOOR)
+    measure_constants(3, TMIN_FLOOR)
+    sep = root_separation(TMIN_FLOOR)
+    beta = descent.BETA_COEFF
+    lines(("beta 8.86", 8 / (sep["min_pairwise"] ** 2 * sep["min_to_alpha2_coeff"]), beta),
+          ("kappa shift 1.08", ln_enclosure(Q_BASE, LN_WIDTH).hi, exactnum.KAPPA_NUM_SHIFT),
+          ("kappa shift 2.59", ln_enclosure(E_DIV, LN_WIDTH).hi, exactnum.KAPPA_DEN_SHIFT),
+          ("contradiction coefficient 137.16", beta * C_COEFF[3], CONTRADICTION_COEFF))
     return {c: ln_enclosure(c, LN_WIDTH) for c in (F(4), descent.TYPE_THRESHOLD,
             descent.BETA_COEFF, CUBIC_ABSORB, C2_DIVISOR, CONTRADICTION_COEFF)}
 
@@ -248,7 +222,7 @@ def contradiction_upper_bound(tmin: Rat) -> Rat | None:
     return F(iroot(math.ceil(CONTRADICTION_COEFF ** 100) - 1, p) + 1)
 
 
-def theorem_assembly(tmin: Rat = F(100), kmax: int = 11) -> ProofReport:
+def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = 11) -> ProofReport:
     """Join every certificate into a verdict for |t| >= tmin.
 
     A failed sub-certificate never raises: it shows up as a failed gate and

@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import zpoly
-from .exactnum import Rat
+from .exactnum import TMIN_FLOOR, Rat
 from .series import QUARTIC, Series, horner, root_series
 
 
@@ -124,7 +124,7 @@ BASE_CERT_PARAMS = [
 ]
 
 
-def base_certificates(tmin: Rat = Fraction(100)) -> dict[str, EnclosureCert]:
+def base_certificates(tmin: Rat = TMIN_FLOOR) -> dict[str, EnclosureCert]:
     """The four low-order certificates at tmin, a fresh dict on each call."""
     return dict(_base_certificates(Fraction(tmin)))
 
@@ -147,7 +147,7 @@ def _series_center(s: Series) -> dict:
 HIGH_ORDER = {0: (Fraction(271) * 10 ** 14, 31), 3: (Fraction(984) * 10 ** 13, 30)}
 
 
-def certify_high_order(which: str, tmin: Rat = Fraction(100)) -> EnclosureCert:
+def certify_high_order(which: str, tmin: Rat = TMIN_FLOOR) -> EnclosureCert:
     """The two long-center certificates: B (root near 0, truncation 31)
     and B3 (root near 1, truncation 30)."""
     if which not in ("B", "B3"):
@@ -158,7 +158,7 @@ def certify_high_order(which: str, tmin: Rat = Fraction(100)) -> EnclosureCert:
                              radius_c, radius_exp, tmin)
 
 
-def root_separation(tmin: Rat = Fraction(100)) -> dict:
+def root_separation(tmin: Rat = TMIN_FLOOR) -> dict:
     """Certified distance bounds among the enclosed roots at |t| >= tmin:
     pairwise separation of the three small roots, distance from the large
     root to the others, and a lower bound on the root near 0."""

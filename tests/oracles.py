@@ -33,7 +33,7 @@ from thueq.hyperchi import (LETTL_E_BASE, LETTL_L0, LETTL_Q_BASE, chi_coeffs, ch
 from thueq.measure import (ABSORB_BASE, C_COEFF, C_PREFACTOR, E_DIV, ERR_BASE, ERR_FLOOR,
                            ERR_PREFACTOR, I_DIST_CAP, K0, KAPPA_WIDTH, L0, Q_BASE, QMIN,
                            T4_FLOOR, T12_FLOOR, UZ_CAP, ChainError, GateResult,
-                           MeasureConstants, _Chain)
+                           MeasureConstants)
 from thueq.quadfield import QuadInt, div_exact
 from thueq.rouche import (ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER, CertificationError,
                           EnclosureCert)
@@ -478,6 +478,18 @@ def certify_enclosure_oracle(center: dict, radius_c, radius_exp: int,
     return EnclosureCert(center, radius_c, radius_exp, tmin, margin > 0, margin)
 
 
+class _Recorder:
+    """The lines lhs <= rhs of one chain and their margins, one at a time."""
+
+    def __init__(self):
+        self.lines = []
+
+    def require(self, name: str, lhs, rhs) -> None:
+        if lhs > rhs:
+            raise ChainError(f"{name}: {lhs} > {rhs}")
+        self.lines.append((name, rhs - lhs))
+
+
 def measure_constants_oracle(type_index: int, tmin) -> MeasureConstants:
     """``measure.measure_constants`` with every line, its name and kappa
     re-derived at tmin, and the enclosure it needs from the oracle above."""
@@ -485,15 +497,14 @@ def measure_constants_oracle(type_index: int, tmin) -> MeasureConstants:
     tmin = F(tmin)
     if type_index not in (0, 3):
         raise ValueError("type_index must be 0 or 3")
-    if tmin < 100:
-        raise ChainError("chain is only certified for tmin >= 100")
+    _Recorder().require("tmin floor 100", F(100), tmin)
     measure._tmin_free_checks()
     needed = "alpha0" if type_index == 0 else "alpha3"
     _, center, c, k = next(x for x in rouche.BASE_CERT_PARAMS if x[0] == needed)
     if not certify_enclosure_oracle(center, c, k, tmin).verified:
         raise ChainError(f"root enclosure {needed} unavailable at tmin={tmin}")
 
-    ch = _Chain()
+    ch = _Recorder()
     ch.require("w-circle gate |1-w| < 1", F(8) / (tmin - 4), F(1))
     ch.require("|w|, |1/w| cap 1.09", 1 + F(8) / (tmin - 4), F("1.09"))
     ch.require("|u|, |z| cap 1.04|t|", tmin + 4, UZ_CAP * tmin)

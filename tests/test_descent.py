@@ -7,15 +7,15 @@ from oracles import (nonvanish_margin_oracle, nonvanish_poly_oracle, outcome,
                      run_step_oracle)
 
 from thueq import descent
-from thueq.exactnum import round_nearest_sig
+from thueq.exactnum import ChainError, round_nearest_sig
 from thueq.descent import (
     KMAX,
     KSTART,
+    first_c0,
     run_descent,
     run_step,
-    step1,
-    step2_type0,
 )
+from thueq.measure import theorem_assembly
 from thueq.series import GaussRat, TPoly
 
 # rounded per-step constants of the two chains at |t| >= 100; each value may
@@ -57,13 +57,15 @@ def _ulp4(x: F) -> F:
 
 
 def test_step1_coefficients():
-    assert step1(0) == F("2.67")
-    assert step1(3) == 1 / F("2.27")
-    assert step1(3) > F("0.44")
+    # |y| > 2.67|t| (type 0) and |y| > |t|/2.27 > 0.44|t| (type 3), as lines
+    assert dict(descent._first_fixed(0))["step-1 coefficient 2.67"] == 3 / F("1.12") - F("2.67")
+    assert first_c0(3) == F("2.27")
+    assert 1 / first_c0(3) > F("0.44")
+    assert dict(descent._first_fixed(3))["relative floor 0.44"] == 1 / F("2.27") - F("0.44")
 
 
 def test_step2_type0():
-    assert step2_type0() == F("5.02")
+    assert first_c0(0) == F("5.02")
 
 
 def test_chain_type0_matches_table(descent_chain_0):
@@ -131,8 +133,8 @@ def test_run_step_rejects_bad_indices():
 
 
 def test_larger_tmin_gives_smaller_constants():
-    a = run_step(3, 2, 1 / step1(3, F(100)), F(100))
-    b = run_step(3, 2, 1 / step1(3, F(200)), F(200))
+    a = run_step(3, 2, first_c0(3, F(100)), F(100))
+    b = run_step(3, 2, first_c0(3, F(200)), F(200))
     assert b.c_exact < a.c_exact
 
 
@@ -159,24 +161,67 @@ def test_star_bounds():
         star_bounds(F(1), F(50))
 
 
-def test_step1_fixed_checks_run_once_per_type(monkeypatch):
-    descent._step1_fixed.cache_clear()
+def test_first_fixed_checks_run_once_per_type(monkeypatch):
+    descent._first_fixed.cache_clear()
     try:
         for tmin in (F(100), F(12345)):
             run_descent(0, tmin=tmin)
             run_descent(3, tmin=tmin)
-        info = descent._step1_fixed.cache_info()
+        info = descent._first_fixed.cache_info()
         assert (info.misses, info.currsize) == (2, 2)
-        # 1/2.27 > 0.45 is false: the failure raises on every call, uncached
-        descent._step1_fixed.cache_clear()
+        # 0.45 <= 1/2.27 is false: the failure raises on every call, uncached
+        descent._first_fixed.cache_clear()
         monkeypatch.setattr(descent, "STEP1_RELATIVE_FLOOR", F("0.45"))
         for _ in range(2):
-            with pytest.raises(descent.DerivationError, match="relative bound below 0.44"):
+            with pytest.raises(ChainError, match="relative floor 0.44"):
                 run_descent(3, tmin=F(100))
-        assert descent._step1_fixed.cache_info().currsize == 0
-        assert step1(0) == F("2.67")
+        assert descent._first_fixed.cache_info().currsize == 0
+        assert first_c0(0) == F("5.02")
     finally:
-        descent._step1_fixed.cache_clear()
+        descent._first_fixed.cache_clear()
+
+
+# each first-step constant moved just past its line: (name, value, type, line)
+FIRST_STEP_FAILURES = [
+    ("ABSORB_CAP", F("0.1"), 3, "absorption cap 0.11"),  # 8.86/81 = 0.1094
+    ("STEP1_COEFF", F("2.68"), 0, "step-1 coefficient 2.67"),  # 3/1.12 = 2.6786
+    ("ALPHA0_MODULUS", F("1.0005"), 0, "root modulus 1.01"),  # 1 + 5.01/100^2
+    ("STEP1_DIVISOR", F("2.26"), 3, "step-1 divisor 2.27"),  # 2.16 + 0.11
+    ("STEP1_RELATIVE_FLOOR", F("0.45"), 3, "relative floor 0.44"),  # 1/2.27 = 0.4405
+    ("STEP2_DIVISOR", F("5.01"), 0, "step-2 divisor 5.02"),  # 5.01 + 8.86/267^4 * 100^2
+]
+
+
+@pytest.mark.parametrize("name, wrong, type_index, line", FIRST_STEP_FAILURES)
+def test_each_first_step_line_fails_alone(monkeypatch, name, wrong, type_index, line):
+    fixed = line in dict(descent._first_fixed(type_index))
+    descent._first_fixed.cache_clear()
+    monkeypatch.setattr(descent, name, wrong)
+    try:
+        for _ in range(2):
+            with pytest.raises(ChainError, match=f"^{line}: "):
+                first_c0(type_index)
+        # a failed tmin-free line leaves no entry; a tmin line fails after them
+        assert descent._first_fixed.cache_info().currsize == (0 if fixed else 1)
+        rep = theorem_assembly(F(100))
+    finally:
+        monkeypatch.undo()
+        descent._first_fixed.cache_clear()
+    assert rep.verdict == "inconclusive"
+    failed = {g.name: g.detail for g in rep.all_gates if not g.ok}
+    assert set(failed) == {"descent lower bounds"}
+    assert failed["descent lower bounds"].startswith(f"ChainError: {line}: ")
+    assert theorem_assembly(F(100)).verdict == "proven"
+
+
+def test_the_floor_is_one_line_of_the_first_steps():
+    for ti in KSTART:
+        for tmin in (F(99), F(19999, 200), F(0)):
+            with pytest.raises(ChainError, match=f"^tmin floor 100: 100 > {tmin}$"):
+                first_c0(ti, tmin)
+        assert first_c0(ti, F(100)) == first_c0(ti)
+    with pytest.raises(ValueError):
+        first_c0(1)
 
 
 def test_step_algebra_built_once(monkeypatch):
@@ -225,7 +270,7 @@ def test_nonvanish_poly_matches_the_gaussian_rational_expression():
 
 def test_nonvanish_margins_match_the_per_term_sum():
     for tmin in (F(100), F(101), F(12345, 7), F(10**6), F(10**30)):
-        for ti, c0 in ((0, step2_type0(tmin)), (3, 1 / step1(3, tmin))):
+        for ti, c0 in ((0, first_c0(0, tmin)), (3, first_c0(3, tmin))):
             for rec in run_descent(ti, tmin=tmin):
                 P = descent._nonvanish_poly(rec.pade, rec.k)
                 assert rec.nonvanish_margin == nonvanish_margin_oracle(P, c0, rec.c3, tmin)
@@ -265,7 +310,7 @@ def test_run_step_equals_the_fraction_oracle(step, tmin, c0):
 @pytest.mark.parametrize("tmin", [F(100), F(12345, 7), F(10**300), F(10**300 + 1, 3)])
 def test_every_chain_step_equals_the_fraction_oracle(tmin):
     for ti in KSTART:
-        c0 = step2_type0(tmin) if ti == 0 else 1 / step1(3, tmin)
+        c0 = first_c0(ti, tmin)
         for rec in run_descent(ti, tmin=tmin):
             want = run_step_oracle(ti, rec.k, c0, tmin)
             for field in rec._fields:

@@ -450,6 +450,34 @@ def test_a_gaussian_parameter_climbs_to_the_next_rung(monkeypatch):
     assert radii == [F(1, 1 << 64), F(1, 1 << 128)] * 2
 
 
+def _below_the_top_rung() -> list[QuadInt]:
+    """Seeded exact parameters with |t| < 2^126: t = 100i, 37 - 512i, 4i (a
+    double root at i), a rational t in d = 7 and Gaussian t up to 10^37."""
+    rng = random.Random(29)
+    ts = [QuadInt(1, 0, 100), QuadInt(1, 37, -512), QuadInt(1, 0, 4), QuadInt(7, -101, 0)]
+    for e in (1, 2, 9, 19, 37):
+        ts.append(QuadInt(1, rng.randint(-10 ** e, 10 ** e), rng.randint(1, 10 ** e)))
+    return ts
+
+
+def test_a_gaussian_parameter_below_2_126_skips_the_top_rung(monkeypatch):
+    rng, radii, real = random.Random(31), [], dioph._root_balls
+    for t in _below_the_top_rung():
+        assert t.abs_sq() < 1 << 252 and _t_exact(t)[1] is None
+        # the premise: the rung that classify_type skips cannot certify
+        with pytest.raises(TieError, match="did not reach the requested radius"):
+            real(_t_complex(t), *_t_exact(t), F(1, 1 << 256))
+        # near each root, and (x, 0), which ties at every rung tried
+        for x, y in _pairs_near_roots(rng, t)[:4] + [(QuadInt(t.d, 3, 1), QuadInt(t.d, 0, 0))]:
+            assert outcome(classify_type, t, x, y) == outcome(classify_type_oracle, t, x, y)
+    monkeypatch.setattr(dioph, "_root_balls", lambda *args: radii.append(args[-1]) or real(*args))
+    for t in (QuadInt(1, 5, (1 << 126) - 1), QuadInt(1, 0, 1 << 126)):
+        with pytest.raises(TieError):
+            classify_type(t, QuadInt(1, 3, 1), QuadInt(1, 0, 0))
+    assert radii == [F(1, 1 << 64), F(1, 1 << 128), F(1, 1 << 64), F(1, 1 << 128),
+                     F(1, 1 << 256)]
+
+
 def _counting_root_ball(monkeypatch) -> list:
     calls = []
     real = dioph.root_ball

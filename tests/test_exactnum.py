@@ -4,15 +4,19 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thueq import exactnum
+from thueq import exactnum, measure
 from thueq.exactnum import (
     GRID_BITS,
+    TMIN_FLOOR,
+    ChainError,
     ComplexBall,
     DomainError,
     RatInterval,
     UndefinedKappaError,
+    floor_line,
     iroot,
     kappa,
+    lines,
     ln_enclosure,
     round_nearest_sig,
     round_up_grid,
@@ -414,3 +418,23 @@ def test_round_up_sig_on_powers_of_ten_and_their_neighbours():
         except DomainError as exc:
             want = str(exc)
         assert got == want
+
+
+def test_lines_record_exact_margins_and_name_the_first_failure():
+    assert lines() == ()
+    assert lines(("a", F(1, 3), F(1, 2)), ("b", 2, 2), ("c", F(-7), F(10**40, 3))) == (
+        ("a", F(1, 6)), ("b", 0), ("c", F(10**40 + 21, 3)))
+    # b and c both fail: the error names b, with both sides exact, on every call
+    for _ in range(2):
+        with pytest.raises(ChainError, match=r"^b: 7/3 > 2$") as info:
+            lines(("a", 0, 1), ("b", F(7, 3), 2), ("c", 5, 4))
+        assert type(info.value) is ChainError and isinstance(info.value, ArithmeticError)
+    assert measure.ChainError is ChainError
+
+
+def test_the_floor_line():
+    assert floor_line(F(12345, 7)) == ("tmin floor 100", TMIN_FLOOR, F(12345, 7))
+    assert lines(floor_line(TMIN_FLOOR)) == (("tmin floor 100", 0),)
+    for tmin, text in ((F(99), "99"), (F(19999, 200), "19999/200"), (F(0), "0")):
+        with pytest.raises(ChainError, match=f"^tmin floor 100: 100 > {text}$"):
+            lines(floor_line(tmin))

@@ -377,6 +377,12 @@ def test_descent_gate_requires_the_high_order_enclosures(monkeypatch):
     assert "high-order enclosure B " in failed["descent lower bounds"]
 
 
+# the line of _log_constants that certifies each constant
+LOG_CONSTANT_LINES = {"KAPPA_NUM_SHIFT": "kappa shift 1.08", "KAPPA_DEN_SHIFT": "kappa shift 2.59",
+                      "CONTRADICTION_COEFF": "contradiction coefficient 137.16",
+                      "BETA_COEFF": "beta 8.86"}
+
+
 @pytest.mark.parametrize("module, name, wrong", [
     (exactnum, "KAPPA_NUM_SHIFT", F("1.07")),   # ln 2.94 = 1.0784...
     (exactnum, "KAPPA_DEN_SHIFT", F("2.58")),   # ln 13.27 = 2.5855...
@@ -398,6 +404,8 @@ def test_kappa_shifts_and_contradiction_coeff_are_certified(monkeypatch, module,
     failed = {g.name: g.detail for g in rep.all_gates if not g.ok}
     assert set(failed) == {"measure constant chains"}
     assert str(wrong) in failed["measure constant chains"]
+    line = LOG_CONSTANT_LINES[name]
+    assert failed["measure constant chains"].startswith(f"ChainError: {line}: ")
 
 
 def test_log_constants_run_once_per_process(monkeypatch):
