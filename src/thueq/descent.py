@@ -10,8 +10,8 @@ from functools import lru_cache
 from itertools import accumulate
 
 from . import zpoly
-from .exactnum import TMIN_FLOOR, Rat, floor_line, lines, round_up_sig
-from .rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER
+from .exactnum import TMIN_FLOOR, ChainError, Rat, floor_line, lines, round_up_sig
+from .rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER, require
 from .series import QUARTIC, PadePair, horner, pade, pade_residual, root_series, tail_ints
 
 BETA_COEFF = Fraction("8.86")          # |x - alpha y| < 8.86/(|t| |y|^3)
@@ -25,10 +25,6 @@ ABSORB_CAP = Fraction("0.11")          # 8.86/|y|^4 <= 0.11 for |y| >= 3
 ALPHA0_MODULUS = Fraction("1.01")      # |alpha0| <= 1.01/|t|
 KSTART = {0: 3, 3: 2}  # first Pade step of each chain
 KMAX = 11              # the root series support steps up to k = 11
-
-
-class NonVanishingError(ArithmeticError):
-    pass
 
 
 StepRecord = namedtuple("StepRecord", "type_index k c1 c2 c3 c_exact c_out "
@@ -57,9 +53,11 @@ def first_c0(type_index: int, tmin: Rat = TMIN_FLOOR) -> Rat:
     from: |t|^2/5.02 after the type-0 steps |y| > 2.67|t| and |y| > |t|^2/5.02
     (the vanishing case tx + y = 0 excluded via x^4 (1 - 5t^2) = mu), or
     |t|/2.27 after the type-3 step.  Every line is checked at tmin (the
-    tmin-free ones once per process), with min{|x|,|y|} >= 3 assumed."""
+    tmin-free ones once per process), with min{|x|,|y|} >= 3 assumed, on the
+    enclosure of the root the chain starts from: alpha0's or alpha3's."""
     tmin = Fraction(tmin)
     lines(floor_line(tmin))
+    require(tmin, "alpha3" if type_index == 3 else "alpha0")
     _first_fixed(type_index)
     if type_index == 3:
         return STEP1_DIVISOR
@@ -86,7 +84,7 @@ def _nonvanish_poly(pair: PadePair, k: int) -> tuple[int, ...]:
     X = _reversed_ints(pair.U, k - 1)
     Y = _reversed_ints(pair.V, k - 1)
     if Y[-1] == 0:
-        raise NonVanishingError("denominator polynomial degree dropped")
+        raise ChainError("denominator polynomial degree dropped")
     cols = list(zip(*QUARTIC))  # (A_j, B_j): the coefficient of X^j, in t
     ypow = list(accumulate([Y] * (len(cols) - 1), zpoly.mul, initial=[1]))
     P = list(cols[-1])
@@ -95,7 +93,7 @@ def _nonvanish_poly(pair: PadePair, k: int) -> tuple[int, ...]:
     while P and P[-1] == 0:
         P.pop()
     if len(P) - 1 != 2 * k - 2:
-        raise NonVanishingError(f"P has degree {len(P) - 1}, expected {2 * k - 2}")
+        raise ChainError(f"P has degree {len(P) - 1}, expected {2 * k - 2}")
     return tuple(P)
 
 
@@ -143,7 +141,7 @@ def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = TMIN_FLOOR) -> StepRe
     # L tmin^m1 / (c0^4 c3^4) - 1 for the lower bound L = nl / p^m1 of |P(t)| / t^m1
     nl, den = horner(low, p, q)[0], q ** m1 * a0 * n3 ** 4
     if nl <= 0:
-        raise NonVanishingError("no positive lower bound for |P(t)|")
+        raise ChainError("no positive lower bound for |P(t)|")
     margin = Fraction(nl * b0 * d3 ** 4 - den, den)
     return StepRecord(
         type_index=type_index, k=k,
@@ -154,14 +152,16 @@ def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = TMIN_FLOOR) -> StepRe
 
 def run_descent(type_index: int, kmax: int = KMAX,
                 tmin: Rat = TMIN_FLOOR) -> list[StepRecord]:
-    """Chain the steps from first_c0, feeding each c_out into the next step's c0."""
+    """Chain the steps from first_c0, feeding each c_out into the next step's
+    c0; every step reads the high-order enclosure of its type, B or B3."""
     c0, kstart, records = first_c0(type_index, tmin), KSTART[type_index], []
+    require(tmin, "B3" if type_index == 3 else "B")
     if not kstart <= kmax <= KMAX:
         raise ValueError(f"kmax must be in [{kstart}, {KMAX}] for type {type_index}")
     for k in range(kstart, kmax + 1):
         rec = run_step(type_index, k, c0, tmin)
         if not rec.nonvanish_ok:
-            raise NonVanishingError(f"chain halted at k={k}")
+            raise ChainError(f"chain halted at k={k}")
         records.append(rec)
         c0 = rec.c_out
     return records

@@ -13,7 +13,8 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from . import zpoly
-from .exactnum import GRID_BITS, ComplexBall, Rat, gauss_over, sqrt_bounds, sqrt_grid
+from .exactnum import (GRID_BITS, ChainError, ComplexBall, Rat, gauss_over, sqrt_bounds,
+                       sqrt_grid)
 from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded, norm,
                         pairs_with_norm_in, ring, roots_of_unity)
 from .series import QUARTIC, GaussRat, horner
@@ -163,7 +164,7 @@ def _checked_solution(d: int, t: tuple, x: tuple, y: tuple, mu: QuadInt) -> Solu
              ((x, x, x, x), (t, x, x, x, y), (x, x, y, y), (t, x, y, y, y), (y, y, y, y))]
     value = tuple(sum(c * p[i] for c, p in zip((1, -1, -6, 1, 1), terms)) for i in (0, 1))
     if value != (mu.a, mu.b):
-        raise ArithmeticError(f"F_t(x, y) != mu at t={t}, x={x}, y={y} in d={d}")
+        raise ChainError(f"F_t(x, y) != mu at t={t}, x={x}, y={y} in d={d}")
     return Solution(d, QuadInt(d, *t), QuadInt(d, *x), QuadInt(d, *y), mu)
 
 
@@ -443,12 +444,13 @@ def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
     # an irrational parameter tries 2^-64 only: the 2^-128 ball grid on its
     # t-coefficients, times |t|^3 ~ |f'| at the large root, stalls that root's
     # radius near 2^-127 whatever |t| and the precision of sqrt(d).  A t in Z[i]
-    # tries 2^-256 only for |t| >= 2^126: a ball's radius is 2 en/ed with ed <=
-    # 2^128 |f'(x)| and en >= 1 (f_t has a root in Q(i) only at t = +-4i, the
-    # double root +-i, where ed <= 0), so 2^-256 needs |f'(x)| >= 2^129; the
-    # roots' moduli multiply to 1, and about one of modulus <= 1, |x| <= 1 +
-    # 2^-256 gives |f'(x)| <= 4|x|^3 + 3|t||x|^2 + 12|x| + |t| < 4|t| + 17 < 2^129.
-    rungs = (64, 128, 256) if t.abs_sq() >= 1 << 252 else (64, 128)
+    # tries 2^-256 only for |t| >= 2^129 - 1: a ball's radius is 2 en/ed with
+    # ed <= 2^128 |f'(x)| and en >= 1 (f_t has a root in Q(i) only at t = +-4i,
+    # the double root +-i, where ed <= 0), so 2^-256 needs |f'(x)| >= 2^129 at
+    # every root.  At alpha0 it fails for |t| < 2^129 - 1: the Rouche enclosure
+    # |alpha0 + 1/t| <= 5.01/|t|^3 (|t| >= 100) puts x within 5.02/|t|^3 of -1/t,
+    # so |x| < 1.01/|t| and |f'(x)| <= |t| + 3|t||x|^2 + 12|x| + 4|x|^3 < |t| + 1.
+    rungs = (64, 128, 256) if t.abs_sq() >= ((1 << 129) - 1) ** 2 else (64, 128)
     for bits in rungs if t_irrational is None else (64,):
         try:
             _, roots = _root_balls(tc, t_gauss, t_irrational, Fraction(1, 1 << bits))

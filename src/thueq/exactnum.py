@@ -28,7 +28,8 @@ class UndefinedKappaError(ValueError):
 
 
 class ChainError(ArithmeticError):
-    """A named inequality line failed; the message identifies the line."""
+    """A certified check failed: a named inequality line, a root enclosure or
+    an identity; the message names it."""
 
 
 TMIN_FLOOR = Fraction(100)  # the least |t| the tmin chains certify, and the default tmin

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-Rat = Fraction
+from .exactnum import ChainError, Rat
 
 # the Lettl growth constants, certified by verify_lettl
 LETTL_K0, LETTL_Q_BASE = Fraction("3.32"), Fraction("1.35")
@@ -23,33 +23,25 @@ LETTL_L0, LETTL_E_BASE = Fraction("1.6"), Fraction("10.7")
 DenomData = namedtuple("DenomData", "r delta n_gcd cleared")
 
 
-class LettlBoundViolation(ArithmeticError):
-    pass
-
-
-@lru_cache(maxsize=None)
-def chi_coeffs(r: int) -> tuple:
-    """Coefficient of X^k is (-r)_k (-r-1/4)_k / ((3/4)_k k!), from integer
-    running products of the term ratio (k-r)(4k-4r-1) / ((4k+3)(k+1))."""
-    out = [Fraction(1)]
-    num = den = 1
-    for k in range(r):
-        num *= (k - r) * (4 * k - 4 * r - 1)
-        den *= (4 * k + 3) * (k + 1)
-        out.append(Fraction(num, den))
-    return tuple(out)
-
-
 def chi_ints(r: int) -> tuple[list[int], int]:
     """The numerators of chi_r = sum_k n_k X^k / delta, and delta, their common
-    denominator: the running products of chi_coeffs taken over the full
-    denominator D = prod_{k<r} (4k+3)(k+1), then divided by their one gcd."""
+    denominator.  The coefficient of X^k is (-r)_k (-r-1/4)_k / ((3/4)_k k!),
+    the running product of the term ratio (k-r)(4k-4r-1) / ((4k+3)(k+1)):
+    the products are taken over the full denominator D = prod_{k<r} (4k+3)(k+1),
+    then divided by their one gcd."""
     # num_k = prod_{j<k} (j-r)(4j-4r-1), and D / den_k = prod_{k<=j<r} (4j+3)(j+1)
     heads = accumulate(((k - r) * (4 * k - 4 * r - 1) for k in range(r)), mul, initial=1)
     tails = [*accumulate(((4 * k + 3) * (k + 1) for k in reversed(range(r))), mul, initial=1)]
     raw = [h * t for h, t in zip(heads, reversed(tails))]
     g = math.gcd(*raw)  # divides raw[0] = D, so delta = D / g is the least denominator
     return [n // g for n in raw], tails[-1] // g
+
+
+@lru_cache(maxsize=None)
+def chi_coeffs(r: int) -> tuple:
+    """The coefficients of chi_r, from X^0 up, as fractions: a view of chi_ints."""
+    nums, delta = chi_ints(r)
+    return tuple(Fraction(n, delta) for n in nums)
 
 
 @lru_cache(maxsize=None)
@@ -64,7 +56,7 @@ def denom_data(r: int) -> DenomData:
     if nums[0] != delta or any(
             nums[k + 1] * (4 * k + 3) * (k + 1) != nums[k] * (k - r) * (4 * k - 4 * r - 1)
             for k in range(r)):
-        raise ArithmeticError(f"delta does not clear chi_{r}")
+        raise ChainError(f"delta does not clear chi_{r}")
     # p(X + 1) by synthetic division, its X^j coefficient p^(j)(1)/j!: pass i
     # replaces each coefficient from X^i up by the sum of those at or above it
     shifted = list(nums)
@@ -74,7 +66,7 @@ def denom_data(r: int) -> DenomData:
     n_gcd = math.gcd(*acc)
     cleared = tuple(n // n_gcd for n in acc)
     if math.gcd(*cleared) != 1:
-        raise ArithmeticError(f"cleared chi_{r}(1 - 8X) is not primitive")
+        raise ChainError(f"cleared chi_{r}(1 - 8X) is not primitive")
     return DenomData(r, delta, n_gcd, cleared)
 
 
@@ -101,6 +93,6 @@ def verify_lettl(rmax: int) -> list[dict]:
         lhs2 = 2 ** (4 * r + 3) * ratio * gamma_ratio_g2(r)
         rhs2 = LETTL_L0 * LETTL_E_BASE ** r
         if lhs1 >= rhs1 or lhs2 >= rhs2:
-            raise LettlBoundViolation(f"bound fails at r={r}")
+            raise ChainError(f"bound fails at r={r}")
         rows.append({"r": r, "margin1": rhs1 - lhs1, "margin2": rhs2 - lhs2})
     return rows

@@ -18,8 +18,7 @@ from . import descent, exactnum
 from .exactnum import (TMIN_FLOOR, ChainError, Rat, UndefinedKappaError, floor_line, iroot,
                        kappa, lines, ln_enclosure, round_up_sig, sig_str)
 from .hyperchi import LETTL_E_BASE, LETTL_K0, LETTL_L0, LETTL_Q_BASE
-from .rouche import (ALPHA0_RADIUS, ALPHA2_RADIUS, ALPHA13_RADIUS, base_certificates,
-                     root_separation)
+from .rouche import ALPHA0_RADIUS, ALPHA2_RADIUS, ALPHA13_RADIUS, require, root_separation
 
 F = Fraction
 
@@ -41,6 +40,10 @@ QMIN = {0: F("0.28"), 3: F("0.14")}
 # |u|, |z| <= 1.04|t|, |t|-4 >= 0.96|t|, |t|-12 >= 0.88|t|, |alpha3 - i| <= 1.44
 UZ_CAP, T4_FLOOR, T12_FLOOR, I_DIST_CAP = F("1.04"), F("0.96"), F("0.88"), F("1.44")
 ERR_FLOOR, ERR_PREFACTOR, ERR_BASE = F("1.02"), F("1.14"), F("1.24")
+CONTRADICTION_COEFF = F("137.16")  # >= 8.86 * 15.48 = 137.1528
+C2_DIVISOR = F("0.31")    # 443 >= 8.86 * 15.48 / 0.31; base 137.16 / 0.31^(2-eps)
+CUBIC_ABSORB = F("0.33")  # 8.86 / |t|^(1/2 + eps/4) <= 0.33
+LN_WIDTH = F(1, 10 ** 6)
 
 
 # lines: (name, margin) pairs, all margins >= 0
@@ -70,16 +73,30 @@ def kappa_lo(t_abs: Rat) -> Rat:
 @lru_cache(maxsize=None)
 def _tmin_free_checks() -> bool:
     """The checks behind every constant chain that do not depend on tmin,
-    run once per process: the Lettl growth bounds for 1 <= r <= RMAX and
-    the fourth-root identity of both root types.  A failure raises, and is
-    not cached."""
+    run once per process: the Lettl growth bounds for 1 <= r <= RMAX, the
+    fourth-root identity of both root types, and the constants of beta,
+    kappa and the contradiction bound, at |t| = TMIN_FLOOR where a bound
+    reads the root separations, which are monotone in |t|.
+    |F_t| = prod |x - alpha_k y| <= 1 with |x - alpha_k y| >= |alpha_j -
+    alpha_k||y|/2 for the closest root alpha_j needs beta >= 8/(min_pairwise^2
+    min_to_alpha2).  kappa = (ln|t| + 1.08)/(ln|t| - 2.59) bounds the
+    Lettl-Petho-Voutier exponent 1 + ln Q/ln E with Q = 2.94|t|, E =
+    |t|/13.27 only if 1.08 >= ln 2.94 and 2.59 >= ln 13.27; the
+    contradiction coefficient must dominate 8.86 * 15.48.  A failure
+    raises, and is not cached."""
     from .hyperchi import verify_lettl
     from .series import quotient_root_check
 
     verify_lettl(RMAX)
-    for which in ("type0", "type3"):
-        if not quotient_root_check(which):
-            raise ChainError(f"{which} fourth-root expression is not a root of the quartic")
+    for ti in (0, 3):
+        if not quotient_root_check(ti):
+            raise ChainError(f"type{ti} fourth-root expression is not a root of the quartic")
+    sep = root_separation(TMIN_FLOOR)
+    beta = descent.BETA_COEFF
+    lines(("beta 8.86", 8 / (sep["min_pairwise"] ** 2 * sep["min_to_alpha2_coeff"]), beta),
+          ("kappa shift 1.08", ln_enclosure(Q_BASE, LN_WIDTH).hi, exactnum.KAPPA_NUM_SHIFT),
+          ("kappa shift 2.59", ln_enclosure(E_DIV, LN_WIDTH).hi, exactnum.KAPPA_DEN_SHIFT),
+          ("contradiction coefficient 137.16", beta * C_COEFF[3], CONTRADICTION_COEFF))
     return True
 
 
@@ -121,10 +138,9 @@ def measure_constants(type_index: int, tmin: Rat = TMIN_FLOOR) -> MeasureConstan
     if type_index not in (0, 3):
         raise ValueError("type_index must be 0 or 3")
     lines(floor_line(tmin))
+    # the small-root cap reads alpha0's radius, type 3's distance to i alpha3's
+    require(tmin, *(("alpha0",) if type_index == 0 else ("alpha0", "alpha3")))
     _tmin_free_checks()
-    needed = "alpha0" if type_index == 0 else "alpha3"
-    if not base_certificates(tmin)[needed].verified:
-        raise ChainError(f"root enclosure {needed} unavailable at tmin={tmin}")
     numerator, errors, unit, tail = _fixed_lines(type_index)
     chain = (
         # shared geometric facts about u = it+4, z = it-4, w = z/u
@@ -177,39 +193,6 @@ def _kappa_coarse(t_abs: Rat, decimals: int = 2) -> Rat:
 # ---------------------------------------------------------------------------
 # theorem assembly
 
-CONTRADICTION_COEFF = F("137.16")  # >= 8.86 * 15.48 = 137.1528
-C2_DIVISOR = F("0.31")    # 443 >= 8.86 * 15.48 / 0.31; base 137.16 / 0.31^(2-eps)
-CUBIC_ABSORB = F("0.33")  # 8.86 / |t|^(1/2 + eps/4) <= 0.33
-LN_WIDTH = F(1, 10 ** 6)
-
-
-@lru_cache(maxsize=None)
-def _log_constants() -> dict:
-    """Run once per process: certify the tmin-free constants of beta, kappa
-    and the contradiction bound, and enclose (width LN_WIDTH) the logs of the
-    constants the corollary-eps gates use, keyed by the constant.  The
-    corollaries rest on both measure chains (c = 15.48 through 137.16, and the
-    Lettl bounds behind kappa), so these run here too, at |t| = TMIN_FLOOR:
-    every corollary threshold lies above it, and the chains and the root
-    separations are monotone in |t|.  |F_t| = prod |x - alpha_k y| <= 1 with
-    |x - alpha_k y| >= |alpha_j - alpha_k||y|/2 for the closest root alpha_j
-    needs beta >= 8/(min_pairwise^2 min_to_alpha2).  kappa = (ln|t| + 1.08)/
-    (ln|t| - 2.59) bounds the Lettl-Petho-Voutier exponent 1 + ln Q/ln E with
-    Q = 2.94|t|, E = |t|/13.27 only if 1.08 >= ln 2.94 and 2.59 >= ln 13.27;
-    the contradiction coefficient must dominate 8.86 * 15.48.  A failure
-    raises, and is not cached."""
-    measure_constants(0, TMIN_FLOOR)
-    measure_constants(3, TMIN_FLOOR)
-    sep = root_separation(TMIN_FLOOR)
-    beta = descent.BETA_COEFF
-    lines(("beta 8.86", 8 / (sep["min_pairwise"] ** 2 * sep["min_to_alpha2_coeff"]), beta),
-          ("kappa shift 1.08", ln_enclosure(Q_BASE, LN_WIDTH).hi, exactnum.KAPPA_NUM_SHIFT),
-          ("kappa shift 2.59", ln_enclosure(E_DIV, LN_WIDTH).hi, exactnum.KAPPA_DEN_SHIFT),
-          ("contradiction coefficient 137.16", beta * C_COEFF[3], CONTRADICTION_COEFF))
-    return {c: ln_enclosure(c, LN_WIDTH) for c in (F(4), descent.TYPE_THRESHOLD,
-            descent.BETA_COEFF, CUBIC_ABSORB, C2_DIVISOR, CONTRADICTION_COEFF)}
-
-
 def contradiction_upper_bound(tmin: Rat) -> Rat | None:
     """Least integer X with X^(3 - kappa) >= 137.16, kappa rounded up to
     two decimals; any solution would satisfy |y| < X."""
@@ -229,7 +212,6 @@ def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = 11) -> ProofReport:
     an inconclusive verdict with a diagnostic string.
     """
     from .dioph import irreducibility_exceptions, small_solution_search
-    from .rouche import certify_high_order
 
     tmin = F(tmin)
     gates = []
@@ -253,9 +235,6 @@ def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = 11) -> ProofReport:
         return sols == [], f"{len(sols)} non-trivial small solutions"
 
     def g_types():
-        certs = base_certificates(tmin)
-        if not all(c.verified for c in certs.values()):
-            return False, "root enclosures unavailable"
         sep = root_separation(tmin)
         drift = max(1 / tmin + ALPHA0_RADIUS / tmin ** 3,
                     ALPHA13_RADIUS / tmin, ALPHA2_RADIUS / tmin)
@@ -268,16 +247,11 @@ def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = 11) -> ProofReport:
         for ti in (0, 3):
             recs = descent.run_descent(ti, kmax=kmax, tmin=tmin)
             descent_lower[ti] = tmin ** recs[-1].k / recs[-1].c_out
-        # every step consumes the high-order root enclosures B and B3
-        for which in ("B", "B3"):
-            if not certify_high_order(which, tmin).verified:
-                return False, f"high-order enclosure {which} unverified at tmin={tmin}"
         return True, "both descent chains completed"
 
     def g_measure():
         measure_constants(0, tmin)
         measure_constants(3, tmin)
-        _log_constants()
         return True, "both constant chains verified"
 
     k_hi = None
@@ -312,6 +286,20 @@ def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = 11) -> ProofReport:
 
 LIN_T0_FLOOR = 524
 LIN_COEFF = F(443)
+
+
+@lru_cache(maxsize=None)
+def _log_constants() -> dict:
+    """Run once per process: enclose (width LN_WIDTH) the logs of the
+    constants the corollary-eps gates use, keyed by the constant.  The
+    corollaries rest on both measure chains (c = 15.48 through 137.16, and
+    the Lettl bounds behind kappa), so these run first, at |t| = TMIN_FLOOR:
+    every corollary threshold lies above it, and the chains are monotone in
+    |t|.  A failure raises, and is not cached."""
+    measure_constants(0, TMIN_FLOOR)
+    measure_constants(3, TMIN_FLOOR)
+    return {c: ln_enclosure(c, LN_WIDTH) for c in (F(4), descent.TYPE_THRESHOLD,
+            descent.BETA_COEFF, CUBIC_ABSORB, C2_DIVISOR, CONTRADICTION_COEFF)}
 
 
 def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:

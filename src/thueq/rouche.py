@@ -6,7 +6,7 @@ within radius_c/|t|^radius_exp of center(1/t).  The proof is a Rouche
 argument made uniform structurally: after expanding f(center+z) in powers
 of z, each term is majorized by a monomial in w = 1/|t| with nonnegative
 coefficient, so each bound is decreasing in |t| and may be evaluated once
-at w = 1/tmin.
+at w = 1/tmin.  Each consumer checks the certificates it reads with ``require``.
 """
 
 from __future__ import annotations
@@ -17,12 +17,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import zpoly
-from .exactnum import TMIN_FLOOR, Rat
+from .exactnum import TMIN_FLOOR, ChainError, Rat
 from .series import QUARTIC, Series, horner, root_series
-
-
-class CertificationError(ArithmeticError):
-    pass
 
 
 # center: {power of t: int}, negative powers allowed
@@ -39,7 +35,7 @@ def _taylor_terms(center: tuple) -> tuple:
     with base = min(0, 4 lo) below every power that occurs.
     Built once per center."""
     if not all(isinstance(c, int) for _, c in center):
-        raise CertificationError("center coefficients must be rational integers")
+        raise ChainError("center coefficients must be rational integers")
     lo, hi = (center[0][0], center[-1][0]) if center else (0, -1)
     C = [0] * (hi - lo + 1)
     for p, c in center:
@@ -69,7 +65,7 @@ def _enclosure_split(center: tuple, radius_c: Rat, radius_exp: int) -> tuple | N
     # dominant: the j=1 monomial with minimal exponent (each p occurs once)
     lin = [(radius_exp - p, p, c) for j, p, c in terms if j == 1]
     if not lin:
-        raise CertificationError("no linear term at the center (degenerate)")
+        raise ChainError("no linear term at the center (degenerate)")
     e0, p0, c0 = min(lin)
     # the rest as sum_d a_d w^d over d = e - e0 >= 0, with radius_c = rn/rd:
     # radius_c^j cleared by den = rd^4 (j <= 4)
@@ -95,7 +91,7 @@ def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
     for all |t| >= tmin: one integer Horner sum at tmin on the cached split."""
     radius_c, tmin = Fraction(radius_c), Fraction(tmin)
     if tmin < 1:
-        raise CertificationError("tmin must be >= 1")
+        raise ValueError("tmin must be >= 1")
     split = _enclosure_split(tuple(sorted(center.items())), radius_c, radius_exp)
     if split is None:
         return EnclosureCert(center, radius_c, radius_exp, tmin, False, Fraction(-1))
@@ -124,21 +120,10 @@ BASE_CERT_PARAMS = [
 ]
 
 
-def base_certificates(tmin: Rat = TMIN_FLOOR) -> dict[str, EnclosureCert]:
-    """The four low-order certificates at tmin, a fresh dict on each call."""
-    return dict(_base_certificates(Fraction(tmin)))
-
-
-@lru_cache(maxsize=64)
-def _base_certificates(tmin: Rat) -> tuple:
-    return tuple((name, certify_enclosure(center, c, k, tmin))
-                 for name, center, c, k in BASE_CERT_PARAMS)
-
-
 def _series_center(s: Series) -> dict:
     """The center {-k: s_k} of a root series, which lies in Z[[1/t]]."""
     if s.den != 1 or s.num[1]:
-        raise CertificationError("center coefficients must be rational integers")
+        raise ChainError("center coefficients must be rational integers")
     return {-k: c for k, c in enumerate(s.num[0]) if c}
 
 
@@ -146,16 +131,40 @@ def _series_center(s: Series) -> dict:
 # certificate B (root near 0), type 3 is certificate B3 (root near 1)
 HIGH_ORDER = {0: (Fraction(271) * 10 ** 14, 31), 3: (Fraction(984) * 10 ** 13, 30)}
 
+# the six certificates, in the order _certificates holds them
+CERT_NAMES = (*(name for name, *_ in BASE_CERT_PARAMS), "B", "B3")
+_CERT_INDEX = {name: i for i, name in enumerate(CERT_NAMES)}
+
+
+@lru_cache(maxsize=64)
+def _certificates(tmin: Rat) -> tuple:
+    """The six certificates at tmin, in CERT_NAMES order, once per tmin."""
+    params = [p[1:] for p in BASE_CERT_PARAMS]
+    params += [(_series_center(root_series(ti)), *HIGH_ORDER[ti]) for ti in (0, 3)]
+    return tuple(certify_enclosure(*p, tmin) for p in params)
+
+
+def require(tmin: Rat, *names: str) -> None:
+    """Check that each named certificate is verified at tmin, in order, or
+    raise ChainError naming the first that is not."""
+    tmin = Fraction(tmin)
+    certs = _certificates(tmin)
+    for name in names:
+        if not certs[_CERT_INDEX[name]].verified:
+            raise ChainError(f"root enclosure {name} unverified at tmin={tmin}")
+
+
+def base_certificates(tmin: Rat = TMIN_FLOOR) -> dict[str, EnclosureCert]:
+    """The four low-order certificates at tmin, a fresh dict on each call."""
+    return dict(zip(CERT_NAMES[:4], _certificates(Fraction(tmin))))
+
 
 def certify_high_order(which: str, tmin: Rat = TMIN_FLOOR) -> EnclosureCert:
     """The two long-center certificates: B (root near 0, truncation 31)
     and B3 (root near 1, truncation 30)."""
     if which not in ("B", "B3"):
         raise ValueError("which must be 'B' or 'B3'")
-    type_index = 0 if which == "B" else 3
-    radius_c, radius_exp = HIGH_ORDER[type_index]
-    return certify_enclosure(_series_center(root_series(type_index)),
-                             radius_c, radius_exp, tmin)
+    return _certificates(Fraction(tmin))[_CERT_INDEX[which]]
 
 
 def root_separation(tmin: Rat = TMIN_FLOOR) -> dict:
@@ -163,9 +172,7 @@ def root_separation(tmin: Rat = TMIN_FLOOR) -> dict:
     pairwise separation of the three small roots, distance from the large
     root to the others, and a lower bound on the root near 0."""
     tmin = Fraction(tmin)
-    certs = base_certificates(tmin)
-    if not all(c.verified for c in certs.values()):
-        raise CertificationError("base certificates unavailable")
+    require(tmin, "alpha0", "alpha1", "alpha2", "alpha3")
     r0 = ALPHA0_RADIUS / tmin ** 3
     r1 = ALPHA13_RADIUS / tmin
     # |alpha0| >= |1/t| - r0, so scaled by |t|: >= 1 - 5.01/tmin^2

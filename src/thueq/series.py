@@ -31,7 +31,7 @@ from itertools import accumulate, zip_longest
 from operator import mul
 
 from . import zpoly
-from .exactnum import ComplexBall, Frozen, Rat
+from .exactnum import ChainError, ComplexBall, Frozen, Rat
 from .hyperchi import chi_ints
 from .quadfield import QuadInt
 
@@ -114,10 +114,6 @@ GI = GaussRat(Fraction(0), Fraction(1))
 # ---------------------------------------------------------------------------
 # polynomials and truncated series over Q(i): one storage, a Z[i] numerator
 # over one denominator
-
-
-class ValuationError(ArithmeticError):
-    pass
 
 
 def _cleared(coeffs) -> tuple[tuple[list[int], list[int]], int]:
@@ -354,10 +350,6 @@ def root_series(type_index: int) -> Series:
 # Pade approximants, over Z
 
 
-class DegeneratePadeError(ArithmeticError):
-    pass
-
-
 # U and V: integer coefficients, ascending
 PadePair = namedtuple("PadePair", "U V contact_order")
 
@@ -376,13 +368,13 @@ def _bareiss_solve(M: list[list[int]]) -> tuple[int, list[int]]:
     for k in range(n):
         piv = next((r for r in range(k, n) if M[r][k]), None)
         if piv is None:
-            raise DegeneratePadeError("singular linear system")
+            raise ChainError("singular linear system")
         M[k], M[piv] = M[piv], M[k]
         for i in range(k + 1, n):
             for j in range(k + 1, n + 1):
                 q, rem = divmod(M[k][k] * M[i][j] - M[i][k] * M[k][j], prev)
                 if rem:
-                    raise DegeneratePadeError("inexact Bareiss step")
+                    raise ChainError("inexact Bareiss step")
                 M[i][j] = q
         prev = M[k][k]
     y = [0] * n
@@ -390,7 +382,7 @@ def _bareiss_solve(M: list[list[int]]) -> tuple[int, list[int]]:
         q, rem = divmod(prev * M[i][n] - sum(M[i][j] * y[j] for j in range(i + 1, n)),
                         M[i][i])
         if rem:
-            raise DegeneratePadeError("inexact back substitution")
+            raise ChainError("inexact back substitution")
         y[i] = q
     return prev, y
 
@@ -401,7 +393,7 @@ def pade(B: Series, deg_num: int, deg_den: int) -> PadePair:
     elimination on B's numerator."""
     order = deg_num + deg_den + 1
     if B.trunc < order:
-        raise ValuationError(f"series known only modulo s^{B.trunc}, need {order}")
+        raise ChainError(f"series known only modulo s^{B.trunc}, need {order}")
     b, den, n = zpoly.pad(_real(B.num), B.trunc), B.den, deg_den
     # unknowns v_1..v_n from sum_j v_j b_{k-j} = -b_k, k = deg_num+1..deg_num+n
     det, y = _bareiss_solve([[b[k - j] if k >= j else 0 for j in range(1, n + 1)] + [-b[k]]
@@ -419,7 +411,7 @@ def pade(B: Series, deg_num: int, deg_den: int) -> PadePair:
 def _contact(resid: list[int], required: int) -> int:
     val = next((k for k, c in enumerate(resid) if c), len(resid))
     if val < required:
-        raise DegeneratePadeError(f"contact order {val} below required {required}")
+        raise ChainError(f"contact order {val} below required {required}")
     return val
 
 
@@ -509,7 +501,7 @@ def _thue_data() -> dict:
                              zpoly.scale(6, zpoly.mul(zpoly.deriv(dU), p))))
         Y.append(zpoly.sub(zpoly.scale(2, zpoly.mul(U, dp)), zpoly.scale(4, zpoly.mul(dU, p))))
     if any(c for row in ode for c in row):
-        raise ArithmeticError("differential identity failed")
+        raise ChainError("differential identity failed")
     # sqrt(lambda) = i with lambda = -1; prefactor (n^2-1)/6 = 5/2 held apart
     w = zpoly.sub(zpoly.mul(dU, (0, 1)), zpoly.scale(2, U))  # U'X - 2U
     a, b, c, d = ((-2,), dU), ((2,), dU), ((0, -2), w), ((0, 2), w)
@@ -540,30 +532,28 @@ def _check_thue_data(data: dict) -> None:
     }
     failed = [name for name, (lhs, rhs) in identities.items() if not zpoly.same(lhs, rhs)]
     if failed:
-        raise ArithmeticError(f"thue_data identities failed: {', '.join(failed)}")
+        raise ChainError(f"thue_data identities failed: {', '.join(failed)}")
 
 
 # ---------------------------------------------------------------------------
 # quotient-ring root identity: y^4 = w = (it-4)/(it+4)
 
 
-def quotient_root_check(which: str, perturb: bool = False) -> bool:
-    """Confirm that the closed-form fourth-root expression is a root of the
-    quartic form: substitute x(y) = num/den with y^4 = z/u into
+# the closed-form fourth-root expressions x(y) = num/den, by root type, as
+# forms in y over Z[i]: i(y - 1)/(y + 1) for type 0, (y - i)/(1 - iy) for type 3
+QUOTIENT_ROOTS = {0: (((), (-1, 1)), ((1, 1), ())), 3: (((0, 1), (-1,)), ((1,), (0, -1)))}
+
+
+def quotient_root_check(type_index: int) -> bool:
+    """Confirm that the closed-form fourth-root expression of the root type is
+    a root of the quartic form: substitute x(y) = num/den with y^4 = z/u into
     f_t(X) = X^4 - tX^3 - 6X^2 + tX + 1 and reduce to zero.
 
     N(y, t) = sum_m f_m(t) num^m den^(4-m) has y-degree at most 4, so one
     reduction y^4 -> z/u settles it: N vanishes iff u N_{<4} + z N_4 = 0.
     Over Z[i]: each row of ``QUARTIC`` homogenised at (num, den) is the
     coefficient of one power of t in N."""
-    y, one = ((0, 1), ()), ((1,), ())  # the fourth root takes the X slot
-    coef = ((), (2 if perturb else 1,))  # i, or 2i when perturbed
-    if which == "type0":
-        num, den = zpoly.gmul(coef, zpoly.gsub(y, one)), zpoly.gadd(y, one)
-    elif which == "type3":
-        num, den = zpoly.gsub(y, coef), zpoly.gsub(one, zpoly.gmul(coef, y))
-    else:
-        raise ValueError("which must be 'type0' or 'type3'")
+    num, den = QUOTIENT_ROOTS[type_index]  # the fourth root y takes the X slot
     N = [zpoly.homogenise(row, num, den) for row in QUARTIC]
     low = [(re[:4], im[:4]) for re, im in N]
     top = [(re[4:], im[4:]) for re, im in N]  # the y^4 coefficient, as a constant

@@ -28,18 +28,16 @@ from itertools import combinations, zip_longest
 
 from thueq import descent, dioph, exactnum, measure, rouche, zpoly
 from thueq.exactnum import ComplexBall, DomainError, RatInterval, UndefinedKappaError
-from thueq.hyperchi import (LETTL_E_BASE, LETTL_L0, LETTL_Q_BASE, chi_coeffs, chi_ints,
-                            denom_data)
+from thueq.hyperchi import LETTL_E_BASE, LETTL_L0, LETTL_Q_BASE, chi_ints, denom_data
 from thueq.measure import (ABSORB_BASE, C_COEFF, C_PREFACTOR, E_DIV, ERR_BASE, ERR_FLOOR,
                            ERR_PREFACTOR, I_DIST_CAP, K0, KAPPA_WIDTH, L0, Q_BASE, QMIN,
                            T4_FLOOR, T12_FLOOR, UZ_CAP, ChainError, GateResult,
                            MeasureConstants)
 from thueq.quadfield import QuadInt, div_exact
-from thueq.rouche import (ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER, CertificationError,
-                          EnclosureCert)
+from thueq.rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER, EnclosureCert
 from thueq.series import (_ABCD, _U_T, _X_MINUS_I_4, _X_PLUS_I_4, _Z_T, G0, G1, GI, GaussRat,
-                          Series, TPoly, ValuationError, _cleared, _i_pow, pade, pade_residual,
-                          root_series, tail_bound)
+                          Series, TPoly, _cleared, _i_pow, pade, pade_residual, root_series,
+                          tail_bound)
 
 
 class Poly2:
@@ -176,7 +174,7 @@ def series_inverse(s: Series) -> Series:
     series with a nonzero constant term."""
     c = s.coeffs
     if not c[0]:
-        raise ValuationError("series not invertible: zero constant term")
+        raise ChainError("series not invertible: zero constant term")
     inv0 = c[0].inv()
     out = [inv0]
     for k in range(1, s.trunc):
@@ -219,6 +217,18 @@ def thue_data_oracle() -> dict:
             "z": Fraction(1, 2) * (Fraction(1, 8) * (-i) * Y + P)}
 
 
+def chi_coeffs_oracle(r: int) -> tuple:
+    """Coefficient of X^k is (-r)_k (-r-1/4)_k / ((3/4)_k k!), from integer
+    running products of the term ratio (k-r)(4k-4r-1) / ((4k+3)(k+1))."""
+    out = [Fraction(1)]
+    num = den = 1
+    for k in range(r):
+        num *= (k - r) * (4 * k - 4 * r - 1)
+        den *= (4 * k + 3) * (k + 1)
+        out.append(Fraction(num, den))
+    return tuple(out)
+
+
 def chi_star_oracle(r: int, p, q):
     """chi*(p, q) = sum_k a_k p^k q^(r-k) for the coefficients a_k of chi_r,
     over any polynomial type."""
@@ -226,7 +236,7 @@ def chi_star_oracle(r: int, p, q):
     for _ in range(r):
         ps.append(ps[-1] * p)
         qs.append(qs[-1] * q)
-    return sum(ak * ps[k] * qs[r - k] for k, ak in enumerate(chi_coeffs(r)))
+    return sum(ak * ps[k] * qs[r - k] for k, ak in enumerate(chi_coeffs_oracle(r)))
 
 
 def approximants_oracle(xi: int, r: int) -> tuple[TPoly, TPoly]:
@@ -393,13 +403,13 @@ def nonvanish_poly_oracle(pair, k: int) -> tuple[int, ...]:
     X = descent._reversed_ints(pair.U, k - 1)
     Y = descent._reversed_ints(pair.V, k - 1)
     if Y[-1] == 0:
-        raise descent.NonVanishingError("denominator polynomial degree dropped")
+        raise ChainError("denominator polynomial degree dropped")
     FA, FB = (zpoly.homogenise(row, (X, ()), (Y, ()))[0] for row in descent.QUARTIC)
     P = zpoly.add(FA, [0] + FB)
     while P and P[-1] == 0:
         P.pop()
     if len(P) - 1 != 2 * k - 2:
-        raise descent.NonVanishingError(f"P has degree {len(P) - 1}, expected {2 * k - 2}")
+        raise ChainError(f"P has degree {len(P) - 1}, expected {2 * k - 2}")
     return tuple(P)
 
 
@@ -420,7 +430,7 @@ def nonvanish_gate_oracle(P, c0: Fraction, c3: Fraction, tmin: Fraction) -> Frac
     lead, *lower = (abs(c) for c in reversed(P))
     L = inverse_horner([lead] + [-c for c in lower], tmin)
     if L <= 0:
-        raise descent.NonVanishingError("no positive lower bound for |P(t)|")
+        raise ChainError("no positive lower bound for |P(t)|")
     return L * tmin ** len(lower) / (Fraction(c0) ** 4 * Fraction(c3) ** 4) - 1
 
 
@@ -453,15 +463,15 @@ def certify_enclosure_oracle(center: dict, radius_c, radius_exp: int,
     rest re-derived at each tmin."""
     radius_c, tmin = Fraction(radius_c), Fraction(tmin)
     if tmin < 1:
-        raise CertificationError("tmin must be >= 1")
+        raise ValueError("tmin must be >= 1")
     terms = rouche._taylor_terms(tuple(sorted(center.items())))
     if not any(j == 1 for j, _, _ in terms):
-        raise CertificationError("no linear term at the center (degenerate)")
+        raise ChainError("no linear term at the center (degenerate)")
     lin = [(1 * radius_exp - p, p, c) for j, p, c in terms if j == 1]
     e0 = min(e for e, _, _ in lin)
     dominants = [(e, p, c) for e, p, c in lin if e == e0]
     if len(dominants) != 1:
-        raise CertificationError("dominant linear term not unique")
+        raise ChainError("dominant linear term not unique")
     _, p0, c0 = dominants[0]
     rn, rd = radius_c.numerator, radius_c.denominator
     cleared = [rn ** j * rd ** (4 - j) for j in range(5)]
@@ -498,11 +508,12 @@ def measure_constants_oracle(type_index: int, tmin) -> MeasureConstants:
     if type_index not in (0, 3):
         raise ValueError("type_index must be 0 or 3")
     _Recorder().require("tmin floor 100", F(100), tmin)
+    for name, center, c, k in rouche.BASE_CERT_PARAMS:
+        # the small-root cap reads alpha0's radius, type 3's distance to i alpha3's
+        verified = certify_enclosure_oracle(center, c, k, tmin).verified
+        if name in ("alpha0", f"alpha{type_index}") and not verified:
+            raise ChainError(f"root enclosure {name} unverified at tmin={tmin}")
     measure._tmin_free_checks()
-    needed = "alpha0" if type_index == 0 else "alpha3"
-    _, center, c, k = next(x for x in rouche.BASE_CERT_PARAMS if x[0] == needed)
-    if not certify_enclosure_oracle(center, c, k, tmin).verified:
-        raise ChainError(f"root enclosure {needed} unavailable at tmin={tmin}")
 
     ch = _Recorder()
     ch.require("w-circle gate |1-w| < 1", F(8) / (tmin - 4), F(1))

@@ -38,3 +38,16 @@ def test_no_source_module_relies_on_assert():
              for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.Assert)]
     assert len(list(SRC.glob("*.py"))) >= 10
     assert found == []
+
+
+def test_the_exception_classes_are_the_five_kept():
+    # a failed certified check is a ChainError; each other class is caught by
+    # type somewhere or signals bad input
+    found = {(path.name, node.name) for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.ClassDef) and any(
+                 isinstance(b, ast.Name) and b.id.endswith(("Error", "Exception"))
+                 for b in node.bases)}
+    assert found == {("exactnum.py", "ChainError"), ("exactnum.py", "DomainError"),
+                     ("exactnum.py", "UndefinedKappaError"), ("dioph.py", "TieError"),
+                     ("cli.py", "OutputLimitError")}

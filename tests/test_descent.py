@@ -297,7 +297,7 @@ def test_nonvanish_poly_equals_the_gaussian_integer_oracle(step):
     for bad in (pair._replace(V=(0,) + pair.V[1:]), pair._replace(U=pair.V)):
         got = outcome(descent._nonvanish_poly, bad, k)
         assert got == outcome(nonvanish_poly_oracle, bad, k)
-        assert got[0] is descent.NonVanishingError
+        assert got[0] is ChainError
 
 
 @settings(max_examples=60, deadline=None)

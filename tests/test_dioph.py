@@ -470,12 +470,32 @@ def test_a_gaussian_parameter_below_2_126_skips_the_top_rung(monkeypatch):
         # near each root, and (x, 0), which ties at every rung tried
         for x, y in _pairs_near_roots(rng, t)[:4] + [(QuadInt(t.d, 3, 1), QuadInt(t.d, 0, 0))]:
             assert outcome(classify_type, t, x, y) == outcome(classify_type_oracle, t, x, y)
+    # the top rung is tried from |t| = 2^129 - 1 on, and not just below it
     monkeypatch.setattr(dioph, "_root_balls", lambda *args: radii.append(args[-1]) or real(*args))
-    for t in (QuadInt(1, 5, (1 << 126) - 1), QuadInt(1, 0, 1 << 126)):
+    for t in (QuadInt(1, 5, (1 << 129) - 2), QuadInt(1, 0, (1 << 129) - 1)):
         with pytest.raises(TieError):
             classify_type(t, QuadInt(1, 3, 1), QuadInt(1, 0, 0))
     assert radii == [F(1, 1 << 64), F(1, 1 << 128), F(1, 1 << 64), F(1, 1 << 128),
                      F(1, 1 << 256)]
+
+
+def test_the_top_rung_cannot_certify_below_2_129():
+    # the premise of classify_type's bound: below |t| = 2^129 - 1 the ball at
+    # alpha0 cannot reach 2^-256, as |f'| < |t| + 1 there
+    for t in (QuadInt(1, 3, (1 << 127) + 7), QuadInt(1, 3, (1 << 128) + 7)):
+        with pytest.raises(TieError, match="did not reach the requested radius"):
+            dioph._root_balls(_t_complex(t), *_t_exact(t), F(1, 1 << 256))
+    # seeded Gaussian t, one per octave of [2^126, 2^130): the same type or
+    # TieError as the oracle, which tries every rung
+    rng, tried = random.Random(41), []
+    for e in range(126, 130):
+        m, phase = 2 ** rng.uniform(e, e + 1), rng.uniform(0, 2 * math.pi)
+        t = QuadInt(1, round(m * math.cos(phase)), round(m * math.sin(phase)))
+        assert 1 << 2 * e <= t.abs_sq() < 1 << 2 * e + 2
+        tried.append(t.abs_sq() >= ((1 << 129) - 1) ** 2)
+        for x, y in _pairs_near_roots(rng, t)[:4] + [(QuadInt(1, 3, 1), QuadInt(1, 0, 0))]:
+            assert outcome(classify_type, t, x, y) == outcome(classify_type_oracle, t, x, y)
+    assert tried == [False, False, False, True]
 
 
 def _counting_root_ball(monkeypatch) -> list:

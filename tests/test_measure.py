@@ -25,7 +25,6 @@ from thueq.measure import (
     rat_pow_upper,
     theorem_assembly,
 )
-from thueq.rouche import EnclosureCert
 from thueq.series import GaussRat
 
 
@@ -340,7 +339,7 @@ def test_tmin_free_checks_run_once_per_process(monkeypatch):
     monkeypatch.setattr(hyperchi, "verify_lettl",
                         lambda rmax: calls.append(rmax) or real_lettl(rmax))
     monkeypatch.setattr(series, "quotient_root_check",
-                        lambda which: calls.append(which) or real_root(which))
+                        lambda ti: calls.append(ti) or real_root(ti))
     measure._tmin_free_checks.cache_clear()
     try:
         measure_constants(0)
@@ -348,13 +347,13 @@ def test_tmin_free_checks_run_once_per_process(monkeypatch):
         measure_constants(0, F(1000))
     finally:
         measure._tmin_free_checks.cache_clear()
-    assert calls == [measure.RMAX, "type0", "type3"]
+    assert calls == [measure.RMAX, 0, 3]
 
 
 def test_tmin_free_checks_fail_closed_on_every_call(monkeypatch):
     calls = []
     monkeypatch.setattr(series, "quotient_root_check",
-                        lambda which: calls.append(which) or which == "type0")
+                        lambda ti: calls.append(ti) or ti == 0)
     measure._tmin_free_checks.cache_clear()
     try:
         for _ in range(2):
@@ -362,22 +361,90 @@ def test_tmin_free_checks_fail_closed_on_every_call(monkeypatch):
                 measure_constants(0)
     finally:
         measure._tmin_free_checks.cache_clear()
-    assert calls == ["type0", "type3"] * 2
+    assert calls == [0, 3] * 2
+
+
+def _unverified(monkeypatch, name, at=None):
+    """Mark one root enclosure unverified at tmin = at (at every tmin for
+    None), with the tmin-free checks, which read them at the floor, uncached."""
+    real, i = rouche._certificates, rouche.CERT_NAMES.index(name)
+
+    def certificates(tmin):
+        certs = real(tmin)
+        if at is not None and tmin != at:
+            return certs
+        return (*certs[:i], certs[i]._replace(verified=False), *certs[i + 1:])
+
+    monkeypatch.setattr(rouche, "_certificates", certificates)
+    monkeypatch.setattr(measure, "_tmin_free_checks",
+                        lru_cache(maxsize=None)(measure._tmin_free_checks.__wrapped__))
 
 
 def test_descent_gate_requires_the_high_order_enclosures(monkeypatch):
-    def unverified(which, tmin=F(100)):
-        return EnclosureCert({}, F(1), 31, F(tmin), False, F(-1))
-
-    monkeypatch.setattr(rouche, "certify_high_order", unverified)
+    _unverified(monkeypatch, "B")
     rep = theorem_assembly(F(100))
     assert rep.verdict == "inconclusive"
     failed = {g.name: g.detail for g in rep.all_gates if not g.ok}
     assert set(failed) == {"descent lower bounds"}
-    assert "high-order enclosure B " in failed["descent lower bounds"]
+    assert "root enclosure B " in failed["descent lower bounds"]
 
 
-# the line of _log_constants that certifies each constant
+TYPES, DESCENT, MEASURE = ("type reduction certified", "descent lower bounds",
+                           "measure constant chains")
+# the gates an unverified enclosure fails at tmin 100
+ENCLOSURE_GATES = {"alpha0": {TYPES, DESCENT, MEASURE}, "alpha2": {TYPES, MEASURE},
+                   "alpha1": {TYPES, MEASURE}, "alpha3": {TYPES, DESCENT, MEASURE},
+                   "B": {DESCENT}, "B3": {DESCENT}}
+
+
+@pytest.mark.parametrize("name", rouche.CERT_NAMES)
+def test_an_unverified_enclosure_fails_the_gates_that_read_it(monkeypatch, name):
+    _unverified(monkeypatch, name)
+    rep = theorem_assembly(F(100))
+    assert rep.verdict == "inconclusive"
+    failed = {g.name: g.detail for g in rep.all_gates if not g.ok}
+    assert set(failed) == ENCLOSURE_GATES[name]
+    assert set(failed.values()) == {f"ChainError: root enclosure {name} unverified at tmin=100"}
+
+
+# each consumer at tmin, and the enclosures it reads
+ENCLOSURE_READERS = {
+    "root_separation": (lambda t: rouche.root_separation(t),
+                        {"alpha0", "alpha1", "alpha2", "alpha3"}),
+    "first_c0(0)": (lambda t: descent.first_c0(0, t), {"alpha0"}),
+    "first_c0(3)": (lambda t: descent.first_c0(3, t), {"alpha3"}),
+    "run_descent(0)": (lambda t: descent.run_descent(0, tmin=t), {"alpha0", "B"}),
+    "run_descent(3)": (lambda t: descent.run_descent(3, tmin=t), {"alpha3", "B3"}),
+    "measure_constants(0)": (lambda t: measure_constants(0, t), {"alpha0"}),
+    "measure_constants(3)": (lambda t: measure_constants(3, t), {"alpha0", "alpha3"}),
+}
+
+
+@pytest.mark.parametrize("name", rouche.CERT_NAMES)
+def test_each_consumer_checks_exactly_the_enclosures_it_reads(monkeypatch, name):
+    # above the floor, where the tmin-free checks read no enclosure
+    t = F(1000)
+    _unverified(monkeypatch, name, at=t)
+    message = f"^root enclosure {name} unverified at tmin=1000$"
+    for run, reads in ENCLOSURE_READERS.values():
+        if name in reads:
+            with pytest.raises(ChainError, match=message):
+                run(t)
+        else:
+            run(t)
+
+
+@pytest.mark.parametrize("argv", [["descent", "--type", "0"], ["constants", "--type", "3"]])
+def test_the_chain_commands_refuse_an_unverified_alpha0(monkeypatch, capsys, argv):
+    _unverified(monkeypatch, "alpha0")
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("certification failure: ChainError: "
+                            "root enclosure alpha0 unverified at tmin=100\n")
+
+
+# the line of _tmin_free_checks that certifies each constant
 LOG_CONSTANT_LINES = {"KAPPA_NUM_SHIFT": "kappa shift 1.08", "KAPPA_DEN_SHIFT": "kappa shift 2.59",
                       "CONTRADICTION_COEFF": "contradiction coefficient 137.16",
                       "BETA_COEFF": "beta 8.86"}
@@ -391,7 +458,9 @@ LOG_CONSTANT_LINES = {"KAPPA_NUM_SHIFT": "kappa shift 1.08", "KAPPA_DEN_SHIFT": 
 ])
 def test_kappa_shifts_and_contradiction_coeff_are_certified(monkeypatch, module, name, wrong):
     monkeypatch.setattr(module, name, wrong)
-    measure._log_constants.cache_clear()
+    caches = (measure._tmin_free_checks, measure._log_constants)
+    for cache in caches:
+        cache.cache_clear()
     try:
         rep = theorem_assembly(F(100))
         with pytest.raises(ChainError):
@@ -399,7 +468,8 @@ def test_kappa_shifts_and_contradiction_coeff_are_certified(monkeypatch, module,
         with pytest.raises(ChainError):
             corollary_lin(F(1))
     finally:
-        measure._log_constants.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     assert rep.verdict == "inconclusive"
     failed = {g.name: g.detail for g in rep.all_gates if not g.ok}
     assert set(failed) == {"measure constant chains"}
@@ -412,13 +482,16 @@ def test_log_constants_run_once_per_process(monkeypatch):
     calls = []
     real = measure.ln_enclosure
     monkeypatch.setattr(measure, "ln_enclosure", lambda x, w: calls.append(x) or real(x, w))
-    measure._log_constants.cache_clear()
+    caches = (measure._tmin_free_checks, measure._log_constants)
+    for cache in caches:
+        cache.cache_clear()
     try:
         corollary_eps(F(1, 2))
         corollary_eps(F(3, 4))
         corollary_lin(F(1))
     finally:
-        measure._log_constants.cache_clear()
+        for cache in caches:
+            cache.cache_clear()
     constants = {F("2.94"), F("13.27"), F(4), F("20.14"), F("8.86"), F("0.33"),
                  F("0.31"), CONTRADICTION_COEFF}
     assert sorted(c for c in calls if c in constants) == sorted(constants)
@@ -521,5 +594,5 @@ def test_every_cache_keyed_by_tmin_is_bounded():
                        if hasattr(fn, "cache_info") and fn.__module__ == module.__name__})
     unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
     assert unbounded == UNBOUNDED
-    for name in ("rouche._base_certificates", "measure._kappa", "rouche._enclosure_split"):
+    for name in ("rouche._certificates", "measure._kappa", "rouche._enclosure_split"):
         assert caches[name].cache_info().maxsize is not None

@@ -7,11 +7,11 @@ from oracles import (QUARTIC, Poly2, certify_enclosure_oracle, enclosure_margin_
                      outcome)
 
 from thueq import rouche
+from thueq.exactnum import ChainError
 from thueq.rouche import (
     BASE_CERT_PARAMS,
     CENTER_ALPHA0,
     HIGH_ORDER,
-    CertificationError,
     base_certificates,
     certify_enclosure,
     certify_high_order,
@@ -66,7 +66,7 @@ def test_certificates_improve_with_larger_tmin():
 
 
 def test_tmin_domain():
-    with pytest.raises(CertificationError):
+    with pytest.raises(ValueError):
         certify_enclosure(CENTER_ALPHA0, F("5.01"), 3, F(1, 2))
 
 
@@ -78,7 +78,7 @@ def test_root_separation():
 
 
 def test_taylor_coefficients_built_once_per_center():
-    caches = (rouche._taylor_terms, rouche._enclosure_split, rouche._base_certificates)
+    caches = (rouche._taylor_terms, rouche._enclosure_split, rouche._certificates)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -92,10 +92,10 @@ def test_taylor_coefficients_built_once_per_center():
         for cache in caches:
             cache.cache_clear()
     # four base centers plus B and B3, each expanded and split once; the
-    # base certificates are built once per tmin
+    # six certificates are built once per tmin
     assert (taylor.misses, taylor.hits) == (6, 0)
     assert (split.misses, split.hits) == (6, 6)
-    assert (base.misses, base.hits) == (2, 2)
+    assert (base.misses, base.hits) == (2, 6)
 
 
 def test_base_certificates_are_a_fresh_dict_on_each_call():
@@ -113,9 +113,10 @@ def test_a_refused_certificate_raises_on_every_call():
     # dominant term: the raises are for a non-integral center and tmin < 1
     before = rouche._enclosure_split.cache_info().currsize
     for _ in range(2):
-        for args in (({0: F(1, 2)}, F(1), 1, F(100)), ({0: 1}, F("2.16"), 1, F(1, 2))):
+        for args, error in ((({0: F(1, 2)}, F(1), 1, F(100)), ChainError),
+                            (({0: 1}, F("2.16"), 1, F(1, 2)), ValueError)):
             got = outcome(certify_enclosure, *args)
-            assert got[0] is CertificationError
+            assert got[0] is error
             assert got == outcome(certify_enclosure_oracle, *args)
     assert rouche._enclosure_split.cache_info().currsize == before
 
@@ -167,7 +168,7 @@ def test_margins_match_the_per_term_fraction_sum():
 
 def test_taylor_terms_refuse_a_non_integral_center():
     for c in (F(1, 2), GaussRat.of(F(1, 2)), GaussRat(F(0), F(1))):
-        with pytest.raises(CertificationError):
+        with pytest.raises(ChainError):
             certify_enclosure({0: c}, F("2.16"), 1, F(100))
 
 

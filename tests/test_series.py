@@ -12,11 +12,11 @@ from oracles import (QUARTIC as QUARTIC_ORACLE, _gpow, approximants, approximant
 
 from thueq import series, zpoly
 from thueq.descent import KMAX, KSTART
+from thueq.exactnum import ChainError
 from thueq.series import (
     G0,
     G1,
     GI,
-    DegeneratePadeError,
     GaussRat,
     PadePair,
     Series,
@@ -64,7 +64,7 @@ def _solve_linear_oracle(A, rhs):
     for col in range(n):
         piv = next((r for r in range(col, n) if M[r][col]), None)
         if piv is None:
-            raise DegeneratePadeError("singular linear system")
+            raise ChainError("singular linear system")
         M[col], M[piv] = M[piv], M[col]
         pinv = M[col][col].inv()
         M[col] = [e * pinv for e in M[col]]
@@ -190,8 +190,8 @@ def test_bareiss_pade_on_drawn_integer_series(nums, den, deg_num, deg_den):
     B = Series([F(c, den) for c in nums], trunc)
     try:
         oracle = _pade_oracle(B, deg_num, deg_den)
-    except DegeneratePadeError:
-        with pytest.raises(DegeneratePadeError):
+    except ChainError:
+        with pytest.raises(ChainError):
             pade(B, deg_num, deg_den)
         return
     pair = pade(B, deg_num, deg_den)
@@ -200,7 +200,7 @@ def test_bareiss_pade_on_drawn_integer_series(nums, den, deg_num, deg_den):
 
 
 def test_pade_refuses_a_singular_system_and_a_non_real_series():
-    with pytest.raises(DegeneratePadeError):
+    with pytest.raises(ChainError):
         pade(Series([1], 5), 1, 2)
     with pytest.raises(ValueError):
         pade(Series([GI, 1, 2], 3), 1, 1)
@@ -208,7 +208,7 @@ def test_pade_refuses_a_singular_system_and_a_non_real_series():
 
 def test_pade_requires_enough_terms():
     a = newton_alpha_series(5)
-    with pytest.raises(ArithmeticError):
+    with pytest.raises(ChainError):
         pade(a, 10, 10)
 
 
@@ -294,7 +294,7 @@ def test_each_thue_identity_fails_on_a_perturbed_entry(entry, perturb, failed):
     data = thue_data()
     series._check_thue_data(data)
     data[entry] = perturb(data[entry])
-    with pytest.raises(ArithmeticError) as err:
+    with pytest.raises(ChainError) as err:
         series._check_thue_data(data)
     assert str(err.value) == f"thue_data identities failed: {failed}"
 
@@ -304,7 +304,7 @@ def test_differential_identity_fails_on_a_perturbed_quartic(monkeypatch):
     monkeypatch.setattr(series, "QUARTIC", ((2,) + A[1:], B))
     series._thue_data.cache_clear()
     try:
-        with pytest.raises(ArithmeticError, match="differential identity failed"):
+        with pytest.raises(ChainError, match="differential identity failed"):
             thue_data()
     finally:
         monkeypatch.undo()
@@ -316,13 +316,13 @@ def test_thue_data_check_fails_closed_under_python_O():
     # the identities must be checked by raises, not by asserts that -O strips
     code = (
         "import sys\n"
-        "from thueq.series import _check_thue_data, thue_data\n"
+        "from thueq.series import ChainError, _check_thue_data, thue_data\n"
         "if not sys.flags.optimize: sys.exit(3)\n"
         "data = thue_data()\n"
         "data['a'] = data['b']\n"
         "try:\n"
         "    _check_thue_data(data)\n"
-        "except ArithmeticError:\n"
+        "except ChainError:\n"
         "    sys.exit(0)\n"
         "sys.exit(1)\n"
     )
@@ -372,12 +372,14 @@ def test_alpha3_series_refuses_all_but_an_integer_real_series():
             alpha3_series(bad)
 
 
-def test_quotient_root_check():
-    assert quotient_root_check("type0")
-    assert quotient_root_check("type3")
-    # perturbing the closed form must break the identity
-    assert not quotient_root_check("type0", perturb=True)
-    assert not quotient_root_check("type3", perturb=True)
+def test_quotient_root_check(monkeypatch):
+    assert quotient_root_check(0)
+    assert quotient_root_check(3)
+    # perturbing the closed form (2i for i) must break the identity
+    monkeypatch.setitem(series.QUOTIENT_ROOTS, 0, (((), (-2, 2)), ((1, 1), ())))
+    monkeypatch.setitem(series.QUOTIENT_ROOTS, 3, (((0, 1), (-2,)), ((1,), (0, -2))))
+    assert not quotient_root_check(0)
+    assert not quotient_root_check(3)
 
 
 def test_approximants_are_gaussian_integral():
@@ -468,12 +470,12 @@ def test_thue_polys_refuse_a_negative_order():
 
 def test_thue_polys_build_behind_the_identity_check(monkeypatch):
     def failing_check(data):
-        raise ArithmeticError("thue_data identities failed")
+        raise ChainError("thue_data identities failed")
 
     monkeypatch.setattr(series, "_check_thue_data", failing_check)
     series._thue_data.cache_clear()
     try:
-        with pytest.raises(ArithmeticError):
+        with pytest.raises(ChainError):
             thue_polys_at(2, GaussRat(F(0), F(100)))
     finally:
         series._thue_data.cache_clear()
