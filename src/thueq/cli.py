@@ -9,6 +9,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
+from .descent import KMAX, KSTART
 from .exactnum import TMIN_FLOOR, Rat, sig_str
 
 EXIT_OK = 0
@@ -87,13 +88,8 @@ def _cmd_verify_all(args) -> int:
         },
         "gates": [{"name": g.name, "ok": g.ok, "detail": g.detail}
                   for g in report.all_gates],
-        "kappa_hi": None if report.kappa_hi is None else _num(report.kappa_hi),
-        "contradiction_upper": (None if report.contradiction_upper is None
-                                else _num(report.contradiction_upper)),
-        "descent_lower_0": (None if report.descent_lower_0 is None
-                            else _num(report.descent_lower_0)),
-        "descent_lower_3": (None if report.descent_lower_3 is None
-                            else _num(report.descent_lower_3)),
+        **{f: None if getattr(report, f) is None else _num(getattr(report, f))
+           for f in ("kappa_hi", "contradiction_upper", "descent_lower_0", "descent_lower_3")},
         "verdict": report.verdict,
         "timing": None,
     }
@@ -253,27 +249,28 @@ def _cmd_corollary_eps(args) -> int:
 def _cmd_rouche_certs(args) -> int:
     from .rouche import base_certificates, certify_high_order, root_separation
 
-    certs = dict(base_certificates(args.tmin))
-    certs["B"] = certify_high_order("B", args.tmin)
-    certs["B3"] = certify_high_order("B3", args.tmin)
-    sep = root_separation(args.tmin)
+    base = base_certificates(args.tmin)
+    # the separation reads alpha0..alpha3, and is shown only when they hold
+    sep = root_separation(args.tmin) if all(c.verified for c in base.values()) else {}
+    certs = sorted({**base, "B": certify_high_order("B", args.tmin),
+                    "B3": certify_high_order("B3", args.tmin)}.items())
     payload = {
         "tmin": _num(args.tmin),
         "certificates": [
             {"name": name, "radius_coeff": _num(c.radius_c),
              "radius_exp": c.radius_exp, "verified": c.verified,
              "margin": sig_str(c.margin)}
-            for name, c in sorted(certs.items())
+            for name, c in certs
         ],
-        "separation": {k: _num(v) for k, v in sorted(sep.items())},
+        "separation": {k: _num(v) for k, v in sorted(sep.items())} if sep else None,
     }
     table = [
         f"{name}: radius {sig_str(c.radius_c)}/|t|^{c.radius_exp}  "
         f"{'verified' if c.verified else 'FAILED'}  margin {sig_str(c.margin)}"
-        for name, c in sorted(certs.items())
+        for name, c in certs
     ] + [f"separation {k}: {sig_str(v)}" for k, v in sorted(sep.items())]
     _emit(args, payload, table)
-    return EXIT_OK
+    return EXIT_OK if all(c.verified for _, c in certs) else EXIT_INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +282,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("verify-all", help="run the full verification pipeline")
     p.add_argument("--tmin", type=_nonneg_rat, default=TMIN_FLOOR)
-    p.add_argument("--kmax", type=int, default=11)
+    p.add_argument("--kmax", type=int, default=KMAX)
     p.add_argument("--out", default=None)
     p.set_defaults(fn=_cmd_verify_all)
 
@@ -306,7 +303,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("descent", help="iterated lower bounds for |y|")
     p.add_argument("--type", type=int, choices=(0, 3), required=True)
     p.add_argument("--tmin", type=_nonneg_rat, default=TMIN_FLOOR)
-    p.add_argument("--kmax", type=int, default=11)
+    p.add_argument("--kmax", type=int, default=KMAX)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_descent)
 
@@ -339,8 +336,6 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command in ("verify-all", "descent"):
-        from .descent import KMAX, KSTART
-
         # verify-all runs both chains, so it needs the later first step
         kmin = KSTART[args.type] if args.command == "descent" else max(KSTART.values())
         if not kmin <= args.kmax <= KMAX:

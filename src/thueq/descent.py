@@ -153,15 +153,16 @@ def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = TMIN_FLOOR) -> StepRe
 def run_descent(type_index: int, kmax: int = KMAX,
                 tmin: Rat = TMIN_FLOOR) -> list[StepRecord]:
     """Chain the steps from first_c0, feeding each c_out into the next step's
-    c0; every step reads the high-order enclosure of its type, B or B3."""
+    c0, each past the strict line of its non-vanishing margin; every step
+    reads the high-order enclosure of its type, B or B3."""
     c0, kstart, records = first_c0(type_index, tmin), KSTART[type_index], []
     require(tmin, "B3" if type_index == 3 else "B")
     if not kstart <= kmax <= KMAX:
         raise ValueError(f"kmax must be in [{kstart}, {KMAX}] for type {type_index}")
     for k in range(kstart, kmax + 1):
         rec = run_step(type_index, k, c0, tmin)
-        if not rec.nonvanish_ok:
-            raise ChainError(f"chain halted at k={k}")
+        lines((f"type {type_index} step k={k} non-vanishing numerator",  # the margin's sign
+               0, rec.nonvanish_margin.numerator, "<"))
         records.append(rec)
         c0 = rec.c_out
     return records

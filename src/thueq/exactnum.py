@@ -36,12 +36,12 @@ TMIN_FLOOR = Fraction(100)  # the least |t| the tmin chains certify, and the def
 
 
 def lines(*reqs) -> tuple:
-    """Check each line (name, lhs, rhs) as lhs <= rhs, in order: the (name,
-    rhs - lhs) margins, or ChainError naming the first line that fails."""
-    for name, lhs, rhs in reqs:
-        if lhs > rhs:
-            raise ChainError(f"{name}: {lhs} > {rhs}")
-    return tuple([(name, rhs - lhs) for name, lhs, rhs in reqs])
+    """Check each line (name, lhs, rhs) as lhs <= rhs, or (name, lhs, rhs, "<") as
+    lhs < rhs, in order: the (name, rhs - lhs) margins, or ChainError naming the first to fail."""
+    for name, lhs, rhs, *strict in reqs:
+        if lhs > rhs or strict and lhs == rhs:
+            raise ChainError(f"{name}: {lhs} {'>=' if strict else '>'} {rhs}")
+    return tuple([(name, rhs - lhs) for name, lhs, rhs, *_ in reqs])
 
 
 def floor_line(tmin: Rat) -> tuple:

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .exactnum import ChainError, Rat
+from .exactnum import ChainError, Rat, lines
 
 # the Lettl growth constants, certified by verify_lettl
 LETTL_K0, LETTL_Q_BASE = Fraction("3.32"), Fraction("1.35")
@@ -82,17 +82,16 @@ def gamma_ratio_g2(r: int) -> Rat:
 
 
 def verify_lettl(rmax: int) -> list[dict]:
-    """Exact check of 2^(r+2)(D/N)g1 < 3.32*1.35^r and
-    2^(4r+3)(D/N)g2 < 1.6*10.7^r for 1 <= r <= rmax; returns margins."""
+    """Two strict lines per r: 2^(r+2)(D/N)g1 < 3.32*1.35^r and
+    2^(4r+3)(D/N)g2 < 1.6*10.7^r, for 1 <= r <= rmax; returns the margins."""
     rows = []
     for r in range(1, rmax + 1):
         dd = denom_data(r)
         ratio = Fraction(dd.delta, dd.n_gcd)
-        lhs1 = 2 ** (r + 2) * ratio * gamma_ratio_g1(r)
-        rhs1 = LETTL_K0 * LETTL_Q_BASE ** r
-        lhs2 = 2 ** (4 * r + 3) * ratio * gamma_ratio_g2(r)
-        rhs2 = LETTL_L0 * LETTL_E_BASE ** r
-        if lhs1 >= rhs1 or lhs2 >= rhs2:
-            raise ChainError(f"bound fails at r={r}")
-        rows.append({"r": r, "margin1": rhs1 - lhs1, "margin2": rhs2 - lhs2})
+        (_, m1), (_, m2) = lines(
+            (f"Lettl bound 3.32*1.35^r at r={r}", 2 ** (r + 2) * ratio * gamma_ratio_g1(r),
+             LETTL_K0 * LETTL_Q_BASE ** r, "<"),
+            (f"Lettl bound 1.6*10.7^r at r={r}", 2 ** (4 * r + 3) * ratio * gamma_ratio_g2(r),
+             LETTL_L0 * LETTL_E_BASE ** r, "<"))
+        rows.append({"r": r, "margin1": m1, "margin2": m2})
     return rows

@@ -40,6 +40,11 @@ QMIN = {0: F("0.28"), 3: F("0.14")}
 # |u|, |z| <= 1.04|t|, |t|-4 >= 0.96|t|, |t|-12 >= 0.88|t|, |alpha3 - i| <= 1.44
 UZ_CAP, T4_FLOOR, T12_FLOOR, I_DIST_CAP = F("1.04"), F("0.96"), F("0.88"), F("1.44")
 ERR_FLOOR, ERR_PREFACTOR, ERR_BASE = F("1.02"), F("1.14"), F("1.24")
+# |w|, |1/w| <= 1.09; Q_BASE >= 1.35 * 1.04 * 2.09, with 2.09 = 1 + 1.09; |alpha0| <= 0.02
+W_CAP, Q_FACTOR, SMALL_ROOT_CAP = F("1.09"), F("2.09"), F("0.02")
+# type reduction: each root within 0.06 of its center, the small roots 0.5 apart
+DRIFT_CAP, SEPARATION_FLOOR = F("0.06"), F("0.5")
+KAPPA_CAP = 3  # the contradiction bound X^(3 - kappa) >= 137.16 needs kappa < 3
 CONTRADICTION_COEFF = F("137.16")  # >= 8.86 * 15.48 = 137.1528
 C2_DIVISOR = F("0.31")    # 443 >= 8.86 * 15.48 / 0.31; base 137.16 / 0.31^(2-eps)
 CUBIC_ABSORB = F("0.33")  # 8.86 / |t|^(1/2 + eps/4) <= 0.33
@@ -109,7 +114,7 @@ def _fixed_lines(type_index: int) -> tuple:
     prefactor, absorb = C_PREFACTOR[type_index], ABSORB_BASE[type_index]
     c, qmin = C_COEFF[type_index], QMIN[type_index]
     return tuple(lines(*run) for run in (
-        [("numerator base 2.94", LETTL_Q_BASE * UZ_CAP * F("2.09"), Q_BASE)],
+        [("numerator base 2.94", LETTL_Q_BASE * UZ_CAP * Q_FACTOR, Q_BASE)],
         # constant-order absorption: 1.02 <= 1.14 * 0.96^(1/4) * 0.88^(3/4)
         [("error prefactor 1.14",
           ERR_FLOOR ** 4, ERR_PREFACTOR ** 4 * T4_FLOOR * T12_FLOOR ** 3),
@@ -145,12 +150,12 @@ def measure_constants(type_index: int, tmin: Rat = TMIN_FLOOR) -> MeasureConstan
     chain = (
         # shared geometric facts about u = it+4, z = it-4, w = z/u
         *lines(("w-circle gate |1-w| < 1", F(8) / (tmin - 4), F(1)),
-               ("|w|, |1/w| cap 1.09", 1 + F(8) / (tmin - 4), F("1.09")),
+               ("|w|, |1/w| cap 1.09", 1 + F(8) / (tmin - 4), W_CAP),
                ("|u|, |z| cap 1.04|t|", tmin + 4, UZ_CAP * tmin)),
         *numerator,
         *lines(("|t|-4 floor 0.96|t|", T4_FLOOR * tmin, tmin - 4),
                ("|t|-12 floor 0.88|t|", T12_FLOOR * tmin, tmin - 12),
-               ("small-root cap 0.02", 1 / tmin + ALPHA0_RADIUS / tmin ** 3, F("0.02"))),
+               ("small-root cap 0.02", 1 / tmin + ALPHA0_RADIUS / tmin ** 3, SMALL_ROOT_CAP)),
         *errors,
         *lines(("kappa at least 1", F(1), kappa_lo(tmin))),
         *unit,
@@ -198,15 +203,16 @@ def contradiction_upper_bound(tmin: Rat) -> Rat | None:
     two decimals; any solution would satisfy |y| < X."""
     tmin = F(tmin)
     kc = _kappa_coarse(tmin, 2)
-    p = int(100 * (3 - kc))
+    p = int(100 * (KAPPA_CAP - kc))
     if p <= 0:
         return None
     # X^(p/100) >= 137.16 iff the integer X^p is >= ceil(137.16^100)
     return F(iroot(math.ceil(CONTRADICTION_COEFF ** 100) - 1, p) + 1)
 
 
-def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = 11) -> ProofReport:
-    """Join every certificate into a verdict for |t| >= tmin.
+def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = descent.KMAX) -> ProofReport:
+    """Join every certificate into a verdict for |t| >= tmin: proven when all
+    six gates hold, the kappa gate checking X < both descent bounds on |y| too.
 
     A failed sub-certificate never raises: it shows up as a failed gate and
     an inconclusive verdict with a diagnostic string.
@@ -238,8 +244,9 @@ def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = 11) -> ProofReport:
         sep = root_separation(tmin)
         drift = max(1 / tmin + ALPHA0_RADIUS / tmin ** 3,
                     ALPHA13_RADIUS / tmin, ALPHA2_RADIUS / tmin)
-        ok = drift < F("0.06") and sep["min_pairwise"] >= F("0.5")
-        return ok, f"root drift <= {float(drift):.4f}, separation certified"
+        lines(("root drift cap 0.06", drift, DRIFT_CAP, "<"),
+              ("separation floor 0.5", SEPARATION_FLOOR, sep["min_pairwise"]))
+        return True, f"root drift <= {float(drift):.4f}, separation certified"
 
     descent_lower = {0: None, 3: None}
 
@@ -254,12 +261,17 @@ def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = 11) -> ProofReport:
         measure_constants(3, tmin)
         return True, "both constant chains verified"
 
-    k_hi = None
+    k_hi = upper = None
 
     def g_kappa():
-        nonlocal k_hi
+        nonlocal k_hi, upper
         k_hi = kappa_hi(tmin)
-        return k_hi < 3, f"kappa <= {float(k_hi):.4f}"
+        lines(("kappa below 3", k_hi, KAPPA_CAP, "<"))
+        upper = contradiction_upper_bound(tmin)
+        if None not in descent_lower.values():  # an undefined X bounds nothing
+            lines(("contradiction bound below the descent bounds",
+                   math.inf if upper is None else upper, min(descent_lower.values()), "<"))
+        return True, f"kappa <= {float(k_hi):.4f}"
 
     gate("irreducibility exceptions below tmin", g_irred)
     gate("no small solutions at tmin", g_small)
@@ -268,12 +280,7 @@ def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = 11) -> ProofReport:
     gate("measure constant chains", g_measure)
     gate("kappa below 3", g_kappa)
 
-    upper = None
-    if k_hi is not None and k_hi < 3:
-        upper = contradiction_upper_bound(tmin)
-    lowers = [v for v in descent_lower.values() if v is not None]
-    proven = (all(g.ok for g in gates) and upper is not None and len(lowers) == 2
-              and upper < min(lowers))
+    proven = all(g.ok for g in gates)
     return ProofReport(
         tmin=tmin, kappa_hi=k_hi, contradiction_upper=upper,
         descent_lower_0=descent_lower[0], descent_lower_3=descent_lower[3],
@@ -309,10 +316,8 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
     if C <= 0:
         raise ValueError("C must be positive")
     _log_constants()
-    # constant consistency: 443 C > (8.86 * 15.48 / 0.31) C, exactly
-    consistency = LIN_COEFF - descent.BETA_COEFF * C_COEFF[3] / C2_DIVISOR
-    if consistency <= 0:
-        raise ChainError("443 C does not dominate C_2 / 0.31")
+    (_, consistency), = lines(  # 443 C > (8.86 * 15.48 / 0.31) C, exactly
+        ("lin coefficient 443", descent.BETA_COEFF * C_COEFF[3] / C2_DIVISOR, LIN_COEFF, "<"))
     if t0 is None:
         t0 = F(LIN_T0_FLOOR)
         while kappa_hi(t0) >= 2:

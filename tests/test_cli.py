@@ -261,6 +261,22 @@ def test_rouche_certs_json(capsys):
     assert all(c["verified"] for c in doc["certificates"])
 
 
+def test_rouche_certs_shows_every_failed_enclosure(capsys):
+    # alpha1 and alpha3 both fail at 95, so the separation, which reads them,
+    # is left out; at 99 only B3 fails, and the separation is shown
+    for tmin, failed, separation in (("95", {"alpha1", "alpha3", "B3"}, False),
+                                     ("99", {"B3"}, True)):
+        assert main(["rouche-certs", "--tmin", tmin]) == 1
+        rows = capsys.readouterr().out.splitlines()
+        assert {row.split(":")[0] for row in rows if "FAILED" in row} == failed
+        assert len([row for row in rows if "radius" in row]) == 6
+        assert any(row.startswith("separation ") for row in rows) is separation
+        code, doc = main_json(capsys, "rouche-certs", "--tmin", tmin, "--json")
+        assert code == 1
+        assert {c["name"] for c in doc["certificates"] if not c["verified"]} == failed
+        assert (doc["separation"] is not None) is separation
+
+
 def test_corollary_lin_json(capsys):
     code, doc = main_json(capsys, "corollary-lin", "--C", "1", "--json")
     assert code == 0

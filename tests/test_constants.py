@@ -7,16 +7,21 @@ from thueq import descent, measure, rouche
 SRC = Path(__file__).parents[1] / "src" / "thueq"
 
 
+def _decimals(tree):
+    """Every Fraction("...") / F("...") decimal literal under an AST node."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id in ("Fraction", "F") and len(node.args) == 1
+                and isinstance(node.args[0], ast.Constant)
+                and isinstance(node.args[0].value, str)
+                and "." in node.args[0].value):
+            yield node.args[0].value
+
+
 def decimal_literals():
-    """(module, text) of every Fraction("...") / F("...") decimal literal in src."""
+    """(module, text) of every decimal literal in src."""
     for path in sorted(SRC.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in ("Fraction", "F") and len(node.args) == 1
-                    and isinstance(node.args[0], ast.Constant)
-                    and isinstance(node.args[0].value, str)
-                    and "." in node.args[0].value):
-                yield path.name, node.args[0].value
+        yield from ((path.name, text) for text in _decimals(ast.parse(path.read_text())))
 
 
 def test_every_published_decimal_is_spelled_once():
@@ -30,6 +35,16 @@ def test_every_published_decimal_is_spelled_once():
     assert sorted(m for m, text in found if text == "5.02") == ["descent.py", "rouche.py"]
     assert rouche.ALPHA2_RADIUS == descent.STEP2_DIVISOR
     assert measure.ABSORB_BASE[0] == measure.QMIN[0]
+
+
+def test_no_function_body_holds_a_decimal():
+    # a decimal is a module constant with a comment on what it bounds, so a
+    # test can set it past its line
+    found = [f"{path.name}:{node.name}: {text}" for path in sorted(SRC.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for text in _decimals(node)]
+    assert found == []
 
 
 def test_no_source_module_relies_on_assert():

@@ -432,6 +432,14 @@ def test_lines_record_exact_margins_and_name_the_first_failure():
     assert measure.ChainError is ChainError
 
 
+def test_a_strict_line_fails_on_equality():
+    assert lines(("a", F(1, 3), F(1, 2), "<"), ("b", 2, 2)) == (("a", F(1, 6)), ("b", 0))
+    with pytest.raises(ChainError, match=r"^b: 2 >= 2$"):
+        lines(("a", 0, 1, "<"), ("b", 2, 2, "<"))
+    with pytest.raises(ChainError, match=r"^c: 5 >= 4$"):
+        lines(("c", 5, 4, "<"))
+
+
 def test_the_floor_line():
     assert floor_line(F(12345, 7)) == ("tmin floor 100", TMIN_FLOOR, F(12345, 7))
     assert lines(floor_line(TMIN_FLOOR)) == (("tmin floor 100", 0),)

@@ -1,4 +1,5 @@
 import importlib
+import json
 import random
 from fractions import Fraction as F
 from functools import lru_cache
@@ -170,12 +171,101 @@ def test_theorem_assembly_below_zero_fails_the_first_gates():
 
 
 def test_theorem_assembly_gate_failure_is_reported_not_raised():
-    # an unusable descent depth must surface as a failed gate
-    rep = theorem_assembly(F(100), kmax=5)
-    assert rep.verdict == "inconclusive"
-    assert rep.contradiction_upper is not None
-    assert rep.descent_lower_0 is not None
-    assert rep.contradiction_upper > min(rep.descent_lower_0, rep.descent_lower_3)
+    # an unusable descent depth must surface as a failed gate: the
+    # contradiction line of the kappa gate, and no other
+    for kmax in (5, 10):
+        rep = theorem_assembly(F(100), kmax=kmax)
+        assert rep.verdict == "inconclusive"
+        assert rep.contradiction_upper is not None
+        assert rep.descent_lower_0 is not None
+        assert rep.contradiction_upper > min(rep.descent_lower_0, rep.descent_lower_3)
+        failed = {g.name: g.detail for g in rep.all_gates if not g.ok}
+        assert list(failed) == ["kappa below 3"]
+        assert failed["kappa below 3"] == (
+            "ChainError: contradiction bound below the descent bounds: "
+            f"{rep.contradiction_upper} >= {min(rep.descent_lower_0, rep.descent_lower_3)}")
+
+
+def _bigger_at(module, name, at, factor):
+    real = getattr(module, name)
+    return lambda monkeypatch: monkeypatch.setattr(
+        module, name, lambda r: real(r) * factor if r == at else real(r))
+
+
+def _zero_margin_at(type_index, k):
+    real = descent.run_step
+
+    def run_step(ti, kk, c0, tmin):
+        rec = real(ti, kk, c0, tmin)
+        if (ti, kk) != (type_index, k):
+            return rec
+        return rec._replace(nonvanish_margin=F(0), nonvanish_ok=False)
+
+    return lambda monkeypatch: monkeypatch.setattr(descent, "run_step", run_step)
+
+
+def _set(module, name, value):
+    return lambda monkeypatch: monkeypatch.setattr(module, name, value)
+
+
+# each line under the verdict pushed just past it: (patch, gate, line)
+VERDICT_LINE_FAILURES = [
+    (_set(measure, "contradiction_upper_bound", lambda tmin: F(10 ** 20)),
+     "kappa below 3", "contradiction bound below the descent bounds"),
+    # an undefined X fails the line, as if it were infinite
+    (_set(measure, "contradiction_upper_bound", lambda tmin: None),
+     "kappa below 3", "contradiction bound below the descent bounds"),
+    # kappa's upper end itself, read when the test runs: the strict line fails
+    (lambda monkeypatch: monkeypatch.setattr(measure, "KAPPA_CAP", kappa_hi(F(100))),
+     "kappa below 3", "kappa below 3"),
+    (_bigger_at(hyperchi, "gamma_ratio_g1", 7, 10 ** 6),
+     "measure constant chains", "Lettl bound 3.32*1.35^r at r=7"),
+    (_bigger_at(hyperchi, "gamma_ratio_g2", 60, 10 ** 6),
+     "measure constant chains", "Lettl bound 1.6*10.7^r at r=60"),
+    (_zero_margin_at(3, 6), "descent lower bounds", "type 3 step k=6 non-vanishing numerator"),
+    (_zero_margin_at(0, 11), "descent lower bounds", "type 0 step k=11 non-vanishing numerator"),
+    # the drift at |t| = 100 is 5.02/100, and the least separation 0.9681
+    (_set(measure, "DRIFT_CAP", F("0.0502")), "type reduction certified", "root drift cap 0.06"),
+    (_set(measure, "SEPARATION_FLOOR", F("0.97")), "type reduction certified",
+     "separation floor 0.5"),
+]
+
+
+@pytest.mark.parametrize("patch, gate, line", VERDICT_LINE_FAILURES, ids=[
+    "contradiction-1e20", "contradiction-undefined", "kappa-cap", "lettl-q-r7", "lettl-e-r60",
+    "step-3-6", "step-0-11", "drift-cap", "separation-floor"])
+def test_each_verdict_line_fails_alone_in_its_gate(monkeypatch, capsys, patch, gate, line):
+    # the Lettl bounds run once per process: a fresh cache sees the patch
+    monkeypatch.setattr(measure, "_tmin_free_checks",
+                        lru_cache(maxsize=None)(measure._tmin_free_checks.__wrapped__))
+    patch(monkeypatch)
+    try:
+        code = main(["verify-all"])
+        out, err = capsys.readouterr()
+    finally:
+        monkeypatch.undo()
+    assert (code, err) == (1, "")
+    doc = json.loads(out)
+    failed = {g["name"]: g["detail"] for g in doc["gates"] if not g["ok"]}
+    assert list(failed) == [gate] and doc["verdict"] == "inconclusive"
+    assert failed[gate].startswith(f"ChainError: {line}: ")
+    assert theorem_assembly(F(100)).verdict == "proven"
+
+
+def test_the_lin_coefficient_line_fails_alone(monkeypatch, capsys):
+    # 443 set to 8.86 * 15.48 / 0.31 itself: the strict line fails on equality
+    monkeypatch.setattr(measure, "LIN_COEFF",
+                        descent.BETA_COEFF * measure.C_COEFF[3] / measure.C2_DIVISOR)
+    try:
+        with pytest.raises(ChainError, match="^lin coefficient 443: "):
+            corollary_lin(F(1))
+        assert main(["corollary-lin", "--C", "1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("certification failure: ChainError: lin coefficient 443: ")
+        assert theorem_assembly(F(100)).verdict == "proven"
+    finally:
+        monkeypatch.undo()
+    assert corollary_lin(F(1))["consistency_margin"] == F(443) - F("137.1528") / F("0.31")
 
 
 def test_corollary_lin():
