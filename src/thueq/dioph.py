@@ -62,6 +62,34 @@ Y_UNIT_X_MAX_SQ = 1 + 5
 _SEARCH_CACHE: list | None = None
 
 
+def y_box_sq(xn: int) -> int:
+    """The bound on |y|^2 of a small solution with |x|^2 = xn.  F_t(x, y) = x^4
+    (mod y), so F_t(x, y) = mu forces N(y) | N(x^4 - mu) <= (1 + |x|^4)^2;
+    x^4 = mu, of norm 0, needs a unit x, whose box is Y_UNIT_X_MAX_SQ."""
+    return Y_UNIT_X_MAX_SQ if xn == 1 else (1 + xn * xn) ** 2
+
+
+@lru_cache(maxsize=None)
+def small_solution_t_sq_bound() -> Fraction:
+    """The largest |t|^2 of a small solution, derived once per process.
+
+    As F_t(y, -x) = F_t(x, y), take X = |x|^2 <= 8 and X <= Y = |y|^2 <= y_box_sq(X).
+    From t xy(x^2 - y^2) = x^4 - 6x^2y^2 + y^4 - mu, with |x^2 - y^2| >= Y - X
+    and |x^2 - y^2| >= 1 (x^2 = y^2 gives F_t(x, y) = -4x^4, no unit),
+    |t|^2 <= (X^2 + 6XY + Y^2 + 1)^2 / (XY max(1, Y - X)^2).  The maximum over
+    the box's integer pairs, compared cross-multiplied on the integers, is
+    83521/18 at (8, 9): |t| <= 68.12."""
+    bn, bd = 0, 1
+    for xn in range(1, 9):
+        c = xn * xn + 1
+        for yn in range(xn, y_box_sq(xn) + 1):
+            g = yn - xn or 1  # max(1, Y - X)
+            num, den = (c + yn * (6 * xn + yn)) ** 2, xn * yn * g * g
+            if num * bd > bn * den:
+                bn, bd = num, den
+    return Fraction(bn, bd)
+
+
 def small_solution_search(tmin_abs: Rat = Fraction(0)) -> list[Solution]:
     """All non-trivial solutions with min{|x|, |y|} < 3 and |t| >= tmin_abs,
     up to equivalence and the sign normalizations on x, y and t."""
@@ -81,9 +109,7 @@ def _search_all() -> list[Solution]:
         xn, xp = x.abs_sq(), (x.a, x.b)
         if xn >= 9:
             continue
-        # F_t(x, y) = x^4 (mod y), so F_t(x, y) = mu forces N(y) | N(x^4 - mu)
-        # <= (1 + |x|^4)^2; x^4 = mu, of norm 0, needs a unit x
-        ybound_sq = Y_UNIT_X_MAX_SQ if xn == 1 else (1 + xn * xn) ** 2
+        ybound_sq = y_box_sq(xn)
         bound = 1 + math.isqrt(ybound_sq - 1)  # ceil(sqrt), ybound_sq >= 1
         # rational y (dy = None) first, then x's own field or, for rational
         # x, every field; a rational pair lives in d = 1 and in d = 3, whose

@@ -217,7 +217,7 @@ def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = descent.KMAX) -> ProofR
     A failed sub-certificate never raises: it shows up as a failed gate and
     an inconclusive verdict with a diagnostic string.
     """
-    from .dioph import irreducibility_exceptions, small_solution_search
+    from .dioph import irreducibility_exceptions, small_solution_search, small_solution_t_sq_bound
 
     tmin = F(tmin)
     gates = []
@@ -237,7 +237,14 @@ def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = descent.KMAX) -> ProofR
                          + (f"{len(bad)} at or above tmin" if bad else "all below tmin"))
 
     def g_small():
-        sols = small_solution_search(tmin)
+        # no small solution has |t|^2 above the derived bound, so past it the
+        # line stands in for the search; |t| >= tmin gives |t|^2 >= max(tmin, 0)^2
+        try:
+            lines(("small-solution bound below tmin^2", small_solution_t_sq_bound(),
+                   max(tmin, 0) ** 2, "<"))
+            sols = []
+        except ChainError:
+            sols = small_solution_search(tmin)
         return sols == [], f"{len(sols)} non-trivial small solutions"
 
     def g_types():

@@ -3,6 +3,8 @@ import hashlib
 import itertools
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -350,6 +352,36 @@ def test_the_unit_x_box_is_needed_to_its_last_norm(monkeypatch, capsys):
     assert len(lost) == 6
     assert dioph._search_all() == [s for s in sols if s not in lost]
     assert not set(_search_output_digests(monkeypatch, capsys)) & set(pins)
+
+
+def _t_sq_bound_oracle() -> F:
+    """The derived |t|^2 bound as Fractions, over the box spelled out:
+    (X^2 + 6XY + Y^2 + 1)^2 / (XY max(1, Y - X)^2) for 1 <= X <= 8 and
+    X <= Y <= 6 for X = 1, (1 + X^2)^2 otherwise."""
+    return max(F((x * x + 6 * x * y + y * y + 1) ** 2, x * y * max(1, y - x) ** 2)
+               for x in range(1, 9) for y in range(x, (6 if x == 1 else (1 + x * x) ** 2) + 1))
+
+
+def test_every_small_solution_lies_inside_the_derived_t_bound():
+    # the bound that decides the small-solution gate in place of the search
+    # when tmin^2 exceeds it; the largest |t|^2 found is 19, at (5 sqrt(-3) +- 1)/2
+    bound = dioph.small_solution_t_sq_bound()
+    sols = small_solution_search(F(0))
+    assert len(sols) == 79
+    assert all(s.t.abs_sq() <= bound for s in sols)
+    assert max(s.t.abs_sq() for s in sols) == 19
+
+
+def test_the_derived_t_bound_is_83521_over_18_at_8_9():
+    # at X = 8, Y = 9: 578^2 / 72, so |t| <= 68.12 for every small solution
+    bound = dioph.small_solution_t_sq_bound()
+    assert bound == F(578 ** 2, 8 * 9) == F(83521, 18) == _t_sq_bound_oracle()
+    assert F(68) ** 2 < bound < F("68.12") ** 2
+    # the integer loop holds no assert for python -O to strip
+    code = ("import sys\nfrom thueq.dioph import small_solution_t_sq_bound\n"
+            "if not sys.flags.optimize: sys.exit(3)\nprint(small_solution_t_sq_bound())\n")
+    r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert (r.returncode, r.stdout) == (0, "83521/18\n"), r.stderr
 
 
 def test_root_ball_certification():

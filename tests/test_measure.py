@@ -1,8 +1,10 @@
+import hashlib
 import importlib
 import json
 import random
 from fractions import Fraction as F
 from functools import lru_cache
+from pathlib import Path
 
 import oracles
 import pytest
@@ -10,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import measure_constants_oracle, outcome
 
-from thueq import descent, exactnum, hyperchi, measure, rouche, series
+from thueq import descent, dioph, exactnum, hyperchi, measure, rouche, series
 from thueq.cli import main
 from thueq.dioph import root_ball
 from thueq.exactnum import iroot, round_up_sig, sqrt_bounds
@@ -168,6 +170,44 @@ def test_theorem_assembly_below_zero_fails_the_first_gates():
     irred, small = rep.all_gates[:2]
     assert not irred.ok and irred.detail == "27 reducible parameters, 27 at or above tmin"
     assert not small.ok and small.detail.startswith("ValueError")
+
+
+VERIFY_ALL_REFERENCE = Path(__file__).parents[1] / "perfbench/reference/verify_all.json"
+
+
+def test_verify_all_at_100_never_runs_the_search(monkeypatch, capsys):
+    # 83521/18 < 100^2: the derived bound on |t|^2 decides the gate
+    def refuse(tmin_abs=F(0)):
+        raise AssertionError("small_solution_search ran")
+
+    monkeypatch.setattr(dioph, "small_solution_search", refuse)
+    assert theorem_assembly(F(100)).verdict == "proven"
+    assert main(["verify-all"]) == 0
+    assert capsys.readouterr().out == VERIFY_ALL_REFERENCE.read_text()
+
+
+@pytest.mark.parametrize("tmin, searched", [
+    (F(0), True), (F(68), True), (F(69), False), (F(100), False)])
+def test_the_small_solution_gate_searches_below_the_derived_bound(monkeypatch, tmin, searched):
+    # 68^2 < 83521/18 < 69^2; the gate's detail is the same on both routes
+    calls, real = [], dioph.small_solution_search
+    monkeypatch.setattr(dioph, "small_solution_search",
+                        lambda tmin_abs: calls.append(tmin_abs) or real(tmin_abs))
+    gate = theorem_assembly(tmin).all_gates[1]
+    assert calls == ([tmin] if searched else [])
+    assert gate == measure.GateResult("no small solutions at tmin", tmin > 0,
+                                      f"{79 if tmin == 0 else 0} non-trivial small solutions")
+
+
+def test_verify_all_at_tmin_60_runs_the_search_with_the_same_report(monkeypatch, capsys):
+    calls, real = [], dioph.small_solution_search
+    monkeypatch.setattr(dioph, "small_solution_search",
+                        lambda tmin_abs: calls.append(tmin_abs) or real(tmin_abs))
+    assert main(["verify-all", "--tmin", "60"]) == 1
+    assert calls == [F(60)]
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bdc46112501029fabc15232bff952f37df9e2229acf1f328b82a20952e16c6e1")
 
 
 def test_theorem_assembly_gate_failure_is_reported_not_raised():
@@ -669,10 +709,10 @@ def test_kappa_is_enclosed_once_per_modulus(monkeypatch):
 
 # the caches free of tmin: each is keyed by a root type, a step, a center, an
 # order r, a field or nothing, and holds what every tmin shares
-UNBOUNDED = {"descent._step_algebra", "dioph._x_part", "hyperchi.chi_coeffs",
-             "hyperchi.denom_data", "measure._tmin_free_checks", "measure._fixed_lines",
-             "measure._log_constants", "quadfield.roots_of_unity", "rouche._taylor_terms",
-             "series.root_series", "series._thue_data"}
+UNBOUNDED = {"descent._step_algebra", "dioph._x_part", "dioph.small_solution_t_sq_bound",
+             "hyperchi.chi_coeffs", "hyperchi.denom_data", "measure._tmin_free_checks",
+             "measure._fixed_lines", "measure._log_constants", "quadfield.roots_of_unity",
+             "rouche._taylor_terms", "series.root_series", "series._thue_data"}
 
 
 def test_every_cache_keyed_by_tmin_is_bounded():
