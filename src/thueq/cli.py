@@ -9,7 +9,7 @@ import sys
 from fractions import Fraction
 
 from . import __version__
-from .descent import KMAX, KSTART
+from .descent import BETA_COEFF, KMAX, KSTART
 from .exactnum import TMIN_FLOOR, Rat, sig_str
 
 EXIT_OK = 0
@@ -203,7 +203,7 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_corollary_lin(args) -> int:
-    from .measure import corollary_lin
+    from .measure import C2_DIVISOR, C_COEFF, LIN_COEFF, corollary_lin
 
     r = corollary_lin(args.C, args.t0)
     payload = {
@@ -217,8 +217,8 @@ def _cmd_corollary_lin(args) -> int:
     table = [
         f"C = {sig_str(args.C)}: t0 = {r['t0']}, C0 = {sig_str(r['C0'])}",
         "  terms: " + ", ".join(sig_str(t) for t in r["terms"]),
-        f"  consistency margin 443 - 137.1528/0.31 = "
-        f"{sig_str(r['consistency_margin'])}",
+        f"  consistency margin {sig_str(LIN_COEFF, 7)} - {sig_str(BETA_COEFF * C_COEFF[3], 7)}"
+        f"/{sig_str(C2_DIVISOR, 7)} = {sig_str(r['consistency_margin'])}",
         f"  (x, +-x) family: |x| <= {sig_str(r['exceptional_family_coeff'])}"
         f" |t|^(1/4)",
     ]

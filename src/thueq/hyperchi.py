@@ -18,9 +18,8 @@ LETTL_K0, LETTL_Q_BASE = Fraction("3.32"), Fraction("1.35")
 LETTL_L0, LETTL_E_BASE = Fraction("1.6"), Fraction("10.7")
 
 
-# delta: lcm of denominators of chi_r; n_gcd: gcd of numerators of
-# chi_r(1 - 8X); cleared: integer coefficients of (delta/n_gcd) chi_r(1-8X)
-DenomData = namedtuple("DenomData", "r delta n_gcd cleared")
+# delta: the denominator of chi_r; n: N_r = 8^r, dividing delta chi_r(1 - 8X)
+DenomData = namedtuple("DenomData", "delta n")
 
 
 def chi_ints(r: int) -> tuple[list[int], int]:
@@ -46,9 +45,13 @@ def chi_coeffs(r: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def denom_data(r: int) -> DenomData:
-    """delta, n_gcd and the primitive cleared chi_r(1 - 8X): the coefficients
-    are scaled by delta to integers first, then Taylor-shifted to 1 and the
-    X^k coefficient scaled by (-8)^k."""
+    """delta, checked to clear chi_r, and N_r = 8^r.  The X^k coefficient of
+    delta chi_r(1 - 8X) is c_k = (-8)^k delta chi_r^(k)(1)/k!, and for
+    chi_r = sum a_k X^k, a_k = C(r,k) prod_{j<k} (4r+1-4j)/(4j+3), Chu-Vandermonde
+    gives chi_r^(k)(1)/k! = a_k 4^(r-k) (2r-k)!/(r! prod_{k<=j<r} (4j+3)).  The
+    products over j are odd, and C(r,k) (2r-k)!/r! = C(2r-k,k) 2^(r-k) (2r-2k-1)!!,
+    so v2(c_k) >= 3k + 2(r-k) + (r-k) = 3r: 8^r divides every c_k, and as delta
+    is odd it is the whole 2-part of c_0, so of their gcd."""
     if r < 1:
         raise ValueError("r must be >= 1")
     nums, delta = chi_ints(r)
@@ -57,17 +60,7 @@ def denom_data(r: int) -> DenomData:
             nums[k + 1] * (4 * k + 3) * (k + 1) != nums[k] * (k - r) * (4 * k - 4 * r - 1)
             for k in range(r)):
         raise ChainError(f"delta does not clear chi_{r}")
-    # p(X + 1) by synthetic division, its X^j coefficient p^(j)(1)/j!: pass i
-    # replaces each coefficient from X^i up by the sum of those at or above it
-    shifted = list(nums)
-    for i in range(r):
-        shifted[i:] = list(accumulate(reversed(shifted[i:])))[::-1]
-    acc = [c * (-8) ** k for k, c in enumerate(shifted)]
-    n_gcd = math.gcd(*acc)
-    cleared = tuple(n // n_gcd for n in acc)
-    if math.gcd(*cleared) != 1:
-        raise ChainError(f"cleared chi_{r}(1 - 8X) is not primitive")
-    return DenomData(r, delta, n_gcd, cleared)
+    return DenomData(delta, 8 ** r)
 
 
 def gamma_ratio_g1(r: int) -> Rat:
@@ -86,8 +79,7 @@ def verify_lettl(rmax: int) -> list[dict]:
     2^(4r+3)(D/N)g2 < 1.6*10.7^r, for 1 <= r <= rmax; returns the margins."""
     rows = []
     for r in range(1, rmax + 1):
-        dd = denom_data(r)
-        ratio = Fraction(dd.delta, dd.n_gcd)
+        ratio = Fraction(*denom_data(r))
         (_, m1), (_, m2) = lines(
             (f"Lettl bound 3.32*1.35^r at r={r}", 2 ** (r + 2) * ratio * gamma_ratio_g1(r),
              LETTL_K0 * LETTL_Q_BASE ** r, "<"),

@@ -40,8 +40,9 @@ QMIN = {0: F("0.28"), 3: F("0.14")}
 # |u|, |z| <= 1.04|t|, |t|-4 >= 0.96|t|, |t|-12 >= 0.88|t|, |alpha3 - i| <= 1.44
 UZ_CAP, T4_FLOOR, T12_FLOOR, I_DIST_CAP = F("1.04"), F("0.96"), F("0.88"), F("1.44")
 ERR_FLOOR, ERR_PREFACTOR, ERR_BASE = F("1.02"), F("1.14"), F("1.24")
-# |w|, |1/w| <= 1.09; Q_BASE >= 1.35 * 1.04 * 2.09, with 2.09 = 1 + 1.09; |alpha0| <= 0.02
-W_CAP, Q_FACTOR, SMALL_ROOT_CAP = F("1.09"), F("2.09"), F("0.02")
+# |w|, |1/w| <= 1.09; Q_BASE >= 1.35 * 1.04 * (1 + 1.09); |alpha0| <= 0.02
+W_CAP, SMALL_ROOT_CAP = F("1.09"), F("0.02")
+Q_FACTOR = 1 + W_CAP
 # type reduction: each root within 0.06 of its center, the small roots 0.5 apart
 DRIFT_CAP, SEPARATION_FLOOR = F("0.06"), F("0.5")
 KAPPA_CAP = 3  # the contradiction bound X^(3 - kappa) >= 137.16 needs kappa < 3
@@ -389,8 +390,10 @@ def _eps_gate_fn(eps: Rat):
 
 
 def _gate_results(oks: tuple) -> tuple[GateResult, ...]:
-    return (GateResult("type threshold", oks[0], "4 * 20.14^(1-eps) <= |t|"),
-            GateResult("cubic absorption", oks[1], "8.86 / |t|^(1/2 + eps/4) <= 0.33"),
+    threshold, beta, cubic = (sig_str(x, 7) for x in (
+        descent.TYPE_THRESHOLD, descent.BETA_COEFF, CUBIC_ABSORB))
+    return (GateResult("type threshold", oks[0], f"4 * {threshold}^(1-eps) <= |t|"),
+            GateResult("cubic absorption", oks[1], f"{beta} / |t|^(1/2 + eps/4) <= {cubic}"),
             GateResult("measure contradiction", oks[2], oks[3]))
 
 

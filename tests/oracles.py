@@ -9,9 +9,10 @@ and the Durand-Kerner seeds they ran on, the ``ComplexBall`` bounds on
 |x - alpha y| and overlap test of the type classification, the Thue
 polynomials at a concrete t by homogeneous Horner at each t, and the
 ``corollary_eps`` bisection with its ``Fraction`` gates as it ran before the
-integer gate kernel, the branchy Z[omega] formulas that ran before the one
-``quadfield.ring`` table, the integral approximant pairs, which no command
-runs, and the tmin certificates (descent steps, root enclosures, measure
+integer gate kernel, the chi_r(1 - 8X) composition whose gcd ``denom_data``
+took for N_r before it read N_r = 8^r, the branchy Z[omega] formulas that ran
+before the one ``quadfield.ring`` table, the integral approximant pairs, which
+no command runs, and the tmin certificates (descent steps, root enclosures, measure
 chains and the significant-digit rounding) as they ran in ``Fraction``
 arithmetic at each tmin before their tmin-free parts were built once over Z,
 with the descent's non-vanishing polynomial as it was built over Z[i] and the
@@ -229,6 +230,28 @@ def chi_coeffs_oracle(r: int) -> tuple:
     return tuple(out)
 
 
+def compose_1_minus_8x(coeffs) -> list:
+    """p(1 - 8X) by Horner in the shifted variable, over Z or Q."""
+    acc = []
+    for c in reversed(coeffs):
+        # acc = acc * (1 - 8X) + c
+        acc = [a - 8 * b for a, b in zip(acc + [0], [0] + acc)]
+        acc[0] += c
+    return acc
+
+
+@lru_cache(maxsize=None)
+def cleared_chi_oracle(r: int) -> tuple[int, int, tuple]:
+    """(delta, N, cleared) by the Fraction composition: delta the lcm of the
+    denominators of chi_r, N the gcd of the numerators of delta chi_r(1 - 8X)
+    and cleared its coefficients over N, as Fractions."""
+    cs = chi_coeffs_oracle(r)
+    delta = math.lcm(*(c.denominator for c in cs))
+    nums = [c * delta for c in compose_1_minus_8x(cs)]
+    n = math.gcd(*(c.numerator for c in nums))
+    return delta, n, tuple(c / n for c in nums)
+
+
 def chi_star_oracle(r: int, p, q):
     """chi*(p, q) = sum_k a_k p^k q^(r-k) for the coefficients a_k of chi_r,
     over any polynomial type."""
@@ -241,8 +264,7 @@ def chi_star_oracle(r: int, p, q):
 
 def approximants_oracle(xi: int, r: int) -> tuple[TPoly, TPoly]:
     """(p_r, q_r) by the GaussRat chi-star construction."""
-    dd = denom_data(r)
-    ratio = Fraction(dd.delta, dd.n_gcd)
+    ratio = Fraction(*denom_data(r))
     u, z = U_T.eval_X(0), Z_T.eval_X(0)
     first, second = chi_star_oracle(r, z, u), chi_star_oracle(r, u, z)
     i_r = _gpow(GI, r % 4)
@@ -266,10 +288,10 @@ def approximants(xi: int, r: int) -> tuple[TPoly, TPoly]:
     Gaussian-integer coefficients.  With S1 = chi*(z, u) and S2 = chi*(u, z)
     on the cleared chi_r, p = -i^(r+1) (S1 - S2)/N and q = -i^r (S1 + S2)/N
     at xi = 0, p = -(1+i)(-i)^r (S1 - iS2)/N and q = (i-1)(-i)^r (S1 + iS2)/N
-    at xi = 1, for N = ``denom_data(r).n_gcd``."""
+    at xi = 1, for N = ``denom_data(r).n`` = 8^r."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    (n, _), n_gcd = chi_ints(r), denom_data(r).n_gcd
+    (n, _), n_r = chi_ints(r), denom_data(r).n
     s1, s2 = zpoly.homogenise(n, _Z_T, _U_T), zpoly.homogenise(n, _U_T, _Z_T)
     if xi == 0:
         units = _i_pow(r + 1, -1), _i_pow(r, -1)
@@ -278,7 +300,7 @@ def approximants(xi: int, r: int) -> tuple[TPoly, TPoly]:
         s2 = zpoly.gmul(_i_pow(1), s2)
     else:
         raise ValueError("xi must be 0 or 1")
-    p, q = (TPoly.from_ints(zpoly.gmul(unit, f), n_gcd)
+    p, q = (TPoly.from_ints(zpoly.gmul(unit, f), n_r)
             for unit, f in zip(units, (zpoly.gsub(s1, s2), zpoly.gadd(s1, s2))))
     if p.den != 1 or q.den != 1:
         raise IntegralityError(f"non-integral coefficients (xi={xi}, r={r})")

@@ -2,7 +2,7 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from oracles import chi_coeffs_oracle
+from oracles import chi_coeffs_oracle, cleared_chi_oracle, compose_1_minus_8x
 
 from thueq import hyperchi
 from thueq.exactnum import ChainError
@@ -16,24 +16,8 @@ from thueq.hyperchi import (
 )
 
 # ---------------------------------------------------------------------------
-# oracles: the Fraction composition denom_data replaced, an independent
-# prime-by-prime (delta, N), and the hypergeometric ODE residual
-
-
-def _compose_1_minus_8x(coeffs) -> list:
-    """p(1 - 8X) by Horner in the shifted variable, over Q."""
-    acc = [F(0)]
-    for c in reversed(coeffs):
-        # acc = acc * (1 - 8X) + c
-        new = [F(0)] * (len(acc) + 1)
-        for k, a in enumerate(acc):
-            new[k] += a
-            new[k + 1] -= 8 * a
-        new[0] += c
-        acc = new
-    while len(acc) > 1 and acc[-1] == 0:
-        acc.pop()
-    return acc
+# oracles: an independent prime-by-prime (delta, N), and the hypergeometric
+# ODE residual; the Fraction composition is tests/oracles.py's
 
 
 def denom_data_by_valuation(r: int) -> tuple[int, int]:
@@ -51,7 +35,7 @@ def denom_data_by_valuation(r: int) -> tuple[int, int]:
     for p in _trial_factor(den_lcm):
         e = max(_val(c.denominator, p) for c in cs)
         delta *= p ** e
-    shifted = [c * delta for c in _compose_1_minus_8x(cs)]
+    shifted = [c * delta for c in compose_1_minus_8x(cs)]
     ints = [abs(c.numerator) for c in shifted if c != 0]
     g = 0
     for v in ints:
@@ -123,12 +107,10 @@ def test_chi_ode_residual_vanishes():
 
 
 def test_denominator_data_small():
-    d1 = denom_data(1)
-    assert (d1.delta, d1.n_gcd) == (3, 8)
-    assert d1.cleared == (1, -5)
-    d2 = denom_data(2)
-    assert (d2.delta, d2.n_gcd) == (7, 64)
-    assert d2.cleared == (1, -9, 15)
+    assert denom_data(1) == (3, 8)
+    assert cleared_chi_oracle(1)[2] == (1, -5)
+    assert denom_data(2) == (7, 64)
+    assert cleared_chi_oracle(2)[2] == (1, -9, 15)
 
 
 def test_cleared_polynomial_is_integral():
@@ -138,19 +120,36 @@ def test_cleared_polynomial_is_integral():
         # delta clears every denominator of chi's coefficients
         for c in coeffs:
             assert (dd.delta * c).denominator == 1
-        assert all(isinstance(c, int) for c in dd.cleared)
+        # and (delta/N) chi_r(1 - 8X) is integral
+        assert all((c * dd.delta / dd.n).denominator == 1 for c in compose_1_minus_8x(coeffs))
 
 
 def test_integer_denom_data_matches_the_fraction_composition():
     for r in range(1, 61):
-        cs = chi_coeffs_oracle(r)
-        delta = math.lcm(*(c.denominator for c in cs))
-        nums = [c * delta for c in _compose_1_minus_8x(cs)]
-        assert all(n.denominator == 1 for n in nums)
-        n_gcd = math.gcd(*(n.numerator for n in nums))
-        dd = denom_data(r)
-        assert (dd.delta, dd.n_gcd) == (delta, n_gcd), r
-        assert dd.cleared == tuple(n.numerator // n_gcd for n in nums), r
+        delta, n, cleared = cleared_chi_oracle(r)
+        assert tuple(denom_data(r)) == (delta, n), r
+        assert all(c.denominator == 1 for c in cleared), r
+        assert math.gcd(*(c.numerator for c in cleared)) == 1, r
+
+
+def test_eight_to_the_r_is_the_gcd_of_delta_chi_at_1_minus_8x():
+    # denom_data's N_r = 8^r rests on a valuation proof; the composition over
+    # Z checks it: 8^r divides every coefficient c_k, is their gcd, and is the
+    # whole 2-part of c_0
+    for r in range(1, 301):
+        nums, delta = chi_ints(r)
+        cs = compose_1_minus_8x(nums)
+        n = denom_data(r).n
+        assert delta % 2 == 1, r
+        assert all(c % n == 0 for c in cs), r
+        assert math.gcd(*cs) == n, r
+        assert (cs[0] & -cs[0]).bit_length() - 1 == 3 * r, r
+
+
+def test_lettl_rows_with_the_composition_gcd_are_the_same(monkeypatch, lettl_rows):
+    monkeypatch.setattr(hyperchi, "denom_data",
+                        lambda r: hyperchi.DenomData(*cleared_chi_oracle(r)[:2]))
+    assert verify_lettl(60) == lettl_rows
 
 
 def test_integer_chi_ints_match_the_fraction_coefficients():
@@ -181,8 +180,7 @@ def test_denom_data_checks_that_delta_clears_chi(monkeypatch, bad):
 
 def test_denom_data_by_valuation_agrees():
     for r in range(1, 21):
-        dd = denom_data(r)
-        assert denom_data_by_valuation(r) == (dd.delta, dd.n_gcd)
+        assert denom_data_by_valuation(r) == denom_data(r)
 
 
 def test_gamma_ratios_small():
