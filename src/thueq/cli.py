@@ -10,21 +10,18 @@ from fractions import Fraction
 
 from . import __version__
 from .descent import BETA_COEFF, KMAX, KSTART
-from .exactnum import TMIN_FLOOR, Rat, sig_str
+from .exactnum import MAX_DIGITS, TMIN_FLOOR, OutputLimitError, Rat, sig_str
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_INTERNAL = 2
 EXIT_USAGE = 64
+# enumerate lists about 2.7 m^3 elements for --max-abs m: 170,720 at m = 40
+MAX_ABS = 40
 
 # rounded bounds can carry thousands of digits; keep str() able to print them
-MAX_DIGITS = 200_000
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(MAX_DIGITS)
-
-
-class OutputLimitError(Exception):
-    """An exact result has more digits than the CLI prints."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -296,7 +293,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(fn=_cmd_small_solutions)
 
     p = sub.add_parser("enumerate", help="ring elements of bounded modulus")
-    p.add_argument("--max-abs", type=_nonneg_rat, required=True)
+    p.add_argument("--max-abs", type=_nonneg_rat, required=True,
+                   help=f"the bound m on |x|, at most {MAX_ABS}")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=_cmd_enumerate)
 
@@ -340,10 +338,13 @@ def main(argv=None) -> int:
         kmin = KSTART[args.type] if args.command == "descent" else max(KSTART.values())
         if not kmin <= args.kmax <= KMAX:
             parser.error(f"--kmax must be in [{kmin}, {KMAX}]")
+    if args.command == "enumerate" and args.max_abs > MAX_ABS:
+        parser.error(f"--max-abs must be at most {MAX_ABS}")
     try:
         return args.fn(args)
     except OutputLimitError:
-        hint = "a smaller --C" if args.command == "corollary-lin" else "smaller arguments"
+        hint = {"corollary-lin": "a smaller --C",
+                "corollary-eps": "a larger --eps"}.get(args.command, "smaller arguments")
         print(f"output limit: an exact result exceeds the {MAX_DIGITS:,}-digit "
               f"output limit; ask for {hint}", file=sys.stderr)
         return EXIT_USAGE

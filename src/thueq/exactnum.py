@@ -32,6 +32,13 @@ class ChainError(ArithmeticError):
     an identity; the message names it."""
 
 
+MAX_DIGITS = 200_000  # the most digits of a printed integer, or of a corollary-eps t0
+
+
+class OutputLimitError(Exception):
+    """An exact result has more than MAX_DIGITS digits."""
+
+
 TMIN_FLOOR = Fraction(100)  # the least |t| the tmin chains certify, and the default tmin
 
 
@@ -253,22 +260,22 @@ class _AtanhSeries:
 _LN2_CACHE: dict[int, RatInterval] = {}
 
 
-def _ln2(bn: Rat, bd: int = 1) -> RatInterval:
-    """ln 2 = 2 atanh(1/3) with tail <= bn/bd (bn rational or an integer).
+@lru_cache(maxsize=256)
+def _ln2_enclosure(bn: Rat, bd: int = 1) -> RatInterval:
+    """ln 2 = 2 atanh(1/3) with tail <= bn/bd, a function of the budget alone."""
+    s, r, den, _ = _AtanhSeries(1, 3).enclose(bn, 2 * bd)
+    return RatInterval(Fraction(2 * (s - r), den), Fraction(2 * (s + r), den))
 
-    The cache is keyed by the decimal exponent of the budget, and the first
-    budget of a decade fixes the entry for every later one in the process.
-    So an enclosure that folds in k ln 2 depends on the earlier calls: the
-    published corollary-eps thresholds were taken with this cache, and a
-    cache-free or decade-floor ln 2 moves them.
-    """
+
+def _ln2(bn: Rat, bd: int = 1) -> RatInterval:
+    """_ln2_enclosure through a cache keyed by the decimal exponent of the
+    budget: the first budget of a decade fixes the entry for every later one
+    in the process.  So ln_enclosure and kappa, which read it for k != 0, can
+    depend on the earlier calls, within their width; ln_floor does not."""
     key = _ln2_key(bn, bd)
-    iv = _LN2_CACHE.get(key)
-    if iv is None:
-        s, r, den, _ = _AtanhSeries(1, 3).enclose(bn, 2 * bd)
-        iv = RatInterval(Fraction(2 * (s - r), den), Fraction(2 * (s + r), den))
-        _LN2_CACHE[key] = iv
-    return iv
+    if key not in _LN2_CACHE:
+        _LN2_CACHE[key] = _ln2_enclosure(bn, bd)
+    return _LN2_CACHE[key]
 
 
 @lru_cache(maxsize=256)
@@ -283,8 +290,8 @@ KAPPA_DEN_SHIFT = Fraction("2.59")
 class LnArg:
     """One x > 0 reduced once for its logarithm: x = 2**k * m with m in
     [3/4, 3/2), and ln x = k ln 2 + 2 atanh(a/b) with a/b = (m - 1)/(m + 1)
-    in lowest terms.  Enclosures of several widths, of ln x and of kappa,
-    share the reduction and the power table of the series."""
+    in lowest terms.  Enclosures of several widths share the reduction and
+    the power table of the series."""
 
     __slots__ = ("x", "k", "_atanh")
 
@@ -312,55 +319,32 @@ class LnArg:
         self.k = k
         self._atanh = _AtanhSeries((p - q) // g, (p + q) // g)
 
-    def _unrounded(self, wn: int, wd: int) -> tuple[int, int, int, int, int]:
-        """(lo, lo_den, hi, hi_den, n): ln x in [lo/lo_den, hi/hi_den] before
-        the grid rounding to width wn/wd, from n atanh terms.  Of the budget
-        w/4, half goes to the atanh tail, and w/(8|k|) to the ln 2 enclosure.
-        For a fixed k, n and sign of a, both ends increase with x."""
-        s, r, den, n = self._atanh.enclose(wn, 8 * wd)
+    def _unrounded(self, wn: int, wd: int, ln2=None) -> tuple[int, int, int, int]:
+        """(lo, lo_den, hi, hi_den): ln x in [lo/lo_den, hi/hi_den] before the
+        grid rounding to width wn/wd.  Of the budget w/4, half goes to the
+        atanh tail, and w/(8|k|) to the enclosure ln2(bn, bd) of ln 2, by
+        default _ln2."""
+        s, r, den, _ = self._atanh.enclose(wn, 8 * wd)
         lo, hi = 2 * (s - r), 2 * (s + r)
         k = self.k
         if k == 0:
-            return lo, den, hi, den, n
-        ln2 = _ln2(wn, 8 * abs(k) * wd)
-        c_lo, c_hi = (ln2.lo, ln2.hi) if k > 0 else (ln2.hi, ln2.lo)
+            return lo, den, hi, den
+        c = (ln2 or _ln2)(wn, 8 * abs(k) * wd)
+        c_lo, c_hi = (c.lo, c.hi) if k > 0 else (c.hi, c.lo)
         return (lo * c_lo.denominator + k * c_lo.numerator * den, den * c_lo.denominator,
-                hi * c_hi.denominator + k * c_hi.numerator * den, den * c_hi.denominator, n)
+                hi * c_hi.denominator + k * c_hi.numerator * den, den * c_hi.denominator)
 
-    def _grid(self, wn: int, wd: int) -> tuple[int, int, int, int]:
-        """(lo, hi, bits, n): ln x in [lo, hi] / 2**bits, the ends of
+    def _grid(self, wn: int, wd: int) -> tuple[int, int, int]:
+        """(lo, hi, bits): ln x in [lo, hi] / 2**bits, the ends of
         _unrounded(wn, wd) rounded outward onto the coarsest 2**-bits grid
         (bits >= 8 past wd's length) with spacing at most (wn/wd) / 8."""
         if wn <= 0:
             raise DomainError("target_width must be positive")
-        lo, lo_den, hi, hi_den, n = self._unrounded(wn, wd)
+        lo, lo_den, hi, hi_den = self._unrounded(wn, wd)
         bits = max(8, wd.bit_length() + 8)
         while 8 * wd > wn << bits:
             bits += 8
-        return (lo << bits) // lo_den, -((-hi << bits) // hi_den), bits, n
-
-    def kappa(self, tn: int, td: int) -> tuple[int, int, int, int, list]:
-        """(num_lo, den_hi, num_hi, den_lo, rungs): (ln x + 1.08)/(ln x - 2.59)
-        lies in [num_lo/den_hi, num_hi/den_lo], of width <= tn/td in lowest
-        terms; rungs lists ((wn, wd, bits, n), lo, hi) of each ln grid it read."""
-        nn, nd = KAPPA_NUM_SHIFT.numerator, KAPPA_NUM_SHIFT.denominator
-        dn, dd = KAPPA_DEN_SHIFT.numerator, KAPPA_DEN_SHIFT.denominator
-        wn, wd = (tn, td) if 16 * tn <= td else (1, 16)
-        rungs = []
-        for _ in range(64):
-            lo, hi, bits, n = self._grid(wn, wd)
-            rungs.append(((wn, wd, bits, n), lo, hi))
-            # (ln x + 1.08) and (ln x - 2.59) over the common denominator
-            # 2**bits * nd * dd
-            num_lo, num_hi = ((e * nd + (nn << bits)) * dd for e in (lo, hi))
-            den_lo, den_hi = ((e * dd - (dn << bits)) * nd for e in (lo, hi))
-            if den_hi <= 0:
-                raise UndefinedKappaError(f"log({self.x}) <= 2.59")
-            if den_lo > 0 and (num_hi * den_hi - num_lo * den_lo) * td <= tn * den_lo * den_hi:
-                return num_lo, den_hi, num_hi, den_lo, rungs
-            g = math.gcd(wn, 4)  # w / 4 in lowest terms
-            wn, wd = wn // g, wd * (4 // g)
-        raise UndefinedKappaError(f"kappa enclosure did not converge for t={self.x}")
+        return (lo << bits) // lo_den, -((-hi << bits) // hi_den), bits
 
 
 def ln_enclosure(x: Rat, target_width: Rat) -> RatInterval:
@@ -370,17 +354,49 @@ def ln_enclosure(x: Rat, target_width: Rat) -> RatInterval:
     m in [3/4, 3/2); both series tails are bounded geometrically.
     """
     arg, w = LnArg(x), Fraction(target_width)
-    lo, hi, bits, _ = arg._grid(w.numerator, w.denominator)
+    lo, hi, bits = arg._grid(w.numerator, w.denominator)
     return RatInterval(Fraction(lo, 1 << bits), Fraction(hi, 1 << bits))
 
 
+def ln_floor(x: Rat, bits: int) -> int:
+    """floor(2**bits ln x) for a rational x > 0, exactly: the width of
+    LnArg._unrounded shrinks until both ends floor to the same integer.  This
+    stops, as ln x is irrational for every rational x != 1 (e^(p/q) is
+    transcendental) and the enclosure of ln 1 is [0, 0].  It reads ln 2
+    for its own budget, never from the cache of _ln2."""
+    arg, wd = LnArg(x), 1 << bits + 8
+    while True:
+        lo, lo_den, hi, hi_den = arg._unrounded(1, wd, _ln2_enclosure)
+        f = (lo << bits) // lo_den
+        if f == (hi << bits) // hi_den:
+            return f
+        wd <<= 32
+
+
 def kappa(t_abs: Rat, target_width: Rat) -> RatInterval:
-    """Enclosure of (ln|t| + 1.08) / (ln|t| - 2.59)."""
+    """Enclosure of (ln|t| + 1.08) / (ln|t| - 2.59), of width <= target_width,
+    from ln|t| at width target_width, or 1/16 if that is wider, then a
+    quarter of it per step until the quotient is narrow enough."""
     if Fraction(t_abs) <= 0:
         raise DomainError("t_abs must be positive")
-    w = Fraction(target_width)
-    num_lo, den_hi, num_hi, den_lo, _ = LnArg(t_abs).kappa(w.numerator, w.denominator)
-    return RatInterval(Fraction(num_lo, den_hi), Fraction(num_hi, den_lo))
+    arg, w = LnArg(t_abs), Fraction(target_width)
+    tn, td = w.numerator, w.denominator
+    nn, nd = KAPPA_NUM_SHIFT.numerator, KAPPA_NUM_SHIFT.denominator
+    dn, dd = KAPPA_DEN_SHIFT.numerator, KAPPA_DEN_SHIFT.denominator
+    wn, wd = (tn, td) if 16 * tn <= td else (1, 16)
+    for _ in range(64):
+        lo, hi, bits = arg._grid(wn, wd)
+        # (ln x + 1.08) and (ln x - 2.59) over the common denominator
+        # 2**bits * nd * dd
+        num_lo, num_hi = ((e * nd + (nn << bits)) * dd for e in (lo, hi))
+        den_lo, den_hi = ((e * dd - (dn << bits)) * nd for e in (lo, hi))
+        if den_hi <= 0:
+            raise UndefinedKappaError(f"log({arg.x}) <= 2.59")
+        if den_lo > 0 and (num_hi * den_hi - num_lo * den_lo) * td <= tn * den_lo * den_hi:
+            return RatInterval(Fraction(num_lo, den_hi), Fraction(num_hi, den_lo))
+        g = math.gcd(wn, 4)  # w / 4 in lowest terms
+        wn, wd = wn // g, wd * (4 // g)
+    raise UndefinedKappaError(f"kappa enclosure did not converge for t={arg.x}")
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from functools import lru_cache
 from itertools import accumulate
 from operator import mul
 
-from .exactnum import ChainError, Rat, lines
+from .exactnum import ChainError, lines
 
 # the Lettl growth constants, certified by verify_lettl
 LETTL_K0, LETTL_Q_BASE = Fraction("3.32"), Fraction("1.35")
@@ -63,27 +63,27 @@ def denom_data(r: int) -> DenomData:
     return DenomData(delta, 8 ** r)
 
 
-def gamma_ratio_g1(r: int) -> Rat:
-    """Gamma(3/4) r! / Gamma(r+3/4) = r! / prod_{k=0}^{r-1} (k + 3/4)."""
-    return Fraction(math.factorial(r) * 4 ** r, math.prod(4 * k + 3 for k in range(r)))
-
-
-def gamma_ratio_g2(r: int) -> Rat:
-    """Gamma(r+5/4) / (Gamma(1/4) r!) = (1/4) prod_{k=1}^{r} (k + 1/4) / r!."""
-    return Fraction(math.prod(4 * k + 1 for k in range(1, r + 1)),
-                    4 ** (r + 1) * math.factorial(r))
-
-
 def verify_lettl(rmax: int) -> list[dict]:
     """Two strict lines per r: 2^(r+2)(D/N)g1 < 3.32*1.35^r and
-    2^(4r+3)(D/N)g2 < 1.6*10.7^r, for 1 <= r <= rmax; returns the margins."""
+    2^(4r+3)(D/N)g2 < 1.6*10.7^r, for 1 <= r <= rmax; returns the margins.
+    With g1 = r! 4^r / prod_{k<r} (4k+3), g2 = prod_{k=1}^{r} (4k+1) /
+    (4^(r+1) r!), and a/b = 3.32*1.35^r, c/d = 1.6*10.7^r as running products,
+    the lines compare 2^(3r+2) D r! b < a N prod_{k<r} (4k+3) and
+    2^(2r+1) D prod_{k=1}^{r} (4k+1) d < c N r!, over Z."""
+    # a/b = rhs1n/rhs1d and c/d = rhs2n/rhs2d, from 3.32 and 1.6 at r = 0
+    (rhs1n, rhs1d), (qn, qd), (rhs2n, rhs2d), (en, ed) = (c.as_integer_ratio() for c in (
+        LETTL_K0, LETTL_Q_BASE, LETTL_L0, LETTL_E_BASE))
+    fact = odd3 = odd1 = 1  # r!, prod_{k<r} (4k+3), prod_{k=1}^{r} (4k+1)
     rows = []
     for r in range(1, rmax + 1):
-        ratio = Fraction(*denom_data(r))
+        fact, odd3, odd1 = fact * r, odd3 * (4 * r - 1), odd1 * (4 * r + 1)
+        rhs1n, rhs1d, rhs2n, rhs2d = rhs1n * qn, rhs1d * qd, rhs2n * en, rhs2d * ed
+        delta, n = denom_data(r)
         (_, m1), (_, m2) = lines(
-            (f"Lettl bound 3.32*1.35^r at r={r}", 2 ** (r + 2) * ratio * gamma_ratio_g1(r),
-             LETTL_K0 * LETTL_Q_BASE ** r, "<"),
-            (f"Lettl bound 1.6*10.7^r at r={r}", 2 ** (4 * r + 3) * ratio * gamma_ratio_g2(r),
-             LETTL_L0 * LETTL_E_BASE ** r, "<"))
-        rows.append({"r": r, "margin1": m1, "margin2": m2})
+            (f"Lettl bound 3.32*1.35^r at r={r}", (delta * fact << 3 * r + 2) * rhs1d,
+             rhs1n * n * odd3, "<"),
+            (f"Lettl bound 1.6*10.7^r at r={r}", (delta * odd1 << 2 * r + 1) * rhs2d,
+             rhs2n * n * fact, "<"))
+        rows.append({"r": r, "margin1": Fraction(m1, rhs1d * n * odd3),
+                     "margin2": Fraction(m2, rhs2d * n * fact)})
     return rows

@@ -15,8 +15,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import descent, exactnum
-from .exactnum import (TMIN_FLOOR, ChainError, Rat, UndefinedKappaError, floor_line, iroot,
-                       kappa, lines, ln_enclosure, round_up_sig, sig_str)
+from .exactnum import (MAX_DIGITS, TMIN_FLOOR, ChainError, OutputLimitError, Rat, floor_line,
+                       iroot, kappa, lines, ln_enclosure, ln_floor, round_up_sig, sig_str)
 from .hyperchi import LETTL_E_BASE, LETTL_K0, LETTL_L0, LETTL_Q_BASE
 from .rouche import ALPHA0_RADIUS, ALPHA2_RADIUS, ALPHA13_RADIUS, require, root_separation
 
@@ -50,6 +50,9 @@ CONTRADICTION_COEFF = F("137.16")  # >= 8.86 * 15.48 = 137.1528
 C2_DIVISOR = F("0.31")    # 443 >= 8.86 * 15.48 / 0.31; base 137.16 / 0.31^(2-eps)
 CUBIC_ABSORB = F("0.33")  # 8.86 / |t|^(1/2 + eps/4) <= 0.33
 LN_WIDTH = F(1, 10 ** 6)
+# the corollary-eps gates read logs on the 2^-28 grid, and ln t of the top
+# 64 bits of t
+LN_GRID_BITS, EPS_CUT_BITS = 28, 64
 
 
 # lines: (name, margin) pairs, all margins >= 0
@@ -305,16 +308,16 @@ LIN_COEFF = F(443)
 
 @lru_cache(maxsize=None)
 def _log_constants() -> dict:
-    """Run once per process: enclose (width LN_WIDTH) the logs of the
-    constants the corollary-eps gates use, keyed by the constant.  The
-    corollaries rest on both measure chains (c = 15.48 through 137.16, and
-    the Lettl bounds behind kappa), so these run first, at |t| = TMIN_FLOOR:
-    every corollary threshold lies above it, and the chains are monotone in
-    |t|.  A failure raises, and is not cached."""
+    """Run once per process: floor(2^LN_GRID_BITS ln c) for each constant c
+    the corollary-eps gates use, and for 10, which bounds the digits of a
+    threshold.  The corollaries rest on both measure chains (c = 15.48
+    through 137.16, and the Lettl bounds behind kappa), so these run first,
+    at |t| = TMIN_FLOOR: every corollary threshold lies above it, and the
+    chains are monotone in |t|.  A failure raises, and is not cached."""
     measure_constants(0, TMIN_FLOOR)
     measure_constants(3, TMIN_FLOOR)
-    return {c: ln_enclosure(c, LN_WIDTH) for c in (F(4), descent.TYPE_THRESHOLD,
-            descent.BETA_COEFF, CUBIC_ABSORB, C2_DIVISOR, CONTRADICTION_COEFF)}
+    return {c: ln_floor(c, LN_GRID_BITS) for c in (F(4), descent.TYPE_THRESHOLD,
+            descent.BETA_COEFF, CUBIC_ABSORB, C2_DIVISOR, CONTRADICTION_COEFF, F(10))}
 
 
 def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
@@ -352,39 +355,34 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
 
 
 def _eps_gate_fn(eps: Rat):
-    """_eps_gates at one eps on the integers of one LnArg: (ok_i, ok_ii, ok_iii,
-    detail_iii) and the state the gates read, or None without kappa: the piece
-    (k, atanh argument's sign, grid widths, bits and term counts) and grid ends."""
-    ln = _log_constants()
+    """The three gates at one eps as integer comparisons on a grid value g:
+    (ok_i, ok_ii, ok_iii, detail_iii) for every |t| with g <= 2^28 ln|t|.
+    ln c lies in [f, f + 1) / 2^28 for the grid floor f of each constant, and
+    as kappa falls while ln|t| grows, kappa <= (l + 1.08)/(l - 2.59) at
+    l = g / 2^28 > 2.59.  Each gate is monotone in g."""
+    ln, big = _log_constants(), 1 << LN_GRID_BITS
     p, q = eps.numerator, eps.denominator
-    ln4_hi, wn, wd = ln[F(4)].hi, LN_WIDTH.numerator, LN_WIDTH.denominator
-    # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= ln t
-    # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) ln t
-    floors = [(x.numerator, x.denominator) for x in (
-        ln4_hi + (1 - eps) * ln[descent.TYPE_THRESHOLD].hi,
-        (ln[descent.BETA_COEFF].hi - ln[CUBIC_ABSORB].lo) / (F(1, 2) + eps / 4))]
+    ln4_hi = ln[F(4)] + 1
+    # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= l, times q 2^28
+    type_log = q * ln4_hi + (q - p) * (ln[descent.TYPE_THRESHOLD] + 1)
+    # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) l, times 4 q 2^28
+    cubic_log = 4 * q * (ln[descent.BETA_COEFF] + 1 - ln[CUBIC_ABSORB])
     # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa)) < (t^(2-eps)/4)^(1/4)
-    #       as ln_b < g R: g = 1 + eps - num_hi/den_lo = gq/(q den_lo), and at ln t = lo/2^bits
-    #       R = ((2-eps) ln t - ln 4)/4 = (r_slope lo - (r_shift << bits))/(4 q 2^bits den(ln 4))
-    ln_b = ln[CONTRADICTION_COEFF].hi - (2 - eps) * ln[C2_DIVISOR].lo
-    r_slope, r_shift = (2 * q - p) * ln4_hi.denominator, q * ln4_hi.numerator
-    b_num, b_den = ln_b.numerator * 4 * q * q * ln4_hi.denominator, ln_b.denominator
+    #       as ln_b < (1 + eps - kappa) ((2-eps) l - ln 4) / 4, with q 2^28 ln_b <= b
+    b = q * (ln[CONTRADICTION_COEFF] + 1) - (2 * q - p) * ln[C2_DIVISOR]
+    (nn, nd), (dn, dd) = (c.as_integer_ratio() for c in (exactnum.KAPPA_NUM_SHIFT,
+                                                        exactnum.KAPPA_DEN_SHIFT))
 
-    def gates(arg) -> tuple[tuple, tuple | None]:
-        # one reduction of t serves ln t at LN_WIDTH and kappa at KAPPA_WIDTH
-        lo, hi, bits, n = arg._grid(wn, wd)
-        oks = tuple(fn << bits <= lo * fd for fn, fd in floors)
-        try:
-            *_, num_hi, den_lo, rungs = arg.kappa(KAPPA_WIDTH.numerator, KAPPA_WIDTH.denominator)
-        except UndefinedKappaError:
-            return (*oks, False, "kappa undefined"), None
-        gq = (q + p) * den_lo - q * num_hi
-        oks += ((False, "1 + eps - kappa not positive") if gq <= 0 else
-                ((b_num << bits) * den_lo < b_den * gq * (r_slope * lo - (r_shift << bits)),
-                 "log comparison with kappa upper end"))
-        grids = [((wn, wd, bits, n), lo, hi)] + rungs
-        return oks, ((arg.k, arg._atanh.a > 0, *(w for w, _, _ in grids)),
-                     tuple(e for _, g_lo, g_hi in grids for e in (g_lo, g_hi)))
+    def gates(g: int) -> tuple:
+        oks = (type_log <= q * g, cubic_log <= (2 * q + p) * g)
+        kd = nd * (dd * g - dn * big)  # kappa <= kn / kd
+        if kd <= 0:
+            return (*oks, False, "kappa undefined")
+        gap = (q + p) * kd - q * dd * (nd * g + nn * big)  # 1 + eps - kappa >= gap / (q kd)
+        if gap <= 0:
+            return (*oks, False, "1 + eps - kappa not positive")
+        return (*oks, 4 * q * b * kd < gap * ((2 * q - p) * g - q * ln4_hi),
+                "log comparison with kappa upper end")
 
     return gates
 
@@ -397,79 +395,61 @@ def _gate_results(oks: tuple) -> tuple[GateResult, ...]:
             GateResult("measure contradiction", oks[2], oks[3]))
 
 
+def _cut(t: int) -> int:
+    """t with all but its top EPS_CUT_BITS bits cleared."""
+    s = max(0, t.bit_length() - EPS_CUT_BITS)
+    return t >> s << s
+
+
+def _ln_grid(t: Rat) -> int:
+    """L(t) = floor(2^28 ln t'), t' = _cut(floor(t)): a lower bound for
+    2^28 ln t that never falls as t grows, and reads only the top 64 bits of
+    t, so that deciding it at t0 - 1 needs no more precision than at t0."""
+    return ln_floor(_cut(math.floor(t)), LN_GRID_BITS)
+
+
 def _eps_gates(t: Rat, eps: Rat) -> list[GateResult]:
-    """The three threshold conditions at modulus t, decided by _eps_gate_fn."""
-    return list(_gate_results(_eps_gate_fn(F(eps))(exactnum.LnArg(t))[0]))
+    """The three threshold conditions at modulus t, decided at L(t)."""
+    return list(_gate_results(_eps_gate_fn(F(eps))(_ln_grid(t))))
 
 
-def _crossing(lo: int, hi: int, s_lo: tuple, s_hi: tuple, arg_of) -> tuple[int | None, int]:
-    """If the states at lo and hi share their piece and differ only by 1 in one
-    lower grid end (a step of an upper end only raises kappa's), each t between
-    has one of them, as the end rounds a bound of ln t growing with t in the
-    piece: the least t with hi's, by Newton and secant steps, and the steps."""
-    diff = [i for i, (a, b) in enumerate(zip(s_lo[1], s_hi[1])) if a != b]
-    i = diff[0] if len(diff) == 1 and s_lo[0] == s_hi[0] else 1
-    if i % 2 or s_hi[1][i] != s_lo[1][i] + 1:
-        return None, 0
-    (wn, wd, bits, _), g = s_lo[0][2 + i // 2], s_lo[1][i] + 1
-
-    def side(t: int) -> tuple[bool, int]:
-        # floor(2^bits lo) >= g, and about 2^16 t (lo - g / 2^bits)
-        lo_num, lo_den = arg_of(t)._unrounded(wn, wd)[:2]
-        e = (lo_num << bits) - g * lo_den
-        return e >= 0, (e * t << 16) // (lo_den << bits)
-
-    y = side(hi)[1]
-    t, prev, steps = hi - (y >> 16), (hi, y), 1  # the bound's slope is about 1/t
-    while hi - lo > 1:
-        t = min(max(t, lo + 1), hi - 1)
-        up, y = side(t)
-        lo, hi = (lo, t) if up else (t, hi)
-        (t1, y1), prev, steps = prev, (t, y), steps + 1
-        t = t - y * (t - t1) // (y - y1) if y != y1 else (lo + hi) // 2
-    return hi, steps
+def _least(holds, t: int, step: int = 1, cut=int) -> int:
+    """The least value v >= 1 of cut where holds, monotone and false at 1, is
+    true: doubling steps from t until holds changes, then bisection until the
+    midpoint of lo (false) and hi (true) cuts to lo, as no value lies between."""
+    lo, hi = (None, t) if holds(t) else (t, None)
+    while lo is None or hi is None:
+        t = cut(lo + step) if hi is None else cut(max(1, hi - step))
+        lo, hi = (lo, t) if holds(t) else (t, hi)
+        step *= 2
+    while (mid := cut((lo + hi) // 2)) != lo:
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
 
 
 def corollary_eps(eps: Rat) -> dict:
-    """The threshold t0 for |F_t| <= |t|^(2-eps) at which an integer bisection
-    ends: the gates fail at t0 - 1 and hold at t0 and 2 t0.  Every eps in
-    (0, 1) has one, as kappa falls to 1 like 3.67 / ln t.  The bracket
-    [50 * 2^j, 100 * 2^j] is found by exponential, then binary search over
-    j, and t0 by bisection in it until _crossing fixes where it ends.  The
-    gates are not monotone near t0 (kappa's upper end rises where ln t's
-    upper grid end steps up), so soundness rests on the exact conditions
-    being monotone.  Each t skipped has the k and widths of the bracket's
-    ends, so the ln 2 cache fills as under the bisection."""
+    """The least threshold t0 for |F_t| <= |t|^(2-eps) that the gates
+    certify: they fail at t0 - 1 and hold at every t >= t0, as they are
+    monotone in L(t), and L(t) in t.  Every eps in (0, 1) has one, as kappa
+    falls to 1 like 3.67 / ln t.  First the least passing grid value g, then
+    the least t with L(t) >= g, a cut value, from a float seed; "evaluations"
+    counts the L(t) read, the one at 2 t0 included.  A t0 of more than
+    MAX_DIGITS digits raises OutputLimitError before it is built."""
     eps = F(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    gates_at, arg_of, evals = _eps_gate_fn(eps), lru_cache(maxsize=None)(exactnum.LnArg), {}
-
-    def holds(t: int) -> bool:
-        evals[t] = gates_at(arg_of(t))
-        return all(evals[t][0][:3])
-
-    # least j with holds(100 * 2^j); j = lo is known (or taken) to fail
-    lo, hi = -1, 0
-    while not holds(100 << hi):
-        lo, hi = hi, 2 * hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(100 << mid):
-            hi = mid
-        else:
-            lo = mid
-    lo, hi, cross, steps = 50 << hi, 100 << hi, None, 0
-    while hi - lo > 1:
-        if cross is None and lo in evals and evals[lo][1] and evals[hi][1]:
-            cross, steps = _crossing(lo, hi, evals[lo][1], evals[hi][1], arg_of)
-        mid = (lo + hi) // 2 if cross is None or not lo < cross <= hi else min(cross, hi - 1)
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    recheck = gates_at(exactnum.LnArg(2 * hi))[0]
-    if not all(recheck[:3]):
-        raise ChainError("gates do not re-verify at 2 * t0")
-    return {"t0": F(hi), "gates": _gate_results(evals[hi][0]),
-            "gates_at_double": _gate_results(recheck), "evaluations": len(evals) + 1 + steps}
+    gates_at = _eps_gate_fn(eps)
+    g = _least(lambda g: all(gates_at(g)[:3]), 1)
+    # t0 >= e^(g / 2^28) has more than MAX_DIGITS digits once g / 2^28 >= MAX_DIGITS ln 10
+    if g >= MAX_DIGITS * (_log_constants()[F(10)] + 1):
+        raise OutputLimitError(f"t0 for eps = {eps} has more than {MAX_DIGITS:,} digits")
+    grid = lru_cache(maxsize=None)(_ln_grid)  # each L(t) once
+    y = g / ((1 << LN_GRID_BITS) * math.log(2))  # log2 of t0, about
+    s = max(0, int(y) - EPS_CUT_BITS + 1)
+    t = max(1, _cut(int(2 ** (y - s)) << s))
+    # one Newton step on ln t = g / 2^28, from floor(2^96 ln t), lands next to t0
+    t = max(1, _cut(t + (t * ((g << 96 - LN_GRID_BITS) - ln_floor(t, 96)) >> 96)))
+    t0 = _least(lambda t: grid(t) >= g, t, 1 << s, _cut)
+    return {"t0": F(t0), "gates": _gate_results(gates_at(grid(t0))),
+            "gates_at_double": _gate_results(gates_at(_ln_grid(2 * t0))),
+            "evaluations": grid.cache_info().currsize + 1}

@@ -7,10 +7,12 @@ replaced, and the concrete-t root balls as they were computed in
 certificates of ``thueq.dioph``, with the ``ComplexBall`` modulus and product
 and the Durand-Kerner seeds they ran on, the ``ComplexBall`` bounds on
 |x - alpha y| and overlap test of the type classification, the Thue
-polynomials at a concrete t by homogeneous Horner at each t, and the
-``corollary_eps`` bisection with its ``Fraction`` gates as it ran before the
-integer gate kernel, the chi_r(1 - 8X) composition whose gcd ``denom_data``
-took for N_r before it read N_r = 8^r, the branchy Z[omega] formulas that ran
+polynomials at a concrete t by homogeneous Horner at each t, the
+corollary-eps gates at a grid value in ``Fraction`` arithmetic and an
+independent floor(2^bits ln x), the chi_r(1 - 8X) composition whose gcd
+``denom_data`` took for N_r before it read N_r = 8^r, the Lettl bounds with
+the ``Fraction`` gamma ratios as ``verify_lettl`` compared them before it
+cleared denominators, the branchy Z[omega] formulas that ran
 before the one ``quadfield.ring`` table, the integral approximant pairs, which
 no command runs, and the tmin certificates (descent steps, root enclosures, measure
 chains and the significant-digit rounding) as they ran in ``Fraction``
@@ -27,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, zip_longest
 
-from thueq import descent, dioph, exactnum, measure, rouche, zpoly
+from thueq import descent, dioph, exactnum, hyperchi, measure, rouche, zpoly
 from thueq.exactnum import ComplexBall, DomainError, RatInterval, UndefinedKappaError
 from thueq.hyperchi import LETTL_E_BASE, LETTL_L0, LETTL_Q_BASE, chi_ints, denom_data
 from thueq.measure import (ABSORB_BASE, C_COEFF, C_PREFACTOR, E_DIV, ERR_BASE, ERR_FLOOR,
@@ -250,6 +252,32 @@ def cleared_chi_oracle(r: int) -> tuple[int, int, tuple]:
     nums = [c * delta for c in compose_1_minus_8x(cs)]
     n = math.gcd(*(c.numerator for c in nums))
     return delta, n, tuple(c / n for c in nums)
+
+
+def gamma_ratio_g1(r: int) -> Fraction:
+    """Gamma(3/4) r! / Gamma(r+3/4) = r! / prod_{k=0}^{r-1} (k + 3/4)."""
+    return Fraction(math.factorial(r) * 4 ** r, math.prod(4 * k + 3 for k in range(r)))
+
+
+def gamma_ratio_g2(r: int) -> Fraction:
+    """Gamma(r+5/4) / (Gamma(1/4) r!) = (1/4) prod_{k=1}^{r} (k + 1/4) / r!."""
+    return Fraction(math.prod(4 * k + 1 for k in range(1, r + 1)),
+                    4 ** (r + 1) * math.factorial(r))
+
+
+def verify_lettl_oracle(rmax: int) -> list[dict]:
+    """``hyperchi.verify_lettl`` as it compared Fraction powers of 1.35 and
+    10.7 with the gamma ratios, raising ChainError on the first failed line."""
+    rows = []
+    for r in range(1, rmax + 1):
+        ratio = Fraction(*hyperchi.denom_data(r))
+        (_, m1), (_, m2) = exactnum.lines(
+            (f"Lettl bound 3.32*1.35^r at r={r}", 2 ** (r + 2) * ratio * gamma_ratio_g1(r),
+             hyperchi.LETTL_K0 * hyperchi.LETTL_Q_BASE ** r, "<"),
+            (f"Lettl bound 1.6*10.7^r at r={r}", 2 ** (4 * r + 3) * ratio * gamma_ratio_g2(r),
+             hyperchi.LETTL_L0 * hyperchi.LETTL_E_BASE ** r, "<"))
+        rows.append({"r": r, "margin1": m1, "margin2": m2})
+    return rows
 
 
 def chi_star_oracle(r: int, p, q):
@@ -881,94 +909,76 @@ def thue_polys_at_oracle(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:
 
 
 # ---------------------------------------------------------------------------
-# corollary_eps as it searched before the integer gate kernel: one Fraction
-# gate evaluation per bisection step, with no crossing shortcut
+# the corollary-eps gates at a grid value in Fraction arithmetic, and
+# floor(2^bits ln x) from an independent enclosure
 
 
 def eps_gate_fn_oracle(eps: Fraction):
     """The three threshold conditions of measure._eps_gates at one eps, as a
-    function of t, with the eps-only terms summed once."""
-    ln = measure._log_constants()
-    ln4_hi = ln[Fraction(4)].hi
+    function of the grid value g, in Fractions: ln t >= l = g / 2^28, each
+    constant's log in [f, f + 1) / 2^28 for its grid floor f, and kappa's
+    upper end (l + 1.08)/(l - 2.59)."""
+    ln, grid = measure._log_constants(), Fraction(1, 1 << measure.LN_GRID_BITS)
+    lo = {c: f * grid for c, f in ln.items()}
+    hi = {c: (f + 1) * grid for c, f in ln.items()}
     # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= ln t
-    type_log = ln4_hi + (1 - eps) * ln[descent.TYPE_THRESHOLD].hi
+    type_log = hi[Fraction(4)] + (1 - eps) * hi[descent.TYPE_THRESHOLD]
     # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) ln t
-    beta_log, absorb_log = ln[descent.BETA_COEFF].hi, ln[measure.CUBIC_ABSORB].lo
+    beta_log, absorb_log = hi[descent.BETA_COEFF], lo[measure.CUBIC_ABSORB]
     cubic_slope = Fraction(1, 2) + eps / 4
     # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa))
     #       < (t^(2-eps) / 4)^(1/4), compared in the log domain
-    one_plus_eps, two_minus_eps = 1 + eps, 2 - eps
-    ln_b_hi = ln[measure.CONTRADICTION_COEFF].hi - two_minus_eps * ln[measure.C2_DIVISOR].lo
+    ln_b_hi = hi[measure.CONTRADICTION_COEFF] - (2 - eps) * lo[measure.C2_DIVISOR]
 
-    def gates(t: Fraction) -> list[GateResult]:
-        # ln t at LN_WIDTH, then kappa at KAPPA_WIDTH, in that order
-        ln_t_lo = exactnum.ln_enclosure(t, measure.LN_WIDTH).lo
+    def gates(g: int) -> list[GateResult]:
+        ln_t_lo = g * grid
         out = [GateResult("type threshold", type_log <= ln_t_lo,
                           "4 * 20.14^(1-eps) <= |t|"),
                GateResult("cubic absorption",
                           beta_log <= absorb_log + cubic_slope * ln_t_lo,
                           "8.86 / |t|^(1/2 + eps/4) <= 0.33")]
-        try:
-            k_hi = exactnum.kappa(t, measure.KAPPA_WIDTH).hi
-        except UndefinedKappaError:
-            out.append(GateResult("measure contradiction", False, "kappa undefined"))
-            return out
-        g_lo = one_plus_eps - k_hi
+        if ln_t_lo <= exactnum.KAPPA_DEN_SHIFT:
+            return out + [GateResult("measure contradiction", False, "kappa undefined")]
+        k_hi = (ln_t_lo + exactnum.KAPPA_NUM_SHIFT) / (ln_t_lo - exactnum.KAPPA_DEN_SHIFT)
+        g_lo = 1 + eps - k_hi
         if g_lo <= 0:
-            out.append(GateResult("measure contradiction", False,
-                                  "1 + eps - kappa not positive"))
-            return out
-        lhs_log = ln_b_hi / g_lo
-        rhs_log = (two_minus_eps * ln_t_lo - ln4_hi) / 4
-        out.append(GateResult("measure contradiction", lhs_log < rhs_log,
-                              "log comparison with kappa upper end"))
-        return out
+            return out + [GateResult("measure contradiction", False,
+                                     "1 + eps - kappa not positive")]
+        rhs_log = ((2 - eps) * ln_t_lo - hi[Fraction(4)]) / 4
+        return out + [GateResult("measure contradiction", ln_b_hi / g_lo < rhs_log,
+                                 "log comparison with kappa upper end")]
 
     return gates
 
 
-def corollary_eps_oracle(eps: Fraction) -> dict:
-    """The integer bisection of measure.corollary_eps, one gate evaluation
-    per bit of t0; "evaluations" counts them, the recheck at 2 t0 included."""
-    eps = Fraction(eps)
-    if not 0 < eps < 1:
-        raise ValueError("eps must be in (0, 1)")
-    gates_at = eps_gate_fn_oracle(eps)
-    passed = {}  # t -> its gates, for every t at which they all hold
-    count = 0
-
-    def holds(t: Fraction) -> bool:
-        nonlocal count
-        count += 1
-        gates = gates_at(t)
-        ok = all(g.ok for g in gates)
-        if ok:
-            passed[t] = gates
-        return ok
-
-    # least j with holds(100 * 2^j); j = lo is known (or taken) to fail
-    lo, hi = -1, 0
-    while not holds(Fraction(100 << hi)):
-        lo, hi = hi, 2 * hi + 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if holds(Fraction(100 << mid)):
-            hi = mid
-        else:
-            lo = mid
-    lo, hi = Fraction(50 << hi), Fraction(100 << hi)
-    while hi - lo > 1:
-        mid = Fraction(int((lo + hi) // 2))
-        if holds(mid):
-            hi = mid
-        else:
-            lo = mid
-    t0 = hi
-    recheck = gates_at(2 * t0)
-    if not all(g.ok for g in recheck):
-        raise measure.ChainError("gates do not re-verify at 2 * t0")
-    return {"t0": t0, "gates": tuple(passed[t0]), "gates_at_double": tuple(recheck),
-            "evaluations": count + 1}
+def ln_floor_oracle(x: Fraction, bits: int) -> int:
+    """floor(2^bits ln x) for a rational x > 0 other than 1, from
+    ln x = k ln 2 + ln m, m = x / 2^k in [1, 2): ln 2 = sum_j 1/(j 2^j) and
+    ln m = 2 atanh((m-1)/(m+1)), each summed in Fractions with a geometric
+    tail bound, to 64 bits past the grid and 64 more until both ends of the
+    enclosure floor alike."""
+    x = Fraction(x)
+    k = x.numerator.bit_length() - x.denominator.bit_length()
+    if Fraction(2) ** k > x:
+        k -= 1
+    m = x / Fraction(2) ** k
+    u = (m - 1) / (m + 1)
+    prec = bits + 64
+    while True:
+        eps = Fraction(1, 1 << prec)
+        ln2, j, term = Fraction(0), 1, Fraction(1, 2)
+        while term / j > eps / (abs(k) + 1):  # tail <= 2 term / (j + 1) after term j
+            ln2, j, term = ln2 + term / j, j + 1, term / 2
+        ln2_lo, ln2_hi = (ln2, ln2 + 2 * term / j)[::1 if k >= 0 else -1]
+        atanh, j, power = Fraction(0), 0, u
+        while power > eps * (1 - u * u):  # tail <= power / (1 - u^2) after term j
+            atanh, j, power = atanh + power / (2 * j + 1), j + 1, power * u * u
+        lo = k * ln2_lo + 2 * atanh
+        hi = k * ln2_hi + 2 * (atanh + power / (1 - u * u))
+        f_lo, f_hi = math.floor(lo * (1 << bits)), math.floor(hi * (1 << bits))
+        if f_lo == f_hi:
+            return f_lo
+        prec += 64
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thueq.cli import main
+from thueq.cli import MAX_ABS, main
 
 
 def run_cli(*argv):
@@ -46,22 +46,23 @@ PINS = {
         "d7d0fd746d73f38ebf69ca34afcff86b3fa4baa82806e209571faaa7e75df7e1",
     "constants --type 3 --json":
         "8a0ab6a542701ce396ef38542257e661202294ea40c3feb7cecdeea2d3dd84e6",
-    # taken before the corollary-eps gates moved to the log domain
+    # taken when t0 became the least t whose grid value passes the gates; the
+    # tables print t0 to 4 digits, which that did not change
     "corollary-eps --eps 1/4 --json":
-        "85779d8131d40408ecb7922a59256d5e1958d4e726fb99d52d24bbbc7630b0f9",
+        "277186695e80d65efe84a0a3ab5b0cddd27a1ad5f8e0f525c1de09cb4c122e4f",
     "corollary-eps --eps 1/4":
         "9126b32b651f6728bbb2e94576b832a4e704fe2e53b9e88a19701c0cc9fa8424",
     "corollary-eps --eps 1/2 --json":
-        "53b0a228ba0f400a5f486746449b1aa8f75d7c761527908957a5bfdc0fd9f8ca",
+        "7afebed22a3d4d486dd9b0eb6861d96f5d9a720b340737f760facd04d9b606c1",
     "corollary-eps --eps 1/2":
         "7d72936e70d53c9c533575c9e6621342a46974eb52ef2c6eea705808ba97d787",
     "corollary-eps --eps 3/4 --json":
-        "550517aad00de490bc5f88ceb9a41cccf8a1181564e6818d188d9b9dc35507da",
+        "2b558434130f7ce8a556a310996d58b81faf7736ad6626c106a7de3422fdbbc4",
     "corollary-eps --eps 3/4":
         "083398de8b352125b3a97ecf99042945a2b5a97961c246dd2e0afbbb81898264",
-    # taken before ln_enclosure and kappa moved to integers; t0 has 719 bits
+    # t0 has 719 bits
     "corollary-eps --eps 37/1000 --json":
-        "e9bfd741717311511389a895df819eb672852dbf227d74b007841dc61248ed74",
+        "0cb1f2078cdc6def002949aab20394dacf9f963abb3a4202bdc7bd6970be6e5b",
     # taken before the closed-form step lines were formatted from descent's
     # named constants
     "descent --type 0":
@@ -195,6 +196,21 @@ def test_a_result_past_the_output_limit_exits_64(capsys):
     err = capsys.readouterr().err
     assert "200,000-digit output limit" in err and "--C" in err
     assert "certification failure" not in err
+
+
+def test_a_threshold_past_the_output_limit_exits_64_at_once():
+    # t0 would have about 10^31 bits: its grid value bounds its digits first
+    r = run_cli("corollary-eps", "--eps", "1e-30")
+    assert r.returncode == 64
+    assert "200,000-digit output limit" in r.stderr and "--eps" in r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""
+
+
+def test_a_max_abs_past_the_bound_is_a_usage_error():
+    # refused before eligible_fields sizes its sieve by 4 m^2 bytes
+    r = run_cli("enumerate", "--max-abs", "1000000")
+    assert r.returncode == 64
+    assert "--max-abs must be at most 40" in r.stderr and "Traceback" not in r.stderr
 
 
 def test_unwritable_out_exits_2(capsys, tmp_path):
@@ -352,19 +368,11 @@ _TMIN = _RAT | st.integers(-10**300, 10**300).map(str) | st.sampled_from(["1e300
 _INT = st.one_of(st.integers(-5, 30).map(str), st.just(str(10**30)), _BAD)
 
 
-def _eps_in_budget(text: str) -> bool:
-    # eps = 1/1000 runs for over a minute, an open performance item, so
-    # positive eps stays at or above 1/20; nonpositive and malformed eps stay in
-    try:
-        return not 0 < Fraction(text) < Fraction(1, 20)
-    except (ValueError, ZeroDivisionError):
-        return True
-
-
 def _max_abs_in_budget(text: str) -> bool:
-    # the enumeration grows with the square of --max-abs: 20 takes about 0.5 s
+    # the enumeration grows with the cube of --max-abs: 21,360 elements at 20,
+    # and past MAX_ABS the value is refused at once
     try:
-        return Fraction(text) <= 20
+        return not 20 < Fraction(text) <= MAX_ABS
     except (ValueError, ZeroDivisionError):
         return True
 
@@ -379,7 +387,7 @@ _FLAGS = {
     "descent": {"--type": _TYPE, "--tmin": _TMIN, "--kmax": _KMAX, "--json": None},
     "constants": {"--type": _TYPE, "--tmin": _TMIN, "--json": None},
     "corollary-lin": {"--C": _RAT, "--t0": _RAT, "--json": None},
-    "corollary-eps": {"--eps": _RAT.filter(_eps_in_budget), "--json": None},
+    "corollary-eps": {"--eps": _RAT, "--json": None},
     "rouche-certs": {"--tmin": _TMIN, "--json": None},
 }
 _REQUIRED = {"enumerate": "--max-abs", "descent": "--type", "constants": "--type",

@@ -1,15 +1,19 @@
-"""corollary_eps against the bisection it cuts short: the same thresholds,
-the same gates and the same ln 2 cache, on a cold cache and on a warm one;
-the integer gates against the Fraction gates near every pinned threshold;
-and the number of gate evaluations a threshold costs."""
+"""corollary_eps on monotone gates: t0 is the least t at which they hold,
+checked at t0 - 1, t0 and 2 t0 over the pinned and seeded eps; the gates
+are monotone near every t0 and match a Fraction reference at grid values;
+t0 does not depend on the ln 2 cache or on the order of the queries; and
+exactnum.ln_floor matches an independent floor(2^bits ln x)."""
 
+import math
 import random
 from fractions import Fraction as F
+from functools import lru_cache
 
 from thueq import exactnum, measure
-from thueq.measure import _eps_gates, corollary_eps
+from thueq.exactnum import ln_floor
+from thueq.measure import LN_GRID_BITS, _eps_gates, _ln_grid, corollary_eps, theorem_assembly
 
-from oracles import corollary_eps_oracle, eps_gate_fn_oracle
+from oracles import eps_gate_fn_oracle, ln_floor_oracle
 from test_measure import EPS_T0
 
 
@@ -27,92 +31,109 @@ def seeded_eps() -> list[F]:
     return eps
 
 
-def on_cache(cache: dict, fn, *args):
-    """fn(*args) with exactnum._LN2_CACHE bound to cache, which it may fill."""
-    saved = exactnum._LN2_CACHE
-    exactnum._LN2_CACHE = cache
-    try:
-        return fn(*args)
-    finally:
-        exactnum._LN2_CACHE = saved
+def holds(t, eps) -> bool:
+    return all(g.ok for g in _eps_gates(t, eps))
 
 
-def same_search(eps: F, old_cache: dict, new_cache: dict) -> None:
-    old = on_cache(old_cache, corollary_eps_oracle, eps)
-    new = on_cache(new_cache, corollary_eps, eps)
-    assert (new["t0"], new["gates"], new["gates_at_double"]) == (
-        old["t0"], old["gates"], old["gates_at_double"]), eps
-    assert new_cache == old_cache, eps
-
-
-def test_corollary_eps_matches_the_bisection_on_a_cold_ln2_cache():
-    measure._log_constants()  # fills the process cache once, not the ones below
+def test_t0_is_the_least_threshold_the_gates_certify():
     for eps in seeded_eps():
-        same_search(eps, {}, {})
+        out = corollary_eps(eps)
+        t0 = out["t0"]
+        assert not holds(t0 - 1, eps), eps
+        assert holds(t0, eps) and holds(2 * t0, eps), eps
+        assert list(out["gates"]) == _eps_gates(t0, eps)
+        assert list(out["gates_at_double"]) == _eps_gates(2 * t0, eps)
 
 
-def test_corollary_eps_matches_the_bisection_on_a_warm_ln2_cache():
-    # each search starts from the cache the previous searches of its own kind
-    # left, so the two caches stay equal only if every search fills them alike
+def test_the_gates_are_monotone_near_every_t0():
+    rng = random.Random(2903)
+    for eps in seeded_eps():
+        t0 = int(corollary_eps(eps)["t0"])
+        near = sorted({t0 + rng.randint(-t0 // 10**6, t0 // 10**6) for _ in range(6)}
+                      | {t0 - 2, t0 - 1, t0, t0 + 1})
+        oks = [[g.ok for g in _eps_gates(t, eps)] for t in near]
+        for gate in range(3):
+            column = [ok[gate] for ok in oks]
+            assert column == sorted(column), (eps, gate)
+        assert [all(ok) for ok in oks] == [t >= t0 for t in near], eps
+
+
+def test_t0_does_not_depend_on_the_ln2_cache_or_the_query_order(monkeypatch):
     measure._log_constants()
-    old_cache, new_cache = dict(exactnum._LN2_CACHE), dict(exactnum._LN2_CACHE)
-    for eps in seeded_eps():
-        same_search(eps, old_cache, new_cache)
+    for name in ("_kappa", "_tmin_free_checks"):  # so theorem_assembly fills the cache anew
+        monkeypatch.setattr(measure, name, lru_cache(maxsize=None)(
+            getattr(measure, name).__wrapped__))
+    eps = seeded_eps()[::4]
+    saved = dict(exactnum._LN2_CACHE)
+    try:
+        exactnum._LN2_CACHE.clear()
+        cold = {e: corollary_eps(e)["t0"] for e in eps}
+        assert exactnum._LN2_CACHE == {}  # the grid floors read ln 2 afresh
+        theorem_assembly(F(100))
+        assert exactnum._LN2_CACHE
+        warm = {e: corollary_eps(e)["t0"] for e in eps}
+    finally:
+        exactnum._LN2_CACHE.clear()
+        exactnum._LN2_CACHE.update(saved)
+    shuffled = eps[:]
+    random.Random(7).shuffle(shuffled)
+    assert cold == warm == {e: corollary_eps(e)["t0"] for e in shuffled}
 
 
 def test_integer_gates_match_the_fraction_gates_near_every_pin():
+    # at the grid values on both sides of each pinned t0's, and at seeded ones
     rng = random.Random(1807)
-    measure._log_constants()
     for eps, t0 in EPS_T0.items():
-        eps, old_gates, new_gates = F(eps), eps_gate_fn_oracle(F(eps)), measure._eps_gate_fn(F(eps))
-        near = [t0 + rng.randint(-t0 // 10**7, t0 // 10**7) for _ in range(3)]
-        for t in (t0 - 1, t0, t0 + 1, *near, F(2 * t0 + 1, 2)):
-            old_cache, new_cache = dict(exactnum._LN2_CACHE), dict(exactnum._LN2_CACHE)
-            old = on_cache(old_cache, old_gates, F(t))
-            assert on_cache(new_cache, _eps_gates, t, eps) == old, (eps, t)
-            assert new_cache == old_cache
-            assert on_cache(dict(exactnum._LN2_CACHE), new_gates, exactnum.LnArg(t))[0] == (
-                *(g.ok for g in old), old[2].detail)
+        eps = F(eps)
+        integer, fraction = measure._eps_gate_fn(eps), eps_gate_fn_oracle(eps)
+        g0 = _ln_grid(t0)
+        for g in {g0 - 1, g0, g0 + 1, _ln_grid(t0 - 1), rng.randrange(1, 2 * g0),
+                  600_000_000, 697_000_000}:  # kappa undefined, 1 + eps - kappa <= 0
+            assert list(measure._gate_results(integer(g))) == fraction(g), (eps, g)
 
 
-def test_eps_gates_are_not_monotone_near_t0():
-    # t0 is where the bisection ends, not the least t at which the gates
-    # hold: at eps = 1/4 they all hold below t0, and one fails above it.
-    # All four points read one kappa rung; kappa's upper end is (hi + 1.08)
-    # / (lo - 2.59) on ln t's grid ends, and it rises where hi steps up
+def test_eps_gates_are_monotone_near_t0():
+    # the two moduli at which the gates of the former bisection disagreed with
+    # their order: at eps = 1/4 all held at the lower and one failed at the
+    # higher; on the grid value of the top 64 bits they order as t does
     eps, t0 = F(1, 4), F(EPS_T0["1/4"])
     below, above = 35236738053923596148575926603097569, 35236738063972774094074707235024547
-    assert below < t0 < above and corollary_eps(eps)["t0"] == t0
-    gates_at = measure._eps_gate_fn(eps)
-    assert len({gates_at(exactnum.LnArg(t))[1][0] for t in (below, t0 - 1, t0, above)}) == 1
-    assert all(g.ok for g in _eps_gates(below, eps))
-    assert [g.ok for g in _eps_gates(above, eps)] == [True, True, False]
-    assert _eps_gates(below, eps) == eps_gate_fn_oracle(eps)(F(below))
-    assert _eps_gates(above, eps) == eps_gate_fn_oracle(eps)(F(above))
+    assert corollary_eps(eps)["t0"] == t0 < below < above
+    assert _ln_grid(t0 - 1) < _ln_grid(t0) <= _ln_grid(below) <= _ln_grid(above)
+    assert holds(below, eps) and holds(above, eps) and not holds(t0 - 1, eps)
+    for t in (t0 - 1, t0, below, above):
+        assert _eps_gates(t, eps) == eps_gate_fn_oracle(eps)(_ln_grid(t))
 
 
 def test_corollary_eps_counts_its_evaluations():
-    # 70 at eps = 1/100 and 53 at eps = 1/2 with the crossing shortcut, the
-    # recheck at 2 t0 counted; the bisection alone takes 2,659 and 77
-    for eps, bound in ((F(1, 100), 90), (F(1, 2), 65)):
-        assert corollary_eps(eps)["evaluations"] <= bound, eps
-    assert corollary_eps_oracle(F(1, 2))["evaluations"] > 65
+    # the L(t) values of the search, the one at 2 t0 counted: one Newton step
+    # from the float seed lands next to t0, whatever its size (262,537 bits
+    # at eps = 1/10000), so the search reads t0 and the cut value below it
+    for eps in (F(1, 100), F(1, 2), F(89, 100), F(1, 10000)):
+        assert corollary_eps(eps)["evaluations"] <= 4, eps
 
 
-def test_crossing_takes_over_only_within_one_piece():
-    # the shortcut needs both ends in one piece (k, the sign of the atanh
-    # argument, the grids and their term counts) and one lower grid end one
-    # apart; otherwise the bisection goes on
-    gates_at = measure._eps_gate_fn(F(1, 2))
-    lo, hi = 3 * 2**62 - 1, 3 * 2**62  # m crosses 3/2 here, so k steps up
-    (piece_lo, ints_lo), (piece_hi, _) = (gates_at(exactnum.LnArg(t))[1] for t in (lo, hi))
-    assert piece_lo[0] + 1 == piece_hi[0]
+def test_ln_floor_matches_an_independent_enclosure():
+    rng = random.Random(4242)
+    xs = [F(rng.randrange(1, 2**200), rng.randrange(1, 2**100)) for _ in range(40)]
+    xs += [F(rng.randrange(2, 10**6)) for _ in range(40)] + [F(2), F(1, 2), F(3, 2), F(3, 4)]
+    for x in xs:
+        for bits in (8, 28, 61):
+            assert ln_floor(x, bits) == ln_floor_oracle(x, bits), (x, bits)
+    assert ln_floor(F(1), 28) == 0
 
-    def bumped(i: int) -> tuple:
-        return ints_lo[:i] + (ints_lo[i] + 1,) + ints_lo[i + 1:]
 
-    assert measure._crossing(lo, hi, (piece_lo, ints_lo), (piece_hi, bumped(0)), None) == (None, 0)
-    for i in (1, 3):  # an upper end
-        assert measure._crossing(lo, hi, (piece_lo, ints_lo), (piece_lo, bumped(i)), None) == (None, 0)
-    two = bumped(0)[:2] + (ints_lo[2] + 1,) + ints_lo[3:]
-    assert measure._crossing(lo, hi, (piece_lo, ints_lo), (piece_lo, two), None) == (None, 0)
+def test_ln_floor_next_to_a_grid_point():
+    # x = floor(e^(g / 2^bits)) and the integer above straddle a grid point,
+    # where ln x is within about 1/x of it; and the cut thresholds of the
+    # pins straddle the point of their own least passing grid value
+    rng = random.Random(77)
+    for bits in (4, 8, 28):
+        for g in rng.sample(range(1 << bits, 40 << bits), 25):
+            x = math.floor(math.exp(g / (1 << bits)))
+            for y in (x - 1, x, x + 1, x + 2):
+                assert ln_floor(F(y), bits) == ln_floor_oracle(F(y), bits), (bits, y)
+    for t0 in EPS_T0.values():
+        for t in (t0 - 1, t0):
+            cut = measure._cut(t)
+            assert ln_floor(cut, LN_GRID_BITS) == ln_floor_oracle(F(cut), LN_GRID_BITS)

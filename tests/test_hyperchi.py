@@ -2,18 +2,12 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from oracles import chi_coeffs_oracle, cleared_chi_oracle, compose_1_minus_8x
+from oracles import (chi_coeffs_oracle, cleared_chi_oracle, compose_1_minus_8x, gamma_ratio_g1,
+                     gamma_ratio_g2, verify_lettl_oracle)
 
 from thueq import hyperchi
 from thueq.exactnum import ChainError
-from thueq.hyperchi import (
-    chi_coeffs,
-    chi_ints,
-    denom_data,
-    gamma_ratio_g1,
-    gamma_ratio_g2,
-    verify_lettl,
-)
+from thueq.hyperchi import chi_coeffs, chi_ints, denom_data, verify_lettl
 
 # ---------------------------------------------------------------------------
 # oracles: an independent prime-by-prime (delta, N), and the hypergeometric
@@ -181,6 +175,24 @@ def test_denom_data_checks_that_delta_clears_chi(monkeypatch, bad):
 def test_denom_data_by_valuation_agrees():
     for r in range(1, 21):
         assert denom_data_by_valuation(r) == denom_data(r)
+
+
+def test_lettl_rows_match_the_fraction_gamma_ratios(lettl_rows):
+    # the cleared integers give the same lines, names and exact margins
+    assert verify_lettl_oracle(60) == lettl_rows
+
+
+def test_lettl_lines_fail_where_the_fraction_bounds_fail(monkeypatch):
+    # delta_r scaled at one r fails the same first line, named alike, in both
+    real = hyperchi.denom_data
+    for at, factor in ((1, 8), (7, 10 ** 6), (60, 30), (60, 40)):
+        monkeypatch.setattr(hyperchi, "denom_data", lambda r: (
+            real(r)._replace(delta=real(r).delta * factor) if r == at else real(r)))
+        with pytest.raises(ChainError) as got:
+            verify_lettl(60)
+        with pytest.raises(ChainError) as want:
+            verify_lettl_oracle(60)
+        assert str(got.value).split(":")[0] == str(want.value).split(":")[0]
 
 
 def test_gamma_ratios_small():

@@ -226,10 +226,10 @@ def test_theorem_assembly_gate_failure_is_reported_not_raised():
             f"{rep.contradiction_upper} >= {min(rep.descent_lower_0, rep.descent_lower_3)}")
 
 
-def _bigger_at(module, name, at, factor):
-    real = getattr(module, name)
-    return lambda monkeypatch: monkeypatch.setattr(
-        module, name, lambda r: real(r) * factor if r == at else real(r))
+def _bigger_delta_at(at, factor):
+    real = hyperchi.denom_data
+    return lambda monkeypatch: monkeypatch.setattr(hyperchi, "denom_data", lambda r: (
+        real(r)._replace(delta=real(r).delta * factor) if r == at else real(r)))
 
 
 def _zero_margin_at(type_index, k):
@@ -258,10 +258,10 @@ VERDICT_LINE_FAILURES = [
     # kappa's upper end itself, read when the test runs: the strict line fails
     (lambda monkeypatch: monkeypatch.setattr(measure, "KAPPA_CAP", kappa_hi(F(100))),
      "kappa below 3", "kappa below 3"),
-    (_bigger_at(hyperchi, "gamma_ratio_g1", 7, 10 ** 6),
-     "measure constant chains", "Lettl bound 3.32*1.35^r at r=7"),
-    (_bigger_at(hyperchi, "gamma_ratio_g2", 60, 10 ** 6),
-     "measure constant chains", "Lettl bound 1.6*10.7^r at r=60"),
+    # delta_r scaled at one r: both bounds read delta_r / N_r, and at r = 60
+    # their left sides are 2.5% and 4.1% of the right, so 30 fails only the second
+    (_bigger_delta_at(7, 10 ** 6), "measure constant chains", "Lettl bound 3.32*1.35^r at r=7"),
+    (_bigger_delta_at(60, 30), "measure constant chains", "Lettl bound 1.6*10.7^r at r=60"),
     (_zero_margin_at(3, 6), "descent lower bounds", "type 3 step k=6 non-vanishing numerator"),
     (_zero_margin_at(0, 11), "descent lower bounds", "type 0 step k=11 non-vanishing numerator"),
     # the drift at |t| = 100 is 5.02/100, and the least separation 0.9681
@@ -341,78 +341,78 @@ def test_corollary_eps():
 
 
 # t0 of corollary_eps(eps) for eps = k/100, 20 <= k < 90 (1/4, 1/2 and 3/4
-# among them), taken before its gates moved to the log domain
+# among them): the least t whose grid value L(t) passes the three gates
 EPS_T0 = {
-    "1/5": 2377969217916126592696627301563356388849047,
-    "21/100": 32282654515910827990200747076181686681537,
-    "11/50": 650060294886062510364450375380349227788,
-    "23/100": 18443812803318520569359311727616703953,
-    "6/25": 706431125309247549390806553984313887,
-    "1/4": 35236738060017644114029523109167956,
-    "13/50": 2220321915094093851439453598794181,
-    "27/100": 172217014546959462291242596817189,
-    "7/25": 16081617362627937360218546042399,
-    "29/100": 1773625558183485583865693140521,
-    "3/10": 227230411472099822417191913549,
-    "31/100": 33332493108774321989856194889,
-    "8/25": 5528092900709728142551806004,
-    "33/100": 1025094942760226727312478250,
-    "17/50": 210463999600121748641749752,
-    "7/20": 47429318823418567842638494,
-    "9/25": 11641826562160204700503475,
-    "37/100": 3091099456453127403899405,
-    "19/50": 882368225464552515219662,
-    "39/100": 269298498656263993739200,
-    "2/5": 87439501648139443445035,
-    "41/100": 30069378278232343981871,
-    "21/50": 10907460231962836571150,
-    "43/100": 4158233556611390402541,
-    "11/25": 1660464247098649923090,
-    "9/20": 692411643791823985915,
-    "23/50": 300682140581174327795,
-    "47/100": 135630321491737177661,
-    "12/25": 63401814807560893763,
-    "49/100": 30648923482395954118,
-    "1/2": 15291320552187159862,
-    "51/100": 7859701636523737529,
-    "13/25": 4155033205525858716,
-    "53/100": 2255701268143651393,
-    "27/50": 1255766121276060813,
-    "11/20": 715950462423371345,
-    "14/25": 417515741434876623,
-    "57/100": 248762473139674948,
-    "29/50": 151272602107077662,
-    "59/100": 93793371822088719,
-    "3/5": 59240976836008819,
-    "61/100": 38083747189260619,
-    "31/50": 24898777370098473,
-    "63/100": 16542966659392807,
-    "16/25": 11162028413342183,
-    "13/20": 7643348595067718,
-    "33/50": 5308473210739963,
-    "67/100": 3737249863476198,
-    "17/25": 2665616991681199,
-    "69/100": 1925251206224969,
-    "7/10": 1407393167332958,
-    "71/100": 1040850710792852,
-    "18/25": 778439588285904,
-    "73/100": 588510068275861,
-    "37/50": 449588116047537,
-    "3/4": 346941734005445,
-    "19/25": 270356465113261,
-    "77/100": 212677579195101,
-    "39/50": 168843922498532,
-    "79/100": 135241299248625,
-    "4/5": 109265229385387,
-    "81/100": 89022239265410,
-    "41/50": 73124029722921,
-    "83/100": 60544442252925,
-    "21/25": 50518903121392,
-    "17/20": 42473421384167,
-    "43/50": 35973911202986,
-    "87/100": 30689758761322,
-    "22/25": 26367419648007,
-    "89/100": 22811158152717,
+    "1/5": 2377964570065278384770955041337871603597312,
+    "21/100": 32282590527426583137233744223339011899392,
+    "11/50": 650059159089644007404572575839826214912,
+    "23/100": 18443776677049639180163122146066825216,
+    "6/25": 706429739138700275259001967015362560,
+    "1/4": 35236673426547291915666829206355968,
+    "13/50": 2220318038446621069573969097523200,
+    "27/100": 172216717170739418640887419240448,
+    "7/25": 16081591846356616528903471628288,
+    "29/100": 1773622501532758108437645099008,
+    "3/10": 227230060664270793158049136640,
+    "31/100": 33332443446960885113378832384,
+    "8/25": 5528083477009269056243499008,
+    "33/100": 1025093456447236993982660608,
+    "17/50": 210463711055295439983083520,
+    "7/20": 47429256737843002782777344,
+    "9/25": 11641810892983098752892928,
+    "37/100": 3091095177687920266444800,
+    "19/50": 882367106224765919821824,
+    "39/100": 269298194502254085373952,
+    "2/5": 87439403850711668080640,
+    "41/100": 30069345966437526233088,
+    "21/50": 10907448633807557214208,
+    "43/100": 4158229282504659456768,
+    "11/25": 1660462521448153982336,
+    "9/20": 692410942578485068608,
+    "23/50": 300681853615846240096,
+    "47/100": 135630194855077317136,
+    "12/25": 63401755740442682576,
+    "49/100": 30648893848750155584,
+    "1/2": 15291306026350941186,
+    "51/100": 7859694684250880391,
+    "13/25": 4155029692992974530,
+    "53/100": 2255699399721385798,
+    "27/50": 1255764982986250979,
+    "11/20": 715949833788112735,
+    "14/25": 417515375240021944,
+    "57/100": 248762278096675819,
+    "29/50": 151272484916786321,
+    "59/100": 93793271174348465,
+    "3/5": 59240928366224444,
+    "61/100": 38083718305374054,
+    "31/50": 24898757509406001,
+    "63/100": 16542955040846600,
+    "16/25": 11162019864330149,
+    "13/20": 7643343214183079,
+    "33/50": 5308469467530509,
+    "67/100": 3737247198227176,
+    "17/25": 2665615139750796,
+    "69/100": 1925249938819529,
+    "7/10": 1407392130706990,
+    "71/100": 1040850061941086,
+    "18/25": 778439047470156,
+    "73/100": 588509704457159,
+    "37/50": 449587844997304,
+    "3/4": 346941506703866,
+    "19/25": 270356305739680,
+    "77/100": 212677453819541,
+    "39/50": 168843813965467,
+    "79/100": 135241222319153,
+    "4/5": 109265167989473,
+    "81/100": 89022176972981,
+    "41/50": 73123989304412,
+    "83/100": 60544408838558,
+    "21/25": 50518872313857,
+    "17/20": 42473395445878,
+    "43/50": 35973892489753,
+    "87/100": 30689742686585,
+    "22/25": 26367400709945,
+    "89/100": 22811139756601,
 }
 
 
@@ -431,8 +431,9 @@ def fresh_log_caches(monkeypatch):
 
 
 def test_corollary_eps_thresholds_hold_in_reverse_order(fresh_log_caches):
-    # the ln 2 cache keeps the first enclosure of each decade of budgets, so
-    # the thresholds could depend on the order of the queries; these do not
+    # the ln 2 cache keeps the first enclosure of each decade of budgets, but
+    # the grid floors of ln read ln 2 afresh, so no threshold depends on the
+    # order of the queries
     got = {eps: corollary_eps(F(eps))["t0"] for eps in reversed(EPS_T0)}
     assert got == {eps: F(t0) for eps, t0 in EPS_T0.items()}
 
@@ -446,8 +447,8 @@ def test_corollary_eps_thresholds_hold_on_a_cold_ln2_cache(fresh_log_caches):
 
 
 def test_corollary_eps_reduces_each_modulus_once(monkeypatch):
-    # one LnArg per gate evaluation serves ln t and kappa, and t0 is not
-    # evaluated again after the search found it
+    # one LnArg per grid value L(t) that the search reads, and t0's is not
+    # computed again for its gates
     seen = []
     real = exactnum.LnArg
     monkeypatch.setattr(exactnum, "LnArg", lambda x: seen.append(x) or real(x))
@@ -612,6 +613,8 @@ def test_log_constants_run_once_per_process(monkeypatch):
     calls = []
     real = measure.ln_enclosure
     monkeypatch.setattr(measure, "ln_enclosure", lambda x, w: calls.append(x) or real(x, w))
+    real_floor = measure.ln_floor
+    monkeypatch.setattr(measure, "ln_floor", lambda x, b: calls.append(x) or real_floor(x, b))
     caches = (measure._tmin_free_checks, measure._log_constants)
     for cache in caches:
         cache.cache_clear()
@@ -623,7 +626,7 @@ def test_log_constants_run_once_per_process(monkeypatch):
         for cache in caches:
             cache.cache_clear()
     constants = {F("2.94"), F("13.27"), F(4), F("20.14"), F("8.86"), F("0.33"),
-                 F("0.31"), CONTRADICTION_COEFF}
+                 F("0.31"), CONTRADICTION_COEFF, F(10)}
     assert sorted(c for c in calls if c in constants) == sorted(constants)
 
 
