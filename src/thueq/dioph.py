@@ -208,18 +208,12 @@ def t_value_set(solutions) -> set:
 # certified root enclosures and type classification
 
 
-@lru_cache(maxsize=32)
-def _sqrt_enclosure(d: int, bits: int) -> tuple[Fraction, Fraction]:
-    """sqrt(d) lies in [lo, hi], both on the 2^-bits grid."""
-    return sqrt_bounds(Fraction(d), bits)
-
-
 def _embed(x: QuadInt, bits: int = GRID_BITS) -> ComplexBall:
     """Certified complex embedding (Im sqrt(-d) > 0), sqrt(d) on the 2^-bits grid."""
     re, im_coeff = x.re_im()
     if im_coeff == 0:
         return ComplexBall.exact(re)
-    lo, hi = _sqrt_enclosure(x.d, bits)
+    lo, hi = sqrt_bounds(Fraction(x.d), bits)
     mid = (lo + hi) / 2
     return ComplexBall(re, im_coeff * mid, abs(im_coeff) * (hi - lo))
 

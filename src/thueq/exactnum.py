@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 from operator import attrgetter
 
 Rat = Fraction
@@ -97,11 +96,6 @@ def round_up_grid(x: Rat, bits: int = GRID_BITS) -> Rat:
     return Fraction(-((-x.numerator * scale) // x.denominator), scale)
 
 
-def _dec_exponent(x: Rat) -> int:
-    """e such that 10**e <= x < 10**(e+1), for x > 0."""
-    return _dec_power(x)[0]
-
-
 def _dec_power(x: Rat) -> tuple[int, int]:
     """(e, 10**abs(e)) with 10**e <= x < 10**(e+1), for x > 0."""
     if x <= 0:
@@ -120,49 +114,53 @@ def _dec_power(x: Rat) -> tuple[int, int]:
     return e, z
 
 
-def round_up_sig(x: Rat, digits: int = 4) -> Rat:
-    """Round a positive rational up to `digits` significant decimal digits."""
-    if x == 0:
-        return Fraction(0)
+def _sig_round(x: Rat, digits: int, nearest: bool) -> tuple[int, int, int]:
+    """(m, s, 10**abs(s)) with m 10**s the rounding of x > 0 to `digits`
+    significant decimal digits, up or to nearest (half up), by one integer
+    division on the power of ten that the exponent search built; m is
+    10**digits after a carry, as 9.9995 rounds to 10.00."""
     e, z = _dec_power(x)
-    s = e - digits + 1  # round up to a multiple of 10**s
+    s = e - digits + 1  # round to a multiple of 10**s
     k = abs(s) - abs(e)  # 10**abs(s) from the 10**abs(e) the exponent search built
     z = z * 10 ** k if k >= 0 else z // 10 ** -k
-    n, d = x.numerator, x.denominator
-    return Fraction(-(-n // (d * z)) * z) if s >= 0 else Fraction(-(-n * z // d), z)
+    n, d = (x.numerator, x.denominator * z) if s >= 0 else (x.numerator * z, x.denominator)
+    return ((2 * n + d) // (2 * d) if nearest else -(-n // d)), s, z
+
+
+def _sig_value(x: Rat, digits: int, nearest: bool) -> Rat:
+    if x == 0:
+        return Fraction(0)
+    m, s, z = _sig_round(x, digits, nearest)
+    return Fraction(m * z) if s >= 0 else Fraction(m, z)
+
+
+def round_up_sig(x: Rat, digits: int = 4) -> Rat:
+    """Round a positive rational up to `digits` significant decimal digits."""
+    return _sig_value(x, digits, False)
 
 
 def round_nearest_sig(x: Rat, digits: int = 4) -> Rat:
-    if x == 0:
-        return Fraction(0)
-    e = _dec_exponent(x)
-    q = Fraction(10) ** (e - digits + 1)
-    n = x / q
-    m = (2 * n.numerator + n.denominator) // (2 * n.denominator)  # round half up
-    return m * q
+    return _sig_value(x, digits, True)
 
 
 def sig_str(x: Rat, digits: int = 4) -> str:
-    """Decimal hint with `digits` significant digits (nearest)."""
+    """Decimal hint with `digits` significant digits (nearest): m 10**e with
+    one digit before the point when e < -1 or e >= digits + 2, else plain,
+    with no trailing zero after the point."""
     if x == 0:
         return "0"
     sign = "-" if x < 0 else ""
-    r = round_nearest_sig(abs(x), digits)
-    e = _dec_exponent(r)
-    m = r / Fraction(10) ** (e - digits + 1)
-    ms = str(m.numerator).rstrip()
-    mant = ms[0] + "." + ms[1:]
-    mant = mant.rstrip("0").rstrip(".")
-    return f"{sign}{mant}e{e}" if (e < -1 or e >= digits + 2) else sign + _plain_decimal(r)
-
-
-def _plain_decimal(r: Rat) -> str:
-    scaled, shift = r, 0
-    while scaled.denominator != 1:
-        scaled *= 10
-        shift += 1
-    s = str(scaled.numerator).rjust(shift + 1, "0")  # a leading 0 below 1
-    return s if shift == 0 else s[:-shift] + "." + s[-shift:]
+    m, s, _ = _sig_round(abs(x), digits, True)
+    if m == 10 ** digits:
+        m, s = m // 10, s + 1
+    e, ms = s + digits - 1, str(m)
+    if e < -1 or e >= digits + 2:
+        return f"{sign}{(ms[0] + '.' + ms[1:]).rstrip('0').rstrip('.')}e{e}"
+    if s >= 0:
+        return sign + ms + "0" * s
+    ms = ms.rjust(1 - s, "0")  # a leading 0 below 1
+    frac = ms[s:].rstrip("0")
+    return sign + ms[:s] + ("." + frac if frac else "")
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +221,7 @@ class RatInterval(Frozen):
 class _AtanhSeries:
     """atanh(a/b) for integers with |a/b| < 1/2, b > 0, summed over Z.  The
     powers of a^2 and b^2 are kept, so that sums to several budgets share
-    them."""
+    them.  The sum of n terms, and so its enclosure, is a function of n."""
 
     __slots__ = ("a", "b", "_c", "_a2", "_b2")
 
@@ -238,49 +236,44 @@ class _AtanhSeries:
             table.append(table[-1] * table[1])
         return table[n]
 
-    def enclose(self, bn: int, bd: int) -> tuple[int, int, int, int]:
-        """(s, r, den, n) with atanh(a/b) in [(s - r)/den, (s + r)/den].
+    def count(self, bn: int, bd: int) -> int:
+        """The least n >= 1 whose tail bound r/den in enclose(n) is <= bn/bd
+        (both positive)."""
+        a, b, c = self.a, self.b, self._c
+        n = 1
+        while (abs(a) * self._pow(self._a2, n) * bd
+               > bn * b * self._pow(self._b2, n - 1) * (2 * n + 1) * c):
+            n += 1
+        return n
 
-        s/den is the sum of the first n terms u^(2j+1)/(2j+1), u = a/b, over
-        the denominator b^(2n-1) (2n+1) (b^2 - a^2) prod_{j<n} (2j+1), and
-        r/den = |u|^(2n+1) / ((2n+1)(1 - u^2)) bounds the rest geometrically,
-        for the least n >= 1 with r/den <= bn/bd (both positive).
+    def enclose(self, n: int) -> tuple[int, int, int]:
+        """(s, r, den) with atanh(a/b) in [(s - r)/den, (s + r)/den]: s/den is
+        the sum of the first n terms u^(2j+1)/(2j+1), u = a/b, over the
+        denominator b^(2n-1) (2n+1) (b^2 - a^2) prod_{j<n} (2j+1), and
+        r/den = |u|^(2n+1) / ((2n+1)(1 - u^2)) bounds the rest geometrically.
         """
         a, b, c = self.a, self.b, self._c
         a2, b2 = self._a2, self._b2
-        n = 1
-        while abs(a) * self._pow(a2, n) * bd > bn * b * self._pow(b2, n - 1) * (2 * n + 1) * c:
-            n += 1
+        a_n, b_n = self._pow(a2, n), self._pow(b2, n - 1)
         odd = math.prod(range(1, 2 * n, 2))
         s = a * sum(a2[j] * b2[n - 1 - j] * (odd // (2 * j + 1)) for j in range(n))
         m = (2 * n + 1) * c
-        return s * m, abs(a) * a2[n] * odd, b * b2[n - 1] * odd * m, n
+        return s * m, abs(a) * a_n * odd, b * b_n * odd * m
 
 
-_LN2_CACHE: dict[int, RatInterval] = {}
+_LN2_SERIES = _AtanhSeries(1, 3)
+_LN2_CACHE: dict[int, RatInterval] = {}  # term count -> enclosure of ln 2
 
 
-@lru_cache(maxsize=256)
-def _ln2_enclosure(bn: Rat, bd: int = 1) -> RatInterval:
-    """ln 2 = 2 atanh(1/3) with tail <= bn/bd, a function of the budget alone."""
-    s, r, den, _ = _AtanhSeries(1, 3).enclose(bn, 2 * bd)
-    return RatInterval(Fraction(2 * (s - r), den), Fraction(2 * (s + r), den))
-
-
-def _ln2(bn: Rat, bd: int = 1) -> RatInterval:
-    """_ln2_enclosure through a cache keyed by the decimal exponent of the
-    budget: the first budget of a decade fixes the entry for every later one
-    in the process.  So ln_enclosure and kappa, which read it for k != 0, can
-    depend on the earlier calls, within their width; ln_floor does not."""
-    key = _ln2_key(bn, bd)
-    if key not in _LN2_CACHE:
-        _LN2_CACHE[key] = _ln2_enclosure(bn, bd)
-    return _LN2_CACHE[key]
-
-
-@lru_cache(maxsize=256)
-def _ln2_key(bn: Rat, bd: int) -> int:
-    return _dec_exponent(Fraction(bn, bd)) if bn > 0 else 0
+def _ln2(bn: int, bd: int) -> RatInterval:
+    """ln 2 = 2 atanh(1/3) with tail <= bn/bd: the enclosure of the least
+    term count whose tail meets the budget, so a function of the budget
+    alone; each count is summed once per process."""
+    n = _LN2_SERIES.count(bn, 2 * bd)
+    if n not in _LN2_CACHE:
+        s, r, den = _LN2_SERIES.enclose(n)
+        _LN2_CACHE[n] = RatInterval(Fraction(2 * (s - r), den), Fraction(2 * (s + r), den))
+    return _LN2_CACHE[n]
 
 
 KAPPA_NUM_SHIFT = Fraction("1.08")
@@ -319,17 +312,16 @@ class LnArg:
         self.k = k
         self._atanh = _AtanhSeries((p - q) // g, (p + q) // g)
 
-    def _unrounded(self, wn: int, wd: int, ln2=None) -> tuple[int, int, int, int]:
+    def _unrounded(self, wn: int, wd: int) -> tuple[int, int, int, int]:
         """(lo, lo_den, hi, hi_den): ln x in [lo/lo_den, hi/hi_den] before the
         grid rounding to width wn/wd.  Of the budget w/4, half goes to the
-        atanh tail, and w/(8|k|) to the enclosure ln2(bn, bd) of ln 2, by
-        default _ln2."""
-        s, r, den, _ = self._atanh.enclose(wn, 8 * wd)
+        atanh tail, and w/(8|k|) to the enclosure _ln2(bn, bd) of ln 2."""
+        s, r, den = self._atanh.enclose(self._atanh.count(wn, 8 * wd))
         lo, hi = 2 * (s - r), 2 * (s + r)
         k = self.k
         if k == 0:
             return lo, den, hi, den
-        c = (ln2 or _ln2)(wn, 8 * abs(k) * wd)
+        c = _ln2(wn, 8 * abs(k) * wd)
         c_lo, c_hi = (c.lo, c.hi) if k > 0 else (c.hi, c.lo)
         return (lo * c_lo.denominator + k * c_lo.numerator * den, den * c_lo.denominator,
                 hi * c_hi.denominator + k * c_hi.numerator * den, den * c_hi.denominator)
@@ -362,11 +354,10 @@ def ln_floor(x: Rat, bits: int) -> int:
     """floor(2**bits ln x) for a rational x > 0, exactly: the width of
     LnArg._unrounded shrinks until both ends floor to the same integer.  This
     stops, as ln x is irrational for every rational x != 1 (e^(p/q) is
-    transcendental) and the enclosure of ln 1 is [0, 0].  It reads ln 2
-    for its own budget, never from the cache of _ln2."""
+    transcendental) and the enclosure of ln 1 is [0, 0]."""
     arg, wd = LnArg(x), 1 << bits + 8
     while True:
-        lo, lo_den, hi, hi_den = arg._unrounded(1, wd, _ln2_enclosure)
+        lo, lo_den, hi, hi_den = arg._unrounded(1, wd)
         f = (lo << bits) // lo_den
         if f == (hi << bits) // hi_den:
             return f

@@ -67,7 +67,7 @@ ProofReport = namedtuple("ProofReport", "tmin kappa_hi contradiction_upper desce
 
 @lru_cache(maxsize=64)
 def _kappa(t_abs: Rat):
-    """kappa(t_abs, KAPPA_WIDTH) once per t; a repeat would read the same ln 2 entries."""
+    """kappa(t_abs, KAPPA_WIDTH) once per t; the enclosure depends on t alone."""
     return kappa(t_abs, KAPPA_WIDTH)
 
 

@@ -17,8 +17,9 @@ before the one ``quadfield.ring`` table, the integral approximant pairs, which
 no command runs, and the tmin certificates (descent steps, root enclosures, measure
 chains and the significant-digit rounding) as they ran in ``Fraction``
 arithmetic at each tmin before their tmin-free parts were built once over Z,
-with the descent's non-vanishing polynomial as it was built over Z[i] and the
-rounding as it ran with two powers of ten.
+with the descent's non-vanishing polynomial as it was built over Z[i], the
+rounding up as it ran with two powers of ten, and the rounding to nearest and
+``sig_str`` as they ran in ``Fraction`` arithmetic.
 The tests check ``thueq.zpoly``, ``thueq.exactnum``, ``thueq.quadfield`` and
 their callers against these."""
 
@@ -427,6 +428,41 @@ def round_up_sig_oracle(x: Fraction, digits: int = 4) -> Fraction:
     return Fraction(-((-x.numerator * q.denominator) // (x.denominator * q.numerator))) * q
 
 
+def round_nearest_sig_oracle(x: Fraction, digits: int = 4) -> Fraction:
+    """``exactnum.round_nearest_sig`` as it ran in Fraction arithmetic, before
+    the integer rounding that ``round_up_sig`` and ``sig_str`` share."""
+    if x == 0:
+        return Fraction(0)
+    e = dec_exponent_oracle(x)
+    q = Fraction(10) ** (e - digits + 1)
+    n = x / q
+    m = (2 * n.numerator + n.denominator) // (2 * n.denominator)  # round half up
+    return m * q
+
+
+def sig_str_oracle(x: Fraction, digits: int = 4) -> str:
+    """``exactnum.sig_str`` as it ran in Fraction arithmetic."""
+    if x == 0:
+        return "0"
+    sign = "-" if x < 0 else ""
+    r = round_nearest_sig_oracle(abs(x), digits)
+    e = dec_exponent_oracle(r)
+    m = r / Fraction(10) ** (e - digits + 1)
+    ms = str(m.numerator).rstrip()
+    mant = ms[0] + "." + ms[1:]
+    mant = mant.rstrip("0").rstrip(".")
+    return f"{sign}{mant}e{e}" if (e < -1 or e >= digits + 2) else sign + plain_decimal_oracle(r)
+
+
+def plain_decimal_oracle(r: Fraction) -> str:
+    scaled, shift = r, 0
+    while scaled.denominator != 1:
+        scaled *= 10
+        shift += 1
+    s = str(scaled.numerator).rjust(shift + 1, "0")  # a leading 0 below 1
+    return s if shift == 0 else s[:-shift] + "." + s[-shift:]
+
+
 def round_up_sig_two_powers(x: Fraction, digits: int = 4) -> Fraction:
     """``exactnum.round_up_sig`` as it ran when the exponent search and the
     rounding each built their own power of ten."""
@@ -659,7 +695,7 @@ def iv_div_pos(a: RatInterval, b: RatInterval) -> RatInterval:
 
 # ---------------------------------------------------------------------------
 # the logarithms as they were summed in Fraction arithmetic before the
-# integer kernel; ln 2 reads and fills the same cache as ``exactnum._ln2``
+# integer kernel
 
 
 def atanh_enclosure_oracle(u: Fraction, tail_budget: Fraction) -> RatInterval:
@@ -680,12 +716,7 @@ def atanh_enclosure_oracle(u: Fraction, tail_budget: Fraction) -> RatInterval:
 
 
 def ln2_oracle(tail_budget: Fraction) -> RatInterval:
-    key = exactnum._dec_exponent(tail_budget) if tail_budget > 0 else 0
-    iv = exactnum._LN2_CACHE.get(key)
-    if iv is None:
-        iv = iv_scale(atanh_enclosure_oracle(Fraction(1, 3), tail_budget / 2), 2)
-        exactnum._LN2_CACHE[key] = iv
-    return iv
+    return iv_scale(atanh_enclosure_oracle(Fraction(1, 3), tail_budget / 2), 2)
 
 
 def ln_enclosure_oracle(x, target_width: Fraction) -> RatInterval:

@@ -26,7 +26,7 @@ from thueq.dioph import (
     small_solution_search,
     t_value_set,
 )
-from thueq.exactnum import GRID_BITS, ComplexBall
+from thueq.exactnum import GRID_BITS, ComplexBall, sqrt_bounds
 from thueq.quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
                              field_pairs, norm, ring, roots_of_unity)
 from thueq.series import GaussRat
@@ -697,7 +697,7 @@ def _certify_root_oracle(t, x):
 def test_certify_root_matches_the_hand_written_quartic():
     # an exact and an enclosed parameter, Newton points at several distances
     # from each root: the balls (or refusals) agree exactly
-    lo, hi = dioph._sqrt_enclosure(7, 200)
+    lo, hi = sqrt_bounds(F(7), 200)
     t_balls = [ComplexBall.exact(F(0), F(100)), ComplexBall.exact(F(-37, 3), F(512, 7)),
                ComplexBall(F(3, 2), 20 * (lo + hi), 20 * (hi - lo))]
     outcomes = set()

@@ -29,9 +29,9 @@ from thueq.measure import KAPPA_WIDTH
 
 from oracles import (atanh_enclosure_oracle, ball_abs_bounds_oracle, ball_contains_zero,
                      ball_mul_oracle, dec_exponent_oracle, iv_add, iv_contains, iv_div_pos,
-                     iv_scale, iv_shift, iv_width, kappa_oracle, ln_enclosure_oracle,
-                     round_down_grid, round_up_sig_oracle, round_up_sig_two_powers, sqrt_lower,
-                     sqrt_upper)
+                     iv_scale, iv_shift, iv_width, kappa_oracle, ln_enclosure_oracle, outcome,
+                     round_down_grid, round_nearest_sig_oracle, round_up_sig_oracle,
+                     round_up_sig_two_powers, sig_str_oracle, sqrt_lower, sqrt_upper)
 
 rationals = st.fractions(
     min_value=F(-10**6), max_value=F(10**6), max_denominator=10**6
@@ -58,7 +58,7 @@ def test_grid_rounding_exact_on_grid():
 def round_down_sig(x, digits=4):
     if x == 0:
         return F(0)
-    q = F(10) ** (exactnum._dec_exponent(x) - digits + 1)
+    q = F(10) ** (exactnum._dec_power(x)[0] - digits + 1)
     return F((x.numerator * q.denominator) // (x.denominator * q.numerator)) * q
 
 
@@ -176,7 +176,8 @@ def ln_enclosure_by_halving(x, target_width):
     budget = target_width / 4
     total = iv_scale(atanh_enclosure_oracle((m - 1) / (m + 1), budget / 2), 2)
     if k != 0:
-        total = iv_add(total, iv_scale(exactnum._ln2(budget / (2 * abs(k))), k))
+        b = budget / (2 * abs(k))
+        total = iv_add(total, iv_scale(exactnum._ln2(b.numerator, b.denominator), k))
     bits = max(8, (4 * target_width.denominator.bit_length() // 4) + 8)
     while F(2, 1 << bits) > target_width / 4:
         bits += 8
@@ -267,24 +268,24 @@ def test_ln_enclosure_rejects_bad_arguments():
         kappa(F(0), KAPPA_WIDTH)
 
 
-def test_ln_enclosure_depends_on_the_ln2_cache():
-    # _ln2 keys its cache by the decimal exponent of the budget, and the
-    # first budget of a decade wins: this enclosure at k = 12 reads the
-    # ln 2 entry that an earlier call at k = 5 left in the same decade
+def test_ln_enclosure_does_not_depend_on_the_ln2_cache():
+    # _ln2 keys its cache by the term count, and the count by the budget: the
+    # ln 2 entry that an earlier call at k = 5 leaves is not read at k = 12,
+    # whose budget needs another count, and the enclosure is the cold one
     x, w = F(5, 4) * 2 ** 12, F(1, 10**6)
     cold, after = on_the_same_ln2_cache(True, lambda: ln_enclosure(x, w), lambda: (
         ln_enclosure(F(5, 4) * 2 ** 5, w), ln_enclosure(x, w))[1])
     assert cold.lo == F(2292682955, 2**28)
-    assert after.lo == F(2292682895, 2**28)
+    assert after == cold
 
 
 @given(st.integers(min_value=1, max_value=10**400), st.integers(min_value=1, max_value=10**400))
 def test_dec_exponent_brackets(n, d):
     x = F(n, d)
-    e = exactnum._dec_exponent(x)
+    e = exactnum._dec_power(x)[0]
     assert F(10) ** e <= x < F(10) ** (e + 1)
-    assert exactnum._dec_exponent(F(10) ** e) == e
-    assert exactnum._dec_exponent(F(10) ** e * F(10**50 - 1, 10**50)) == e - 1
+    assert exactnum._dec_power(F(10) ** e)[0] == e
+    assert exactnum._dec_power(F(10) ** e * F(10**50 - 1, 10**50))[0] == e - 1
 
 
 def test_kappa_enclosure():
@@ -379,8 +380,38 @@ SIG_ARGS = st.one_of(
 
 @given(SIG_ARGS, st.integers(min_value=1, max_value=12))
 def test_round_up_sig_equals_the_fraction_oracle(x, digits):
-    assert exactnum._dec_exponent(x) == dec_exponent_oracle(x)
+    assert exactnum._dec_power(x)[0] == dec_exponent_oracle(x)
     assert round_up_sig(x, digits) == round_up_sig_oracle(x, digits)
+
+
+def assert_decimals_equal_the_fraction_oracles(x, digits):
+    assert sig_str(x, digits) == sig_str_oracle(x, digits)
+    for got, want in ((round_nearest_sig, round_nearest_sig_oracle),
+                      (round_up_sig, round_up_sig_oracle)):
+        assert outcome(got, x, digits) == outcome(want, x, digits)
+
+
+@given(st.one_of(SIG_ARGS, SIG_ARGS.map(lambda x: -x), st.just(F(0))),
+       st.sampled_from([1, 2, 4, 7]))
+def test_the_integer_rounding_equals_the_fraction_oracles(x, digits):
+    assert_decimals_equal_the_fraction_oracles(x, digits)
+
+
+def test_the_integer_rounding_carries_into_the_next_decade():
+    # (10^digits - 1/2) 10^s rounds half up to 10^(digits + s), as 9.9995
+    # rounds to 10.00; a hair below it stays in its decade
+    for e, digits, sign in itertools.product(range(-9, 10), (1, 2, 4, 7), (1, -1)):
+        half = (10 ** digits - F(1, 2)) * F(10) ** (e - digits + 1)
+        for x in (half, half * (1 - F(1, 10**30))):
+            assert_decimals_equal_the_fraction_oracles(sign * x, digits)
+    assert sig_str(F(99995, 10**4)) == "10" and sig_str(F(-99995, 10**9)) == "-1e-4"
+    assert round_nearest_sig(F(99995, 10**4)) == 10
+
+
+def test_the_integer_rounding_on_the_t0_of_eps_1_over_10000():
+    t0 = measure.corollary_eps(F(1, 10000))["t0"]
+    for digits in (1, 2, 4, 7):
+        assert_decimals_equal_the_fraction_oracles(t0, digits)
 
 
 # m 10^e + r with e past 4,300 digits, as a value and as its reciprocal; r = 0
@@ -402,7 +433,7 @@ def test_round_up_sig_on_powers_of_ten_and_their_neighbours():
     for e in (-301, -4, -1, 0, 1, 3, 4, 5, 300):
         p = F(10) ** e
         for x in (p, p - F(1, 10**320), p + F(1, 10**320), p * 9999 / 10000, p * 10001 / 10000):
-            assert exactnum._dec_exponent(x) == dec_exponent_oracle(x)
+            assert exactnum._dec_power(x)[0] == dec_exponent_oracle(x)
             assert round_up_sig(x) == round_up_sig_oracle(x)
         assert round_up_sig(p) == p and round_up_sig(p * 1001 / 1000) == p * 1001 / 1000
         assert round_up_sig(p * 10001 / 10000) == p * 1001 / 1000

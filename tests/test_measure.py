@@ -186,6 +186,55 @@ def test_verify_all_at_100_never_runs_the_search(monkeypatch, capsys):
     assert capsys.readouterr().out == VERIFY_ALL_REFERENCE.read_text()
 
 
+def test_verify_all_does_not_depend_on_an_earlier_log(monkeypatch, capsys):
+    # ln 2 is a function of its budget: an earlier enclosure at k = 122 once
+    # left an ln 2 entry that kappa read for the report, and kappa_hi moved
+    monkeypatch.setattr(exactnum, "_LN2_CACHE", {})
+    monkeypatch.setattr(measure, "_kappa", lru_cache(maxsize=64)(measure._kappa.__wrapped__))
+    exactnum.ln_enclosure(F(5, 4) * 2 ** 122, F(1, 10**6))
+    assert main(["verify-all"]) == 0
+    assert capsys.readouterr().out == VERIFY_ALL_REFERENCE.read_text()
+
+
+# every line that a proven report at tmin 100 rests on, by name
+ASSEMBLY_LINE_NAMES = {
+    "small-solution bound below tmin^2", "root drift cap 0.06", "separation floor 0.5",
+    "tmin floor 100", "absorption cap 0.11", "step-1 coefficient 2.67", "root modulus 1.01",
+    "side case x^4 (1 - 5t^2) = mu", "step-2 divisor 5.02", "side case x = y",
+    "step-1 divisor 2.27", "relative floor 0.44", "beta 8.86", "kappa shift 1.08",
+    "kappa shift 2.59", "contradiction coefficient 137.16", "numerator base 2.94",
+    "error prefactor 1.14", "error base 1.24", "error coefficient 1.83", "error base 13.27",
+    "c prefactor 19.53", "absorption base 0.28", "c coefficient 5.47", "q gate 0.28",
+    "w-circle gate |1-w| < 1", "|w|, |1/w| cap 1.09", "|u|, |z| cap 1.04|t|",
+    "|t|-4 floor 0.96|t|", "|t|-12 floor 0.88|t|", "small-root cap 0.02", "kappa at least 1",
+    "unit factor 4.7", "error coefficient 3.66", "c prefactor 27.64", "absorption base 0.56",
+    "c coefficient 15.48", "q gate 0.14", "distance to i cap 1.44", "kappa below 3",
+    "contradiction bound below the descent bounds",
+    *(f"type 0 step k={k} non-vanishing numerator" for k in range(3, 12)),
+    *(f"type 3 step k={k} non-vanishing numerator" for k in range(2, 12)),
+    *(f"Lettl bound {bound} at r={r}" for bound in ("3.32*1.35^r", "1.6*10.7^r")
+      for r in range(1, 61)),
+}
+
+
+def test_theorem_assembly_checks_the_pinned_line_names(monkeypatch):
+    # the once-per-process checks run anew, so that their lines are recorded too
+    names, real = set(), exactnum.lines
+
+    def record(*reqs):
+        names.update(req[0] for req in reqs)
+        return real(*reqs)
+
+    for module in (measure, descent, hyperchi):
+        monkeypatch.setattr(module, "lines", record)
+    for module, name in ((measure, "_tmin_free_checks"), (measure, "_fixed_lines"),
+                         (descent, "_first_fixed")):
+        monkeypatch.setattr(module, name, lru_cache(maxsize=None)(
+            getattr(module, name).__wrapped__))
+    assert theorem_assembly(F(100)).verdict == "proven"
+    assert names == ASSEMBLY_LINE_NAMES
+
+
 @pytest.mark.parametrize("tmin, searched", [
     (F(0), True), (F(68), True), (F(69), False), (F(100), False)])
 def test_the_small_solution_gate_searches_below_the_derived_bound(monkeypatch, tmin, searched):
@@ -431,9 +480,8 @@ def fresh_log_caches(monkeypatch):
 
 
 def test_corollary_eps_thresholds_hold_in_reverse_order(fresh_log_caches):
-    # the ln 2 cache keeps the first enclosure of each decade of budgets, but
-    # the grid floors of ln read ln 2 afresh, so no threshold depends on the
-    # order of the queries
+    # ln 2 is a function of its budget, so no threshold depends on the order
+    # of the queries
     got = {eps: corollary_eps(F(eps))["t0"] for eps in reversed(EPS_T0)}
     assert got == {eps: F(t0) for eps, t0 in EPS_T0.items()}
 
