@@ -11,13 +11,12 @@ from fractions import Fraction
 from . import __version__
 from .descent import BETA_COEFF, KMAX, KSTART
 from .exactnum import MAX_DIGITS, TMIN_FLOOR, OutputLimitError, Rat, sig_str
+from .quadfield import MAX_ABS
 
 EXIT_OK = 0
 EXIT_INCONCLUSIVE = 1
 EXIT_INTERNAL = 2
 EXIT_USAGE = 64
-# enumerate lists about 2.7 m^3 elements for --max-abs m: 170,720 at m = 40
-MAX_ABS = 40
 
 # rounded bounds can carry thousands of digits; keep str() able to print them
 if hasattr(sys, "set_int_max_str_digits"):
@@ -272,61 +271,42 @@ def _cmd_rouche_certs(args) -> int:
 
 # ---------------------------------------------------------------------------
 
+# the shared flags, as (flag, add_argument keywords)
+_TMIN = ("--tmin", {"type": _nonneg_rat, "default": TMIN_FLOOR})
+_KMAX = ("--kmax", {"type": int, "default": KMAX})
+_TYPE = ("--type", {"type": int, "choices": (0, 3), "required": True})
+_JSON = ("--json", {"action": "store_true"})
+
+# each command: its handler, its help line and its flags, in --help order
+_COMMANDS = {
+    "verify-all": (_cmd_verify_all, "run the full verification pipeline",
+                   [_TMIN, _KMAX, ("--out", {})]),
+    "irreducible-list": (_cmd_irreducible_list, "parameters with reducible form", [_JSON]),
+    "small-solutions": (_cmd_small_solutions, "exhaustive small-solution search",
+                        [("--tmin", {"type": _nonneg_rat, "default": Fraction(0)}), _JSON]),
+    "enumerate": (_cmd_enumerate, "ring elements of bounded modulus",
+                  [("--max-abs", {"type": _nonneg_rat, "required": True,
+                                  "help": f"the bound m on |x|, at most {MAX_ABS}"}), _JSON]),
+    "descent": (_cmd_descent, "iterated lower bounds for |y|", [_TYPE, _TMIN, _KMAX, _JSON]),
+    "constants": (_cmd_constants, "irrationality-measure constants", [_TYPE, _TMIN, _JSON]),
+    "corollary-lin": (_cmd_corollary_lin, "thresholds for |F| <= C|t|",
+                      [("--C", {"type": _rat, "required": True}), ("--t0", {"type": _rat}),
+                       _JSON]),
+    "corollary-eps": (_cmd_corollary_eps, "thresholds for |F| <= |t|^(2-eps)",
+                      [("--eps", {"type": _rat, "required": True}), _JSON]),
+    "rouche-certs": (_cmd_rouche_certs, "uniform root-enclosure certificates", [_TMIN, _JSON]),
+}
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="thueq", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-all", help="run the full verification pipeline")
-    p.add_argument("--tmin", type=_nonneg_rat, default=TMIN_FLOOR)
-    p.add_argument("--kmax", type=int, default=KMAX)
-    p.add_argument("--out", default=None)
-    p.set_defaults(fn=_cmd_verify_all)
-
-    p = sub.add_parser("irreducible-list", help="parameters with reducible form")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_irreducible_list)
-
-    p = sub.add_parser("small-solutions", help="exhaustive small-solution search")
-    p.add_argument("--tmin", type=_nonneg_rat, default=Fraction(0))
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_small_solutions)
-
-    p = sub.add_parser("enumerate", help="ring elements of bounded modulus")
-    p.add_argument("--max-abs", type=_nonneg_rat, required=True,
-                   help=f"the bound m on |x|, at most {MAX_ABS}")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_enumerate)
-
-    p = sub.add_parser("descent", help="iterated lower bounds for |y|")
-    p.add_argument("--type", type=int, choices=(0, 3), required=True)
-    p.add_argument("--tmin", type=_nonneg_rat, default=TMIN_FLOOR)
-    p.add_argument("--kmax", type=int, default=KMAX)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_descent)
-
-    p = sub.add_parser("constants", help="irrationality-measure constants")
-    p.add_argument("--type", type=int, choices=(0, 3), required=True)
-    p.add_argument("--tmin", type=_nonneg_rat, default=TMIN_FLOOR)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_constants)
-
-    p = sub.add_parser("corollary-lin", help="thresholds for |F| <= C|t|")
-    p.add_argument("--C", type=_rat, required=True)
-    p.add_argument("--t0", type=_rat, default=None)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_corollary_lin)
-
-    p = sub.add_parser("corollary-eps", help="thresholds for |F| <= |t|^(2-eps)")
-    p.add_argument("--eps", type=_rat, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_corollary_eps)
-
-    p = sub.add_parser("rouche-certs", help="uniform root-enclosure certificates")
-    p.add_argument("--tmin", type=_nonneg_rat, default=TMIN_FLOOR)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=_cmd_rouche_certs)
-
+    for name, (fn, help_line, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, spec in flags:
+            p.add_argument(flag, **spec)
+        p.set_defaults(fn=fn)
     return parser
 
 

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 from . import zpoly
 from .exactnum import TMIN_FLOOR, ChainError, Rat
-from .series import QUARTIC, Series, horner, root_series
+from .series import QUARTIC, ROOT_TRUNC, Series, horner, root_series
 
 
 # center: {power of t: int}, negative powers allowed
@@ -129,7 +129,8 @@ def _series_center(s: Series) -> dict:
 
 # the high-order radii radius_c/|t|^radius_exp, by root type: type 0 is
 # certificate B (root near 0), type 3 is certificate B3 (root near 1)
-HIGH_ORDER = {0: (Fraction(271) * 10 ** 14, 31), 3: (Fraction(984) * 10 ** 13, 30)}
+HIGH_ORDER = {0: (Fraction(271) * 10 ** 14, ROOT_TRUNC[0]),
+              3: (Fraction(984) * 10 ** 13, ROOT_TRUNC[3])}
 
 # the six certificates, in the order _certificates holds them
 CERT_NAMES = (*(name for name, *_ in BASE_CERT_PARAMS), "B", "B3")

@@ -334,16 +334,19 @@ def alpha3_series(alpha: Series) -> Series:
     return Series.from_ints((_moebius(zpoly.pad(alpha.num[0], alpha.trunc)), []), 1, alpha.trunc)
 
 
+# each root series' truncation order, which rouche.HIGH_ORDER reads as its radius exponent
+ROOT_TRUNC = {0: 31, 3: 30}
+
+
 @lru_cache(maxsize=None)
 def root_series(type_index: int) -> Series:
     """The root series a descent chain and a high-order certificate expand:
-    type 0 is alpha modulo s^31, type 3 its Moebius image modulo s^30.
+    type 0 is alpha, type 3 its Moebius image, modulo s^ROOT_TRUNC[type_index].
     Built once per process; every caller shares it and must not mutate it."""
-    if type_index == 0:
-        return newton_alpha_series(31)
-    if type_index == 3:
-        return alpha3_series(newton_alpha_series(30))
-    raise ValueError("type_index must be 0 or 3")
+    if type_index not in ROOT_TRUNC:
+        raise ValueError("type_index must be 0 or 3")
+    alpha = newton_alpha_series(ROOT_TRUNC[type_index])
+    return alpha if type_index == 0 else alpha3_series(alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import io
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thueq.cli import MAX_ABS, main
+from thueq.cli import MAX_ABS, _build_parser, main
 
 
 def run_cli(*argv):
@@ -112,6 +113,46 @@ def test_output_is_pinned_in_a_fresh_process():
     r = run_cli(*command.split())
     assert r.returncode == 0
     assert sha256(r.stdout) == PINS[command]
+
+
+# each command's help line, handler and argparse actions, as the nine hand-written
+# subparser blocks built them; an action is (option strings, dest, type, default,
+# required, choices, help, nargs).  Unlike the rendered --help, these read the
+# same on every Python version.
+A_TMIN = (["--tmin"], "tmin", "_nonneg_rat", Fraction(100), False, None, None, None)
+A_KMAX = (["--kmax"], "kmax", "int", 11, False, None, None, None)
+A_TYPE = (["--type"], "type", "int", None, True, (0, 3), None, None)
+A_JSON = (["--json"], "json", None, False, False, None, None, 0)
+ACTIONS = {
+    "verify-all": ("run the full verification pipeline", "_cmd_verify_all",
+                   [A_TMIN, A_KMAX, (["--out"], "out", None, None, False, None, None, None)]),
+    "irreducible-list": ("parameters with reducible form", "_cmd_irreducible_list", [A_JSON]),
+    "small-solutions": ("exhaustive small-solution search", "_cmd_small_solutions",
+                        [(["--tmin"], "tmin", "_nonneg_rat", Fraction(0), False, None, None,
+                          None), A_JSON]),
+    "enumerate": ("ring elements of bounded modulus", "_cmd_enumerate",
+                  [(["--max-abs"], "max_abs", "_nonneg_rat", None, True, None,
+                    "the bound m on |x|, at most 40", None), A_JSON]),
+    "descent": ("iterated lower bounds for |y|", "_cmd_descent", [A_TYPE, A_TMIN, A_KMAX, A_JSON]),
+    "constants": ("irrationality-measure constants", "_cmd_constants", [A_TYPE, A_TMIN, A_JSON]),
+    "corollary-lin": ("thresholds for |F| <= C|t|", "_cmd_corollary_lin",
+                      [(["--C"], "C", "_rat", None, True, None, None, None),
+                       (["--t0"], "t0", "_rat", None, False, None, None, None), A_JSON]),
+    "corollary-eps": ("thresholds for |F| <= |t|^(2-eps)", "_cmd_corollary_eps",
+                      [(["--eps"], "eps", "_rat", None, True, None, None, None), A_JSON]),
+    "rouche-certs": ("uniform root-enclosure certificates", "_cmd_rouche_certs", [A_TMIN, A_JSON]),
+}
+
+
+def test_each_command_builds_the_pinned_actions():
+    sub, = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(sub.choices) == list(ACTIONS)
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    for name, p in sub.choices.items():
+        actions = [(a.option_strings, a.dest, getattr(a.type, "__name__", a.type), a.default,
+                    a.required, a.choices, a.help, a.nargs)
+                   for a in p._actions if not isinstance(a, argparse._HelpAction)]
+        assert (helps[name], p.get_default("fn").__name__, actions) == ACTIONS[name], name
 
 
 def test_usage_errors_exit_64():

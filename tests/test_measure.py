@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import random
+import re
 from fractions import Fraction as F
 from functools import lru_cache
 from pathlib import Path
@@ -233,6 +234,55 @@ def test_theorem_assembly_checks_the_pinned_line_names(monkeypatch):
             getattr(module, name).__wrapped__))
     assert theorem_assembly(F(100)).verdict == "proven"
     assert names == ASSEMBLY_LINE_NAMES
+
+
+# every decimal F("...") or Fraction("...") in src/thueq, by value: the named
+# lines above that check it, the Rouche certificates whose radius it is, or
+# "cited: <source>" for a published input that no run checks
+DECIMALS = {
+    "0.02": "small-root cap 0.02", "0.06": "root drift cap 0.06",
+    "0.11": "absorption cap 0.11", "0.14": "q gate 0.14",
+    "0.28": ("absorption base 0.28", "q gate 0.28"),
+    "0.31": "cited: the paper's proof of the corollaries, 443 >= 8.86 * 15.48 / 0.31",
+    "0.33": "cited: the paper's proof of the eps corollary, 8.86 / |t|^(1/2 + eps/4) <= 0.33",
+    "0.44": "relative floor 0.44", "0.5": "separation floor 0.5",
+    "0.56": "absorption base 0.56", "0.88": "|t|-12 floor 0.88|t|",
+    "0.96": "|t|-4 floor 0.96|t|", "1.01": "root modulus 1.01",
+    "1.02": "error prefactor 1.14", "1.04": "|u|, |z| cap 1.04|t|",
+    "1.08": "kappa shift 1.08", "1.09": "|w|, |1/w| cap 1.09",
+    "1.14": "error prefactor 1.14", "1.24": "error base 1.24",
+    "1.35": "Lettl bound 3.32*1.35^r", "1.44": "distance to i cap 1.44",
+    "1.6": "Lettl bound 1.6*10.7^r", "1.83": "error coefficient 1.83",
+    "2.16": ("certificate alpha1", "certificate alpha3"), "2.27": "step-1 divisor 2.27",
+    "2.59": "kappa shift 2.59", "2.67": "step-1 coefficient 2.67",
+    "2.94": "numerator base 2.94", "3.32": "Lettl bound 3.32*1.35^r",
+    "3.66": "error coefficient 3.66", "4.7": "unit factor 4.7",
+    "5.01": "certificate alpha0", "5.02": ("step-2 divisor 5.02", "certificate alpha2"),
+    "5.47": "c coefficient 5.47", "8.86": "beta 8.86", "10.7": "Lettl bound 1.6*10.7^r",
+    "13.27": "error base 13.27", "15.48": "c coefficient 15.48",
+    "19.53": "c prefactor 19.53",
+    "20.14": "cited: the paper's type reduction, min{|x|, |y|}^4 >= 20.14 Q/|t|",
+    "27.64": "c prefactor 27.64", "137.16": "contradiction coefficient 137.16",
+}
+
+
+def test_every_decimal_in_src_is_checked_or_cited():
+    src = Path(__file__).parents[1] / "src/thueq"
+    found = {m for path in src.glob("*.py")
+             for m in re.findall(r'\b(?:F|Fraction)\("([^"]*)"\)', path.read_text())}
+    assert not found - set(DECIMALS), "unregistered decimals"
+    assert not set(DECIMALS) - found, "registered decimals gone from src/thueq"
+    certs = rouche.base_certificates()
+    for value, checks in DECIMALS.items():
+        for check in (checks,) if isinstance(checks, str) else checks:
+            if check.startswith("certificate "):
+                cert = certs[check.split()[1]]
+                assert cert.verified and cert.radius_c == F(value), (value, check)
+            elif check.startswith("Lettl bound "):
+                assert all(f"{check} at r={r}" in ASSEMBLY_LINE_NAMES
+                           for r in range(1, measure.RMAX + 1)), (value, check)
+            else:
+                assert check.startswith("cited: ") or check in ASSEMBLY_LINE_NAMES, (value, check)
 
 
 @pytest.mark.parametrize("tmin, searched", [

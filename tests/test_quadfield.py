@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -6,7 +7,9 @@ from oracles import (conj_oracle, divides, eligible_fields_oracle, field_pairs_o
                      is_half_integral, mul_oracle, norm_oracle, pairs_with_norm_in_oracle,
                      re_im_oracle, squarefree)
 
+from thueq import quadfield
 from thueq.quadfield import (
+    MAX_ABS,
     QuadInt,
     div_exact,
     eligible_fields,
@@ -112,6 +115,27 @@ def test_roots_of_unity_are_units():
 def test_eligible_fields():
     assert eligible_fields(3) == [1, 2, 3, 5, 6, 7, 11, 15, 19, 23, 31, 35]
     assert 4 not in eligible_fields(10)  # not squarefree
+
+
+def test_enumerate_bounded_refuses_m_past_max_abs_before_allocating(monkeypatch):
+    # eligible_fields(10**6) would sieve 4 * 10^12 bytes: the bound is checked
+    # first, so neither the list of rational integers nor the sieve is built
+    def no_sieve(m):
+        raise AssertionError(f"eligible_fields({m}) ran")
+
+    monkeypatch.setattr(quadfield, "eligible_fields", no_sieve)
+    tracemalloc.start()
+    try:
+        for m in (10 ** 6, MAX_ABS + F(1, 10 ** 9)):
+            with pytest.raises(ValueError, match=rf"m must be in \[0, {MAX_ABS}\]"):
+                enumerate_bounded(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 ** 5
+    # the small-solution search sizes eligible_fields by its own bound, 65
+    monkeypatch.undo()
+    assert eligible_fields(65) == eligible_fields_oracle(65)
 
 
 def test_enumeration_counts():

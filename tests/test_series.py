@@ -13,6 +13,7 @@ from oracles import (QUARTIC as QUARTIC_ORACLE, _gpow, approximants, approximant
 from thueq import series, zpoly
 from thueq.descent import KMAX, KSTART
 from thueq.exactnum import ChainError
+from thueq.hyperchi import chi_ints
 from thueq.series import (
     G0,
     G1,
@@ -403,6 +404,18 @@ def test_cross_product_nonvanishing():
         for r in range(1, 6):
             w = cross_product(xi, r)
             assert not w.is_zero()
+
+
+def test_cross_product_is_the_closed_form_constant():
+    # p_r q_{r+1} - p_{r+1} q_r does not depend on t: at xi = 0 it is
+    # (-1)^(r+1) 4 delta_r delta_{r+1} prod_{k=1}^{r} (4k+1) / prod_{k=0}^{r} (4k+3),
+    # for delta_r the denominator of chi_r, and at xi = 1 it is -2 times that
+    for r in range(1, 21):
+        c0 = F((-1) ** (r + 1) * 4 * chi_ints(r)[1] * chi_ints(r + 1)[1]
+               * math.prod(4 * k + 1 for k in range(1, r + 1)),
+               math.prod(4 * k + 3 for k in range(r + 1)))
+        assert cross_product(0, r) == TPoly([c0]), r
+        assert cross_product(1, r) == TPoly([-2 * c0]), r
 
 
 def test_thue_polys_shape():
