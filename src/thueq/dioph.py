@@ -353,45 +353,20 @@ def _ball_ints(ball: ComplexBall) -> tuple:
 
 
 def _root_seeds(t: complex) -> list[complex]:
-    """Float seeds: crude Durand-Kerner on f_t, ordered as (smallest, near -1,
-    large, near 1).  Where a seed fails the float check (a Newton step above
-    1e-8 max(1, |z|), or two seeds coinciding), as the small ones do past
-    |t| ~ 10^34, the seeds are -1/t, -1, t, 1, each polished by float Newton.
-    They are found once per t in a process (64 kept); each call returns a new list."""
-    return list(_seed_set(t))
+    """Float seeds in closed form, ordered as (smallest, near -1, large, near 1).
 
-
-@lru_cache(maxsize=64)
-def _seed_set(t: complex) -> tuple[complex, ...]:
+    f_t(tan psi) = 0 exactly when tan 4psi = -4/t, so tau = tan(atan(-4/t)/4)
+    is a root, and X -> (X - 1)/(X + 1), tan psi -> tan(psi - pi/4), takes it
+    through the other three; the cycle starts at the root of least modulus.
+    At t = 0, tau = tan(pi/8); at t = +-4i, f_t = (X -+ i)^4 has the one root t/4."""
     import cmath
 
-    def f(z, cs=(1.0, t, -6.0, -t, 1.0)):  # ascending in X
-        return zpoly.evaluate(cs, z, 0j)
-
-    def newton_step(z):  # nan where f'(z) vanishes or the floats overflow
-        df = f(z, (t, -12.0, -3 * t, 4.0))
-        return f(z) / df if df else complex("nan")
-
-    def polish(z, steps=8):  # float Newton, up to where the floats overflow
-        step = newton_step(z)
-        return polish(z - step, steps - 1) if steps and cmath.isfinite(step) else z
-
-    zs = [0.4 * cmath.exp(2j * cmath.pi * (k + 0.25) / 4) * (1 + abs(t))
-          for k in range(4)]
-    for _ in range(200):
-        zs, old = [z - f(z) / math.prod(z - w for w in zs[:i] + zs[i + 1:])
-                   for i, z in enumerate(zs)], zs
-        if max(abs(a - b) for a, b in zip(zs, old)) < 1e-13:
-            break
-    if not all(abs(newton_step(z)) <= 1e-8 * max(1.0, abs(z)) for z in zs) or any(
-            abs(a - b) <= 1e-8 * max(abs(a), abs(b)) for a, b in itertools.combinations(zs, 2)):
-        return tuple(polish(z) for z in (-1 / t, -1 + 0j, t, 1 + 0j))
-    large = max(zs, key=abs)
-    small = min(zs, key=abs)
-    rest = [z for z in zs if z not in (large, small)]
-    near_m1 = min(rest, key=lambda z: abs(z + 1))
-    near_p1 = [z for z in rest if z is not near_m1][0]
-    return small, near_m1, large, near_p1
+    if t in (4j, -4j):
+        return [t / 4] * 4
+    tau = cmath.tan(cmath.atan(-4 / t) / 4) if t else complex(math.sqrt(2) - 1)
+    orbit = [tau, (tau - 1) / (tau + 1), -1 / tau, (1 + tau) / (1 - tau)]
+    k = min(range(4), key=lambda i: abs(orbit[i]))
+    return orbit[k:] + orbit[:k]
 
 
 MID_BITS = 192  # the root ball's midpoint is rounded to a multiple of 2^-MID_BITS

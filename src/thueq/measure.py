@@ -191,14 +191,6 @@ def rat_pow_upper(x: Rat, e: Rat, bits: int = 80) -> Rat:
     return out
 
 
-def _kappa_coarse(t_abs: Rat, decimals: int = 2) -> Rat:
-    """kappa upper end rounded up to a short decimal, so that exponent
-    comparisons reduce to integer powers."""
-    hi = kappa_hi(t_abs)
-    q = 10 ** decimals
-    return F(-((-hi.numerator * q) // hi.denominator), q)
-
-
 # ---------------------------------------------------------------------------
 # theorem assembly
 
@@ -206,7 +198,7 @@ def contradiction_upper_bound(tmin: Rat) -> Rat | None:
     """Least integer X with X^(3 - kappa) >= 137.16, kappa rounded up to
     two decimals; any solution would satisfy |y| < X."""
     tmin = F(tmin)
-    kc = _kappa_coarse(tmin, 2)
+    kc = round_up_sig(kappa_hi(tmin), 3)  # kappa > 1: two decimals up to 10, p <= 0 from 3
     p = int(100 * (KAPPA_CAP - kc))
     if p <= 0:
         return None
@@ -339,7 +331,7 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
             raise ValueError("user t0 must be at least 524 with kappa(t0) < 2")
     term1 = rat_pow_upper(descent.TYPE_THRESHOLD * C, F(1, 4))
     term2 = 3 * rat_pow_upper(C, F(1, 3))
-    kc = _kappa_coarse(t0, 4)
+    kc = round_up_sig(kappa_hi(t0), 5)  # four decimals, as 1 < kappa(t0) < 2
     if LIN_COEFF * C >= 1:
         n_up = -((-1) // (2 - kc))  # ceil of 1/(2 - kappa), integer exponent
         term3 = round_up_sig((LIN_COEFF * C) ** n_up, 4)

@@ -400,10 +400,9 @@ def test_all_root_balls():
 
 
 @pytest.mark.parametrize("d, a, b, digest", [
-    # sha256 of repr(all_root_balls(...)), taken while the Newton steps for an
-    # irrational parameter still ran in ball arithmetic
-    (7, 3, 40, "e17a011cbb8b8be6c2596cd7dd1f747ea4f1151d061b1ceee484b604e0cf27d6"),
-    (11, -5, 31, "1b6e05b94c118a1790183a3fc4abc20a37ce6621f36468de3c35ee9cc56e47fe"),
+    # sha256 of repr(all_root_balls(...)), taken from the closed-form seeds
+    (7, 3, 40, "0402834ae135708c89d36ce16d64513d275f3386140aa861bd8fe661419431f9"),
+    (11, -5, 31, "86bb021c802e6cfacf71f2314c3e9cff53f9b33ca700f732d12c69dd3849a617"),
 ])
 def test_root_balls_of_an_irrational_parameter_are_pinned(d, a, b, digest):
     t = QuadInt(d, a, b)
@@ -417,9 +416,9 @@ def test_root_balls_of_an_irrational_parameter_are_pinned(d, a, b, digest):
 
 @pytest.mark.parametrize("a, b, digest", [
     # sha256 of repr(all_root_balls(...)) at 2^-128 for a Gaussian parameter,
-    # taken before every parameter ball went through dioph._embed
-    (37, -512, "5a4dc745d3dc1e0769dd006209ea4627fa41151dd23e690fa6b61f26f97bfff1"),
-    (-200, 35, "b29ea6944a448456b91d262acc4bd4b712c327d201e5ec56e2d857402df2db58"),
+    # taken from the closed-form seeds
+    (37, -512, "3996f0ac8272e1620c733819b5aec8068b3bbfad956296ce8c9d825133b6d6b4"),
+    (-200, 35, "c7574e513ce4676908c0fd23ec704184001a9902e9456faff5f5d3a3380c5af3"),
 ])
 def test_root_balls_of_a_gaussian_parameter_are_pinned(a, b, digest):
     t = QuadInt(1, a, b)
@@ -638,21 +637,54 @@ def test_root_ball_evaluates_f_once_per_iterate(monkeypatch):
             assert len(evaluations) == len(calls) + 1 >= 2
 
 
+def _assert_seed_orbit(t: complex, seeds: list[complex]) -> None:
+    """Each seed is a root of f_t to float accuracy, each the image of the one
+    before under X -> (X - 1)/(X + 1), and the first has the least modulus."""
+    assert len(seeds) == 4 and abs(seeds[0]) == min(map(abs, seeds)), (t, seeds)
+    tr, ti, ta = F(t.real), F(t.imag), F(abs(t))
+    for z in seeds:
+        # |f_t(z)| <= 1e-12 sum |c_k| |z|^k, exactly over Q(i): no float overflows
+        zr, zi, za = F(z.real), F(z.imag), F(abs(z))
+        fr, fi = F(0), F(0)
+        for cr, ci in ((1, 0), (-tr, -ti), (-6, 0), (tr, ti), (1, 0)):
+            fr, fi = fr * zr - fi * zi + cr, fr * zi + fi * zr + ci
+        scale = (((za + ta) * za + 6) * za + ta) * za + 1
+        assert fr * fr + fi * fi <= (scale / 10**12) ** 2, (t, z)
+    for z, w in zip(seeds, seeds[1:] + seeds[:1]):
+        # w (z + 1) = z - 1, with the error of the float quotient w
+        size = abs(w) * (abs(z) + 1) + abs(z) + 1
+        assert abs(w * (z + 1) - (z - 1)) <= 1e-12 * size, (t, z, w)
+
+
 def test_root_seeds_are_unchanged_up_to_1e30():
-    # the float check passes every Durand-Kerner seed set here, so the
-    # asymptotic fallback leaves them bit for bit
+    # the same roots in the same order as the Durand-Kerner seeds of the oracle,
+    # except where two roots share the least modulus: t = 0 and t in i(-4, 4)
     rng = random.Random(30)
     ts = [complex(rng.randint(-60, 60), rng.randint(-60, 60)) for _ in range(150)]
     ts += [cmath.rect(10 ** rng.uniform(-2, 30), rng.uniform(-math.pi, math.pi))
            for _ in range(450)]
     for t in ts + [0j, 100j, 1e30 + 0j, -1e30j]:
-        assert _root_seeds(t) == root_seeds_oracle(t), t
+        seeds = _root_seeds(t)
+        if t.real == 0 and abs(t.imag) < 4:
+            _assert_seed_orbit(t, seeds)
+            continue
+        for z, w in zip(seeds, root_seeds_oracle(t), strict=True):
+            assert abs(z - w) <= 1e-6 * max(1, abs(z)), (t, z, w)
 
 
-@pytest.mark.parametrize("k, e", [(3, 30), (5, 35), (1, 39), (3, 60), (6, 100)])
+def test_root_seeds_are_a_least_modulus_orbit_of_roots():
+    rng = random.Random(32)
+    ts = [cmath.rect(10 ** rng.uniform(-2, 300), rng.uniform(-math.pi, math.pi))
+          for _ in range(400)]
+    for t in ts + [0j, 4j, -4j, 2j]:
+        _assert_seed_orbit(t, _root_seeds(t))
+    assert _root_seeds(4j) == [1j] * 4 and _root_seeds(-4j) == [-1j] * 4  # (X -+ i)^4
+
+
+@pytest.mark.parametrize("k, e", [(3, 30), (5, 35), (1, 39), (3, 60), (6, 100), (3, 300)])
 def test_large_gaussian_parameters_classify(k, e):
-    # the Durand-Kerner seeds fail past |t| ~ 10^34; the asymptotic ones
-    # certify, and each pair lands on the root its x/y sits at
+    # the closed-form seeds hold to the float range, past the |t| ~ 10^34 where
+    # Durand-Kerner from a circle fails; each pair lands on the root its x/y sits at
     t = QuadInt(1, k * 10**e + 1, (8 - k) * 10**e - 3)
     one, i = QuadInt(1, 1, 0), QuadInt(1, 0, 1)
     assert classify_type(t, one, i) == 0  # x/y = -i, at distance 1 from alpha0 ~ -1/t
@@ -781,11 +813,11 @@ def test_divisibility_check_sees_a_perturbed_b(monkeypatch):
 
 
 @pytest.mark.parametrize("r, t, radius", [
-    (5, GaussRat(F(37, 3), F(-512, 7)), F(1085807812203038287421, 1 << 127)),
-    (3, GaussRat(F(0), F(100)), F(416625330323, 1 << 128)),
+    (5, GaussRat(F(37, 3), F(-512, 7)), F(1346717941834350885613, 1 << 128)),
+    (3, GaussRat(F(0), F(100)), F(7198003783877, 1 << 127)),
 ])
 def test_divisibility_check_radius_is_pinned(r, t, radius):
-    # exact values, taken while the Thue polynomials were still held as GaussRat lists
+    # exact values, taken from the closed-form seeds
     out = divisibility_ball_check(r, t)
     assert out["all_contain_zero"] and out["max_radius"] == radius
 
@@ -1020,20 +1052,10 @@ def test_overlap_test_matches_the_complexball_oracle(monkeypatch):
     assert seen == {True, False}
 
 
-def test_root_seeds_run_once_per_gaussian_t():
-    # classify_type's root balls and the divisibility check share the seeds
-    dioph._seed_set.cache_clear()
-    t = QuadInt(1, 37, -512)
-    assert classify_type(t, QuadInt(1, -5, 0), QuadInt(1, 5, 0)) == 1
-    assert divisibility_ball_check(3, GaussRat(F(37), F(-512)))["all_contain_zero"]
-    info = dioph._seed_set.cache_info()
-    assert info.misses == 1 and info.hits >= 1
-
-
 def test_a_mutated_seed_list_leaves_the_next_call_unchanged():
     t = complex(37, -512)
-    first = _root_seeds(t)
+    first, kept = _root_seeds(t), _root_seeds(t)
     first[0] = None
     first.append(0j)
-    assert _root_seeds(t) == root_seeds_oracle(t)
+    assert _root_seeds(t) == kept
     assert _root_seeds(t) is not _root_seeds(t)

@@ -93,6 +93,25 @@ def test_contradiction_upper_bound():
         assert (upper - 1) ** p < CONTRADICTION_COEFF**100 <= upper**p
 
 
+def _ceil_decimals(x, decimals):
+    """x rounded up to a multiple of 10^-decimals."""
+    q = 10 ** decimals
+    return F(-((-x.numerator * q) // x.denominator), q)
+
+
+def test_significant_rounding_is_the_decimal_ceiling_on_kappa_range():
+    # measure rounds kappa up to d + 1 significant digits: for 1 <= kappa < 10
+    # that is the ceiling to d decimals
+    rng = random.Random(33)
+    qs = [10**k for k in range(12) for _ in range(20)]  # values with k decimals
+    qs += [rng.randint(2, 10**30) for _ in range(400)]
+    xs = [F(rng.randint(q, 10 * q - 1), q) for q in qs]
+    xs += [F(1), F(283, 100), F(9995, 1000), F(99995, 10000), 10 - F(1, 10**40)]
+    for d in (2, 4):
+        for x in xs:
+            assert round_up_sig(x, d + 1) == _ceil_decimals(x, d), (x, d)
+
+
 def irrationality_lower(t_abs, q_abs, type_index):
     """Certified lower bound for |alpha - p/q|: 1 / (c |t| |q|^(kappa+1))."""
     t_abs, q_abs = F(t_abs), F(q_abs)
@@ -105,7 +124,7 @@ def irrationality_lower(t_abs, q_abs, type_index):
     # a 2-decimal ceiling keeps the power's denominator at 100, which keeps
     # the integer root extraction cheap; coarsening kappa upward only
     # weakens (never invalidates) the returned lower bound
-    exp_hi = measure._kappa_coarse(t_abs, 2) + 1
+    exp_hi = _ceil_decimals(kappa_hi(t_abs), 2) + 1
     q_up = round_up_sig(q_abs, 6)
     return 1 / (measure.C_COEFF[type_index] * t_abs * rat_pow_upper(q_up, exp_hi))
 
