@@ -259,17 +259,24 @@ def root_ball(t: GaussRat | None, seed: complex, target_radius: Rat,
               t_irrational: QuadInt | None = None) -> ComplexBall:
     """Certified enclosure of the root of f_t nearest the float seed.
 
-    Newton steps at the parameter's midpoint (denominators pruned) and
-    Newton-Kantorovich certificates over its ball, from one integer evaluation
-    per iterate: it certifies the iterate, then takes the step from it.  The
-    seed is evaluated for its step only.  An irrational parameter comes as
-    (None, t_irrational) from _t_exact, with sqrt(d) on the 2^-200 grid.
+    Newton steps at the parameter's midpoint and Newton-Kantorovich
+    certificates over its ball, from one integer evaluation per iterate: it
+    certifies the iterate, then takes the step from it.  The seed and every
+    step are rounded to the nearest multiple of 2^-(k+64), where 2^-k is the
+    largest power of two <= target_radius: the certificate holds for any x.
+    The seed is evaluated for its step only.  An irrational parameter comes
+    as (None, t_irrational) from _t_exact, with sqrt(d) on the 2^-200 grid.
     """
     target_radius = Fraction(target_radius)
+    p, q = target_radius.as_integer_ratio()
+    bits = ((q - 1) // p).bit_length() + 64
+
+    def on_grid(re: tuple, im: tuple) -> GaussRat:  # (num, den) parts
+        return GaussRat(*(Fraction(_nearest(*c, bits), 1 << bits) for c in (re, im)))
+
     t_ball = (ComplexBall.exact(t.re, t.im) if t_irrational is None
               else _embed(t_irrational, 200))
-    ev = _evaluate(t_ball, _approx_gauss(seed))
-    cap = 1 << 2400
+    ev = _evaluate(t_ball, on_grid(seed.real.as_integer_ratio(), seed.imag.as_integer_ratio()))
     last = None  # the previous certified radius
     for _ in range(14):
         _, (zr, zi), n, _, (F, _, _), (D, _, _) = ev
@@ -278,9 +285,8 @@ def root_ball(t: GaussRat | None, seed: complex, target_radius: Rat,
             break
         # x - f/f' = (z D - F) / (n D) = (z D - F) conj(D) / (n |D|^2)
         wr, wi = zr * D[0] - zi * D[1] - F[0], zr * D[1] + zi * D[0] - F[1]
-        x = GaussRat(*(_limit(Fraction(w, n * dn), cap)
-                       for w in (wr * D[0] + wi * D[1], wi * D[0] - wr * D[1])))
-        ev = _evaluate(t_ball, x)
+        ev = _evaluate(t_ball, on_grid((wr * D[0] + wi * D[1], n * dn),
+                                       (wi * D[0] - wr * D[1], n * dn)))
         ball = _certify_root(t_ball, ev)
         if ball is not None:
             if ball.radius <= target_radius:
@@ -289,15 +295,6 @@ def root_ball(t: GaussRat | None, seed: complex, target_radius: Rat,
                 break  # stalled at the grid or at the parameter's own enclosure
             last = ball.radius
     raise TieError("root enclosure did not reach the requested radius")
-
-
-def _approx_gauss(z: complex, cap: int = 1 << 200) -> GaussRat:
-    return GaussRat(_limit(Fraction(z.real), cap),
-                    _limit(Fraction(z.imag), cap))
-
-
-def _limit(q: Fraction, cap: int) -> Fraction:
-    return q if q.denominator <= cap else q.limit_denominator(cap)
 
 
 def _certify_root(t_ball: ComplexBall, ev: tuple) -> ComplexBall | None:
@@ -372,13 +369,17 @@ def _root_seeds(t: complex) -> list[complex]:
 MID_BITS = 192  # the root ball's midpoint is rounded to a multiple of 2^-MID_BITS
 
 
+def _nearest(num: int, den: int, bits: int) -> int:
+    """floor(num/den 2^bits + 1/2) for den > 0: num/den rounded to the nearest
+    multiple of 2^-bits, in units of 2^-bits."""
+    return (2 * (num << bits) + den) // (2 * den)
+
+
 def _dyadic_ball(ball: ComplexBall) -> tuple[tuple[int, int], int]:
     """(M, R) with the ball inside |z - M/2^MID_BITS| <= R/2^MID_BITS: M is the
     midpoint rounded to nearest (off by < 2^-MID_BITS), R >= radius 2^MID_BITS + 1."""
-    sh = MID_BITS
-    M = tuple((2 * (x.numerator << sh) + x.denominator) // (2 * x.denominator)
-              for x in (ball.re_mid, ball.im_mid))
-    return M, -(-(ball.radius.numerator << sh) // ball.radius.denominator) + 1
+    M = tuple(_nearest(*x.as_integer_ratio(), MID_BITS) for x in (ball.re_mid, ball.im_mid))
+    return M, -(-(ball.radius.numerator << MID_BITS) // ball.radius.denominator) + 1
 
 
 def divisibility_ball_check(r: int, t: GaussRat) -> dict:
@@ -436,17 +437,7 @@ def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
     tc = _t_complex(t)
     t_gauss, t_irrational = _t_exact(t)
     xs, ys = _ball_ints(_embed(x)), _ball_ints(_embed(y))
-    # an irrational parameter tries 2^-64 only: the 2^-128 ball grid on its
-    # t-coefficients, times |t|^3 ~ |f'| at the large root, stalls that root's
-    # radius near 2^-127 whatever |t| and the precision of sqrt(d).  A t in Z[i]
-    # tries 2^-256 only for |t| >= 2^129 - 1: a ball's radius is 2 en/ed with
-    # ed <= 2^128 |f'(x)| and en >= 1 (f_t has a root in Q(i) only at t = +-4i,
-    # the double root +-i, where ed <= 0), so 2^-256 needs |f'(x)| >= 2^129 at
-    # every root.  At alpha0 it fails for |t| < 2^129 - 1: the Rouche enclosure
-    # |alpha0 + 1/t| <= 5.01/|t|^3 (|t| >= 100) puts x within 5.02/|t|^3 of -1/t,
-    # so |x| < 1.01/|t| and |f'(x)| <= |t| + 3|t||x|^2 + 12|x| + 4|x|^3 < |t| + 1.
-    rungs = (64, 128, 256) if t.abs_sq() >= ((1 << 129) - 1) ** 2 else (64, 128)
-    for bits in rungs if t_irrational is None else (64,):
+    for bits in (64, 128, 256):
         try:
             _, roots = _root_balls(tc, t_gauss, t_irrational, Fraction(1, 1 << bits))
         except TieError:

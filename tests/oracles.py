@@ -819,22 +819,33 @@ def certify_root_oracle(t_ball: ComplexBall, x: GaussRat) -> ComplexBall | None:
     return ComplexBall(x.re, x.im, 2 * eta)
 
 
+def _round_dyadic(q: Fraction, bits: int) -> Fraction:
+    """q rounded to the nearest multiple of 2^-bits, ties up: floor(q 2^bits + 1/2)/2^bits."""
+    return Fraction(math.floor(q * 2 ** bits + Fraction(1, 2)), 2 ** bits)
+
+
 def root_ball_oracle(t, seed: complex, target_radius, t_irrational=None) -> ComplexBall:
-    """``dioph.root_ball`` with GaussRat Newton steps and the ball certificate."""
+    """``dioph.root_ball`` with GaussRat Newton steps and the ball certificate,
+    each step rounded to 2^-(k+64) for the least k with 2^-k <= target_radius."""
     target_radius = Fraction(target_radius)
     t_ball = (ComplexBall.exact(t.re, t.im) if t_irrational is None
               else dioph._embed(t_irrational, 200))
     t_mid = GaussRat(t_ball.re_mid, t_ball.im_mid)
     f, df = (coeffs_at_oracle(rows, t_mid, GaussRat.of) for rows in (dioph.QUARTIC, dioph._DF))
-    x = dioph._approx_gauss(seed)
-    cap = 1 << 2400
+    k = 0
+    while Fraction(1, 2 ** k) > target_radius:
+        k += 1
+
+    def on_grid(z: GaussRat) -> GaussRat:
+        return GaussRat(_round_dyadic(z.re, k + 64), _round_dyadic(z.im, k + 64))
+
+    x = on_grid(GaussRat(Fraction(seed.real), Fraction(seed.imag)))
     last = None
     for _ in range(14):
         dfx = zpoly.evaluate(df, x, G0)
         if not dfx:
             break
-        x = x - zpoly.evaluate(f, x, G0) / dfx
-        x = GaussRat(dioph._limit(x.re, cap), dioph._limit(x.im, cap))
+        x = on_grid(x - zpoly.evaluate(f, x, G0) / dfx)
         ball = certify_root_oracle(t_ball, x)
         if ball is not None:
             if ball.radius <= target_radius:
@@ -910,7 +921,7 @@ def classify_type_oracle(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
     arithmetic (root balls cached by ``root_balls_oracle``)."""
     if x.abs_sq() == 0 and y.abs_sq() == 0:
         raise ValueError("(0, 0) has no type")
-    for bits in (64, 128, 256) if dioph._t_exact(t)[1] is None else (64,):
+    for bits in (64, 128, 256):
         try:
             roots = root_balls_oracle(t, Fraction(1, 1 << bits))
         except dioph.TieError:

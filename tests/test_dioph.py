@@ -400,9 +400,10 @@ def test_all_root_balls():
 
 
 @pytest.mark.parametrize("d, a, b, digest", [
-    # sha256 of repr(all_root_balls(...)), taken from the closed-form seeds
-    (7, 3, 40, "0402834ae135708c89d36ce16d64513d275f3386140aa861bd8fe661419431f9"),
-    (11, -5, 31, "86bb021c802e6cfacf71f2314c3e9cff53f9b33ca700f732d12c69dd3849a617"),
+    # sha256 of repr(all_root_balls(...)), from the closed-form seeds, with
+    # every Newton step on the 2^-128 grid
+    (7, 3, 40, "de2d6366fac6715b33d64dc01ae2de188a54868046ede751169a32cde5d466b6"),
+    (11, -5, 31, "7baaf1ed65f0a77bb666a6593dce6910b09adbc80f30ed266f2089302b809eea"),
 ])
 def test_root_balls_of_an_irrational_parameter_are_pinned(d, a, b, digest):
     t = QuadInt(d, a, b)
@@ -416,9 +417,9 @@ def test_root_balls_of_an_irrational_parameter_are_pinned(d, a, b, digest):
 
 @pytest.mark.parametrize("a, b, digest", [
     # sha256 of repr(all_root_balls(...)) at 2^-128 for a Gaussian parameter,
-    # taken from the closed-form seeds
-    (37, -512, "3996f0ac8272e1620c733819b5aec8068b3bbfad956296ce8c9d825133b6d6b4"),
-    (-200, 35, "c7574e513ce4676908c0fd23ec704184001a9902e9456faff5f5d3a3380c5af3"),
+    # from the closed-form seeds, with every Newton step on the 2^-192 grid
+    (37, -512, "e2ffa59e3711977a6cbe23361bc6719982cd9199cdccea178508250a8c891d38"),
+    (-200, 35, "5336c7723d01d13bbcba02b97bd2ae93e4540cdb1918e9b602b307f60b6a1860"),
 ])
 def test_root_balls_of_a_gaussian_parameter_are_pinned(a, b, digest):
     t = QuadInt(1, a, b)
@@ -447,15 +448,15 @@ def test_embed_at_200_bits_is_the_inline_parameter_ball(d):
         assert dioph._embed(t, 200) == _inline_parameter_ball(t), str(t)
 
 
-def _tie_at_64(monkeypatch) -> list:
+def _tie_at(monkeypatch, tied) -> list:
     """Record the radius of every root-ball set classify_type asks for, and
-    make the 2^-64 set tie."""
+    make the sets at the radii in ``tied`` tie."""
     radii = []
     real = dioph._root_balls
 
     def root_balls(t_complex, t_gauss, t_irrational, radius):
         radii.append(radius)
-        if radius == F(1, 1 << 64):
+        if radius in tied:
             raise TieError("forced tie")
         return real(t_complex, t_gauss, t_irrational, radius)
 
@@ -463,22 +464,25 @@ def _tie_at_64(monkeypatch) -> list:
     return radii
 
 
-def test_an_enclosed_parameter_tries_only_the_first_rung(monkeypatch):
-    # the higher rungs cannot certify for a ball parameter, so a tie at
-    # 2^-64 is final
-    radii = _tie_at_64(monkeypatch)
-    for t in (QuadInt(7, 3, 40), QuadInt(11, -5, 31), QuadInt(2, 3, 70)):
-        with pytest.raises(TieError):
+RUNGS = [F(1, 1 << 64), F(1, 1 << 128), F(1, 1 << 256)]
+
+
+def test_every_parameter_climbs_the_whole_ladder(monkeypatch):
+    # a tie at every rung asks for 2^-64, then 2^-128, then 2^-256, for an
+    # enclosed parameter as for a Gaussian one
+    radii = _tie_at(monkeypatch, RUNGS)
+    for t in (QuadInt(7, 3, 40), QuadInt(1, 0, 100)):
+        with pytest.raises(TieError, match="no strict minimal root distance"):
             classify_type(t, QuadInt(t.d, -5, 0), QuadInt(t.d, 5, 0))
-    assert radii == [F(1, 1 << 64)] * 3
+    assert radii == RUNGS * 2
 
 
 def test_a_gaussian_parameter_climbs_to_the_next_rung(monkeypatch):
-    radii = _tie_at_64(monkeypatch)
+    radii = _tie_at(monkeypatch, RUNGS[:1])
     t = QuadInt(1, 0, 100)
     assert classify_type(t, QuadInt(1, -5, 0), QuadInt(1, 5, 0)) == 1
     assert classify_type(t, QuadInt(1, 0, 99), QuadInt(1, 1, 0)) == 2
-    assert radii == [F(1, 1 << 64), F(1, 1 << 128)] * 2
+    assert radii == RUNGS[:2] * 2
 
 
 def _below_the_top_rung() -> list[QuadInt]:
@@ -491,42 +495,38 @@ def _below_the_top_rung() -> list[QuadInt]:
     return ts
 
 
-def test_a_gaussian_parameter_below_2_126_skips_the_top_rung(monkeypatch):
-    rng, radii, real = random.Random(31), [], dioph._root_balls
+def test_a_gaussian_parameter_below_2_126_skips_the_top_rung():
+    # classify_type asks for the top rung, but no answer can come from it
+    rng = random.Random(31)
     for t in _below_the_top_rung():
         assert t.abs_sq() < 1 << 252 and _t_exact(t)[1] is None
-        # the premise: the rung that classify_type skips cannot certify
         with pytest.raises(TieError, match="did not reach the requested radius"):
-            real(_t_complex(t), *_t_exact(t), F(1, 1 << 256))
-        # near each root, and (x, 0), which ties at every rung tried
+            dioph._root_balls(_t_complex(t), *_t_exact(t), RUNGS[2])
+        # near each root, and (x, 0), which ties at every rung
         for x, y in _pairs_near_roots(rng, t)[:4] + [(QuadInt(t.d, 3, 1), QuadInt(t.d, 0, 0))]:
             assert outcome(classify_type, t, x, y) == outcome(classify_type_oracle, t, x, y)
-    # the top rung is tried from |t| = 2^129 - 1 on, and not just below it
-    monkeypatch.setattr(dioph, "_root_balls", lambda *args: radii.append(args[-1]) or real(*args))
-    for t in (QuadInt(1, 5, (1 << 129) - 2), QuadInt(1, 0, (1 << 129) - 1)):
-        with pytest.raises(TieError):
-            classify_type(t, QuadInt(1, 3, 1), QuadInt(1, 0, 0))
-    assert radii == [F(1, 1 << 64), F(1, 1 << 128), F(1, 1 << 64), F(1, 1 << 128),
-                     F(1, 1 << 256)]
 
 
 def test_the_top_rung_cannot_certify_below_2_129():
-    # the premise of classify_type's bound: below |t| = 2^129 - 1 the ball at
-    # alpha0 cannot reach 2^-256, as |f'| < |t| + 1 there
+    # why the top rung ties below |t| = 2^129 - 1: a ball's radius is 2 en/ed
+    # with en >= 1 and ed <= 2^128 |f'(x)| (f_t has a root in Q(i) only at
+    # t = +-4i, the double root +-i, where ed <= 0), and the Rouche enclosure
+    # |alpha0 + 1/t| <= 5.01/|t|^3 puts x within 5.02/|t|^3 of -1/t, so
+    # |f'(x)| <= |t| + 3|t||x|^2 + 12|x| + 4|x|^3 < |t| + 1 at alpha0
     for t in (QuadInt(1, 3, (1 << 127) + 7), QuadInt(1, 3, (1 << 128) + 7)):
         with pytest.raises(TieError, match="did not reach the requested radius"):
-            dioph._root_balls(_t_complex(t), *_t_exact(t), F(1, 1 << 256))
+            dioph._root_balls(_t_complex(t), *_t_exact(t), RUNGS[2])
     # seeded Gaussian t, one per octave of [2^126, 2^130): the same type or
-    # TieError as the oracle, which tries every rung
-    rng, tried = random.Random(41), []
+    # TieError as the oracle, on both sides of 2^129 - 1
+    rng, above = random.Random(41), []
     for e in range(126, 130):
         m, phase = 2 ** rng.uniform(e, e + 1), rng.uniform(0, 2 * math.pi)
         t = QuadInt(1, round(m * math.cos(phase)), round(m * math.sin(phase)))
         assert 1 << 2 * e <= t.abs_sq() < 1 << 2 * e + 2
-        tried.append(t.abs_sq() >= ((1 << 129) - 1) ** 2)
+        above.append(t.abs_sq() >= ((1 << 129) - 1) ** 2)
         for x, y in _pairs_near_roots(rng, t)[:4] + [(QuadInt(1, 3, 1), QuadInt(1, 0, 0))]:
             assert outcome(classify_type, t, x, y) == outcome(classify_type_oracle, t, x, y)
-    assert tried == [False, False, False, True]
+    assert above == [False, False, False, True]
 
 
 def _counting_root_ball(monkeypatch) -> list:
@@ -614,6 +614,34 @@ def test_root_ball_matches_the_fraction_oracle():
             assert got == want, (str(t), seed, bits)
             outcomes.append(isinstance(got[0], str))
     assert True in outcomes and False in outcomes
+
+
+def _bench_parameters() -> list[QuadInt]:
+    """The 42 seeded parameters of BENCH_root_balls.json, |t| in [10^2, 10^6]."""
+    rng, out = random.Random(2024), []
+    for d in (1, 1, 2, 3, 5, 7, 11):
+        for _ in range(6):
+            m = 10 ** rng.uniform(2, 6)
+            out.append(QuadInt(d, int(m * rng.uniform(-1, 1)), int(m * rng.uniform(-1, 1)) or 1))
+    return out
+
+
+def test_root_ball_midpoints_stay_on_the_dyadic_grid():
+    # a ball asked for at radius 2^-k has a midpoint on the 2^-(k+64) grid; only
+    # the parameter past 2^129 reaches 2^-256 (test_the_top_rung_cannot_certify_below_2_129)
+    certified = set()
+    for t in _bench_parameters() + [QuadInt(1, 5, (1 << 130) + 3)]:
+        t_gauss, t_irrational = _t_exact(t)
+        for seed, k in itertools.product(_root_seeds(_t_complex(t)), (64, 128, 256)):
+            try:
+                ball = root_ball(t_gauss, seed, F(1, 1 << k), t_irrational)
+            except TieError:
+                continue
+            for c in (ball.re_mid, ball.im_mid):
+                assert c.denominator & (c.denominator - 1) == 0, (str(t), seed, k)
+                assert c.denominator <= 1 << k + 64, (str(t), seed, k)
+            certified.add(k)
+    assert certified == {64, 128, 256}
 
 
 def test_root_ball_evaluates_f_once_per_iterate(monkeypatch):
@@ -737,7 +765,9 @@ def test_certify_root_matches_the_hand_written_quartic():
         tc = complex(float(tb.re_mid), float(tb.im_mid))
         for z, eps in itertools.product(_root_seeds(tc), (0.5, 0.3, 0.2, 0.1, 0.05, 0.03,
                                                           1e-2, 1e-4, 1e-9, 0.0)):
-            x = dioph._approx_gauss(z * (1 + eps * (1 + 1j)) + eps)
+            w = z * (1 + eps * (1 + 1j)) + eps
+            x = GaussRat(*(F(dioph._nearest(*c.as_integer_ratio(), 128), 1 << 128)
+                           for c in (w.real, w.imag)))
             ball = dioph._certify_root(tb, dioph._evaluate(tb, x))
             assert ball == _certify_root_oracle(tb, x), (tb, z, eps)
             outcomes.add(ball is None)

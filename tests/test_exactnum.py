@@ -310,8 +310,8 @@ def test_complex_ball_product_contains_exact(a, b, c, d):
     assert ball_contains_zero(z - exact)
 
 
-# midpoints over independent or shared denominators, up to the 2^2400 of a
-# Newton iterate, and radii that are often 0
+# midpoints over independent or shared denominators, far past the 2^320 of a
+# root ball asked for at 2^-256, and radii that are often 0
 big_rationals = st.fractions(min_value=-10**12, max_value=10**12, max_denominator=2**2400)
 radii = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=10**3,
                                               max_denominator=2**300))
