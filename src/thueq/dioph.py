@@ -367,6 +367,7 @@ def _root_seeds(t: complex) -> list[complex]:
 
 
 MID_BITS = 192  # the root ball's midpoint is rounded to a multiple of 2^-MID_BITS
+W = GRID_BITS + 128  # the divisibility check's fixed point: integers over den 2^W
 
 
 def _nearest(num: int, den: int, bits: int) -> int:
@@ -382,52 +383,64 @@ def _dyadic_ball(ball: ComplexBall) -> tuple[tuple[int, int], int]:
     return M, -(-(ball.radius.numerator << MID_BITS) // ball.radius.denominator) + 1
 
 
-def divisibility_ball_check(r: int, t: GaussRat) -> dict:
-    """Certify numerically that alpha*A_r - B_r vanishes to order 2r+1 at
-    the small root alpha: the value and its first 2r X-derivatives are
-    enclosed over a root ball and must all contain zero.
+def _shift_up(c: list, s: int, rounds: int, step: int) -> list:
+    """c(X + s/2^MID_BITS) in place for integers c_j, s >= 0, each product rounded
+    up and step added to it; after `rounds` rounds the coefficients below it are final."""
+    for i in range(rounds):
+        acc = c[-1]
+        for j in range(len(c) - 2, i - 1, -1):
+            acc = c[j] = c[j] - (-s * acc >> MID_BITS) + step
+    return c
 
-    Over Z[i]: the ball becomes a dyadic disc |alpha - m| <= rho, and A, B
-    are Taylor-shifted to m once.  With their Taylor coefficients a_j, b_j
-    at m, alpha A^(k)(alpha) - B^(k)(alpha) lies within
-    sum_(j>k) j!/(j-k)! |m a_j - b_j| rho^(j-k) + sum_(j>=k) j!/(j-k)! |a_j| rho^(j-k+1)
-    of the exact k!(m a_k - b_k); that radius is rounded up to the ball grid."""
+
+def _derivative_balls(r: int, A, B, alpha: ComplexBall) -> tuple[int, list]:
+    """(den 2^W, balls): for k = 0..2r, integers (x, y, rad) over den 2^W with alpha A^(k)(alpha)
+    - B^(k)(alpha) within rad of x + iy on the dyadic disc |alpha - m| <= rho.  With a_j, b_j
+    the Taylor coefficients at m (each part within E_j, as the shift rounds down), e_j =
+    m a_j - b_j and w_j = |e_j| + rho |a_j|, the value at m is k! e_k and the radius
+    k! (T_k - |e_k|) for T = w(X + rho) rounded up, plus the midpoint's error."""
+    den, n = math.lcm(A.den, B.den), max(A.degree(), B.degree(), 2 * r)
+    (mr, mi), R = _dyadic_ball(alpha)  # m = M/2^MID_BITS, rho = R/2^MID_BITS
+    ga, gb = ([[x * (den // p.den) << W for x in zpoly.pad(xs, n + 1)] for xs in p.num]
+              for p in (A, B))
+    for re, im in ga, gb:  # den p(X) 2^W, shifted to m with each product rounded down
+        for i in range(n):
+            a, b = re[n], im[n]
+            for j in range(n - 1, i - 1, -1):
+                a, b = re[j] + (mr * a - mi * b >> MID_BITS), im[j] + (mr * b + mi * a >> MID_BITS)
+                re[j], im[j] = a, b
+    mu = abs(mr) + abs(mi)  # m times an error of parts <= E has parts <= mu E/2^MID_BITS
+    E = _shift_up([0] * (n + 1), mu, n, 1)  # so a step rounded down adds that, and 1
+    (ar, ai), (br, bi), mids, w = ga, gb, [], []
+    for j in range(n + 1):
+        x = (mr * ar[j] - mi * ai[j] >> MID_BITS) - br[j]
+        y = (mr * ai[j] + mi * ar[j] >> MID_BITS) - bi[j]
+        ee = E[j] - (-mu * E[j] >> MID_BITS) + 1  # from m a_j's rounding, and from b_j
+        abs_a = sqrt_grid((abs(ar[j]) + E[j]) ** 2 + (abs(ai[j]) + E[j]) ** 2, 1, 0)[1]
+        abs_e = sqrt_grid((abs(x) + ee) ** 2 + (abs(y) + ee) ** 2, 1, 0)[1]
+        mids.append((x, y, 2 * ee - abs_e))  # |error| <= 2 ee, less the |e_j| in T_j
+        w.append(abs_e - (-R * abs_a >> MID_BITS))
+    w = _shift_up(w, R, 2 * r + 1, 0)
+    return den << W, [(f * x, f * y, f * (c + w[k])) for k, (x, y, c) in
+                      enumerate(mids[:2 * r + 1]) for f in [math.factorial(k)]]
+
+
+def divisibility_ball_check(r: int, t: GaussRat) -> dict:
+    """Certify numerically that alpha*A_r - B_r vanishes to order 2r+1 at the small
+    root alpha: the balls of _derivative_balls over a root ball, for the value and its
+    first 2r X-derivatives, rounded up to the ball grid, must all contain zero."""
     from .series import thue_polys_at
 
     if r < 0:
         raise ValueError("r must be >= 0")
     tc = complex(float(t.re), float(t.im))
     alpha = root_ball(t, _root_seeds(tc)[0], Fraction(1, 1 << 120))
-    A, B = thue_polys_at(r, t)
-    den = math.lcm(A.den, B.den)
-    n, sh = max(A.degree(), B.degree(), 2 * r), MID_BITS
-    M, R = _dyadic_ball(alpha)  # m = M/2^sh, rho = R/2^sh
-
-    def cleared(p):  # 2^(sh n) den p(X/2^sh) over Z[i], of degree n
-        return tuple([(x * (den // p.den)) << sh * (n - j)
-                      for j, x in enumerate(zpoly.pad(xs, n + 1))] for xs in p.num)
-
-    # shifted to M, the H^j coefficient is 2^(sh(n-j)) den p^(j)(m)/j!
-    ga, gb = (list(zip(*zpoly.gshift(cleared(p), M))) for p in (A, B))
-    # 2^(sh(n+1-j)) den (m a_j - b_j), exactly
-    e = [(M[0] * a - M[1] * b - (c << sh), M[0] * b + M[1] * a - (d << sh))
-         for (a, b), (c, d) in zip(ga, gb)]
-    abs_a, abs_e = ([sqrt_grid(a * a + b * b, 1, 0)[1] for a, b in zs] for zs in (ga, e))
-    max_num, contains = 0, True
-    for k in range(2 * r + 1):
-        # 2^(sh(n+1-k)) den times the radius bound, with rho^l = R^l/2^(sh l)
-        kf = ff = math.factorial(k)
-        s, rl = ff * abs_a[k] * R, 1
-        for j in range(k + 1, n + 1):
-            ff, rl = ff * j // (j - k), rl * R
-            s += ff * rl * (abs_e[j] + R * abs_a[j])
-        scale = den << sh * (n + 1 - k)
-        num = -(-(s << GRID_BITS) // scale)  # the radius, rounded up, times 2^GRID_BITS
-        mid_sq = kf * kf * (e[k][0] ** 2 + e[k][1] ** 2) << 2 * GRID_BITS
-        contains = contains and mid_sq <= (num * scale) ** 2
-        max_num = max(max_num, num)
-    return {"order": 2 * r + 1, "all_contain_zero": contains,
-            "max_radius": Fraction(max_num, 1 << GRID_BITS)}
+    scale, balls = _derivative_balls(r, *thue_polys_at(r, t), alpha)
+    nums = [-(-(rad << GRID_BITS) // scale) for _, _, rad in balls]  # 2^GRID_BITS radius, up
+    return {"order": 2 * r + 1,
+            "all_contain_zero": all(x * x + y * y << 2 * GRID_BITS <= (num * scale) ** 2
+                                    for (x, y, _), num in zip(balls, nums)),
+            "max_radius": Fraction(max(nums), 1 << GRID_BITS)}
 
 
 def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:

@@ -143,6 +143,39 @@ def round_nearest_sig(x: Rat, digits: int = 4) -> Rat:
     return _sig_value(x, digits, True)
 
 
+_POW_BITS = 64  # pow_up_sig's first working precision, past the exponent's length
+
+
+def _pow_bracket(a: int, n: int, p: int) -> tuple[int, int, int]:
+    """(lo, hi, k) with lo 2^k <= a^n <= hi 2^k for integers a >= 1, n >= 0, by square
+    and multiply cut outward to p bits past n's length: exact once a^n fits."""
+    lo, hi, k, p = 1, 1, 0, p + n.bit_length()
+    for bit in map(int, bin(n)[2:]):
+        lo, hi, k = lo * lo * a ** bit, hi * hi * a ** bit, 2 * k
+        cut = max(0, hi.bit_length() - p)
+        lo, hi, k = lo >> cut, -(-hi >> cut), k + cut
+    return lo, hi, k
+
+
+def pow_up_sig(x: Rat, n: int) -> Rat:
+    """round_up_sig(x ** n) for rational x >= 1, integer n >= 0, without x ** n: x^n / 10^s, s
+    a float guess of its decimal exponent, is bracketed at a precision doubling until both ends
+    round up alike, as once the brackets are exact.  OutputLimitError past MAX_DIGITS digits."""
+    a, b = x.numerator, x.denominator
+    s, p = max(0, math.floor(n * (math.log10(a) - math.log10(b)))), _POW_BITS
+    while True:
+        (al, ah, ak), (bl, bh, bk), (zl, zh, zk) = (
+            _pow_bracket(c, m, p) for c, m in ((a, n), (b, n), (10, s)))
+        k = ak - bk - zk  # x^n / 10^s lies in [al, ah] 2^k / ([bh, bl] [zh, zl])
+        (m, e, _), up = (_sig_round(Fraction(u << max(k, 0), v << max(-k, 0)), 4, False)
+                         for u, v in ((al, bh * zh), (ah, bl * zl)))
+        if len(str(m)) + e + s > MAX_DIGITS:  # the result is at least m 10^(e + s)
+            raise OutputLimitError(f"x^{n} rounded up has more than {MAX_DIGITS:,} digits")
+        if (m, e) == up[:2]:
+            return Fraction(m * 10 ** (e + s)) if e + s >= 0 else Fraction(m, 10 ** -(e + s))
+        p *= 2
+
+
 def sig_str(x: Rat, digits: int = 4) -> str:
     """Decimal hint with `digits` significant digits (nearest): m 10**e with
     one digit before the point when e < -1 or e >= digits + 2, else plain,
@@ -237,13 +270,20 @@ class _AtanhSeries:
         return table[n]
 
     def count(self, bn: int, bd: int) -> int:
-        """The least n >= 1 whose tail bound r/den in enclose(n) is <= bn/bd
-        (both positive)."""
-        a, b, c = self.a, self.b, self._c
-        n = 1
-        while (abs(a) * self._pow(self._a2, n) * bd
-               > bn * b * self._pow(self._b2, n - 1) * (2 * n + 1) * c):
+        """The least n >= 1 whose tail bound r/den in enclose(n) is <= bn/bd > 0: it falls
+        by a^2/b^2 (2n+1)/(2n+3) a step, so a walk from where (a/b)^(2n) meets bn/bd finds it."""
+        a, b, c = abs(self.a), self.b, self._c
+
+        def holds(n):
+            return (a * self._pow(self._a2, n) * bd
+                    <= bn * b * self._pow(self._b2, n - 1) * (2 * n + 1) * c)
+
+        n = 1 if holds(1) else max(2, int((bd.bit_length() - bn.bit_length())
+                                          / (2 * (math.log2(b) - math.log2(a)))))
+        while not holds(n):
             n += 1
+        while n > 1 and holds(n - 1):
+            n -= 1
         return n
 
     def enclose(self, n: int) -> tuple[int, int, int]:

@@ -334,7 +334,7 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
     kc = round_up_sig(kappa_hi(t0), 5)  # four decimals, as 1 < kappa(t0) < 2
     if LIN_COEFF * C >= 1:
         n_up = -((-1) // (2 - kc))  # ceil of 1/(2 - kappa), integer exponent
-        term3 = round_up_sig((LIN_COEFF * C) ** n_up, 4)
+        term3 = exactnum.pow_up_sig(LIN_COEFF * C, n_up)
     else:
         term3 = F(1)  # |y| < 1 forces y = 0; any positive bound works
     return {

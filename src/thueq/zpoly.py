@@ -78,19 +78,6 @@ def gscale(c: int, f):
     return scale(c, f[0]), scale(c, f[1])
 
 
-def gshift(f, m: tuple[int, int]):
-    """f(X + m) for a Gaussian integer m = (re, im), by repeated synthetic
-    division: its X^j coefficient is f^(j)(m)/j!."""
-    n, (mr, mi) = max(len(f[0]), len(f[1])), m
-    re, im = (pad(p, n) for p in f)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            a, b = re[j + 1], im[j + 1]
-            re[j] += mr * a - mi * b
-            im[j] += mr * b + mi * a
-    return re, im
-
-
 def homogenise(n, P, Q):
     """sum_k n_k P^k Q^(d-k) with d = len(n) - 1, for integers n_k and P, Q
     over Z[i] (the chi-star of n at (P, Q)), by homogeneous Horner."""

@@ -9,7 +9,9 @@ and the Durand-Kerner seeds they ran on, the ``ComplexBall`` bounds on
 |x - alpha y| and overlap test of the type classification, the Thue
 polynomials at a concrete t by homogeneous Horner at each t, the
 corollary-eps gates at a grid value in ``Fraction`` arithmetic and an
-independent floor(2^bits ln x), the chi_r(1 - 8X) composition whose gcd
+independent floor(2^bits ln x), the atanh term count as a linear scan, the
+divisibility check's exact kernel with the exact Taylor shift it ran on, the
+chi_r(1 - 8X) composition whose gcd
 ``denom_data`` took for N_r before it read N_r = 8^r, the Lettl bounds with
 the ``Fraction`` gamma ratios as ``verify_lettl`` compared them before it
 cleared denominators, the branchy Z[omega] formulas that ran
@@ -41,7 +43,7 @@ from thueq.quadfield import QuadInt, div_exact
 from thueq.rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER, EnclosureCert
 from thueq.series import (_ABCD, _U_T, _X_MINUS_I_4, _X_PLUS_I_4, _Z_T, G0, G1, GI, GaussRat,
                           Series, TPoly, _cleared, _i_pow, pade, pade_residual, root_series,
-                          tail_bound)
+                          tail_bound, thue_polys_at)
 
 
 class Poly2:
@@ -715,6 +717,16 @@ def atanh_enclosure_oracle(u: Fraction, tail_budget: Fraction) -> RatInterval:
     return RatInterval(total - tail, total + tail)
 
 
+def atanh_count_oracle(series: exactnum._AtanhSeries, bn: int, bd: int) -> int:
+    """``_AtanhSeries.count`` as it walked n up from 1."""
+    a, b, c = series.a, series.b, series._c
+    n = 1
+    while (abs(a) * series._pow(series._a2, n) * bd
+           > bn * b * series._pow(series._b2, n - 1) * (2 * n + 1) * c):
+        n += 1
+    return n
+
+
 def ln2_oracle(tail_budget: Fraction) -> RatInterval:
     return iv_scale(atanh_enclosure_oracle(Fraction(1, 3), tail_budget / 2), 2)
 
@@ -948,6 +960,70 @@ def thue_polys_at_oracle(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:
     return tuple(TPoly.from_ints(zpoly.gmul(unit, zpoly.gsub(zpoly.gmul(f, s1),
                                                              zpoly.gmul(g, s2))), den)
                  for f, g in (_ABCD[:2], _ABCD[2:]))
+
+
+# ---------------------------------------------------------------------------
+# the divisibility check in exact integers, before its fixed point: each
+# coefficient scaled by 2^(MID_BITS (n - j)) so that the Taylor shift stays exact
+
+
+def gshift(f, m: tuple[int, int]):
+    """f(X + m) for a Gaussian integer m = (re, im), by repeated synthetic
+    division: its X^j coefficient is f^(j)(m)/j!."""
+    n, (mr, mi) = max(len(f[0]), len(f[1])), m
+    re, im = (zpoly.pad(p, n) for p in f)
+    for i in range(n - 1):
+        for j in range(n - 2, i - 1, -1):
+            a, b = re[j + 1], im[j + 1]
+            re[j] += mr * a - mi * b
+            im[j] += mr * b + mi * a
+    return re, im
+
+
+def derivative_balls_oracle(r: int, A, B, alpha: ComplexBall, below: bool = False) -> list:
+    """For k = 0..2r, (x, y, s, scale): alpha A^(k)(alpha) - B^(k)(alpha) lies
+    within s/scale of (x + iy)/scale = k! (m a_k - b_k), exactly, for every
+    alpha in the dyadic disc |alpha - m| <= rho of ``dioph._dyadic_ball``.
+    With ``below``, s/scale is a lower bound for that radius sum instead: the
+    moduli are rounded down, on a grid 2^-64 finer."""
+    den = math.lcm(A.den, B.den)
+    n, sh, extra = max(A.degree(), B.degree(), 2 * r), dioph.MID_BITS, 64 if below else 0
+    M, R = dioph._dyadic_ball(alpha)  # m = M/2^sh, rho = R/2^sh
+
+    def cleared(p):  # 2^(sh n) den p(X/2^sh) over Z[i], of degree n
+        return tuple([(x * (den // p.den)) << sh * (n - j) + extra
+                      for j, x in enumerate(zpoly.pad(xs, n + 1))] for xs in p.num)
+
+    # shifted to M, the H^j coefficient is 2^(sh(n-j)) den p^(j)(m)/j!
+    ga, gb = (list(zip(*gshift(cleared(p), M))) for p in (A, B))
+    # 2^(sh(n+1-j)) den (m a_j - b_j), exactly
+    e = [(M[0] * a - M[1] * b - (c << sh), M[0] * b + M[1] * a - (d << sh))
+         for (a, b), (c, d) in zip(ga, gb)]
+    abs_a, abs_e = ([exactnum.sqrt_grid(a * a + b * b, 1, 0)[0 if below else 1] for a, b in zs]
+                    for zs in (ga, e))
+    out = []
+    for k in range(2 * r + 1):
+        # 2^(sh(n+1-k)) den times the radius bound, with rho^l = R^l/2^(sh l)
+        kf = ff = math.factorial(k)
+        s, rl = ff * abs_a[k] * R, 1
+        for j in range(k + 1, n + 1):
+            ff, rl = ff * j // (j - k), rl * R
+            s += ff * rl * (abs_e[j] + R * abs_a[j])
+        out.append((kf * e[k][0], kf * e[k][1], s, den << sh * (n + 1 - k) + extra))
+    return out
+
+
+def divisibility_ball_check_oracle(r: int, t: GaussRat) -> dict:
+    """``dioph.divisibility_ball_check`` on the exact balls."""
+    alpha = dioph.root_ball(t, dioph._root_seeds(complex(float(t.re), float(t.im)))[0],
+                            Fraction(1, 1 << 120))
+    max_num, contains = 0, True
+    for x, y, s, scale in derivative_balls_oracle(r, *thue_polys_at(r, t), alpha):
+        num = -(-(s << exactnum.GRID_BITS) // scale)
+        contains = contains and (x * x + y * y) << 2 * exactnum.GRID_BITS <= (num * scale) ** 2
+        max_num = max(max_num, num)
+    return {"order": 2 * r + 1, "all_contain_zero": contains,
+            "max_radius": Fraction(max_num, 1 << exactnum.GRID_BITS)}
 
 
 # ---------------------------------------------------------------------------

@@ -232,7 +232,7 @@ def test_math_domain_errors_exit_2():
 
 
 def test_a_result_past_the_output_limit_exits_64(capsys):
-    # C0 has 756,617 digits at C = 10^300: certified, but too long to print
+    # C0 would have 756,617 digits at C = 10^300: refused before it is built
     assert main(["corollary-lin", "--C", "1e300"]) == 64
     err = capsys.readouterr().err
     assert "200,000-digit output limit" in err and "--C" in err

@@ -32,8 +32,10 @@ from thueq.quadfield import (QuadInt, div_exact, eligible_fields, enumerate_boun
 from thueq.series import GaussRat
 
 from oracles import (ball_contains_zero, balls_overlap_oracle, beta_bounds_oracle,
-                     classify_type_oracle, eval_form, orbit, outcome, root_ball_oracle,
-                     root_balls_oracle, root_seeds_oracle, sqrt_lower, sqrt_upper)
+                     classify_type_oracle, derivative_balls_oracle,
+                     divisibility_ball_check_oracle, eval_form, orbit, outcome,
+                     root_ball_oracle, root_balls_oracle, root_seeds_oracle, sqrt_lower,
+                     sqrt_upper)
 
 
 def test_eval_form_known_values():
@@ -850,6 +852,67 @@ def test_divisibility_check_radius_is_pinned(r, t, radius):
     # exact values, taken from the closed-form seeds
     out = divisibility_ball_check(r, t)
     assert out["all_contain_zero"] and out["max_radius"] == radius
+
+
+_BIG_T = GaussRat(F(10**300 + 7), F(-3 * 10**299 - 11))
+
+
+def _concrete_gauss_t(rng):
+    """A Gaussian integer t with |t| log-uniform in [100, 10^4], as the
+    concrete-t benchmark draws its divisibility parameters."""
+    z = cmath.rect(10 ** rng.uniform(2, 4), rng.uniform(0, 2 * math.pi))
+    return GaussRat(F(round(z.real)), F(round(z.imag)))
+
+
+def test_divisibility_check_equals_the_exact_kernel():
+    # at W = GRID_BITS + 128 the fixed point moves a radius by far less than
+    # the 2^-GRID_BITS grid it is rounded up to
+    rng = random.Random("divisibility fixed point")
+    cases = [(5, GaussRat(F(37, 3), F(-512, 7))), (3, GaussRat(F(0), F(100)))]
+    cases += [(r, _BIG_T) for r in (1, 3, 6)]
+    cases += [(3 + i % 3, _concrete_gauss_t(rng)) for i in range(900)]
+    for r, t in cases:
+        assert divisibility_ball_check(r, t) == divisibility_ball_check_oracle(r, t), (r, str(t))
+
+
+def _contains(ball, scale, exact) -> bool:
+    """Whether the ball (x, y, rad)/scale holds the exact ball: |mid - mid_exact|
+    + r_exact <= rad, cross-multiplied."""
+    (x, y, rad), (ex, ey, er, escale) = ball, exact
+    dx, dy, d = x * escale - ex * scale, y * escale - ey * scale, rad * escale - er * scale
+    return d >= 0 and dx * dx + dy * dy <= d * d
+
+
+@pytest.mark.parametrize("bits", [8, 12, 16])
+def test_derivative_balls_hold_the_exact_balls_at_low_precision(monkeypatch, bits):
+    # at a few bits every rounding shows: each fixed-point ball must still hold
+    # the exact kernel's, over the root ball and over discs up to radius 1
+    monkeypatch.setattr(dioph, "W", bits)
+    rng = random.Random(f"low precision {bits}")
+    for _ in range(12):
+        z = cmath.rect(10 ** rng.uniform(0, 4), rng.uniform(0, 2 * math.pi))
+        t, r = GaussRat(F(round(z.real)), F(round(z.imag))), rng.randint(1, 4)
+        A, B = series.thue_polys_at(r, t)
+        alpha = root_ball(t, _root_seeds(complex(z))[0], F(1, 1 << 120))
+        for rho in (alpha.radius, F(1, 1 << 30), F(1, 256), F(1, 4), F(1)):
+            ball = ComplexBall(alpha.re_mid, alpha.im_mid, rho)
+            scale, balls = dioph._derivative_balls(r, A, B, ball)
+            exact = derivative_balls_oracle(r, A, B, ball, below=True)
+            assert len(balls) == len(exact) == 2 * r + 1
+            assert all(_contains(b, scale, e) for b, e in zip(balls, exact)), (str(t), r, rho)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 10**30), min_size=1, max_size=12),
+       st.integers(0, 1 << (dioph.MID_BITS + 4)), st.integers(0, 12), st.integers(0, 2))
+def test_upward_shift_bounds_the_exact_shift(c, s, rounds, step):
+    # each of the at most len(c)^2/2 products rounds up by less than 1 and adds step
+    x, n = F(s, 1 << dioph.MID_BITS), len(c)
+    exact = [sum(F(c[j]) * math.comb(j, k) * x ** (j - k) for j in range(k, n)) for k in range(n)]
+    got = dioph._shift_up(list(c), s, rounds, step)
+    for k in range(min(rounds, n)):
+        assert exact[k] <= got[k]
+    assert got[-1] == c[-1]
 
 
 def test_divisibility_check_refuses_a_negative_order():

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from thueq import exactnum, measure
 from thueq.exactnum import (
@@ -18,6 +18,7 @@ from thueq.exactnum import (
     kappa,
     lines,
     ln_enclosure,
+    pow_up_sig,
     round_nearest_sig,
     round_up_grid,
     round_up_sig,
@@ -25,13 +26,14 @@ from thueq.exactnum import (
     sqrt_bounds,
     sqrt_grid,
 )
-from thueq.measure import KAPPA_WIDTH
+from thueq.measure import KAPPA_WIDTH, LIN_COEFF
 
-from oracles import (atanh_enclosure_oracle, ball_abs_bounds_oracle, ball_contains_zero,
-                     ball_mul_oracle, dec_exponent_oracle, iv_add, iv_contains, iv_div_pos,
-                     iv_scale, iv_shift, iv_width, kappa_oracle, ln_enclosure_oracle, outcome,
-                     round_down_grid, round_nearest_sig_oracle, round_up_sig_oracle,
-                     round_up_sig_two_powers, sig_str_oracle, sqrt_lower, sqrt_upper)
+from oracles import (atanh_count_oracle, atanh_enclosure_oracle, ball_abs_bounds_oracle,
+                     ball_contains_zero, ball_mul_oracle, dec_exponent_oracle, iv_add,
+                     iv_contains, iv_div_pos, iv_scale, iv_shift, iv_width, kappa_oracle,
+                     ln_enclosure_oracle, outcome, round_down_grid, round_nearest_sig_oracle,
+                     round_up_sig_oracle, round_up_sig_two_powers, sig_str_oracle, sqrt_lower,
+                     sqrt_upper)
 
 rationals = st.fractions(
     min_value=F(-10**6), max_value=F(10**6), max_denominator=10**6
@@ -449,6 +451,96 @@ def test_round_up_sig_on_powers_of_ten_and_their_neighbours():
         except DomainError as exc:
             want = str(exc)
         assert got == want
+
+
+# x = 443 C as corollary-lin raises it to n, with C = 1/443 and 10^k/443
+# putting x^n on a power of ten
+_POW_BASES = st.one_of(
+    st.builds(lambda a, b: LIN_COEFF * F(a, b), st.integers(1, 4000), st.integers(1, 40)),
+    st.builds(F, st.integers(1, 10**40), st.integers(1, 10**6)).filter(lambda x: x >= 1),
+    st.builds(lambda k: F(10) ** k, st.integers(0, 4)),
+    st.builds(lambda m, k: F(m * 10 ** k, 1000), st.integers(1000, 9999), st.integers(0, 4)),
+    st.just(LIN_COEFF * F(1, 443)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_POW_BASES, st.integers(0, 3000))
+def test_pow_up_sig_equals_rounding_the_power(x, n):
+    assert pow_up_sig(x, n) == round_up_sig(x ** n, 4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_POW_BASES, st.integers(0, 3000), st.sampled_from([8, 12, 16]))
+def test_pow_up_sig_doubles_a_low_precision_until_decided(x, n, bits):
+    calls = []
+    real = exactnum._pow_bracket
+
+    def recording(a, m, p):
+        calls.append(p)
+        return real(a, m, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "_POW_BITS", bits)
+        mp.setattr(exactnum, "_pow_bracket", recording)
+        got = pow_up_sig(x, n)
+    assert got == round_up_sig(x ** n, 4)
+    assert calls[0] == bits
+
+
+def test_pow_up_sig_doubles_on_exact_powers_of_ten():
+    # 10^2500 needs every bit of itself: the precision doubles from 64 past 8,300 bits
+    calls = []
+    real = exactnum._pow_bracket
+
+    def recording(a, m, p):
+        calls.append(p)
+        return real(a, m, p)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(exactnum, "_pow_bracket", recording)
+        assert pow_up_sig(LIN_COEFF * F(10, 443), 2500) == F(10) ** 2500
+    assert max(calls) >= 8192 and F(10) ** 2500 == round_up_sig(F(10) ** 2500)
+
+
+def test_pow_up_sig_refuses_more_than_max_digits_as_printing_would():
+    top = exactnum.MAX_DIGITS
+    # MAX_DIGITS digits print; one more, also after a carry into the next decade, does not
+    assert pow_up_sig(F(10), top - 1) == 10 ** (top - 1)
+    assert pow_up_sig(F(9999 * 10 ** (top - 4)), 1) == 9999 * 10 ** (top - 4)
+    for x, n in ((F(10), top), (F(10 ** top - 1), 1), (F(10 ** 300), 2500)):
+        with pytest.raises(exactnum.OutputLimitError):
+            pow_up_sig(x, n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-10**6, 10**6), st.one_of(st.integers(1, 10**6), st.integers(1, 10**400)),
+       st.integers(1, 10**40), st.integers(1, 10**40))
+@example(1, 2 * 10**400 + 1, 1, 10**40)  # b/a past the float range
+def test_atanh_count_equals_the_linear_scan(a, b, bn, bd):
+    if 2 * abs(a) >= b:
+        a = a % max(1, (b - 1) // 2)
+    series = exactnum._AtanhSeries(a, b)
+    assert series.count(bn, bd) == atanh_count_oracle(series, bn, bd)
+
+
+def test_atanh_count_equals_the_linear_scan_on_the_ln2_and_kappa_budgets(monkeypatch):
+    calls = []
+    real = exactnum._AtanhSeries.count
+
+    def recording(self, bn, bd):
+        calls.append((self, bn, bd))
+        return real(self, bn, bd)
+
+    monkeypatch.setattr(exactnum._AtanhSeries, "count", recording)
+    for t in [F(n) for n in range(14, 40)] + [F(10**j + 1) for j in range(2, 300, 17)]:
+        kappa(t, KAPPA_WIDTH)
+        kappa(t, F(1, 10**12))
+    for k in range(1, 200, 7):
+        exactnum._ln2(1, 10**k)
+    ln2 = [c for c in calls if c[0] is exactnum._LN2_SERIES]
+    assert len(ln2) > 20 and len(calls) > len(ln2) + 50
+    for series, bn, bd in calls:
+        assert real(series, bn, bd) == atanh_count_oracle(series, bn, bd)
 
 
 def test_lines_record_exact_margins_and_name_the_first_failure():

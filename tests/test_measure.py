@@ -438,6 +438,24 @@ def test_corollary_lin():
     assert small["terms"][2] == 1
 
 
+def test_corollary_lin_refuses_an_oversized_C0_before_building_it(monkeypatch):
+    # (443 10^300)^2500 has 756,617 digits: its exponent is decided at the
+    # starting precision, and no bracket grows past it
+    precisions = []
+    real = exactnum._pow_bracket
+
+    def recording(a, n, p):
+        precisions.append(p)
+        return real(a, n, p)
+
+    monkeypatch.setattr(exactnum, "_pow_bracket", recording)
+    for C in (F(10**300), F(10**300, 443), F(10**78)):
+        with pytest.raises(exactnum.OutputLimitError):
+            corollary_lin(C)
+    assert set(precisions) == {exactnum._POW_BITS}
+    assert corollary_lin(F(10**77))["C0"] == round_up_sig((443 * F(10**77)) ** 2500)
+
+
 def test_corollary_lin_rejects_bad_t0():
     with pytest.raises(ValueError):
         corollary_lin(F(1), t0=F(200))
