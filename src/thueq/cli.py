@@ -43,26 +43,31 @@ def _nonneg_rat(text: str) -> Fraction:
     return x
 
 
+def _exact(x) -> str:
+    """str(x), or OutputLimitError if an integer in it is past MAX_DIGITS."""
+    try:
+        return str(x)
+    except ValueError:
+        raise OutputLimitError from None
+
+
 def _num(x) -> dict:
     """Canonical rendering of a rational: exact plus 4-digit decimal hint."""
     x = Fraction(x)
-    try:
-        rat = f"{x.numerator}/{x.denominator}"
-    except ValueError:  # an integer past MAX_DIGITS
-        raise OutputLimitError from None
-    return {"rat": rat, "dec": sig_str(x)}
+    return {"rat": f"{_exact(x.numerator)}/{_exact(x.denominator)}", "dec": sig_str(x)}
 
 
 def _quad(q) -> dict:
     return {"d": q.d, "a": q.a, "b": q.b, "str": str(q)}
 
 
-def _emit(args, payload: dict, table: list[str]) -> None:
+def _emit(args, table: list[str], payload) -> None:
+    """Print the table, or with --json the dict that payload() builds: a table
+    never pays for the exact rationals of the JSON report."""
     if getattr(args, "json", False):
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload(), indent=2))
     else:
-        for line in table:
-            print(line)
+        print("\n".join(table))
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +107,13 @@ def _cmd_irreducible_list(args) -> int:
     from .dioph import irreducibility_exceptions
 
     ts, root_cases = irreducibility_exceptions()
-    payload = {
-        "reducible": [_quad(t) for t in ts],
-        "field_root_cases": [_quad(t) for t in root_cases],
-    }
     table = [f"{len(ts)} reducible parameters:"]
     table += [f"  {t}" for t in ts]
     table.append("field-root cases: " + ", ".join(str(t) for t in root_cases))
-    _emit(args, payload, table)
+    _emit(args, table, lambda: {
+        "reducible": [_quad(t) for t in ts],
+        "field_root_cases": [_quad(t) for t in root_cases],
+    })
     return EXIT_OK
 
 
@@ -118,7 +122,11 @@ def _cmd_small_solutions(args) -> int:
 
     sols = small_solution_search(args.tmin)
     tset = sorted(t_value_set(sols))
-    payload = {
+    table = [f"{len(sols)} non-trivial solutions with min size < 3, "
+             f"|t| >= {_exact(args.tmin)}:"]
+    table += [f"  d={s.d}  t={s.t}  x={s.x}  y={s.y}  mu={s.mu}" for s in sols]
+    table.append(f"{len(tset)} parameter values (closed under negation)")
+    _emit(args, table, lambda: {
         "tmin": _num(args.tmin),
         "count": len(sols),
         "solutions": [
@@ -127,12 +135,7 @@ def _cmd_small_solutions(args) -> int:
             for s in sols
         ],
         "t_values": [{"d": d, "a": a, "b": b} for d, a, b in tset],
-    }
-    table = [f"{len(sols)} non-trivial solutions with min size < 3, "
-             f"|t| >= {args.tmin}:"]
-    table += [f"  d={s.d}  t={s.t}  x={s.x}  y={s.y}  mu={s.mu}" for s in sols]
-    table.append(f"{len(tset)} parameter values (closed under negation)")
-    _emit(args, payload, table)
+    })
     return EXIT_OK
 
 
@@ -140,11 +143,10 @@ def _cmd_enumerate(args) -> int:
     from .quadfield import enumerate_bounded
 
     elems = enumerate_bounded(args.max_abs, normalize=True)
-    payload = {"max_abs": _num(args.max_abs), "count": len(elems),
-               "elements": [_quad(x) for x in elems]}
-    table = [f"{len(elems)} normalized elements with norm <= {args.max_abs}^2:"]
+    table = [f"{len(elems)} normalized elements with norm <= {_exact(args.max_abs)}^2:"]
     table += [f"  d={x.d}  {x}" for x in elems]
-    _emit(args, payload, table)
+    _emit(args, table, lambda: {"max_abs": _num(args.max_abs), "count": len(elems),
+                                "elements": [_quad(x) for x in elems]})
     return EXIT_OK
 
 
@@ -155,7 +157,13 @@ def _cmd_descent(args) -> int:
     first = ([f"step 1: |y| > {sig_str(STEP1_COEFF)} |t|",
               f"step 2: |y| > |t|^2 / {sig_str(STEP2_DIVISOR)}"]
              if args.type == 0 else [f"step 1: |y| > |t| / {sig_str(STEP1_DIVISOR)}"])
-    payload = {
+    table = first + [
+        f"step k={r.k}: |y| > |t|^{r.k} / {sig_str(r.c_out)}"
+        f"   (at tmin: {sig_str(Fraction(args.tmin) ** r.k / r.c_out)},"
+        f" gate margin {sig_str(r.nonvanish_margin)})"
+        for r in records
+    ]
+    _emit(args, table, lambda: {
         "type": args.type,
         "tmin": _num(args.tmin),
         "steps": [
@@ -167,14 +175,7 @@ def _cmd_descent(args) -> int:
         ],
         "final_lower_bound": _num(Fraction(args.tmin) ** records[-1].k
                                   / records[-1].c_out),
-    }
-    table = first + [
-        f"step k={r.k}: |y| > |t|^{r.k} / {sig_str(r.c_out)}"
-        f"   (at tmin: {sig_str(Fraction(args.tmin) ** r.k / r.c_out)},"
-        f" gate margin {sig_str(r.nonvanish_margin)})"
-        for r in records
-    ]
-    _emit(args, payload, table)
+    })
     return EXIT_OK
 
 
@@ -182,19 +183,18 @@ def _cmd_constants(args) -> int:
     from .measure import measure_constants
 
     mc = measure_constants(args.type, args.tmin)
-    payload = {
-        "type": mc.type_index,
-        "k0": _num(mc.k0), "Q_coeff": _num(mc.Q_coeff),
-        "l0_coeff": _num(mc.l0_coeff), "E_div": _num(mc.E_div),
-        "qmin_coeff": _num(mc.qmin_coeff), "c_coeff": _num(mc.c_coeff),
-        "lines": [{"name": n, "margin": sig_str(m)} for n, m in mc.lines],
-    }
     table = [
         f"type {mc.type_index}: k0={sig_str(mc.k0)}, Q={sig_str(mc.Q_coeff)}|t|,"
         f" l0={sig_str(mc.l0_coeff)}/|t|, E=|t|/{sig_str(mc.E_div)},"
         f" |q| >= {sig_str(mc.qmin_coeff)}|t|, c={sig_str(mc.c_coeff)}|t|",
     ] + [f"  {n}: margin {sig_str(m)}" for n, m in mc.lines]
-    _emit(args, payload, table)
+    _emit(args, table, lambda: {
+        "type": mc.type_index,
+        "k0": _num(mc.k0), "Q_coeff": _num(mc.Q_coeff),
+        "l0_coeff": _num(mc.l0_coeff), "E_div": _num(mc.E_div),
+        "qmin_coeff": _num(mc.qmin_coeff), "c_coeff": _num(mc.c_coeff),
+        "lines": [{"name": n, "margin": sig_str(m)} for n, m in mc.lines],
+    })
     return EXIT_OK
 
 
@@ -202,23 +202,22 @@ def _cmd_corollary_lin(args) -> int:
     from .measure import C2_DIVISOR, C_COEFF, LIN_COEFF, corollary_lin
 
     r = corollary_lin(args.C, args.t0)
-    payload = {
-        "C": _num(args.C),
-        "t0": _num(r["t0"]),
-        "C0": _num(r["C0"]),
-        "terms": [_num(t) for t in r["terms"]],
-        "consistency_margin": _num(r["consistency_margin"]),
-        "exceptional_family_coeff": _num(r["exceptional_family_coeff"]),
-    }
     table = [
-        f"C = {sig_str(args.C)}: t0 = {r['t0']}, C0 = {sig_str(r['C0'])}",
+        f"C = {sig_str(args.C)}: t0 = {_exact(r['t0'])}, C0 = {sig_str(r['C0'])}",
         "  terms: " + ", ".join(sig_str(t) for t in r["terms"]),
         f"  consistency margin {sig_str(LIN_COEFF, 7)} - {sig_str(BETA_COEFF * C_COEFF[3], 7)}"
         f"/{sig_str(C2_DIVISOR, 7)} = {sig_str(r['consistency_margin'])}",
         f"  (x, +-x) family: |x| <= {sig_str(r['exceptional_family_coeff'])}"
         f" |t|^(1/4)",
     ]
-    _emit(args, payload, table)
+    _emit(args, table, lambda: {
+        "C": _num(args.C),
+        "t0": _num(r["t0"]),
+        "C0": _num(r["C0"]),
+        "terms": [_num(t) for t in r["terms"]],
+        "consistency_margin": _num(r["consistency_margin"]),
+        "exceptional_family_coeff": _num(r["exceptional_family_coeff"]),
+    })
     return EXIT_OK
 
 
@@ -226,19 +225,18 @@ def _cmd_corollary_eps(args) -> int:
     from .measure import corollary_eps
 
     r = corollary_eps(args.eps)
-    payload = {
+    table = [f"eps = {_exact(args.eps)}: t0 = {sig_str(r['t0'])}"]
+    table += [f"  gate {g.name}: {'ok' if g.ok else 'FAIL'}" for g in r["gates"]]
+    table.append("  re-verified at 2*t0: "
+                 + ("ok" if all(g.ok for g in r["gates_at_double"]) else "FAIL"))
+    _emit(args, table, lambda: {
         "eps": _num(args.eps),
         "t0": _num(r["t0"]),
         "gates": [{"name": g.name, "ok": g.ok, "detail": g.detail}
                   for g in r["gates"]],
         "gates_at_double": [{"name": g.name, "ok": g.ok} for g in
                             r["gates_at_double"]],
-    }
-    table = [f"eps = {args.eps}: t0 = {sig_str(r['t0'])}"]
-    table += [f"  gate {g.name}: {'ok' if g.ok else 'FAIL'}" for g in r["gates"]]
-    table.append("  re-verified at 2*t0: "
-                 + ("ok" if all(g.ok for g in r["gates_at_double"]) else "FAIL"))
-    _emit(args, payload, table)
+    })
     return EXIT_OK
 
 
@@ -250,7 +248,12 @@ def _cmd_rouche_certs(args) -> int:
     sep = root_separation(args.tmin) if all(c.verified for c in base.values()) else {}
     certs = sorted({**base, "B": certify_high_order("B", args.tmin),
                     "B3": certify_high_order("B3", args.tmin)}.items())
-    payload = {
+    table = [
+        f"{name}: radius {sig_str(c.radius_c)}/|t|^{c.radius_exp}  "
+        f"{'verified' if c.verified else 'FAILED'}  margin {sig_str(c.margin)}"
+        for name, c in certs
+    ] + [f"separation {k}: {sig_str(v)}" for k, v in sorted(sep.items())]
+    _emit(args, table, lambda: {
         "tmin": _num(args.tmin),
         "certificates": [
             {"name": name, "radius_coeff": _num(c.radius_c),
@@ -259,13 +262,7 @@ def _cmd_rouche_certs(args) -> int:
             for name, c in certs
         ],
         "separation": {k: _num(v) for k, v in sorted(sep.items())} if sep else None,
-    }
-    table = [
-        f"{name}: radius {sig_str(c.radius_c)}/|t|^{c.radius_exp}  "
-        f"{'verified' if c.verified else 'FAILED'}  margin {sig_str(c.margin)}"
-        for name, c in certs
-    ] + [f"separation {k}: {sig_str(v)}" for k, v in sorted(sep.items())]
-    _emit(args, payload, table)
+    })
     return EXIT_OK if all(c.verified for _, c in certs) else EXIT_INCONCLUSIVE
 
 

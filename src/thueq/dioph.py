@@ -15,8 +15,8 @@ from functools import lru_cache, reduce
 from . import zpoly
 from .exactnum import (GRID_BITS, ChainError, ComplexBall, Rat, gauss_over, sqrt_bounds,
                        sqrt_grid)
-from .quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded, norm,
-                        pairs_with_norm_in, ring, roots_of_unity)
+from .quadfield import (QuadInt, eligible_fields, enumerate_bounded, norm, pairs_with_norm_in,
+                        ring, roots_of_unity)
 from .series import QUARTIC, GaussRat, horner
 
 
@@ -31,24 +31,22 @@ def irreducibility_exceptions() -> tuple[list[QuadInt], list[QuadInt]]:
     """Parameters t for which the quartic form factors over its field,
     found by the quadratic-factor search (a + c = -t, ac = -4, |a|^2 | 16),
     together with the sublist where the quartic actually has a field root
-    (the two fourth-power cases)."""
-    ts = {}
-    for a in enumerate_bounded(4, normalize=True):
-        if 16 % a.abs_sq() != 0:
-            continue
-        try:
-            c = div_exact(QuadInt(a.d, -4, 0), a)
-        except ValueError:
-            continue
-        t = -(a + c)
-        for cand in (t, -t):
-            ts[(cand.d, cand.a, cand.b)] = cand
-    # the fourth-power parameters: f_t = (X -+ i)^4 at t = +-4i
-    root_cases = [QuadInt(1, 0, 4), QuadInt(1, 0, -4)]
-    for rc in root_cases:
-        ts[(rc.d, rc.a, rc.b)] = rc
-    ordered = sorted(ts.values(), key=lambda q: (q.d, q.abs_sq(), q.b, q.a))
-    return ordered, root_cases
+    (the two fourth-power cases, from a = c = -+2i).
+
+    Each a = x + y w with y > 0 and N(a) | 16 comes from the search's pair
+    kernel, the rational a in {1, 2, 4} from d = 1 (up to sign, as t -> -t
+    covers -a); a is kept when c = -4 conj(a)/N(a) is integral."""
+    ts = set()
+    for d in eligible_fields(4):
+        s, rational = ring(d)[0], [(1, 0), (2, 0), (4, 0)] if d == 1 else []
+        for x, y in [*pairs_with_norm_in(d, 16, {1, 2, 4, 8, 16}), *rational]:
+            n, cx, cy = norm(d, x, y), -4 * (x + s * y), 4 * y  # c N(a), conj(a) = x + sy - yw
+            if cx % n == 0 and cy % n == 0:
+                tx, ty = -x - cx // n, -y - cy // n
+                # ty = -y(1 + 4/n) is 0 only for a rational a, whose d is 1 as QuadInt's
+                ts |= {(d, tx, ty), (d, -tx, -ty)}
+    ordered = sorted(ts, key=lambda k: (k[0], norm(*k), k[2], k[1]))
+    return [QuadInt(*k) for k in ordered], [QuadInt(1, 0, 4), QuadInt(1, 0, -4)]
 
 
 # ---------------------------------------------------------------------------
@@ -69,25 +67,24 @@ def y_box_sq(xn: int) -> int:
     return Y_UNIT_X_MAX_SQ if xn == 1 else (1 + xn * xn) ** 2
 
 
-@lru_cache(maxsize=None)
+def _t_sq_cap(xn: int, yn: int) -> Fraction:
+    """g = (X^2 + 6XY + Y^2 + 1)^2 / (XY max(1, Y - X)^2) at X = xn, Y = yn."""
+    return Fraction((xn * xn + 1 + yn * (6 * xn + yn)) ** 2, xn * yn * max(1, yn - xn) ** 2)
+
+
 def small_solution_t_sq_bound() -> Fraction:
-    """The largest |t|^2 of a small solution, derived once per process.
+    """The largest |t|^2 of a small solution: 83521/18 at (8, 9), so |t| <= 68.12.
 
     As F_t(y, -x) = F_t(x, y), take X = |x|^2 <= 8 and X <= Y = |y|^2 <= y_box_sq(X).
     From t xy(x^2 - y^2) = x^4 - 6x^2y^2 + y^4 - mu, with |x^2 - y^2| >= Y - X
     and |x^2 - y^2| >= 1 (x^2 = y^2 gives F_t(x, y) = -4x^4, no unit),
-    |t|^2 <= (X^2 + 6XY + Y^2 + 1)^2 / (XY max(1, Y - X)^2).  The maximum over
-    the box's integer pairs, compared cross-multiplied on the integers, is
-    83521/18 at (8, 9): |t| <= 68.12."""
-    bn, bd = 0, 1
-    for xn in range(1, 9):
-        c = xn * xn + 1
-        for yn in range(xn, y_box_sq(xn) + 1):
-            g = yn - xn or 1  # max(1, Y - X)
-            num, den = (c + yn * (6 * xn + yn)) ** 2, xn * yn * g * g
-            if num * bd > bn * den:
-                bn, bd = num, den
-    return Fraction(bn, bd)
+    |t|^2 <= g(X, Y) of _t_sq_cap.  For Y > X, d ln g/dY has the sign of
+    phi(Y) = Y^3 - 9XY^2 - (9X^2 + 3)Y + X^3 + X, whose coefficients change sign
+    twice, so phi has at most two positive roots; phi(0) > 0 > phi(X + 1) =
+    -16X^3 - 24X^2 - 8X - 2 puts one below X + 1, so exactly one lies above it.
+    So g falls and then rises on Y >= X + 1, and its maximum over the box is at
+    Y in {X, X + 1, y_box_sq(X)}: 24 pairs."""
+    return max(_t_sq_cap(xn, yn) for xn in range(1, 9) for yn in (xn, xn + 1, y_box_sq(xn)))
 
 
 def small_solution_search(tmin_abs: Rat = Fraction(0)) -> list[Solution]:
@@ -322,24 +319,31 @@ def all_root_balls(t_complex: complex, t_gauss, t_irrational,
     the root of smallest modulus: alpha0, alpha1 (near -1), alpha2 (large),
     alpha3 (near 1).  The parameter is the pair that _t_exact returns.
 
-    The certified, pairwise disjoint set is built once per process for each
-    (t, radius) and shared by every caller (at most 64 sets are kept); a
-    TieError is not cached.  Each call returns a fresh list."""
-    return list(_root_balls(t_complex, t_gauss, t_irrational, target_radius)[0])
+    The certified, pairwise disjoint set, or the reason of a tie, is built
+    once per process for each (t, radius) and shared by every caller (at most
+    64 are kept).  Each call returns a fresh list."""
+    got = _root_balls(t_complex, t_gauss, t_irrational, target_radius)
+    if isinstance(got, str):
+        raise TieError(got)
+    return list(got[0])
 
 
 @lru_cache(maxsize=64)
-def _root_balls(t_complex, t_gauss, t_irrational, target_radius) -> tuple:
-    """(balls, records): the set, and the _ball_ints record of each ball."""
-    seeds = _root_seeds(t_complex)
-    balls = tuple(root_ball(t_gauss, s, target_radius, t_irrational) for s in seeds)
+def _root_balls(t_complex, t_gauss, t_irrational, target_radius) -> tuple | str:
+    """(balls, records): the set, and the _ball_ints record of each ball; or
+    the TieError message of a tie, returned so that the cache keeps it."""
+    try:
+        balls = tuple(root_ball(t_gauss, s, target_radius, t_irrational)
+                      for s in _root_seeds(t_complex))
+    except TieError as exc:
+        return str(exc)
     recs = tuple(map(_ball_ints, balls))
     # pairwise disjointness makes the correspondence certified: ComplexBall's
     # lower end of |u - v|, on the integers, must be positive
     for (a, b, n, p, q, _), (c, e, m, p2, q2, _) in itertools.combinations(recs, 2):
         if (sqrt_grid((a * m - c * n) ** 2 + (b * m - e * n) ** 2, (n * m) ** 2)[0]
                 <= -(-((p * q2 + p2 * q) << GRID_BITS) // (q * q2))):
-            raise TieError("root enclosures overlap")
+            return "root enclosures overlap"
     return balls, recs
 
 
@@ -451,11 +455,10 @@ def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
     t_gauss, t_irrational = _t_exact(t)
     xs, ys = _ball_ints(_embed(x)), _ball_ints(_embed(y))
     for bits in (64, 128, 256):
-        try:
-            _, roots = _root_balls(tc, t_gauss, t_irrational, Fraction(1, 1 << bits))
-        except TieError:
+        got = _root_balls(tc, t_gauss, t_irrational, Fraction(1, 1 << bits))
+        if isinstance(got, str):  # this rung ties
             continue
-        bounds = [_beta_bounds(xs, ys, ab) for ab in roots]
+        bounds = [_beta_bounds(xs, ys, ab) for ab in got[1]]
         best = min(range(4), key=lambda i: bounds[i][1])
         if all(bounds[best][1] < bounds[j][0] for j in range(4) if j != best):
             return best

@@ -20,8 +20,9 @@ no command runs, and the tmin certificates (descent steps, root enclosures, meas
 chains and the significant-digit rounding) as they ran in ``Fraction``
 arithmetic at each tmin before their tmin-free parts were built once over Z,
 with the descent's non-vanishing polynomial as it was built over Z[i], the
-rounding up as it ran with two powers of ten, and the rounding to nearest and
-``sig_str`` as they ran in ``Fraction`` arithmetic.
+rounding up as it ran with two powers of ten, the rounding to nearest and
+``sig_str`` as they ran in ``Fraction`` arithmetic, and the reducible
+parameters as ``QuadInt``/``div_exact`` found them over ``enumerate_bounded(4)``.
 The tests check ``thueq.zpoly``, ``thueq.exactnum``, ``thueq.quadfield`` and
 their callers against these."""
 
@@ -39,7 +40,7 @@ from thueq.measure import (ABSORB_BASE, C_COEFF, C_PREFACTOR, E_DIV, ERR_BASE, E
                            ERR_PREFACTOR, I_DIST_CAP, K0, KAPPA_WIDTH, L0, Q_BASE, QMIN,
                            T4_FLOOR, T12_FLOOR, UZ_CAP, ChainError, GateResult,
                            MeasureConstants)
-from thueq.quadfield import QuadInt, div_exact
+from thueq.quadfield import QuadInt, div_exact, enumerate_bounded
 from thueq.rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER, EnclosureCert
 from thueq.series import (_ABCD, _U_T, _X_MINUS_I_4, _X_PLUS_I_4, _Z_T, G0, G1, GI, GaussRat,
                           Series, TPoly, _cleared, _i_pow, pade, pade_residual, root_series,
@@ -1210,3 +1211,27 @@ def divides(y: QuadInt, x: QuadInt) -> bool:
         return True
     except ValueError:
         return False
+
+
+def irreducibility_exceptions_oracle() -> tuple[list[QuadInt], list[QuadInt]]:
+    """Parameters t for which the quartic form factors over its field,
+    found by the quadratic-factor search (a + c = -t, ac = -4, |a|^2 | 16),
+    together with the sublist where the quartic actually has a field root
+    (the two fourth-power cases)."""
+    ts = {}
+    for a in enumerate_bounded(4, normalize=True):
+        if 16 % a.abs_sq() != 0:
+            continue
+        try:
+            c = div_exact(QuadInt(a.d, -4, 0), a)
+        except ValueError:
+            continue
+        t = -(a + c)
+        for cand in (t, -t):
+            ts[(cand.d, cand.a, cand.b)] = cand
+    # the fourth-power parameters: f_t = (X -+ i)^4 at t = +-4i
+    root_cases = [QuadInt(1, 0, 4), QuadInt(1, 0, -4)]
+    for rc in root_cases:
+        ts[(rc.d, rc.a, rc.b)] = rc
+    ordered = sorted(ts.values(), key=lambda q: (q.d, q.abs_sq(), q.b, q.a))
+    return ordered, root_cases

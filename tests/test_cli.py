@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thueq import cli
 from thueq.cli import MAX_ABS, _build_parser, main
 
 
@@ -106,6 +107,32 @@ def test_outputs_are_pinned_in_process(command, capsys):
         assert out == VERIFY_ALL_REFERENCE.read_text()
     else:
         assert sha256(out) == PINS[command]
+
+
+# table-mode commands outside PINS, with their exit codes; rouche-certs at 95 fails
+TABLES = {"irreducible-list": 0, "small-solutions --tmin 10": 0, "enumerate --max-abs 2": 0,
+          "constants --type 3": 0, "rouche-certs --tmin 95": 1, "descent --type 0 --tmin 1e300": 0}
+
+
+def test_a_table_builds_no_json_payload(monkeypatch, capsys):
+    # without --json no command renders an exact rational or a ring element
+    # for the JSON report it does not print
+    outputs = {}
+    for command, code in TABLES.items():
+        assert main(command.split()) == code
+        outputs[command] = capsys.readouterr().out
+
+    def refuse(x):
+        raise AssertionError(f"a table rendered {x!r} for JSON")
+
+    monkeypatch.setattr(cli, "_num", refuse)
+    monkeypatch.setattr(cli, "_quad", refuse)
+    for command in [c for c in PINS if "--json" not in c]:
+        assert main(command.split()) == 0
+        assert sha256(capsys.readouterr().out) == PINS[command], command
+    for command, code in TABLES.items():
+        assert main(command.split()) == code
+        assert capsys.readouterr().out == outputs[command], command
 
 
 def test_output_is_pinned_in_a_fresh_process():
@@ -237,6 +264,20 @@ def test_a_result_past_the_output_limit_exits_64(capsys):
     err = capsys.readouterr().err
     assert "200,000-digit output limit" in err and "--C" in err
     assert "certification failure" not in err
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+@pytest.mark.parametrize("argv", ["small-solutions --tmin 1e200000",
+                                  "enumerate --max-abs 1e-200001"])
+def test_an_exact_table_value_past_the_output_limit_exits_64(argv, json_flag, capsys):
+    # a table prints --tmin and --max-abs exactly, so it refuses them as the
+    # JSON report does, and so does corollary-lin's t0
+    assert main(argv.split() + json_flag) == 64
+    err = capsys.readouterr().err
+    assert "200,000-digit output limit" in err and "certification failure" not in err
+    with pytest.raises(cli.OutputLimitError):
+        cli._exact(10**200_000)
+    assert cli._exact(Fraction(1, 10**199_999)) == "1/1" + "0" * 199_999
 
 
 def test_a_threshold_past_the_output_limit_exits_64_at_once():

@@ -10,7 +10,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thueq import dioph, series
+from thueq import dioph, quadfield, series
 from thueq.cli import main
 from thueq.dioph import (
     Solution,
@@ -33,7 +33,8 @@ from thueq.series import GaussRat
 
 from oracles import (ball_contains_zero, balls_overlap_oracle, beta_bounds_oracle,
                      classify_type_oracle, derivative_balls_oracle,
-                     divisibility_ball_check_oracle, eval_form, orbit, outcome,
+                     divisibility_ball_check_oracle, eval_form,
+                     irreducibility_exceptions_oracle, orbit, outcome,
                      root_ball_oracle, root_balls_oracle, root_seeds_oracle, sqrt_lower,
                      sqrt_upper)
 
@@ -125,6 +126,20 @@ def test_irreducibility_exceptions():
     assert keys == expected
     assert len(ts) == 27
     assert {(t.d, t.a, t.b) for t in root_cases} == {(1, 0, 4), (1, 0, -4)}
+
+
+def test_irreducibility_exceptions_equal_the_quadint_oracle(monkeypatch):
+    # the pair kernel finds the list that QuadInt division over enumerate_bounded(4)
+    # found, in the same order, and runs neither of them
+    expected = irreducibility_exceptions_oracle()
+
+    def refuse(*args, **kwargs):
+        raise RuntimeError("the brute-force path ran")
+
+    monkeypatch.setattr(dioph, "enumerate_bounded", refuse)
+    monkeypatch.setattr(quadfield, "div_exact", refuse)
+    ts, root_cases = irreducibility_exceptions()
+    assert (ts, root_cases) == expected
 
 
 def test_solve_zero():
@@ -374,16 +389,41 @@ def test_every_small_solution_lies_inside_the_derived_t_bound():
     assert max(s.t.abs_sq() for s in sols) == 19
 
 
-def test_the_derived_t_bound_is_83521_over_18_at_8_9():
+def test_the_derived_t_bound_is_83521_over_18_at_8_9(monkeypatch):
     # at X = 8, Y = 9: 578^2 / 72, so |t| <= 68.12 for every small solution
+    calls = []
+    real = dioph._t_sq_cap
+    monkeypatch.setattr(dioph, "_t_sq_cap", lambda x, y: calls.append((x, y)) or real(x, y))
     bound = dioph.small_solution_t_sq_bound()
     assert bound == F(578 ** 2, 8 * 9) == F(83521, 18) == _t_sq_bound_oracle()
     assert F(68) ** 2 < bound < F("68.12") ** 2
-    # the integer loop holds no assert for python -O to strip
+    assert len(calls) <= 24 and (8, 9) in calls  # three Y per X, not the 9,162 box pairs
+    # the bound holds no assert for python -O to strip
     code = ("import sys\nfrom thueq.dioph import small_solution_t_sq_bound\n"
             "if not sys.flags.optimize: sys.exit(3)\nprint(small_solution_t_sq_bound())\n")
     r = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
     assert (r.returncode, r.stdout) == (0, "83521/18\n"), r.stderr
+
+
+def test_the_t_sq_cap_peaks_at_three_candidates_past_the_box():
+    # small_solution_t_sq_bound's lemma, checked beyond its box: for every
+    # X <= 16 and every box end B up to (1 + X^2)^2, the maximum of g over the
+    # integers X <= Y <= B is its maximum over Y in {X, X + 1, B}
+    def g(x, y):  # (X^2 + 6XY + Y^2 + 1)^2 / (XY max(1, Y - X)^2) as (num, den)
+        return (x * x + 6 * x * y + y * y + 1) ** 2, x * y * max(1, y - x) ** 2
+
+    def at_least(p, q):
+        return p[0] * q[1] >= q[0] * p[1]
+
+    for x in range(1, 17):
+        assert all(F(*g(x, y)) == dioph._t_sq_cap(x, y) for y in (x, x + 1, x + 2, 3 * x))
+        fixed = max(g(x, x), g(x, x + 1), key=lambda p: F(*p))
+        top = fixed  # the maximum over X <= Y <= B
+        for b in range(x + 2, (1 + x * x) ** 2 + 1):
+            gb = g(x, b)
+            if not at_least(top, gb):
+                top = gb
+            assert at_least(fixed, top) or at_least(gb, top), (x, b)
 
 
 def test_root_ball_certification():
@@ -459,7 +499,7 @@ def _tie_at(monkeypatch, tied) -> list:
     def root_balls(t_complex, t_gauss, t_irrational, radius):
         radii.append(radius)
         if radius in tied:
-            raise TieError("forced tie")
+            return "forced tie"  # a tie's reason, as _root_balls returns it
         return real(t_complex, t_gauss, t_irrational, radius)
 
     monkeypatch.setattr(dioph, "_root_balls", root_balls)
@@ -502,8 +542,8 @@ def test_a_gaussian_parameter_below_2_126_skips_the_top_rung():
     rng = random.Random(31)
     for t in _below_the_top_rung():
         assert t.abs_sq() < 1 << 252 and _t_exact(t)[1] is None
-        with pytest.raises(TieError, match="did not reach the requested radius"):
-            dioph._root_balls(_t_complex(t), *_t_exact(t), RUNGS[2])
+        assert (dioph._root_balls(_t_complex(t), *_t_exact(t), RUNGS[2])
+                == "root enclosure did not reach the requested radius")
         # near each root, and (x, 0), which ties at every rung
         for x, y in _pairs_near_roots(rng, t)[:4] + [(QuadInt(t.d, 3, 1), QuadInt(t.d, 0, 0))]:
             assert outcome(classify_type, t, x, y) == outcome(classify_type_oracle, t, x, y)
@@ -516,8 +556,8 @@ def test_the_top_rung_cannot_certify_below_2_129():
     # |alpha0 + 1/t| <= 5.01/|t|^3 puts x within 5.02/|t|^3 of -1/t, so
     # |f'(x)| <= |t| + 3|t||x|^2 + 12|x| + 4|x|^3 < |t| + 1 at alpha0
     for t in (QuadInt(1, 3, (1 << 127) + 7), QuadInt(1, 3, (1 << 128) + 7)):
-        with pytest.raises(TieError, match="did not reach the requested radius"):
-            dioph._root_balls(_t_complex(t), *_t_exact(t), RUNGS[2])
+        assert (dioph._root_balls(_t_complex(t), *_t_exact(t), RUNGS[2])
+                == "root enclosure did not reach the requested radius")
     # seeded Gaussian t, one per octave of [2^126, 2^130): the same type or
     # TieError as the oracle, on both sides of 2^129 - 1
     rng, above = random.Random(41), []
@@ -562,16 +602,19 @@ def test_cached_root_balls_equal_the_cold_ones_in_a_fresh_list():
     assert all_root_balls(*args) == cold
 
 
-def test_a_tied_rung_is_not_cached(monkeypatch):
+def test_a_tied_rung_is_cached(monkeypatch):
     # t = 3 + 40 omega in d = 7 stalls short of 2^-256 (see the test below)
     t = QuadInt(7, 3, 40)
     args = (_t_complex(t), *_t_exact(t), F(1, 1 << 256))
     calls = _counting_root_ball(monkeypatch)
-    for n in (1, 2):
-        with pytest.raises(TieError):
+    messages = []
+    for _ in range(2):
+        with pytest.raises(TieError) as exc:
             all_root_balls(*args)
-        assert len(calls) == n  # the first seed stalls, and is retried
-    assert dioph._root_balls.cache_info().currsize == 0
+        messages.append(str(exc.value))
+        assert len(calls) == 1  # the first seed stalls, and is not retried
+    assert messages == ["root enclosure did not reach the requested radius"] * 2
+    assert dioph._root_balls.cache_info().currsize == 1
 
 
 def test_root_ball_stops_once_the_radius_stalls(monkeypatch):
@@ -1043,10 +1086,10 @@ def test_beta_bounds_match_the_complexball_oracle():
     for t in _classify_parameters():
         pairs = _pairs_near_roots(rng, t)
         for bits in (64, 128, 256):
-            try:
-                balls, recs = dioph._root_balls(_t_complex(t), *_t_exact(t), F(1, 1 << bits))
-            except TieError:
+            got = dioph._root_balls(_t_complex(t), *_t_exact(t), F(1, 1 << bits))
+            if isinstance(got, str):  # a tie
                 continue
+            balls, recs = got
             rungs.add((bits, _t_exact(t)[1] is None))
             for x, y in pairs:
                 xs, ys = (dioph._ball_ints(dioph._embed(z)) for z in (x, y))
@@ -1138,8 +1181,9 @@ def test_overlap_test_matches_the_complexball_oracle(monkeypatch):
     for balls in sets:
         it = iter(balls)
         monkeypatch.setattr(dioph, "root_ball", lambda *args: next(it))
-        got = outcome(dioph._root_balls.__wrapped__, 0j, None, None, F(1))
-        overlap = isinstance(got, tuple) and got[0] is TieError
+        got = dioph._root_balls.__wrapped__(0j, None, None, F(1))
+        overlap = isinstance(got, str)
+        assert got == "root enclosures overlap" if overlap else got[0] == tuple(balls)
         assert overlap == balls_overlap_oracle(balls), balls
         seen.add(overlap)
     assert seen == {True, False}

@@ -847,10 +847,10 @@ def test_kappa_is_enclosed_once_per_modulus(monkeypatch):
 
 # the caches free of tmin: each is keyed by a root type, a step, a center, an
 # order r, a field or nothing, and holds what every tmin shares
-UNBOUNDED = {"descent._step_algebra", "dioph._x_part", "dioph.small_solution_t_sq_bound",
-             "hyperchi.chi_coeffs", "hyperchi.denom_data", "measure._tmin_free_checks",
-             "measure._fixed_lines", "measure._log_constants", "quadfield.roots_of_unity",
-             "rouche._taylor_terms", "series.root_series", "series._thue_data"}
+UNBOUNDED = {"descent._step_algebra", "dioph._x_part", "hyperchi.chi_coeffs",
+             "hyperchi.denom_data", "measure._tmin_free_checks", "measure._fixed_lines",
+             "measure._log_constants", "quadfield.roots_of_unity", "rouche._taylor_terms",
+             "series.root_series", "series._thue_data"}
 
 
 def test_every_cache_keyed_by_tmin_is_bounded():
