@@ -154,27 +154,26 @@ def _cmd_descent(args) -> int:
     from .descent import STEP1_COEFF, STEP1_DIVISOR, STEP2_DIVISOR, run_descent
 
     records = run_descent(args.type, kmax=args.kmax, tmin=args.tmin)
+    # each step's bound at tmin and its margin once: a read of the margin reduces its pair
+    steps = [(r, Fraction(args.tmin) ** r.k / r.c_out, sig_str(r.nonvanish_margin))
+             for r in records]
     first = ([f"step 1: |y| > {sig_str(STEP1_COEFF)} |t|",
               f"step 2: |y| > |t|^2 / {sig_str(STEP2_DIVISOR)}"]
              if args.type == 0 else [f"step 1: |y| > |t| / {sig_str(STEP1_DIVISOR)}"])
     table = first + [
         f"step k={r.k}: |y| > |t|^{r.k} / {sig_str(r.c_out)}"
-        f"   (at tmin: {sig_str(Fraction(args.tmin) ** r.k / r.c_out)},"
-        f" gate margin {sig_str(r.nonvanish_margin)})"
-        for r in records
+        f"   (at tmin: {sig_str(y)}, gate margin {margin})"
+        for r, y, margin in steps
     ]
     _emit(args, table, lambda: {
         "type": args.type,
         "tmin": _num(args.tmin),
         "steps": [
-            {"k": r.k, "c": _num(r.c_out), "c_exact": _num(r.c_exact),
-             "y_lower": _num(Fraction(args.tmin) ** r.k / r.c_out),
-             "nonvanish_margin": sig_str(r.nonvanish_margin),
-             "nonvanish_ok": r.nonvanish_ok}
-            for r in records
+            {"k": r.k, "c": _num(r.c_out), "c_exact": _num(r.c_exact), "y_lower": _num(y),
+             "nonvanish_margin": margin, "nonvanish_ok": r.nonvanish_ok}
+            for r, y, margin in steps
         ],
-        "final_lower_bound": _num(Fraction(args.tmin) ** records[-1].k
-                                  / records[-1].c_out),
+        "final_lower_bound": _num(steps[-1][1]),
     })
     return EXIT_OK
 

@@ -4,13 +4,12 @@ replayed in exact rational arithmetic and every side condition certified."""
 
 from __future__ import annotations
 
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 
 from . import zpoly
-from .exactnum import TMIN_FLOOR, ChainError, Rat, floor_line, lines, round_up_sig
+from .exactnum import TMIN_FLOOR, ChainError, Rat, floor_line, lines, pair_record, round_up_sig
 from .rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER, require
 from .series import QUARTIC, PadePair, horner, pade, pade_residual, root_series, tail_ints
 
@@ -27,8 +26,9 @@ KSTART = {0: 3, 3: 2}  # first Pade step of each chain
 KMAX = 11              # the root series support steps up to k = 11
 
 
-StepRecord = namedtuple("StepRecord", "type_index k c1 c2 c3 c_exact c_out "
-                                       "nonvanish_margin nonvanish_ok pade")
+# c1, c2, c3, c_exact and the margin are unreduced pairs: the chain reads only k and c_out
+StepRecord = pair_record("StepRecord", "type_index k c1 c2 c3 c_exact c_out nonvanish_margin "
+                         "nonvanish_ok pade", "c1 c2 c3 c_exact nonvanish_margin")
 
 
 @lru_cache(maxsize=2)
@@ -115,39 +115,35 @@ def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = TMIN_FLOOR) -> StepRe
     """One Pade step: from |y| > |t|^(k-1)/c0 to |y| > |t|^k/c_out, c_out >=
     c_exact = c1 + c2 c3 tmin^-m1 + hi_c c3 tmin^-m2 for m1 = 2k-2, m2 =
     hi_exp+1-2k >= 0 (hi_exp is the series' truncation), and the margin of
-    |F_t(A(1/t) y, y)| > 1: each an integer sum in tmin = p/q over one denominator."""
-    c0, tmin = Fraction(c0), Fraction(tmin)
+    |F_t(A(1/t) y, y)| > 1: each an integer pair (sum, denominator) in tmin = p/q."""
     if type_index not in KSTART:
         raise ValueError("type_index must be 0 or 3")
     if k < KSTART[type_index]:
         raise ValueError("step index too small for this chain")
     pair, resid, resid_den, V, low = _step_algebra(type_index, k)
-    if tmin < 1:
-        raise ValueError("tmin must be >= 1")
     p, q = tmin.numerator, tmin.denominator
-    n1, d1 = horner(resid, p, q)
-    c1, c3 = Fraction(n1, d1 * resid_den), Fraction(*horner(V, p, q))
+    if p < q:
+        raise ValueError("tmin must be >= 1")
+    (n1, d1), (n3, d3) = horner(resid, p, q), horner(V, p, q)
+    d1 *= resid_den
     a0, b0 = c0.numerator ** 4, c0.denominator ** 4
-    c2 = Fraction(BETA_COEFF.numerator * a0, BETA_COEFF.denominator * b0)
-    (n1, d1), (n2, d2), (n3, d3) = ((c.numerator, c.denominator) for c in (c1, c2, c3))
+    n2, d2 = BETA_COEFF.numerator * a0, BETA_COEFF.denominator * b0
     hi_c, hi_exp = HIGH_ORDER[type_index]
     m1, m2 = 2 * k - 2, hi_exp + 1 - 2 * k
     m, hn, hd = max(m1, m2), hi_c.numerator, hi_c.denominator
     # c2 tmin^-m1 + hi_c tmin^-m2 = x / den
     x = n2 * hd * q ** m1 * p ** (m - m1) + hn * d2 * q ** m2 * p ** (m - m2)
     den = d2 * hd * p ** m
-    c_exact = Fraction(n1 * d3 * den + d1 * n3 * x, d1 * d3 * den)
-    c_out = round_up_sig(c_exact, 4)
+    c_exact = (n1 * d3 * den + d1 * n3 * x, d1 * d3 * den)
     # L tmin^m1 / (c0^4 c3^4) - 1 for the lower bound L = nl / p^m1 of |P(t)| / t^m1
     nl, den = horner(low, p, q)[0], q ** m1 * a0 * n3 ** 4
     if nl <= 0:
         raise ChainError("no positive lower bound for |P(t)|")
-    margin = Fraction(nl * b0 * d3 ** 4 - den, den)
-    return StepRecord(
-        type_index=type_index, k=k,
-        c1=c1, c2=c2, c3=c3, c_exact=c_exact, c_out=c_out,
-        nonvanish_margin=margin, nonvanish_ok=margin > 0, pade=pair,
-    )
+    if not den:
+        raise ZeroDivisionError("c0 = 0: the margin divides by c0^4")
+    margin = (nl * b0 * d3 ** 4 - den, den)
+    return StepRecord(type_index, k, (n1, d1), (n2, d2), (n3, d3), c_exact,
+                      round_up_sig(c_exact, 4), margin, margin[0] > 0, pair)
 
 
 def run_descent(type_index: int, kmax: int = KMAX,
@@ -161,8 +157,9 @@ def run_descent(type_index: int, kmax: int = KMAX,
         raise ValueError(f"kmax must be in [{kstart}, {KMAX}] for type {type_index}")
     for k in range(kstart, kmax + 1):
         rec = run_step(type_index, k, c0, tmin)
-        lines((f"type {type_index} step k={k} non-vanishing numerator",  # the margin's sign
-               0, rec.nonvanish_margin.numerator, "<"))
+        # decided by run_step's integer sign: the margin is reduced only to name a failure
+        lines((f"type {type_index} step k={k} non-vanishing numerator",
+               0, 1 if rec.nonvanish_ok else rec.nonvanish_margin.numerator, "<"))
         records.append(rec)
         c0 = rec.c_out
     return records

@@ -9,6 +9,7 @@ any certified path.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from operator import attrgetter
 
@@ -41,18 +42,36 @@ class OutputLimitError(Exception):
 TMIN_FLOOR = Fraction(100)  # the least |t| the tmin chains certify, and the default tmin
 
 
+def _side(x) -> str:
+    """x exactly while its text fits in 100 characters, judged by bit length, else by sig_str."""
+    n, d = (x.numerator, x.denominator) if isinstance(x, (int, Fraction)) else (0, 1)
+    return str(x) if (abs(n).bit_length() + d.bit_length()) * 30103 < 9_700_000 else sig_str(x)
+
+
 def lines(*reqs) -> tuple:
     """Check each line (name, lhs, rhs) as lhs <= rhs, or (name, lhs, rhs, "<") as
     lhs < rhs, in order: the (name, rhs - lhs) margins, or ChainError naming the first to fail."""
     for name, lhs, rhs, *strict in reqs:
         if lhs > rhs or strict and lhs == rhs:
-            raise ChainError(f"{name}: {lhs} {'>=' if strict else '>'} {rhs}")
+            raise ChainError(f"{name}: {_side(lhs)} {'>=' if strict else '>'} {_side(rhs)}")
     return tuple([(name, rhs - lhs) for name, lhs, rhs, *_ in reqs])
 
 
 def floor_line(tmin: Rat) -> tuple:
     """The line |t| >= TMIN_FLOOR that each tmin chain checks first."""
     return f"tmin floor {TMIN_FLOOR}", TMIN_FLOOR, tmin
+
+
+def pair_record(name: str, fields: str, pairs: str) -> type:
+    """namedtuple(name, fields) whose fields named in `pairs` may hold an integer pair
+    (num, den), den > 0, unreduced, read as its reduced Fraction on each read (a rational
+    held there reads as it is); equality goes by the fields as read, so none is hashable."""
+    base = namedtuple(name, fields)
+    key = attrgetter(*base._fields)
+    read = lambda i: property(lambda r: Fraction(*r[i]) if type(r[i]) is tuple else r[i])
+    eq = lambda a, b: type(b) is type(a) and key(a) == key(b)
+    return type(name, (base,), {f: read(base._fields.index(f)) for f in pairs.split()} | {
+        "__slots__": (), "__eq__": eq, "__ne__": lambda a, b: not eq(a, b)})
 
 
 class Frozen:
@@ -96,11 +115,10 @@ def round_up_grid(x: Rat, bits: int = GRID_BITS) -> Rat:
     return Fraction(-((-x.numerator * scale) // x.denominator), scale)
 
 
-def _dec_power(x: Rat) -> tuple[int, int]:
-    """(e, 10**abs(e)) with 10**e <= x < 10**(e+1), for x > 0."""
-    if x <= 0:
+def _dec_power(n: int, d: int) -> tuple[int, int]:
+    """(e, 10**abs(e)) with 10**e <= x < 10**(e+1), for x = n/d > 0, d > 0."""
+    if n <= 0:
         raise DomainError("positive value required")
-    n, d = x.numerator, x.denominator
     # log10(x) ~ 0.30103 * log2(x) from bit lengths, corrected on n/d = x / 10**e
     e = (n.bit_length() - d.bit_length()) * 30103 // 100000
     z = 10 ** abs(e)
@@ -114,32 +132,33 @@ def _dec_power(x: Rat) -> tuple[int, int]:
     return e, z
 
 
-def _sig_round(x: Rat, digits: int, nearest: bool) -> tuple[int, int, int]:
-    """(m, s, 10**abs(s)) with m 10**s the rounding of x > 0 to `digits`
+def _sig_round(n: int, d: int, digits: int, nearest: bool) -> tuple[int, int, int]:
+    """(m, s, 10**abs(s)) with m 10**s the rounding of x = n/d > 0, d > 0, to `digits`
     significant decimal digits, up or to nearest (half up), by one integer
     division on the power of ten that the exponent search built; m is
     10**digits after a carry, as 9.9995 rounds to 10.00."""
-    e, z = _dec_power(x)
+    e, z = _dec_power(n, d)
     s = e - digits + 1  # round to a multiple of 10**s
     k = abs(s) - abs(e)  # 10**abs(s) from the 10**abs(e) the exponent search built
     z = z * 10 ** k if k >= 0 else z // 10 ** -k
-    n, d = (x.numerator, x.denominator * z) if s >= 0 else (x.numerator * z, x.denominator)
+    n, d = (n, d * z) if s >= 0 else (n * z, d)
     return ((2 * n + d) // (2 * d) if nearest else -(-n // d)), s, z
 
 
-def _sig_value(x: Rat, digits: int, nearest: bool) -> Rat:
-    if x == 0:
+def _sig_value(x, digits: int, nearest: bool) -> Rat:
+    n, d = x if type(x) is tuple else (x.numerator, x.denominator)
+    if n == 0:
         return Fraction(0)
-    m, s, z = _sig_round(x, digits, nearest)
+    m, s, z = _sig_round(n, d, digits, nearest)
     return Fraction(m * z) if s >= 0 else Fraction(m, z)
 
 
-def round_up_sig(x: Rat, digits: int = 4) -> Rat:
-    """Round a positive rational up to `digits` significant decimal digits."""
+def round_up_sig(x, digits: int = 4) -> Rat:
+    """Round x > 0, a rational or an integer pair (num, den), up to `digits` significant digits."""
     return _sig_value(x, digits, False)
 
 
-def round_nearest_sig(x: Rat, digits: int = 4) -> Rat:
+def round_nearest_sig(x, digits: int = 4) -> Rat:
     return _sig_value(x, digits, True)
 
 
@@ -167,7 +186,7 @@ def pow_up_sig(x: Rat, n: int) -> Rat:
         (al, ah, ak), (bl, bh, bk), (zl, zh, zk) = (
             _pow_bracket(c, m, p) for c, m in ((a, n), (b, n), (10, s)))
         k = ak - bk - zk  # x^n / 10^s lies in [al, ah] 2^k / ([bh, bl] [zh, zl])
-        (m, e, _), up = (_sig_round(Fraction(u << max(k, 0), v << max(-k, 0)), 4, False)
+        (m, e, _), up = (_sig_round(u << max(k, 0), v << max(-k, 0), 4, False)
                          for u, v in ((al, bh * zh), (ah, bl * zl)))
         if len(str(m)) + e + s > MAX_DIGITS:  # the result is at least m 10^(e + s)
             raise OutputLimitError(f"x^{n} rounded up has more than {MAX_DIGITS:,} digits")
@@ -180,10 +199,11 @@ def sig_str(x: Rat, digits: int = 4) -> str:
     """Decimal hint with `digits` significant digits (nearest): m 10**e with
     one digit before the point when e < -1 or e >= digits + 2, else plain,
     with no trailing zero after the point."""
-    if x == 0:
+    n, d = x.numerator, x.denominator
+    if n == 0:
         return "0"
-    sign = "-" if x < 0 else ""
-    m, s, _ = _sig_round(abs(x), digits, True)
+    sign = "-" if n < 0 else ""
+    m, s, _ = _sig_round(abs(n), d, digits, True)
     if m == 10 ** digits:
         m, s = m // 10, s + 1
     e, ms = s + digits - 1, str(m)

@@ -194,16 +194,19 @@ def rat_pow_upper(x: Rat, e: Rat, bits: int = 80) -> Rat:
 # ---------------------------------------------------------------------------
 # theorem assembly
 
+@lru_cache(maxsize=64)
+def _least_x(coeff: Rat, p: int) -> int:
+    """Least integer X with X^(p/100) >= coeff, i.e. X^p >= ceil(coeff^100), once per p."""
+    return iroot(math.ceil(coeff ** 100) - 1, p) + 1
+
+
 def contradiction_upper_bound(tmin: Rat) -> Rat | None:
     """Least integer X with X^(3 - kappa) >= 137.16, kappa rounded up to
     two decimals; any solution would satisfy |y| < X."""
     tmin = F(tmin)
     kc = round_up_sig(kappa_hi(tmin), 3)  # kappa > 1: two decimals up to 10, p <= 0 from 3
     p = int(100 * (KAPPA_CAP - kc))
-    if p <= 0:
-        return None
-    # X^(p/100) >= 137.16 iff the integer X^p is >= ceil(137.16^100)
-    return F(iroot(math.ceil(CONTRADICTION_COEFF ** 100) - 1, p) + 1)
+    return F(_least_x(CONTRADICTION_COEFF, p)) if p > 0 else None
 
 
 def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = descent.KMAX) -> ProofReport:

@@ -12,17 +12,17 @@ at w = 1/tmin.  Each consumer checks the certificates it reads with ``require``.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
 from . import zpoly
-from .exactnum import TMIN_FLOOR, ChainError, Rat
+from .exactnum import TMIN_FLOOR, ChainError, Rat, pair_record
 from .series import QUARTIC, ROOT_TRUNC, Series, horner, root_series
 
 
-# center: {power of t: int}, negative powers allowed
-EnclosureCert = namedtuple("EnclosureCert", "center radius_c radius_exp tmin verified margin")
+# center: {power of t: int}, negative powers allowed; the margin is an unreduced pair
+EnclosureCert = pair_record("EnclosureCert", "center radius_c radius_exp tmin verified margin",
+                            "margin")
 
 
 @lru_cache(maxsize=None)
@@ -94,11 +94,10 @@ def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
         raise ValueError("tmin must be >= 1")
     split = _enclosure_split(tuple(sorted(center.items())), radius_c, radius_exp)
     if split is None:
-        return EnclosureCert(center, radius_c, radius_exp, tmin, False, Fraction(-1))
+        return EnclosureCert(center, radius_c, radius_exp, tmin, False, (-1, 1))
     lead, rest, den = split
-    n, d = horner(rest, tmin.numerator, tmin.denominator)
-    margin = Fraction(lead * d - n, den * d)
-    return EnclosureCert(center, radius_c, radius_exp, tmin, margin > 0, margin)
+    n, d = horner(rest, tmin.numerator, tmin.denominator)  # d > 0: verified by the sign
+    return EnclosureCert(center, radius_c, radius_exp, tmin, lead * d > n, (lead * d - n, den * d))
 
 
 # the four low-order root centers of the quartic

@@ -90,6 +90,73 @@ PINS = {
         "be52c10316ac4153ced3dc4917edc1e3d503f3d822bce02ace0dc176f53e5c7e",
     "constants --type 3 --tmin 1e300 --json":
         "f4b4ab99272735c04790856240e90b0f74ab80b1bf17d99377733b137565a9ee",
+    # taken before the descent chain and the enclosure margins were held as
+    # unreduced integer pairs: table and JSON at four tmin, and the exact
+    # c_exact of a 1000-digit tmin
+    "constants --type 0 --tmin 100":
+        "03813fdb29f537cd97c9fb6a5a9142f8927e19b84c7dda9637bc762087324491",
+    "constants --type 3 --tmin 100":
+        "186c070272508eb34a4ab208a5f629e4165e6b5053dbca75d625c5d98b9ecd6a",
+    "rouche-certs --tmin 100":
+        "c9cb65e776b47a1a8951fee86b4f340484f709c0d252e718af8d8be125aa9fff",
+    "descent --type 0 --tmin 12345":
+        "b163a65b905c25a57a24aadd1cdb69637ccf1e81595e09ce41143ac7d03de555",
+    "descent --type 3 --tmin 12345":
+        "840954a2386d3f020b37a5b083695ddc2c2db54f148079463eceac7c476ecdb5",
+    "constants --type 0 --tmin 12345":
+        "574cee4f00f56dece2f12765911c8cfd6c0bb133184c924f4b7b005cb17e49a1",
+    "constants --type 0 --tmin 12345 --json":
+        "822cc4a661d15b4870072f56eacc171d6ea2d53491f8c4b9eac26e69f957ae51",
+    "constants --type 3 --tmin 12345":
+        "d15b7a18241120add4515ee8aceb909d2e6c6a35a5da5beffa55bcba19c0b191",
+    "constants --type 3 --tmin 12345 --json":
+        "f7c6b3de5545b2c5f1471b9eb33b7595efcd6297ff08d1fe88498a4ae8116b40",
+    "rouche-certs --tmin 12345":
+        "aa1dadabc64a390c7d523b473472d00534526991f2f726a103981f03d8f01e38",
+    "rouche-certs --tmin 12345 --json":
+        "3b84b76700d3d2765ac69b0c815109ded28ee4f1b6ec2301012a4db699466ef9",
+    "descent --type 0 --tmin 123457/3":
+        "6e18ee6f3df5ae57fb01e7a67dece95d3dce33390a989035051fec1a015a8a98",
+    "descent --type 0 --tmin 123457/3 --json":
+        "a2341c821f04d589b0134a22ac7d371d12d4850aca0b66eca6bc9f2251ad67e8",
+    "descent --type 3 --tmin 123457/3":
+        "b36b9297849daaa95d626249e803ebd7d7c2d0e4158774fd8c1493cbe00246ae",
+    "descent --type 3 --tmin 123457/3 --json":
+        "5597fdfb9403b8237ab94c51ccae9609e9850c0a188ce3bcda15dcb9af7255f4",
+    "constants --type 0 --tmin 123457/3":
+        "ec029b5f59aca0216ca323e5d6763741b6689e86e77c2b4055d193a110cb833f",
+    "constants --type 0 --tmin 123457/3 --json":
+        "9d53308a0c1b71b95c55cede77415bb88ae1e4126d884a1d292618fc24794432",
+    "constants --type 3 --tmin 123457/3":
+        "16cc7abb4204c019576bf8728f2eedea241637733c48498e5af8ef1d8f873260",
+    "constants --type 3 --tmin 123457/3 --json":
+        "b8ebf5bbc3eba1281497c548d5d551b51c1f6e481f28d4507e5cacd95eae28ba",
+    "rouche-certs --tmin 123457/3":
+        "9c45d8dc25797e4968ff4bb3c46edf563b7365f131c24f34843373ef7fc7c113",
+    "rouche-certs --tmin 123457/3 --json":
+        "4ae3e071c9a6225ada1f46224e2a134dba6d01811e80211247c3d588fed9fe40",
+    "descent --type 0 --tmin 1e300":
+        "a361dc358a2299dd2619f39401123f116e3d2fed2ee1921556ff02c720f2b17b",
+    "descent --type 0 --tmin 1e300 --json":
+        "e94c6c6c37fe7e353876492d9fc146b90037a9771056b92a741d1b04c9baeeee",
+    "descent --type 3 --tmin 1e300":
+        "4fc77f48417028a8037c88ab5b145a6056ea12a6732eac02fc553e9168ac527f",
+    "descent --type 3 --tmin 1e300 --json":
+        "28729910b74047365e8c1e98ad7fbc81113dcf91d97039170903e7e392fbb587",
+    "constants --type 0 --tmin 1e300":
+        "b7698787b47c64dcc4f1a80b503703b66c54f2f99c0575516e17455cb8448321",
+    "constants --type 0 --tmin 1e300 --json":
+        "1f5ee4eae80d5bf83e7b09d94902b6a58650a342dabde30126cbf1ba45c80384",
+    "constants --type 3 --tmin 1e300":
+        "78c632a89c9c13b37d3f6dbb95fe952b90a349fee943b447e1457754ec1e3103",
+    "rouche-certs --tmin 1e300":
+        "aa1d2755722805677d3cac9f2ca607d2b4d755140aca4972ff175edc286a848b",
+    "rouche-certs --tmin 1e300 --json":
+        "9b7e9633d2e213541f5e3f870b1199cd55a09e1385174657ff7e01e8fc9fa73c",
+    "descent --type 0 --tmin 1e1000 --json":
+        "9d375d85d8c8145a3e1d8c75662476081e46440f4aba90abf7d471641b657c8a",
+    "descent --type 3 --tmin 1e1000 --json":
+        "8f3ac731fbac0fd3f8e94e8c24ef334bf3f5f77dfef0d4f7fc1b7762b34b4953",
 }
 VERIFY_ALL_REFERENCE = Path(__file__).parents[1] / "perfbench/reference/verify_all.json"
 
@@ -256,6 +323,16 @@ def test_math_domain_errors_exit_2():
     assert "certification failure" in r.stderr
     r = run_cli("corollary-eps", "--eps", "2")
     assert r.returncode == 2
+
+
+def test_a_failed_line_names_a_huge_side_by_its_leading_digits(capsys):
+    # 10^-200001 has too many digits to print exactly: the floor line still names it
+    assert main(["constants", "--type", "3", "--tmin", "1e-200001"]) == 2
+    assert capsys.readouterr().err == (
+        "certification failure: ChainError: tmin floor 100: 100 > 1e-200001\n")
+    assert main(["constants", "--type", "3", "--tmin", "50"]) == 2
+    assert capsys.readouterr().err == (
+        "certification failure: ChainError: tmin floor 100: 100 > 50\n")
 
 
 def test_a_result_past_the_output_limit_exits_64(capsys):

@@ -57,10 +57,15 @@ def test_grid_rounding_exact_on_grid():
     assert round_down_grid(x) == x == round_up_grid(x)
 
 
+def dec_exponent(x):
+    """The e of exactnum._dec_power, whose kernel takes the integer pair of x."""
+    return exactnum._dec_power(x.numerator, x.denominator)[0]
+
+
 def round_down_sig(x, digits=4):
     if x == 0:
         return F(0)
-    q = F(10) ** (exactnum._dec_power(x)[0] - digits + 1)
+    q = F(10) ** (dec_exponent(x) - digits + 1)
     return F((x.numerator * q.denominator) // (x.denominator * q.numerator)) * q
 
 
@@ -284,10 +289,10 @@ def test_ln_enclosure_does_not_depend_on_the_ln2_cache():
 @given(st.integers(min_value=1, max_value=10**400), st.integers(min_value=1, max_value=10**400))
 def test_dec_exponent_brackets(n, d):
     x = F(n, d)
-    e = exactnum._dec_power(x)[0]
+    e = dec_exponent(x)
     assert F(10) ** e <= x < F(10) ** (e + 1)
-    assert exactnum._dec_power(F(10) ** e)[0] == e
-    assert exactnum._dec_power(F(10) ** e * F(10**50 - 1, 10**50))[0] == e - 1
+    assert dec_exponent(F(10) ** e) == e
+    assert dec_exponent(F(10) ** e * F(10**50 - 1, 10**50)) == e - 1
 
 
 def test_kappa_enclosure():
@@ -382,7 +387,7 @@ SIG_ARGS = st.one_of(
 
 @given(SIG_ARGS, st.integers(min_value=1, max_value=12))
 def test_round_up_sig_equals_the_fraction_oracle(x, digits):
-    assert exactnum._dec_power(x)[0] == dec_exponent_oracle(x)
+    assert dec_exponent(x) == dec_exponent_oracle(x)
     assert round_up_sig(x, digits) == round_up_sig_oracle(x, digits)
 
 
@@ -435,7 +440,7 @@ def test_round_up_sig_on_powers_of_ten_and_their_neighbours():
     for e in (-301, -4, -1, 0, 1, 3, 4, 5, 300):
         p = F(10) ** e
         for x in (p, p - F(1, 10**320), p + F(1, 10**320), p * 9999 / 10000, p * 10001 / 10000):
-            assert exactnum._dec_power(x)[0] == dec_exponent_oracle(x)
+            assert dec_exponent(x) == dec_exponent_oracle(x)
             assert round_up_sig(x) == round_up_sig_oracle(x)
         assert round_up_sig(p) == p and round_up_sig(p * 1001 / 1000) == p * 1001 / 1000
         assert round_up_sig(p * 10001 / 10000) == p * 1001 / 1000

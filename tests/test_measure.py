@@ -93,6 +93,17 @@ def test_contradiction_upper_bound():
         assert (upper - 1) ** p < CONTRADICTION_COEFF**100 <= upper**p
 
 
+def test_the_cached_contradiction_x_is_the_least_x_for_every_p():
+    # X is free of tmin and cached by (coefficient, p): p = 100(3 - kappa) takes
+    # the values 1..199 for kappa rounded up to two decimals in (1, 3)
+    n = -(-CONTRADICTION_COEFF.numerator ** 100 // CONTRADICTION_COEFF.denominator ** 100)
+    for p in range(1, 200):
+        x = measure._least_x(CONTRADICTION_COEFF, p)
+        assert (x - 1) ** p < n <= x**p, p
+    assert measure._least_x(F(2), 100) == 2 and measure._least_x(F(2), 50) == 4
+    assert measure._least_x.cache_info().maxsize is not None
+
+
 def _ceil_decimals(x, decimals):
     """x rounded up to a multiple of 10^-decimals."""
     q = 10 ** decimals
