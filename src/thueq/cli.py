@@ -154,9 +154,9 @@ def _cmd_descent(args) -> int:
     from .descent import STEP1_COEFF, STEP1_DIVISOR, STEP2_DIVISOR, run_descent
 
     records = run_descent(args.type, kmax=args.kmax, tmin=args.tmin)
-    # each step's bound at tmin and its margin once: a read of the margin reduces its pair
-    steps = [(r, Fraction(args.tmin) ** r.k / r.c_out, sig_str(r.nonvanish_margin))
-             for r in records]
+    # each step's bound at tmin, and its margin once, rounded from the pair held at its index
+    steps = [(r, Fraction(args.tmin) ** r.k / r.c_out,
+              sig_str(r[r._fields.index("nonvanish_margin")])) for r in records]
     first = ([f"step 1: |y| > {sig_str(STEP1_COEFF)} |t|",
               f"step 2: |y| > |t|^2 / {sig_str(STEP2_DIVISOR)}"]
              if args.type == 0 else [f"step 1: |y| > |t| / {sig_str(STEP1_DIVISOR)}"])
@@ -247,22 +247,22 @@ def _cmd_rouche_certs(args) -> int:
     sep = root_separation(args.tmin) if all(c.verified for c in base.values()) else {}
     certs = sorted({**base, "B": certify_high_order("B", args.tmin),
                     "B3": certify_high_order("B3", args.tmin)}.items())
+    certs = [(name, c, sig_str(c[c._fields.index("margin")])) for name, c in certs]
     table = [
         f"{name}: radius {sig_str(c.radius_c)}/|t|^{c.radius_exp}  "
-        f"{'verified' if c.verified else 'FAILED'}  margin {sig_str(c.margin)}"
-        for name, c in certs
+        f"{'verified' if c.verified else 'FAILED'}  margin {margin}"
+        for name, c, margin in certs
     ] + [f"separation {k}: {sig_str(v)}" for k, v in sorted(sep.items())]
     _emit(args, table, lambda: {
         "tmin": _num(args.tmin),
         "certificates": [
             {"name": name, "radius_coeff": _num(c.radius_c),
-             "radius_exp": c.radius_exp, "verified": c.verified,
-             "margin": sig_str(c.margin)}
-            for name, c in certs
+             "radius_exp": c.radius_exp, "verified": c.verified, "margin": margin}
+            for name, c, margin in certs
         ],
         "separation": {k: _num(v) for k, v in sorted(sep.items())} if sep else None,
     })
-    return EXIT_OK if all(c.verified for _, c in certs) else EXIT_INCONCLUSIVE
+    return EXIT_OK if all(c.verified for _, c, _ in certs) else EXIT_INCONCLUSIVE
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,15 @@ def first_c0(type_index: int, tmin: Rat = TMIN_FLOOR) -> Rat:
     _first_fixed(type_index)
     if type_index == 3:
         return STEP1_DIVISOR
-    # |alpha0| <= (1 + 5.01/tmin^2)/|t| <= 1.01/|t|
-    lines(("root modulus 1.01", 1 + ALPHA0_RADIUS / tmin ** 2, ALPHA0_MODULUS),
-          # 2 <= 5 tmin^2 - 1 suffices, as |x|^4 >= 81: |x^4 (1 - 5t^2)| >= 162 > 1 >= |mu|
-          ("side case x^4 (1 - 5t^2) = mu", 2, 5 * tmin ** 2 - 1),
-          ("step-2 divisor 5.02",
-           ALPHA0_RADIUS + BETA_COEFF / (STEP1_COEFF * tmin) ** 4 * tmin ** 2, STEP2_DIVISOR))
+    (p, q), (rn, rd), (bn, bd), (cn, cd) = (x.as_integer_ratio() for x in (
+        tmin, ALPHA0_RADIUS, BETA_COEFF, STEP1_COEFF))  # 5.01 = rn/rd, 8.86 = bn/bd, 2.67 = cn/cd
+    # |alpha0| <= (1 + 5.01/tmin^2)/|t| <= 1.01/|t|: 1 + 5.01/tmin^2 = (rd p^2 + rn q^2)/(rd p^2)
+    lines(("root modulus 1.01", (rd * p * p + rn * q * q, rd * p * p), ALPHA0_MODULUS),
+          # 2 <= 5 tmin^2 - 1 = (5p^2 - q^2)/q^2: |x^4 (1 - 5t^2)| >= 81 * 2 > 1 >= |mu|
+          ("side case x^4 (1 - 5t^2) = mu", 2, (5 * p * p - q * q, q * q)),
+          # 5.01 + 8.86/(2.67 tmin)^4 tmin^2 = (rn bd cn^4 p^2 + rd bn cd^4 q^2)/(rd bd cn^4 p^2)
+          ("step-2 divisor 5.02", (rn * bd * cn ** 4 * p * p + rd * bn * cd ** 4 * q * q,
+                                   rd * bd * cn ** 4 * p * p), STEP2_DIVISOR))
     return STEP2_DIVISOR
 
 
@@ -125,16 +128,18 @@ def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = TMIN_FLOOR) -> StepRe
     if p < q:
         raise ValueError("tmin must be >= 1")
     (n1, d1), (n3, d3) = horner(resid, p, q), horner(V, p, q)
-    d1 *= resid_den
     a0, b0 = c0.numerator ** 4, c0.denominator ** 4
     n2, d2 = BETA_COEFF.numerator * a0, BETA_COEFF.denominator * b0
     hi_c, hi_exp = HIGH_ORDER[type_index]
     m1, m2 = 2 * k - 2, hi_exp + 1 - 2 * k
     m, hn, hd = max(m1, m2), hi_c.numerator, hi_c.denominator
-    # c2 tmin^-m1 + hi_c tmin^-m2 = x / den
+    # c2 tmin^-m1 + hi_c tmin^-m2 = x / (d2 hd p^m)
     x = n2 * hd * q ** m1 * p ** (m - m1) + hn * d2 * q ** m2 * p ** (m - m2)
-    den = d2 * hd * p ** m
-    c_exact = (n1 * d3 * den + d1 * n3 * x, d1 * d3 * den)
+    # c1 + c3 x/(d2 hd p^m) over resid_den d2 hd p^e, least e: c1 = n1/(resid_den p^t1), d3 = p^t3
+    t1, t3 = len(resid) - 1, len(V) - 1
+    e = max(t1, t3 + m)
+    c_exact = (n1 * d2 * hd * p ** (e - t1) + resid_den * n3 * x * p ** (e - t3 - m),
+               resid_den * d2 * hd * p ** e)
     # L tmin^m1 / (c0^4 c3^4) - 1 for the lower bound L = nl / p^m1 of |P(t)| / t^m1
     nl, den = horner(low, p, q)[0], q ** m1 * a0 * n3 ** 4
     if nl <= 0:
@@ -142,7 +147,7 @@ def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = TMIN_FLOOR) -> StepRe
     if not den:
         raise ZeroDivisionError("c0 = 0: the margin divides by c0^4")
     margin = (nl * b0 * d3 ** 4 - den, den)
-    return StepRecord(type_index, k, (n1, d1), (n2, d2), (n3, d3), c_exact,
+    return StepRecord(type_index, k, (n1, d1 * resid_den), (n2, d2), (n3, d3), c_exact,
                       round_up_sig(c_exact, 4), margin, margin[0] > 0, pair)
 
 

@@ -44,17 +44,22 @@ TMIN_FLOOR = Fraction(100)  # the least |t| the tmin chains certify, and the def
 
 def _side(x) -> str:
     """x exactly while its text fits in 100 characters, judged by bit length, else by sig_str."""
-    n, d = (x.numerator, x.denominator) if isinstance(x, (int, Fraction)) else (0, 1)
+    n, d = x.numerator, x.denominator
     return str(x) if (abs(n).bit_length() + d.bit_length()) * 30103 < 9_700_000 else sig_str(x)
 
 
 def lines(*reqs) -> tuple:
-    """Check each line (name, lhs, rhs) as lhs <= rhs, or (name, lhs, rhs, "<") as
-    lhs < rhs, in order: the (name, rhs - lhs) margins, or ChainError naming the first to fail."""
+    """Check each line (name, lhs, rhs) as lhs <= rhs, or (name, lhs, rhs, "<") as lhs < rhs,
+    in order, by the sign of rn ld - ln rd for sides that are ints, Fractions or integer pairs
+    (num, den), den > 0: the (name, rhs - lhs) margins, or ChainError naming the first to fail."""
+    margins = []
     for name, lhs, rhs, *strict in reqs:
-        if lhs > rhs or strict and lhs == rhs:
-            raise ChainError(f"{name}: {_side(lhs)} {'>=' if strict else '>'} {_side(rhs)}")
-    return tuple([(name, rhs - lhs) for name, lhs, rhs, *_ in reqs])
+        (ln, ld), (rn, rd) = (x if type(x) is tuple else x.as_integer_ratio() for x in (lhs, rhs))
+        if (gap := rn * ld - ln * rd) < 0 or strict and not gap:
+            raise ChainError(f"{name}: {_side(Fraction(ln, ld))} {'>=' if strict else '>'} "
+                             f"{_side(Fraction(rn, rd))}")
+        margins.append((name, Fraction(gap, ld * rd)))
+    return tuple(margins)
 
 
 def floor_line(tmin: Rat) -> tuple:
@@ -63,8 +68,8 @@ def floor_line(tmin: Rat) -> tuple:
 
 
 def pair_record(name: str, fields: str, pairs: str) -> type:
-    """namedtuple(name, fields) whose fields named in `pairs` may hold an integer pair
-    (num, den), den > 0, unreduced, read as its reduced Fraction on each read (a rational
+    """namedtuple(name, fields) whose fields named in `pairs` may hold an integer pair (num, den),
+    den > 0, unreduced, read as its reduced Fraction on each read but as held by index (a rational
     held there reads as it is); equality goes by the fields as read, so none is hashable."""
     base = namedtuple(name, fields)
     key = attrgetter(*base._fields)
@@ -195,11 +200,11 @@ def pow_up_sig(x: Rat, n: int) -> Rat:
         p *= 2
 
 
-def sig_str(x: Rat, digits: int = 4) -> str:
-    """Decimal hint with `digits` significant digits (nearest): m 10**e with
-    one digit before the point when e < -1 or e >= digits + 2, else plain,
-    with no trailing zero after the point."""
-    n, d = x.numerator, x.denominator
+def sig_str(x, digits: int = 4) -> str:
+    """Decimal hint for x, a rational or an integer pair (num, den), with `digits` significant
+    digits (nearest): m 10**e with one digit before the point when e < -1 or e >= digits + 2,
+    else plain, with no trailing zero after the point."""
+    n, d = x if type(x) is tuple else (x.numerator, x.denominator)
     if n == 0:
         return "0"
     sign = "-" if n < 0 else ""

@@ -151,21 +151,23 @@ def measure_constants(type_index: int, tmin: Rat = TMIN_FLOOR) -> MeasureConstan
     require(tmin, *(("alpha0",) if type_index == 0 else ("alpha0", "alpha3")))
     _tmin_free_checks()
     numerator, errors, unit, tail = _fixed_lines(type_index)
+    (p, q), (un, ud), (fn, fd), (gn, gd), (a, b), (cn, cd), (dn, dd) = (c.as_integer_ratio()
+        for c in (tmin, UZ_CAP, T4_FLOOR, T12_FLOOR, ALPHA0_RADIUS, I_DIST_CAP, ALPHA13_RADIUS))
     chain = (
         # shared geometric facts about u = it+4, z = it-4, w = z/u
-        *lines(("w-circle gate |1-w| < 1", F(8) / (tmin - 4), F(1)),
-               ("|w|, |1/w| cap 1.09", 1 + F(8) / (tmin - 4), W_CAP),
-               ("|u|, |z| cap 1.04|t|", tmin + 4, UZ_CAP * tmin)),
+        *lines(("w-circle gate |1-w| < 1", (8 * q, p - 4 * q), 1),
+               ("|w|, |1/w| cap 1.09", (p + 4 * q, p - 4 * q), W_CAP),
+               ("|u|, |z| cap 1.04|t|", (p + 4 * q, q), (un * p, ud * q))),
         *numerator,
-        *lines(("|t|-4 floor 0.96|t|", T4_FLOOR * tmin, tmin - 4),
-               ("|t|-12 floor 0.88|t|", T12_FLOOR * tmin, tmin - 12),
-               ("small-root cap 0.02", 1 / tmin + ALPHA0_RADIUS / tmin ** 3, SMALL_ROOT_CAP)),
+        *lines(("|t|-4 floor 0.96|t|", (fn * p, fd * q), (p - 4 * q, q)),
+               ("|t|-12 floor 0.88|t|", (gn * p, gd * q), (p - 12 * q, q)),
+               ("small-root cap 0.02", ((b * p * p + a * q * q) * q, b * p ** 3), SMALL_ROOT_CAP)),
         *errors,
-        *lines(("kappa at least 1", F(1), kappa_lo(tmin))),
+        *lines(("kappa at least 1", 1, kappa_lo(tmin))),
         *unit,
         # |alpha3 - i| <= sqrt(2) + 2.16/|t| <= 1.44, squared
-        *(lines(("distance to i cap 1.44", F(2), (I_DIST_CAP - ALPHA13_RADIUS / tmin) ** 2))
-          if type_index == 3 else ()),
+        *(lines(("distance to i cap 1.44", 2, ((cn * dd * p - dn * cd * q) ** 2,
+                                                (cd * dd * p) ** 2))) if type_index == 3 else ()),
         *tail)
     return MeasureConstants(type_index=type_index, k0=K0[type_index], Q_coeff=Q_BASE,
                             l0_coeff=L0[type_index], E_div=E_DIV, qmin_coeff=QMIN[type_index],
@@ -274,9 +276,11 @@ def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = descent.KMAX) -> ProofR
         k_hi = kappa_hi(tmin)
         lines(("kappa below 3", k_hi, KAPPA_CAP, "<"))
         upper = contradiction_upper_bound(tmin)
-        if None not in descent_lower.values():  # an undefined X bounds nothing
-            lines(("contradiction bound below the descent bounds",
-                   math.inf if upper is None else upper, min(descent_lower.values()), "<"))
+        if None not in descent_lower.values():
+            if upper is None:  # an undefined X bounds nothing
+                raise ChainError("contradiction bound below the descent bounds: X undefined")
+            lines(("contradiction bound below the descent bounds", upper,
+                   min(descent_lower.values()), "<"))
         return True, f"kappa <= {float(k_hi):.4f}"
 
     gate("irreducibility exceptions below tmin", g_irred)

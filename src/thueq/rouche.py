@@ -17,7 +17,7 @@ from functools import lru_cache
 
 from . import zpoly
 from .exactnum import TMIN_FLOOR, ChainError, Rat, pair_record
-from .series import QUARTIC, ROOT_TRUNC, Series, horner, root_series
+from .series import QUARTIC, ROOT_TRUNC, horner, root_series
 
 
 # center: {power of t: int}, negative powers allowed; the margin is an unreduced pair
@@ -55,11 +55,11 @@ def _taylor_terms(center: tuple) -> tuple:
 
 
 @lru_cache(maxsize=64)
-def _enclosure_split(center: tuple, radius_c: Rat, radius_exp: int) -> tuple | None:
+def _enclosure_split(center: tuple, radius_c: Rat, radius_exp: int) -> tuple:
     """The tmin-free part of a certificate over Z, once per (center, radius):
     (lead, rest, den) with margin (lead - sum_d rest_d w^d) / den at w = 1/tmin
-    and lead/den = |c0| radius_c for the dominant linear term c0 t^p0 z, or None
-    if another term decays slower.  A refused center raises, and is not cached."""
+    and lead/den = |c0| radius_c for the dominant linear term c0 t^p0 z, or (-1, (), 1),
+    margin -1, if another term decays slower.  A refused center raises, and is not cached."""
     # every monomial c * t^p * z^j contributes |c| radius_c^j w^(j*radius_exp - p)
     terms = _taylor_terms(center)
     # dominant: the j=1 monomial with minimal exponent (each p occurs once)
@@ -79,10 +79,16 @@ def _enclosure_split(center: tuple, radius_c: Rat, radius_exp: int) -> tuple | N
         if d < 0:
             # a non-dominant term decays slower than the dominant one:
             # no uniform certificate from this split
-            return None
+            return -1, (), 1
         rest += [0] * (d + 1 - len(rest))
         rest[d] += abs(c) * cleared[j]
     return abs(c0) * cleared[1], tuple(rest), cleared[0]
+
+
+def _certify(center: dict, radius_c: Rat, radius_exp: int, split: tuple, tmin: Rat):
+    lead, rest, den = split
+    n, d = horner(rest, tmin.numerator, tmin.denominator)  # d > 0: verified by the sign
+    return EnclosureCert(center, radius_c, radius_exp, tmin, lead * d > n, (lead * d - n, den * d))
 
 
 def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
@@ -93,11 +99,7 @@ def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
     if tmin < 1:
         raise ValueError("tmin must be >= 1")
     split = _enclosure_split(tuple(sorted(center.items())), radius_c, radius_exp)
-    if split is None:
-        return EnclosureCert(center, radius_c, radius_exp, tmin, False, (-1, 1))
-    lead, rest, den = split
-    n, d = horner(rest, tmin.numerator, tmin.denominator)  # d > 0: verified by the sign
-    return EnclosureCert(center, radius_c, radius_exp, tmin, lead * d > n, (lead * d - n, den * d))
+    return _certify(center, radius_c, radius_exp, split, tmin)
 
 
 # the four low-order root centers of the quartic
@@ -119,13 +121,6 @@ BASE_CERT_PARAMS = [
 ]
 
 
-def _series_center(s: Series) -> dict:
-    """The center {-k: s_k} of a root series, which lies in Z[[1/t]]."""
-    if s.den != 1 or s.num[1]:
-        raise ChainError("center coefficients must be rational integers")
-    return {-k: c for k, c in enumerate(s.num[0]) if c}
-
-
 # the high-order radii radius_c/|t|^radius_exp, by root type: type 0 is
 # certificate B (root near 0), type 3 is certificate B3 (root near 1)
 HIGH_ORDER = {0: (Fraction(271) * 10 ** 14, ROOT_TRUNC[0]),
@@ -136,12 +131,23 @@ CERT_NAMES = (*(name for name, *_ in BASE_CERT_PARAMS), "B", "B3")
 _CERT_INDEX = {name: i for i, name in enumerate(CERT_NAMES)}
 
 
+@lru_cache(maxsize=None)
+def _cert_splits() -> tuple:
+    """(center, radius_c, radius_exp, split) of the six certificates, once per process."""
+    params = [p[1:] for p in BASE_CERT_PARAMS]
+    for s, radius in ((root_series(ti), HIGH_ORDER[ti]) for ti in (0, 3)):
+        if s.den != 1 or s.num[1]:  # B's and B3's centers {-k: s_k} must lie in Z[[1/t]]
+            raise ChainError("center coefficients must be rational integers")
+        params.append(({-k: c for k, c in enumerate(s.num[0]) if c}, *radius))
+    return tuple((*p, _enclosure_split(tuple(sorted(p[0].items())), *p[1:])) for p in params)
+
+
 @lru_cache(maxsize=64)
 def _certificates(tmin: Rat) -> tuple:
     """The six certificates at tmin, in CERT_NAMES order, once per tmin."""
-    params = [p[1:] for p in BASE_CERT_PARAMS]
-    params += [(_series_center(root_series(ti)), *HIGH_ORDER[ti]) for ti in (0, 3)]
-    return tuple(certify_enclosure(*p, tmin) for p in params)
+    if tmin.numerator < tmin.denominator:
+        raise ValueError("tmin must be >= 1")
+    return tuple(_certify(*split, tmin) for split in _cert_splits())
 
 
 def require(tmin: Rat, *names: str) -> None:
@@ -173,19 +179,19 @@ def root_separation(tmin: Rat = TMIN_FLOOR) -> dict:
     root to the others, and a lower bound on the root near 0."""
     tmin = Fraction(tmin)
     require(tmin, "alpha0", "alpha1", "alpha2", "alpha3")
-    r0 = ALPHA0_RADIUS / tmin ** 3
-    r1 = ALPHA13_RADIUS / tmin
-    # |alpha0| >= |1/t| - r0, so scaled by |t|: >= 1 - 5.01/tmin^2
-    alpha0_lower_coeff = 1 - ALPHA0_RADIUS / tmin ** 2
-    # centers -1/t, -1, +1: pairwise distances minus radii, at |t| = tmin;
-    # alpha0 is as far (>= 1 - 1/tmin) from alpha1 as from alpha3
-    min_pairwise = min(1 - 1 / tmin - r0 - r1, 2 - 2 * r1)
-    # distance from alpha2 (center t) to the small centers, in units of |t|:
-    # |t - c| >= |t|(1 - (1 + r)/tmin) for |c| <= 1 + small
-    worst_small = 1 + 1 / tmin + max(r0, r1)
-    min_to_alpha2 = 1 - worst_small / tmin - ALPHA2_RADIUS / tmin ** 2
+    # over den = b p^4 for tmin = p/q: r0 = 5.01/tmin^3 and r1 = 2.16/tmin, the small radii
+    (p, q), (a0, b0), (a1, b1), (a2, b2) = (x.as_integer_ratio() for x in (
+        tmin, ALPHA0_RADIUS, ALPHA13_RADIUS, ALPHA2_RADIUS))
+    b, pq = b0 * b1 * b2, p * p * q * q
+    den, r0, r1 = b * p ** 4, a0 * b1 * b2 * p * q ** 3, a1 * b0 * b2 * p ** 3 * q
     return {
-        "min_pairwise": min_pairwise,
-        "min_to_alpha2_coeff": min_to_alpha2,
-        "alpha0_lower_coeff": alpha0_lower_coeff,
+        # centers -1/t, -1, +1: pairwise distances minus radii, at |t| = tmin;
+        # alpha0 is as far (>= 1 - 1/tmin) from alpha1 as from alpha3
+        "min_pairwise": Fraction(min(den - b * p ** 3 * q - r0 - r1, 2 * den - 2 * r1), den),
+        # distance from alpha2 (center t) to the small centers, in units of |t|:
+        # |t - c| >= |t|(1 - (1 + r)/tmin) for |c| <= 1 + small, less 5.02/tmin^2
+        "min_to_alpha2_coeff": Fraction(den - b * p ** 3 * q - b * pq - max(r0, r1) // p * q
+                                        - a2 * b0 * b1 * pq, den),
+        # |alpha0| >= |1/t| - r0, so scaled by |t|: >= 1 - 5.01/tmin^2
+        "alpha0_lower_coeff": Fraction(den - a0 * b1 * b2 * pq, den),
     }

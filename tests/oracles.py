@@ -16,8 +16,9 @@ chi_r(1 - 8X) composition whose gcd
 the ``Fraction`` gamma ratios as ``verify_lettl`` compared them before it
 cleared denominators, the branchy Z[omega] formulas that ran
 before the one ``quadfield.ring`` table, the integral approximant pairs, which
-no command runs, and the tmin certificates (descent steps, root enclosures, measure
-chains and the significant-digit rounding) as they ran in ``Fraction``
+no command runs, and the tmin certificates (descent steps, the descent's first c0,
+root enclosures, the root separation, measure chains and the significant-digit
+rounding) as they ran in ``Fraction``
 arithmetic at each tmin before their tmin-free parts were built once over Z,
 with the descent's non-vanishing polynomial as it was built over Z[i], the
 rounding up as it ran with two powers of ten, the rounding to nearest and
@@ -34,14 +35,18 @@ from functools import lru_cache
 from itertools import combinations, zip_longest
 
 from thueq import descent, dioph, exactnum, hyperchi, measure, rouche, zpoly
-from thueq.exactnum import ComplexBall, DomainError, RatInterval, UndefinedKappaError
+from thueq.descent import (ALPHA0_MODULUS, BETA_COEFF, STEP1_COEFF, STEP1_DIVISOR,
+                           STEP2_DIVISOR)
+from thueq.exactnum import (ComplexBall, DomainError, RatInterval, UndefinedKappaError,
+                            floor_line, lines)
 from thueq.hyperchi import LETTL_E_BASE, LETTL_L0, LETTL_Q_BASE, chi_ints, denom_data
 from thueq.measure import (ABSORB_BASE, C_COEFF, C_PREFACTOR, E_DIV, ERR_BASE, ERR_FLOOR,
                            ERR_PREFACTOR, I_DIST_CAP, K0, KAPPA_WIDTH, L0, Q_BASE, QMIN,
                            T4_FLOOR, T12_FLOOR, UZ_CAP, ChainError, GateResult,
                            MeasureConstants)
 from thueq.quadfield import QuadInt, div_exact, enumerate_bounded
-from thueq.rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER, EnclosureCert
+from thueq.rouche import (ALPHA0_RADIUS, ALPHA2_RADIUS, ALPHA13_RADIUS, HIGH_ORDER,
+                          EnclosureCert, require)
 from thueq.series import (_ABCD, _U_T, _X_MINUS_I_4, _X_PLUS_I_4, _Z_T, G0, G1, GI, GaussRat,
                           Series, TPoly, _cleared, _i_pow, pade, pade_residual, root_series,
                           tail_bound, thue_polys_at)
@@ -635,6 +640,45 @@ def measure_constants_oracle(type_index: int, tmin) -> MeasureConstants:
     return MeasureConstants(type_index=type_index, k0=k0, Q_coeff=Q_BASE,
                             l0_coeff=l0c, E_div=E_DIV, qmin_coeff=qmin,
                             c_coeff=c, lines=tuple(ch.lines))
+
+
+def first_c0_oracle(type_index: int, tmin=exactnum.TMIN_FLOOR) -> Fraction:
+    """``descent.first_c0`` as it ran in ``Fraction`` arithmetic at each tmin."""
+    tmin = Fraction(tmin)
+    lines(floor_line(tmin))
+    require(tmin, "alpha3" if type_index == 3 else "alpha0")
+    descent._first_fixed(type_index)
+    if type_index == 3:
+        return STEP1_DIVISOR
+    # |alpha0| <= (1 + 5.01/tmin^2)/|t| <= 1.01/|t|
+    lines(("root modulus 1.01", 1 + ALPHA0_RADIUS / tmin ** 2, ALPHA0_MODULUS),
+          # 2 <= 5 tmin^2 - 1 suffices, as |x|^4 >= 81: |x^4 (1 - 5t^2)| >= 162 > 1 >= |mu|
+          ("side case x^4 (1 - 5t^2) = mu", 2, 5 * tmin ** 2 - 1),
+          ("step-2 divisor 5.02",
+           ALPHA0_RADIUS + BETA_COEFF / (STEP1_COEFF * tmin) ** 4 * tmin ** 2, STEP2_DIVISOR))
+    return STEP2_DIVISOR
+
+
+def root_separation_oracle(tmin=exactnum.TMIN_FLOOR) -> dict:
+    """``rouche.root_separation`` as it ran in ``Fraction`` arithmetic at each tmin."""
+    tmin = Fraction(tmin)
+    require(tmin, "alpha0", "alpha1", "alpha2", "alpha3")
+    r0 = ALPHA0_RADIUS / tmin ** 3
+    r1 = ALPHA13_RADIUS / tmin
+    # |alpha0| >= |1/t| - r0, so scaled by |t|: >= 1 - 5.01/tmin^2
+    alpha0_lower_coeff = 1 - ALPHA0_RADIUS / tmin ** 2
+    # centers -1/t, -1, +1: pairwise distances minus radii, at |t| = tmin;
+    # alpha0 is as far (>= 1 - 1/tmin) from alpha1 as from alpha3
+    min_pairwise = min(1 - 1 / tmin - r0 - r1, 2 - 2 * r1)
+    # distance from alpha2 (center t) to the small centers, in units of |t|:
+    # |t - c| >= |t|(1 - (1 + r)/tmin) for |c| <= 1 + small
+    worst_small = 1 + 1 / tmin + max(r0, r1)
+    min_to_alpha2 = 1 - worst_small / tmin - ALPHA2_RADIUS / tmin ** 2
+    return {
+        "min_pairwise": min_pairwise,
+        "min_to_alpha2_coeff": min_to_alpha2,
+        "alpha0_lower_coeff": alpha0_lower_coeff,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -568,6 +568,36 @@ def test_a_strict_line_fails_on_equality():
         lines(("c", 5, 4, "<"))
 
 
+def _sides(x: F) -> list:
+    """x as a Fraction, as its reduced pair, as a pair with a common factor and,
+    when integral, as an int."""
+    n, d = x.numerator, x.denominator
+    return [x, (n, d), (7 * n, 7 * d)] + ([n] if d == 1 else [])
+
+
+@pytest.mark.parametrize("lhs, rhs", [(F(1, 3), F(1, 2)), (F(2), F(2)), (F(-7), F(10**40, 3)),
+                                      (F(7, 3), F(2)), (F(5), F(4)), (F(0), F(-1, 9))])
+def test_lines_read_int_fraction_and_pair_sides_alike(lhs, rhs):
+    for strict in ((), ("<",)):
+        fails = lhs > rhs or strict and lhs == rhs
+        want = ((ChainError, f"a: {lhs} {'>=' if strict else '>'} {rhs}") if fails
+                else (("a", rhs - lhs),))
+        for left, right in itertools.product(_sides(lhs), _sides(rhs)):
+            got = outcome(lines, ("a", left, right, *strict))
+            assert got == want, (left, right, strict)
+            assert fails or type(got[0][1]) is F
+
+
+def test_a_long_failing_side_is_rendered_by_sig_str():
+    big = F(10**150, 3)
+    for side in _sides(big) + [(2**400 * 10**150, 2**400 * 3)]:
+        with pytest.raises(ChainError, match=rf"^a: {sig_str(big)} > 1$"):
+            lines(("a", side, 1))
+    # reduced before it is judged: a long pair of a short value renders exactly
+    with pytest.raises(ChainError, match=r"^a: 5 >= 5$"):
+        lines(("a", (5 * 10**200, 10**200), 5, "<"))
+
+
 def test_the_floor_line():
     assert floor_line(F(12345, 7)) == ("tmin floor 100", TMIN_FLOOR, F(12345, 7))
     assert lines(floor_line(TMIN_FLOOR)) == (("tmin floor 100", 0),)

@@ -11,7 +11,7 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import measure_constants_oracle, outcome
+from oracles import first_c0_oracle, measure_constants_oracle, outcome, root_separation_oracle
 
 from thueq import descent, dioph, exactnum, hyperchi, measure, rouche, series
 from thueq.cli import main
@@ -828,6 +828,41 @@ def test_measure_constants_refuse_alike(args):
     assert got == outcome(measure_constants_oracle, *args)
 
 
+def _tmin_sample(seed: int) -> list:
+    """Fixed points, 50 integers in [100, 10^6], 50 fractions p/q with q <= 97 in that
+    range, and four values below the floor."""
+    rng = random.Random(seed)
+    ints = [F(rng.randint(100, 10**6)) for _ in range(50)]
+    fracs = [F(rng.randint(100 * q, 10**6 * q), q) for q in (rng.randint(2, 97) for _ in range(50))]
+    return ([F(100), F(12345), F(123457, 3), F(10**300)] + ints + fracs
+            + [F(99), F(19999, 200), F(0), F(1, 10**5)])
+
+
+def test_first_c0_and_root_separation_equal_the_fraction_oracles(monkeypatch):
+    # below the floor first_c0 raises ChainError on both sides, and below 1
+    # root_separation raises ValueError, with the same messages; first_c0
+    # drops its margins, so they are recorded on both sides
+    margins = {}
+
+    def recorder(side):
+        def record(*reqs):
+            out = exactnum.lines(*reqs)
+            margins[side] += out
+            return out
+        return record
+
+    for ti in (0, 3):  # the once-per-process lines, unrecorded
+        descent._first_fixed(ti)
+    monkeypatch.setattr(descent, "lines", recorder("src"))
+    monkeypatch.setattr(oracles, "lines", recorder("oracle"))
+    for tmin in _tmin_sample(37):
+        for ti in (0, 3):
+            margins.update(src=[], oracle=[])
+            assert outcome(descent.first_c0, ti, tmin) == outcome(first_c0_oracle, ti, tmin)
+            assert margins["src"] == margins["oracle"], (ti, tmin)
+        assert outcome(rouche.root_separation, tmin) == outcome(root_separation_oracle, tmin)
+
+
 def test_a_failing_tmin_free_line_raises_alike_on_every_call(monkeypatch):
     # 1.04 <= 1.1 * 0.96 * 0.88 is false
     for module in (measure, oracles):
@@ -860,8 +895,8 @@ def test_kappa_is_enclosed_once_per_modulus(monkeypatch):
 # order r, a field or nothing, and holds what every tmin shares
 UNBOUNDED = {"descent._step_algebra", "dioph._x_part", "hyperchi.chi_coeffs",
              "hyperchi.denom_data", "measure._tmin_free_checks", "measure._fixed_lines",
-             "measure._log_constants", "quadfield.roots_of_unity", "rouche._taylor_terms",
-             "series.root_series", "series._thue_data"}
+             "measure._log_constants", "quadfield.roots_of_unity", "rouche._cert_splits",
+             "rouche._taylor_terms", "series.root_series", "series._thue_data"}
 
 
 def test_every_cache_keyed_by_tmin_is_bounded():

@@ -78,7 +78,8 @@ def test_root_separation():
 
 
 def test_taylor_coefficients_built_once_per_center():
-    caches = (rouche._taylor_terms, rouche._enclosure_split, rouche._certificates)
+    caches = (rouche._taylor_terms, rouche._enclosure_split, rouche._cert_splits,
+              rouche._certificates)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -87,14 +88,15 @@ def test_taylor_coefficients_built_once_per_center():
             base_certificates(tmin)
             certify_high_order("B", tmin)
             certify_high_order("B3", tmin)
-        taylor, split, base = (cache.cache_info() for cache in caches)
+        taylor, split, table, base = (cache.cache_info() for cache in caches)
     finally:
         for cache in caches:
             cache.cache_clear()
-    # four base centers plus B and B3, each expanded and split once; the
-    # six certificates are built once per tmin
+    # four base centers plus B and B3, each expanded and split once, into one
+    # table that every tmin reads; the six certificates are built once per tmin
     assert (taylor.misses, taylor.hits) == (6, 0)
-    assert (split.misses, split.hits) == (6, 6)
+    assert (split.misses, split.hits) == (6, 0)
+    assert (table.misses, table.hits) == (1, 1)
     assert (base.misses, base.hits) == (2, 6)
 
 
