@@ -13,8 +13,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 
 from . import zpoly
-from .exactnum import (GRID_BITS, ChainError, ComplexBall, Rat, gauss_over, sqrt_bounds,
-                       sqrt_grid)
+from .exactnum import GRID_BITS, ChainError, ComplexBall, Rat, gauss_over, sqrt_grid
 from .quadfield import (QuadInt, eligible_fields, enumerate_bounded, norm, pairs_with_norm_in,
                         ring, roots_of_unity)
 from .series import QUARTIC, GaussRat, horner
@@ -203,16 +202,29 @@ def t_value_set(solutions) -> set:
 
 # ---------------------------------------------------------------------------
 # certified root enclosures and type classification
+# A ball is the record (a, b, n, p, q, h): midpoint (a + bi)/n, radius p/q and
+# h = ceil(2^GRID_BITS |mid|), with n and q not reduced.  Every reader of a
+# record is homogeneous in a numerator and its denominator, so a scaled record
+# reads the same integers; a ComplexBall is built only where one is handed out.
 
 
-def _embed(x: QuadInt, bits: int = GRID_BITS) -> ComplexBall:
-    """Certified complex embedding (Im sqrt(-d) > 0), sqrt(d) on the 2^-bits grid."""
-    re, im_coeff = x.re_im()
-    if im_coeff == 0:
-        return ComplexBall.exact(re)
-    lo, hi = sqrt_bounds(Fraction(x.d), bits)
-    mid = (lo + hi) / 2
-    return ComplexBall(re, im_coeff * mid, abs(im_coeff) * (hi - lo))
+def _record(a: int, b: int, n: int, p: int, q: int) -> tuple:
+    return a, b, n, p, q, sqrt_grid(a * a + b * b, n * n)[1]
+
+
+def _ball(rec: tuple) -> ComplexBall:
+    a, b, n, p, q, _ = rec
+    return ComplexBall(Fraction(a, n), Fraction(b, n), Fraction(p, q))
+
+
+def _embed(x: QuadInt, bits: int = GRID_BITS) -> tuple:
+    """Certified complex embedding (Im sqrt(-d) > 0) as a record, sqrt(d) in [lo, hi]
+    2^-bits: x = (2a + sb)/2 + b/(1 + s) sqrt(-d) for x = a + b w, s = ring(d)[0]."""
+    if x.b == 0:
+        return _record(x.a, 0, 1, 0, 1)
+    s, (lo, hi) = ring(x.d)[0], sqrt_grid(x.d, 1, bits)
+    return _record((2 * x.a + s * x.b) * (1 + s) << bits, x.b * (lo + hi), (1 + s) << bits + 1,
+                   abs(x.b) * (hi - lo), (1 + s) << bits)
 
 
 # f_t, f_t' and f_t'' as the rows (A, B) of f = A + tB, read from QUARTIC
@@ -220,28 +232,27 @@ _DF = tuple(tuple(zpoly.deriv(p)) for p in QUARTIC)
 _D2F = tuple(tuple(zpoly.deriv(p)) for p in _DF)
 
 
-@lru_cache(maxsize=64)
-def _coeffs_at(t_ball: ComplexBall) -> tuple:
-    """(rows, T, m2, td): f_t and f_t' at the ball's midpoint as Z[i] coefficients
-    over T, each with its coefficient radii in units of 2^-GRID_BITS as ComplexBall
-    lifts A_k + B_k t; the majorant |A_k| + |B_k| |t| of f_t'' as integers over td."""
-    (tr, ti, T), rho = gauss_over(t_ball.re_mid, t_ball.im_mid), t_ball.radius
-    rows = [(tuple((a * T + b * tr, b * ti) for a, b in zip(*p)),
-             tuple(-(-(abs(b) * rho.numerator << GRID_BITS) // rho.denominator) for b in p[1]))
-            for p in (QUARTIC, _DF)]
-    tn, td = t_ball.abs_upper().as_integer_ratio()
+def _coeffs_at(t: tuple) -> tuple:
+    """(rows, T, m2, td) for the parameter's record t: f_t and f_t' at its midpoint as Z[i]
+    coefficients over T, each with its coefficient radii in units of 2^-GRID_BITS as
+    ComplexBall lifts A_k + B_k t; the majorant |A_k| + |B_k| |t| of f_t'' as integers over
+    td, from |t| <= h 2^-GRID_BITS + p/q, once per Newton run."""
+    tr, ti, T, p, q, h = t
+    rows = [(tuple((a * T + b * tr, b * ti) for a, b in zip(*f)),
+             tuple(-(-(abs(b) * p << GRID_BITS) // q) for b in f[1])) for f in (QUARTIC, _DF)]
+    tn, td = h * q + (p << GRID_BITS), q << GRID_BITS
     return rows, T, [abs(a) * td + abs(b) * tn for a, b in zip(*_D2F)], td
 
 
-def _evaluate(t_ball: ComplexBall, x: GaussRat) -> tuple:
-    """(x, z, n, xu, f, f'): the one evaluation at x = z/n, |x| <= xu 2^-GRID_BITS,
-    that the certificate of x and the Newton step from x share.  Each value
-    is (V, K, r): V/K is exact at the ball's midpoint (homogenised Horner over
-    Z[i]), and r 2^-GRID_BITS is the radius that ComplexBall Horner gives it."""
-    rows, T, _, _ = _coeffs_at(t_ball)
-    zr, zi, n = gauss_over(x.re, x.im)
+def _evaluate(at: tuple, zr: int, zi: int, bits: int) -> tuple:
+    """(zr, zi, bits, xu, f, f'): the one evaluation at x = (zr + zi i)/2^bits, |x| <= xu
+    2^-GRID_BITS, on at = _coeffs_at(t), that the certificate of x and the Newton step from
+    x share.  Each value is (V, K, r): V/K is exact at the ball's midpoint (homogenised
+    Horner over Z[i]), and r 2^-GRID_BITS is the radius that ComplexBall Horner gives it."""
+    rows, T, _, _ = at
+    n = 1 << bits
     xu = sqrt_grid(zr * zr + zi * zi, n * n)[1]
-    out = [x, (zr, zi), n, xu]
+    out = [zr, zi, bits, xu]
     for coeffs, radii in rows:
         (vr, vi), npow, r = coeffs[-1], 1, radii[-1]
         for (cr, ci), c in zip(reversed(coeffs[:-1]), reversed(radii[:-1])):
@@ -254,63 +265,62 @@ def _evaluate(t_ball: ComplexBall, x: GaussRat) -> tuple:
 
 def root_ball(t: GaussRat | None, seed: complex, target_radius: Rat,
               t_irrational: QuadInt | None = None) -> ComplexBall:
-    """Certified enclosure of the root of f_t nearest the float seed.
+    """Certified enclosure of the root of f_t nearest the float seed (_root_record)."""
+    return _ball(_root_record(t, seed, target_radius, t_irrational))
 
-    Newton steps at the parameter's midpoint and Newton-Kantorovich
-    certificates over its ball, from one integer evaluation per iterate: it
-    certifies the iterate, then takes the step from it.  The seed and every
-    step are rounded to the nearest multiple of 2^-(k+64), where 2^-k is the
-    largest power of two <= target_radius: the certificate holds for any x.
-    The seed is evaluated for its step only.  An irrational parameter comes
-    as (None, t_irrational) from _t_exact, with sqrt(d) on the 2^-200 grid.
-    """
-    target_radius = Fraction(target_radius)
-    p, q = target_radius.as_integer_ratio()
-    bits = ((q - 1) // p).bit_length() + 64
 
-    def on_grid(re: tuple, im: tuple) -> GaussRat:  # (num, den) parts
-        return GaussRat(*(Fraction(_nearest(*c, bits), 1 << bits) for c in (re, im)))
-
-    t_ball = (ComplexBall.exact(t.re, t.im) if t_irrational is None
-              else _embed(t_irrational, 200))
-    ev = _evaluate(t_ball, on_grid(seed.real.as_integer_ratio(), seed.imag.as_integer_ratio()))
-    last = None  # the previous certified radius
+def _root_record(t: GaussRat | None, seed: complex, target_radius: Rat,
+                 t_irrational: QuadInt | None = None) -> tuple:
+    """root_ball's record.  Newton steps at the parameter's midpoint and Newton-Kantorovich
+    certificates over its ball, from one integer evaluation per iterate: it certifies the
+    iterate, then takes the step from it.  The seed and every step are rounded to the nearest
+    multiple of 2^-bits, bits = k + 64, where 2^-k is the largest power of two <= target_radius:
+    the certificate holds for any x.  The seed is evaluated for its step only.  An irrational
+    parameter comes as (None, t_irrational) from _t_exact, with sqrt(d) on the 2^-200 grid."""
+    tp, tq = Fraction(target_radius).as_integer_ratio()
+    bits = ((tq - 1) // tp).bit_length() + 64
+    at = _coeffs_at(_record(*gauss_over(t.re, t.im), 0, 1) if t_irrational is None
+                    else _embed(t_irrational, 200))
+    ev = _evaluate(at, *(_nearest(*c.as_integer_ratio(), bits) for c in (seed.real, seed.imag)),
+                   bits)
+    last = None  # the previous certified radius, (p, q)
     for _ in range(14):
-        _, (zr, zi), n, _, (F, _, _), (D, _, _) = ev
+        zr, zi, _, _, (F, _, _), (D, _, _) = ev
         dn = D[0] ** 2 + D[1] ** 2
         if not dn:
             break
-        # x - f/f' = (z D - F) / (n D) = (z D - F) conj(D) / (n |D|^2)
+        # x - f/f' = (z D - F) / (2^bits D) = (z D - F) conj(D) / (2^bits |D|^2)
         wr, wi = zr * D[0] - zi * D[1] - F[0], zr * D[1] + zi * D[0] - F[1]
-        ev = _evaluate(t_ball, on_grid((wr * D[0] + wi * D[1], n * dn),
-                                       (wi * D[0] - wr * D[1], n * dn)))
-        ball = _certify_root(t_ball, ev)
-        if ball is not None:
-            if ball.radius <= target_radius:
-                return ball
-            if last is not None and ball.radius >= last:
+        ev = _evaluate(at, _nearest(wr * D[0] + wi * D[1], dn << bits, bits),
+                       _nearest(wi * D[0] - wr * D[1], dn << bits, bits), bits)
+        rec = _certify_root(at, ev)
+        if rec is not None:
+            p, q = rec[3:5]
+            if p * tq <= tp * q:
+                return rec
+            if last is not None and p * last[1] >= last[0] * q:
                 break  # stalled at the grid or at the parameter's own enclosure
-            last = ball.radius
+            last = p, q
     raise TieError("root enclosure did not reach the requested radius")
 
 
-def _certify_root(t_ball: ComplexBall, ev: tuple) -> ComplexBall | None:
+def _certify_root(at: tuple, ev: tuple) -> tuple | None:
     """Newton-Kantorovich: a simple root lies within 2|f(x)/f'(x)| of x, for
-    ev = _evaluate(t_ball, x).  |f| and |f'| are bounded as ComplexBall Horner
-    bounds them, over Z."""
-    x, _, _, xu, (F, kf, rf), (D, kd, rd) = ev
+    ev = _evaluate(at, ...): the record (zr, zi, 2^bits, 2 en, ed, xu) of that
+    ball.  |f| and |f'| are bounded as ComplexBall Horner bounds them, over Z."""
+    zr, zi, bits, xu, (F, kf, rf), (D, kd, rd) = ev
     # |f'| >= ed 2^-GRID_BITS, and eta = en / ed bounds |f/f'|
     ed = sqrt_grid(D[0] ** 2 + D[1] ** 2, kd * kd)[0] - rd
     if ed <= 0:
         return None
     en = sqrt_grid(F[0] ** 2 + F[1] ** 2, kf * kf)[1] + rf
     # |f''| <= m / (td xd^2) on the disc |z - x| <= 2 eta, where |z| <= xn / xd
-    _, _, m2, td = _coeffs_at(t_ball)
+    _, _, m2, td = at
     xn, xd = xu * ed + (2 * en << GRID_BITS), ed << GRID_BITS
     m, xd_top = horner(m2, xd, xn)
     if 2 * en * m << GRID_BITS > ed * ed * td * xd_top:  # h < 1/2 fails
         return None
-    return ComplexBall(x.re, x.im, Fraction(2 * en, ed))
+    return zr, zi, 1 << bits, 2 * en, ed, xu
 
 
 def all_root_balls(t_complex: complex, t_gauss, t_irrational,
@@ -330,27 +340,20 @@ def all_root_balls(t_complex: complex, t_gauss, t_irrational,
 
 @lru_cache(maxsize=64)
 def _root_balls(t_complex, t_gauss, t_irrational, target_radius) -> tuple | str:
-    """(balls, records): the set, and the _ball_ints record of each ball; or
-    the TieError message of a tie, returned so that the cache keeps it."""
+    """(balls, records): the set as ComplexBalls and as the certificates' records;
+    or the TieError message of a tie, returned so that the cache keeps it."""
     try:
-        balls = tuple(root_ball(t_gauss, s, target_radius, t_irrational)
-                      for s in _root_seeds(t_complex))
+        recs = tuple(_root_record(t_gauss, s, target_radius, t_irrational)
+                     for s in _root_seeds(t_complex))
     except TieError as exc:
         return str(exc)
-    recs = tuple(map(_ball_ints, balls))
     # pairwise disjointness makes the correspondence certified: ComplexBall's
     # lower end of |u - v|, on the integers, must be positive
     for (a, b, n, p, q, _), (c, e, m, p2, q2, _) in itertools.combinations(recs, 2):
         if (sqrt_grid((a * m - c * n) ** 2 + (b * m - e * n) ** 2, (n * m) ** 2)[0]
                 <= -(-((p * q2 + p2 * q) << GRID_BITS) // (q * q2))):
             return "root enclosures overlap"
-    return balls, recs
-
-
-def _ball_ints(ball: ComplexBall) -> tuple:
-    """(a, b, n, p, q, h): mid = (a + bi)/n, radius p/q, h = ceil(2^GRID_BITS |mid|)."""
-    a, b, n = gauss_over(ball.re_mid, ball.im_mid)
-    return (a, b, n, *ball.radius.as_integer_ratio(), sqrt_grid(a * a + b * b, n * n)[1])
+    return tuple(map(_ball, recs)), recs
 
 
 def _root_seeds(t: complex) -> list[complex]:
@@ -453,7 +456,7 @@ def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
         raise ValueError("(0, 0) has no type")
     tc = _t_complex(t)
     t_gauss, t_irrational = _t_exact(t)
-    xs, ys = _ball_ints(_embed(x)), _ball_ints(_embed(y))
+    xs, ys = _embed(x), _embed(y)
     for bits in (64, 128, 256):
         got = _root_balls(tc, t_gauss, t_irrational, Fraction(1, 1 << bits))
         if isinstance(got, str):  # this rung ties
@@ -466,7 +469,7 @@ def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
 
 
 def _beta_bounds(x: tuple, y: tuple, alpha: tuple) -> tuple[int, int]:
-    """ComplexBall's (x - alpha y).abs_bounds() times 2^GRID_BITS on _ball_ints records:
+    """ComplexBall's (x - alpha y).abs_bounds() times 2^GRID_BITS on records:
     the product adds rho_a rho_y + (h_a 2^-GRID_BITS + rho_a) rho_y + (h_y 2^-GRID_BITS
     + rho_y) rho_a, and the difference rho_x, each rounded up to the grid."""
     (xr, xi, xn, xp, xq, _), (yr, yi, yn, yp, yq, yh), (a, b, n, p, q, h) = x, y, alpha
@@ -487,8 +490,4 @@ def _t_exact(t: QuadInt):
     """(t_gauss, t_irrational): t as a GaussRat when it lies in Q(i), else
     (None, t)."""
     re, im = t.re_im()
-    if im == 0:
-        return GaussRat(re, Fraction(0)), None
-    if t.d == 1:
-        return GaussRat(re, im), None
-    return None, t
+    return (GaussRat(re, im), None) if im == 0 or t.d == 1 else (None, t)

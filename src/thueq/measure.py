@@ -301,7 +301,7 @@ def theorem_assembly(tmin: Rat = TMIN_FLOOR, kmax: int = descent.KMAX) -> ProofR
 # ---------------------------------------------------------------------------
 # corollary calculators
 
-LIN_T0_FLOOR = 524
+LIN_T0_FLOOR = 524  # kappa < 2 iff ln t > 2 * 2.59 + 1.08 = 6.26: kappa(523) ~ 2.0001
 LIN_COEFF = F(443)
 
 
@@ -326,16 +326,12 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
     if C <= 0:
         raise ValueError("C must be positive")
     _log_constants()
-    (_, consistency), = lines(  # 443 C > (8.86 * 15.48 / 0.31) C, exactly
-        ("lin coefficient 443", descent.BETA_COEFF * C_COEFF[3] / C2_DIVISOR, LIN_COEFF, "<"))
-    if t0 is None:
-        t0 = F(LIN_T0_FLOOR)
-        while kappa_hi(t0) >= 2:
-            t0 += 1
-    else:
-        t0 = F(t0)
-        if t0 < LIN_T0_FLOOR or kappa_hi(t0) >= 2:
-            raise ValueError("user t0 must be at least 524 with kappa(t0) < 2")
+    t0 = F(LIN_T0_FLOOR if t0 is None else t0)
+    if t0 < LIN_T0_FLOOR:
+        raise ValueError("user t0 must be at least 524 with kappa(t0) < 2")
+    (_, consistency), _ = lines(  # 443 C > (8.86 * 15.48 / 0.31) C, exactly
+        ("lin coefficient 443", descent.BETA_COEFF * C_COEFF[3] / C2_DIVISOR, LIN_COEFF, "<"),
+        ("kappa below 2 at t0", kappa_hi(t0), 2, "<"))
     term1 = rat_pow_upper(descent.TYPE_THRESHOLD * C, F(1, 4))
     term2 = 3 * rat_pow_upper(C, F(1, 3))
     kc = round_up_sig(kappa_hi(t0), 5)  # four decimals, as 1 < kappa(t0) < 2
@@ -430,18 +426,25 @@ def corollary_eps(eps: Rat) -> dict:
     """The least threshold t0 for |F_t| <= |t|^(2-eps) that the gates
     certify: they fail at t0 - 1 and hold at every t >= t0, as they are
     monotone in L(t), and L(t) in t.  Every eps in (0, 1) has one, as kappa
-    falls to 1 like 3.67 / ln t.  First the least passing grid value g, then
-    the least t with L(t) >= g, a cut value, from a float seed; "evaluations"
-    counts the L(t) read, the one at 2 t0 included.  A t0 of more than
-    MAX_DIGITS digits raises OutputLimitError before it is built."""
+    falls to 1 like 3.67 / ln t.  First the least passing grid value g, above
+    the floor that gate (iii) sets, then the least t with L(t) >= g, a cut value,
+    from a float seed; "evaluations" counts the L(t) read, the one at 2 t0
+    included.  A t0 of more than MAX_DIGITS digits raises OutputLimitError
+    before it is built, and before the g search when that floor is past it."""
     eps = F(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
     gates_at = _eps_gate_fn(eps)
-    g = _least(lambda g: all(gates_at(g)[:3]), 1)
+    # gate (iii) fails while gap <= 0, and for eps = p/q, 1.08 = nn/nd and 2.59 = dn/dd, gap =
+    # p nd dd g - ((q + p) nd dn + q dd nn) 2^28 rises with g: the least passing g is > g_lo
+    (p, q), (nn, nd), (dn, dd) = (c.as_integer_ratio() for c in (
+        eps, exactnum.KAPPA_NUM_SHIFT, exactnum.KAPPA_DEN_SHIFT))
+    g_lo = ((q + p) * nd * dn + q * dd * nn << LN_GRID_BITS) // (p * nd * dd)
     # t0 >= e^(g / 2^28) has more than MAX_DIGITS digits once g / 2^28 >= MAX_DIGITS ln 10
-    if g >= MAX_DIGITS * (_log_constants()[F(10)] + 1):
-        raise OutputLimitError(f"t0 for eps = {eps} has more than {MAX_DIGITS:,} digits")
+    limit = MAX_DIGITS * (_log_constants()[F(10)] + 1)
+    if g_lo >= limit or (g := _least(lambda g: all(gates_at(g)[:3]), g_lo + 1)) >= limit:
+        raise OutputLimitError(f"t0 for eps = {exactnum._side(eps)} has more than "
+                               f"{MAX_DIGITS:,} digits")
     grid = lru_cache(maxsize=None)(_ln_grid)  # each L(t) once
     y = g / ((1 << LN_GRID_BITS) * math.log(2))  # log2 of t0, about
     s = max(0, int(y) - EPS_CUT_BITS + 1)

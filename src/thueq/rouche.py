@@ -25,20 +25,18 @@ EnclosureCert = pair_record("EnclosureCert", "center radius_c radius_exp tmin ve
                             "margin")
 
 
-@lru_cache(maxsize=None)
-def _taylor_terms(center: tuple) -> tuple:
+def _taylor_terms(center: dict) -> tuple:
     """The monomials c t^p z^j of h(z) = f(C + z), with
     h_j = f^(j)(C)/j! = sum_i binom(i, j) f_i C^(i-j), as (j, p, c) tuples
-    with integer c != 0, j = 1..4 then 0.  The center C is given as its
-    sorted (power of t, coefficient) items, which must be ints; it is held
-    as t^lo times a dense integer list, and each h_j as t^base times one,
-    with base = min(0, 4 lo) below every power that occurs.
-    Built once per center."""
-    if not all(isinstance(c, int) for _, c in center):
+    with integer c != 0, j = 1..4 then 0.  The center C is given as
+    {power of t: coefficient}, each an int; it is held as t^lo times a dense
+    integer list, and each h_j as t^base times one, with base = min(0, 4 lo)
+    below every power that occurs."""
+    if not all(isinstance(c, int) for c in center.values()):
         raise ChainError("center coefficients must be rational integers")
-    lo, hi = (center[0][0], center[-1][0]) if center else (0, -1)
+    lo, hi = (min(center), max(center)) if center else (0, -1)
     C = [0] * (hi - lo + 1)
-    for p, c in center:
+    for p, c in center.items():
         C[p - lo] = c
     cpow = [[1]]
     for _ in range(4):
@@ -54,12 +52,11 @@ def _taylor_terms(center: tuple) -> tuple:
                  for k, c in enumerate(h[j]) if c)
 
 
-@lru_cache(maxsize=64)
-def _enclosure_split(center: tuple, radius_c: Rat, radius_exp: int) -> tuple:
-    """The tmin-free part of a certificate over Z, once per (center, radius):
-    (lead, rest, den) with margin (lead - sum_d rest_d w^d) / den at w = 1/tmin
-    and lead/den = |c0| radius_c for the dominant linear term c0 t^p0 z, or (-1, (), 1),
-    margin -1, if another term decays slower.  A refused center raises, and is not cached."""
+def _enclosure_split(center: dict, radius_c: Rat, radius_exp: int) -> tuple:
+    """The tmin-free part of a certificate over Z: (lead, rest, den) with margin
+    (lead - sum_d rest_d w^d) / den at w = 1/tmin and lead/den = |c0| radius_c for
+    the dominant linear term c0 t^p0 z, or (-1, (), 1), margin -1, if another term
+    decays slower.  A refused center raises."""
     # every monomial c * t^p * z^j contributes |c| radius_c^j w^(j*radius_exp - p)
     terms = _taylor_terms(center)
     # dominant: the j=1 monomial with minimal exponent (each p occurs once)
@@ -94,11 +91,11 @@ def _certify(center: dict, radius_c: Rat, radius_exp: int, split: tuple, tmin: R
 def certify_enclosure(center: dict, radius_c: Rat, radius_exp: int,
                       tmin: Rat) -> EnclosureCert:
     """Certify a root of f_t within radius_c/|t|^radius_exp of center(1/t)
-    for all |t| >= tmin: one integer Horner sum at tmin on the cached split."""
+    for all |t| >= tmin: one integer Horner sum at tmin on the certificate's split."""
     radius_c, tmin = Fraction(radius_c), Fraction(tmin)
     if tmin < 1:
         raise ValueError("tmin must be >= 1")
-    split = _enclosure_split(tuple(sorted(center.items())), radius_c, radius_exp)
+    split = _enclosure_split(center, radius_c, radius_exp)
     return _certify(center, radius_c, radius_exp, split, tmin)
 
 
@@ -139,7 +136,7 @@ def _cert_splits() -> tuple:
         if s.den != 1 or s.num[1]:  # B's and B3's centers {-k: s_k} must lie in Z[[1/t]]
             raise ChainError("center coefficients must be rational integers")
         params.append(({-k: c for k, c in enumerate(s.num[0]) if c}, *radius))
-    return tuple((*p, _enclosure_split(tuple(sorted(p[0].items())), *p[1:])) for p in params)
+    return tuple((*p, _enclosure_split(*p)) for p in params)
 
 
 @lru_cache(maxsize=64)

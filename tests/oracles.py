@@ -4,10 +4,12 @@ Fraction logarithms that ran before ``exactnum.LnArg`` with the interval
 arithmetic they use, the two square roots that ``exactnum.sqrt_bounds``
 replaced, and the concrete-t root balls as they were computed in
 ``GaussRat``/``ComplexBall`` arithmetic before the integer Newton steps and
-certificates of ``thueq.dioph``, with the ``ComplexBall`` modulus and product
-and the Durand-Kerner seeds they ran on, the ``ComplexBall`` bounds on
-|x - alpha y| and overlap test of the type classification, the Thue
-polynomials at a concrete t by homogeneous Horner at each t, the
+certificates of ``thueq.dioph``, with the ``ComplexBall`` embedding and its
+integer record as they ran before ``dioph`` held every ball as a record, the
+``ComplexBall`` modulus and product and the Durand-Kerner seeds they ran on,
+the ``ComplexBall`` bounds on |x - alpha y| and overlap test of the type
+classification, the Thue polynomials at a concrete t by homogeneous Horner at
+each t, the
 corollary-eps gates at a grid value in ``Fraction`` arithmetic and an
 independent floor(2^bits ln x), the atanh term count as a linear scan, the
 divisibility check's exact kernel with the exact Taylor shift it ran on, the
@@ -558,7 +560,7 @@ def certify_enclosure_oracle(center: dict, radius_c, radius_exp: int,
     radius_c, tmin = Fraction(radius_c), Fraction(tmin)
     if tmin < 1:
         raise ValueError("tmin must be >= 1")
-    terms = rouche._taylor_terms(tuple(sorted(center.items())))
+    terms = rouche._taylor_terms(center)
     if not any(j == 1 for j, _, _ in terms):
         raise ChainError("no linear term at the center (degenerate)")
     lin = [(1 * radius_exp - p, p, c) for j, p, c in terms if j == 1]
@@ -854,6 +856,23 @@ def ball_contains_zero(z: ComplexBall) -> bool:
 # the concrete-t root balls in GaussRat/ComplexBall arithmetic
 
 
+def embed_oracle(x: QuadInt, bits: int = exactnum.GRID_BITS) -> ComplexBall:
+    """Certified complex embedding (Im sqrt(-d) > 0), sqrt(d) on the 2^-bits grid."""
+    re, im_coeff = x.re_im()
+    if im_coeff == 0:
+        return ComplexBall.exact(re)
+    lo, hi = exactnum.sqrt_bounds(Fraction(x.d), bits)
+    mid = (lo + hi) / 2
+    return ComplexBall(re, im_coeff * mid, abs(im_coeff) * (hi - lo))
+
+
+def ball_record(ball: ComplexBall) -> tuple:
+    """(a, b, n, p, q, h): mid = (a + bi)/n, radius p/q, h = ceil(2^GRID_BITS |mid|)."""
+    a, b, n = exactnum.gauss_over(ball.re_mid, ball.im_mid)
+    return (a, b, n, *ball.radius.as_integer_ratio(),
+            exactnum.sqrt_grid(a * a + b * b, n * n)[1])
+
+
 def coeffs_at_oracle(rows, t, lift) -> tuple:
     """The coefficients A_k + B_k t of rows (A, B), their integers lifted."""
     return tuple(lift(a) + lift(b) * t for a, b in zip(*rows))
@@ -886,7 +905,7 @@ def root_ball_oracle(t, seed: complex, target_radius, t_irrational=None) -> Comp
     each step rounded to 2^-(k+64) for the least k with 2^-k <= target_radius."""
     target_radius = Fraction(target_radius)
     t_ball = (ComplexBall.exact(t.re, t.im) if t_irrational is None
-              else dioph._embed(t_irrational, 200))
+              else embed_oracle(t_irrational, 200))
     t_mid = GaussRat(t_ball.re_mid, t_ball.im_mid)
     f, df = (coeffs_at_oracle(rows, t_mid, GaussRat.of) for rows in (dioph.QUARTIC, dioph._DF))
     k = 0
@@ -954,7 +973,7 @@ def root_seeds_oracle(t: complex) -> list[complex]:
 
 def beta_bounds_oracle(x: QuadInt, y: QuadInt, alpha: ComplexBall) -> tuple[Fraction, Fraction]:
     """The bounds on |x - alpha y| in ComplexBall arithmetic."""
-    return (dioph._embed(x) - alpha * dioph._embed(y)).abs_bounds()
+    return (embed_oracle(x) - alpha * embed_oracle(y)).abs_bounds()
 
 
 def balls_overlap_oracle(balls) -> bool:

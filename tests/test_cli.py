@@ -369,6 +369,20 @@ def test_a_threshold_past_the_output_limit_exits_64_at_once():
     assert "Traceback" not in r.stderr and r.stdout == ""
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]])
+def test_an_eps_whose_floor_is_past_the_output_limit_exits_64_before_the_search(json_flag):
+    # gate (iii) alone puts the least grid value near 3.7 10^200001 2^28: refused
+    # before the g search, with eps rendered by significant digits
+    r = subprocess.run([sys.executable, "-m", "thueq.cli", "corollary-eps", "--eps", "1e-200001",
+                        *json_flag], capture_output=True, text=True, timeout=2)
+    assert r.returncode == 64
+    assert "200,000-digit output limit" in r.stderr and "--eps" in r.stderr
+    assert "Traceback" not in r.stderr and r.stdout == ""
+    from thueq.measure import corollary_eps
+    with pytest.raises(cli.OutputLimitError, match="^t0 for eps = 1e-200001 has more than"):
+        corollary_eps(Fraction(1, 10**200_001))
+
+
 def test_a_max_abs_past_the_bound_is_a_usage_error():
     # refused before eligible_fields sizes its sieve by 4 m^2 bytes
     r = run_cli("enumerate", "--max-abs", "1000000")

@@ -31,9 +31,9 @@ from thueq.quadfield import (QuadInt, div_exact, eligible_fields, enumerate_boun
                              field_pairs, norm, ring, roots_of_unity)
 from thueq.series import GaussRat
 
-from oracles import (ball_contains_zero, balls_overlap_oracle, beta_bounds_oracle,
-                     classify_type_oracle, derivative_balls_oracle,
-                     divisibility_ball_check_oracle, eval_form,
+from oracles import (ball_contains_zero, ball_record, balls_overlap_oracle,
+                     beta_bounds_oracle, classify_type_oracle, derivative_balls_oracle,
+                     divisibility_ball_check_oracle, embed_oracle, eval_form,
                      irreducibility_exceptions_oracle, orbit, outcome,
                      root_ball_oracle, root_balls_oracle, root_seeds_oracle, sqrt_lower,
                      sqrt_upper)
@@ -487,7 +487,57 @@ def test_embed_at_200_bits_is_the_inline_parameter_ball(d):
            for _ in range(5)]
     for t in ts:
         assert _t_exact(t) == (None, t)
-        assert dioph._embed(t, 200) == _inline_parameter_ball(t), str(t)
+        assert (_record_value(dioph._embed(t, 200))
+                == _ball_value(_inline_parameter_ball(t))), str(t)
+
+
+def _record_value(rec: tuple) -> tuple:
+    """A ball record's midpoint, radius and h, whatever the scale of its integers."""
+    a, b, n, p, q, h = rec
+    return F(a, n), F(b, n), F(p, q), h
+
+
+def _ball_value(ball: ComplexBall) -> tuple:
+    return ball.re_mid, ball.im_mid, ball.radius, ball_record(ball)[5]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7, 11, 163])
+def test_embed_records_equal_the_oracle_balls(d):
+    # rational and irrational x, at the classification's 128 bits and the
+    # parameter's 200: the same midpoint, radius and h as the ComplexBall embedding
+    rng = random.Random(d)
+    xs = [QuadInt(d, 0, 0), QuadInt(d, -7, 0), QuadInt(d, 10**40 + 1, 0), QuadInt(d, 0, 1),
+          QuadInt(d, 3, -40), QuadInt(d, -10**30, 7)]
+    xs += [QuadInt(d, rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)) for _ in range(6)]
+    for x, bits in itertools.product(xs, (128, 200)):
+        assert (_record_value(dioph._embed(x, bits))
+                == _ball_value(embed_oracle(x, bits))), (str(x), bits)
+
+
+@pytest.mark.parametrize("t", [QuadInt(1, 37, -512), QuadInt(7, 3, 40), QuadInt(163, -10**9, 3)])
+def test_coeffs_at_majorant_is_the_complexball_majorant(t):
+    # |A_k| + |B_k| |t| with |t| bounded as ComplexBall.abs_upper bounds it,
+    # radius included, for the parameter ball root_ball reads
+    t_gauss, t_irrational = _t_exact(t)
+    ball = ComplexBall.exact(t_gauss.re, t_gauss.im) if t_irrational is None else \
+        embed_oracle(t_irrational, 200)
+    _, _, m2, td = dioph._coeffs_at(dioph._embed(t, 200))
+    assert [F(m, td) for m in m2] == [abs(a) + abs(b) * ball.abs_upper()
+                                      for a, b in zip(*dioph._D2F)]
+
+
+def test_classify_type_builds_only_the_balls_it_caches(monkeypatch):
+    # a fresh Gaussian t that answers at 2^-64: the four ComplexBalls of the
+    # cached set, and the one GaussRat of _t_exact; every other ball is a record
+    built = []
+    for cls in (ComplexBall, GaussRat):
+        real = cls.__init__
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real, cls=cls:
+                            built.append(cls) or real(self, *args))
+    radii = _tie_at(monkeypatch, [])
+    assert classify_type(QuadInt(1, 37, -512), QuadInt(1, 1, 0), QuadInt(1, 0, 1)) == 0
+    assert radii == RUNGS[:1]
+    assert sorted(built, key=lambda c: c.__name__) == [ComplexBall] * 4 + [GaussRat]
 
 
 def _tie_at(monkeypatch, tied) -> list:
@@ -573,8 +623,8 @@ def test_the_top_rung_cannot_certify_below_2_129():
 
 def _counting_root_ball(monkeypatch) -> list:
     calls = []
-    real = dioph.root_ball
-    monkeypatch.setattr(dioph, "root_ball",
+    real = dioph._root_record
+    monkeypatch.setattr(dioph, "_root_record",
                         lambda *args: calls.append(args) or real(*args))
     return calls
 
@@ -808,12 +858,14 @@ def test_certify_root_matches_the_hand_written_quartic():
     outcomes = set()
     for tb in t_balls:
         tc = complex(float(tb.re_mid), float(tb.im_mid))
+        at = dioph._coeffs_at(ball_record(tb))
         for z, eps in itertools.product(_root_seeds(tc), (0.5, 0.3, 0.2, 0.1, 0.05, 0.03,
                                                           1e-2, 1e-4, 1e-9, 0.0)):
             w = z * (1 + eps * (1 + 1j)) + eps
-            x = GaussRat(*(F(dioph._nearest(*c.as_integer_ratio(), 128), 1 << 128)
-                           for c in (w.real, w.imag)))
-            ball = dioph._certify_root(tb, dioph._evaluate(tb, x))
+            zr, zi = (dioph._nearest(*c.as_integer_ratio(), 128) for c in (w.real, w.imag))
+            x = GaussRat(F(zr, 1 << 128), F(zi, 1 << 128))
+            ball = dioph._certify_root(at, dioph._evaluate(at, zr, zi, 128))
+            ball = ball and dioph._ball(ball)
             assert ball == _certify_root_oracle(tb, x), (tb, z, eps)
             outcomes.add(ball is None)
     assert outcomes == {True, False}
@@ -1092,7 +1144,7 @@ def test_beta_bounds_match_the_complexball_oracle():
             balls, recs = got
             rungs.add((bits, _t_exact(t)[1] is None))
             for x, y in pairs:
-                xs, ys = (dioph._ball_ints(dioph._embed(z)) for z in (x, y))
+                xs, ys = (dioph._embed(z) for z in (x, y))
                 for ball, rec in zip(balls, recs):
                     lo, hi = dioph._beta_bounds(xs, ys, rec)
                     assert (F(lo, 1 << GRID_BITS), F(hi, 1 << GRID_BITS)) == \
@@ -1110,8 +1162,8 @@ _radii = st.one_of(st.just(F(0)), st.builds(F, st.integers(1, 10**20), st.intege
 @given(_fields, _coords, _coords, _coords, _coords, _ratios, _ratios, _radii)
 def test_beta_bounds_on_drawn_balls_match_the_oracle(d, xa, xb, ya, yb, re, im, radius):
     x, y, alpha = QuadInt(d, xa, xb), QuadInt(d, ya, yb), ComplexBall(re, im, radius)
-    xs, ys = (dioph._ball_ints(dioph._embed(z)) for z in (x, y))
-    lo, hi = dioph._beta_bounds(xs, ys, dioph._ball_ints(alpha))
+    xs, ys = (dioph._embed(z) for z in (x, y))
+    lo, hi = dioph._beta_bounds(xs, ys, ball_record(alpha))
     assert (F(lo, 1 << GRID_BITS), F(hi, 1 << GRID_BITS)) == beta_bounds_oracle(x, y, alpha)
 
 
@@ -1132,13 +1184,13 @@ def test_a_forced_overlap_ties_in_both(monkeypatch):
     # the pair that classifies as 2 (x/y = 99i, near alpha2 ~ 100i) ties
     t, x, y = QuadInt(1, 0, 100), QuadInt(1, 0, 99), QuadInt(1, 1, 0)
     assert classify_type(t, x, y) == classify_type_oracle(t, x, y) == 2
-    real = dioph.root_ball
+    real = dioph._root_record
 
     def widened(*args):
-        ball = real(*args)
-        return ComplexBall(ball.re_mid, ball.im_mid, F(1))
+        a, b, n, _, _, h = real(*args)
+        return a, b, n, 1, 1, h
 
-    monkeypatch.setattr(dioph, "root_ball", widened)
+    monkeypatch.setattr(dioph, "_root_record", widened)
     dioph._root_balls.cache_clear()
     root_balls_oracle.cache_clear()
     try:
@@ -1179,8 +1231,8 @@ def test_overlap_test_matches_the_complexball_oracle(monkeypatch):
     monkeypatch.setattr(dioph, "_root_seeds", lambda t: [0j] * 4)
     seen = set()
     for balls in sets:
-        it = iter(balls)
-        monkeypatch.setattr(dioph, "root_ball", lambda *args: next(it))
+        it = map(ball_record, balls)
+        monkeypatch.setattr(dioph, "_root_record", lambda *args: next(it))
         got = dioph._root_balls.__wrapped__(0j, None, None, F(1))
         overlap = isinstance(got, str)
         assert got == "root enclosures overlap" if overlap else got[0] == tuple(balls)

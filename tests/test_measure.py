@@ -803,6 +803,16 @@ def test_corollary_lin_accepts_its_own_threshold():
         corollary_lin(F(1), measure.LIN_T0_FLOOR - 1)
 
 
+def test_corollary_lin_checks_kappa_below_2_at_t0_on_one_line(monkeypatch):
+    # 524 is the least integer with kappa < 2, so the default needs no search;
+    # the strict line refuses kappa = 2 for the default and a user t0 alike
+    assert kappa_hi(F(measure.LIN_T0_FLOOR - 1)) >= 2 > kappa_hi(F(measure.LIN_T0_FLOOR))
+    monkeypatch.setattr(measure, "kappa_hi", lambda t: F(2))
+    for t0 in (None, F(10**6)):
+        with pytest.raises(ChainError, match="^kappa below 2 at t0: 2 >= 2$"):
+            corollary_lin(F(1), t0)
+
+
 TMIN = st.one_of(
     st.integers(min_value=100, max_value=10**7).map(F),
     st.builds(F, st.integers(min_value=10**4, max_value=10**9),
@@ -891,12 +901,12 @@ def test_kappa_is_enclosed_once_per_modulus(monkeypatch):
     assert calls == [(t, measure.KAPPA_WIDTH)]
 
 
-# the caches free of tmin: each is keyed by a root type, a step, a center, an
-# order r, a field or nothing, and holds what every tmin shares
+# the caches free of tmin: each is keyed by a root type, a step, an order r, a
+# field or nothing, and holds what every tmin shares
 UNBOUNDED = {"descent._step_algebra", "dioph._x_part", "hyperchi.chi_coeffs",
              "hyperchi.denom_data", "measure._tmin_free_checks", "measure._fixed_lines",
              "measure._log_constants", "quadfield.roots_of_unity", "rouche._cert_splits",
-             "rouche._taylor_terms", "series.root_series", "series._thue_data"}
+             "series.root_series", "series._thue_data"}
 
 
 def test_every_cache_keyed_by_tmin_is_bounded():
@@ -908,5 +918,5 @@ def test_every_cache_keyed_by_tmin_is_bounded():
                        if hasattr(fn, "cache_info") and fn.__module__ == module.__name__})
     unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
     assert unbounded == UNBOUNDED
-    for name in ("rouche._certificates", "measure._kappa", "rouche._enclosure_split"):
+    for name in ("rouche._certificates", "measure._kappa"):
         assert caches[name].cache_info().maxsize is not None
