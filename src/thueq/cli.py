@@ -198,7 +198,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_corollary_lin(args) -> int:
-    from .measure import C2_DIVISOR, C_COEFF, LIN_COEFF, corollary_lin
+    from .corollary import C2_DIVISOR, LIN_COEFF, corollary_lin
+    from .measure import C_COEFF
 
     r = corollary_lin(args.C, args.t0)
     table = [
@@ -221,7 +222,7 @@ def _cmd_corollary_lin(args) -> int:
 
 
 def _cmd_corollary_eps(args) -> int:
-    from .measure import corollary_eps
+    from .corollary import corollary_eps
 
     r = corollary_eps(args.eps)
     table = [f"eps = {_exact(args.eps)}: t0 = {sig_str(r['t0'])}"]

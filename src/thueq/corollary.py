@@ -1,0 +1,200 @@
+"""The two corollary calculators for the weighted inequalities |F_t| <= C|t|
+and |F_t| <= |t|^(2-eps): thresholds t0 and solution bounds, resting on both
+measure chains.  ``thueq verify-all`` imports none of it."""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from functools import lru_cache
+
+from . import descent, exactnum
+from .exactnum import (MAX_DIGITS, TMIN_FLOOR, OutputLimitError, Rat, iroot, lines, ln_floor,
+                       round_up_sig, sig_str)
+from .measure import C_COEFF, CONTRADICTION_COEFF, GateResult, kappa_hi, measure_constants
+
+F = Fraction
+
+C2_DIVISOR = F("0.31")    # 443 >= 8.86 * 15.48 / 0.31; base 137.16 / 0.31^(2-eps)
+CUBIC_ABSORB = F("0.33")  # 8.86 / |t|^(1/2 + eps/4) <= 0.33
+# the corollary-eps gates read logs on the 2^-28 grid, and ln t of the top
+# 64 bits of t
+LN_GRID_BITS, EPS_CUT_BITS = 28, 64
+
+
+# ---------------------------------------------------------------------------
+# certified rational powers
+
+def rat_pow_upper(x: Rat, e: Rat, bits: int = 80) -> Rat:
+    """Rational upper bound for x**e, x > 0, e >= 0."""
+    x, e = F(x), F(e)
+    if x <= 0 or e < 0:
+        raise ValueError("need x > 0 and e >= 0")
+    n, rem = divmod(e.numerator, e.denominator)
+    out = x ** n
+    if rem:
+        p, q = rem, e.denominator
+        scale = 1 << bits
+        num = x ** p
+        target = -((-num.numerator * scale ** q) // num.denominator)
+        out *= F(iroot(target - 1, q) + 1, scale)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# corollary calculators
+
+LIN_T0_FLOOR = 524  # kappa < 2 iff ln t > 2 * 2.59 + 1.08 = 6.26: kappa(523) ~ 2.0001
+LIN_COEFF = F(443)
+
+
+@lru_cache(maxsize=None)
+def _log_constants() -> dict:
+    """Run once per process: floor(2^LN_GRID_BITS ln c) for each constant c
+    the corollary-eps gates use, and for 10, which bounds the digits of a
+    threshold.  The corollaries rest on both measure chains (c = 15.48
+    through 137.16, and the Lettl bounds behind kappa), so these run first,
+    at |t| = TMIN_FLOOR: every corollary threshold lies above it, and the
+    chains are monotone in |t|.  A failure raises, and is not cached."""
+    measure_constants(0, TMIN_FLOOR)
+    measure_constants(3, TMIN_FLOOR)
+    return {c: ln_floor(c, LN_GRID_BITS) for c in (F(4), descent.TYPE_THRESHOLD,
+            descent.BETA_COEFF, CUBIC_ABSORB, C2_DIVISOR, CONTRADICTION_COEFF, F(10))}
+
+
+def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
+    """Solution bound package for |F_t| <= C|t|: a threshold t0 with
+    kappa(t0) < 2 and the size bound C0 outside the (x, +-x) family."""
+    C = F(C)
+    if C <= 0:
+        raise ValueError("C must be positive")
+    _log_constants()
+    t0 = F(LIN_T0_FLOOR if t0 is None else t0)
+    if t0 < LIN_T0_FLOOR:
+        raise ValueError("user t0 must be at least 524 with kappa(t0) < 2")
+    (_, consistency), _ = lines(  # 443 C > (8.86 * 15.48 / 0.31) C, exactly
+        ("lin coefficient 443", descent.BETA_COEFF * C_COEFF[3] / C2_DIVISOR, LIN_COEFF, "<"),
+        ("kappa below 2 at t0", kappa_hi(t0), 2, "<"))
+    term1 = rat_pow_upper(descent.TYPE_THRESHOLD * C, F(1, 4))
+    term2 = 3 * rat_pow_upper(C, F(1, 3))
+    kc = round_up_sig(kappa_hi(t0), 5)  # four decimals, as 1 < kappa(t0) < 2
+    if LIN_COEFF * C >= 1:
+        n_up = -((-1) // (2 - kc))  # ceil of 1/(2 - kappa), integer exponent
+        term3 = exactnum.pow_up_sig(LIN_COEFF * C, n_up)
+    else:
+        term3 = F(1)  # |y| < 1 forces y = 0; any positive bound works
+    return {
+        "t0": t0,
+        "C0": max(term1, term2, term3),
+        "consistency_margin": consistency,
+        "terms": (term1, term2, term3),
+        "exceptional_family_coeff": rat_pow_upper(C / 4, F(1, 4)),
+    }
+
+
+def _eps_gate_fn(eps: Rat):
+    """The three gates at one eps as integer comparisons on a grid value g:
+    (ok_i, ok_ii, ok_iii, detail_iii) for every |t| with g <= 2^28 ln|t|.
+    ln c lies in [f, f + 1) / 2^28 for the grid floor f of each constant, and
+    as kappa falls while ln|t| grows, kappa <= (l + 1.08)/(l - 2.59) at
+    l = g / 2^28 > 2.59.  Each gate is monotone in g."""
+    ln, big = _log_constants(), 1 << LN_GRID_BITS
+    p, q = eps.numerator, eps.denominator
+    ln4_hi = ln[F(4)] + 1
+    # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= l, times q 2^28
+    type_log = q * ln4_hi + (q - p) * (ln[descent.TYPE_THRESHOLD] + 1)
+    # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) l, times 4 q 2^28
+    cubic_log = 4 * q * (ln[descent.BETA_COEFF] + 1 - ln[CUBIC_ABSORB])
+    # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa)) < (t^(2-eps)/4)^(1/4)
+    #       as ln_b < (1 + eps - kappa) ((2-eps) l - ln 4) / 4, with q 2^28 ln_b <= b
+    b = q * (ln[CONTRADICTION_COEFF] + 1) - (2 * q - p) * ln[C2_DIVISOR]
+    (nn, nd), (dn, dd) = (c.as_integer_ratio() for c in (exactnum.KAPPA_NUM_SHIFT,
+                                                        exactnum.KAPPA_DEN_SHIFT))
+
+    def gates(g: int) -> tuple:
+        oks = (type_log <= q * g, cubic_log <= (2 * q + p) * g)
+        kd = nd * (dd * g - dn * big)  # kappa <= kn / kd
+        if kd <= 0:
+            return (*oks, False, "kappa undefined")
+        gap = (q + p) * kd - q * dd * (nd * g + nn * big)  # 1 + eps - kappa >= gap / (q kd)
+        if gap <= 0:
+            return (*oks, False, "1 + eps - kappa not positive")
+        return (*oks, 4 * q * b * kd < gap * ((2 * q - p) * g - q * ln4_hi),
+                "log comparison with kappa upper end")
+
+    return gates
+
+
+def _gate_results(oks: tuple) -> tuple[GateResult, ...]:
+    threshold, beta, cubic = (sig_str(x, 7) for x in (
+        descent.TYPE_THRESHOLD, descent.BETA_COEFF, CUBIC_ABSORB))
+    return (GateResult("type threshold", oks[0], f"4 * {threshold}^(1-eps) <= |t|"),
+            GateResult("cubic absorption", oks[1], f"{beta} / |t|^(1/2 + eps/4) <= {cubic}"),
+            GateResult("measure contradiction", oks[2], oks[3]))
+
+
+def _cut(t: int) -> int:
+    """t with all but its top EPS_CUT_BITS bits cleared."""
+    s = max(0, t.bit_length() - EPS_CUT_BITS)
+    return t >> s << s
+
+
+def _ln_grid(t: Rat) -> int:
+    """L(t) = floor(2^28 ln t'), t' = _cut(floor(t)): a lower bound for
+    2^28 ln t that never falls as t grows, and reads only the top 64 bits of
+    t, so that deciding it at t0 - 1 needs no more precision than at t0."""
+    return ln_floor(_cut(math.floor(t)), LN_GRID_BITS)
+
+
+def _eps_gates(t: Rat, eps: Rat) -> list[GateResult]:
+    """The three threshold conditions at modulus t, decided at L(t)."""
+    return list(_gate_results(_eps_gate_fn(F(eps))(_ln_grid(t))))
+
+
+def _least(holds, t: int, step: int = 1, cut=int) -> int:
+    """The least value v >= 1 of cut where holds, monotone and false at 1, is
+    true: doubling steps from t until holds changes, then bisection until the
+    midpoint of lo (false) and hi (true) cuts to lo, as no value lies between."""
+    lo, hi = (None, t) if holds(t) else (t, None)
+    while lo is None or hi is None:
+        t = cut(lo + step) if hi is None else cut(max(1, hi - step))
+        lo, hi = (lo, t) if holds(t) else (t, hi)
+        step *= 2
+    while (mid := cut((lo + hi) // 2)) != lo:
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return hi
+
+
+def corollary_eps(eps: Rat) -> dict:
+    """The least threshold t0 for |F_t| <= |t|^(2-eps) that the gates
+    certify: they fail at t0 - 1 and hold at every t >= t0, as they are
+    monotone in L(t), and L(t) in t.  Every eps in (0, 1) has one, as kappa
+    falls to 1 like 3.67 / ln t.  First the least passing grid value g, above
+    the floor that gate (iii) sets, then the least t with L(t) >= g, a cut value,
+    from a float seed; "evaluations" counts the L(t) read, the one at 2 t0
+    included.  A t0 of more than MAX_DIGITS digits raises OutputLimitError
+    before it is built, and before the g search when that floor is past it."""
+    eps = F(eps)
+    if not 0 < eps < 1:
+        raise ValueError("eps must be in (0, 1)")
+    gates_at = _eps_gate_fn(eps)
+    # gate (iii) fails while gap <= 0, and for eps = p/q, 1.08 = nn/nd and 2.59 = dn/dd, gap =
+    # p nd dd g - ((q + p) nd dn + q dd nn) 2^28 rises with g: the least passing g is > g_lo
+    (p, q), (nn, nd), (dn, dd) = (c.as_integer_ratio() for c in (
+        eps, exactnum.KAPPA_NUM_SHIFT, exactnum.KAPPA_DEN_SHIFT))
+    g_lo = ((q + p) * nd * dn + q * dd * nn << LN_GRID_BITS) // (p * nd * dd)
+    # t0 >= e^(g / 2^28) has more than MAX_DIGITS digits once g / 2^28 >= MAX_DIGITS ln 10
+    limit = MAX_DIGITS * (_log_constants()[F(10)] + 1)
+    if g_lo >= limit or (g := _least(lambda g: all(gates_at(g)[:3]), g_lo + 1)) >= limit:
+        raise OutputLimitError(f"t0 for eps = {exactnum._side(eps)} has more than "
+                               f"{MAX_DIGITS:,} digits")
+    grid = lru_cache(maxsize=None)(_ln_grid)  # each L(t) once
+    y = g / ((1 << LN_GRID_BITS) * math.log(2))  # log2 of t0, about
+    s = max(0, int(y) - EPS_CUT_BITS + 1)
+    t = max(1, _cut(int(2 ** (y - s)) << s))
+    # one Newton step on ln t = g / 2^28, from floor(2^96 ln t), lands next to t0
+    t = max(1, _cut(t + (t * ((g << 96 - LN_GRID_BITS) - ln_floor(t, 96)) >> 96)))
+    t0 = _least(lambda t: grid(t) >= g, t, 1 << s, _cut)
+    return {"t0": F(t0), "gates": _gate_results(gates_at(grid(t0))),
+            "gates_at_double": _gate_results(gates_at(_ln_grid(2 * t0))),
+            "evaluations": grid.cache_info().currsize + 1}

@@ -1,9 +1,9 @@
 """Exact rational substrate: intervals with rational endpoints, certified
-logarithm enclosures, integer roots and complex ball arithmetic.
+logarithm enclosures and integer roots.  Complex balls are in ``concrete``.
 
 Every routine here either returns an exact rational or an enclosure that
-provably contains the true real/complex value.  No floating point enters
-any certified path.
+provably contains the true real value.  No floating point enters any
+certified path.
 """
 
 from __future__ import annotations
@@ -113,12 +113,6 @@ class Frozen:
 
 # ---------------------------------------------------------------------------
 # rounding helpers
-
-def round_up_grid(x: Rat, bits: int = GRID_BITS) -> Rat:
-    """Smallest multiple of 2**-bits that is >= x."""
-    scale = 1 << bits
-    return Fraction(-((-x.numerator * scale) // x.denominator), scale)
-
 
 def _dec_power(n: int, d: int) -> tuple[int, int]:
     """(e, 10**abs(e)) with 10**e <= x < 10**(e+1), for x = n/d > 0, d > 0."""
@@ -245,12 +239,6 @@ def sqrt_grid(n: int, d: int, bits: int = GRID_BITS) -> tuple[int, int]:
     q, rem = divmod(n << 2 * bits, d)
     r = math.isqrt(q)
     return r, (r if rem == 0 and r * r == q else r + 1)
-
-
-def gauss_over(re: Rat, im: Rat) -> tuple[int, int, int]:
-    """(a, b, n) with re + i im = (a + bi)/n over the least common denominator n."""
-    n = math.lcm(re.denominator, im.denominator)
-    return re.numerator * (n // re.denominator), im.numerator * (n // im.denominator), n
 
 
 def sqrt_bounds(q: Rat, bits: int = GRID_BITS) -> tuple[Rat, Rat]:
@@ -453,52 +441,3 @@ def kappa(t_abs: Rat, target_width: Rat) -> RatInterval:
         g = math.gcd(wn, 4)  # w / 4 in lowest terms
         wn, wd = wn // g, wd * (4 // g)
     raise UndefinedKappaError(f"kappa enclosure did not converge for t={arg.x}")
-
-
-# ---------------------------------------------------------------------------
-# complex balls
-
-class ComplexBall(Frozen):
-    __slots__ = ("re_mid", "im_mid", "radius")
-
-    def __init__(self, re_mid: Rat, im_mid: Rat, radius: Rat):
-        if radius < 0:
-            raise DomainError("negative ball radius")
-        object.__setattr__(self, "re_mid", re_mid)
-        object.__setattr__(self, "im_mid", im_mid)
-        object.__setattr__(self, "radius", radius)
-
-    @staticmethod
-    def exact(re: Rat, im: Rat = Fraction(0)) -> "ComplexBall":
-        return ComplexBall(Fraction(re), Fraction(im), Fraction(0))
-
-    def abs_bounds(self) -> tuple[Rat, Rat]:
-        """Certified [lo, hi] for |z| over the ball; |mid|^2 is not normalised."""
-        a, b, n = gauss_over(self.re_mid, self.im_mid)
-        lo, hi = (Fraction(e, 1 << GRID_BITS) for e in sqrt_grid(a * a + b * b, n * n))
-        return max(lo - self.radius, Fraction(0)), hi + self.radius
-
-    def abs_upper(self) -> Rat:
-        return self.abs_bounds()[1]
-
-    def __neg__(self) -> "ComplexBall":
-        return ComplexBall(-self.re_mid, -self.im_mid, self.radius)
-
-    def __add__(self, other: "ComplexBall") -> "ComplexBall":
-        return ComplexBall(
-            self.re_mid + other.re_mid,
-            self.im_mid + other.im_mid,
-            round_up_grid(self.radius + other.radius),
-        )
-
-    def __sub__(self, other: "ComplexBall") -> "ComplexBall":
-        return self + (-other)
-
-    def __mul__(self, other: "ComplexBall") -> "ComplexBall":
-        re = self.re_mid * other.re_mid - self.im_mid * other.im_mid
-        im = self.re_mid * other.im_mid + self.im_mid * other.re_mid
-        rad = self.radius * other.radius
-        for a, b in ((self, other), (other, self)):
-            if b.radius:  # a modulus only where it meets a nonzero radius
-                rad += a.abs_upper() * b.radius
-        return ComplexBall(re, im, round_up_grid(rad))

@@ -1,22 +1,22 @@
 """Exact algebra over Q(i) for the quartic family: truncated power series in
 s = 1/t, the root series, Pade approximants, and the polynomial identities
-behind the proof (differential-equation data, the fourth-root closed form,
-the Thue polynomials at a concrete t).  All of it runs over Z or Z[i] on the
-``zpoly`` kernel.
+behind the proof (the fourth-root closed form).  All of it runs over Z or
+Z[i] on the ``zpoly`` kernel.
 
-Three types, one job each:
+Two types, one job each:
 
 * ``GaussRat`` -- an element of Q(i), the scalar at the boundary.
 * ``Series`` -- a power series in s = 1/t known modulo s^trunc; it carries
   the root series, their Pade residuals and tail bounds.
-* ``TPoly`` -- a dense univariate polynomial (in t or in X); it carries
-  the Thue polynomials at a concrete t and evaluation: Horner at a
-  ``GaussRat``, ``eval_ball`` and ``deriv``.
 
-``Series`` and ``TPoly`` share one storage: a Z[i] numerator, two integer
-lists in the ``zpoly`` format, over one positive denominator in lowest
-terms.  Both are built from scalars, or from integers by ``from_ints``;
-``coeffs`` reads the coefficients back as ``GaussRat``s.
+``Series`` and ``concrete.TPoly``, the dense polynomial of the Thue
+polynomials at a concrete t, share one storage (``_GaussDense``): a Z[i]
+numerator, two integer lists in the ``zpoly`` format, over one positive
+denominator in lowest terms.  Both are built from scalars, or from integers
+by ``from_ints``; ``coeffs`` reads the coefficients back as ``GaussRat``s.
+The differential-equation data and the Thue polynomials at a concrete t are
+in ``concrete``; ``thue_polys_at`` and ``TPoly`` still resolve here, on first
+access (``__getattr__``).
 
 The quartic itself is the integer table ``QUARTIC``, f_t = A(X) + t B(X).
 """
@@ -27,13 +27,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, zip_longest
-from operator import mul
+from itertools import zip_longest
 
-from . import zpoly
-from .exactnum import ChainError, ComplexBall, Frozen, Rat
-from .hyperchi import chi_ints
-from .quadfield import QuadInt
+from . import _forward, zpoly
+from .exactnum import ChainError, Frozen, Rat
 
 # ---------------------------------------------------------------------------
 # Gaussian rationals
@@ -243,56 +240,6 @@ class Series(_GaussDense):
         return (" + ".join(terms) or "0") + f"  (mod s^{self.trunc})"
 
 
-class TPoly(_GaussDense):
-    """Dense univariate polynomial over Q(i) (used for both t and X)."""
-
-    __slots__ = ()
-
-    def __init__(self, coeffs):
-        self._set(*_cleared(coeffs))
-
-    @classmethod
-    def from_ints(cls, num, den: int = 1) -> "TPoly":
-        """The polynomial num/den, for a Z[i] numerator num and a positive
-        integer den, reduced to lowest terms."""
-        return cls.__new__(cls)._set(num, den)
-
-    def _like(self, num, den, other=None):
-        return TPoly.from_ints(num, den)
-
-    def degree(self) -> int:
-        return self._width() - 1
-
-    def __pow__(self, n: int):
-        out, base = TPoly([1]), self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
-
-    def __eq__(self, other):
-        other = self._lift(other)
-        return self.num == other.num and self.den == other.den
-
-    def deriv(self) -> "TPoly":
-        return TPoly.from_ints(tuple(zpoly.deriv(xs) for xs in self.num), self.den)
-
-    def __call__(self, x: GaussRat) -> GaussRat:
-        """Horner on the numerator, divided by den once."""
-        num = [GaussRat(Fraction(a), Fraction(b)) for a, b in self._num_pairs()]
-        return zpoly.evaluate(num, x, G0) / self.den
-
-    def eval_ball(self, z: ComplexBall) -> ComplexBall:
-        den = self.den
-        return zpoly.evaluate([ComplexBall.exact(Fraction(a, den), Fraction(b, den))
-                               for a, b in self._num_pairs()], z, ComplexBall.exact(Fraction(0)))
-
-    def __repr__(self):
-        return " + ".join(f"({c})*x^{k}" for k, c in enumerate(self.coeffs) if c) or "0"
-
-
 # ---------------------------------------------------------------------------
 # the root series, over Z: alpha lies in Z[[s]] because f'(0) is a unit
 
@@ -464,78 +411,11 @@ def tail_bound(expr: Series, lead_exp: int, tmin: Rat) -> Rat:
 # degree 4, so each is also a homogeneous coefficient list of F_t(X, Y)
 QUARTIC = ((1, 0, -6, 0, 1), (0, 1, 0, -1, 0))
 _U_T, _Z_T = ((4,), (0, 1)), ((-4,), (0, 1))  # u = it + 4 and z = it - 4, in t
-# a, b, c, d of ``thue_data``, held without their common prefactor 5/2
-_ABCD = (((-2,), (0, 2)), ((2,), (0, 2)), ((0, -2), (-2,)), ((0, 2), (-2,)))
-# (X - i)^4 and (X + i)^4
-_X_MINUS_I_4, _X_PLUS_I_4 = (zpoly.gmul(sq, sq) for sq in (
-    zpoly.gmul(f, f) for f in (((0, 1), (-1,)), ((0, 1), (1,)))))
 
 
 def _in_t(f) -> list:
     """A polynomial in t over Z[i] as a form free of X."""
     return [((a,), (b,)) for a, b in zip_longest(*f, fillvalue=0)]
-
-
-def _i_pow(k: int, c: int = 1):
-    """c i^k, a constant over Z[i]."""
-    return (((c,), ()), ((), (c,)), ((-c,), ()), ((), (-c,)))[k % 4]
-
-
-def thue_data() -> dict:
-    """The polynomials attached to P = X^4 - tX^3 - 6X^2 + tX + 1 and
-    U = X^2 + 1: the second-order identity U P'' - 3 U' P' + 6 U'' P = 0
-    holds, the discriminant constant is lambda = -1, and the record carries
-    Y = 2UP' - 4U'P plus the auxiliary linear and quartic factors, as
-    ``zpoly`` forms over Z[i]: a, b, c, d without their prefactor 5/2, and
-    u, z times 16.  Built and checked once per process; each call returns a
-    fresh dict."""
-    return dict(_thue_data())
-
-
-@lru_cache(maxsize=None)
-def _thue_data() -> dict:
-    U = (1, 0, 1)
-    dU = zpoly.deriv(U)
-    ode, Y = [], []
-    for p in QUARTIC:  # U is free of t, so each power of t stands alone
-        dp = zpoly.deriv(p)
-        ode.append(zpoly.add(zpoly.sub(zpoly.mul(U, zpoly.deriv(dp)),
-                                       zpoly.scale(3, zpoly.mul(dU, dp))),
-                             zpoly.scale(6, zpoly.mul(zpoly.deriv(dU), p))))
-        Y.append(zpoly.sub(zpoly.scale(2, zpoly.mul(U, dp)), zpoly.scale(4, zpoly.mul(dU, p))))
-    if any(c for row in ode for c in row):
-        raise ChainError("differential identity failed")
-    # sqrt(lambda) = i with lambda = -1; prefactor (n^2-1)/6 = 5/2 held apart
-    w = zpoly.sub(zpoly.mul(dU, (0, 1)), zpoly.scale(2, U))  # U'X - 2U
-    a, b, c, d = ((-2,), dU), ((2,), dU), ((0, -2), w), ((0, 2), w)
-    # 16u = -iY - 8P and 16z = -iY + 8P, from Y/(2n sqrt(lambda)) = -iY/8
-    data = {"P": [(p, ()) for p in QUARTIC], "U": [(U, ())], "Y": [(y, ()) for y in Y],
-            "a": [a], "b": [b], "c": [c], "d": [d],
-            "u": [(zpoly.scale(-8, p), zpoly.scale(-1, y)) for p, y in zip(QUARTIC, Y)],
-            "z": [(zpoly.scale(8, p), zpoly.scale(-1, y)) for p, y in zip(QUARTIC, Y)],
-            "lambda": -1}
-    _check_thue_data(data)
-    return data
-
-
-def _check_thue_data(data: dict) -> None:
-    (A, B), U = QUARTIC, data["U"]
-    U4 = zpoly.fmul(zpoly.fmul(U, U), zpoly.fmul(U, U))
-    u_lin, z_lin = (zpoly.gmul(((-2,), ()), f) for f in (_U_T, _Z_T))
-    fmul = zpoly.fmul
-    identities = {  # name: (left side, right side)
-        "Y": (data["Y"], [(zpoly.scale(-32, B), ()), (zpoly.scale(2, A), ())]),
-        **{k: (data[k], [f]) for k, f in zip("abcd", _ABCD)},
-        "u": (data["u"], fmul(_in_t(u_lin), [_X_PLUS_I_4])),
-        "z": (data["z"], fmul(_in_t(z_lin), [_X_MINUS_I_4])),
-        # a d - b c is a multiple of U, and u z one of U^4
-        "ad-bc": (fmul(data["a"], data["d"]),
-                  zpoly.fadd(fmul(data["b"], data["c"]), fmul([((), (8,))], U))),
-        "uz": (fmul(data["u"], data["z"]), fmul(_in_t(zpoly.gmul(u_lin, z_lin)), U4)),
-    }
-    failed = [name for name, (lhs, rhs) in identities.items() if not zpoly.same(lhs, rhs)]
-    if failed:
-        raise ChainError(f"thue_data identities failed: {', '.join(failed)}")
 
 
 # ---------------------------------------------------------------------------
@@ -563,46 +443,5 @@ def quotient_root_check(type_index: int) -> bool:
     return zpoly.same(zpoly.fadd(zpoly.fmul(_in_t(_U_T), low), zpoly.fmul(_in_t(_Z_T), top)), ())
 
 
-# ---------------------------------------------------------------------------
-# the Thue polynomials at a concrete t, over Z[i]
-
-
-def thue_polys_at(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:
-    """(A_r, B_r) as polynomials in X for a fixed Gaussian t, built over Z[i]
-    from the closed forms ``_check_thue_data`` certifies.  With t = T/D,
-    z = -P/(8D) and u = -Q/(8D) for P = p(X - i)^4, Q = q(X + i)^4,
-    p = iT - 4D, q = iT + 4D, and chi_r = sum_k n_k X^k / delta:
-    A_r = i^r (a S1 - b S2)/den and B_r = i^r (c S1 - d S2)/den, where
-    S1 = chi*(P, Q), S2 = chi*(Q, P) and den = (8D)^r delta.  Only the
-    weights p^k q^(r-k) of the X-parts (``_thue_x_polys``) depend on t."""
-    if r < 0:
-        raise ValueError("r must be >= 0")
-    _thue_data()  # the closed forms below hold once it has passed
-    rows, delta = _thue_x_polys(r)
-    ((tr,), (ti,)), D = _cleared([t_val])
-    pk, qk = (list(accumulate([QuadInt(1, c, tr)] * r, mul, initial=QuadInt(1, 1, 0)))
-              for c in (-ti - 4 * D, -ti + 4 * D))
-    ws = list(map(mul, pk, reversed(qk)))
-    w = [z.a for z in ws] + [z.b for z in ws]
-    den = 2 * (8 * D) ** r * delta  # the prefactor 5/2 of a..d
-    return tuple(TPoly.from_ints(tuple([sum(map(mul, w, c)) for c in cols] for cols in row), den)
-                 for row in rows)
-
-
-@lru_cache(maxsize=16)
-def _thue_x_polys(r: int) -> tuple:
-    """(rows, delta): per Thue polynomial, the columns whose products with the
-    weights p^k q^(r-k), then i p^k q^(r-k), give its real and its imaginary
-    X^j coefficient: the X-parts 5 i^r (n_k a - n_(r-k) b) e_k of A_r, with c
-    and d for B_r, where e_k = (X - i)^(4k) (X + i)^(4(r-k)), k = 0..r."""
-    n, delta = chi_ints(r)
-    em, ep = (list(accumulate([f] * r, zpoly.gmul, initial=((1,), ())))
-              for f in (_X_MINUS_I_4, _X_PLUS_I_4))
-    rows = []
-    for f, g in (_ABCD[:2], _ABCD[2:]):
-        re, im = zip(*(zpoly.gmul(zpoly.gmul(_i_pow(r, 5), zpoly.gmul(em[k], ep[r - k])),
-                                  zpoly.gsub(zpoly.gscale(n[k], f), zpoly.gscale(n[r - k], g)))
-                       for k in range(r + 1)))
-        re, im = ([zpoly.pad(x, 4 * r + 2) for x in part] for part in (re, im))
-        rows.append((tuple(zip(*re, *(zpoly.scale(-1, x) for x in im))), tuple(zip(*im, *re))))
-    return tuple(rows), delta
+# the names of ``concrete`` that callers still read from this module
+__getattr__ = _forward(globals(), "concrete", ("thue_polys_at", "TPoly"))

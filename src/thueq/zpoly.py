@@ -46,14 +46,6 @@ def deriv(a) -> list[int]:
     return [k * c for k, c in enumerate(a)][1:]
 
 
-def evaluate(coeffs, x, zero):
-    """Horner's rule in the arithmetic of the coefficients and x."""
-    acc = zero
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # over Z[i]
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from thueq import dioph
+from thueq import concrete
 from thueq.descent import run_descent
 from thueq.hyperchi import verify_lettl
 from thueq.measure import theorem_assembly
@@ -14,7 +14,7 @@ from thueq.measure import theorem_assembly
 def _cold_root_balls():
     """Each test starts without cached root balls, so a test that patches
     root_ball or _certify_root does not depend on which tests ran before."""
-    dioph._root_balls.cache_clear()
+    concrete._root_balls.cache_clear()
 
 
 @pytest.fixture(scope="session")

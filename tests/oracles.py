@@ -36,11 +36,12 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, zip_longest
 
-from thueq import descent, dioph, exactnum, hyperchi, measure, rouche, zpoly
+from thueq import concrete, corollary, descent, dioph, exactnum, hyperchi, measure, rouche, zpoly
+from thueq.concrete import (_ABCD, _X_MINUS_I_4, _X_PLUS_I_4, ComplexBall, TPoly, _i_pow,
+                            thue_polys_at)
 from thueq.descent import (ALPHA0_MODULUS, BETA_COEFF, STEP1_COEFF, STEP1_DIVISOR,
                            STEP2_DIVISOR)
-from thueq.exactnum import (ComplexBall, DomainError, RatInterval, UndefinedKappaError,
-                            floor_line, lines)
+from thueq.exactnum import DomainError, RatInterval, UndefinedKappaError, floor_line, lines
 from thueq.hyperchi import LETTL_E_BASE, LETTL_L0, LETTL_Q_BASE, chi_ints, denom_data
 from thueq.measure import (ABSORB_BASE, C_COEFF, C_PREFACTOR, E_DIV, ERR_BASE, ERR_FLOOR,
                            ERR_PREFACTOR, I_DIST_CAP, K0, KAPPA_WIDTH, L0, Q_BASE, QMIN,
@@ -49,9 +50,8 @@ from thueq.measure import (ABSORB_BASE, C_COEFF, C_PREFACTOR, E_DIV, ERR_BASE, E
 from thueq.quadfield import QuadInt, div_exact, enumerate_bounded
 from thueq.rouche import (ALPHA0_RADIUS, ALPHA2_RADIUS, ALPHA13_RADIUS, HIGH_ORDER,
                           EnclosureCert, require)
-from thueq.series import (_ABCD, _U_T, _X_MINUS_I_4, _X_PLUS_I_4, _Z_T, G0, G1, GI, GaussRat,
-                          Series, TPoly, _cleared, _i_pow, pade, pade_residual, root_series,
-                          tail_bound, thue_polys_at)
+from thueq.series import (_U_T, _Z_T, G0, G1, GI, GaussRat, Series, _cleared, pade,
+                          pade_residual, root_series, tail_bound)
 
 
 class Poly2:
@@ -803,7 +803,7 @@ def ln_enclosure_oracle(x, target_width: Fraction) -> RatInterval:
     while Fraction(2, 1 << bits) > target_width / 4:
         bits += 8
     return RatInterval(round_down_grid(total.lo, bits),
-                       exactnum.round_up_grid(total.hi, bits))
+                       concrete.round_up_grid(total.hi, bits))
 
 
 def kappa_oracle(t_abs, target_width: Fraction) -> RatInterval:
@@ -845,7 +845,7 @@ def ball_mul_oracle(a: ComplexBall, b: ComplexBall) -> ComplexBall:
     im = a.re_mid * b.im_mid + a.im_mid * b.re_mid
     rad = (ball_abs_bounds_oracle(a)[1] * b.radius + ball_abs_bounds_oracle(b)[1] * a.radius
            + a.radius * b.radius)
-    return ComplexBall(re, im, exactnum.round_up_grid(rad))
+    return ComplexBall(re, im, concrete.round_up_grid(rad))
 
 
 def ball_contains_zero(z: ComplexBall) -> bool:
@@ -868,7 +868,7 @@ def embed_oracle(x: QuadInt, bits: int = exactnum.GRID_BITS) -> ComplexBall:
 
 def ball_record(ball: ComplexBall) -> tuple:
     """(a, b, n, p, q, h): mid = (a + bi)/n, radius p/q, h = ceil(2^GRID_BITS |mid|)."""
-    a, b, n = exactnum.gauss_over(ball.re_mid, ball.im_mid)
+    a, b, n = concrete.gauss_over(ball.re_mid, ball.im_mid)
     return (a, b, n, *ball.radius.as_integer_ratio(),
             exactnum.sqrt_grid(a * a + b * b, n * n)[1])
 
@@ -881,15 +881,15 @@ def coeffs_at_oracle(rows, t, lift) -> tuple:
 def certify_root_oracle(t_ball: ComplexBall, x: GaussRat) -> ComplexBall | None:
     """Newton-Kantorovich by ComplexBall Horner on the lifted coefficients."""
     xb, zero = ComplexBall.exact(x.re, x.im), ComplexBall.exact(Fraction(0))
-    f, df = (zpoly.evaluate(coeffs_at_oracle(rows, t_ball, ComplexBall.exact), xb, zero)
-             for rows in (dioph.QUARTIC, dioph._DF))
+    f, df = (concrete.evaluate(coeffs_at_oracle(rows, t_ball, ComplexBall.exact), xb, zero)
+             for rows in (concrete.QUARTIC, concrete._DF))
     df_lo, _ = df.abs_bounds()
     if df_lo <= 0:
         return None
     eta = f.abs_upper() / df_lo
     # |f''| on the disc of radius 2*eta, majorized coefficient by coefficient
     xr, t_abs = xb.abs_upper() + 2 * eta, t_ball.abs_upper()
-    m2 = sum((abs(a) + abs(b) * t_abs) * xr ** k for k, (a, b) in enumerate(zip(*dioph._D2F)))
+    m2 = sum((abs(a) + abs(b) * t_abs) * xr ** k for k, (a, b) in enumerate(zip(*concrete._D2F)))
     if 2 * eta * m2 > df_lo:  # h = eta * m2 / |f'| must be < 1/2
         return None
     return ComplexBall(x.re, x.im, 2 * eta)
@@ -901,13 +901,14 @@ def _round_dyadic(q: Fraction, bits: int) -> Fraction:
 
 
 def root_ball_oracle(t, seed: complex, target_radius, t_irrational=None) -> ComplexBall:
-    """``dioph.root_ball`` with GaussRat Newton steps and the ball certificate,
+    """``concrete.root_ball`` with GaussRat Newton steps and the ball certificate,
     each step rounded to 2^-(k+64) for the least k with 2^-k <= target_radius."""
     target_radius = Fraction(target_radius)
     t_ball = (ComplexBall.exact(t.re, t.im) if t_irrational is None
               else embed_oracle(t_irrational, 200))
     t_mid = GaussRat(t_ball.re_mid, t_ball.im_mid)
-    f, df = (coeffs_at_oracle(rows, t_mid, GaussRat.of) for rows in (dioph.QUARTIC, dioph._DF))
+    f, df = (coeffs_at_oracle(rows, t_mid, GaussRat.of)
+             for rows in (concrete.QUARTIC, concrete._DF))
     k = 0
     while Fraction(1, 2 ** k) > target_radius:
         k += 1
@@ -918,10 +919,10 @@ def root_ball_oracle(t, seed: complex, target_radius, t_irrational=None) -> Comp
     x = on_grid(GaussRat(Fraction(seed.real), Fraction(seed.imag)))
     last = None
     for _ in range(14):
-        dfx = zpoly.evaluate(df, x, G0)
+        dfx = concrete.evaluate(df, x, G0)
         if not dfx:
             break
-        x = on_grid(x - zpoly.evaluate(f, x, G0) / dfx)
+        x = on_grid(x - concrete.evaluate(f, x, G0) / dfx)
         ball = certify_root_oracle(t_ball, x)
         if ball is not None:
             if ball.radius <= target_radius:
@@ -983,17 +984,17 @@ def balls_overlap_oracle(balls) -> bool:
 
 @lru_cache(maxsize=64)
 def root_balls_oracle(t: QuadInt, target_radius: Fraction) -> tuple[ComplexBall, ...]:
-    """The four root balls from ``dioph.root_ball``, disjoint by the ComplexBall test."""
-    t_gauss, t_irrational = dioph._t_exact(t)
-    balls = tuple(dioph.root_ball(t_gauss, s, target_radius, t_irrational)
-                  for s in dioph._root_seeds(dioph._t_complex(t)))
+    """The four root balls from ``concrete.root_ball``, disjoint by the ComplexBall test."""
+    t_gauss, t_irrational = concrete._t_exact(t)
+    balls = tuple(concrete.root_ball(t_gauss, s, target_radius, t_irrational)
+                  for s in concrete._root_seeds(concrete._t_complex(t)))
     if balls_overlap_oracle(balls):
         raise dioph.TieError("root enclosures overlap")
     return balls
 
 
 def classify_type_oracle(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
-    """``dioph.classify_type`` with the bounds on |x - alpha_j y| in ComplexBall
+    """``concrete.classify_type`` with the bounds on |x - alpha_j y| in ComplexBall
     arithmetic (root balls cached by ``root_balls_oracle``)."""
     if x.abs_sq() == 0 and y.abs_sq() == 0:
         raise ValueError("(0, 0) has no type")
@@ -1011,7 +1012,7 @@ def classify_type_oracle(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
 
 
 def thue_polys_at_oracle(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:
-    """``series.thue_polys_at`` by homogeneous Horner on P = (iT - 4D)(X - i)^4
+    """``concrete.thue_polys_at`` by homogeneous Horner on P = (iT - 4D)(X - i)^4
     and Q = (iT + 4D)(X + i)^4 at each t."""
     if r < 0:
         raise ValueError("r must be >= 0")
@@ -1047,12 +1048,12 @@ def gshift(f, m: tuple[int, int]):
 def derivative_balls_oracle(r: int, A, B, alpha: ComplexBall, below: bool = False) -> list:
     """For k = 0..2r, (x, y, s, scale): alpha A^(k)(alpha) - B^(k)(alpha) lies
     within s/scale of (x + iy)/scale = k! (m a_k - b_k), exactly, for every
-    alpha in the dyadic disc |alpha - m| <= rho of ``dioph._dyadic_ball``.
+    alpha in the dyadic disc |alpha - m| <= rho of ``concrete._dyadic_ball``.
     With ``below``, s/scale is a lower bound for that radius sum instead: the
     moduli are rounded down, on a grid 2^-64 finer."""
     den = math.lcm(A.den, B.den)
-    n, sh, extra = max(A.degree(), B.degree(), 2 * r), dioph.MID_BITS, 64 if below else 0
-    M, R = dioph._dyadic_ball(alpha)  # m = M/2^sh, rho = R/2^sh
+    n, sh, extra = max(A.degree(), B.degree(), 2 * r), concrete.MID_BITS, 64 if below else 0
+    M, R = concrete._dyadic_ball(alpha)  # m = M/2^sh, rho = R/2^sh
 
     def cleared(p):  # 2^(sh n) den p(X/2^sh) over Z[i], of degree n
         return tuple([(x * (den // p.den)) << sh * (n - j) + extra
@@ -1078,8 +1079,8 @@ def derivative_balls_oracle(r: int, A, B, alpha: ComplexBall, below: bool = Fals
 
 
 def divisibility_ball_check_oracle(r: int, t: GaussRat) -> dict:
-    """``dioph.divisibility_ball_check`` on the exact balls."""
-    alpha = dioph.root_ball(t, dioph._root_seeds(complex(float(t.re), float(t.im)))[0],
+    """``concrete.divisibility_ball_check`` on the exact balls."""
+    alpha = concrete.root_ball(t, concrete._root_seeds(complex(float(t.re), float(t.im)))[0],
                             Fraction(1, 1 << 120))
     max_num, contains = 0, True
     for x, y, s, scale in derivative_balls_oracle(r, *thue_polys_at(r, t), alpha):
@@ -1096,21 +1097,21 @@ def divisibility_ball_check_oracle(r: int, t: GaussRat) -> dict:
 
 
 def eps_gate_fn_oracle(eps: Fraction):
-    """The three threshold conditions of measure._eps_gates at one eps, as a
+    """The three threshold conditions of corollary._eps_gates at one eps, as a
     function of the grid value g, in Fractions: ln t >= l = g / 2^28, each
     constant's log in [f, f + 1) / 2^28 for its grid floor f, and kappa's
     upper end (l + 1.08)/(l - 2.59)."""
-    ln, grid = measure._log_constants(), Fraction(1, 1 << measure.LN_GRID_BITS)
+    ln, grid = corollary._log_constants(), Fraction(1, 1 << corollary.LN_GRID_BITS)
     lo = {c: f * grid for c, f in ln.items()}
     hi = {c: (f + 1) * grid for c, f in ln.items()}
     # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= ln t
     type_log = hi[Fraction(4)] + (1 - eps) * hi[descent.TYPE_THRESHOLD]
     # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) ln t
-    beta_log, absorb_log = hi[descent.BETA_COEFF], lo[measure.CUBIC_ABSORB]
+    beta_log, absorb_log = hi[descent.BETA_COEFF], lo[corollary.CUBIC_ABSORB]
     cubic_slope = Fraction(1, 2) + eps / 4
     # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa))
     #       < (t^(2-eps) / 4)^(1/4), compared in the log domain
-    ln_b_hi = hi[measure.CONTRADICTION_COEFF] - (2 - eps) * lo[measure.C2_DIVISOR]
+    ln_b_hi = hi[measure.CONTRADICTION_COEFF] - (2 - eps) * lo[corollary.C2_DIVISOR]
 
     def gates(g: int) -> list[GateResult]:
         ln_t_lo = g * grid

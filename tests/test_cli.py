@@ -378,7 +378,7 @@ def test_an_eps_whose_floor_is_past_the_output_limit_exits_64_before_the_search(
     assert r.returncode == 64
     assert "200,000-digit output limit" in r.stderr and "--eps" in r.stderr
     assert "Traceback" not in r.stderr and r.stdout == ""
-    from thueq.measure import corollary_eps
+    from thueq.corollary import corollary_eps
     with pytest.raises(cli.OutputLimitError, match="^t0 for eps = 1e-200001 has more than"):
         corollary_eps(Fraction(1, 10**200_001))
 

@@ -16,7 +16,8 @@ from thueq.descent import (
     run_step,
 )
 from thueq.measure import theorem_assembly
-from thueq.series import GaussRat, TPoly
+from thueq.concrete import TPoly
+from thueq.series import GaussRat
 
 # rounded per-step constants of the two chains at |t| >= 100; each value may
 # sit one unit in the 4th significant digit above the published rounding

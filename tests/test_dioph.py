@@ -10,23 +10,26 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thueq import dioph, quadfield, series
+from thueq import concrete, dioph, quadfield
 from thueq.cli import main
-from thueq.dioph import (
-    Solution,
-    TieError,
+from thueq.concrete import (
+    ComplexBall,
     _root_seeds,
     _t_complex,
     _t_exact,
     all_root_balls,
     classify_type,
     divisibility_ball_check,
-    irreducibility_exceptions,
     root_ball,
+)
+from thueq.dioph import (
+    Solution,
+    TieError,
+    irreducibility_exceptions,
     small_solution_search,
     t_value_set,
 )
-from thueq.exactnum import GRID_BITS, ComplexBall, sqrt_bounds
+from thueq.exactnum import GRID_BITS, sqrt_bounds
 from thueq.quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
                              field_pairs, norm, ring, roots_of_unity)
 from thueq.series import GaussRat
@@ -454,7 +457,7 @@ def test_root_balls_of_an_irrational_parameter_are_pinned(d, a, b, digest):
     for _ in ("cold", "cached"):
         balls = all_root_balls(_t_complex(t), t_gauss, t_irrational, F(1, 1 << 64))
         assert hashlib.sha256(repr(balls).encode()).hexdigest() == digest
-    assert dioph._root_balls.cache_info().hits == 1
+    assert concrete._root_balls.cache_info().hits == 1
 
 
 @pytest.mark.parametrize("a, b, digest", [
@@ -487,7 +490,7 @@ def test_embed_at_200_bits_is_the_inline_parameter_ball(d):
            for _ in range(5)]
     for t in ts:
         assert _t_exact(t) == (None, t)
-        assert (_record_value(dioph._embed(t, 200))
+        assert (_record_value(concrete._embed(t, 200))
                 == _ball_value(_inline_parameter_ball(t))), str(t)
 
 
@@ -510,7 +513,7 @@ def test_embed_records_equal_the_oracle_balls(d):
           QuadInt(d, 3, -40), QuadInt(d, -10**30, 7)]
     xs += [QuadInt(d, rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9)) for _ in range(6)]
     for x, bits in itertools.product(xs, (128, 200)):
-        assert (_record_value(dioph._embed(x, bits))
+        assert (_record_value(concrete._embed(x, bits))
                 == _ball_value(embed_oracle(x, bits))), (str(x), bits)
 
 
@@ -521,9 +524,9 @@ def test_coeffs_at_majorant_is_the_complexball_majorant(t):
     t_gauss, t_irrational = _t_exact(t)
     ball = ComplexBall.exact(t_gauss.re, t_gauss.im) if t_irrational is None else \
         embed_oracle(t_irrational, 200)
-    _, _, m2, td = dioph._coeffs_at(dioph._embed(t, 200))
+    _, _, m2, td = concrete._coeffs_at(concrete._embed(t, 200))
     assert [F(m, td) for m in m2] == [abs(a) + abs(b) * ball.abs_upper()
-                                      for a, b in zip(*dioph._D2F)]
+                                      for a, b in zip(*concrete._D2F)]
 
 
 def test_classify_type_builds_only_the_balls_it_caches(monkeypatch):
@@ -544,7 +547,7 @@ def _tie_at(monkeypatch, tied) -> list:
     """Record the radius of every root-ball set classify_type asks for, and
     make the sets at the radii in ``tied`` tie."""
     radii = []
-    real = dioph._root_balls
+    real = concrete._root_balls
 
     def root_balls(t_complex, t_gauss, t_irrational, radius):
         radii.append(radius)
@@ -552,7 +555,7 @@ def _tie_at(monkeypatch, tied) -> list:
             return "forced tie"  # a tie's reason, as _root_balls returns it
         return real(t_complex, t_gauss, t_irrational, radius)
 
-    monkeypatch.setattr(dioph, "_root_balls", root_balls)
+    monkeypatch.setattr(concrete, "_root_balls", root_balls)
     return radii
 
 
@@ -592,7 +595,7 @@ def test_a_gaussian_parameter_below_2_126_skips_the_top_rung():
     rng = random.Random(31)
     for t in _below_the_top_rung():
         assert t.abs_sq() < 1 << 252 and _t_exact(t)[1] is None
-        assert (dioph._root_balls(_t_complex(t), *_t_exact(t), RUNGS[2])
+        assert (concrete._root_balls(_t_complex(t), *_t_exact(t), RUNGS[2])
                 == "root enclosure did not reach the requested radius")
         # near each root, and (x, 0), which ties at every rung
         for x, y in _pairs_near_roots(rng, t)[:4] + [(QuadInt(t.d, 3, 1), QuadInt(t.d, 0, 0))]:
@@ -606,7 +609,7 @@ def test_the_top_rung_cannot_certify_below_2_129():
     # |alpha0 + 1/t| <= 5.01/|t|^3 puts x within 5.02/|t|^3 of -1/t, so
     # |f'(x)| <= |t| + 3|t||x|^2 + 12|x| + 4|x|^3 < |t| + 1 at alpha0
     for t in (QuadInt(1, 3, (1 << 127) + 7), QuadInt(1, 3, (1 << 128) + 7)):
-        assert (dioph._root_balls(_t_complex(t), *_t_exact(t), RUNGS[2])
+        assert (concrete._root_balls(_t_complex(t), *_t_exact(t), RUNGS[2])
                 == "root enclosure did not reach the requested radius")
     # seeded Gaussian t, one per octave of [2^126, 2^130): the same type or
     # TieError as the oracle, on both sides of 2^129 - 1
@@ -623,8 +626,8 @@ def test_the_top_rung_cannot_certify_below_2_129():
 
 def _counting_root_ball(monkeypatch) -> list:
     calls = []
-    real = dioph._root_record
-    monkeypatch.setattr(dioph, "_root_record",
+    real = concrete._root_record
+    monkeypatch.setattr(concrete, "_root_record",
                         lambda *args: calls.append(args) or real(*args))
     return calls
 
@@ -646,7 +649,7 @@ def test_cached_root_balls_equal_the_cold_ones_in_a_fresh_list():
     args = (_t_complex(t), *_t_exact(t), F(1, 1 << 64))
     cold = all_root_balls(*args)
     cached = all_root_balls(*args)
-    assert dioph._root_balls.cache_info().hits == 1
+    assert concrete._root_balls.cache_info().hits == 1
     assert cached == cold and cached is not cold
     cached[0] = None
     assert all_root_balls(*args) == cold
@@ -664,7 +667,7 @@ def test_a_tied_rung_is_cached(monkeypatch):
         messages.append(str(exc.value))
         assert len(calls) == 1  # the first seed stalls, and is not retried
     assert messages == ["root enclosure did not reach the requested radius"] * 2
-    assert dioph._root_balls.cache_info().currsize == 1
+    assert concrete._root_balls.cache_info().currsize == 1
 
 
 def test_root_ball_stops_once_the_radius_stalls(monkeypatch):
@@ -675,8 +678,8 @@ def test_root_ball_stops_once_the_radius_stalls(monkeypatch):
     t = QuadInt(7, 3, 40)
     t_gauss, t_irrational = _t_exact(t)
     calls = []
-    real = dioph._certify_root
-    monkeypatch.setattr(dioph, "_certify_root",
+    real = concrete._certify_root
+    monkeypatch.setattr(concrete, "_certify_root",
                         lambda *args: calls.append(args) or real(*args))
     with pytest.raises(TieError):
         root_ball(t_gauss, _root_seeds(_t_complex(t))[0], F(1, 1 << 256), t_irrational)
@@ -742,10 +745,10 @@ def test_root_ball_midpoints_stay_on_the_dyadic_grid():
 def test_root_ball_evaluates_f_once_per_iterate(monkeypatch):
     # the Newton step from an iterate reuses the evaluation that certified it
     calls, evaluations = [], []
-    real, real_evaluate = dioph._certify_root, dioph._evaluate
-    monkeypatch.setattr(dioph, "_certify_root",
+    real, real_evaluate = concrete._certify_root, concrete._evaluate
+    monkeypatch.setattr(concrete, "_certify_root",
                         lambda *args: calls.append(args) or real(*args))
-    monkeypatch.setattr(dioph, "_evaluate",
+    monkeypatch.setattr(concrete, "_evaluate",
                         lambda *args: evaluations.append(args) or real_evaluate(*args))
     for t, bits in ((QuadInt(1, 37, -512), 256), (QuadInt(7, 3, 40), 128)):
         t_gauss, t_irrational = _t_exact(t)
@@ -858,14 +861,14 @@ def test_certify_root_matches_the_hand_written_quartic():
     outcomes = set()
     for tb in t_balls:
         tc = complex(float(tb.re_mid), float(tb.im_mid))
-        at = dioph._coeffs_at(ball_record(tb))
+        at = concrete._coeffs_at(ball_record(tb))
         for z, eps in itertools.product(_root_seeds(tc), (0.5, 0.3, 0.2, 0.1, 0.05, 0.03,
                                                           1e-2, 1e-4, 1e-9, 0.0)):
             w = z * (1 + eps * (1 + 1j)) + eps
-            zr, zi = (dioph._nearest(*c.as_integer_ratio(), 128) for c in (w.real, w.imag))
+            zr, zi = (concrete._nearest(*c.as_integer_ratio(), 128) for c in (w.real, w.imag))
             x = GaussRat(F(zr, 1 << 128), F(zi, 1 << 128))
-            ball = dioph._certify_root(at, dioph._evaluate(at, zr, zi, 128))
-            ball = ball and dioph._ball(ball)
+            ball = concrete._certify_root(at, concrete._evaluate(at, zr, zi, 128))
+            ball = ball and concrete._ball(ball)
             assert ball == _certify_root_oracle(tb, x), (tb, z, eps)
             outcomes.add(ball is None)
     assert outcomes == {True, False}
@@ -885,7 +888,7 @@ def _divisibility_oracle(r, t):
     derivative, over Q(i)."""
     tc = complex(float(t.re), float(t.im))
     alpha = root_ball(t, _root_seeds(tc)[0], F(1, 1 << 120))
-    A, B = series.thue_polys_at(r, t)
+    A, B = concrete.thue_polys_at(r, t)
     max_radius, contains = F(0), True
     for _ in range(2 * r + 1):
         val = alpha * A.eval_ball(alpha) - B.eval_ball(alpha)
@@ -919,21 +922,21 @@ def test_dyadic_ball_contains_the_root_ball():
                           F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)),
                           F(rng.randint(0, 10**6), rng.randint(1, 10**9))) for _ in range(200)]
     for ball in balls:
-        (p, q), R = dioph._dyadic_ball(ball)
-        scale = 1 << dioph.MID_BITS
+        (p, q), R = concrete._dyadic_ball(ball)
+        scale = 1 << concrete.MID_BITS
         slack = F(R, scale) - ball.radius  # room left for the midpoint's move
         assert slack > 0
         assert (ball.re_mid - F(p, scale)) ** 2 + (ball.im_mid - F(q, scale)) ** 2 <= slack ** 2
 
 
 def test_divisibility_check_sees_a_perturbed_b(monkeypatch):
-    real = series.thue_polys_at
+    real = concrete.thue_polys_at
 
     def perturbed(r, t):
         A, B = real(r, t)
         return A, B + F(1, 10**25)
 
-    monkeypatch.setattr(series, "thue_polys_at", perturbed)
+    monkeypatch.setattr(concrete, "thue_polys_at", perturbed)
     t = GaussRat(F(0), F(100))
     for r in (1, 2, 3):
         assert not divisibility_ball_check(r, t)["all_contain_zero"], r
@@ -982,16 +985,16 @@ def _contains(ball, scale, exact) -> bool:
 def test_derivative_balls_hold_the_exact_balls_at_low_precision(monkeypatch, bits):
     # at a few bits every rounding shows: each fixed-point ball must still hold
     # the exact kernel's, over the root ball and over discs up to radius 1
-    monkeypatch.setattr(dioph, "W", bits)
+    monkeypatch.setattr(concrete, "W", bits)
     rng = random.Random(f"low precision {bits}")
     for _ in range(12):
         z = cmath.rect(10 ** rng.uniform(0, 4), rng.uniform(0, 2 * math.pi))
         t, r = GaussRat(F(round(z.real)), F(round(z.imag))), rng.randint(1, 4)
-        A, B = series.thue_polys_at(r, t)
+        A, B = concrete.thue_polys_at(r, t)
         alpha = root_ball(t, _root_seeds(complex(z))[0], F(1, 1 << 120))
         for rho in (alpha.radius, F(1, 1 << 30), F(1, 256), F(1, 4), F(1)):
             ball = ComplexBall(alpha.re_mid, alpha.im_mid, rho)
-            scale, balls = dioph._derivative_balls(r, A, B, ball)
+            scale, balls = concrete._derivative_balls(r, A, B, ball)
             exact = derivative_balls_oracle(r, A, B, ball, below=True)
             assert len(balls) == len(exact) == 2 * r + 1
             assert all(_contains(b, scale, e) for b, e in zip(balls, exact)), (str(t), r, rho)
@@ -999,12 +1002,12 @@ def test_derivative_balls_hold_the_exact_balls_at_low_precision(monkeypatch, bit
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 10**30), min_size=1, max_size=12),
-       st.integers(0, 1 << (dioph.MID_BITS + 4)), st.integers(0, 12), st.integers(0, 2))
+       st.integers(0, 1 << (concrete.MID_BITS + 4)), st.integers(0, 12), st.integers(0, 2))
 def test_upward_shift_bounds_the_exact_shift(c, s, rounds, step):
     # each of the at most len(c)^2/2 products rounds up by less than 1 and adds step
-    x, n = F(s, 1 << dioph.MID_BITS), len(c)
+    x, n = F(s, 1 << concrete.MID_BITS), len(c)
     exact = [sum(F(c[j]) * math.comb(j, k) * x ** (j - k) for j in range(k, n)) for k in range(n)]
-    got = dioph._shift_up(list(c), s, rounds, step)
+    got = concrete._shift_up(list(c), s, rounds, step)
     for k in range(min(rounds, n)):
         assert exact[k] <= got[k]
     assert got[-1] == c[-1]
@@ -1138,15 +1141,15 @@ def test_beta_bounds_match_the_complexball_oracle():
     for t in _classify_parameters():
         pairs = _pairs_near_roots(rng, t)
         for bits in (64, 128, 256):
-            got = dioph._root_balls(_t_complex(t), *_t_exact(t), F(1, 1 << bits))
+            got = concrete._root_balls(_t_complex(t), *_t_exact(t), F(1, 1 << bits))
             if isinstance(got, str):  # a tie
                 continue
             balls, recs = got
             rungs.add((bits, _t_exact(t)[1] is None))
             for x, y in pairs:
-                xs, ys = (dioph._embed(z) for z in (x, y))
+                xs, ys = (concrete._embed(z) for z in (x, y))
                 for ball, rec in zip(balls, recs):
-                    lo, hi = dioph._beta_bounds(xs, ys, rec)
+                    lo, hi = concrete._beta_bounds(xs, ys, rec)
                     assert (F(lo, 1 << GRID_BITS), F(hi, 1 << GRID_BITS)) == \
                         beta_bounds_oracle(x, y, ball), (str(t), str(x), str(y), bits)
     assert {(64, True), (128, True), (64, False)} <= rungs
@@ -1162,8 +1165,8 @@ _radii = st.one_of(st.just(F(0)), st.builds(F, st.integers(1, 10**20), st.intege
 @given(_fields, _coords, _coords, _coords, _coords, _ratios, _ratios, _radii)
 def test_beta_bounds_on_drawn_balls_match_the_oracle(d, xa, xb, ya, yb, re, im, radius):
     x, y, alpha = QuadInt(d, xa, xb), QuadInt(d, ya, yb), ComplexBall(re, im, radius)
-    xs, ys = (dioph._embed(z) for z in (x, y))
-    lo, hi = dioph._beta_bounds(xs, ys, ball_record(alpha))
+    xs, ys = (concrete._embed(z) for z in (x, y))
+    lo, hi = concrete._beta_bounds(xs, ys, ball_record(alpha))
     assert (F(lo, 1 << GRID_BITS), F(hi, 1 << GRID_BITS)) == beta_bounds_oracle(x, y, alpha)
 
 
@@ -1184,14 +1187,14 @@ def test_a_forced_overlap_ties_in_both(monkeypatch):
     # the pair that classifies as 2 (x/y = 99i, near alpha2 ~ 100i) ties
     t, x, y = QuadInt(1, 0, 100), QuadInt(1, 0, 99), QuadInt(1, 1, 0)
     assert classify_type(t, x, y) == classify_type_oracle(t, x, y) == 2
-    real = dioph._root_record
+    real = concrete._root_record
 
     def widened(*args):
         a, b, n, _, _, h = real(*args)
         return a, b, n, 1, 1, h
 
-    monkeypatch.setattr(dioph, "_root_record", widened)
-    dioph._root_balls.cache_clear()
+    monkeypatch.setattr(concrete, "_root_record", widened)
+    concrete._root_balls.cache_clear()
     root_balls_oracle.cache_clear()
     try:
         with pytest.raises(TieError, match="overlap"):
@@ -1228,12 +1231,12 @@ def test_overlap_test_matches_the_complexball_oracle(monkeypatch):
                           F(rng.randint(-10**4, 10**4), rng.randint(1, 10**3)),
                           F(rng.randint(0, 10**4), rng.randint(1, 10**4))) for _ in range(4)]
              for _ in range(200)]
-    monkeypatch.setattr(dioph, "_root_seeds", lambda t: [0j] * 4)
+    monkeypatch.setattr(concrete, "_root_seeds", lambda t: [0j] * 4)
     seen = set()
     for balls in sets:
         it = map(ball_record, balls)
-        monkeypatch.setattr(dioph, "_root_record", lambda *args: next(it))
-        got = dioph._root_balls.__wrapped__(0j, None, None, F(1))
+        monkeypatch.setattr(concrete, "_root_record", lambda *args: next(it))
+        got = concrete._root_balls.__wrapped__(0j, None, None, F(1))
         overlap = isinstance(got, str)
         assert got == "root enclosures overlap" if overlap else got[0] == tuple(balls)
         assert overlap == balls_overlap_oracle(balls), balls

@@ -9,9 +9,10 @@ import random
 from fractions import Fraction as F
 from functools import lru_cache
 
-from thueq import exactnum, measure
+from thueq import corollary, exactnum, measure
 from thueq.exactnum import ln_floor
-from thueq.measure import LN_GRID_BITS, _eps_gates, _ln_grid, corollary_eps, theorem_assembly
+from thueq.corollary import LN_GRID_BITS, _eps_gates, _ln_grid, corollary_eps
+from thueq.measure import theorem_assembly
 
 from oracles import eps_gate_fn_oracle, ln_floor_oracle
 from test_measure import EPS_T0
@@ -59,7 +60,7 @@ def test_the_gates_are_monotone_near_every_t0():
 
 
 def test_t0_does_not_depend_on_the_ln2_cache_or_the_query_order(monkeypatch):
-    measure._log_constants()
+    corollary._log_constants()
     for name in ("_kappa", "_tmin_free_checks"):  # so theorem_assembly fills the cache anew
         monkeypatch.setattr(measure, name, lru_cache(maxsize=None)(
             getattr(measure, name).__wrapped__))
@@ -84,11 +85,11 @@ def test_integer_gates_match_the_fraction_gates_near_every_pin():
     rng = random.Random(1807)
     for eps, t0 in EPS_T0.items():
         eps = F(eps)
-        integer, fraction = measure._eps_gate_fn(eps), eps_gate_fn_oracle(eps)
+        integer, fraction = corollary._eps_gate_fn(eps), eps_gate_fn_oracle(eps)
         g0 = _ln_grid(t0)
         for g in {g0 - 1, g0, g0 + 1, _ln_grid(t0 - 1), rng.randrange(1, 2 * g0),
                   600_000_000, 697_000_000}:  # kappa undefined, 1 + eps - kappa <= 0
-            assert list(measure._gate_results(integer(g))) == fraction(g), (eps, g)
+            assert list(corollary._gate_results(integer(g))) == fraction(g), (eps, g)
 
 
 def test_eps_gates_are_monotone_near_t0():
@@ -134,5 +135,5 @@ def test_ln_floor_next_to_a_grid_point():
                 assert ln_floor(F(y), bits) == ln_floor_oracle(F(y), bits), (bits, y)
     for t0 in EPS_T0.values():
         for t in (t0 - 1, t0):
-            cut = measure._cut(t)
+            cut = corollary._cut(t)
             assert ln_floor(cut, LN_GRID_BITS) == ln_floor_oracle(F(cut), LN_GRID_BITS)

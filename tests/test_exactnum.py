@@ -4,12 +4,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from thueq import exactnum, measure
+from thueq import corollary, exactnum, measure
 from thueq.exactnum import (
     GRID_BITS,
     TMIN_FLOOR,
     ChainError,
-    ComplexBall,
     DomainError,
     RatInterval,
     UndefinedKappaError,
@@ -20,13 +19,14 @@ from thueq.exactnum import (
     ln_enclosure,
     pow_up_sig,
     round_nearest_sig,
-    round_up_grid,
     round_up_sig,
     sig_str,
     sqrt_bounds,
     sqrt_grid,
 )
-from thueq.measure import KAPPA_WIDTH, LIN_COEFF
+from thueq.concrete import ComplexBall, round_up_grid
+from thueq.corollary import LIN_COEFF
+from thueq.measure import KAPPA_WIDTH
 
 from oracles import (atanh_count_oracle, atanh_enclosure_oracle, ball_abs_bounds_oracle,
                      ball_contains_zero, ball_mul_oracle, dec_exponent_oracle, iv_add,
@@ -416,7 +416,7 @@ def test_the_integer_rounding_carries_into_the_next_decade():
 
 
 def test_the_integer_rounding_on_the_t0_of_eps_1_over_10000():
-    t0 = measure.corollary_eps(F(1, 10000))["t0"]
+    t0 = corollary.corollary_eps(F(1, 10000))["t0"]
     for digits in (1, 2, 4, 7):
         assert_decimals_equal_the_fraction_oracles(t0, digits)
 

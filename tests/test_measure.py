@@ -13,20 +13,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import first_c0_oracle, measure_constants_oracle, outcome, root_separation_oracle
 
-from thueq import descent, dioph, exactnum, hyperchi, measure, rouche, series
+from thueq import corollary, descent, dioph, exactnum, hyperchi, measure, rouche, series
 from thueq.cli import main
-from thueq.dioph import root_ball
+from thueq.concrete import root_ball
 from thueq.exactnum import iroot, round_up_sig, sqrt_bounds
+from thueq.corollary import corollary_eps, corollary_lin, rat_pow_upper
 from thueq.measure import (
     CONTRADICTION_COEFF,
     ChainError,
     contradiction_upper_bound,
-    corollary_eps,
-    corollary_lin,
     kappa_hi,
     kappa_lo,
     measure_constants,
-    rat_pow_upper,
     theorem_assembly,
 )
 from thueq.series import GaussRat
@@ -423,8 +421,8 @@ def test_each_verdict_line_fails_alone_in_its_gate(monkeypatch, capsys, patch, g
 
 def test_the_lin_coefficient_line_fails_alone(monkeypatch, capsys):
     # 443 set to 8.86 * 15.48 / 0.31 itself: the strict line fails on equality
-    monkeypatch.setattr(measure, "LIN_COEFF",
-                        descent.BETA_COEFF * measure.C_COEFF[3] / measure.C2_DIVISOR)
+    monkeypatch.setattr(corollary, "LIN_COEFF",
+                        descent.BETA_COEFF * measure.C_COEFF[3] / corollary.C2_DIVISOR)
     try:
         with pytest.raises(ChainError, match="^lin coefficient 443: "):
             corollary_lin(F(1))
@@ -573,8 +571,8 @@ def fresh_log_caches(monkeypatch):
     """An empty ln 2 cache and uncached log constants, as in a new process;
     the process's own caches are back in place after the test."""
     monkeypatch.setattr(exactnum, "_LN2_CACHE", {})
-    monkeypatch.setattr(measure, "_log_constants",
-                        lru_cache(maxsize=None)(measure._log_constants.__wrapped__))
+    monkeypatch.setattr(corollary, "_log_constants",
+                        lru_cache(maxsize=None)(corollary._log_constants.__wrapped__))
 
 
 def test_corollary_eps_thresholds_hold_in_reverse_order(fresh_log_caches):
@@ -735,7 +733,7 @@ LOG_CONSTANT_LINES = {"KAPPA_NUM_SHIFT": "kappa shift 1.08", "KAPPA_DEN_SHIFT": 
 ])
 def test_kappa_shifts_and_contradiction_coeff_are_certified(monkeypatch, module, name, wrong):
     monkeypatch.setattr(module, name, wrong)
-    caches = (measure._tmin_free_checks, measure._log_constants)
+    caches = (measure._tmin_free_checks, corollary._log_constants)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -759,9 +757,9 @@ def test_log_constants_run_once_per_process(monkeypatch):
     calls = []
     real = measure.ln_enclosure
     monkeypatch.setattr(measure, "ln_enclosure", lambda x, w: calls.append(x) or real(x, w))
-    real_floor = measure.ln_floor
-    monkeypatch.setattr(measure, "ln_floor", lambda x, b: calls.append(x) or real_floor(x, b))
-    caches = (measure._tmin_free_checks, measure._log_constants)
+    real_floor = corollary.ln_floor
+    monkeypatch.setattr(corollary, "ln_floor", lambda x, b: calls.append(x) or real_floor(x, b))
+    caches = (measure._tmin_free_checks, corollary._log_constants)
     for cache in caches:
         cache.cache_clear()
     try:
@@ -783,9 +781,9 @@ def test_corollaries_fail_closed_without_the_lettl_bounds(monkeypatch, capsys):
         raise ChainError("Lettl growth bound fails at r = 7")
 
     monkeypatch.setattr(hyperchi, "verify_lettl", failing)
-    for name in ("_tmin_free_checks", "_log_constants"):
-        monkeypatch.setattr(measure, name,
-                            lru_cache(maxsize=None)(getattr(measure, name).__wrapped__))
+    for module, name in ((measure, "_tmin_free_checks"), (corollary, "_log_constants")):
+        monkeypatch.setattr(module, name,
+                            lru_cache(maxsize=None)(getattr(module, name).__wrapped__))
     with pytest.raises(ChainError, match="Lettl"):
         corollary_eps(F(1, 2))
     with pytest.raises(ChainError, match="Lettl"):
@@ -800,14 +798,14 @@ def test_corollary_lin_accepts_its_own_threshold():
         r = corollary_lin(C)
         assert corollary_lin(C, r["t0"]) == r
     with pytest.raises(ValueError):
-        corollary_lin(F(1), measure.LIN_T0_FLOOR - 1)
+        corollary_lin(F(1), corollary.LIN_T0_FLOOR - 1)
 
 
 def test_corollary_lin_checks_kappa_below_2_at_t0_on_one_line(monkeypatch):
     # 524 is the least integer with kappa < 2, so the default needs no search;
     # the strict line refuses kappa = 2 for the default and a user t0 alike
-    assert kappa_hi(F(measure.LIN_T0_FLOOR - 1)) >= 2 > kappa_hi(F(measure.LIN_T0_FLOOR))
-    monkeypatch.setattr(measure, "kappa_hi", lambda t: F(2))
+    assert kappa_hi(F(corollary.LIN_T0_FLOOR - 1)) >= 2 > kappa_hi(F(corollary.LIN_T0_FLOOR))
+    monkeypatch.setattr(corollary, "kappa_hi", lambda t: F(2))
     for t0 in (None, F(10**6)):
         with pytest.raises(ChainError, match="^kappa below 2 at t0: 2 >= 2$"):
             corollary_lin(F(1), t0)
@@ -905,18 +903,18 @@ def test_kappa_is_enclosed_once_per_modulus(monkeypatch):
 # field or nothing, and holds what every tmin shares
 UNBOUNDED = {"descent._step_algebra", "dioph._x_part", "hyperchi.chi_coeffs",
              "hyperchi.denom_data", "measure._tmin_free_checks", "measure._fixed_lines",
-             "measure._log_constants", "quadfield.roots_of_unity", "rouche._cert_splits",
-             "series.root_series", "series._thue_data"}
+             "corollary._log_constants", "quadfield.roots_of_unity", "rouche._cert_splits",
+             "series.root_series", "concrete._thue_data"}
 
 
 def test_every_cache_keyed_by_tmin_is_bounded():
     caches = {}
-    for name in ("descent", "dioph", "exactnum", "hyperchi", "measure", "quadfield",
-                 "rouche", "series", "zpoly"):
+    for name in ("concrete", "corollary", "descent", "dioph", "exactnum", "hyperchi", "measure",
+                 "quadfield", "rouche", "series", "zpoly"):
         module = importlib.import_module(f"thueq.{name}")
         caches.update({f"{name}.{attr}": fn for attr, fn in vars(module).items()
                        if hasattr(fn, "cache_info") and fn.__module__ == module.__name__})
     unbounded = {name for name, fn in caches.items() if fn.cache_info().maxsize is None}
     assert unbounded == UNBOUNDED
-    for name in ("rouche._certificates", "measure._kappa"):
+    for name in ("rouche._certificates", "measure._kappa", "concrete._root_balls"):
         assert caches[name].cache_info().maxsize is not None

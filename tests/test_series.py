@@ -10,7 +10,7 @@ from oracles import (QUARTIC as QUARTIC_ORACLE, _gpow, approximants, approximant
                      chi_star_oracle, cross_product, from_form, series_inverse, thue_data_oracle,
                      thue_polys_at_oracle)
 
-from thueq import series, zpoly
+from thueq import concrete, series, zpoly
 from thueq.descent import KMAX, KSTART
 from thueq.exactnum import ChainError
 from thueq.hyperchi import chi_ints
@@ -21,7 +21,6 @@ from thueq.series import (
     GaussRat,
     PadePair,
     Series,
-    TPoly,
     alpha3_series,
     horner,
     newton_alpha_series,
@@ -30,9 +29,8 @@ from thueq.series import (
     quotient_root_check,
     root_series,
     tail_bound,
-    thue_data,
-    thue_polys_at,
 )
+from thueq.concrete import TPoly, thue_data, thue_polys_at
 
 G = GaussRat.of
 
@@ -293,23 +291,23 @@ def _bump(form):
 ], ids=["Y", "a", "b", "c", "d", "u", "z", "ad-bc", "uz"])
 def test_each_thue_identity_fails_on_a_perturbed_entry(entry, perturb, failed):
     data = thue_data()
-    series._check_thue_data(data)
+    concrete._check_thue_data(data)
     data[entry] = perturb(data[entry])
     with pytest.raises(ChainError) as err:
-        series._check_thue_data(data)
+        concrete._check_thue_data(data)
     assert str(err.value) == f"thue_data identities failed: {failed}"
 
 
 def test_differential_identity_fails_on_a_perturbed_quartic(monkeypatch):
     A, B = series.QUARTIC
-    monkeypatch.setattr(series, "QUARTIC", ((2,) + A[1:], B))
-    series._thue_data.cache_clear()
+    monkeypatch.setattr(concrete, "QUARTIC", ((2,) + A[1:], B))
+    concrete._thue_data.cache_clear()
     try:
         with pytest.raises(ChainError, match="differential identity failed"):
             thue_data()
     finally:
         monkeypatch.undo()
-        series._thue_data.cache_clear()
+        concrete._thue_data.cache_clear()
     thue_data()
 
 
@@ -317,7 +315,7 @@ def test_thue_data_check_fails_closed_under_python_O():
     # the identities must be checked by raises, not by asserts that -O strips
     code = (
         "import sys\n"
-        "from thueq.series import ChainError, _check_thue_data, thue_data\n"
+        "from thueq.concrete import ChainError, _check_thue_data, thue_data\n"
         "if not sys.flags.optimize: sys.exit(3)\n"
         "data = thue_data()\n"
         "data['a'] = data['b']\n"
@@ -333,10 +331,10 @@ def test_thue_data_check_fails_closed_under_python_O():
 
 def test_thue_data_checked_once_per_process(monkeypatch):
     checks = []
-    real = series._check_thue_data
-    monkeypatch.setattr(series, "_check_thue_data",
+    real = concrete._check_thue_data
+    monkeypatch.setattr(concrete, "_check_thue_data",
                         lambda data: checks.append(data) or real(data))
-    series._thue_data.cache_clear()
+    concrete._thue_data.cache_clear()
     first, second = thue_data(), thue_data()
     assert len(checks) == 1
     assert first == second and first is not second
@@ -439,7 +437,7 @@ def test_thue_polys_over_zi_match_the_q_i_oracle():
         for r in range(7):
             A, B = thue_polys_at(r, t)
             oA, oB = _thue_polys_oracle(r, t)
-            assert isinstance(A, series.TPoly) and isinstance(B, series.TPoly)
+            assert isinstance(A, concrete.TPoly) and isinstance(B, concrete.TPoly)
             assert A.coeffs == oA.coeffs and B.coeffs == oB.coeffs, (r, str(t))
             assert max(A.degree(), B.degree()) == 4 * r + 1
 
@@ -468,12 +466,12 @@ def test_thue_polys_on_drawn_t_are_the_homogenise_oracle(r, a, n, b, m):
 
 def test_thue_x_polys_are_built_on_first_use_only():
     out = subprocess.run(
-        [sys.executable, "-c", "from thueq import series; "
-         "print(series._thue_x_polys.cache_info().currsize)"],
+        [sys.executable, "-c", "from thueq import concrete; "
+         "print(concrete._thue_x_polys.cache_info().currsize)"],
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "0"
-    series.thue_polys_at(3, GaussRat(F(0), F(100)))
-    assert series._thue_x_polys.cache_info().currsize >= 1
+    concrete.thue_polys_at(3, GaussRat(F(0), F(100)))
+    assert concrete._thue_x_polys.cache_info().currsize >= 1
 
 
 def test_thue_polys_refuse_a_negative_order():
@@ -485,10 +483,10 @@ def test_thue_polys_build_behind_the_identity_check(monkeypatch):
     def failing_check(data):
         raise ChainError("thue_data identities failed")
 
-    monkeypatch.setattr(series, "_check_thue_data", failing_check)
-    series._thue_data.cache_clear()
+    monkeypatch.setattr(concrete, "_check_thue_data", failing_check)
+    concrete._thue_data.cache_clear()
     try:
         with pytest.raises(ChainError):
             thue_polys_at(2, GaussRat(F(0), F(100)))
     finally:
-        series._thue_data.cache_clear()
+        concrete._thue_data.cache_clear()

@@ -15,7 +15,8 @@ from fractions import Fraction as F
 import pytest
 
 import thueq
-from thueq.exactnum import ComplexBall, DomainError, RatInterval
+from thueq.concrete import ComplexBall
+from thueq.exactnum import DomainError, RatInterval
 from thueq.quadfield import QuadInt
 from thueq.series import GaussRat
 
