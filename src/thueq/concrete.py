@@ -17,12 +17,15 @@ from itertools import accumulate
 from operator import mul
 
 from . import zpoly
-from .dioph import TieError
 from .exactnum import GRID_BITS, ChainError, DomainError, Frozen, Rat, sqrt_grid
 from .hyperchi import chi_ints
 from .quadfield import QuadInt, ring
-from .series import (_U_T, _Z_T, G0, QUARTIC, GaussRat, _cleared, _GaussDense, _in_t,
-                     horner)
+from .series import _U_T, _Z_T, QUARTIC, GaussRat, _cleared, _GaussDense, _in_t, horner
+
+
+class TieError(ArithmeticError):
+    pass
+
 
 # ---------------------------------------------------------------------------
 # complex balls
@@ -134,11 +137,6 @@ class TPoly(_GaussDense):
     def deriv(self) -> "TPoly":
         return TPoly.from_ints(tuple(zpoly.deriv(xs) for xs in self.num), self.den)
 
-    def __call__(self, x: GaussRat) -> GaussRat:
-        """Horner on the numerator, divided by den once."""
-        num = [GaussRat(Fraction(a), Fraction(b)) for a, b in self._num_pairs()]
-        return evaluate(num, x, G0) / self.den
-
     def eval_ball(self, z: ComplexBall) -> ComplexBall:
         den = self.den
         return evaluate([ComplexBall.exact(Fraction(a, den), Fraction(b, den))
@@ -151,7 +149,7 @@ class TPoly(_GaussDense):
 # ---------------------------------------------------------------------------
 # the Thue polynomials at a concrete t, over Z[i]
 
-# a, b, c, d of ``thue_data``, held without their common prefactor 5/2
+# a, b, c, d of ``_thue_data``, held without their common prefactor 5/2
 _ABCD = (((-2,), (0, 2)), ((2,), (0, 2)), ((0, -2), (-2,)), ((0, 2), (-2,)))
 # (X - i)^4 and (X + i)^4
 _X_MINUS_I_4, _X_PLUS_I_4 = (zpoly.gmul(sq, sq) for sq in (
@@ -163,19 +161,14 @@ def _i_pow(k: int, c: int = 1):
     return (((c,), ()), ((), (c,)), ((-c,), ()), ((), (-c,)))[k % 4]
 
 
-def thue_data() -> dict:
+@lru_cache(maxsize=None)
+def _thue_data() -> dict:
     """The polynomials attached to P = X^4 - tX^3 - 6X^2 + tX + 1 and
     U = X^2 + 1: the second-order identity U P'' - 3 U' P' + 6 U'' P = 0
     holds, the discriminant constant is lambda = -1, and the record carries
     Y = 2UP' - 4U'P plus the auxiliary linear and quartic factors, as
     ``zpoly`` forms over Z[i]: a, b, c, d without their prefactor 5/2, and
-    u, z times 16.  Built and checked once per process; each call returns a
-    fresh dict."""
-    return dict(_thue_data())
-
-
-@lru_cache(maxsize=None)
-def _thue_data() -> dict:
+    u, z times 16.  Built and checked once per process, and shared."""
     U = (1, 0, 1)
     dU = zpoly.deriv(U)
     ode, Y = [], []
@@ -396,13 +389,13 @@ def all_root_balls(t_complex: complex, t_gauss, t_irrational,
     got = _root_balls(t_complex, t_gauss, t_irrational, target_radius)
     if isinstance(got, str):
         raise TieError(got)
-    return list(got[0])
+    return list(map(_ball, got))
 
 
 @lru_cache(maxsize=64)
 def _root_balls(t_complex, t_gauss, t_irrational, target_radius) -> tuple | str:
-    """(balls, records): the set as ComplexBalls and as the certificates' records;
-    or the TieError message of a tie, returned so that the cache keeps it."""
+    """The set as the certificates' records, or the TieError message of a tie,
+    returned so that the cache keeps it."""
     try:
         recs = tuple(_root_record(t_gauss, s, target_radius, t_irrational)
                      for s in _root_seeds(t_complex))
@@ -414,7 +407,7 @@ def _root_balls(t_complex, t_gauss, t_irrational, target_radius) -> tuple | str:
         if (sqrt_grid((a * m - c * n) ** 2 + (b * m - e * n) ** 2, (n * m) ** 2)[0]
                 <= -(-((p * q2 + p2 * q) << GRID_BITS) // (q * q2))):
             return "root enclosures overlap"
-    return tuple(map(_ball, recs)), recs
+    return recs
 
 
 def _root_seeds(t: complex) -> list[complex]:
@@ -444,11 +437,11 @@ def _nearest(num: int, den: int, bits: int) -> int:
     return (2 * (num << bits) + den) // (2 * den)
 
 
-def _dyadic_ball(ball: ComplexBall) -> tuple[tuple[int, int], int]:
-    """(M, R) with the ball inside |z - M/2^MID_BITS| <= R/2^MID_BITS: M is the
+def _dyadic_ball(rec: tuple) -> tuple[tuple[int, int], int]:
+    """(M, R) with the record's ball inside |z - M/2^MID_BITS| <= R/2^MID_BITS: M is the
     midpoint rounded to nearest (off by < 2^-MID_BITS), R >= radius 2^MID_BITS + 1."""
-    M = tuple(_nearest(*x.as_integer_ratio(), MID_BITS) for x in (ball.re_mid, ball.im_mid))
-    return M, -(-(ball.radius.numerator << MID_BITS) // ball.radius.denominator) + 1
+    a, b, n, p, q, _ = rec
+    return (_nearest(a, n, MID_BITS), _nearest(b, n, MID_BITS)), -(-(p << MID_BITS) // q) + 1
 
 
 def _shift_up(c: list, s: int, rounds: int, step: int) -> list:
@@ -461,14 +454,15 @@ def _shift_up(c: list, s: int, rounds: int, step: int) -> list:
     return c
 
 
-def _derivative_balls(r: int, A, B, alpha: ComplexBall) -> tuple[int, list]:
+def _derivative_balls(r: int, A, B, ball: tuple) -> tuple[int, list]:
     """(den 2^W, balls): for k = 0..2r, integers (x, y, rad) over den 2^W with alpha A^(k)(alpha)
-    - B^(k)(alpha) within rad of x + iy on the dyadic disc |alpha - m| <= rho.  With a_j, b_j
+    - B^(k)(alpha) within rad of x + iy on the dyadic disc |alpha - m| <= rho around the
+    record ball.  With a_j, b_j
     the Taylor coefficients at m (each part within E_j, as the shift rounds down), e_j =
     m a_j - b_j and w_j = |e_j| + rho |a_j|, the value at m is k! e_k and the radius
     k! (T_k - |e_k|) for T = w(X + rho) rounded up, plus the midpoint's error."""
     den, n = math.lcm(A.den, B.den), max(A.degree(), B.degree(), 2 * r)
-    (mr, mi), R = _dyadic_ball(alpha)  # m = M/2^MID_BITS, rho = R/2^MID_BITS
+    (mr, mi), R = _dyadic_ball(ball)  # m = M/2^MID_BITS, rho = R/2^MID_BITS
     ga, gb = ([[x * (den // p.den) << W for x in zpoly.pad(xs, n + 1)] for xs in p.num]
               for p in (A, B))
     for re, im in ga, gb:  # den p(X) 2^W, shifted to m with each product rounded down
@@ -500,7 +494,7 @@ def divisibility_ball_check(r: int, t: GaussRat) -> dict:
     if r < 0:
         raise ValueError("r must be >= 0")
     tc = complex(float(t.re), float(t.im))
-    alpha = root_ball(t, _root_seeds(tc)[0], Fraction(1, 1 << 120))
+    alpha = _root_record(t, _root_seeds(tc)[0], Fraction(1, 1 << 120))
     scale, balls = _derivative_balls(r, *thue_polys_at(r, t), alpha)
     nums = [-(-(rad << GRID_BITS) // scale) for _, _, rad in balls]  # 2^GRID_BITS radius, up
     return {"order": 2 * r + 1,
@@ -520,7 +514,7 @@ def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:
         got = _root_balls(tc, t_gauss, t_irrational, Fraction(1, 1 << bits))
         if isinstance(got, str):  # this rung ties
             continue
-        bounds = [_beta_bounds(xs, ys, ab) for ab in got[1]]
+        bounds = [_beta_bounds(xs, ys, ab) for ab in got]
         best = min(range(4), key=lambda i: bounds[i][1])
         if all(bounds[best][1] < bounds[j][0] for j in range(4) if j != best):
             return best

@@ -18,10 +18,6 @@ from .quadfield import (QuadInt, eligible_fields, enumerate_bounded, norm, pairs
                         ring, roots_of_unity)
 
 
-class TieError(ArithmeticError):
-    pass
-
-
 Solution = namedtuple("Solution", "d t x y mu")  # QuadInt t, x, y and mu in field d
 
 
@@ -202,4 +198,4 @@ def t_value_set(solutions) -> set:
 # the names of ``concrete`` that callers still read from this module
 __getattr__ = _forward(globals(), "concrete", ("classify_type", "all_root_balls", "root_ball",
                                                "divisibility_ball_check", "_t_exact",
-                                               "_root_seeds"))
+                                               "_root_seeds", "TieError"))

@@ -241,13 +241,6 @@ def sqrt_grid(n: int, d: int, bits: int = GRID_BITS) -> tuple[int, int]:
     return r, (r if rem == 0 and r * r == q else r + 1)
 
 
-def sqrt_bounds(q: Rat, bits: int = GRID_BITS) -> tuple[Rat, Rat]:
-    """(lo, hi) on the 2**-bits grid with lo <= sqrt(q) <= hi, q >= 0."""
-    if q < 0:
-        raise DomainError("sqrt of negative rational")
-    return tuple(Fraction(e, 1 << bits) for e in sqrt_grid(q.numerator, q.denominator, bits))
-
-
 # ---------------------------------------------------------------------------
 # intervals
 

@@ -64,12 +64,6 @@ class QuadInt(Frozen):
     def __rmul__(self, other):
         return self * other
 
-    def __radd__(self, other):
-        return self + other
-
-    def __rsub__(self, other):
-        return _coerce(other) - self
-
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power")
@@ -81,9 +75,6 @@ class QuadInt(Frozen):
             base = base * base
             n >>= 1
         return out
-
-    def conj(self) -> "QuadInt":
-        return QuadInt(self.d, self.a + ring(self.d)[0] * self.b, -self.b)
 
     def abs_sq(self) -> int:
         return norm(self.d, self.a, self.b)
@@ -122,18 +113,6 @@ def _common(x, y) -> tuple[int, QuadInt, QuadInt]:
         raise ValueError(f"mixed fields d={x.d} and d={y.d}")
     d = x.d if not x.is_rational() else y.d
     return d, x._lift(d), y._lift(d)
-
-
-def div_exact(x: QuadInt, y: QuadInt) -> QuadInt:
-    """x / y, raising ValueError when y does not divide x in the ring."""
-    d, x, y = _common(x, y)
-    n = y.abs_sq()
-    if n == 0:
-        raise ZeroDivisionError("division by zero element")
-    num = x * y.conj()
-    if num.a % n or num.b % n:
-        raise ValueError(f"{y} does not divide {x}")
-    return QuadInt(d, num.a // n, num.b // n)
 
 
 @lru_cache(maxsize=None)

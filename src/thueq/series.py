@@ -65,9 +65,6 @@ class GaussRat(Frozen):
             return NotImplemented
         return self + (-GaussRat.of(other))
 
-    def __rsub__(self, other):
-        return GaussRat.of(other) - self
-
     def __mul__(self, other):
         if not isinstance(other, (GaussRat, int, Fraction)):
             return NotImplemented
@@ -101,11 +98,6 @@ class GaussRat(Frozen):
         if self.re == 0:
             return f"{self.im}*i"
         return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i"
-
-
-G0 = GaussRat(Fraction(0), Fraction(0))
-G1 = GaussRat(Fraction(1), Fraction(0))
-GI = GaussRat(Fraction(0), Fraction(1))
 
 
 # ---------------------------------------------------------------------------
@@ -185,9 +177,6 @@ class _GaussDense:
 
     def __sub__(self, other):
         return self + -self._lift(other)
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
 
     def __mul__(self, other):
         other = self._lift(other)

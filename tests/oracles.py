@@ -1,7 +1,7 @@
 """Reference oracles: the sparse (X, t) polynomial type over Q(i) and the
 constructions that ran on it before the integer kernel replaced them, the
 Fraction logarithms that ran before ``exactnum.LnArg`` with the interval
-arithmetic they use, the two square roots that ``exactnum.sqrt_bounds``
+arithmetic they use, the two square roots that ``exactnum.sqrt_grid``
 replaced, and the concrete-t root balls as they were computed in
 ``GaussRat``/``ComplexBall`` arithmetic before the integer Newton steps and
 certificates of ``thueq.dioph``, with the ``ComplexBall`` embedding and its
@@ -26,6 +26,10 @@ with the descent's non-vanishing polynomial as it was built over Z[i], the
 rounding up as it ran with two powers of ten, the rounding to nearest and
 ``sig_str`` as they ran in ``Fraction`` arithmetic, and the reducible
 parameters as ``QuadInt``/``div_exact`` found them over ``enumerate_bounded(4)``.
+It also holds what only the tests call, so that ``src/`` keeps none of it: the
+``GaussRat`` constants ``G0``, ``G1`` and ``GI``, ``QuadInt``'s conjugate and
+exact division, ``sqrt_bounds`` as ``Fraction``s from ``exactnum.sqrt_grid`` and
+a fresh copy of the ``concrete._thue_data`` record.
 The tests check ``thueq.zpoly``, ``thueq.exactnum``, ``thueq.quadfield`` and
 their callers against these."""
 
@@ -47,11 +51,15 @@ from thueq.measure import (ABSORB_BASE, C_COEFF, C_PREFACTOR, E_DIV, ERR_BASE, E
                            ERR_PREFACTOR, I_DIST_CAP, K0, KAPPA_WIDTH, L0, Q_BASE, QMIN,
                            T4_FLOOR, T12_FLOOR, UZ_CAP, ChainError, GateResult,
                            MeasureConstants)
-from thueq.quadfield import QuadInt, div_exact, enumerate_bounded
+from thueq.quadfield import QuadInt, _common, enumerate_bounded, ring
 from thueq.rouche import (ALPHA0_RADIUS, ALPHA2_RADIUS, ALPHA13_RADIUS, HIGH_ORDER,
                           EnclosureCert, require)
-from thueq.series import (_U_T, _Z_T, G0, G1, GI, GaussRat, Series, _cleared, pade,
-                          pade_residual, root_series, tail_bound)
+from thueq.series import (_U_T, _Z_T, GaussRat, Series, _cleared, pade, pade_residual,
+                          root_series, tail_bound)
+
+G0 = GaussRat(Fraction(0), Fraction(0))
+G1 = GaussRat(Fraction(1), Fraction(0))
+GI = GaussRat(Fraction(0), Fraction(1))
 
 
 class Poly2:
@@ -213,6 +221,11 @@ def from_form(F) -> Poly2:
 X, T = Poly2.X(), Poly2.t()
 QUARTIC = X ** 4 - T * X ** 3 - 6 * X ** 2 + T * X + 1  # f_t(X)
 U_T, Z_T = GI * T + 4, GI * T - 4  # u = it + 4, z = it - 4
+
+
+def thue_data() -> dict:
+    """A fresh copy of ``concrete._thue_data``'s record, free to perturb."""
+    return dict(concrete._thue_data())
 
 
 def thue_data_oracle() -> dict:
@@ -687,6 +700,15 @@ def root_separation_oracle(tmin=exactnum.TMIN_FLOOR) -> dict:
 # rational square roots and interval arithmetic
 
 
+def sqrt_bounds(q: Fraction, bits: int = exactnum.GRID_BITS) -> tuple[Fraction, Fraction]:
+    """(lo, hi) on the 2**-bits grid with lo <= sqrt(q) <= hi, q >= 0, from
+    ``exactnum.sqrt_grid``."""
+    if q < 0:
+        raise DomainError("sqrt of negative rational")
+    return tuple(Fraction(e, 1 << bits)
+                 for e in exactnum.sqrt_grid(q.numerator, q.denominator, bits))
+
+
 def sqrt_lower(q: Fraction, bits: int = exactnum.GRID_BITS) -> Fraction:
     """Rational lower bound for sqrt(q), q >= 0."""
     if q < 0:
@@ -835,7 +857,7 @@ def kappa_oracle(t_abs, target_width: Fraction) -> RatInterval:
 
 def ball_abs_bounds_oracle(z: ComplexBall) -> tuple[Fraction, Fraction]:
     """|z| bounds from the normalised Fraction |mid|^2."""
-    lo, hi = exactnum.sqrt_bounds(z.re_mid * z.re_mid + z.im_mid * z.im_mid)
+    lo, hi = sqrt_bounds(z.re_mid * z.re_mid + z.im_mid * z.im_mid)
     return (max(lo - z.radius, Fraction(0)), hi + z.radius)
 
 
@@ -861,7 +883,7 @@ def embed_oracle(x: QuadInt, bits: int = exactnum.GRID_BITS) -> ComplexBall:
     re, im_coeff = x.re_im()
     if im_coeff == 0:
         return ComplexBall.exact(re)
-    lo, hi = exactnum.sqrt_bounds(Fraction(x.d), bits)
+    lo, hi = sqrt_bounds(Fraction(x.d), bits)
     mid = (lo + hi) / 2
     return ComplexBall(re, im_coeff * mid, abs(im_coeff) * (hi - lo))
 
@@ -1053,7 +1075,7 @@ def derivative_balls_oracle(r: int, A, B, alpha: ComplexBall, below: bool = Fals
     moduli are rounded down, on a grid 2^-64 finer."""
     den = math.lcm(A.den, B.den)
     n, sh, extra = max(A.degree(), B.degree(), 2 * r), concrete.MID_BITS, 64 if below else 0
-    M, R = concrete._dyadic_ball(alpha)  # m = M/2^sh, rho = R/2^sh
+    M, R = concrete._dyadic_ball(ball_record(alpha))  # m = M/2^sh, rho = R/2^sh
 
     def cleared(p):  # 2^(sh n) den p(X/2^sh) over Z[i], of degree n
         return tuple([(x * (den // p.den)) << sh * (n - j) + extra
@@ -1182,6 +1204,23 @@ def mul_oracle(d: int, x: tuple, y: tuple) -> tuple:
         m = (1 + d) // 4
         return (xa * ya - m * xb * yb, xa * yb + xb * ya + xb * yb)
     return (xa * ya - d * xb * yb, xa * yb + xb * ya)
+
+
+def conj(x: QuadInt) -> QuadInt:
+    """The complex conjugate, read from the ``ring`` table."""
+    return QuadInt(x.d, x.a + ring(x.d)[0] * x.b, -x.b)
+
+
+def div_exact(x: QuadInt, y: QuadInt) -> QuadInt:
+    """x / y, raising ValueError when y does not divide x in the ring."""
+    d, x, y = _common(x, y)
+    n = y.abs_sq()
+    if n == 0:
+        raise ZeroDivisionError("division by zero element")
+    num = x * conj(y)
+    if num.a % n or num.b % n:
+        raise ValueError(f"{y} does not divide {x}")
+    return QuadInt(d, num.a // n, num.b // n)
 
 
 def conj_oracle(d: int, a: int, b: int) -> tuple:

@@ -65,5 +65,5 @@ def test_the_exception_classes_are_the_five_kept():
                  isinstance(b, ast.Name) and b.id.endswith(("Error", "Exception"))
                  for b in node.bases)}
     assert found == {("exactnum.py", "ChainError"), ("exactnum.py", "DomainError"),
-                     ("exactnum.py", "UndefinedKappaError"), ("dioph.py", "TieError"),
+                     ("exactnum.py", "UndefinedKappaError"), ("concrete.py", "TieError"),
                      ("exactnum.py", "OutputLimitError")}

@@ -10,10 +10,11 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thueq import concrete, dioph, quadfield
+from thueq import concrete, dioph
 from thueq.cli import main
 from thueq.concrete import (
     ComplexBall,
+    TieError,
     _root_seeds,
     _t_complex,
     _t_exact,
@@ -24,22 +25,22 @@ from thueq.concrete import (
 )
 from thueq.dioph import (
     Solution,
-    TieError,
     irreducibility_exceptions,
     small_solution_search,
     t_value_set,
 )
-from thueq.exactnum import GRID_BITS, sqrt_bounds
-from thueq.quadfield import (QuadInt, div_exact, eligible_fields, enumerate_bounded,
-                             field_pairs, norm, ring, roots_of_unity)
+from thueq.exactnum import GRID_BITS
+from thueq.quadfield import (QuadInt, eligible_fields, enumerate_bounded, field_pairs, norm,
+                             ring, roots_of_unity)
 from thueq.series import GaussRat
 
+import oracles
 from oracles import (ball_contains_zero, ball_record, balls_overlap_oracle,
                      beta_bounds_oracle, classify_type_oracle, derivative_balls_oracle,
-                     divisibility_ball_check_oracle, embed_oracle, eval_form,
+                     div_exact, divisibility_ball_check_oracle, embed_oracle, eval_form,
                      irreducibility_exceptions_oracle, orbit, outcome,
-                     root_ball_oracle, root_balls_oracle, root_seeds_oracle, sqrt_lower,
-                     sqrt_upper)
+                     root_ball_oracle, root_balls_oracle, root_seeds_oracle, sqrt_bounds,
+                     sqrt_lower, sqrt_upper)
 
 
 def test_eval_form_known_values():
@@ -140,7 +141,7 @@ def test_irreducibility_exceptions_equal_the_quadint_oracle(monkeypatch):
         raise RuntimeError("the brute-force path ran")
 
     monkeypatch.setattr(dioph, "enumerate_bounded", refuse)
-    monkeypatch.setattr(quadfield, "div_exact", refuse)
+    monkeypatch.setattr(oracles, "div_exact", refuse)
     ts, root_cases = irreducibility_exceptions()
     assert (ts, root_cases) == expected
 
@@ -529,18 +530,50 @@ def test_coeffs_at_majorant_is_the_complexball_majorant(t):
                                       for a, b in zip(*concrete._D2F)]
 
 
-def test_classify_type_builds_only_the_balls_it_caches(monkeypatch):
-    # a fresh Gaussian t that answers at 2^-64: the four ComplexBalls of the
-    # cached set, and the one GaussRat of _t_exact; every other ball is a record
+def _count_built(monkeypatch) -> list:
+    """Record the class of every ComplexBall and GaussRat built from now on."""
     built = []
     for cls in (ComplexBall, GaussRat):
         real = cls.__init__
         monkeypatch.setattr(cls, "__init__", lambda self, *args, real=real, cls=cls:
                             built.append(cls) or real(self, *args))
+    return built
+
+
+def test_classify_type_builds_only_the_balls_it_caches(monkeypatch):
+    # a fresh Gaussian t that answers at 2^-64: the one GaussRat of _t_exact;
+    # every ball, the cached set's included, is a record
+    built = _count_built(monkeypatch)
     radii = _tie_at(monkeypatch, [])
     assert classify_type(QuadInt(1, 37, -512), QuadInt(1, 1, 0), QuadInt(1, 0, 1)) == 0
     assert radii == RUNGS[:1]
-    assert sorted(built, key=lambda c: c.__name__) == [ComplexBall] * 4 + [GaussRat]
+    assert built == [GaussRat]
+
+
+def test_divisibility_check_builds_no_complexball(monkeypatch):
+    # the root ball at 2^-120 stays a record from _root_record to _dyadic_ball
+    t = GaussRat(F(37, 3), F(-512, 7))
+    built = _count_built(monkeypatch)
+    assert divisibility_ball_check(3, t)["all_contain_zero"]
+    assert ComplexBall not in built
+
+
+def test_the_root_ball_cache_holds_records_or_a_reason():
+    # one stored form per set: four records (a, b, n, p, q, h) of ints, or the
+    # reason of a tie; all_root_balls builds its ComplexBalls on the way out
+    kinds = set()
+    for t in (QuadInt(1, 0, 100), QuadInt(7, 3, 40), QuadInt(2, -37, 512)):
+        for bits in (64, 128, 256):
+            args = (_t_complex(t), *_t_exact(t), F(1, 1 << bits))
+            got = concrete._root_balls(*args)
+            kinds.add(type(got))
+            assert isinstance(got, str) or (
+                type(got) is tuple and len(got) == 4
+                and all(type(rec) is tuple and len(rec) == 6
+                        and all(type(x) is int for x in rec) for rec in got)), (str(t), bits)
+            if type(got) is tuple:
+                assert all_root_balls(*args) == list(map(concrete._ball, got))
+    assert kinds == {tuple, str}
 
 
 def _tie_at(monkeypatch, tied) -> list:
@@ -922,7 +955,7 @@ def test_dyadic_ball_contains_the_root_ball():
                           F(rng.randint(-10**9, 10**9), rng.randint(1, 10**9)),
                           F(rng.randint(0, 10**6), rng.randint(1, 10**9))) for _ in range(200)]
     for ball in balls:
-        (p, q), R = concrete._dyadic_ball(ball)
+        (p, q), R = concrete._dyadic_ball(ball_record(ball))
         scale = 1 << concrete.MID_BITS
         slack = F(R, scale) - ball.radius  # room left for the midpoint's move
         assert slack > 0
@@ -994,7 +1027,7 @@ def test_derivative_balls_hold_the_exact_balls_at_low_precision(monkeypatch, bit
         alpha = root_ball(t, _root_seeds(complex(z))[0], F(1, 1 << 120))
         for rho in (alpha.radius, F(1, 1 << 30), F(1, 256), F(1, 4), F(1)):
             ball = ComplexBall(alpha.re_mid, alpha.im_mid, rho)
-            scale, balls = concrete._derivative_balls(r, A, B, ball)
+            scale, balls = concrete._derivative_balls(r, A, B, ball_record(ball))
             exact = derivative_balls_oracle(r, A, B, ball, below=True)
             assert len(balls) == len(exact) == 2 * r + 1
             assert all(_contains(b, scale, e) for b, e in zip(balls, exact)), (str(t), r, rho)
@@ -1144,14 +1177,14 @@ def test_beta_bounds_match_the_complexball_oracle():
             got = concrete._root_balls(_t_complex(t), *_t_exact(t), F(1, 1 << bits))
             if isinstance(got, str):  # a tie
                 continue
-            balls, recs = got
             rungs.add((bits, _t_exact(t)[1] is None))
             for x, y in pairs:
                 xs, ys = (concrete._embed(z) for z in (x, y))
-                for ball, rec in zip(balls, recs):
+                for rec in got:
                     lo, hi = concrete._beta_bounds(xs, ys, rec)
                     assert (F(lo, 1 << GRID_BITS), F(hi, 1 << GRID_BITS)) == \
-                        beta_bounds_oracle(x, y, ball), (str(t), str(x), str(y), bits)
+                        beta_bounds_oracle(x, y, concrete._ball(rec)), \
+                        (str(t), str(x), str(y), bits)
     assert {(64, True), (128, True), (64, False)} <= rungs
 
 
@@ -1238,7 +1271,8 @@ def test_overlap_test_matches_the_complexball_oracle(monkeypatch):
         monkeypatch.setattr(concrete, "_root_record", lambda *args: next(it))
         got = concrete._root_balls.__wrapped__(0j, None, None, F(1))
         overlap = isinstance(got, str)
-        assert got == "root enclosures overlap" if overlap else got[0] == tuple(balls)
+        assert (got == "root enclosures overlap" if overlap
+                else tuple(map(concrete._ball, got)) == tuple(balls))
         assert overlap == balls_overlap_oracle(balls), balls
         seen.add(overlap)
     assert seen == {True, False}

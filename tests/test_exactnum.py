@@ -21,7 +21,6 @@ from thueq.exactnum import (
     round_nearest_sig,
     round_up_sig,
     sig_str,
-    sqrt_bounds,
     sqrt_grid,
 )
 from thueq.concrete import ComplexBall, round_up_grid
@@ -87,21 +86,26 @@ def test_sig_str():
     assert sig_str(F(0)) == "0"
 
 
+def grid_ends(q: F, bits: int = GRID_BITS) -> tuple[F, F]:
+    """sqrt_grid's floor and ceiling for the rational q, as multiples of 2^-bits."""
+    return tuple(F(e, 1 << bits) for e in sqrt_grid(q.numerator, q.denominator, bits))
+
+
 @given(positive_rationals)
-def test_sqrt_bounds(q):
-    lo, hi = sqrt_bounds(q)
+def test_sqrt_grid_brackets(q):
+    lo, hi = grid_ends(q)
     assert 0 <= lo <= hi
     assert lo * lo <= q <= hi * hi
     assert hi - lo <= F(2, 2**100)
 
 
 def test_sqrt_exact():
-    assert sqrt_bounds(F(4)) == (2, 2)
-    assert sqrt_bounds(F(0)) == (0, 0)
+    assert sqrt_grid(4, 1) == (2 << GRID_BITS, 2 << GRID_BITS)
+    assert sqrt_grid(0, 1) == (0, 0)
     assert sqrt_lower(F(4)) == 2 == sqrt_upper(F(4))
     assert sqrt_lower(F(0)) == 0 == sqrt_upper(F(0))
-    with pytest.raises(DomainError):
-        sqrt_bounds(F(-1, 3))
+    with pytest.raises(ValueError):
+        sqrt_grid(-1, 3)
 
 
 SQRT_BITS = (0, 64, 128, 200, 264)
@@ -110,10 +114,10 @@ SQRT_BITS = (0, 64, 128, 200, 264)
 @given(st.one_of(st.just(0), st.integers(min_value=0, max_value=2**600)),
        st.integers(min_value=1, max_value=2**600), st.sampled_from(SQRT_BITS),
        st.sampled_from(("q", "square", "grid square")), st.integers(min_value=0, max_value=264))
-def test_sqrt_bounds_equals_the_two_square_roots(n, d, bits, kind, k):
+def test_sqrt_grid_equals_the_two_square_roots(n, d, bits, kind, k):
     # a grid square (n / 2^k)^2 with k <= bits has its root on the 2^-bits grid
     q = {"q": F(n, d), "square": F(n, d) ** 2, "grid square": F(n, 1 << min(k, bits)) ** 2}[kind]
-    assert sqrt_bounds(q, bits) == (sqrt_lower(q, bits), sqrt_upper(q, bits))
+    assert grid_ends(q, bits) == (sqrt_lower(q, bits), sqrt_upper(q, bits))
 
 
 @given(st.integers(min_value=0, max_value=2**600), st.integers(min_value=1, max_value=2**300),
@@ -130,12 +134,12 @@ def test_sqrt_grid_takes_an_unreduced_quotient(n, d, c, bits, kind):
     assert all(isinstance(e, int) for e in sqrt_grid(n * c, d * c, bits))
 
 
-def test_sqrt_bounds_equals_the_two_square_roots_on_exact_squares():
+def test_sqrt_grid_equals_the_two_square_roots_on_exact_squares():
     # 19/2 and 13/3 floor to a square at 2^0 with a nonzero remainder
     cases = [F(0), F(1), F(4), F(9, 4), F(3, 2**64) ** 2, F(5 * 2**300 + 1, 2**100) ** 2,
              F(2**600 - 1, 2**64) ** 2, F(7), F(163), F(10**6 + 3), F(19, 2), F(13, 3)]
     for q, bits in itertools.product(cases, SQRT_BITS):
-        assert sqrt_bounds(q, bits) == (sqrt_lower(q, bits), sqrt_upper(q, bits))
+        assert grid_ends(q, bits) == (sqrt_lower(q, bits), sqrt_upper(q, bits))
 
 
 def test_interval_arithmetic():

@@ -87,7 +87,8 @@ def test_every_name_the_benchmark_reads_resolves():
 # the moved names that the old modules still hand out, and a moved name each does not
 FORWARDED = [
     (dioph, concrete, ("classify_type", "all_root_balls", "root_ball",
-                       "divisibility_ball_check", "_t_exact", "_root_seeds"), "_embed"),
+                       "divisibility_ball_check", "_t_exact", "_root_seeds", "TieError"),
+     "_embed"),
     (series, concrete, ("thue_polys_at", "TPoly"), "_thue_x_polys"),
     (measure, corollary, ("corollary_eps", "corollary_lin", "_eps_gates", "LIN_T0_FLOOR"),
      "_log_constants"),

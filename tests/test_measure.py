@@ -11,12 +11,13 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import first_c0_oracle, measure_constants_oracle, outcome, root_separation_oracle
+from oracles import (first_c0_oracle, measure_constants_oracle, outcome, root_separation_oracle,
+                     sqrt_bounds)
 
 from thueq import corollary, descent, dioph, exactnum, hyperchi, measure, rouche, series
 from thueq.cli import main
 from thueq.concrete import root_ball
-from thueq.exactnum import iroot, round_up_sig, sqrt_bounds
+from thueq.exactnum import iroot, round_up_sig
 from thueq.corollary import corollary_eps, corollary_lin, rat_pow_upper
 from thueq.measure import (
     CONTRADICTION_COEFF,

@@ -84,7 +84,8 @@ def test_importing_every_module_loads_no_dataclasses_inspect_or_typing():
     code = (f"import importlib, sys\nsys.path.insert(0, {src!r})\n"
             f"for m in {mods!r}:\n    importlib.import_module(m)\n"
             "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-I", "-S", "-c", code], capture_output=True,
+    # -I ignores PYTHONDONTWRITEBYTECODE: -B keeps the run from caching bytecode in src/
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True,
                          text=True, timeout=60, check=True)
     assert len(mods) >= 10
     assert out.stdout.strip() == "[]"
