@@ -6,12 +6,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
+from itertools import accumulate, repeat
+from operator import mul
 
 from . import zpoly
 from .exactnum import TMIN_FLOOR, ChainError, Rat, floor_line, lines, pair_record, round_up_sig
 from .rouche import ALPHA0_RADIUS, ALPHA13_RADIUS, HIGH_ORDER, require
-from .series import QUARTIC, PadePair, horner, pade, pade_residual, root_series, tail_ints
+from .series import QUARTIC, PadePair, horner_sum, pade, pade_residual, root_series, tail_ints
 
 BETA_COEFF = Fraction("8.86")          # |x - alpha y| < 8.86/(|t| |y|^3)
 TYPE_THRESHOLD = Fraction("20.14")     # type threshold: min{|x|, |y|}^4 >= 20.14 Q/|t|
@@ -100,18 +101,30 @@ def _nonvanish_poly(pair: PadePair, k: int) -> tuple[int, ...]:
     return tuple(P)
 
 
+@lru_cache(maxsize=4)
+def _powers(p: int, q: int, top: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """p^i and q^i for 0 <= i <= top, the one power table of tmin = p/q: a chain to
+    KMAX asks for top = 4 KMAX - 4, past every index its steps read, so builds it once."""
+    return (tuple(accumulate(repeat(p, top), mul, initial=1)),
+            tuple(accumulate(repeat(q, top), mul, initial=1)) if q > 1 else (1,) * (top + 1))
+
+
 @lru_cache(maxsize=None)
 def _step_algebra(type_index: int, k: int) -> tuple:
     """The tmin-free part of step k, built once per process over Z: the Pade
     pair of the root series, the majorant lists |U - BV| from s^(2k-1) (none
     below it) with its denominator and |V|, and the lower-bound list
-    (|P_deg|, -|P_deg-1|, ..., -|P_0|) of the non-vanishing polynomial P."""
+    (|P_deg|, -|P_deg-1|, ..., -|P_0|) of the non-vanishing polynomial P; then
+    the exponents m1, m2, m of run_step, t1 and t3 the last indices of the two
+    majorant lists (t1 = -1 when the residual has no term left), and e."""
     B = root_series(type_index)
     pair = pade(B, k - 1, k - 1)
     resid = pade_residual(B, pair)
     lead, *lower = (abs(c) for c in reversed(_nonvanish_poly(pair, k)))
-    return (pair, tuple(tail_ints(resid, 2 * k - 1)), resid.den,
-            tuple(abs(c) for c in pair.V), (lead, *(-c for c in lower)))
+    tail, hi_exp = tuple(tail_ints(resid, 2 * k - 1)), HIGH_ORDER[type_index][1]
+    m1, m2, t1, t3 = 2 * k - 2, hi_exp + 1 - 2 * k, len(tail) - 1, len(pair.V) - 1
+    return (pair, tail, resid.den, tuple(abs(c) for c in pair.V), (lead, *(-c for c in lower)),
+            m1, m2, max(m1, m2), t1, t3, max(t1, t3 + max(m1, m2)))
 
 
 def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = TMIN_FLOOR) -> StepRecord:
@@ -123,30 +136,28 @@ def run_step(type_index: int, k: int, c0: Rat, tmin: Rat = TMIN_FLOOR) -> StepRe
         raise ValueError("type_index must be 0 or 3")
     if k < KSTART[type_index]:
         raise ValueError("step index too small for this chain")
-    pair, resid, resid_den, V, low = _step_algebra(type_index, k)
+    pair, resid, resid_den, V, low, m1, m2, m, t1, t3, e = _step_algebra(type_index, k)
     p, q = tmin.numerator, tmin.denominator
     if p < q:
         raise ValueError("tmin must be >= 1")
-    (n1, d1), (n3, d3) = horner(resid, p, q), horner(V, p, q)
+    hn, hd = HIGH_ORDER[type_index][0].as_integer_ratio()
+    P, Q = _powers(p, q, max(e - min(t1, 0), 4 * t3, 4 * KMAX - 4))  # to P[e - t1], P[4 t3]
+    n1, n3, nl = horner_sum(resid, p, q), horner_sum(V, p, q), horner_sum(low, p, q)
+    d1, d3 = P[max(t1, 0)], P[t3]
     a0, b0 = c0.numerator ** 4, c0.denominator ** 4
     n2, d2 = BETA_COEFF.numerator * a0, BETA_COEFF.denominator * b0
-    hi_c, hi_exp = HIGH_ORDER[type_index]
-    m1, m2 = 2 * k - 2, hi_exp + 1 - 2 * k
-    m, hn, hd = max(m1, m2), hi_c.numerator, hi_c.denominator
     # c2 tmin^-m1 + hi_c tmin^-m2 = x / (d2 hd p^m)
-    x = n2 * hd * q ** m1 * p ** (m - m1) + hn * d2 * q ** m2 * p ** (m - m2)
+    x = n2 * hd * Q[m1] * P[m - m1] + hn * d2 * Q[m2] * P[m - m2]
     # c1 + c3 x/(d2 hd p^m) over resid_den d2 hd p^e, least e: c1 = n1/(resid_den p^t1), d3 = p^t3
-    t1, t3 = len(resid) - 1, len(V) - 1
-    e = max(t1, t3 + m)
-    c_exact = (n1 * d2 * hd * p ** (e - t1) + resid_den * n3 * x * p ** (e - t3 - m),
-               resid_den * d2 * hd * p ** e)
+    c_exact = (n1 * d2 * hd * P[e - t1] + resid_den * n3 * x * P[e - t3 - m],
+               resid_den * d2 * hd * P[e])
     # L tmin^m1 / (c0^4 c3^4) - 1 for the lower bound L = nl / p^m1 of |P(t)| / t^m1
-    nl, den = horner(low, p, q)[0], q ** m1 * a0 * n3 ** 4
+    den = Q[m1] * a0 * n3 ** 4
     if nl <= 0:
         raise ChainError("no positive lower bound for |P(t)|")
     if not den:
         raise ZeroDivisionError("c0 = 0: the margin divides by c0^4")
-    margin = (nl * b0 * d3 ** 4 - den, den)
+    margin = (nl * b0 * P[4 * t3] - den, den)
     return StepRecord(type_index, k, (n1, d1 * resid_den), (n2, d2), (n3, d3), c_exact,
                       round_up_sig(c_exact, 4), margin, margin[0] > 0, pair)
 

@@ -365,11 +365,21 @@ def pade_residual(B: Series, pair: PadePair) -> Series:
 
 def horner(a, p: int, q: int) -> tuple[int, int]:
     """(n, d) with n/d = sum_j a_j (q/p)^j for integers a_j, p > 0 and q > 0:
-    Horner's rule over Z, with d = p^top for top the last index."""
-    acc, qk = 0, 1  # sum_j a_j q^j p^(top - j)
+    n by horner_sum, d = p^top for top the last index."""
+    return horner_sum(a, p, q), p ** max(len(a) - 1, 0)
+
+
+def horner_sum(a, p: int, q: int) -> int:
+    """sum_j a_j q^j p^(top - j) by Horner's rule over Z: one product a term
+    when q = 1, as at every integer tmin, and three otherwise."""
+    acc, qk = 0, 1
+    if q == 1:
+        for c in a:
+            acc = acc * p + c
+        return acc
     for c in a:
         acc, qk = acc * p + c * qk, qk * q
-    return acc, p ** max(len(a) - 1, 0)
+    return acc
 
 
 def tail_ints(expr: Series, lead_exp: int) -> list[int]:

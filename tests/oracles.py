@@ -24,7 +24,8 @@ rounding) as they ran in ``Fraction``
 arithmetic at each tmin before their tmin-free parts were built once over Z,
 with the descent's non-vanishing polynomial as it was built over Z[i], the
 rounding up as it ran with two powers of ten, the rounding to nearest and
-``sig_str`` as they ran in ``Fraction`` arithmetic, and the reducible
+``sig_str`` as they ran in ``Fraction`` arithmetic, the named lines as
+``exactnum.lines`` checked them before it indexed each line, and the reducible
 parameters as ``QuadInt``/``div_exact`` found them over ``enumerate_bounded(4)``.
 It also holds what only the tests call, so that ``src/`` keeps none of it: the
 ``GaussRat`` constants ``G0``, ``G1`` and ``GI``, ``QuadInt``'s conjugate and
@@ -503,6 +504,19 @@ def round_up_sig_two_powers(x: Fraction, digits: int = 4) -> Fraction:
     s = e - digits + 1
     n, d, z = x.numerator, x.denominator, 10 ** abs(s)
     return Fraction(-(-n // (d * z)) * z) if s >= 0 else Fraction(-(-n * z // d), z)
+
+
+def lines_oracle(*reqs) -> tuple:
+    """``exactnum.lines`` as it ran with each line unpacked with a ``*strict``
+    list, its sides by a generator, and every margin reduced by a gcd."""
+    margins = []
+    for name, lhs, rhs, *strict in reqs:
+        (ln, ld), (rn, rd) = (x if type(x) is tuple else x.as_integer_ratio() for x in (lhs, rhs))
+        if (gap := rn * ld - ln * rd) < 0 or strict and not gap:
+            raise ChainError(f"{name}: {exactnum._side(Fraction(ln, ld))} "
+                             f"{'>=' if strict else '>'} {exactnum._side(Fraction(rn, rd))}")
+        margins.append((name, Fraction(gap, ld * rd)))
+    return tuple(margins)
 
 
 def nonvanish_poly_oracle(pair, k: int) -> tuple[int, ...]:

@@ -30,9 +30,9 @@ from thueq.measure import KAPPA_WIDTH
 from oracles import (atanh_count_oracle, atanh_enclosure_oracle, ball_abs_bounds_oracle,
                      ball_contains_zero, ball_mul_oracle, dec_exponent_oracle, iv_add,
                      iv_contains, iv_div_pos, iv_scale, iv_shift, iv_width, kappa_oracle,
-                     ln_enclosure_oracle, outcome, round_down_grid, round_nearest_sig_oracle,
-                     round_up_sig_oracle, round_up_sig_two_powers, sig_str_oracle, sqrt_lower,
-                     sqrt_upper)
+                     lines_oracle, ln_enclosure_oracle, outcome, round_down_grid,
+                     round_nearest_sig_oracle, round_up_sig_oracle, round_up_sig_two_powers,
+                     sig_str_oracle, sqrt_lower, sqrt_upper)
 
 rationals = st.fractions(
     min_value=F(-10**6), max_value=F(10**6), max_denominator=10**6
@@ -590,6 +590,35 @@ def test_lines_read_int_fraction_and_pair_sides_alike(lhs, rhs):
             got = outcome(lines, ("a", left, right, *strict))
             assert got == want, (left, right, strict)
             assert fails or type(got[0][1]) is F
+
+
+# a side as an int, a Fraction or an unreduced pair, up to 400 bits, so that a failing
+# line renders some sides exactly and some by sig_str
+_BIG = st.integers(-2**400, 2**400)
+_SIDE = st.one_of(st.integers(-10**6, 10**6), _BIG,
+                  st.builds(F, _BIG, st.integers(1, 2**200)),
+                  st.tuples(_BIG, st.integers(1, 2**200)))
+
+
+@st.composite
+def _line(draw):
+    lhs = draw(_SIDE)
+    # the right side is often the left side's value, or it moved by one unit: zero gaps
+    # and gaps of either sign, each in another representation
+    n, d = lhs if type(lhs) is tuple else lhs.as_integer_ratio()
+    rhs = draw(st.one_of(_SIDE, st.sampled_from([(n, d), (3 * n, 3 * d), (n + 1, d), (n - 1, d),
+                                                  F(n, d), F(n - d, d)])))
+    return (draw(st.sampled_from(["a", "tmin floor 100", "type 3 step k=6 x"])), lhs, rhs,
+            *draw(st.sampled_from([(), ("<",)])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_line(), max_size=4))
+def test_lines_equals_the_oracle(reqs):
+    got = outcome(lines, *reqs)
+    assert got == outcome(lines_oracle, *reqs)
+    if got[:1] != (ChainError,):
+        assert all(type(margin) is F for _, margin in got)
 
 
 def test_a_long_failing_side_is_rendered_by_sig_str():

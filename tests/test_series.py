@@ -235,8 +235,17 @@ def test_the_one_storage_against_coefficientwise_q_i(a, b, trunc):
     assert (S - T + T).coeffs == (a + [G0] * trunc)[:trunc] and S == S - T + T
 
 
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.integers(-10**6, 10**6), max_size=8), st.integers(1, 10**4), st.integers(1, 50))
+# q = 1 takes horner_sum's integer branch, as every integer tmin does; p up to 10^300
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(st.just([]), st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=1),
+                 st.lists(st.integers(-10**6, 10**6), max_size=8)),
+       st.one_of(st.integers(1, 10**4), st.integers(1, 10**300)),
+       st.one_of(st.just(1), st.integers(2, 50)))
+@example([], 7, 1)
+@example([5], 10**300, 1)
+@example([3, -1, 2], 10**300, 1)
+@example([3, -1, 2], 7, 2)
+@example([3, -1, 2], 10**300 + 1, 3)
 def test_horner_is_the_direct_sum(a, p, q):
     tmin = F(p, q)
     assert F(*horner(a, p, q)) == sum((F(c) / tmin ** d for d, c in enumerate(a)), F(0))
