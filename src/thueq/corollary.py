@@ -20,12 +20,13 @@ CUBIC_ABSORB = F("0.33")  # 8.86 / |t|^(1/2 + eps/4) <= 0.33
 # the corollary-eps gates read logs on the 2^-28 grid, and ln t of the top
 # 64 bits of t
 LN_GRID_BITS, EPS_CUT_BITS = 28, 64
+POW_ROOT_BITS = 80  # rat_pow_upper rounds its root up onto the 2^-80 grid
 
 
 # ---------------------------------------------------------------------------
 # certified rational powers
 
-def rat_pow_upper(x: Rat, e: Rat, bits: int = 80) -> Rat:
+def rat_pow_upper(x: Rat, e: Rat) -> Rat:
     """Rational upper bound for x**e, x > 0, e >= 0."""
     x, e = F(x), F(e)
     if x <= 0 or e < 0:
@@ -34,7 +35,7 @@ def rat_pow_upper(x: Rat, e: Rat, bits: int = 80) -> Rat:
     out = x ** n
     if rem:
         p, q = rem, e.denominator
-        scale = 1 << bits
+        scale = 1 << POW_ROOT_BITS
         num = x ** p
         target = -((-num.numerator * scale ** q) // num.denominator)
         out *= F(iroot(target - 1, q) + 1, scale)

@@ -117,33 +117,23 @@ class Frozen:
 # ---------------------------------------------------------------------------
 # rounding helpers
 
-def _dec_power(n: int, d: int) -> tuple[int, int]:
-    """(e, 10**abs(e)) with 10**e <= x < 10**(e+1), for x = n/d > 0, d > 0."""
-    if n <= 0:
-        raise DomainError("positive value required")
-    # log10(x) ~ 0.30103 * log2(x) from bit lengths, corrected on n/d = x / 10**e
-    e = (n.bit_length() - d.bit_length()) * 30103 // 100000
-    z = 10 ** abs(e)
-    n, d = (n, d * z) if e >= 0 else (n * z, d)
-    while n >= 10 * d:
-        d, e = 10 * d, e + 1
-        z = z * 10 if e > 0 else z // 10
-    while n < d:
-        n, e = 10 * n, e - 1
-        z = z * 10 if e < 0 else z // 10
-    return e, z
-
-
 def _sig_round(n: int, d: int, digits: int, nearest: bool) -> tuple[int, int, int]:
     """(m, s, 10**abs(s)) with m 10**s the rounding of x = n/d > 0, d > 0, to `digits`
-    significant decimal digits, up or to nearest (half up), by one integer
-    division on the power of ten that the exponent search built; m is
-    10**digits after a carry, as 9.9995 rounds to 10.00."""
-    e, z = _dec_power(n, d)
-    s = e - digits + 1  # round to a multiple of 10**s
-    k = abs(s) - abs(e)  # 10**abs(s) from the 10**abs(e) the exponent search built
-    z = z * 10 ** k if k >= 0 else z // 10 ** -k
+    significant decimal digits, up or to nearest (half up), by one integer division on
+    x / 10**s, scaled once for s guessed from the bit lengths and moved a decade at a time
+    into [10**(digits-1), 10**digits); m is 10**digits after a carry, as 9.9995 to 10.00."""
+    if n <= 0:
+        raise DomainError("positive value required")
+    # log10(x) ~ 0.30103 * log2(x) from bit lengths
+    s = (n.bit_length() - d.bit_length()) * 30103 // 100000 - digits + 1
+    z, top = 10 ** abs(s), 10 ** digits
     n, d = (n, d * z) if s >= 0 else (n * z, d)
+    while n >= top * d:
+        d, s = 10 * d, s + 1
+        z = z * 10 if s > 0 else z // 10
+    while 10 * n < top * d:
+        n, s = 10 * n, s - 1
+        z = z * 10 if s < 0 else z // 10
     return ((2 * n + d) // (2 * d) if nearest else -(-n // d)), s, z
 
 

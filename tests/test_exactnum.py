@@ -57,8 +57,10 @@ def test_grid_rounding_exact_on_grid():
 
 
 def dec_exponent(x):
-    """The e of exactnum._dec_power, whose kernel takes the integer pair of x."""
-    return exactnum._dec_power(x.numerator, x.denominator)[0]
+    """e with 10**e <= x < 10**(e+1): the exponent s of exactnum._sig_round rounding x, a
+    rational or an integer pair (num, den), up to one digit."""
+    n, d = x if type(x) is tuple else (x.numerator, x.denominator)
+    return exactnum._sig_round(n, d, 1, False)[1]
 
 
 def round_down_sig(x, digits=4):
@@ -372,38 +374,55 @@ def test_iroot_edges():
         iroot(5, 0)
 
 
-def _near_powers_of_ten():
-    """10**e and its neighbours one unit of a 1, 7 or 60 digit scale away."""
+def _near_decimals():
+    """m 10**e, m < 10**8, and its neighbours 10**(e-1), 10**(e-7) or 10**(e-60) away, where
+    the exponent guessed from the bit lengths is one decade off on either side."""
     e = st.integers(min_value=-400, max_value=400)
     ulp = st.sampled_from([F(1, 10), F(1, 10**7), F(1, 10**60)])
-    return st.builds(lambda e, u, s: F(10) ** e * (1 + s * u), e, ulp, st.sampled_from([-1, 0, 1]))
+    return st.builds(lambda m, e, u, s: (m + s * u) * F(10) ** e, st.integers(1, 10**8 - 1), e,
+                     ulp, st.sampled_from([-1, 0, 1]))
 
+
+# unreduced integer pairs (num, den) of up to 4,000 bits a side, with a common factor
+_PAIRS = st.builds(lambda n, d, g: (n * g, d * g), st.integers(1, 2**3000),
+                   st.integers(1, 2**3000), st.integers(1, 2**1000))
 
 SIG_ARGS = st.one_of(
     positive_rationals,
-    _near_powers_of_ten(),
+    _near_decimals(),
+    st.builds(lambda e: F(99995, 10**4) * F(10) ** e, st.integers(-400, 400)),  # 9.9995 10**e
     st.builds(F, st.integers(min_value=1, max_value=2**1000),
               st.integers(min_value=1, max_value=2**1000)),
     st.builds(F, st.integers(min_value=2**999, max_value=2**1000),
               st.integers(min_value=2**999, max_value=2**1000)),
+    _PAIRS,
 )
 
 
+def as_fraction(x):
+    """x, a rational or an integer pair (num, den), as the Fraction the oracles take."""
+    return F(*x) if type(x) is tuple else x
+
+
+@settings(max_examples=300, deadline=None)
 @given(SIG_ARGS, st.integers(min_value=1, max_value=12))
 def test_round_up_sig_equals_the_fraction_oracle(x, digits):
-    assert dec_exponent(x) == dec_exponent_oracle(x)
-    assert round_up_sig(x, digits) == round_up_sig_oracle(x, digits)
+    assert dec_exponent(x) == dec_exponent_oracle(as_fraction(x))
+    assert round_up_sig(x, digits) == round_up_sig_oracle(as_fraction(x), digits)
 
 
 def assert_decimals_equal_the_fraction_oracles(x, digits):
-    assert sig_str(x, digits) == sig_str_oracle(x, digits)
+    v = as_fraction(x)
+    assert sig_str(x, digits) == sig_str_oracle(v, digits)
     for got, want in ((round_nearest_sig, round_nearest_sig_oracle),
                       (round_up_sig, round_up_sig_oracle)):
-        assert outcome(got, x, digits) == outcome(want, x, digits)
+        assert outcome(got, x, digits) == outcome(want, v, digits)
 
 
-@given(st.one_of(SIG_ARGS, SIG_ARGS.map(lambda x: -x), st.just(F(0))),
-       st.sampled_from([1, 2, 4, 7]))
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(SIG_ARGS, SIG_ARGS.map(lambda x: (-x[0], x[1]) if type(x) is tuple else -x),
+                 st.just(F(0))),
+       st.integers(min_value=1, max_value=8))
 def test_the_integer_rounding_equals_the_fraction_oracles(x, digits):
     assert_decimals_equal_the_fraction_oracles(x, digits)
 
@@ -460,6 +479,11 @@ def test_round_up_sig_on_powers_of_ten_and_their_neighbours():
         except DomainError as exc:
             want = str(exc)
         assert got == want
+    # zero rounds to itself; a negative value, or a pair with a negative numerator, raises
+    assert round_up_sig((0, 7)) == 0
+    for x in (F(-1), F(-1, 3), (-3, 7), (-(2**4000), 3 * 2**2000)):
+        with pytest.raises(DomainError, match="positive value required"):
+            round_up_sig(x)
 
 
 # x = 443 C as corollary-lin raises it to n, with C = 1/443 and 10^k/443
