@@ -320,21 +320,25 @@ def _evaluate(at: tuple, zr: int, zi: int, bits: int) -> tuple:
 def root_ball(t: GaussRat | None, seed: complex, target_radius: Rat,
               t_irrational: QuadInt | None = None) -> ComplexBall:
     """Certified enclosure of the root of f_t nearest the float seed (_root_record)."""
-    return _ball(_root_record(t, seed, target_radius, t_irrational))
+    return _ball(_root_record(_param_coeffs(t, t_irrational), seed, target_radius))
 
 
-def _root_record(t: GaussRat | None, seed: complex, target_radius: Rat,
-                 t_irrational: QuadInt | None = None) -> tuple:
-    """root_ball's record.  Newton steps at the parameter's midpoint and Newton-Kantorovich
-    certificates over its ball, from one integer evaluation per iterate: it certifies the
-    iterate, then takes the step from it.  The seed and every step are rounded to the nearest
-    multiple of 2^-bits, bits = k + 64, where 2^-k is the largest power of two <= target_radius:
-    the certificate holds for any x.  The seed is evaluated for its step only.  An irrational
-    parameter comes as (None, t_irrational) from _t_exact, with sqrt(d) on the 2^-200 grid."""
+def _param_coeffs(t: GaussRat | None, t_irrational: QuadInt | None = None) -> tuple:
+    """_coeffs_at of the parameter's record: an irrational parameter comes as
+    (None, t_irrational) from _t_exact, with sqrt(d) on the 2^-200 grid."""
+    return _coeffs_at(_record(*gauss_over(t.re, t.im), 0, 1) if t_irrational is None
+                      else _embed(t_irrational, 200))
+
+
+def _root_record(at: tuple, seed: complex, target_radius: Rat) -> tuple:
+    """root_ball's record, on the parameter's coefficients at = _param_coeffs(...).  Newton
+    steps at the parameter's midpoint and Newton-Kantorovich certificates over its ball, from
+    one integer evaluation per iterate: it certifies the iterate, then takes the step from it.
+    The seed and every step are rounded to the nearest multiple of 2^-bits, bits = k + 64,
+    where 2^-k is the largest power of two <= target_radius: the certificate holds for any x.
+    The seed is evaluated for its step only."""
     tp, tq = Fraction(target_radius).as_integer_ratio()
     bits = ((tq - 1) // tp).bit_length() + 64
-    at = _coeffs_at(_record(*gauss_over(t.re, t.im), 0, 1) if t_irrational is None
-                    else _embed(t_irrational, 200))
     ev = _evaluate(at, *(_nearest(*c.as_integer_ratio(), bits) for c in (seed.real, seed.imag)),
                    bits)
     last = None  # the previous certified radius, (p, q)
@@ -396,9 +400,9 @@ def all_root_balls(t_complex: complex, t_gauss, t_irrational,
 def _root_balls(t_complex, t_gauss, t_irrational, target_radius) -> tuple | str:
     """The set as the certificates' records, or the TieError message of a tie,
     returned so that the cache keeps it."""
+    at = _param_coeffs(t_gauss, t_irrational)  # one coefficient table for the four runs
     try:
-        recs = tuple(_root_record(t_gauss, s, target_radius, t_irrational)
-                     for s in _root_seeds(t_complex))
+        recs = tuple(_root_record(at, s, target_radius) for s in _root_seeds(t_complex))
     except TieError as exc:
         return str(exc)
     # pairwise disjointness makes the correspondence certified: ComplexBall's
@@ -494,7 +498,7 @@ def divisibility_ball_check(r: int, t: GaussRat) -> dict:
     if r < 0:
         raise ValueError("r must be >= 0")
     tc = complex(float(t.re), float(t.im))
-    alpha = _root_record(t, _root_seeds(tc)[0], Fraction(1, 1 << 120))
+    alpha = _root_record(_param_coeffs(t), _root_seeds(tc)[0], Fraction(1, 1 << 120))
     scale, balls = _derivative_balls(r, *thue_polys_at(r, t), alpha)
     nums = [-(-(rad << GRID_BITS) // scale) for _, _, rad in balls]  # 2^GRID_BITS radius, up
     return {"order": 2 * r + 1,

@@ -53,14 +53,22 @@ LIN_COEFF = F(443)
 def _log_constants() -> dict:
     """Run once per process: floor(2^LN_GRID_BITS ln c) for each constant c
     the corollary-eps gates use, and for 10, which bounds the digits of a
-    threshold.  The corollaries rest on both measure chains (c = 15.48
-    through 137.16, and the Lettl bounds behind kappa), so these run first,
-    at |t| = TMIN_FLOOR: every corollary threshold lies above it, and the
-    chains are monotone in |t|.  A failure raises, and is not cached."""
+    threshold; under "gates", the grid ends the gates read per query; under
+    "lin", the margin of corollary-lin's line on 443, which reads neither C
+    nor t0.  The corollaries rest on both measure chains (c = 15.48 through
+    137.16, and the Lettl bounds behind kappa), so these run first, at
+    |t| = TMIN_FLOOR: every corollary threshold lies above it, and the chains
+    are monotone in |t|.  A failure raises, and is not cached."""
     measure_constants(0, TMIN_FLOOR)
     measure_constants(3, TMIN_FLOOR)
-    return {c: ln_floor(c, LN_GRID_BITS) for c in (F(4), descent.TYPE_THRESHOLD,
-            descent.BETA_COEFF, CUBIC_ABSORB, C2_DIVISOR, CONTRADICTION_COEFF, F(10))}
+    (line,) = lines(  # 443 C > (8.86 * 15.48 / 0.31) C, exactly, whatever C and t0
+        ("lin coefficient 443", descent.BETA_COEFF * C_COEFF[3] / C2_DIVISOR, LIN_COEFF, "<"))
+    ln = {c: ln_floor(c, LN_GRID_BITS) for c in (F(4), descent.TYPE_THRESHOLD,
+          descent.BETA_COEFF, CUBIC_ABSORB, C2_DIVISOR, CONTRADICTION_COEFF, F(10))}
+    # the upper ends of ln 4, ln 20.14, ln 8.86 - ln 0.33 and ln 137.16, the lower one of ln 0.31
+    return ln | {"lin": line, "gates": (
+        ln[F(4)] + 1, ln[descent.TYPE_THRESHOLD] + 1, ln[descent.BETA_COEFF] + 1 - ln[CUBIC_ABSORB],
+        ln[CONTRADICTION_COEFF] + 1, ln[C2_DIVISOR])}
 
 
 def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
@@ -69,13 +77,11 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
     C = F(C)
     if C <= 0:
         raise ValueError("C must be positive")
-    _log_constants()
+    (_, consistency) = _log_constants()["lin"]
     t0 = F(LIN_T0_FLOOR if t0 is None else t0)
     if t0 < LIN_T0_FLOOR:
         raise ValueError("user t0 must be at least 524 with kappa(t0) < 2")
-    (_, consistency), _ = lines(  # 443 C > (8.86 * 15.48 / 0.31) C, exactly
-        ("lin coefficient 443", descent.BETA_COEFF * C_COEFF[3] / C2_DIVISOR, LIN_COEFF, "<"),
-        ("kappa below 2 at t0", kappa_hi(t0), 2, "<"))
+    lines(("kappa below 2 at t0", kappa_hi(t0), 2, "<"))
     term1 = rat_pow_upper(descent.TYPE_THRESHOLD * C, F(1, 4))
     term2 = 3 * rat_pow_upper(C, F(1, 3))
     kc = round_up_sig(kappa_hi(t0), 5)  # four decimals, as 1 < kappa(t0) < 2
@@ -99,16 +105,15 @@ def _eps_gate_fn(eps: Rat):
     ln c lies in [f, f + 1) / 2^28 for the grid floor f of each constant, and
     as kappa falls while ln|t| grows, kappa <= (l + 1.08)/(l - 2.59) at
     l = g / 2^28 > 2.59.  Each gate is monotone in g."""
-    ln, big = _log_constants(), 1 << LN_GRID_BITS
-    p, q = eps.numerator, eps.denominator
-    ln4_hi = ln[F(4)] + 1
+    ln4_hi, threshold, cubic, contra, c2 = _log_constants()["gates"]
+    big, p, q = 1 << LN_GRID_BITS, eps.numerator, eps.denominator
     # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= l, times q 2^28
-    type_log = q * ln4_hi + (q - p) * (ln[descent.TYPE_THRESHOLD] + 1)
+    type_log = q * ln4_hi + (q - p) * threshold
     # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) l, times 4 q 2^28
-    cubic_log = 4 * q * (ln[descent.BETA_COEFF] + 1 - ln[CUBIC_ABSORB])
+    cubic_log = 4 * q * cubic
     # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa)) < (t^(2-eps)/4)^(1/4)
     #       as ln_b < (1 + eps - kappa) ((2-eps) l - ln 4) / 4, with q 2^28 ln_b <= b
-    b = q * (ln[CONTRADICTION_COEFF] + 1) - (2 * q - p) * ln[C2_DIVISOR]
+    b = q * contra - (2 * q - p) * c2
     (nn, nd), (dn, dd) = (c.as_integer_ratio() for c in (exactnum.KAPPA_NUM_SHIFT,
                                                         exactnum.KAPPA_DEN_SHIFT))
 
@@ -126,11 +131,39 @@ def _eps_gate_fn(eps: Rat):
     return gates
 
 
+def _g_seed(eps: Fraction, g_lo: int) -> int:
+    """The least g > g_lo at which the three gates of _eps_gate_fn hold, solved in floats:
+    the largest of the gates' own least g, one or two off the exact g* that _least then
+    finds from it.  g_lo + 1 on a float overflow or when gate (iii) has no real root."""
+    ln4, threshold, cubic, contra, c2 = _log_constants()["gates"]
+    big = 1 << LN_GRID_BITS
+    try:
+        e = float(eps)
+        g_i = ln4 + (1 - e) * threshold
+        g_ii = 4 * cubic / (2 + e)
+        # (iii) divided by q^2 nd dd, with D = 2.59 2^28 and M = (1 + eps) D + 1.08 2^28:
+        # 4 (b / q) (g - D) < (eps g - M) ((2 - eps) g - ln4), a quadratic in g
+        bq = contra - (2 - e) * c2
+        d = float(exactnum.KAPPA_DEN_SHIFT) * big
+        m = (1 + e) * d + float(exactnum.KAPPA_NUM_SHIFT) * big
+        a2, a1, a0 = e * (2 - e), -(e * ln4 + (2 - e) * m + 4 * bq), m * ln4 + 4 * bq * d
+        disc = a1 * a1 - 4 * a2 * a0
+        if disc < 0:
+            return g_lo + 1
+        g_iii = (math.sqrt(disc) - a1) / (2 * a2)  # the larger root, as a1 < 0
+        return max(g_lo + 1, math.ceil(g_i), math.ceil(g_ii), math.floor(g_iii) + 1)
+    except (OverflowError, ZeroDivisionError):
+        return g_lo + 1
+
+
+# the gate texts that read no eps: rendered once per process
+_TYPE_TEXT = f"4 * {sig_str(descent.TYPE_THRESHOLD, 7)}^(1-eps) <= |t|"
+_CUBIC_TEXT = f"{sig_str(descent.BETA_COEFF, 7)} / |t|^(1/2 + eps/4) <= {sig_str(CUBIC_ABSORB, 7)}"
+
+
 def _gate_results(oks: tuple) -> tuple[GateResult, ...]:
-    threshold, beta, cubic = (sig_str(x, 7) for x in (
-        descent.TYPE_THRESHOLD, descent.BETA_COEFF, CUBIC_ABSORB))
-    return (GateResult("type threshold", oks[0], f"4 * {threshold}^(1-eps) <= |t|"),
-            GateResult("cubic absorption", oks[1], f"{beta} / |t|^(1/2 + eps/4) <= {cubic}"),
+    return (GateResult("type threshold", oks[0], _TYPE_TEXT),
+            GateResult("cubic absorption", oks[1], _CUBIC_TEXT),
             GateResult("measure contradiction", oks[2], oks[3]))
 
 
@@ -171,10 +204,11 @@ def corollary_eps(eps: Rat) -> dict:
     certify: they fail at t0 - 1 and hold at every t >= t0, as they are
     monotone in L(t), and L(t) in t.  Every eps in (0, 1) has one, as kappa
     falls to 1 like 3.67 / ln t.  First the least passing grid value g, above
-    the floor that gate (iii) sets, then the least t with L(t) >= g, a cut value,
-    from a float seed; "evaluations" counts the L(t) read, the one at 2 t0
-    included.  A t0 of more than MAX_DIGITS digits raises OutputLimitError
-    before it is built, and before the g search when that floor is past it."""
+    the floor that gate (iii) sets, from the gates' float solution (_g_seed),
+    then the least t with L(t) >= g, a cut value, from a float seed;
+    "evaluations" counts the L(t) read, the one at 2 t0 included.  A t0 of
+    more than MAX_DIGITS digits raises OutputLimitError before it is built,
+    and before the g search when that floor is past it."""
     eps = F(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
@@ -186,7 +220,8 @@ def corollary_eps(eps: Rat) -> dict:
     g_lo = ((q + p) * nd * dn + q * dd * nn << LN_GRID_BITS) // (p * nd * dd)
     # t0 >= e^(g / 2^28) has more than MAX_DIGITS digits once g / 2^28 >= MAX_DIGITS ln 10
     limit = MAX_DIGITS * (_log_constants()[F(10)] + 1)
-    if g_lo >= limit or (g := _least(lambda g: all(gates_at(g)[:3]), g_lo + 1)) >= limit:
+    if g_lo >= limit or (g := _least(lambda g: all(gates_at(g)[:3]),
+                                      _g_seed(eps, g_lo))) >= limit:
         raise OutputLimitError(f"t0 for eps = {exactnum._side(eps)} has more than "
                                f"{MAX_DIGITS:,} digits")
     grid = lru_cache(maxsize=None)(_ln_grid)  # each L(t) once

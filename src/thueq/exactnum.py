@@ -171,7 +171,8 @@ def _pow_bracket(a: int, n: int, p: int) -> tuple[int, int, int]:
 def pow_up_sig(x: Rat, n: int) -> Rat:
     """round_up_sig(x ** n) for rational x >= 1, integer n >= 0, without x ** n: x^n / 10^s, s
     a float guess of its decimal exponent, is bracketed at a precision doubling until both ends
-    round up alike, as once the brackets are exact.  OutputLimitError past MAX_DIGITS digits."""
+    round up alike, as once the brackets are exact; the result m 10^k is built as m 5^k 2^k,
+    a shift of the smaller power 5^k.  OutputLimitError past MAX_DIGITS digits."""
     a, b = x.numerator, x.denominator
     s, p = max(0, math.floor(n * (math.log10(a) - math.log10(b)))), _POW_BITS
     while True:
@@ -183,7 +184,8 @@ def pow_up_sig(x: Rat, n: int) -> Rat:
         if len(str(m)) + e + s > MAX_DIGITS:  # the result is at least m 10^(e + s)
             raise OutputLimitError(f"x^{n} rounded up has more than {MAX_DIGITS:,} digits")
         if (m, e) == up[:2]:
-            return Fraction(m * 10 ** (e + s)) if e + s >= 0 else Fraction(m, 10 ** -(e + s))
+            k = e + s
+            return Fraction(m * 5 ** k << k) if k >= 0 else Fraction(m, 5 ** -k << -k)
         p *= 2
 
 

@@ -10,7 +10,8 @@ integer record as they ran before ``dioph`` held every ball as a record, the
 the ``ComplexBall`` bounds on |x - alpha y| and overlap test of the type
 classification, the Thue polynomials at a concrete t by homogeneous Horner at
 each t, the
-corollary-eps gates at a grid value in ``Fraction`` arithmetic and an
+corollary-eps gates at a grid value in ``Fraction`` arithmetic, the search
+for its least passing grid value as it ran before the float seed, and an
 independent floor(2^bits ln x), the atanh term count as a linear scan, the
 divisibility check's exact kernel with the exact Taylor shift it ran on, the
 chi_r(1 - 8X) composition whose gcd
@@ -1137,7 +1138,8 @@ def eps_gate_fn_oracle(eps: Fraction):
     function of the grid value g, in Fractions: ln t >= l = g / 2^28, each
     constant's log in [f, f + 1) / 2^28 for its grid floor f, and kappa's
     upper end (l + 1.08)/(l - 2.59)."""
-    ln, grid = corollary._log_constants(), Fraction(1, 1 << corollary.LN_GRID_BITS)
+    grid = Fraction(1, 1 << corollary.LN_GRID_BITS)
+    ln = {c: f for c, f in corollary._log_constants().items() if type(c) is Fraction}
     lo = {c: f * grid for c, f in ln.items()}
     hi = {c: (f + 1) * grid for c, f in ln.items()}
     # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= ln t
@@ -1168,6 +1170,30 @@ def eps_gate_fn_oracle(eps: Fraction):
                                  "log comparison with kappa upper end")]
 
     return gates
+
+
+def least_g_oracle(eps: Fraction) -> tuple[int, int]:
+    """(g*, t0) of corollary.corollary_eps as its search ran before the float seed: g* by
+    doubling and bisection from g_lo + 1, then t0, the least t with L(t) >= g*.
+    OutputLimitError past MAX_DIGITS digits, as corollary_eps."""
+    _least, _cut, _ln_grid = corollary._least, corollary._cut, corollary._ln_grid
+    LN_GRID_BITS, EPS_CUT_BITS = corollary.LN_GRID_BITS, corollary.EPS_CUT_BITS
+    MAX_DIGITS, ln_floor = exactnum.MAX_DIGITS, exactnum.ln_floor
+    gates_at = corollary._eps_gate_fn(eps)
+    (p, q), (nn, nd), (dn, dd) = (c.as_integer_ratio() for c in (
+        eps, exactnum.KAPPA_NUM_SHIFT, exactnum.KAPPA_DEN_SHIFT))
+    g_lo = ((q + p) * nd * dn + q * dd * nn << LN_GRID_BITS) // (p * nd * dd)
+    limit = MAX_DIGITS * (corollary._log_constants()[Fraction(10)] + 1)
+    if g_lo >= limit or (g := _least(lambda g: all(gates_at(g)[:3]), g_lo + 1)) >= limit:
+        raise exactnum.OutputLimitError(f"t0 for eps = {exactnum._side(eps)} has more than "
+                                        f"{MAX_DIGITS:,} digits")
+    grid = lru_cache(maxsize=None)(_ln_grid)  # each L(t) once
+    y = g / ((1 << LN_GRID_BITS) * math.log(2))  # log2 of t0, about
+    s = max(0, int(y) - EPS_CUT_BITS + 1)
+    t = max(1, _cut(int(2 ** (y - s)) << s))
+    # one Newton step on ln t = g / 2^28, from floor(2^96 ln t), lands next to t0
+    t = max(1, _cut(t + (t * ((g << 96 - LN_GRID_BITS) - ln_floor(t, 96)) >> 96)))
+    return g, _least(lambda t: grid(t) >= g, t, 1 << s, _cut)
 
 
 def ln_floor_oracle(x: Fraction, bits: int) -> int:

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -445,12 +446,26 @@ def test_all_root_balls():
         assert b.radius <= F(1, 10**20)
 
 
-@pytest.mark.parametrize("d, a, b, digest", [
-    # sha256 of repr(all_root_balls(...)), from the closed-form seeds, with
-    # every Newton step on the 2^-128 grid
+# sha256 of repr(all_root_balls(...)), from the closed-form seeds, with every Newton
+# step on the 2^-128 grid
+IRRATIONAL_BALL_PINS = [
     (7, 3, 40, "de2d6366fac6715b33d64dc01ae2de188a54868046ede751169a32cde5d466b6"),
     (11, -5, 31, "7baaf1ed65f0a77bb666a6593dce6910b09adbc80f30ed266f2089302b809eea"),
-])
+]
+# sha256 of repr(all_root_balls(...)) at 2^-128 for a Gaussian parameter, from the
+# closed-form seeds, with every Newton step on the 2^-192 grid
+GAUSSIAN_BALL_PINS = [
+    (37, -512, "e2ffa59e3711977a6cbe23361bc6719982cd9199cdccea178508250a8c891d38"),
+    (-200, 35, "5336c7723d01d13bbcba02b97bd2ae93e4540cdb1918e9b602b307f60b6a1860"),
+]
+# exact values, taken from the closed-form seeds
+DIVISIBILITY_RADIUS_PINS = [
+    (5, GaussRat(F(37, 3), F(-512, 7)), F(1346717941834350885613, 1 << 128)),
+    (3, GaussRat(F(0), F(100)), F(7198003783877, 1 << 127)),
+]
+
+
+@pytest.mark.parametrize("d, a, b, digest", IRRATIONAL_BALL_PINS)
 def test_root_balls_of_an_irrational_parameter_are_pinned(d, a, b, digest):
     t = QuadInt(d, a, b)
     t_gauss, t_irrational = _t_exact(t)
@@ -461,16 +476,35 @@ def test_root_balls_of_an_irrational_parameter_are_pinned(d, a, b, digest):
     assert concrete._root_balls.cache_info().hits == 1
 
 
-@pytest.mark.parametrize("a, b, digest", [
-    # sha256 of repr(all_root_balls(...)) at 2^-128 for a Gaussian parameter,
-    # from the closed-form seeds, with every Newton step on the 2^-192 grid
-    (37, -512, "e2ffa59e3711977a6cbe23361bc6719982cd9199cdccea178508250a8c891d38"),
-    (-200, 35, "5336c7723d01d13bbcba02b97bd2ae93e4540cdb1918e9b602b307f60b6a1860"),
-])
+@pytest.mark.parametrize("a, b, digest", GAUSSIAN_BALL_PINS)
 def test_root_balls_of_a_gaussian_parameter_are_pinned(a, b, digest):
     t = QuadInt(1, a, b)
     balls = all_root_balls(_t_complex(t), *_t_exact(t), F(1, 1 << 128))
     assert hashlib.sha256(repr(balls).encode()).hexdigest() == digest
+
+
+def test_one_coefficient_table_per_root_set(monkeypatch):
+    # the four Newton runs of a set share the parameter's table: one _coeffs_at call per
+    # _root_balls miss and one per divisibility check, and the pinned balls and radii
+    calls = []
+    real = concrete._coeffs_at
+    monkeypatch.setattr(concrete, "_coeffs_at", lambda t: calls.append(t) or real(t))
+    monkeypatch.setattr(concrete, "_root_balls",
+                        lru_cache(maxsize=64)(concrete._root_balls.__wrapped__))
+    runs = [(QuadInt(d, a, b), F(1, 1 << 64), digest) for d, a, b, digest in IRRATIONAL_BALL_PINS]
+    runs += [(QuadInt(1, a, b), F(1, 1 << 128), digest) for a, b, digest in GAUSSIAN_BALL_PINS]
+    for t, radius, digest in runs:
+        for _ in ("cold", "cached"):
+            balls = all_root_balls(_t_complex(t), *_t_exact(t), radius)
+            assert hashlib.sha256(repr(balls).encode()).hexdigest() == digest
+    assert len(calls) == concrete._root_balls.cache_info().misses == 4
+    t = QuadInt(1, 0, 100)
+    assert classify_type(t, QuadInt(1, 0, 99), QuadInt(1, 1, 0)) == 2
+    assert len(calls) == concrete._root_balls.cache_info().misses == 5
+    for r, t, radius in DIVISIBILITY_RADIUS_PINS:
+        out = divisibility_ball_check(r, t)
+        assert out["all_contain_zero"] and out["max_radius"] == radius
+    assert len(calls) == 7
 
 
 def _inline_parameter_ball(t: QuadInt) -> ComplexBall:
@@ -975,12 +1009,8 @@ def test_divisibility_check_sees_a_perturbed_b(monkeypatch):
         assert not divisibility_ball_check(r, t)["all_contain_zero"], r
 
 
-@pytest.mark.parametrize("r, t, radius", [
-    (5, GaussRat(F(37, 3), F(-512, 7)), F(1346717941834350885613, 1 << 128)),
-    (3, GaussRat(F(0), F(100)), F(7198003783877, 1 << 127)),
-])
+@pytest.mark.parametrize("r, t, radius", DIVISIBILITY_RADIUS_PINS)
 def test_divisibility_check_radius_is_pinned(r, t, radius):
-    # exact values, taken from the closed-form seeds
     out = divisibility_ball_check(r, t)
     assert out["all_contain_zero"] and out["max_radius"] == radius
 
@@ -1265,6 +1295,7 @@ def test_overlap_test_matches_the_complexball_oracle(monkeypatch):
                           F(rng.randint(0, 10**4), rng.randint(1, 10**4))) for _ in range(4)]
              for _ in range(200)]
     monkeypatch.setattr(concrete, "_root_seeds", lambda t: [0j] * 4)
+    monkeypatch.setattr(concrete, "_param_coeffs", lambda *args: None)  # read by no record
     seen = set()
     for balls in sets:
         it = map(ball_record, balls)

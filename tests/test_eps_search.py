@@ -1,20 +1,26 @@
 """corollary_eps on monotone gates: t0 is the least t at which they hold,
 checked at t0 - 1, t0 and 2 t0 over the pinned and seeded eps; the gates
 are monotone near every t0 and match a Fraction reference at grid values;
-t0 does not depend on the ln 2 cache or on the order of the queries; and
-exactnum.ln_floor matches an independent floor(2^bits ln x)."""
+t0 does not depend on the ln 2 cache or on the order of the queries; the
+float-seeded search finds the g* and t0 of the unseeded one in a few gate
+evaluations; and exactnum.ln_floor matches an independent floor(2^bits ln x)."""
 
 import math
 import random
+import time
 from fractions import Fraction as F
 from functools import lru_cache
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from thueq import corollary, exactnum, measure
-from thueq.exactnum import ln_floor
+from thueq.cli import main
+from thueq.exactnum import OutputLimitError, ln_floor
 from thueq.corollary import LN_GRID_BITS, _eps_gates, _ln_grid, corollary_eps
 from thueq.measure import theorem_assembly
 
-from oracles import eps_gate_fn_oracle, ln_floor_oracle
+from oracles import eps_gate_fn_oracle, least_g_oracle, ln_floor_oracle
 from test_measure import EPS_T0
 
 
@@ -111,6 +117,81 @@ def test_corollary_eps_counts_its_evaluations():
     # at eps = 1/10000), so the search reads t0 and the cut value below it
     for eps in (F(1, 100), F(1, 2), F(89, 100), F(1, 10000)):
         assert corollary_eps(eps)["evaluations"] <= 4, eps
+
+
+SEED_SAMPLE = ([F(k, 100) for k in range(1, 100)] + [F(k, 1000) for k in range(1, 1000)]
+               + [F(1, 25306), F(12345, 100000)])
+
+
+def _recording_gates(monkeypatch) -> list:
+    """Patch _eps_gate_fn so that every gate evaluation appends (g, all three hold)."""
+    calls, real = [], corollary._eps_gate_fn
+
+    def gate_fn(eps):
+        gates = real(eps)
+
+        def recorded(g):
+            out = gates(g)
+            calls.append((g, all(out[:3])))
+            return out
+        return recorded
+
+    monkeypatch.setattr(corollary, "_eps_gate_fn", gate_fn)
+    return calls
+
+
+def _seeded_search(monkeypatch, eps) -> tuple:
+    """(g*, t0, gate evaluations) of one corollary_eps query: g* is the least evaluated
+    grid value at which the gates hold, and the search evaluated g* - 1 too."""
+    calls = _recording_gates(monkeypatch)
+    t0 = corollary_eps(eps)["t0"]
+    g = min(g for g, ok in calls if ok)
+    assert (g - 1, False) in calls, eps
+    monkeypatch.undo()
+    return g, t0, len(calls)
+
+
+def test_the_seeded_search_finds_the_unseeded_g_star_and_t0(monkeypatch):
+    for eps in SEED_SAMPLE:
+        g, t0, _ = _seeded_search(monkeypatch, eps)
+        assert (g, t0) == least_g_oracle(eps), eps
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda e: 0 < e < 1))
+def test_the_seeded_search_matches_the_oracle_on_any_fraction(eps):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        try:
+            g, t0, _ = _seeded_search(monkeypatch, eps)
+        except OutputLimitError:
+            with pytest.raises(OutputLimitError):
+                least_g_oracle(eps)
+        else:
+            assert (g, t0) == least_g_oracle(eps), eps
+
+
+def test_a_query_evaluates_the_gates_at_most_eight_times(monkeypatch):
+    # g* and the grid value below it from the float seed, and the two sets of results
+    counts = [_seeded_search(monkeypatch, eps)[2] for eps in SEED_SAMPLE]
+    assert max(counts) <= 8, max(counts)
+
+
+def test_the_seed_falls_back_to_the_floor_on_a_float_failure():
+    # gate (iii)'s larger root overflows to inf at eps = 1e-300, and at 1e-400 eps
+    # underflows to 0.0 and the root to a division by zero
+    assert corollary._g_seed(F(1, 10**300), 7) == corollary._g_seed(F(1, 10**400), 7) == 8
+
+
+@pytest.mark.parametrize("eps", ["1/25307", "1e-200001"])
+def test_thresholds_past_the_output_limit_still_exit_64(eps, capsys):
+    # the least eps refused after the g* search, and one refused before it, at once;
+    # test_cli runs 1e-30 and 1e-200001 in a fresh interpreter
+    start = time.perf_counter()
+    assert main(["corollary-eps", "--eps", eps]) == 64
+    took = time.perf_counter() - start
+    assert "200,000-digit output limit" in capsys.readouterr().err
+    if eps == "1e-200001":
+        assert took < 0.2, took
 
 
 def test_ln_floor_matches_an_independent_enclosure():

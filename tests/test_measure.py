@@ -421,7 +421,10 @@ def test_each_verdict_line_fails_alone_in_its_gate(monkeypatch, capsys, patch, g
 
 
 def test_the_lin_coefficient_line_fails_alone(monkeypatch, capsys):
-    # 443 set to 8.86 * 15.48 / 0.31 itself: the strict line fails on equality
+    # 443 set to 8.86 * 15.48 / 0.31 itself: the strict line fails on equality; it is
+    # checked once per process, so a fresh cache sees the patch
+    monkeypatch.setattr(corollary, "_log_constants",
+                        lru_cache(maxsize=None)(corollary._log_constants.__wrapped__))
     monkeypatch.setattr(corollary, "LIN_COEFF",
                         descent.BETA_COEFF * measure.C_COEFF[3] / corollary.C2_DIVISOR)
     try:
