@@ -63,27 +63,23 @@ def denom_data(r: int) -> DenomData:
     return DenomData(delta, 8 ** r)
 
 
-def verify_lettl(rmax: int) -> list[dict]:
-    """Two strict lines per r: 2^(r+2)(D/N)g1 < 3.32*1.35^r and
-    2^(4r+3)(D/N)g2 < 1.6*10.7^r, for 1 <= r <= rmax; returns the margins.
-    With g1 = r! 4^r / prod_{k<r} (4k+3), g2 = prod_{k=1}^{r} (4k+1) /
-    (4^(r+1) r!), and a/b = 3.32*1.35^r, c/d = 1.6*10.7^r as running products,
-    the lines compare 2^(3r+2) D r! b < a N prod_{k<r} (4k+3) and
-    2^(2r+1) D prod_{k=1}^{r} (4k+1) d < c N r!, over Z."""
-    # a/b = rhs1n/rhs1d and c/d = rhs2n/rhs2d, from 3.32 and 1.6 at r = 0
+def verify_lettl(rmax: int) -> tuple:
+    """The (name, margin) pairs of two strict lines per r, 1 <= r <= rmax: 2^(r+2)(D/N)g1 <
+    3.32*1.35^r and 2^(4r+3)(D/N)g2 < 1.6*10.7^r.  With g1 = r! 4^r / prod_{k<r} (4k+3) and
+    g2 = prod_{k=1}^{r} (4k+1) / (4^(r+1) r!), the left sides are the pairs (2^(3r+2) D r!,
+    N prod_{k<r} (4k+3)) and (2^(2r+1) D prod_{k=1}^{r} (4k+1), N r!)."""
+    # the right sides 3.32*1.35^r and 1.6*10.7^r as running pairs, from 3.32 and 1.6 at r = 0
     (rhs1n, rhs1d), (qn, qd), (rhs2n, rhs2d), (en, ed) = (c.as_integer_ratio() for c in (
         LETTL_K0, LETTL_Q_BASE, LETTL_L0, LETTL_E_BASE))
     fact = odd3 = odd1 = 1  # r!, prod_{k<r} (4k+3), prod_{k=1}^{r} (4k+1)
-    rows = []
+    margins = ()
     for r in range(1, rmax + 1):
         fact, odd3, odd1 = fact * r, odd3 * (4 * r - 1), odd1 * (4 * r + 1)
         rhs1n, rhs1d, rhs2n, rhs2d = rhs1n * qn, rhs1d * qd, rhs2n * en, rhs2d * ed
         delta, n = denom_data(r)
-        (_, m1), (_, m2) = lines(
-            (f"Lettl bound 3.32*1.35^r at r={r}", (delta * fact << 3 * r + 2) * rhs1d,
-             rhs1n * n * odd3, "<"),
-            (f"Lettl bound 1.6*10.7^r at r={r}", (delta * odd1 << 2 * r + 1) * rhs2d,
-             rhs2n * n * fact, "<"))
-        rows.append({"r": r, "margin1": Fraction(m1, rhs1d * n * odd3),
-                     "margin2": Fraction(m2, rhs2d * n * fact)})
-    return rows
+        margins += lines(
+            (f"Lettl bound 3.32*1.35^r at r={r}", (delta * fact << 3 * r + 2, n * odd3),
+             (rhs1n, rhs1d), "<"),
+            (f"Lettl bound 1.6*10.7^r at r={r}", (delta * odd1 << 2 * r + 1, n * fact),
+             (rhs2n, rhs2d), "<"))
+    return margins

@@ -76,33 +76,32 @@ def kappa_lo(t_abs: Rat) -> Rat:
 
 
 @lru_cache(maxsize=None)
-def _tmin_free_checks() -> bool:
-    """The checks behind every constant chain that do not depend on tmin,
-    run once per process: the Lettl growth bounds for 1 <= r <= RMAX, the
-    fourth-root identity of both root types, and the constants of beta,
-    kappa and the contradiction bound, at |t| = TMIN_FLOOR where a bound
-    reads the root separations, which are monotone in |t|.
-    |F_t| = prod |x - alpha_k y| <= 1 with |x - alpha_k y| >= |alpha_j -
-    alpha_k||y|/2 for the closest root alpha_j needs beta >= 8/(min_pairwise^2
-    min_to_alpha2).  kappa = (ln|t| + 1.08)/(ln|t| - 2.59) bounds the
-    Lettl-Petho-Voutier exponent 1 + ln Q/ln E with Q = 2.94|t|, E =
-    |t|/13.27 only if 1.08 >= ln 2.94 and 2.59 >= ln 13.27; the
-    contradiction coefficient must dominate 8.86 * 15.48.  A failure
-    raises, and is not cached."""
+def _tmin_free_checks() -> tuple:
+    """The checks behind every constant chain that do not depend on tmin, run once per
+    process: the Lettl growth bounds for 1 <= r <= RMAX, the fourth-root identity of both
+    root types, and the constants of beta, kappa and the contradiction bound, at |t| =
+    TMIN_FLOOR where a bound reads the root separations, which are monotone in |t|.
+    |F_t| = prod |x - alpha_k y| <= 1 with |x - alpha_k y| >= |alpha_j - alpha_k||y|/2 for
+    the closest root alpha_j needs beta >= 8/(min_pairwise^2 min_to_alpha2).  kappa =
+    (ln|t| + 1.08)/(ln|t| - 2.59) bounds the Lettl-Petho-Voutier exponent 1 + ln Q/ln E
+    with Q = 2.94|t|, E = |t|/13.27 only if 1.08 >= ln 2.94 and 2.59 >= ln 13.27; the
+    contradiction coefficient must dominate 8.86 * 15.48.  Returns the (name, margin) pairs
+    of the Lettl lines, then of beta, the kappa shifts and the contradiction coefficient;
+    a failure raises, and is not cached."""
     from .hyperchi import verify_lettl
     from .series import quotient_root_check
 
-    verify_lettl(RMAX)
+    lettl = verify_lettl(RMAX)
     for ti in (0, 3):
         if not quotient_root_check(ti):
             raise ChainError(f"type{ti} fourth-root expression is not a root of the quartic")
     sep = root_separation(TMIN_FLOOR)
     beta = descent.BETA_COEFF
-    lines(("beta 8.86", 8 / (sep["min_pairwise"] ** 2 * sep["min_to_alpha2_coeff"]), beta),
-          ("kappa shift 1.08", ln_enclosure(Q_BASE, LN_WIDTH).hi, exactnum.KAPPA_NUM_SHIFT),
-          ("kappa shift 2.59", ln_enclosure(E_DIV, LN_WIDTH).hi, exactnum.KAPPA_DEN_SHIFT),
-          ("contradiction coefficient 137.16", beta * C_COEFF[3], CONTRADICTION_COEFF))
-    return True
+    return lettl + lines(
+        ("beta 8.86", 8 / (sep["min_pairwise"] ** 2 * sep["min_to_alpha2_coeff"]), beta),
+        ("kappa shift 1.08", ln_enclosure(Q_BASE, LN_WIDTH).hi, exactnum.KAPPA_NUM_SHIFT),
+        ("kappa shift 2.59", ln_enclosure(E_DIV, LN_WIDTH).hi, exactnum.KAPPA_DEN_SHIFT),
+        ("contradiction coefficient 137.16", beta * C_COEFF[3], CONTRADICTION_COEFF))
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 
 from . import zpoly
 from .exactnum import TMIN_FLOOR, ChainError, Rat, pair_record
@@ -25,61 +26,43 @@ EnclosureCert = pair_record("EnclosureCert", "center radius_c radius_exp tmin ve
                             "margin")
 
 
-def _taylor_terms(center: dict) -> tuple:
-    """The monomials c t^p z^j of h(z) = f(C + z), with
-    h_j = f^(j)(C)/j! = sum_i binom(i, j) f_i C^(i-j), as (j, p, c) tuples
-    with integer c != 0, j = 1..4 then 0.  The center C is given as
-    {power of t: coefficient}, each an int; it is held as t^lo times a dense
-    integer list, and each h_j as t^base times one, with base = min(0, 4 lo)
-    below every power that occurs."""
+def _enclosure_split(center: dict, radius_c: Rat, radius_exp: int) -> tuple:
+    """The tmin-free part of a certificate over Z: (lead, rest, den) with margin
+    (lead - sum_d rest_d w^d) / den at w = 1/tmin and lead/den = |c0| radius_c for the
+    dominant linear term c0 t^p0 z of h(z) = f(C + z), or (-1, (), 1), margin -1, if another
+    term decays slower; a refused center raises.  C = {power of t: int} is held as t^lo times
+    a dense list, and h_j = f^(j)(C)/j! = sum_i binom(i, j) f_i C^(i-j) as t^base times one."""
     if not all(isinstance(c, int) for c in center.values()):
         raise ChainError("center coefficients must be rational integers")
-    lo, hi = (min(center), max(center)) if center else (0, -1)
-    C = [0] * (hi - lo + 1)
-    for p, c in center.items():
-        C[p - lo] = c
-    cpow = [[1]]
-    for _ in range(4):
-        cpow.append(zpoly.mul(cpow[-1], C))
-    base = min(0, 4 * lo)
+    lo = min(center, default=0)
+    C = [center.get(p, 0) for p in range(lo, max(center, default=-1) + 1)]
+    cpow = [*accumulate([C] * 4, zpoly.mul, initial=[1])]
+    base = min(0, 4 * lo)  # below every power of t that occurs
     h: list[list[int]] = [[] for _ in range(5)]
     for e, row in enumerate(QUARTIC):  # f_i t^e X^i
         for i, f in enumerate(row):
             for j in range(i + 1):
                 term = zpoly.scale(math.comb(i, j) * f, cpow[i - j])
                 h[j] = zpoly.add(h[j], [0] * (e + (i - j) * lo - base) + term)
-    return tuple((j, base + k, c) for j in (1, 2, 3, 4, 0)
-                 for k, c in enumerate(h[j]) if c)
-
-
-def _enclosure_split(center: dict, radius_c: Rat, radius_exp: int) -> tuple:
-    """The tmin-free part of a certificate over Z: (lead, rest, den) with margin
-    (lead - sum_d rest_d w^d) / den at w = 1/tmin and lead/den = |c0| radius_c for
-    the dominant linear term c0 t^p0 z, or (-1, (), 1), margin -1, if another term
-    decays slower.  A refused center raises."""
-    # every monomial c * t^p * z^j contributes |c| radius_c^j w^(j*radius_exp - p)
-    terms = _taylor_terms(center)
-    # dominant: the j=1 monomial with minimal exponent (each p occurs once)
-    lin = [(radius_exp - p, p, c) for j, p, c in terms if j == 1]
-    if not lin:
+    # dominant: the linear term at the top power of t, t^(base + k0)
+    k0 = max((k for k, c in enumerate(h[1]) if c), default=None)
+    if k0 is None:
         raise ChainError("no linear term at the center (degenerate)")
-    e0, p0, c0 = min(lin)
-    # the rest as sum_d a_d w^d over d = e - e0 >= 0, with radius_c = rn/rd:
-    # radius_c^j cleared by den = rd^4 (j <= 4)
+    # every other term c t^(base + k) z^j adds |c| radius_c^j w^d, d its decay's excess
+    # over the dominant's; with radius_c = rn/rd, den = rd^4 clears radius_c^j (j <= 4)
     rn, rd = radius_c.numerator, radius_c.denominator
     cleared = [rn ** j * rd ** (4 - j) for j in range(5)]
     rest: list[int] = []
-    for j, p, c in terms:
-        if j == 1 and p == p0:
-            continue
-        d = j * radius_exp - p - e0
-        if d < 0:
-            # a non-dominant term decays slower than the dominant one:
-            # no uniform certificate from this split
-            return -1, (), 1
-        rest += [0] * (d + 1 - len(rest))
-        rest[d] += abs(c) * cleared[j]
-    return abs(c0) * cleared[1], tuple(rest), cleared[0]
+    for j, hj in enumerate(h):
+        for k, c in enumerate(hj):
+            d = (j - 1) * radius_exp + k0 - k
+            if not c or not d and j == 1:  # zero, or the dominant term itself
+                continue
+            if d < 0:  # decays slower than the dominant term: no uniform certificate
+                return -1, (), 1
+            rest += [0] * (d + 1 - len(rest))
+            rest[d] += abs(c) * cleared[j]
+    return abs(h[1][k0]) * cleared[1], tuple(rest), cleared[0]
 
 
 def _certify(center: dict, radius_c: Rat, radius_exp: int, split: tuple, tmin: Rat):

@@ -38,5 +38,5 @@ def assembly_80():
 
 
 @pytest.fixture(scope="session")
-def lettl_rows():
+def lettl_lines():
     return verify_lettl(60)

@@ -23,6 +23,8 @@ no command runs, and the tmin certificates (descent steps, the descent's first c
 root enclosures, the root separation, measure chains and the significant-digit
 rounding) as they ran in ``Fraction``
 arithmetic at each tmin before their tmin-free parts were built once over Z,
+the root enclosures' Taylor expansion of f(C + z) on ``Poly2`` and the split
+that scanned its monomials before ``rouche`` built both in one pass over Z,
 with the descent's non-vanishing polynomial as it was built over Z[i], the
 rounding up as it ran with two powers of ten, the rounding to nearest and
 ``sig_str`` as they ran in ``Fraction`` arithmetic, the named lines as
@@ -291,19 +293,24 @@ def gamma_ratio_g2(r: int) -> Fraction:
                     4 ** (r + 1) * math.factorial(r))
 
 
-def verify_lettl_oracle(rmax: int) -> list[dict]:
+# the names of the lines of verify_lettl(60), in order
+LETTL_NAMES = [f"Lettl bound {bound} at r={r}" for r in range(1, 61)
+               for bound in ("3.32*1.35^r", "1.6*10.7^r")]
+
+
+def verify_lettl_oracle(rmax: int) -> tuple:
     """``hyperchi.verify_lettl`` as it compared Fraction powers of 1.35 and
-    10.7 with the gamma ratios, raising ChainError on the first failed line."""
-    rows = []
+    10.7 with the gamma ratios: the (name, margin) pairs of its lines, or
+    ChainError naming the first that fails."""
+    margins = ()
     for r in range(1, rmax + 1):
         ratio = Fraction(*hyperchi.denom_data(r))
-        (_, m1), (_, m2) = exactnum.lines(
+        margins += exactnum.lines(
             (f"Lettl bound 3.32*1.35^r at r={r}", 2 ** (r + 2) * ratio * gamma_ratio_g1(r),
              hyperchi.LETTL_K0 * hyperchi.LETTL_Q_BASE ** r, "<"),
             (f"Lettl bound 1.6*10.7^r at r={r}", 2 ** (4 * r + 3) * ratio * gamma_ratio_g2(r),
              hyperchi.LETTL_L0 * hyperchi.LETTL_E_BASE ** r, "<"))
-        rows.append({"r": r, "margin1": m1, "margin2": m2})
-    return rows
+    return margins
 
 
 def chi_star_oracle(r: int, p, q):
@@ -373,12 +380,71 @@ def cross_product(xi: int, r: int) -> TPoly:
 # replaced the per-term Fraction powers
 
 
-def enclosure_margin_oracle(terms, radius_c: Fraction, radius_exp: int,
+@lru_cache(maxsize=None)
+def _taylor_terms(items: tuple) -> frozenset:
+    C = Poly2({(0, p): c for p, c in items})
+    cpow = [Poly2.const(1)]
+    for _ in range(4):
+        cpow.append(cpow[-1] * C)
+    out, deriv, fact = set(), QUARTIC, 1
+    for j in range(5):
+        h = sum((Poly2({(0, e): v / fact}) * cpow[i]
+                 for (i, e), v in deriv.terms.items()), Poly2())
+        out |= {(j, p, c) for (_, p), c in h.terms.items()}
+        deriv, fact = deriv.dX(), fact * (j + 1)
+    return frozenset(out)
+
+
+def taylor_terms_oracle(center: dict) -> frozenset:
+    """The monomials c t^p z^j of h(z) = f(C + z), c != 0 in Q(i), as (j, p, c): the
+    expansion h_j = f^(j)(C)/j! on Poly2 that ran before ``rouche`` built the h_j over Z."""
+    return _taylor_terms(tuple(sorted(center.items())))
+
+
+def integer_terms_oracle(center: dict) -> list:
+    """taylor_terms_oracle's monomials for a center of ints, their coefficients as ints."""
+    terms = taylor_terms_oracle(center)
+    if any(c.im or c.re.denominator != 1 for _, _, c in terms):
+        raise AssertionError(f"non-integral Taylor coefficients at {center}")
+    return [(j, p, c.re.numerator) for j, p, c in terms]
+
+
+def enclosure_split_oracle(center: dict, radius_c: Fraction, radius_exp: int) -> tuple:
+    """``rouche._enclosure_split`` as it scanned a monomial list, here the Poly2 expansion's
+    for a center of ints: the dominant linear term is the one of least decay e = radius_exp
+    - p, and must be unique; every other term adds |c| radius_c^j w^(e - e0), cleared by rd^4."""
+    if not all(isinstance(c, int) for c in center.values()):
+        raise ChainError("center coefficients must be rational integers")
+    terms = integer_terms_oracle(center)
+    lin = [(radius_exp - p, p, c) for j, p, c in terms if j == 1]
+    if not lin:
+        raise ChainError("no linear term at the center (degenerate)")
+    e0 = min(e for e, _, _ in lin)
+    dominants = [(e, p, c) for e, p, c in lin if e == e0]
+    if len(dominants) != 1:
+        raise ChainError("dominant linear term not unique")
+    _, p0, c0 = dominants[0]
+    rn, rd = radius_c.numerator, radius_c.denominator
+    cleared = [rn ** j * rd ** (4 - j) for j in range(5)]
+    rest: list[int] = []
+    for j, p, c in terms:
+        if j == 1 and p == p0:
+            continue
+        d = j * radius_exp - p - e0
+        if d < 0:
+            return -1, (), 1
+        rest += [0] * (d + 1 - len(rest))
+        rest[d] += abs(c) * cleared[j]
+    return abs(c0) * cleared[1], tuple(rest), cleared[0]
+
+
+def enclosure_margin_oracle(center: dict, radius_c: Fraction, radius_exp: int,
                             tmin: Fraction) -> Fraction:
     """The margin of ``rouche.certify_enclosure`` on the Taylor monomials
-    (j, p, c): |c0| radius_c minus sum |c| radius_c^j w^(e - e0) over the
-    other monomials, e = j radius_exp - p and w = 1/tmin, or -1 when one of
-    them decays slower than the dominant linear term (p0, c0)."""
+    (j, p, c) of the Poly2 expansion: |c0| radius_c minus sum |c| radius_c^j
+    w^(e - e0) over the other monomials, e = j radius_exp - p and w = 1/tmin,
+    or -1 when one of them decays slower than the dominant linear term (p0, c0)."""
+    terms = integer_terms_oracle(center)
     lin = [(radius_exp - p, p, c) for j, p, c in terms if j == 1]
     e0 = min(e for e, _, _ in lin)
     (_, p0, c0), = [x for x in lin if x[0] == e0]
@@ -583,32 +649,13 @@ def run_step_oracle(type_index: int, k: int, c0, tmin) -> descent.StepRecord:
 
 def certify_enclosure_oracle(center: dict, radius_c, radius_exp: int,
                              tmin) -> EnclosureCert:
-    """``rouche.certify_enclosure``, with the dominant term and the cleared
-    rest re-derived at each tmin."""
+    """``rouche.certify_enclosure`` on the oracle split, its margin summed term by term
+    in ``Fraction`` arithmetic at each tmin."""
     radius_c, tmin = Fraction(radius_c), Fraction(tmin)
     if tmin < 1:
         raise ValueError("tmin must be >= 1")
-    terms = rouche._taylor_terms(center)
-    if not any(j == 1 for j, _, _ in terms):
-        raise ChainError("no linear term at the center (degenerate)")
-    lin = [(1 * radius_exp - p, p, c) for j, p, c in terms if j == 1]
-    e0 = min(e for e, _, _ in lin)
-    dominants = [(e, p, c) for e, p, c in lin if e == e0]
-    if len(dominants) != 1:
-        raise ChainError("dominant linear term not unique")
-    _, p0, c0 = dominants[0]
-    rn, rd = radius_c.numerator, radius_c.denominator
-    cleared = [rn ** j * rd ** (4 - j) for j in range(5)]
-    rest: list[int] = []
-    for j, p, c in terms:
-        if j == 1 and p == p0:
-            continue
-        d = j * radius_exp - p - e0
-        if d < 0:
-            return EnclosureCert(center, radius_c, radius_exp, tmin, False, Fraction(-1))
-        rest += [0] * (d + 1 - len(rest))
-        rest[d] += abs(c) * cleared[j]
-    margin = abs(c0) * radius_c - inverse_horner(rest, tmin) / rd ** 4
+    lead, rest, den = enclosure_split_oracle(center, radius_c, radius_exp)
+    margin = (lead - inverse_horner(rest, tmin)) / den
     return EnclosureCert(center, radius_c, radius_exp, tmin, margin > 0, margin)
 
 

@@ -8,7 +8,8 @@ import time
 from contextlib import contextmanager
 from fractions import Fraction as F
 
-from oracles import approximants, cleared_chi_oracle, cross_product, eval_form, orbit
+from oracles import (LETTL_NAMES, approximants, cleared_chi_oracle, cross_product, eval_form,
+                     orbit)
 
 from thueq.cli import main
 from thueq.descent import run_descent
@@ -265,10 +266,10 @@ def test_criterion_08_theorem_assembly(assembly_100, assembly_80):
         assert "kappa below 3" in failed
 
 
-def test_criterion_09_hypergeometric_bounds(lettl_rows):
+def test_criterion_09_hypergeometric_bounds(lettl_lines):
     with budget(10):
-        assert [row["r"] for row in lettl_rows] == list(range(1, 61))
-        assert all(row["margin1"] > 0 and row["margin2"] > 0 for row in lettl_rows)
+        assert [name for name, _ in lettl_lines] == LETTL_NAMES
+        assert all(margin > 0 for _, margin in lettl_lines)
         assert denom_data(1) == (3, 8)
         # the published cleared chi_1(1 - 8X), on the Fraction composition
         assert cleared_chi_oracle(1) == (3, 8, (1, -5))

@@ -2,8 +2,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
-from oracles import (chi_coeffs_oracle, cleared_chi_oracle, compose_1_minus_8x, gamma_ratio_g1,
-                     gamma_ratio_g2, verify_lettl_oracle)
+from oracles import (LETTL_NAMES, chi_coeffs_oracle, cleared_chi_oracle, compose_1_minus_8x,
+                     gamma_ratio_g1, gamma_ratio_g2, verify_lettl_oracle)
 
 from thueq import hyperchi
 from thueq.exactnum import ChainError
@@ -140,10 +140,10 @@ def test_eight_to_the_r_is_the_gcd_of_delta_chi_at_1_minus_8x():
         assert (cs[0] & -cs[0]).bit_length() - 1 == 3 * r, r
 
 
-def test_lettl_rows_with_the_composition_gcd_are_the_same(monkeypatch, lettl_rows):
+def test_lettl_rows_with_the_composition_gcd_are_the_same(monkeypatch, lettl_lines):
     monkeypatch.setattr(hyperchi, "denom_data",
                         lambda r: hyperchi.DenomData(*cleared_chi_oracle(r)[:2]))
-    assert verify_lettl(60) == lettl_rows
+    assert verify_lettl(60) == lettl_lines
 
 
 def test_integer_chi_ints_match_the_fraction_coefficients():
@@ -177,13 +177,14 @@ def test_denom_data_by_valuation_agrees():
         assert denom_data_by_valuation(r) == denom_data(r)
 
 
-def test_lettl_rows_match_the_fraction_gamma_ratios(lettl_rows):
-    # the cleared integers give the same lines, names and exact margins
-    assert verify_lettl_oracle(60) == lettl_rows
+def test_lettl_rows_match_the_fraction_gamma_ratios(lettl_lines):
+    # the cleared integers give the same lines, names and exact margins, in order
+    assert verify_lettl_oracle(60) == lettl_lines
 
 
 def test_lettl_lines_fail_where_the_fraction_bounds_fail(monkeypatch):
-    # delta_r scaled at one r fails the same first line, named alike, in both
+    # delta_r scaled at one r fails the same first line in both, named alike and
+    # with the same sides, since the integer pairs are the Fraction sides unreduced
     real = hyperchi.denom_data
     for at, factor in ((1, 8), (7, 10 ** 6), (60, 30), (60, 40)):
         monkeypatch.setattr(hyperchi, "denom_data", lambda r: (
@@ -192,7 +193,7 @@ def test_lettl_lines_fail_where_the_fraction_bounds_fail(monkeypatch):
             verify_lettl(60)
         with pytest.raises(ChainError) as want:
             verify_lettl_oracle(60)
-        assert str(got.value).split(":")[0] == str(want.value).split(":")[0]
+        assert str(got.value) == str(want.value)
 
 
 def test_gamma_ratios_small():
@@ -210,16 +211,15 @@ def test_gamma_ratios_positive_and_increasing():
         prev1, prev2 = g1, g2
 
 
-def test_growth_bounds_hold_to_60(lettl_rows):
-    assert len(lettl_rows) == 60
-    for row in lettl_rows:
-        assert row["margin1"] > 0
-        assert row["margin2"] > 0
+def test_growth_bounds_hold_to_60(lettl_lines):
+    assert [name for name, _ in lettl_lines] == LETTL_NAMES
+    for _, margin in lettl_lines:
+        assert margin > 0
 
 
-def test_growth_bound_margins_shrink_slowly(lettl_rows):
+def test_growth_bound_margins_shrink_slowly(lettl_lines):
     # the certified margins stay positive but the ratio bound is tight in
     # the exponential base, so relative margins never collapse to zero
-    r60 = lettl_rows[-1]
-    assert r60["r"] == 60
-    assert r60["margin1"] > 0 and r60["margin2"] > 0
+    (name1, margin1), (name2, margin2) = lettl_lines[-2:]
+    assert name1.endswith(" at r=60") and name2.endswith(" at r=60")
+    assert margin1 > 0 and margin2 > 0

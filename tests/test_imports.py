@@ -1,5 +1,5 @@
-"""What each entry point imports, and the names callers read from the modules
-that the concrete-t path and the corollaries left.
+"""What each entry point imports and runs, and the names callers read from the
+modules that the concrete-t path and the corollaries left.
 
 A cold ``verify-all`` compiles every module it imports when no bytecode is
 cached, so it must not import ``thueq.concrete`` (root balls, the type
@@ -10,6 +10,7 @@ and the acceptance criteria read there."""
 import importlib
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -103,3 +104,38 @@ def test_a_forwarded_name_is_bound_on_first_access(module, home, names, kept_the
         assert vars(module)[name] is getattr(home, name)
     with pytest.raises(AttributeError, match=f"has no attribute '{kept_there}'"):
         getattr(module, kept_there)
+
+
+# README's trusted base: the distinct (file, line) pairs of the call and line events in
+# src/thueq over one verify-all, with the hook set before thueq is imported
+TRUSTED_BASE = """import contextlib, io, os, sys
+src = os.path.join({src!r}, "thueq") + os.sep
+sys.path.insert(0, {src!r})
+seen = set()
+def trace(frame, event, arg):
+    if not frame.f_code.co_filename.startswith(src):
+        return None
+    if event in ("call", "line"):
+        seen.add((frame.f_code.co_filename, frame.f_lineno))
+    return trace
+sys.settrace(trace)
+from thueq import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    rc = cli.main(["verify-all"])
+sys.settrace(None)
+print(rc, len(seen))"""
+
+
+@pytest.mark.skipif(sys.implementation.name != "cpython" or sys.version_info[:2] != (3, 11),
+                    reason="README counts the trusted base under CPython 3.11; "
+                           "the lines a run executes differ between versions")
+def test_readme_states_the_trusted_base_it_measures():
+    readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+    stated = re.search(r"a cold `thueq verify-all` at `tmin` 100 executes ([\d,]+) distinct "
+                       r"lines of `src/thueq` under CPython 3\.11", readme)
+    assert stated is not None
+    out = subprocess.run([sys.executable, "-I", "-S", "-B", "-c", TRUSTED_BASE.format(src=SRC)],
+                         capture_output=True, text=True, timeout=60, check=True)
+    rc, count = map(int, out.stdout.split())
+    assert rc == 0
+    assert f"{count:,}" == stated.group(1)

@@ -11,8 +11,8 @@ import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (first_c0_oracle, measure_constants_oracle, outcome, root_separation_oracle,
-                     sqrt_bounds)
+from oracles import (LETTL_NAMES, first_c0_oracle, measure_constants_oracle, outcome,
+                     root_separation_oracle, sqrt_bounds, verify_lettl_oracle)
 
 from thueq import corollary, descent, dioph, exactnum, hyperchi, measure, rouche, series
 from thueq.cli import main
@@ -627,6 +627,21 @@ def test_tmin_free_checks_run_once_per_process(monkeypatch):
     finally:
         measure._tmin_free_checks.cache_clear()
     assert calls == [measure.RMAX, 0, 3]
+
+
+def test_tmin_free_checks_return_their_lines_on_every_call():
+    measure._tmin_free_checks.cache_clear()
+    try:
+        cold = measure._tmin_free_checks()
+        hit = measure._tmin_free_checks()
+    finally:
+        measure._tmin_free_checks.cache_clear()
+    # the 120 Lettl lines, then the four constants read at the floor
+    assert [name for name, _ in cold] == LETTL_NAMES + [
+        "beta 8.86", "kappa shift 1.08", "kappa shift 2.59", "contradiction coefficient 137.16"]
+    assert hit == cold
+    assert cold[:120] == verify_lettl_oracle(60)
+    assert all(margin > 0 for _, margin in cold)
 
 
 def test_tmin_free_checks_fail_closed_on_every_call(monkeypatch):

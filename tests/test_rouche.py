@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import (QUARTIC, Poly2, certify_enclosure_oracle, enclosure_margin_oracle,
-                     outcome)
+from oracles import (certify_enclosure_oracle, enclosure_margin_oracle, enclosure_split_oracle,
+                     outcome, taylor_terms_oracle)
 
 from thueq import rouche
 from thueq.exactnum import ChainError
@@ -78,7 +79,7 @@ def test_root_separation():
 
 
 def test_taylor_coefficients_built_once_per_center(monkeypatch):
-    calls = {"_taylor_terms": 0, "_enclosure_split": 0}
+    calls = {"_enclosure_split": 0}
     for name in calls:
         real = getattr(rouche, name)
         monkeypatch.setattr(rouche, name, lambda *args, real=real, name=name:
@@ -98,7 +99,7 @@ def test_taylor_coefficients_built_once_per_center(monkeypatch):
             cache.cache_clear()
     # four base centers plus B and B3, each expanded and split once, into one
     # table that every tmin reads; the six certificates are built once per tmin
-    assert calls == {"_taylor_terms": 6, "_enclosure_split": 6}
+    assert calls == {"_enclosure_split": 6}
     assert (table.misses, table.hits) == (1, 1)
     assert (base.misses, base.hits) == (2, 6)
 
@@ -124,31 +125,6 @@ def test_a_refused_certificate_raises_on_every_call():
             assert got == outcome(certify_enclosure_oracle, *args)
 
 
-def _taylor_terms_oracle(center: dict) -> set:
-    """The old expansion of f(C + z) on Poly2 over Q(i): {(j, p, c)}."""
-    C = Poly2({(0, p): c for p, c in center.items()})
-    cpow = [Poly2.const(1)]
-    for _ in range(4):
-        cpow.append(cpow[-1] * C)
-    out, deriv, fact = set(), QUARTIC, 1
-    for j in range(5):
-        h = sum((Poly2({(0, e): v / fact}) * cpow[i]
-                 for (i, e), v in deriv.terms.items()), Poly2())
-        out |= {(j, p, c) for (_, p), c in h.terms.items()}
-        deriv, fact = deriv.dX(), fact * (j + 1)
-    return out
-
-
-def test_integer_taylor_terms_match_the_poly2_expansion():
-    centers = [center for _, center, _, _ in BASE_CERT_PARAMS]
-    centers += [certify_high_order(which).center for which in ("B", "B3")]
-    for center in centers:
-        terms = rouche._taylor_terms(center)
-        assert all(isinstance(c, int) and c for _, _, c in terms)
-        assert len(set(terms)) == len(terms)
-        assert {(j, p, GaussRat.of(c)) for j, p, c in terms} == _taylor_terms_oracle(center)
-
-
 def _six_certificates() -> list:
     """(center, radius_c, radius_exp) of the four base and the two
     high-order certificates."""
@@ -158,14 +134,25 @@ def _six_certificates() -> list:
     return out
 
 
+def test_integer_taylor_terms_match_the_poly2_expansion():
+    for center, radius_c, radius_exp in _six_certificates():
+        terms = taylor_terms_oracle(center)
+        # the monomials are nonzero rational integers, one per power of t and z
+        assert all(c and not c.im and c.re.denominator == 1 for _, _, c in terms)
+        assert len({(j, p) for j, p, _ in terms}) == len(terms)
+        for r in (radius_c, radius_c / 1000, radius_c * 3):
+            split = rouche._enclosure_split(center, r, radius_exp)
+            assert all(isinstance(x, int) for x in (split[0], *split[1], split[2])) and split[0]
+            assert split == enclosure_split_oracle(center, r, radius_exp)
+
+
 def test_margins_match_the_per_term_fraction_sum():
     for center, radius_c, radius_exp in _six_certificates():
         assert all(isinstance(c, int) for c in center.values())
-        terms = rouche._taylor_terms(center)
         for r in (radius_c, radius_c / 1000, radius_c * 3):
             for tmin in (F(100), F(101), F(12345, 7), F(10**6), F(10**30)):
                 cert = certify_enclosure(center, r, radius_exp, tmin)
-                assert cert.margin == enclosure_margin_oracle(terms, r, radius_exp, tmin)
+                assert cert.margin == enclosure_margin_oracle(center, r, radius_exp, tmin)
                 assert cert.verified == (cert.margin > 0)
 
 
@@ -184,13 +171,30 @@ TMIN = st.one_of(
 )
 
 
-@settings(max_examples=80, deadline=None)
+def _random_center(seed: int, center: dict) -> dict:
+    """A seeded random center of ints: `center` with one coefficient moved and, at
+    times, the lower powers of t cut off, or a sparse one with small coefficients."""
+    rng = random.Random(seed)
+    if rng.random() < 0.5:
+        center = dict(center)
+        p = rng.choice([*center, min(center) - 1])
+        center[p] = center.get(p, 0) + rng.randint(-3, 3)
+        return {q: c for q, c in center.items() if q >= p} if rng.random() < 0.3 else center
+    lo = rng.randint(-8, 3)
+    return {p: rng.randint(-5, 5) for p in rng.sample(range(lo, lo + 10), rng.randint(0, 6))}
+
+
+@settings(max_examples=120, deadline=None)
 @given(st.integers(min_value=0, max_value=5), st.sampled_from([F(1), F(1, 1000), F(3), F(7, 3)]),
-       st.integers(min_value=-3, max_value=3), TMIN)
-def test_certify_enclosure_equals_the_fraction_oracle(which, scale, exp_shift, tmin):
+       st.integers(min_value=-3, max_value=3), TMIN,
+       st.one_of(st.none(), st.integers(min_value=0, max_value=2**32 - 1)))
+def test_certify_enclosure_equals_the_fraction_oracle(which, scale, exp_shift, tmin, seed):
     # the six certificates, with their radius scaled and their exponent
-    # moved (from one more on, a term decays slower than the dominant one)
+    # moved (from one more on, a term decays slower than the dominant one),
+    # or a seeded random center near one of them or of small coefficients
     center, radius_c, radius_exp = _six_certificates()[which]
+    if seed is not None:
+        center = _random_center(seed, center)
     args = (center, radius_c * scale, max(radius_exp + exp_shift, 0), tmin)
     assert outcome(certify_enclosure, *args) == outcome(certify_enclosure_oracle, *args)
 
