@@ -199,16 +199,66 @@ def _least(holds, t: int, step: int = 1, cut=int) -> int:
     return hi
 
 
+@lru_cache(maxsize=8)
+def _ln2_floor(bits: int) -> int:
+    """floor(2^bits ln 2), on the grid of a _NearLn enclosure."""
+    return ln_floor(2, bits)
+
+
+class _NearLn:
+    """L(c) for cut values c near one cut value t, from one LnArg enclosure of ln t,
+    [lo, hi] / 2^bits, first of width 2^-72: ln c = ln t + ln(1 + x), x = (c - t)/t,
+    and x - x^2 <= ln(1 + x) <= x for |x| <= 1/2.  "reads" counts the log
+    enclosures read: the enclosure narrows by 2^-32 while its width, not x^2,
+    leaves a floor open, and ln_floor decides c when |x| > 1/2 or x^2 does."""
+
+    __slots__ = ("t", "arg", "wd", "lo", "hi", "bits", "reads")
+
+    def __init__(self, t: int):
+        self.t, self.arg, self.wd, self.reads = t, exactnum.LnArg(t), 1 << 72, 0
+        self._read()
+
+    def _read(self):
+        self.lo, self.hi, self.bits = self.arg._grid(1, self.wd)
+        self.reads += 1
+
+    def grid(self, c: int, k: int = 0) -> int:
+        """floor(2^28 ln(2^k c')) = L(2^k c) for an integer c >= 1 and k in {0, 1}, c' = _cut(c):
+        2^k c' is a cut value too, and ln 2 is read as its floor on the enclosure's grid."""
+        t, c = self.t, _cut(c)
+        s = max(0, min(c.bit_length(), t.bit_length()) - EPS_CUT_BITS)
+        a, m = (c - t) >> s, t >> s  # x = a / m, c and t are multiples of 2^s
+        while 2 * abs(a) <= m:
+            # 2^bits m^2 ln(2^k c) lies in [lo_c, hi_c]
+            bits, m2 = self.bits, m * m
+            lo_c, hi_c = self.lo * m2 + (a * m - a * a << bits), self.hi * m2 + (a * m << bits)
+            if k:  # ln 2 lies in (l2, l2 + 1) / 2^bits
+                l2 = _ln2_floor(bits)
+                lo_c, hi_c = lo_c + l2 * m2, hi_c + (l2 + 1) * m2
+            unit = m2 << bits - LN_GRID_BITS
+            if (f := lo_c // unit) == hi_c // unit:
+                return f
+            if (self.hi - self.lo) * m2 <= a * a << bits:  # x^2, not the width, leaves it open
+                break
+            self.wd <<= 32
+            self._read()
+        self.reads += 1
+        return ln_floor(c << k, LN_GRID_BITS)
+
+
 def corollary_eps(eps: Rat) -> dict:
     """The least threshold t0 for |F_t| <= |t|^(2-eps) that the gates
     certify: they fail at t0 - 1 and hold at every t >= t0, as they are
     monotone in L(t), and L(t) in t.  Every eps in (0, 1) has one, as kappa
-    falls to 1 like 3.67 / ln t.  First the least passing grid value g, above
+    falls to 1 like 3.67 / ln t.  First the least passing grid value g*, above
     the floor that gate (iii) sets, from the gates' float solution (_g_seed),
-    then the least t with L(t) >= g, a cut value, from a float seed;
-    "evaluations" counts the L(t) read, the one at 2 t0 included.  A t0 of
-    more than MAX_DIGITS digits raises OutputLimitError before it is built,
-    and before the g search when that floor is past it."""
+    then the least cut value t0 with L(t0) >= g*, from one enclosure of ln t
+    at a float seed t (_NearLn): one Newton step from its lower end lands next
+    to t0, and L at t0, at the cut values the search reads and at 2 t0 follow
+    from it, each floor by integer comparisons; "evaluations" counts the log
+    enclosures read.  A t0 of more than MAX_DIGITS digits raises
+    OutputLimitError before it is built, and before the g search when that
+    floor is past it."""
     eps = F(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
@@ -224,13 +274,13 @@ def corollary_eps(eps: Rat) -> dict:
                                       _g_seed(eps, g_lo))) >= limit:
         raise OutputLimitError(f"t0 for eps = {exactnum._side(eps)} has more than "
                                f"{MAX_DIGITS:,} digits")
-    grid = lru_cache(maxsize=None)(_ln_grid)  # each L(t) once
     y = g / ((1 << LN_GRID_BITS) * math.log(2))  # log2 of t0, about
     s = max(0, int(y) - EPS_CUT_BITS + 1)
-    t = max(1, _cut(int(2 ** (y - s)) << s))
-    # one Newton step on ln t = g / 2^28, from floor(2^96 ln t), lands next to t0
-    t = max(1, _cut(t + (t * ((g << 96 - LN_GRID_BITS) - ln_floor(t, 96)) >> 96)))
-    t0 = _least(lambda t: grid(t) >= g, t, 1 << s, _cut)
-    return {"t0": F(t0), "gates": _gate_results(gates_at(grid(t0))),
-            "gates_at_double": _gate_results(gates_at(_ln_grid(2 * t0))),
-            "evaluations": grid.cache_info().currsize + 1}
+    near = _NearLn(max(1, _cut(int(2 ** (y - s)) << s)))
+    # one Newton step on ln t = g / 2^28 lands next to t0
+    t, bits = near.t, near.bits
+    t = max(1, _cut(t + (t * ((g << bits - LN_GRID_BITS) - near.lo) >> bits)))
+    t0 = _least(lambda c: near.grid(c) >= g, t, 1 << s, _cut)
+    return {"t0": F(t0), "gates": _gate_results(gates_at(near.grid(t0))),
+            "gates_at_double": _gate_results(gates_at(near.grid(t0, 1))),
+            "evaluations": near.reads}

@@ -336,8 +336,11 @@ class LnArg:
             raise DomainError("ln of non-positive value")
         self.x = x
         p, q = x.numerator, x.denominator
-        # p / (q 2**k) lies in (1/2, 2) for k from the bit lengths; one step
-        # more lands it in [3/4, 3/2)
+        # x = 2**z p / q with p and q odd, so that a cut value m 2**s reduces
+        # as m does; p / (q 2**k) lies in (1/2, 2) for k from the bit lengths,
+        # and one step more lands it in [3/4, 3/2)
+        z = (p & -p).bit_length() - (q & -q).bit_length()
+        p, q = p >> max(z, 0), q >> max(-z, 0)
         k = p.bit_length() - q.bit_length()
         if k >= 0:
             q <<= k
@@ -350,7 +353,7 @@ class LnArg:
             p <<= 1
             k -= 1
         g = math.gcd(p - q, p + q)
-        self.k = k
+        self.k = k + z
         self._atanh = _AtanhSeries((p - q) // g, (p + q) // g)
 
     def _unrounded(self, wn: int, wd: int) -> tuple[int, int, int, int]:

@@ -3,7 +3,8 @@ checked at t0 - 1, t0 and 2 t0 over the pinned and seeded eps; the gates
 are monotone near every t0 and match a Fraction reference at grid values;
 t0 does not depend on the ln 2 cache or on the order of the queries; the
 float-seeded search finds the g* and t0 of the unseeded one in a few gate
-evaluations; and exactnum.ln_floor matches an independent floor(2^bits ln x)."""
+evaluations; one log enclosure at the seed decides L at the cut values near
+it; and exactnum.ln_floor matches an independent floor(2^bits ln x)."""
 
 import math
 import random
@@ -12,12 +13,12 @@ from fractions import Fraction as F
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, seed, settings, strategies as st
 
 from thueq import corollary, exactnum, measure
 from thueq.cli import main
 from thueq.exactnum import OutputLimitError, ln_floor
-from thueq.corollary import LN_GRID_BITS, _eps_gates, _ln_grid, corollary_eps
+from thueq.corollary import EPS_CUT_BITS, LN_GRID_BITS, _cut, _eps_gates, _ln_grid, corollary_eps
 from thueq.measure import theorem_assembly
 
 from oracles import eps_gate_fn_oracle, least_g_oracle, ln_floor_oracle
@@ -112,11 +113,66 @@ def test_eps_gates_are_monotone_near_t0():
 
 
 def test_corollary_eps_counts_its_evaluations():
-    # the L(t) values of the search, the one at 2 t0 counted: one Newton step
-    # from the float seed lands next to t0, whatever its size (262,537 bits
-    # at eps = 1/10000), so the search reads t0 and the cut value below it
-    for eps in (F(1, 100), F(1, 2), F(89, 100), F(1, 10000)):
-        assert corollary_eps(eps)["evaluations"] <= 4, eps
+    # "evaluations" counts the log enclosures read: one of ln t at the float
+    # seed, whatever the size of t0 (262,537 bits at eps = 1/10000, 664,362 at
+    # 1/25306), decides L at t0, at the cut values the search reads and at 2 t0
+    for eps in (F(1, 100), F(1, 2), F(89, 100), F(99, 100), F(1, 10000), F(1, 25306)):
+        assert corollary_eps(eps)["evaluations"] == 1, eps
+
+
+@st.composite
+def near_cut_pairs(draw) -> tuple:
+    """(kind, t, c): a cut value t of 40 to 3,000 bits and an integer c with |c - t| <= t/2:
+    c = t, c a few cut steps from t, t and c on the two sides of a power of two (where the
+    cut step doubles, in either order), or c at a log-uniform distance from t."""
+    n, kind = draw(st.integers(40, 3000)), draw(st.sampled_from(["same", "steps", "across", "far"]))
+    if kind == "across":
+        below = (1 << n) - draw(st.integers(1, 8)) * (1 << max(0, n - EPS_CUT_BITS))
+        above = (1 << n) + draw(st.integers(0, 8)) * (1 << max(0, n + 1 - EPS_CUT_BITS))
+        return (kind, below, above) if draw(st.booleans()) else (kind, above, below)
+    t = _cut(draw(st.integers(1 << n - 1, (1 << n) - 1)))
+    if kind == "same":
+        return kind, t, t
+    if kind == "steps":
+        d = draw(st.integers(-8, 8)) << max(0, n - EPS_CUT_BITS)
+    else:
+        e = draw(st.integers(0, n - 2))
+        d = draw(st.integers(-(1 << e), 1 << e))
+    return kind, t, min(max(t + d, t - t // 2), t + t // 2)
+
+
+@seed(2903)
+@settings(max_examples=300, deadline=None)
+@given(near_cut_pairs())
+def test_one_enclosure_decides_l_near_its_cut_value(pair):
+    # ln c = ln t + ln(1 + x), x = (c - t)/t, x - x^2 <= ln(1 + x) <= x: the
+    # floor and every comparison with g next to it match L(c) read by its own
+    # log, and within a few cut steps of t the first enclosure decides them
+    kind, t, c = pair
+    near, want = corollary._NearLn(t), _ln_grid(c)
+    for g in (want - 1, want, want + 1):
+        assert (near.grid(c) >= g) == (want >= g), (t, c, g)
+    assert near.grid(c) == want, (t, c)
+    if kind != "far":
+        assert near.reads == 1, (t, c)
+
+
+def test_the_enclosure_falls_back_to_ln_floor_away_from_its_cut_value(monkeypatch):
+    # |x| > 1/2 on both sides, and x = 1/4, where x^2 and not the width leaves
+    # the floor open: each reads ln_floor once, as L(c) does
+    calls, real = [], corollary.ln_floor
+    monkeypatch.setattr(corollary, "ln_floor", lambda x, b: calls.append(x) or real(x, b))
+    t = _cut(3**200)
+    near = corollary._NearLn(t)
+    for c in (2 * t, t // 3, t + t // 4, t):
+        want = _ln_grid(c)
+        calls.clear()
+        assert near.grid(c) == want, c
+        assert calls == ([] if c == t else [_cut(c)]), c
+    want = _ln_grid(2 * t)
+    calls.clear()
+    assert near.grid(t, 1) == want and not calls
+    assert near.reads == 1 + 3
 
 
 SEED_SAMPLE = ([F(k, 100) for k in range(1, 100)] + [F(k, 1000) for k in range(1, 1000)]

@@ -595,14 +595,17 @@ def test_corollary_eps_thresholds_hold_on_a_cold_ln2_cache(fresh_log_caches):
 
 
 def test_corollary_eps_reduces_each_modulus_once(monkeypatch):
-    # one LnArg per grid value L(t) that the search reads, and t0's is not
-    # computed again for its gates
+    # one LnArg per query, at the float seed: L at the cut values the search
+    # reads, at t0 for its gates and at 2 t0 all come from its enclosure
     seen = []
     real = exactnum.LnArg
-    monkeypatch.setattr(exactnum, "LnArg", lambda x: seen.append(x) or real(x))
-    out = corollary_eps(F(1, 2))
-    assert len(seen) == len(set(seen))
-    assert out["t0"] in seen and seen[-1] == 2 * out["t0"]
+    for eps in (F(1, 2), F(1, 100), F(1, 10000)):
+        corollary_eps(eps)  # the ln 2 floors that 2 t0 reads are cached per process
+        monkeypatch.setattr(exactnum, "LnArg", lambda x: seen.append(x) or real(x))
+        out = corollary_eps(eps)
+        monkeypatch.undo()
+        assert len(seen) == out["evaluations"] == 1, eps
+        assert abs(seen.pop() - out["t0"]) < out["t0"] / 2**30, eps
 
 
 def test_corollary_eps_domain():
