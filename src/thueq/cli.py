@@ -18,7 +18,8 @@ EXIT_INCONCLUSIVE = 1
 EXIT_INTERNAL = 2
 EXIT_USAGE = 64
 
-# rounded bounds can carry thousands of digits; keep str() able to print them
+# rounded bounds and arguments can carry thousands of digits: keep str() able to print, and
+# Fraction() able to parse, integers up to the limit that _exact enforces
 if hasattr(sys, "set_int_max_str_digits"):
     sys.set_int_max_str_digits(MAX_DIGITS)
 
@@ -43,12 +44,17 @@ def _nonneg_rat(text: str) -> Fraction:
     return x
 
 
+_LIMIT_BITS = 664_386  # (10**MAX_DIGITS).bit_length(): fewer bits, at most MAX_DIGITS digits
+
+
 def _exact(x) -> str:
-    """str(x), or OutputLimitError if an integer in it is past MAX_DIGITS."""
-    try:
-        return str(x)
-    except ValueError:
-        raise OutputLimitError from None
+    """str(x) for an int or a Fraction, or OutputLimitError if an integer in it has more
+    than MAX_DIGITS digits: its bit length decides, but at 10**MAX_DIGITS's own, where one
+    comparison does.  str() alone does not: from CPython 3.12 it prints about 200,757."""
+    for n in (abs(x.numerator), x.denominator):
+        if (b := n.bit_length()) > _LIMIT_BITS or b == _LIMIT_BITS and n >= 10 ** MAX_DIGITS:
+            raise OutputLimitError
+    return str(x)
 
 
 def _num(x) -> dict:
@@ -87,8 +93,7 @@ def _cmd_verify_all(args) -> int:
             "kmax": args.kmax,
             "threads": 1,
         },
-        "gates": [{"name": g.name, "ok": g.ok, "detail": g.detail}
-                  for g in report.all_gates],
+        "gates": [g._asdict() for g in report.all_gates],
         **{f: None if getattr(report, f) is None else _num(getattr(report, f))
            for f in ("kappa_hi", "contradiction_upper", "descent_lower_0", "descent_lower_3")},
         "verdict": report.verdict,
@@ -232,8 +237,7 @@ def _cmd_corollary_eps(args) -> int:
     _emit(args, table, lambda: {
         "eps": _num(args.eps),
         "t0": _num(r["t0"]),
-        "gates": [{"name": g.name, "ok": g.ok, "detail": g.detail}
-                  for g in r["gates"]],
+        "gates": [g._asdict() for g in r["gates"]],
         "gates_at_double": [{"name": g.name, "ok": g.ok} for g in
                             r["gates_at_double"]],
     })

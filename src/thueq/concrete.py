@@ -20,7 +20,7 @@ from . import zpoly
 from .exactnum import GRID_BITS, ChainError, DomainError, Frozen, Rat, sqrt_grid
 from .hyperchi import chi_ints
 from .quadfield import QuadInt, ring
-from .series import _U_T, _Z_T, QUARTIC, GaussRat, _cleared, _GaussDense, _in_t, horner
+from .series import _U_T, _Z_T, QUARTIC, GaussRat, _GaussDense, _in_t, horner
 
 
 class TieError(ArithmeticError):
@@ -105,9 +105,6 @@ class TPoly(_GaussDense):
     """Dense univariate polynomial over Q(i) (used for both t and X)."""
 
     __slots__ = ()
-
-    def __init__(self, coeffs):
-        self._set(*_cleared(coeffs))
 
     @classmethod
     def from_ints(cls, num, den: int = 1) -> "TPoly":
@@ -225,7 +222,7 @@ def thue_polys_at(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:
         raise ValueError("r must be >= 0")
     _thue_data()  # the closed forms below hold once it has passed
     rows, delta = _thue_x_polys(r)
-    ((tr,), (ti,)), D = _cleared([t_val])
+    tr, ti, D = gauss_over(t_val.re, t_val.im)
     pk, qk = (list(accumulate([QuadInt(1, c, tr)] * r, mul, initial=QuadInt(1, 1, 0)))
               for c in (-ti - 4 * D, -ti + 4 * D))
     ws = list(map(mul, pk, reversed(qk)))

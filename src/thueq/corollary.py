@@ -207,20 +207,15 @@ def _ln2_floor(bits: int) -> int:
 
 class _NearLn:
     """L(c) for cut values c near one cut value t, from one LnArg enclosure of ln t,
-    [lo, hi] / 2^bits, first of width 2^-72: ln c = ln t + ln(1 + x), x = (c - t)/t,
-    and x - x^2 <= ln(1 + x) <= x for |x| <= 1/2.  "reads" counts the log
-    enclosures read: the enclosure narrows by 2^-32 while its width, not x^2,
-    leaves a floor open, and ln_floor decides c when |x| > 1/2 or x^2 does."""
+    [lo, hi] / 2^bits of width 2^-72: ln c = ln t + ln(1 + x), x = (c - t)/t, and
+    x - x^2 <= ln(1 + x) <= x for |x| <= 1/2.  ln_floor decides c when |x| > 1/2 or
+    the enclosure leaves its floor open; "reads" counts the log enclosures read."""
 
-    __slots__ = ("t", "arg", "wd", "lo", "hi", "bits", "reads")
+    __slots__ = ("t", "lo", "hi", "bits", "reads")
 
     def __init__(self, t: int):
-        self.t, self.arg, self.wd, self.reads = t, exactnum.LnArg(t), 1 << 72, 0
-        self._read()
-
-    def _read(self):
-        self.lo, self.hi, self.bits = self.arg._grid(1, self.wd)
-        self.reads += 1
+        self.t, self.reads = t, 1
+        self.lo, self.hi, self.bits = exactnum.LnArg(t)._grid(1, 1 << 72)
 
     def grid(self, c: int, k: int = 0) -> int:
         """floor(2^28 ln(2^k c')) = L(2^k c) for an integer c >= 1 and k in {0, 1}, c' = _cut(c):
@@ -228,7 +223,7 @@ class _NearLn:
         t, c = self.t, _cut(c)
         s = max(0, min(c.bit_length(), t.bit_length()) - EPS_CUT_BITS)
         a, m = (c - t) >> s, t >> s  # x = a / m, c and t are multiples of 2^s
-        while 2 * abs(a) <= m:
+        if 2 * abs(a) <= m:
             # 2^bits m^2 ln(2^k c) lies in [lo_c, hi_c]
             bits, m2 = self.bits, m * m
             lo_c, hi_c = self.lo * m2 + (a * m - a * a << bits), self.hi * m2 + (a * m << bits)
@@ -238,10 +233,6 @@ class _NearLn:
             unit = m2 << bits - LN_GRID_BITS
             if (f := lo_c // unit) == hi_c // unit:
                 return f
-            if (self.hi - self.lo) * m2 <= a * a << bits:  # x^2, not the width, leaves it open
-                break
-            self.wd <<= 32
-            self._read()
         self.reads += 1
         return ln_floor(c << k, LN_GRID_BITS)
 

@@ -372,14 +372,13 @@ class LnArg:
 
     def _grid(self, wn: int, wd: int) -> tuple[int, int, int]:
         """(lo, hi, bits): ln x in [lo, hi] / 2**bits, the ends of
-        _unrounded(wn, wd) rounded outward onto the coarsest 2**-bits grid
-        (bits >= 8 past wd's length) with spacing at most (wn/wd) / 8."""
+        _unrounded(wn, wd) rounded outward onto the 2**-bits grid, bits 8 past
+        wd's length: its spacing is at most (wn/wd) / 8, as with wn >= 1,
+        2**-bits < 1/(256 wd) <= (wn/wd) / 8."""
         if wn <= 0:
             raise DomainError("target_width must be positive")
         lo, lo_den, hi, hi_den = self._unrounded(wn, wd)
-        bits = max(8, wd.bit_length() + 8)
-        while 8 * wd > wn << bits:
-            bits += 8
+        bits = wd.bit_length() + 8
         return (lo << bits) // lo_den, -((-hi << bits) // hi_den), bits
 
 

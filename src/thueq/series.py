@@ -131,6 +131,9 @@ class _GaussDense:
 
     __slots__ = ("num", "den")
 
+    def __init__(self, coeffs):
+        self._set(*_cleared(coeffs))
+
     def _set(self, num, den: int, n: int | None = None):
         re, im = (_strip(xs[:n]) for xs in num)
         g = math.gcd(den, *re, *im)

@@ -356,6 +356,17 @@ def test_an_exact_table_value_past_the_output_limit_exits_64(argv, json_flag, ca
     assert main(argv.split() + json_flag) == 64
     err = capsys.readouterr().err
     assert "200,000-digit output limit" in err and "certification failure" not in err
+
+
+def test_the_output_limit_is_exact_at_its_edge():
+    # _exact counts digits from bit lengths, with one comparison at 10^200,000's
+    # own length, as from CPython 3.12 str() prints up to about 200,757 digits
+    assert cli._LIMIT_BITS == (10**cli.MAX_DIGITS).bit_length()
+    assert cli._exact(10**199_999) == "1" + "0" * 199_999
+    assert cli._exact(10**200_000 - 1) == "9" * 200_000
+    for n in (-10**200_000, 10**200_756, Fraction(7, 10**200_000)):
+        with pytest.raises(cli.OutputLimitError):
+            cli._exact(n)
     with pytest.raises(cli.OutputLimitError):
         cli._exact(10**200_000)
     assert cli._exact(Fraction(1, 10**199_999)) == "1/1" + "0" * 199_999

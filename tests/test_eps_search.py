@@ -175,6 +175,31 @@ def test_the_enclosure_falls_back_to_ln_floor_away_from_its_cut_value(monkeypatc
     assert near.reads == 1 + 3
 
 
+def test_a_floor_the_enclosure_leaves_open_is_read_by_ln_floor(monkeypatch):
+    # an enclosure of ln t widened by 1 on each side decides no floor near t:
+    # each is read by ln_floor, once, and counted in reads, and corollary_eps
+    # still returns the exact t0 and gates
+    want = {e: corollary_eps(e) for e in (F(1, 2), F(1, 100))}
+    real = exactnum.LnArg._grid
+
+    def wide(self, wn, wd):
+        lo, hi, bits = real(self, wn, wd)
+        return lo - (1 << bits), hi + (1 << bits), bits
+
+    monkeypatch.setattr(exactnum.LnArg, "_grid", wide)
+    t = _cut(3**200)
+    near = corollary._NearLn(t)
+    cs = (t, t + 1, t - (1 << 255), t + t // 8)
+    for c in cs:
+        assert near.grid(c) == _ln_grid(c), c
+    assert near.grid(t, 1) == _ln_grid(2 * t)
+    assert near.reads == 1 + len(cs) + 1
+    keys = ("t0", "gates", "gates_at_double")
+    for e, r in want.items():
+        got = corollary_eps(e)
+        assert [got[k] for k in keys] == [r[k] for k in keys] and got["evaluations"] > 1, e
+
+
 SEED_SAMPLE = ([F(k, 100) for k in range(1, 100)] + [F(k, 1000) for k in range(1, 1000)]
                + [F(1, 25306), F(12345, 100000)])
 
