@@ -1031,6 +1031,10 @@ def test_divisibility_check_equals_the_exact_kernel():
     rng = random.Random("divisibility fixed point")
     cases = [(5, GaussRat(F(37, 3), F(-512, 7))), (3, GaussRat(F(0), F(100)))]
     cases += [(r, _BIG_T) for r in (1, 3, 6)]
+    # |t| from 10^5 to 10^80: the small root's midpoint m = M/2^192 shrinks past
+    # rho = 2^-120 near 10^36 and to M = 0 past about 10^58
+    cases += [(r, GaussRat(F(10**e + 3), F(-10**e // 3)))
+              for e in (5, 10, 20, 30, 36, 40, 50, 56, 57, 58, 60, 80) for r in (1, 2, 5)]
     cases += [(3 + i % 3, _concrete_gauss_t(rng)) for i in range(900)]
     for r, t in cases:
         assert divisibility_ball_check(r, t) == divisibility_ball_check_oracle(r, t), (r, str(t))
