@@ -1,11 +1,12 @@
 """The concrete-t path: what a query at one parameter t runs, and the verdict
 never does.  Complex balls (``ComplexBall``), the Thue polynomials A_r, B_r at
-a concrete Gaussian t (``thue_polys_at``, as ``TPoly``s), the certified
-enclosures of the roots of f_t (``root_ball``, ``all_root_balls``), the type
-of a solution (``classify_type``) and the divisibility check of alpha A_r - B_r
-at the small root (``divisibility_ball_check``).  ``thueq verify-all`` imports
-none of it; the names that callers still read from ``dioph`` and ``series``
-resolve there on first access."""
+a concrete Gaussian t (``_thue_ints`` as Z[i] integer lists, ``thue_polys_at``
+as ``TPoly``s), the certified enclosures of the roots of f_t (``root_ball``,
+``all_root_balls``), the type of a solution (``classify_type``) and the
+divisibility check of alpha A_r - B_r at the small root m, through the scaling
+X = mY and a Taylor shift by one (``divisibility_ball_check``).  ``thueq
+verify-all`` imports none of it; the names that callers still read from
+``dioph`` and ``series`` resolve there on first access."""
 
 from __future__ import annotations
 
@@ -211,25 +212,36 @@ def _check_thue_data(data: dict) -> None:
 
 
 def thue_polys_at(r: int, t_val: GaussRat) -> tuple[TPoly, TPoly]:
-    """(A_r, B_r) as polynomials in X for a fixed Gaussian t, built over Z[i]
-    from the closed forms ``_check_thue_data`` certifies.  With t = T/D,
-    z = -P/(8D) and u = -Q/(8D) for P = p(X - i)^4, Q = q(X + i)^4,
-    p = iT - 4D, q = iT + 4D, and chi_r = sum_k n_k X^k / delta:
-    A_r = i^r (a S1 - b S2)/den and B_r = i^r (c S1 - d S2)/den, where
-    S1 = chi*(P, Q), S2 = chi*(Q, P) and den = (8D)^r delta.  Only the
-    weights p^k q^(r-k) of the X-parts (``_thue_x_polys``) depend on t."""
+    """(A_r, B_r) as polynomials in X for a fixed Gaussian t: ``_thue_ints``
+    in lowest terms."""
+    *polys, den = _thue_ints(r, t_val)
+    return tuple(TPoly.from_ints(num, den) for num in polys)
+
+
+def _gauss_mul(x: tuple, y: tuple) -> tuple[int, int]:
+    return x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0]
+
+
+def _thue_ints(r: int, t_val: GaussRat) -> tuple:
+    """(A, B, den): the Z[i] numerators of A_r and B_r, each a pair (re, im) of
+    integer lists of length 4r + 2, over den = 2 (8D)^r delta, not reduced.  They
+    come from the closed forms ``_check_thue_data`` certifies.  With t = T/D,
+    z = -P/(8D) and u = -Q/(8D) for P = p(X - i)^4, Q = q(X + i)^4, p = iT - 4D,
+    q = iT + 4D, and chi_r = sum_k n_k X^k / delta: A_r = i^r (a S1 - b S2)/den
+    and B_r = i^r (c S1 - d S2)/den, where S1 = chi*(P, Q), S2 = chi*(Q, P) and
+    the factor 2 of den is the prefactor 5/2 of a..d.  Only the weights
+    p^k q^(r-k), integer pairs, depend on t (``_thue_x_polys``)."""
     if r < 0:
         raise ValueError("r must be >= 0")
     _thue_data()  # the closed forms below hold once it has passed
     rows, delta = _thue_x_polys(r)
     tr, ti, D = gauss_over(t_val.re, t_val.im)
-    pk, qk = (list(accumulate([QuadInt(1, c, tr)] * r, mul, initial=QuadInt(1, 1, 0)))
+    pk, qk = (list(accumulate([(c, tr)] * r, _gauss_mul, initial=(1, 0)))
               for c in (-ti - 4 * D, -ti + 4 * D))
-    ws = list(map(mul, pk, reversed(qk)))
-    w = [z.a for z in ws] + [z.b for z in ws]
-    den = 2 * (8 * D) ** r * delta  # the prefactor 5/2 of a..d
-    return tuple(TPoly.from_ints(tuple([sum(map(mul, w, c)) for c in cols] for cols in row), den)
-                 for row in rows)
+    ws = list(map(_gauss_mul, pk, reversed(qk)))
+    w = [x for x, _ in ws] + [y for _, y in ws]
+    return (*(tuple([sum(map(mul, w, c)) for c in cols] for cols in row) for row in rows),
+            2 * (8 * D) ** r * delta)
 
 
 @lru_cache(maxsize=16)
@@ -445,63 +457,97 @@ def _dyadic_ball(rec: tuple) -> tuple[tuple[int, int], int]:
     return (_nearest(a, n, MID_BITS), _nearest(b, n, MID_BITS)), -(-(p << MID_BITS) // q) + 1
 
 
-def _shift_up(c: list, s: int, rounds: int, step: int) -> list:
-    """c(X + s/2^MID_BITS) in place for integers c_j, s >= 0, each product rounded
-    up and step added to it; after `rounds` rounds the coefficients below it are final."""
+def _shift_one(c: list) -> list:
+    """c(X + 1) for integers c_j, by additions only: pass i replaces each c_j,
+    j >= i, by the suffix sum c_j + ... + c_n (on the reversed list, a prefix sum)."""
+    c = c[::-1]
+    for k in range(len(c), 1, -1):
+        c[:k] = accumulate(c[:k])
+    return c[::-1]
+
+
+def _shift_up(c: list, s: int, bits: int, rounds: int) -> list:
+    """c(X + s/2^bits) in place for integers c_j, s >= 0, each product rounded up;
+    after `rounds` rounds the coefficients below it are final."""
     for i in range(rounds):
         acc = c[-1]
         for j in range(len(c) - 2, i - 1, -1):
-            acc = c[j] = c[j] - (-s * acc >> MID_BITS) + step
+            acc = c[j] = c[j] - (-s * acc >> bits)
     return c
 
 
-def _derivative_balls(r: int, A, B, ball: tuple) -> tuple[int, list]:
-    """(den 2^W, balls): for k = 0..2r, integers (x, y, rad) over den 2^W with alpha A^(k)(alpha)
-    - B^(k)(alpha) within rad of x + iy on the dyadic disc |alpha - m| <= rho around the
-    record ball.  With a_j, b_j
-    the Taylor coefficients at m (each part within E_j, as the shift rounds down), e_j =
-    m a_j - b_j and w_j = |e_j| + rho |a_j|, the value at m is k! e_k and the radius
-    k! (T_k - |e_k|) for T = w(X + rho) rounded up, plus the midpoint's error."""
-    den, n = math.lcm(A.den, B.den), max(A.degree(), B.degree(), 2 * r)
-    (mr, mi), R = _dyadic_ball(ball)  # m = M/2^MID_BITS, rho = R/2^MID_BITS
-    ga, gb = ([[x * (den // p.den) << W for x in zpoly.pad(xs, n + 1)] for xs in p.num]
-              for p in (A, B))
-    for re, im in ga, gb:  # den p(X) 2^W, shifted to m with each product rounded down
-        for i in range(n):
-            a, b = re[n], im[n]
-            for j in range(n - 1, i - 1, -1):
-                a, b = re[j] + (mr * a - mi * b >> MID_BITS), im[j] + (mr * b + mi * a >> MID_BITS)
-                re[j], im[j] = a, b
-    mu = abs(mr) + abs(mi)  # m times an error of parts <= E has parts <= mu E/2^MID_BITS
-    E = _shift_up([0] * (n + 1), mu, n, 1)  # so a step rounded down adds that, and 1
-    (ar, ai), (br, bi), mids, w = ga, gb, [], []
-    for j in range(n + 1):
-        x = (mr * ar[j] - mi * ai[j] >> MID_BITS) - br[j]
-        y = (mr * ai[j] + mi * ar[j] >> MID_BITS) - bi[j]
-        ee = E[j] - (-mu * E[j] >> MID_BITS) + 1  # from m a_j's rounding, and from b_j
-        abs_a = sqrt_grid((abs(ar[j]) + E[j]) ** 2 + (abs(ai[j]) + E[j]) ** 2, 1, 0)[1]
-        abs_e = sqrt_grid((abs(x) + ee) ** 2 + (abs(y) + ee) ** 2, 1, 0)[1]
-        mids.append((x, y, 2 * ee - abs_e))  # |error| <= 2 ee, less the |e_j| in T_j
-        w.append(abs_e - (-R * abs_a >> MID_BITS))
-    w = _shift_up(w, R, 2 * r + 1, 0)
-    return den << W, [(f * x, f * y, f * (c + w[k])) for k, (x, y, c) in
-                      enumerate(mids[:2 * r + 1]) for f in [math.factorial(k)]]
+def _derivative_balls(r: int, a, b, M: tuple[int, int], R: int) -> tuple[int, list]:
+    """(Wp, balls): for k = 0..2r, integers (x, y, rad) with alpha A^(k)(alpha) -
+    B^(k)(alpha) within k! rad/(2^Wp den |m|^k) of k! (x + iy)/(2^Wp den m^k) on the disc
+    |alpha - m| <= rho, m = M/2^MID_BITS, rho = R/2^MID_BITS, for A and B with the Z[i]
+    numerators a, b (pairs re, im) over den.  The coefficients 2^Wp c_i m^i of A(mY) and
+    B(mY), each part off by < 2, shifted by one with additions only, are those of A and B
+    at m scaled by 2^Wp m^j, off by < beta_j = 2 C(n + 1, j + 1); then e~_j = m a~_j - b~_j
+    (off by < eps_j) and w~_j = |e~_j| + rho |a~_j|, shifted by rho/|m|, give rad_k =
+    T~_k - |e~_k| + 2 eps_k.  Wp keeps the unscaled balls to 2^-W, from 1/|m| <= 2^g and
+    rho/|m| <= 2^grho.  For M = 0 nothing is scaled or shifted, and rho/|m| reads rho."""
+    n = max(*map(len, (*a, *b)), 2 * r + 1) - 1
+    (mr, mi), S = M, MID_BITS
+    lists = [zpoly.pad(xs, n + 1) for xs in (*a, *b)]
+    mod2 = mr * mr + mi * mi
+    if mod2:
+        h = (mod2.bit_length() - 1) // 2  # |M| >= 2^h
+        g, grho = max(S - h, 0), max(R.bit_length() - h, 0)
+        wp = W + g * (2 * r + 1) + (n - 2 * r - 1) * grho + n + 2
+        mu = abs(mr) + abs(mi)  # each part of m z is at most mu/2^S times |parts of z|
+        cmax = 2 * max(map(abs, itertools.chain(*lists)))  # |re| + |im| <= cmax
+        # a power's parts are off by < i u^i for mu <= u 2^S, and so C_i's, before the
+        # guard bits go, by < cmax n u^n < 2^guard
+        guard = (cmax * n * max(1, -(-mu >> S)) ** n).bit_length()
+        pows, (pr, pi) = [], (1 << wp + guard, 0)
+        for _ in range(n + 1):
+            pows.append((pr, pi))
+            pr, pi = pr * mr - pi * mi >> S, pr * mi + pi * mr >> S
+        for j in (0, 2):
+            re, im = lists[j], lists[j + 1]
+            lists[j], lists[j + 1] = (
+                [x * p - y * q >> guard for x, y, (p, q) in zip(re, im, pows)],
+                [x * q + y * p >> guard for x, y, (p, q) in zip(re, im, pows)])
+        ar, ai, br, bi = map(_shift_one, lists)
+        beta = [2 * math.comb(n + 1, j + 1) for j in range(n + 1)]
+    else:  # nothing to scale or shift
+        mu, wp = 0, W
+        ar, ai, br, bi = ([x << W for x in xs] for xs in lists)
+        beta = [0] * (n + 1)
+    # e~_j and the bound eps_j on the error of its parts; |e~_j| and |a~_j| rounded up
+    es = [((mr * x - mi * y >> S) - u, (mr * y + mi * x >> S) - v, -(-mu * bj >> S) + bj + 1)
+          for x, y, u, v, bj in zip(ar, ai, br, bi, beta)]
+    abs_e = [math.isqrt((abs(x) + eps) ** 2 + (abs(y) + eps) ** 2) + 1 for x, y, eps in es]
+    w = [u - (-R * (math.isqrt((abs(x) + bj) ** 2 + (abs(y) + bj) ** 2) + 1) >> S)
+         for u, x, y, bj in zip(abs_e, ar, ai, beta)]
+    bits = max(w).bit_length() + 8  # rho/|m| <= s/2^bits, read as rho = R/2^S for M = 0
+    s, bits = (sqrt_grid(R * R, mod2, bits)[1], bits) if mod2 else (R, S)
+    w = _shift_up(w, s, bits, 2 * r + 1)
+    # the midpoint's error, at most 2 eps_k, joins the radius T~_k - |e~_k|
+    return wp, [(x, y, w[k] - abs_e[k] + 2 * eps)
+                for k, (x, y, eps) in enumerate(es[:2 * r + 1])]
 
 
 def divisibility_ball_check(r: int, t: GaussRat) -> dict:
     """Certify numerically that alpha*A_r - B_r vanishes to order 2r+1 at the small
     root alpha: the balls of _derivative_balls over a root ball, for the value and its
-    first 2r X-derivatives, rounded up to the ball grid, must all contain zero."""
+    first 2r X-derivatives, must all contain zero, |x + iy| <= rad (their factor
+    k!/(2^Wp den m^k) cancels); max_radius is the largest, rounded up to the grid."""
     if r < 0:
         raise ValueError("r must be >= 0")
     tc = complex(float(t.re), float(t.im))
     alpha = _root_record(_param_coeffs(t), _root_seeds(tc)[0], Fraction(1, 1 << 120))
-    scale, balls = _derivative_balls(r, *thue_polys_at(r, t), alpha)
-    nums = [-(-(rad << GRID_BITS) // scale) for _, _, rad in balls]  # 2^GRID_BITS radius, up
+    a, b, den = _thue_ints(r, t)
+    M, R = _dyadic_ball(alpha)
+    wp, balls = _derivative_balls(r, a, b, M, R)
+    # the largest (2^GRID_BITS radius)^2, rounded up, with |m|^2 = mod2/2^(2 MID_BITS),
+    # read as 1 for M = 0, where nothing is scaled
+    mod2 = M[0] ** 2 + M[1] ** 2 or 1 << 2 * MID_BITS
+    top = max(-(-((math.factorial(k) * rad) ** 2 << 2 * (MID_BITS * k + GRID_BITS))
+                // (den * den * mod2 ** k << 2 * wp)) for k, (_, _, rad) in enumerate(balls))
     return {"order": 2 * r + 1,
-            "all_contain_zero": all(x * x + y * y << 2 * GRID_BITS <= (num * scale) ** 2
-                                    for (x, y, _), num in zip(balls, nums)),
-            "max_radius": Fraction(max(nums), 1 << GRID_BITS)}
+            "all_contain_zero": all(x * x + y * y <= rad * rad for x, y, rad in balls),
+            "max_radius": Fraction(sqrt_grid(top, 1, 0)[1], 1 << GRID_BITS)}
 
 
 def classify_type(t: QuadInt, x: QuadInt, y: QuadInt) -> int:

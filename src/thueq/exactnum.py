@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from operator import attrgetter
 
 Rat = Fraction
@@ -306,11 +307,17 @@ _LN2_SERIES = _AtanhSeries(1, 3)
 _LN2_CACHE: dict[int, RatInterval] = {}  # term count -> enclosure of ln 2
 
 
+@lru_cache(maxsize=128)
+def _ln2_count(bn: int, bd: int) -> int:
+    """_LN2_SERIES.count, kept for the last 128 budgets."""
+    return _LN2_SERIES.count(bn, bd)
+
+
 def _ln2(bn: int, bd: int) -> RatInterval:
     """ln 2 = 2 atanh(1/3) with tail <= bn/bd: the enclosure of the least
     term count whose tail meets the budget, so a function of the budget
     alone; each count is summed once per process."""
-    n = _LN2_SERIES.count(bn, 2 * bd)
+    n = _ln2_count(bn, 2 * bd)
     if n not in _LN2_CACHE:
         s, r, den = _LN2_SERIES.enclose(n)
         _LN2_CACHE[n] = RatInterval(Fraction(2 * (s - r), den), Fraction(2 * (s + r), den))

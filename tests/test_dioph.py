@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction as F
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -997,13 +997,16 @@ def test_dyadic_ball_contains_the_root_ball():
 
 
 def test_divisibility_check_sees_a_perturbed_b(monkeypatch):
-    real = concrete.thue_polys_at
+    real = concrete._thue_ints
 
-    def perturbed(r, t):
-        A, B = real(r, t)
-        return A, B + F(1, 10**25)
+    def perturbed(r, t):  # B + 10^-25, with both numerators over 10^25 den
+        (ar, ai), (br, bi), den = real(r, t)
+        s = 10**25
+        br = [x * s for x in br]
+        br[0] += den
+        return ([x * s for x in ar], [x * s for x in ai]), (br, [x * s for x in bi]), den * s
 
-    monkeypatch.setattr(concrete, "thue_polys_at", perturbed)
+    monkeypatch.setattr(concrete, "_thue_ints", perturbed)
     t = GaussRat(F(0), F(100))
     for r in (1, 2, 3):
         assert not divisibility_ball_check(r, t)["all_contain_zero"], r
@@ -1040,44 +1043,69 @@ def test_divisibility_check_equals_the_exact_kernel():
         assert divisibility_ball_check(r, t) == divisibility_ball_check_oracle(r, t), (r, str(t))
 
 
-def _contains(ball, scale, exact) -> bool:
-    """Whether the ball (x, y, rad)/scale holds the exact ball: |mid - mid_exact|
-    + r_exact <= rad, cross-multiplied."""
+def _contains(ball, k, wp, den, M, exact) -> bool:
+    """Whether the ball k! (x + iy, rad)/(2^Wp den m^k) of _derivative_balls, m = M/2^192
+    (read as 1 for M = 0), holds the exact ball: |mid - mid_exact| + r_exact <= rad, times
+    2^Wp den m^k / k!, is sqrt(P) + sqrt(Q) <= rad with P and Q rational."""
     (x, y, rad), (ex, ey, er, escale) = ball, exact
-    dx, dy, d = x * escale - ex * scale, y * escale - ey * scale, rad * escale - er * scale
-    return d >= 0 and dx * dx + dy * dy <= d * d
+    mk = reduce(concrete._gauss_mul, [M] * k, (1, 0)) if M != (0, 0) else (1, 0)
+    unit, f = 1 << concrete.MID_BITS * k if M != (0, 0) else 1, F(math.factorial(k) * escale)
+    # the exact midpoint times 2^Wp den m^k / k!, and the exact radius times 2^Wp den / k!
+    c = F(den << wp) / f / unit
+    dx, dy = x - c * (ex * mk[0] - ey * mk[1]), y - c * (ex * mk[1] + ey * mk[0])
+    p, q = dx * dx + dy * dy, (c * er) ** 2 * (mk[0] ** 2 + mk[1] ** 2)
+    d = rad * rad - p - q
+    return rad >= 0 and d >= 0 and 4 * p * q <= d * d
 
 
 @pytest.mark.parametrize("bits", [8, 12, 16])
 def test_derivative_balls_hold_the_exact_balls_at_low_precision(monkeypatch, bits):
-    # at a few bits every rounding shows: each fixed-point ball must still hold
-    # the exact kernel's, over the root ball and over discs up to radius 1
+    # at a few bits every rounding shows: each ball, mapped back by k!/(2^Wp den m^k),
+    # must still hold the exact kernel's, over the root ball and over discs up to radius 1
     monkeypatch.setattr(concrete, "W", bits)
     rng = random.Random(f"low precision {bits}")
+    cases = []
     for _ in range(12):
         z = cmath.rect(10 ** rng.uniform(0, 4), rng.uniform(0, 2 * math.pi))
-        t, r = GaussRat(F(round(z.real)), F(round(z.imag))), rng.randint(1, 4)
+        cases.append((GaussRat(F(round(z.real)), F(round(z.imag))), rng.randint(1, 4)))
+    # past |t| ~ 10^56 the midpoint rounds to M = 0, and nothing is scaled or shifted
+    cases.append((GaussRat(F(10**60 + 3), F(-10**60 // 3)), 2))
+    for t, r in cases:
         A, B = concrete.thue_polys_at(r, t)
-        alpha = root_ball(t, _root_seeds(complex(z))[0], F(1, 1 << 120))
+        a, b, den = concrete._thue_ints(r, t)
+        alpha = root_ball(t, _root_seeds(complex(float(t.re), float(t.im)))[0], F(1, 1 << 120))
         for rho in (alpha.radius, F(1, 1 << 30), F(1, 256), F(1, 4), F(1)):
             ball = ComplexBall(alpha.re_mid, alpha.im_mid, rho)
-            scale, balls = concrete._derivative_balls(r, A, B, ball_record(ball))
+            M, R = concrete._dyadic_ball(ball_record(ball))
+            wp, balls = concrete._derivative_balls(r, a, b, M, R)
             exact = derivative_balls_oracle(r, A, B, ball, below=True)
             assert len(balls) == len(exact) == 2 * r + 1
-            assert all(_contains(b, scale, e) for b, e in zip(balls, exact)), (str(t), r, rho)
+            assert (wp == bits) == (M == (0, 0)), (str(t), rho)
+            assert all(_contains(got, k, wp, den, M, e)
+                       for k, (got, e) in enumerate(zip(balls, exact))), (str(t), r, rho)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.integers(0, 10**30), min_size=1, max_size=12),
-       st.integers(0, 1 << (concrete.MID_BITS + 4)), st.integers(0, 12), st.integers(0, 2))
-def test_upward_shift_bounds_the_exact_shift(c, s, rounds, step):
-    # each of the at most len(c)^2/2 products rounds up by less than 1 and adds step
-    x, n = F(s, 1 << concrete.MID_BITS), len(c)
+       st.integers(0, 1 << 300), st.integers(0, 300), st.integers(0, 12))
+def test_upward_shift_bounds_the_exact_shift(c, s, bits, rounds):
+    # each of the at most len(c)^2/2 products rounds up by less than 1
+    x, n = F(s, 1 << bits), len(c)
     exact = [sum(F(c[j]) * math.comb(j, k) * x ** (j - k) for j in range(k, n)) for k in range(n)]
-    got = concrete._shift_up(list(c), s, rounds, step)
+    got = concrete._shift_up(list(c), s, bits, rounds)
     for k in range(min(rounds, n)):
         assert exact[k] <= got[k]
     assert got[-1] == c[-1]
+
+
+def test_the_shift_by_one_is_the_binomial_sum():
+    # c(X + 1) has the X^j coefficient sum_i C(i, j) c_i, exactly
+    rng = random.Random("shift by one")
+    for _ in range(300):
+        c = [rng.randint(-10**rng.randint(0, 80), 10**80) for _ in range(rng.randint(1, 30))]
+        got = concrete._shift_one(c)
+        assert got == [sum(math.comb(i, j) * c[i] for i in range(j, len(c)))
+                       for j in range(len(c))]
 
 
 def test_divisibility_check_refuses_a_negative_order():
