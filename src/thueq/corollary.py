@@ -18,8 +18,8 @@ F = Fraction
 C2_DIVISOR = F("0.31")    # 443 >= 8.86 * 15.48 / 0.31; base 137.16 / 0.31^(2-eps)
 CUBIC_ABSORB = F("0.33")  # 8.86 / |t|^(1/2 + eps/4) <= 0.33
 # the corollary-eps gates read logs on the 2^-28 grid, and ln t of the top
-# 64 bits of t
-LN_GRID_BITS, EPS_CUT_BITS = 28, 64
+# 64 bits of t; gate (iii)'s threshold is seeded from the top 128 bits of eps
+LN_GRID_BITS, EPS_CUT_BITS, EPS_SEED_BITS = 28, 64, 128
 POW_ROOT_BITS = 80  # rat_pow_upper rounds its root up onto the 2^-80 grid
 
 
@@ -99,61 +99,44 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
     }
 
 
-def _eps_gate_fn(eps: Rat):
-    """The three gates at one eps as integer comparisons on a grid value g:
-    (ok_i, ok_ii, ok_iii, detail_iii) for every |t| with g <= 2^28 ln|t|.
-    ln c lies in [f, f + 1) / 2^28 for the grid floor f of each constant, and
-    as kappa falls while ln|t| grows, kappa <= (l + 1.08)/(l - 2.59) at
-    l = g / 2^28 > 2.59.  Each gate is monotone in g."""
+def _eps_thresholds(eps: Fraction, limit: float = math.inf) -> tuple | None:
+    """(g_kd, g_lo, g_i, g_ii, g_iii): the least grid values g at which the parts of the three
+    gates at one eps hold, for every |t| with g <= 2^28 ln|t|; None once g_lo >= limit.  ln c
+    lies in [f, f + 1) / 2^28 for the grid floor f of each constant, and as kappa falls while
+    ln|t| grows, kappa <= kn / kd = (l + 1.08)/(l - 2.59) at l = g / 2^28 once kd > 0 (g_kd),
+    and 1 + eps - kappa >= gap / (q kd) > 0 from g_lo on.  Gates (i) and (ii) are linear in g.
+    From g_lo on, gate (iii) compares ln_b / (1 + eps - kappa), which falls (ln_b > 0), with
+    ((2 - eps) l - ln 4) / 4, which rises: _least finds g_iii from the larger root of its
+    quadratic in g, solved on eps cut to its top EPS_SEED_BITS bits."""
     ln4_hi, threshold, cubic, contra, c2 = _log_constants()["gates"]
-    big, p, q = 1 << LN_GRID_BITS, eps.numerator, eps.denominator
-    # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= l, times q 2^28
-    type_log = q * ln4_hi + (q - p) * threshold
-    # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) l, times 4 q 2^28
-    cubic_log = 4 * q * cubic
-    # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa)) < (t^(2-eps)/4)^(1/4)
-    #       as ln_b < (1 + eps - kappa) ((2-eps) l - ln 4) / 4, with q 2^28 ln_b <= b
-    b = q * contra - (2 * q - p) * c2
-    (nn, nd), (dn, dd) = (c.as_integer_ratio() for c in (exactnum.KAPPA_NUM_SHIFT,
-                                                        exactnum.KAPPA_DEN_SHIFT))
-
-    def gates(g: int) -> tuple:
-        oks = (type_log <= q * g, cubic_log <= (2 * q + p) * g)
-        kd = nd * (dd * g - dn * big)  # kappa <= kn / kd
-        if kd <= 0:
-            return (*oks, False, "kappa undefined")
-        gap = (q + p) * kd - q * dd * (nd * g + nn * big)  # 1 + eps - kappa >= gap / (q kd)
-        if gap <= 0:
-            return (*oks, False, "1 + eps - kappa not positive")
-        return (*oks, 4 * q * b * kd < gap * ((2 * q - p) * g - q * ln4_hi),
-                "log comparison with kappa upper end")
-
-    return gates
-
-
-def _g_seed(eps: Fraction, g_lo: int) -> int:
-    """The least g > g_lo at which the three gates of _eps_gate_fn hold, solved in floats:
-    the largest of the gates' own least g, one or two off the exact g* that _least then
-    finds from it.  g_lo + 1 on a float overflow or when gate (iii) has no real root."""
-    ln4, threshold, cubic, contra, c2 = _log_constants()["gates"]
     big = 1 << LN_GRID_BITS
-    try:
-        e = float(eps)
-        g_i = ln4 + (1 - e) * threshold
-        g_ii = 4 * cubic / (2 + e)
-        # (iii) divided by q^2 nd dd, with D = 2.59 2^28 and M = (1 + eps) D + 1.08 2^28:
-        # 4 (b / q) (g - D) < (eps g - M) ((2 - eps) g - ln4), a quadratic in g
-        bq = contra - (2 - e) * c2
-        d = float(exactnum.KAPPA_DEN_SHIFT) * big
-        m = (1 + e) * d + float(exactnum.KAPPA_NUM_SHIFT) * big
-        a2, a1, a0 = e * (2 - e), -(e * ln4 + (2 - e) * m + 4 * bq), m * ln4 + 4 * bq * d
-        disc = a1 * a1 - 4 * a2 * a0
-        if disc < 0:
-            return g_lo + 1
-        g_iii = (math.sqrt(disc) - a1) / (2 * a2)  # the larger root, as a1 < 0
-        return max(g_lo + 1, math.ceil(g_i), math.ceil(g_ii), math.floor(g_iii) + 1)
-    except (OverflowError, ZeroDivisionError):
-        return g_lo + 1
+    (p, q), (nn, nd), (dn, dd) = (c.as_integer_ratio() for c in (
+        eps, exactnum.KAPPA_NUM_SHIFT, exactnum.KAPPA_DEN_SHIFT))
+
+    def gap(p: int, q: int) -> tuple:  # (u, v): gap = u g - v at eps = p / q
+        return p * nd * dd, ((q + p) * nd * dn + q * dd * nn) * big
+
+    def quadratic(p: int, q: int) -> tuple:
+        # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa)) < (t^(2-eps)/4)^(1/4)
+        #       as ln_b < (1 + eps - kappa) ((2-eps) l - ln 4) / 4, with q 2^28 ln_b <= lb:
+        #       4 q lb kd = w (dd g - dn 2^28) < gap ((2q - p) g - q ln 4), gap = u g - v,
+        #       that is a g^2 - b g + c > 0 at eps = p / q, false at gap = 0: two real roots
+        (u, v), r = gap(p, q), 2 * q - p
+        w = 4 * q * nd * (q * contra - r * c2)  # lb = q contra - r c2
+        return u * r, u * q * ln4_hi + v * r + w * dd, v * q * ln4_hi + w * dn * big
+
+    u, v = gap(p, q)
+    if (g_lo := v // u + 1) >= limit:
+        return None
+    a, b, c = quadratic(p, q)
+    s = max(0, p.bit_length() - EPS_SEED_BITS)
+    sa, sb, sc = quadratic(p >> s, q >> s) if s else (a, b, c)
+    seed = (math.isqrt(sb * sb - 4 * sa * sc) + sb) // (2 * sa) + 1
+    g_iii = _least(lambda g: g >= g_lo and (a * g - b) * g + c > 0, seed)
+    # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= l, times q 2^28
+    # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) l, times 4 q 2^28
+    return ((dn << LN_GRID_BITS) // dd + 1, g_lo, -(-(q * ln4_hi + (q - p) * threshold) // q),
+            -(-4 * q * cubic // (2 * q + p)), g_iii)
 
 
 # the gate texts that read no eps: rendered once per process
@@ -161,10 +144,14 @@ _TYPE_TEXT = f"4 * {sig_str(descent.TYPE_THRESHOLD, 7)}^(1-eps) <= |t|"
 _CUBIC_TEXT = f"{sig_str(descent.BETA_COEFF, 7)} / |t|^(1/2 + eps/4) <= {sig_str(CUBIC_ABSORB, 7)}"
 
 
-def _gate_results(oks: tuple) -> tuple[GateResult, ...]:
-    return (GateResult("type threshold", oks[0], _TYPE_TEXT),
-            GateResult("cubic absorption", oks[1], _CUBIC_TEXT),
-            GateResult("measure contradiction", oks[2], oks[3]))
+def _gate_results(ths: tuple, g: int) -> tuple[GateResult, ...]:
+    """The three gates at grid value g, as comparisons with the thresholds of _eps_thresholds."""
+    g_kd, g_lo, g_i, g_ii, g_iii = ths
+    iii = ((False, "kappa undefined") if g < g_kd else (False, "1 + eps - kappa not positive")
+           if g < g_lo else (g >= g_iii, "log comparison with kappa upper end"))
+    return (GateResult("type threshold", g >= g_i, _TYPE_TEXT),
+            GateResult("cubic absorption", g >= g_ii, _CUBIC_TEXT),
+            GateResult("measure contradiction", *iii))
 
 
 def _cut(t: int) -> int:
@@ -182,7 +169,7 @@ def _ln_grid(t: Rat) -> int:
 
 def _eps_gates(t: Rat, eps: Rat) -> list[GateResult]:
     """The three threshold conditions at modulus t, decided at L(t)."""
-    return list(_gate_results(_eps_gate_fn(F(eps))(_ln_grid(t))))
+    return list(_gate_results(_eps_thresholds(F(eps)), _ln_grid(t)))
 
 
 def _least(holds, t: int, step: int = 1, cut=int) -> int:
@@ -199,23 +186,24 @@ def _least(holds, t: int, step: int = 1, cut=int) -> int:
     return hi
 
 
-@lru_cache(maxsize=8)
-def _ln2_floor(bits: int) -> int:
-    """floor(2^bits ln 2), on the grid of a _NearLn enclosure."""
-    return ln_floor(2, bits)
+# _NearLn encloses ln t to width 1 / NEAR_WIDTH, on the 2^-NEAR_BITS grid that
+# LnArg._grid rounds such an enclosure onto, 8 bits past the width's
+NEAR_WIDTH = 1 << 72
+NEAR_BITS = NEAR_WIDTH.bit_length() + 8
+LN2_FLOOR = ln_floor(2, NEAR_BITS)  # floor(2^NEAR_BITS ln 2), read once per process
 
 
 class _NearLn:
     """L(c) for cut values c near one cut value t, from one LnArg enclosure of ln t,
-    [lo, hi] / 2^bits of width 2^-72: ln c = ln t + ln(1 + x), x = (c - t)/t, and
+    [lo, hi] / 2^NEAR_BITS of width 2^-72: ln c = ln t + ln(1 + x), x = (c - t)/t, and
     x - x^2 <= ln(1 + x) <= x for |x| <= 1/2.  ln_floor decides c when |x| > 1/2 or
     the enclosure leaves its floor open; "reads" counts the log enclosures read."""
 
-    __slots__ = ("t", "lo", "hi", "bits", "reads")
+    __slots__ = ("t", "lo", "hi", "reads")
 
     def __init__(self, t: int):
         self.t, self.reads = t, 1
-        self.lo, self.hi, self.bits = exactnum.LnArg(t)._grid(1, 1 << 72)
+        self.lo, self.hi, _ = exactnum.LnArg(t)._grid(1, NEAR_WIDTH)
 
     def grid(self, c: int, k: int = 0) -> int:
         """floor(2^28 ln(2^k c')) = L(2^k c) for an integer c >= 1 and k in {0, 1}, c' = _cut(c):
@@ -224,13 +212,13 @@ class _NearLn:
         s = max(0, min(c.bit_length(), t.bit_length()) - EPS_CUT_BITS)
         a, m = (c - t) >> s, t >> s  # x = a / m, c and t are multiples of 2^s
         if 2 * abs(a) <= m:
-            # 2^bits m^2 ln(2^k c) lies in [lo_c, hi_c]
-            bits, m2 = self.bits, m * m
-            lo_c, hi_c = self.lo * m2 + (a * m - a * a << bits), self.hi * m2 + (a * m << bits)
-            if k:  # ln 2 lies in (l2, l2 + 1) / 2^bits
-                l2 = _ln2_floor(bits)
-                lo_c, hi_c = lo_c + l2 * m2, hi_c + (l2 + 1) * m2
-            unit = m2 << bits - LN_GRID_BITS
+            # 2^NEAR_BITS m^2 ln(2^k c) lies in [lo_c, hi_c]
+            m2 = m * m
+            lo_c = self.lo * m2 + (a * m - a * a << NEAR_BITS)
+            hi_c = self.hi * m2 + (a * m << NEAR_BITS)
+            if k:  # ln 2 lies in (LN2_FLOOR, LN2_FLOOR + 1) / 2^NEAR_BITS
+                lo_c, hi_c = lo_c + LN2_FLOOR * m2, hi_c + (LN2_FLOOR + 1) * m2
+            unit = m2 << NEAR_BITS - LN_GRID_BITS
             if (f := lo_c // unit) == hi_c // unit:
                 return f
         self.reads += 1
@@ -241,37 +229,29 @@ def corollary_eps(eps: Rat) -> dict:
     """The least threshold t0 for |F_t| <= |t|^(2-eps) that the gates
     certify: they fail at t0 - 1 and hold at every t >= t0, as they are
     monotone in L(t), and L(t) in t.  Every eps in (0, 1) has one, as kappa
-    falls to 1 like 3.67 / ln t.  First the least passing grid value g*, above
-    the floor that gate (iii) sets, from the gates' float solution (_g_seed),
-    then the least cut value t0 with L(t0) >= g*, from one enclosure of ln t
-    at a float seed t (_NearLn): one Newton step from its lower end lands next
-    to t0, and L at t0, at the cut values the search reads and at 2 t0 follow
-    from it, each floor by integer comparisons; "evaluations" counts the log
-    enclosures read.  A t0 of more than MAX_DIGITS digits raises
-    OutputLimitError before it is built, and before the g search when that
-    floor is past it."""
+    falls to 1 like 3.67 / ln t.  First the least passing grid value g*, the
+    largest of the gates' thresholds (_eps_thresholds), then the least cut
+    value t0 with L(t0) >= g*, from one enclosure of ln t at a float seed t
+    (_NearLn): one Newton step from its lower end lands next to t0, and L at
+    t0, at the cut values the search reads and at 2 t0 follow from it, each
+    floor by integer comparisons; "evaluations" counts the log enclosures
+    read.  A t0 of more than MAX_DIGITS digits raises OutputLimitError before
+    it is built, and before gate (iii)'s threshold is sought when g_lo, the
+    floor below it, is past it."""
     eps = F(eps)
     if not 0 < eps < 1:
         raise ValueError("eps must be in (0, 1)")
-    gates_at = _eps_gate_fn(eps)
-    # gate (iii) fails while gap <= 0, and for eps = p/q, 1.08 = nn/nd and 2.59 = dn/dd, gap =
-    # p nd dd g - ((q + p) nd dn + q dd nn) 2^28 rises with g: the least passing g is > g_lo
-    (p, q), (nn, nd), (dn, dd) = (c.as_integer_ratio() for c in (
-        eps, exactnum.KAPPA_NUM_SHIFT, exactnum.KAPPA_DEN_SHIFT))
-    g_lo = ((q + p) * nd * dn + q * dd * nn << LN_GRID_BITS) // (p * nd * dd)
     # t0 >= e^(g / 2^28) has more than MAX_DIGITS digits once g / 2^28 >= MAX_DIGITS ln 10
     limit = MAX_DIGITS * (_log_constants()[F(10)] + 1)
-    if g_lo >= limit or (g := _least(lambda g: all(gates_at(g)[:3]),
-                                      _g_seed(eps, g_lo))) >= limit:
+    if (ths := _eps_thresholds(eps, limit)) is None or (g := max(ths[2:])) >= limit:
         raise OutputLimitError(f"t0 for eps = {exactnum._side(eps)} has more than "
                                f"{MAX_DIGITS:,} digits")
     y = g / ((1 << LN_GRID_BITS) * math.log(2))  # log2 of t0, about
     s = max(0, int(y) - EPS_CUT_BITS + 1)
-    near = _NearLn(max(1, _cut(int(2 ** (y - s)) << s)))
+    near = _NearLn(t := max(1, _cut(int(2 ** (y - s)) << s)))
     # one Newton step on ln t = g / 2^28 lands next to t0
-    t, bits = near.t, near.bits
-    t = max(1, _cut(t + (t * ((g << bits - LN_GRID_BITS) - near.lo) >> bits)))
+    t = max(1, _cut(t + (t * ((g << NEAR_BITS - LN_GRID_BITS) - near.lo) >> NEAR_BITS)))
     t0 = _least(lambda c: near.grid(c) >= g, t, 1 << s, _cut)
-    return {"t0": F(t0), "gates": _gate_results(gates_at(near.grid(t0))),
-            "gates_at_double": _gate_results(gates_at(near.grid(t0, 1))),
+    return {"t0": F(t0), "gates": _gate_results(ths, near.grid(t0)),
+            "gates_at_double": _gate_results(ths, near.grid(t0, 1)),
             "evaluations": near.reads}

@@ -10,7 +10,8 @@ integer record as they ran before ``dioph`` held every ball as a record, the
 the ``ComplexBall`` bounds on |x - alpha y| and overlap test of the type
 classification, the Thue polynomials at a concrete t by homogeneous Horner at
 each t, the
-corollary-eps gates at a grid value in ``Fraction`` arithmetic, the search
+corollary-eps gates at a grid value in ``Fraction`` arithmetic and as the
+integer comparisons that ran before each gate became a threshold, the search
 for its least passing grid value as it ran before the float seed, and an
 independent floor(2^bits ln x), the atanh term count as a linear scan, the
 divisibility check's exact kernel with the exact Taylor shift it ran on, the
@@ -1176,8 +1177,8 @@ def divisibility_ball_check_oracle(r: int, t: GaussRat) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# the corollary-eps gates at a grid value in Fraction arithmetic, and
-# floor(2^bits ln x) from an independent enclosure
+# the corollary-eps gates at a grid value in Fraction and in integer arithmetic,
+# and floor(2^bits ln x) from an independent enclosure
 
 
 def eps_gate_fn_oracle(eps: Fraction):
@@ -1219,14 +1220,48 @@ def eps_gate_fn_oracle(eps: Fraction):
     return gates
 
 
+def eps_gate_int_oracle(eps: Fraction):
+    """The three gates of corollary._eps_gates at one eps as integer comparisons on a grid
+    value g, as they ran before corollary compared g with each gate's threshold:
+    (ok_i, ok_ii, ok_iii, detail_iii) for every |t| with g <= 2^28 ln|t|.
+    ln c lies in [f, f + 1) / 2^28 for the grid floor f of each constant, and
+    as kappa falls while ln|t| grows, kappa <= (l + 1.08)/(l - 2.59) at
+    l = g / 2^28 > 2.59.  Each gate is monotone in g."""
+    LN_GRID_BITS = corollary.LN_GRID_BITS
+    ln4_hi, threshold, cubic, contra, c2 = corollary._log_constants()["gates"]
+    big, p, q = 1 << LN_GRID_BITS, eps.numerator, eps.denominator
+    # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= l, times q 2^28
+    type_log = q * ln4_hi + (q - p) * threshold
+    # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) l, times 4 q 2^28
+    cubic_log = 4 * q * cubic
+    # (iii) contradiction: (137.16 / 0.31^(2-eps))^(1/(1+eps-kappa)) < (t^(2-eps)/4)^(1/4)
+    #       as ln_b < (1 + eps - kappa) ((2-eps) l - ln 4) / 4, with q 2^28 ln_b <= b
+    b = q * contra - (2 * q - p) * c2
+    (nn, nd), (dn, dd) = (c.as_integer_ratio() for c in (exactnum.KAPPA_NUM_SHIFT,
+                                                        exactnum.KAPPA_DEN_SHIFT))
+
+    def gates(g: int) -> tuple:
+        oks = (type_log <= q * g, cubic_log <= (2 * q + p) * g)
+        kd = nd * (dd * g - dn * big)  # kappa <= kn / kd
+        if kd <= 0:
+            return (*oks, False, "kappa undefined")
+        gap = (q + p) * kd - q * dd * (nd * g + nn * big)  # 1 + eps - kappa >= gap / (q kd)
+        if gap <= 0:
+            return (*oks, False, "1 + eps - kappa not positive")
+        return (*oks, 4 * q * b * kd < gap * ((2 * q - p) * g - q * ln4_hi),
+                "log comparison with kappa upper end")
+
+    return gates
+
+
 def least_g_oracle(eps: Fraction) -> tuple[int, int]:
     """(g*, t0) of corollary.corollary_eps as its search ran before the float seed: g* by
-    doubling and bisection from g_lo + 1, then t0, the least t with L(t) >= g*.
-    OutputLimitError past MAX_DIGITS digits, as corollary_eps."""
+    doubling and bisection over eps_gate_int_oracle from g_lo + 1, then t0, the least t
+    with L(t) >= g*.  OutputLimitError past MAX_DIGITS digits, as corollary_eps."""
     _least, _cut, _ln_grid = corollary._least, corollary._cut, corollary._ln_grid
     LN_GRID_BITS, EPS_CUT_BITS = corollary.LN_GRID_BITS, corollary.EPS_CUT_BITS
     MAX_DIGITS, ln_floor = exactnum.MAX_DIGITS, exactnum.ln_floor
-    gates_at = corollary._eps_gate_fn(eps)
+    gates_at = eps_gate_int_oracle(eps)
     (p, q), (nn, nd), (dn, dd) = (c.as_integer_ratio() for c in (
         eps, exactnum.KAPPA_NUM_SHIFT, exactnum.KAPPA_DEN_SHIFT))
     g_lo = ((q + p) * nd * dn + q * dd * nn << LN_GRID_BITS) // (p * nd * dd)

@@ -1,10 +1,11 @@
 """corollary_eps on monotone gates: t0 is the least t at which they hold,
 checked at t0 - 1, t0 and 2 t0 over the pinned and seeded eps; the gates
 are monotone near every t0 and match a Fraction reference at grid values;
-t0 does not depend on the ln 2 cache or on the order of the queries; the
-float-seeded search finds the g* and t0 of the unseeded one in a few gate
-evaluations; one log enclosure at the seed decides L at the cut values near
-it; and exactnum.ln_floor matches an independent floor(2^bits ln x)."""
+t0 does not depend on the ln 2 cache or on the order of the queries; each
+gate's threshold is where the Fraction gates and the integer gates they
+replaced change, and g* and t0 are those of a search over the integer gates;
+one log enclosure at the seed decides L at the cut values near it; and
+exactnum.ln_floor matches an independent floor(2^bits ln x)."""
 
 import math
 import random
@@ -21,7 +22,7 @@ from thueq.exactnum import OutputLimitError, ln_floor
 from thueq.corollary import EPS_CUT_BITS, LN_GRID_BITS, _cut, _eps_gates, _ln_grid, corollary_eps
 from thueq.measure import theorem_assembly
 
-from oracles import eps_gate_fn_oracle, least_g_oracle, ln_floor_oracle
+from oracles import eps_gate_fn_oracle, eps_gate_int_oracle, least_g_oracle, ln_floor_oracle
 from test_measure import EPS_T0
 
 
@@ -87,16 +88,24 @@ def test_t0_does_not_depend_on_the_ln2_cache_or_the_query_order(monkeypatch):
     assert cold == warm == {e: corollary_eps(e)["t0"] for e in shuffled}
 
 
+def _matches_the_references(eps, gs, ths) -> None:
+    """The gates at each grid value in gs equal the Fraction gates and the integer gates."""
+    fraction, integer = eps_gate_fn_oracle(eps), eps_gate_int_oracle(eps)
+    for g in gs:
+        got = corollary._gate_results(ths, g)
+        assert list(got) == fraction(g), (eps, g)
+        assert (*(r.ok for r in got), got[2].detail) == integer(g), (eps, g)
+
+
 def test_integer_gates_match_the_fraction_gates_near_every_pin():
     # at the grid values on both sides of each pinned t0's, and at seeded ones
     rng = random.Random(1807)
     for eps, t0 in EPS_T0.items():
         eps = F(eps)
-        integer, fraction = corollary._eps_gate_fn(eps), eps_gate_fn_oracle(eps)
-        g0 = _ln_grid(t0)
-        for g in {g0 - 1, g0, g0 + 1, _ln_grid(t0 - 1), rng.randrange(1, 2 * g0),
-                  600_000_000, 697_000_000}:  # kappa undefined, 1 + eps - kappa <= 0
-            assert list(corollary._gate_results(integer(g))) == fraction(g), (eps, g)
+        ths, g0 = corollary._eps_thresholds(eps), _ln_grid(t0)
+        gs = {g0 - 1, g0, g0 + 1, _ln_grid(t0 - 1), rng.randrange(1, 2 * g0),
+              600_000_000, 697_000_000}  # kappa undefined, 1 + eps - kappa <= 0
+        _matches_the_references(eps, gs, ths)
 
 
 def test_eps_gates_are_monotone_near_t0():
@@ -204,63 +213,74 @@ SEED_SAMPLE = ([F(k, 100) for k in range(1, 100)] + [F(k, 1000) for k in range(1
                + [F(1, 25306), F(12345, 100000)])
 
 
-def _recording_gates(monkeypatch) -> list:
-    """Patch _eps_gate_fn so that every gate evaluation appends (g, all three hold)."""
-    calls, real = [], corollary._eps_gate_fn
-
-    def gate_fn(eps):
-        gates = real(eps)
-
-        def recorded(g):
-            out = gates(g)
-            calls.append((g, all(out[:3])))
-            return out
-        return recorded
-
-    monkeypatch.setattr(corollary, "_eps_gate_fn", gate_fn)
-    return calls
+def _thresholds_match_the_references(eps) -> tuple:
+    """The thresholds (g_kd, g_lo, g_i, g_ii, g_iii) at eps, after checking the gates
+    against both references at each of them and at its neighbours +-1 and +-2: as the
+    references are monotone, a threshold off by one would show at one of these."""
+    ths = corollary._eps_thresholds(eps)
+    assert ths[0] <= ths[1] <= ths[4], eps
+    _matches_the_references(eps, {h + d for h in ths for d in range(-2, 3)}, ths)
+    return ths
 
 
-def _seeded_search(monkeypatch, eps) -> tuple:
-    """(g*, t0, gate evaluations) of one corollary_eps query: g* is the least evaluated
-    grid value at which the gates hold, and the search evaluated g* - 1 too."""
-    calls = _recording_gates(monkeypatch)
-    t0 = corollary_eps(eps)["t0"]
-    g = min(g for g, ok in calls if ok)
-    assert (g - 1, False) in calls, eps
-    monkeypatch.undo()
-    return g, t0, len(calls)
+def _matches_the_search(eps, ths) -> None:
+    """g*, the largest of gates (i)-(iii)'s thresholds, and t0 are those of a search
+    over the integer gates from g_lo; past the output limit both refuse."""
+    try:
+        t0 = corollary_eps(eps)["t0"]
+    except OutputLimitError:
+        with pytest.raises(OutputLimitError):
+            least_g_oracle(eps)
+    else:
+        assert (max(ths[2:]), t0) == least_g_oracle(eps), eps
 
 
-def test_the_seeded_search_finds_the_unseeded_g_star_and_t0(monkeypatch):
+def test_the_seeded_search_finds_the_unseeded_g_star_and_t0():
     for eps in SEED_SAMPLE:
-        g, t0, _ = _seeded_search(monkeypatch, eps)
-        assert (g, t0) == least_g_oracle(eps), eps
+        _matches_the_search(eps, _thresholds_match_the_references(eps))
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.fractions(min_value=0, max_value=1, max_denominator=10**6).filter(lambda e: 0 < e < 1))
 def test_the_seeded_search_matches_the_oracle_on_any_fraction(eps):
-    with pytest.MonkeyPatch.context() as monkeypatch:
-        try:
-            g, t0, _ = _seeded_search(monkeypatch, eps)
-        except OutputLimitError:
-            with pytest.raises(OutputLimitError):
-                least_g_oracle(eps)
-        else:
-            assert (g, t0) == least_g_oracle(eps), eps
+    _matches_the_search(eps, _thresholds_match_the_references(eps))
 
 
-def test_a_query_evaluates_the_gates_at_most_eight_times(monkeypatch):
-    # g* and the grid value below it from the float seed, and the two sets of results
-    counts = [_seeded_search(monkeypatch, eps)[2] for eps in SEED_SAMPLE]
-    assert max(counts) <= 8, max(counts)
+@pytest.mark.parametrize("eps", [F(1, 10**300), F(1, 10**400)]
+                         + [F(10**k + 7, 3 * 10**k) for k in (50, 300, 5000)],
+                         ids=["1e-300", "1e-400", "k=50", "k=300", "k=5000"])
+def test_the_thresholds_match_the_references_at_extreme_eps(eps):
+    # gate (iii)'s threshold has 1,361 bits at eps = 1e-400, from a full-width root; at
+    # (10^k + 7) / (3 10^k) its seed reads eps cut to 128 of its 16,600 bits
+    _matches_the_search(eps, _thresholds_match_the_references(eps))
 
 
-def test_the_seed_falls_back_to_the_floor_on_a_float_failure():
-    # gate (iii)'s larger root overflows to inf at eps = 1e-300, and at 1e-400 eps
-    # underflows to 0.0 and the root to a division by zero
-    assert corollary._g_seed(F(1, 10**300), 7) == corollary._g_seed(F(1, 10**400), 7) == 8
+def test_the_root_seed_is_at_most_three_exact_steps_from_g_iii(monkeypatch):
+    # the larger root of gate (iii)'s quadratic, from eps cut to its top 128 bits,
+    # lands next to g_iii: _least reads the exact comparison at most three times
+    steps, real = [], corollary._least
+
+    def counted(holds, t, *args):
+        steps.append(0)
+
+        def step(g):
+            steps[-1] += 1
+            return holds(g)
+        return real(step, t, *args)
+
+    monkeypatch.setattr(corollary, "_least", counted)
+    for eps in SEED_SAMPLE + [F(10**k + 7, 3 * 10**k) for k in (50, 300, 5000)]:
+        corollary._eps_thresholds(eps)
+    assert len(steps) == len(SEED_SAMPLE) + 3 and max(steps) <= 3, max(steps)
+
+
+def test_the_near_grid_is_lnarg_grid_at_its_width():
+    # LnArg._grid rounds an enclosure of width 2^-72 onto the 2^-81 grid, and
+    # _NearLn reads ln 2 on that grid
+    rng = random.Random(81)
+    for t in (1, 2, 3**200, *(rng.getrandbits(n) | 1 << n for n in (40, 700, 3000))):
+        assert exactnum.LnArg(t)._grid(1, corollary.NEAR_WIDTH)[2] == corollary.NEAR_BITS == 81
+    assert corollary.LN2_FLOOR == ln_floor_oracle(F(2), 81)
 
 
 @pytest.mark.parametrize("eps", ["1/25307", "1e-200001"])
