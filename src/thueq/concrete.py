@@ -1,12 +1,14 @@
 """The concrete-t path: what a query at one parameter t runs, and the verdict
-never does.  Complex balls (``ComplexBall``), the Thue polynomials A_r, B_r at
-a concrete Gaussian t (``_thue_ints`` as Z[i] integer lists, ``thue_polys_at``
-as ``TPoly``s), the certified enclosures of the roots of f_t (``root_ball``,
-``all_root_balls``), the type of a solution (``classify_type``) and the
-divisibility check of alpha A_r - B_r at the small root m, through the scaling
-X = mY and a Taylor shift by one (``divisibility_ball_check``).  ``thueq
-verify-all`` imports none of it; the names that callers still read from
-``dioph`` and ``series`` resolve there on first access."""
+never does.  The Q(i) types: ``GaussRat``, and ``Series`` (modulo s^trunc, built
+by ``newton_alpha_series`` and ``alpha3_series``) and ``TPoly`` on one storage
+(``_GaussDense``).  Complex balls (``ComplexBall``), the Thue polynomials A_r,
+B_r at a concrete Gaussian t (``_thue_ints`` as Z[i] integer lists,
+``thue_polys_at`` as ``TPoly``s), the certified enclosures of the roots of f_t
+(``root_ball``, ``all_root_balls``), the type of a solution (``classify_type``)
+and the divisibility check of alpha A_r - B_r at the small root m, through the
+scaling X = mY and a Taylor shift by one (``divisibility_ball_check``).
+``thueq verify-all`` imports none of it; the names that callers still read
+from ``dioph`` and ``series`` resolve there on first access."""
 
 from __future__ import annotations
 
@@ -21,7 +23,7 @@ from . import zpoly
 from .exactnum import GRID_BITS, ChainError, DomainError, Frozen, Rat, sqrt_grid
 from .hyperchi import chi_ints
 from .quadfield import QuadInt, ring
-from .series import _U_T, _Z_T, QUARTIC, GaussRat, _GaussDense, _in_t, horner
+from .series import _U_T, _Z_T, QUARTIC, IntSeries, _alpha_ints, _in_t, _moebius, horner
 
 
 class TieError(ArithmeticError):
@@ -91,7 +93,206 @@ class ComplexBall(Frozen):
 
 
 # ---------------------------------------------------------------------------
-# polynomials over Q(i) at a concrete t
+# Gaussian rationals
+
+
+class GaussRat(Frozen):
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Rat, im: Rat):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+
+    @staticmethod
+    def of(x) -> "GaussRat":
+        if isinstance(x, GaussRat):
+            return x
+        return GaussRat(Fraction(x), Fraction(0))
+
+    def __add__(self, other):
+        if not isinstance(other, (GaussRat, int, Fraction)):
+            return NotImplemented
+        other = GaussRat.of(other)
+        return GaussRat(self.re + other.re, self.im + other.im)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussRat(-self.re, -self.im)
+
+    def __sub__(self, other):
+        if not isinstance(other, (GaussRat, int, Fraction)):
+            return NotImplemented
+        return self + (-GaussRat.of(other))
+
+    def __mul__(self, other):
+        if not isinstance(other, (GaussRat, int, Fraction)):
+            return NotImplemented
+        other = GaussRat.of(other)
+        return GaussRat(self.re * other.re - self.im * other.im,
+                        self.re * other.im + self.im * other.re)
+
+    __rmul__ = __mul__
+
+    def abs_sq(self) -> Rat:
+        return self.re * self.re + self.im * self.im
+
+    def inv(self):
+        n = self.abs_sq()
+        if n == 0:
+            raise ZeroDivisionError("inverse of 0 in Q(i)")
+        return GaussRat(self.re / n, -self.im / n)
+
+    def __truediv__(self, other):
+        return self * GaussRat.of(other).inv()
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def is_gaussian_integer(self) -> bool:
+        return self.re.denominator == 1 and self.im.denominator == 1
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        if self.re == 0:
+            return f"{self.im}*i"
+        return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i"
+
+
+# ---------------------------------------------------------------------------
+# polynomials and truncated series over Q(i): one storage, a Z[i] numerator
+# over one denominator, and Horner's rule for a polynomial at a concrete t
+
+
+def _cleared(coeffs) -> tuple[tuple[list[int], list[int]], int]:
+    """Q(i) scalars (int, ``Fraction`` or ``GaussRat``) as a Z[i] numerator
+    (re, im) over their least common denominator."""
+    cs = [GaussRat.of(c) for c in coeffs]
+    den = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
+    return tuple([x.numerator * (den // x.denominator) for x in xs]
+                 for xs in ([c.re for c in cs], [c.im for c in cs])), den
+
+
+class _GaussDense:
+    """The storage ``TPoly`` and ``Series`` share: coefficient k is
+    (re[k] + i im[k]) / den for the Z[i] numerator num = (re, im), two integer
+    lists in the ``zpoly`` format without trailing zeros, and the positive
+    integer den, in lowest terms (``series.IntSeries.of``).  Arithmetic runs on
+    ``zpoly``; values are not mutated once built."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, coeffs):
+        self._set(*_cleared(coeffs))
+
+    def _set(self, num, den: int, n: int | None = None):
+        self.num, self.den, _ = IntSeries.of(num, den, n)
+        return self
+
+    def _width(self) -> int:
+        return max(len(self.num[0]), len(self.num[1]))
+
+    def _num_pairs(self):
+        """The numerator's coefficients (re_k, im_k), k < width."""
+        n = self._width()
+        return zip(*(zpoly.pad(xs, n) for xs in self.num))
+
+    @property
+    def coeffs(self) -> list[GaussRat]:
+        """The coefficients as ``GaussRat``s: a view, built on each read."""
+        den = self.den
+        return [GaussRat(Fraction(a, den), Fraction(b, den)) for a, b in self._num_pairs()]
+
+    def is_zero(self) -> bool:
+        return not (self.num[0] or self.num[1])
+
+    def _lift(self, x):
+        """x as a value of this type: itself, or a scalar as a constant."""
+        if isinstance(x, type(self)):
+            return x
+        if isinstance(x, (int, Fraction, GaussRat)):
+            return self._like(*_cleared([x]))
+        raise TypeError(f"cannot combine {type(self).__name__} with {type(x).__name__}")
+
+    def __add__(self, other):
+        other = self._lift(other)
+        den = math.lcm(self.den, other.den)
+        return self._like(zpoly.gadd(zpoly.gscale(den // self.den, self.num),
+                                     zpoly.gscale(den // other.den, other.num)), den, other)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._like(zpoly.gscale(-1, self.num), self.den)
+
+    def __sub__(self, other):
+        return self + -self._lift(other)
+
+    def __mul__(self, other):
+        other = self._lift(other)
+        return self._like(zpoly.gmul(self.num, other.num), self.den * other.den, other)
+
+    __rmul__ = __mul__
+
+
+class Series(_GaussDense):
+    """Power series known modulo s^trunc, over Q(i): the arithmetic on the
+    storage that ``series.IntSeries`` holds as a plain record."""
+
+    __slots__ = ("trunc",)
+
+    def __init__(self, coeffs, trunc: int):
+        self.trunc = trunc
+        self._set(*_cleared(coeffs[:trunc]))
+
+    @classmethod
+    def from_ints(cls, num, den: int, trunc: int) -> "Series":
+        """The series num/den modulo s^trunc, for a Z[i] numerator num and a
+        positive integer den, reduced to lowest terms."""
+        out = cls.__new__(cls)
+        out.trunc = trunc
+        return out._set(num, den, trunc)
+
+    def _like(self, num, den, other=None):
+        trunc = self.trunc if other is None else min(self.trunc, other.trunc)
+        return Series.from_ints(num, den, trunc)
+
+    def _width(self) -> int:
+        return self.trunc
+
+    def __getitem__(self, k: int) -> GaussRat:
+        if not 0 <= k < self.trunc:
+            raise IndexError(f"coefficient of s^{k} unknown (trunc {self.trunc})")
+        re, im = (xs[k] if k < len(xs) else 0 for xs in self.num)
+        return GaussRat(Fraction(re, self.den), Fraction(im, self.den))
+
+    def __eq__(self, other):
+        return (self - other).is_zero()
+
+    valuation = IntSeries.valuation
+
+    def truncated(self, n: int) -> "Series":
+        return Series.from_ints(self.num, self.den, min(n, self.trunc))
+
+    def __repr__(self):
+        terms = [f"({c})*s^{k}" for k, c in enumerate(self.coeffs) if c]
+        return (" + ".join(terms) or "0") + f"  (mod s^{self.trunc})"
+
+
+def newton_alpha_series(N: int) -> Series:
+    """The series alpha(s) with alpha(0) = 0 killing s*f, modulo s^N."""
+    if N < 2:
+        raise ValueError("need truncation order >= 2")
+    return Series.from_ints((_alpha_ints(N), []), 1, N)
+
+
+def alpha3_series(alpha: Series) -> Series:
+    """-(alpha+1)/(alpha-1), the Moebius image giving the root near 1, for an
+    integer, real series alpha vanishing at s=0 (as newton_alpha_series)."""
+    if alpha.den != 1 or alpha.num[1] or not alpha.valuation():
+        raise ValueError("expected an integer, real series vanishing at s=0")
+    return Series.from_ints((_moebius(zpoly.pad(alpha.num[0], alpha.trunc)), []), 1, alpha.trunc)
 
 
 def evaluate(coeffs, x, zero):

@@ -99,15 +99,16 @@ def corollary_lin(C: Rat, t0: Rat | None = None) -> dict:
     }
 
 
-def _eps_thresholds(eps: Fraction, limit: float = math.inf) -> tuple | None:
+def _eps_thresholds(eps: Fraction, limit: float = math.inf) -> tuple:
     """(g_kd, g_lo, g_i, g_ii, g_iii): the least grid values g at which the parts of the three
-    gates at one eps hold, for every |t| with g <= 2^28 ln|t|; None once g_lo >= limit.  ln c
-    lies in [f, f + 1) / 2^28 for the grid floor f of each constant, and as kappa falls while
-    ln|t| grows, kappa <= kn / kd = (l + 1.08)/(l - 2.59) at l = g / 2^28 once kd > 0 (g_kd),
-    and 1 + eps - kappa >= gap / (q kd) > 0 from g_lo on.  Gates (i) and (ii) are linear in g.
-    From g_lo on, gate (iii) compares ln_b / (1 + eps - kappa), which falls (ln_b > 0), with
-    ((2 - eps) l - ln 4) / 4, which rises: _least finds g_iii from the larger root of its
-    quadratic in g, solved on eps cut to its top EPS_SEED_BITS bits."""
+    gates at one eps hold, for every |t| with g <= 2^28 ln|t|; g_iii, which only a g >= g_lo
+    reads, is None and not sought once g_lo >= limit.  ln c lies in [f, f + 1) / 2^28 for the
+    grid floor f of each constant, and as kappa falls while ln|t| grows, kappa <= kn / kd =
+    (l + 1.08)/(l - 2.59) at l = g / 2^28 once kd > 0 (g_kd), and 1 + eps - kappa >= gap /
+    (q kd) > 0 from g_lo on.  Gates (i) and (ii) are linear in g.  From g_lo on, gate (iii)
+    compares ln_b / (1 + eps - kappa), which falls (ln_b > 0), with ((2 - eps) l - ln 4) / 4,
+    which rises: _least finds g_iii from the larger root of its quadratic in g, solved on eps
+    cut to its top EPS_SEED_BITS bits."""
     ln4_hi, threshold, cubic, contra, c2 = _log_constants()["gates"]
     big = 1 << LN_GRID_BITS
     (p, q), (nn, nd), (dn, dd) = (c.as_integer_ratio() for c in (
@@ -125,14 +126,13 @@ def _eps_thresholds(eps: Fraction, limit: float = math.inf) -> tuple | None:
         w = 4 * q * nd * (q * contra - r * c2)  # lb = q contra - r c2
         return u * r, u * q * ln4_hi + v * r + w * dd, v * q * ln4_hi + w * dn * big
 
-    u, v = gap(p, q)
-    if (g_lo := v // u + 1) >= limit:
-        return None
-    a, b, c = quadratic(p, q)
-    s = max(0, p.bit_length() - EPS_SEED_BITS)
-    sa, sb, sc = quadratic(p >> s, q >> s) if s else (a, b, c)
-    seed = (math.isqrt(sb * sb - 4 * sa * sc) + sb) // (2 * sa) + 1
-    g_iii = _least(lambda g: g >= g_lo and (a * g - b) * g + c > 0, seed)
+    (u, v), g_iii = gap(p, q), None
+    if (g_lo := v // u + 1) < limit:
+        a, b, c = quadratic(p, q)
+        s = max(0, p.bit_length() - EPS_SEED_BITS)
+        sa, sb, sc = quadratic(p >> s, q >> s) if s else (a, b, c)
+        seed = (math.isqrt(sb * sb - 4 * sa * sc) + sb) // (2 * sa) + 1
+        g_iii = _least(lambda g: g >= g_lo and (a * g - b) * g + c > 0, seed)
     # (i) type threshold: ln 4 + (1-eps) ln 20.14 <= l, times q 2^28
     # (ii) cubic-term absorption: ln 8.86 <= ln 0.33 + (1/2 + eps/4) l, times 4 q 2^28
     return ((dn << LN_GRID_BITS) // dd + 1, g_lo, -(-(q * ln4_hi + (q - p) * threshold) // q),
@@ -168,8 +168,8 @@ def _ln_grid(t: Rat) -> int:
 
 
 def _eps_gates(t: Rat, eps: Rat) -> list[GateResult]:
-    """The three threshold conditions at modulus t, decided at L(t)."""
-    return list(_gate_results(_eps_thresholds(F(eps)), _ln_grid(t)))
+    """The three threshold conditions at modulus t, decided at L(t) (g_iii only if read)."""
+    return list(_gate_results(_eps_thresholds(F(eps), (g := _ln_grid(t)) + 1), g))
 
 
 def _least(holds, t: int, step: int = 1, cut=int) -> int:
@@ -243,7 +243,7 @@ def corollary_eps(eps: Rat) -> dict:
         raise ValueError("eps must be in (0, 1)")
     # t0 >= e^(g / 2^28) has more than MAX_DIGITS digits once g / 2^28 >= MAX_DIGITS ln 10
     limit = MAX_DIGITS * (_log_constants()[F(10)] + 1)
-    if (ths := _eps_thresholds(eps, limit)) is None or (g := max(ths[2:])) >= limit:
+    if (ths := _eps_thresholds(eps, limit))[4] is None or (g := max(ths[2:])) >= limit:
         raise OutputLimitError(f"t0 for eps = {exactnum._side(eps)} has more than "
                                f"{MAX_DIGITS:,} digits")
     y = g / ((1 << LN_GRID_BITS) * math.log(2))  # log2 of t0, about

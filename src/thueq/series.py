@@ -1,24 +1,16 @@
-"""Exact algebra over Q(i) for the quartic family: truncated power series in
-s = 1/t, the root series, Pade approximants, and the polynomial identities
-behind the proof (the fourth-root closed form).  All of it runs over Z or
-Z[i] on the ``zpoly`` kernel.
+"""Exact integer algebra for the quartic family: the root series in s = 1/t,
+their Pade approximants and tail bounds, and the polynomial identities behind
+the proof (the fourth-root closed form), over Z or Z[i] on the ``zpoly`` kernel.
 
-Two types, one job each:
-
-* ``GaussRat`` -- an element of Q(i), the scalar at the boundary.
-* ``Series`` -- a power series in s = 1/t known modulo s^trunc; it carries
-  the root series, their Pade residuals and tail bounds.
-
-``Series`` and ``concrete.TPoly``, the dense polynomial of the Thue
-polynomials at a concrete t, share one storage (``_GaussDense``): a Z[i]
-numerator, two integer lists in the ``zpoly`` format, over one positive
-denominator in lowest terms.  Both are built from scalars, or from integers
-by ``from_ints``; ``coeffs`` reads the coefficients back as ``GaussRat``s.
-The differential-equation data and the Thue polynomials at a concrete t are
-in ``concrete``; ``thue_polys_at`` and ``TPoly`` still resolve here, on first
-access (``__getattr__``).
-
-The quartic itself is the integer table ``QUARTIC``, f_t = A(X) + t B(X).
+A series known modulo s^trunc is the plain record ``IntSeries``: a Z[i]
+numerator (re, im) of two integer lists over one positive integer den, in
+lowest terms (``IntSeries.of``).  ``root_series`` builds the root series from
+integer recurrences and ``pade_residual`` returns U - B*V as one; ``pade``,
+``tail_ints`` and ``tail_bound`` read num, den and trunc only.  The Q(i) types
+(``GaussRat``, ``Series``, ``TPoly``) and the Q(i) series builders are in
+``concrete``; the names callers still read here resolve on first access
+(``__getattr__``).  The quartic is the integer table ``QUARTIC``,
+f_t = A(X) + t B(X).
 """
 
 from __future__ import annotations
@@ -30,210 +22,34 @@ from functools import lru_cache
 from itertools import zip_longest
 
 from . import _forward, zpoly
-from .exactnum import ChainError, Frozen, Rat
-
-# ---------------------------------------------------------------------------
-# Gaussian rationals
-
-
-class GaussRat(Frozen):
-    __slots__ = ("re", "im")
-
-    def __init__(self, re: Rat, im: Rat):
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
-
-    @staticmethod
-    def of(x) -> "GaussRat":
-        if isinstance(x, GaussRat):
-            return x
-        return GaussRat(Fraction(x), Fraction(0))
-
-    def __add__(self, other):
-        if not isinstance(other, (GaussRat, int, Fraction)):
-            return NotImplemented
-        other = GaussRat.of(other)
-        return GaussRat(self.re + other.re, self.im + other.im)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GaussRat(-self.re, -self.im)
-
-    def __sub__(self, other):
-        if not isinstance(other, (GaussRat, int, Fraction)):
-            return NotImplemented
-        return self + (-GaussRat.of(other))
-
-    def __mul__(self, other):
-        if not isinstance(other, (GaussRat, int, Fraction)):
-            return NotImplemented
-        other = GaussRat.of(other)
-        return GaussRat(self.re * other.re - self.im * other.im,
-                        self.re * other.im + self.im * other.re)
-
-    __rmul__ = __mul__
-
-    def abs_sq(self) -> Rat:
-        return self.re * self.re + self.im * self.im
-
-    def inv(self):
-        n = self.abs_sq()
-        if n == 0:
-            raise ZeroDivisionError("inverse of 0 in Q(i)")
-        return GaussRat(self.re / n, -self.im / n)
-
-    def __truediv__(self, other):
-        return self * GaussRat.of(other).inv()
-
-    def __bool__(self):
-        return bool(self.re or self.im)
-
-    def is_gaussian_integer(self) -> bool:
-        return self.re.denominator == 1 and self.im.denominator == 1
-
-    def __str__(self):
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return f"{self.im}*i"
-        return f"{self.re}{'+' if self.im > 0 else '-'}{abs(self.im)}*i"
-
-
-# ---------------------------------------------------------------------------
-# polynomials and truncated series over Q(i): one storage, a Z[i] numerator
-# over one denominator
-
-
-def _cleared(coeffs) -> tuple[tuple[list[int], list[int]], int]:
-    """Q(i) scalars (int, ``Fraction`` or ``GaussRat``) as a Z[i] numerator
-    (re, im) over their least common denominator."""
-    cs = [GaussRat.of(c) for c in coeffs]
-    den = math.lcm(*(x.denominator for c in cs for x in (c.re, c.im)))
-    return tuple([x.numerator * (den // x.denominator) for x in xs]
-                 for xs in ([c.re for c in cs], [c.im for c in cs])), den
-
-
-def _strip(xs) -> list[int]:
-    xs = list(xs)
-    while xs and not xs[-1]:
-        xs.pop()
-    return xs
-
-
-class _GaussDense:
-    """The storage ``TPoly`` and ``Series`` share: coefficient k is
-    (re[k] + i im[k]) / den for the Z[i] numerator num = (re, im), two integer
-    lists in the ``zpoly`` format without trailing zeros, and the positive
-    integer den.  It is kept in lowest terms, so den is the least common
-    denominator and equal values have equal storage.  Arithmetic runs on
-    ``zpoly``; values are not mutated once built."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, coeffs):
-        self._set(*_cleared(coeffs))
-
-    def _set(self, num, den: int, n: int | None = None):
-        re, im = (_strip(xs[:n]) for xs in num)
-        g = math.gcd(den, *re, *im)
-        if g != 1:
-            re, im, den = [x // g for x in re], [x // g for x in im], den // g
-        self.num, self.den = (re, im), den
-        return self
-
-    def _width(self) -> int:
-        return max(len(self.num[0]), len(self.num[1]))
-
-    def _num_pairs(self):
-        """The numerator's coefficients (re_k, im_k), k < width."""
-        n = self._width()
-        return zip(*(zpoly.pad(xs, n) for xs in self.num))
-
-    @property
-    def coeffs(self) -> list[GaussRat]:
-        """The coefficients as ``GaussRat``s: a view, built on each read."""
-        den = self.den
-        return [GaussRat(Fraction(a, den), Fraction(b, den)) for a, b in self._num_pairs()]
-
-    def is_zero(self) -> bool:
-        return not (self.num[0] or self.num[1])
-
-    def _lift(self, x):
-        """x as a value of this type: itself, or a scalar as a constant."""
-        if isinstance(x, type(self)):
-            return x
-        if isinstance(x, (int, Fraction, GaussRat)):
-            return self._like(*_cleared([x]))
-        raise TypeError(f"cannot combine {type(self).__name__} with {type(x).__name__}")
-
-    def __add__(self, other):
-        other = self._lift(other)
-        den = math.lcm(self.den, other.den)
-        return self._like(zpoly.gadd(zpoly.gscale(den // self.den, self.num),
-                                     zpoly.gscale(den // other.den, other.num)), den, other)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return self._like(zpoly.gscale(-1, self.num), self.den)
-
-    def __sub__(self, other):
-        return self + -self._lift(other)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return self._like(zpoly.gmul(self.num, other.num), self.den * other.den, other)
-
-    __rmul__ = __mul__
-
-
-class Series(_GaussDense):
-    """Power series known modulo s^trunc, over Q(i)."""
-
-    __slots__ = ("trunc",)
-
-    def __init__(self, coeffs, trunc: int):
-        self.trunc = trunc
-        self._set(*_cleared(coeffs[:trunc]))
-
-    @classmethod
-    def from_ints(cls, num, den: int, trunc: int) -> "Series":
-        """The series num/den modulo s^trunc, for a Z[i] numerator num and a
-        positive integer den, reduced to lowest terms."""
-        out = cls.__new__(cls)
-        out.trunc = trunc
-        return out._set(num, den, trunc)
-
-    def _like(self, num, den, other=None):
-        trunc = self.trunc if other is None else min(self.trunc, other.trunc)
-        return Series.from_ints(num, den, trunc)
-
-    def _width(self) -> int:
-        return self.trunc
-
-    def __getitem__(self, k: int) -> GaussRat:
-        if not 0 <= k < self.trunc:
-            raise IndexError(f"coefficient of s^{k} unknown (trunc {self.trunc})")
-        re, im = (xs[k] if k < len(xs) else 0 for xs in self.num)
-        return GaussRat(Fraction(re, self.den), Fraction(im, self.den))
-
-    def __eq__(self, other):
-        return (self - other).is_zero()
-
-    def valuation(self) -> int:
-        return min(next((k for k, c in enumerate(xs) if c), self.trunc) for xs in self.num)
-
-    def truncated(self, n: int) -> "Series":
-        return Series.from_ints(self.num, self.den, min(n, self.trunc))
-
-    def __repr__(self):
-        terms = [f"({c})*s^{k}" for k, c in enumerate(self.coeffs) if c]
-        return (" + ".join(terms) or "0") + f"  (mod s^{self.trunc})"
-
+from .exactnum import ChainError, Rat
 
 # ---------------------------------------------------------------------------
 # the root series, over Z: alpha lies in Z[[s]] because f'(0) is a unit
+
+
+class IntSeries(namedtuple("IntSeries", "num den trunc")):
+    """A power series in s known modulo s^trunc: coefficient k is
+    (re[k] + i im[k]) / den for the Z[i] numerator num = (re, im)."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, num, den: int, trunc: int | None) -> "IntSeries":
+        """num/den modulo s^trunc (None cuts nothing), den > 0, in lowest terms: lists without
+        trailing zeros, and num and den divided by their gcd, so that den is the least
+        common denominator and equal values have equal storage."""
+        re, im = (list(xs[:trunc]) for xs in num)
+        for xs in (re, im):
+            while xs and not xs[-1]:
+                xs.pop()
+        g = math.gcd(den, *re, *im)
+        if g != 1:
+            re, im, den = [x // g for x in re], [x // g for x in im], den // g
+        return cls((re, im), den, trunc)
+
+    def valuation(self) -> int:
+        return min(next((k for k, c in enumerate(xs) if c), self.trunc) for xs in self.num)
 
 
 def _alpha_ints(N: int) -> list[int]:
@@ -258,34 +74,21 @@ def _moebius(a: list[int]) -> list[int]:
     return b
 
 
-def newton_alpha_series(N: int) -> Series:
-    """The series alpha(s) with alpha(0) = 0 killing s*f, modulo s^N."""
-    if N < 2:
-        raise ValueError("need truncation order >= 2")
-    return Series.from_ints((_alpha_ints(N), []), 1, N)
-
-
-def alpha3_series(alpha: Series) -> Series:
-    """-(alpha+1)/(alpha-1), the Moebius image giving the root near 1, for an
-    integer, real series alpha vanishing at s=0 (as newton_alpha_series)."""
-    if alpha.den != 1 or alpha.num[1] or not alpha.valuation():
-        raise ValueError("expected an integer, real series vanishing at s=0")
-    return Series.from_ints((_moebius(zpoly.pad(alpha.num[0], alpha.trunc)), []), 1, alpha.trunc)
-
-
 # each root series' truncation order, which rouche.HIGH_ORDER reads as its radius exponent
 ROOT_TRUNC = {0: 31, 3: 30}
 
 
 @lru_cache(maxsize=None)
-def root_series(type_index: int) -> Series:
+def root_series(type_index: int) -> IntSeries:
     """The root series a descent chain and a high-order certificate expand:
-    type 0 is alpha, type 3 its Moebius image, modulo s^ROOT_TRUNC[type_index].
-    Built once per process; every caller shares it and must not mutate it."""
+    type 0 is alpha, type 3 its Moebius image, modulo s^ROOT_TRUNC[type_index],
+    from the integer recurrences.  Built once per process; every caller shares
+    it and must not mutate it."""
     if type_index not in ROOT_TRUNC:
         raise ValueError("type_index must be 0 or 3")
-    alpha = newton_alpha_series(ROOT_TRUNC[type_index])
-    return alpha if type_index == 0 else alpha3_series(alpha)
+    alpha = _alpha_ints(ROOT_TRUNC[type_index])
+    return IntSeries.of((alpha if type_index == 0 else _moebius(alpha), []), 1,
+                        ROOT_TRUNC[type_index])
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +132,7 @@ def _bareiss_solve(M: list[list[int]]) -> tuple[int, list[int]]:
     return prev, y
 
 
-def pade(B: Series, deg_num: int, deg_den: int) -> PadePair:
+def pade(B: IntSeries, deg_num: int, deg_den: int) -> PadePair:
     """U/V with U - B*V = O(s^(deg_num+deg_den+1)) for a real series B, as
     the primitive integer pair with V(0) > 0: solved over Z by Bareiss
     elimination on B's numerator."""
@@ -343,24 +146,19 @@ def pade(B: Series, deg_num: int, deg_den: int) -> PadePair:
     v = [det] + y
     bv = zpoly.mul(b, v)
     u = bv[:deg_num + 1]
-    contact = _contact(zpoly.sub(u, bv)[:len(b)], order)
+    resid = zpoly.sub(u, bv)[:len(b)]
+    if (contact := next((k for k, c in enumerate(resid) if c), len(resid))) < order:
+        raise ChainError(f"contact order {contact} below required {order}")
     # U = u/(det den) and V = v/det, cleared by det den and made primitive
     v = zpoly.scale(den, v)
     g = math.gcd(*u, *v) * (1 if det > 0 else -1)
     return PadePair(tuple(c // g for c in u), tuple(c // g for c in v), contact)
 
 
-def _contact(resid: list[int], required: int) -> int:
-    val = next((k for k, c in enumerate(resid) if c), len(resid))
-    if val < required:
-        raise ChainError(f"contact order {val} below required {required}")
-    return val
-
-
-def pade_residual(B: Series, pair: PadePair) -> Series:
-    """U - B*V as a series (valuation >= contact order), computed over Z."""
+def pade_residual(B: IntSeries, pair: PadePair) -> IntSeries:
+    """U - B*V modulo s^B.trunc (valuation >= contact order), computed over Z."""
     resid = zpoly.sub(zpoly.scale(B.den, pair.U), zpoly.mul(_real(B.num), pair.V))
-    return Series.from_ints((resid, []), B.den, B.trunc)
+    return IntSeries.of((resid, []), B.den, B.trunc)
 
 
 # ---------------------------------------------------------------------------
@@ -385,7 +183,7 @@ def horner_sum(a, p: int, q: int) -> int:
     return acc
 
 
-def tail_ints(expr: Series, lead_exp: int) -> list[int]:
+def tail_ints(expr: IntSeries, lead_exp: int) -> list[int]:
     """|n_j| for j >= lead_exp over the numerator n_j of a real series with no
     term below s^lead_exp."""
     n = _real(expr.num)
@@ -395,7 +193,7 @@ def tail_ints(expr: Series, lead_exp: int) -> list[int]:
     return [abs(c) for c in n[lead_exp:]]
 
 
-def tail_bound(expr: Series, lead_exp: int, tmin: Rat) -> Rat:
+def tail_bound(expr: IntSeries, lead_exp: int, tmin: Rat) -> Rat:
     """c with |expr(1/t)| <= c / |t|^lead_exp for all |t| >= tmin (exact), for
     a real series: c = sum_j |n_j| / tmin^(j - lead_exp) / den over the
     numerator n_j."""
@@ -446,4 +244,5 @@ def quotient_root_check(type_index: int) -> bool:
 
 
 # the names of ``concrete`` that callers still read from this module
-__getattr__ = _forward(globals(), "concrete", ("thue_polys_at", "TPoly"))
+__getattr__ = _forward(globals(), "concrete", ("thue_polys_at", "TPoly", "GaussRat", "Series",
+                                               "newton_alpha_series", "alpha3_series"))

@@ -46,8 +46,8 @@ from functools import lru_cache
 from itertools import combinations, zip_longest
 
 from thueq import concrete, corollary, descent, dioph, exactnum, hyperchi, measure, rouche, zpoly
-from thueq.concrete import (_ABCD, _X_MINUS_I_4, _X_PLUS_I_4, ComplexBall, TPoly, _i_pow,
-                            thue_polys_at)
+from thueq.concrete import (_ABCD, _X_MINUS_I_4, _X_PLUS_I_4, ComplexBall, GaussRat, Series,
+                            TPoly, _cleared, _i_pow, thue_polys_at)
 from thueq.descent import (ALPHA0_MODULUS, BETA_COEFF, STEP1_COEFF, STEP1_DIVISOR,
                            STEP2_DIVISOR)
 from thueq.exactnum import DomainError, RatInterval, UndefinedKappaError, floor_line, lines
@@ -59,8 +59,7 @@ from thueq.measure import (ABSORB_BASE, C_COEFF, C_PREFACTOR, E_DIV, ERR_BASE, E
 from thueq.quadfield import QuadInt, _common, enumerate_bounded, ring
 from thueq.rouche import (ALPHA0_RADIUS, ALPHA2_RADIUS, ALPHA13_RADIUS, HIGH_ORDER,
                           EnclosureCert, require)
-from thueq.series import (_U_T, _Z_T, GaussRat, Series, _cleared, pade, pade_residual,
-                          root_series, tail_bound)
+from thueq.series import _U_T, _Z_T, pade, pade_residual, root_series, tail_bound
 
 G0 = GaussRat(Fraction(0), Fraction(0))
 G1 = GaussRat(Fraction(1), Fraction(0))

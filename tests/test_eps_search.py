@@ -4,7 +4,8 @@ are monotone near every t0 and match a Fraction reference at grid values;
 t0 does not depend on the ln 2 cache or on the order of the queries; each
 gate's threshold is where the Fraction gates and the integer gates they
 replaced change, and g* and t0 are those of a search over the integer gates;
-one log enclosure at the seed decides L at the cut values near it; and
+gate (iii)'s threshold is sought only at a grid value that reads it; one
+log enclosure at the seed decides L at the cut values near it; and
 exactnum.ln_floor matches an independent floor(2^bits ln x)."""
 
 import math
@@ -12,6 +13,7 @@ import random
 import time
 from fractions import Fraction as F
 from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, seed, settings, strategies as st
@@ -293,6 +295,25 @@ def test_thresholds_past_the_output_limit_still_exit_64(eps, capsys):
     assert "200,000-digit output limit" in capsys.readouterr().err
     if eps == "1e-200001":
         assert took < 0.2, took
+
+
+def test_gate_iii_threshold_is_sought_only_where_a_gate_reads_it(monkeypatch):
+    # below g_lo gate (iii) reads no threshold, so _eps_gates solves no quadratic for it:
+    # isqrt, patched to fail, shows any solve (at eps = 10^-20001 it took about 50 ms)
+    def refuse(n):
+        raise AssertionError("gate (iii)'s quadratic was solved")
+
+    monkeypatch.setattr(corollary, "math", SimpleNamespace(**{**vars(math), "isqrt": refuse}))
+    cases = [(F(1, 10**20001), t) for t in (10, 10**6, 10**300)]
+    cases += [(F(1, 10**300), 10**6), (F(1, 2), 10), (F(1, 2), 100), (F(1, 2), 20000)]
+    for eps, t in cases:
+        g = _ln_grid(t)
+        got = _eps_gates(t, eps)
+        assert (*(r.ok for r in got), got[2].detail) == eps_gate_int_oracle(eps)(g), (eps, t)
+        assert got[2].detail != "log comparison with kappa upper end", (eps, t)
+    # past g_lo the threshold is read, and sought: the patched isqrt is reached
+    with pytest.raises(AssertionError, match="quadratic was solved"):
+        _eps_gates(10**6, F(1, 2))
 
 
 def test_ln_floor_matches_an_independent_enclosure():

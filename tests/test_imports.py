@@ -5,7 +5,8 @@ A cold ``verify-all`` compiles every module it imports when no bytecode is
 cached, so it must not import ``thueq.concrete`` (root balls, the type
 classification, the divisibility check) or ``thueq.corollary``.  ``dioph``,
 ``series`` and ``measure`` still hand out the moved names that the benchmark
-and the acceptance criteria read there."""
+and the acceptance criteria read there, and the verdict reads none of the Q(i)
+types and series builders that moved from ``series`` to ``concrete``."""
 
 import importlib
 import importlib.util
@@ -34,11 +35,13 @@ CALLS = {
 }
 
 
-def loaded_after(call: str, optimize: list) -> set:
-    """The thueq modules in sys.modules after one call in a fresh interpreter."""
+def names_after(call: str, optimize: list,
+                names: str = "(m for m in sys.modules if m.startswith('thueq'))") -> set:
+    """The strings that the expression names yields after one call in a fresh
+    interpreter: by default the thueq modules in sys.modules."""
     code = (f"import contextlib, io, sys\nsys.path.insert(0, {SRC!r})\nfrom thueq import cli\n"
             f"with contextlib.redirect_stdout(io.StringIO()):\n{textwrap.indent(call, '    ')}\n"
-            "print(' '.join(m for m in sys.modules if m.startswith('thueq')))")
+            f"print(' '.join({names}))")
     # -I ignores PYTHONDONTWRITEBYTECODE: -B keeps the run from caching bytecode in src/
     out = subprocess.run([sys.executable, "-I", "-S", "-B", *optimize, "-c", code],
                          capture_output=True, text=True, timeout=60, check=True)
@@ -47,12 +50,25 @@ def loaded_after(call: str, optimize: list) -> set:
 
 @pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
 def test_a_cold_verify_all_imports_only_the_verdict(optimize):
-    assert loaded_after(CALLS["verify-all"], optimize) == VERDICT
+    assert names_after(CALLS["verify-all"], optimize) == VERDICT
     # the corollaries run no search, so they need no dioph
-    eps = loaded_after(CALLS["corollary-eps"], optimize)
+    eps = names_after(CALLS["corollary-eps"], optimize)
     assert "thueq.corollary" in eps and eps - {"thueq.corollary"} <= VERDICT
-    classify = loaded_after(CALLS["classify_type"], optimize)
+    classify = names_after(CALLS["classify_type"], optimize)
     assert "thueq.concrete" in classify and "thueq.corollary" not in classify
+
+
+# the Q(i) types and series builders that moved from series to concrete
+MOVED_FROM_SERIES = ("GaussRat", "Series", "_GaussDense", "newton_alpha_series", "alpha3_series")
+
+
+@pytest.mark.parametrize("optimize", [[], ["-O"]], ids=["plain", "O"])
+def test_a_cold_verify_all_binds_no_q_i_type_in_series(optimize):
+    # the verdict's series are plain integer records: nothing reads a moved name
+    series_names = "vars(sys.modules['thueq.series'])"
+    bound = names_after(CALLS["verify-all"], optimize,
+                        f"(n for n in {MOVED_FROM_SERIES!r} if n in {series_names})")
+    assert bound == set()
 
 
 # every name that perfbench/ reads from a thueq module, by module
@@ -90,7 +106,8 @@ FORWARDED = [
     (dioph, concrete, ("classify_type", "all_root_balls", "root_ball",
                        "divisibility_ball_check", "_t_exact", "_root_seeds", "TieError"),
      "_embed"),
-    (series, concrete, ("thue_polys_at", "TPoly"), "_thue_x_polys"),
+    (series, concrete, ("thue_polys_at", "TPoly", "GaussRat", "Series", "newton_alpha_series",
+                        "alpha3_series"), "_GaussDense"),
     (measure, corollary, ("corollary_eps", "corollary_lin", "_eps_gates", "LIN_T0_FLOOR"),
      "_log_constants"),
 ]

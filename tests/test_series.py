@@ -16,6 +16,7 @@ from thueq.exactnum import ChainError
 from thueq.hyperchi import chi_ints
 from thueq.series import (
     GaussRat,
+    IntSeries,
     PadePair,
     Series,
     alpha3_series,
@@ -166,15 +167,22 @@ def test_pade_contact_orders():
         assert resid.valuation() >= 2 * k - 1
 
 
+def _storage(s):
+    """What an IntSeries record and a Series both hold: (num, den, trunc)."""
+    return s.num, s.den, s.trunc
+
+
 def test_bareiss_pade_matches_gaussian_elimination_on_both_chains():
     for ti in KSTART:
         B = root_series(ti)
+        S = Series.from_ints(B.num, B.den, B.trunc)  # the same storage, in Q(i) arithmetic
+        assert _storage(S) == _storage(B)
         for k in range(KSTART[ti], KMAX + 1):
             pair = pade(B, k - 1, k - 1)
-            assert pair == _primitive(_pade_oracle(B, k - 1, k - 1)), (ti, k)
+            assert pair == _primitive(_pade_oracle(S, k - 1, k - 1)), (ti, k)
             assert all(isinstance(c, int) for c in pair.U + pair.V) and pair.V[0] > 0
             U, V = Series(list(pair.U), B.trunc), Series(list(pair.V), B.trunc)
-            assert pade_residual(B, pair) == U - B * V
+            assert _storage(pade_residual(B, pair)) == _storage(U - S * V)
 
 
 @settings(max_examples=150, deadline=None)
@@ -184,15 +192,23 @@ def test_bareiss_pade_matches_gaussian_elimination_on_both_chains():
 def test_bareiss_pade_on_drawn_integer_series(nums, den, deg_num, deg_den):
     trunc = max(len(nums), deg_num + deg_den + 1)
     B = Series([F(c, den) for c in nums], trunc)
+    # the plain record of the same integers, in lowest terms, holds B's storage
+    R = IntSeries.of((nums, []), den, trunc)
+    assert _storage(R) == _storage(B) and R.valuation() == B.valuation()
     try:
         oracle = _pade_oracle(B, deg_num, deg_den)
     except ChainError:
         with pytest.raises(ChainError):
             pade(B, deg_num, deg_den)
+        with pytest.raises(ChainError):
+            pade(R, deg_num, deg_den)
         return
     pair = pade(B, deg_num, deg_den)
-    assert pair == _primitive(oracle)
+    assert pair == _primitive(oracle) == pade(R, deg_num, deg_den)
     assert pade_residual(B, pair).valuation() == pair.contact_order
+    # the residual record is U - B*V in Series arithmetic, cut to B.trunc
+    U, V = Series(list(pair.U), trunc), Series(list(pair.V), trunc)
+    assert _storage(pade_residual(R, pair)) == _storage(U - B * V)
 
 
 def test_pade_refuses_a_singular_system_and_a_non_real_series():
@@ -348,8 +364,10 @@ def test_thue_data_checked_once_per_process(monkeypatch):
 
 def test_root_series_built_once():
     assert root_series(0) is root_series(0)
-    assert root_series(0) == newton_alpha_series(31)
-    assert root_series(3) == alpha3_series(newton_alpha_series(31)).truncated(30)
+    # each record holds the storage of the Series its Q(i) builders give
+    assert _storage(root_series(0)) == _storage(newton_alpha_series(31))
+    assert (_storage(root_series(3))
+            == _storage(alpha3_series(newton_alpha_series(31)).truncated(30)))
     assert root_series(3).trunc == 30
     with pytest.raises(ValueError):
         root_series(1)
